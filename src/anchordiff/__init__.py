@@ -42,8 +42,6 @@ from .denoisers import (
     NoMatchError,
     PosteriorAnchorProfile,
     TwoStagePredictor,
-    backoff_count_predict,
-    exact_posterior_predict,
     two_stage_predict,
 )
 from .diffusion import (

@@ -2,9 +2,11 @@
 
 Subcommands: annotate, corrupt, sample, probe, eval. Configuration comes
 from a JSON config file (--config) with command-line flags taking
-precedence; every run writes a manifest with the fully resolved
-configuration before doing any work, and all outputs are deterministic
-under a fixed seed (timestamps live only in the manifest).
+precedence. The resolved configuration is checked and the corpus loaded
+before the run directory is made, so rejected input exits 2 and leaves no
+run directory. The run then writes a manifest with the fully resolved
+configuration before doing any work. All outputs are deterministic under a
+fixed seed (timestamps live only in the manifest).
 
 Exit codes: 0 success, 2 input error, 3 predictor/runtime error,
 4 infeasible experiment.
@@ -18,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ import numpy as np
 from . import __version__
 from .anchors import AnchorConfig, AnchorStrategy, compute_omega
 from .corpus_io import (
+    DatasetRecord,
     EmptyCorpusError,
     IngestError,
     annotate_program,
@@ -35,22 +39,18 @@ from .corpus_io import (
     load_dataset,
     synth_corpus,
 )
-from .denoisers import (
-    BackoffCountModel,
-    ExactPosteriorDenoiser,
-    MarginalAnchorProfile,
-    PosteriorAnchorProfile,
-)
+from .denoisers import Corpus, ExactPosteriorDenoiser
 from .diffusion import DiffusionError, LatentSequence, corrupt
 from .experiments import (
     ancestry_probe,
+    build_strategy_predictors,
     compare_strategies,
     eval_rows_to_csv,
     render_ids,
     validity_eval,
 )
 from .hierarchy import InsufficientDepth
-from .sampler import AnchoredPair, SamplerConfig, SingleStage, generate
+from .sampler import SamplerConfig, SingleStage, default_remask_rate, generate
 from .schedule import NoiseSchedule, ScheduleKind
 
 EXIT_OK = 0
@@ -183,6 +183,75 @@ def load_sources(resolved: dict) -> list[str]:
     return [r.source for r in result.records]
 
 
+def _sampler_config(resolved: dict, anchor: AnchorConfig, T: int) -> SamplerConfig:
+    remask = resolved["remask_rate"]
+    return SamplerConfig(
+        T=T,
+        temperature=resolved["temperature"],
+        remask_rate=default_remask_rate(anchor.strategy) if remask is None else remask,
+        strategy=anchor,
+        seed=resolved["seed"],
+    )
+
+
+def _noise_level(value) -> float:
+    t = float(value)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"noise level must lie in [0, 1], got {t}")
+    return t
+
+
+@dataclass
+class Inputs:
+    """A subcommand's checked inputs. ``anchor`` is None for eval, which
+    sweeps strategies. Eval has no ``records``; eval and annotate have no
+    ``corpus``."""
+
+    anchor: AnchorConfig | None
+    sources: list[str] = field(default_factory=list)
+    records: list[DatasetRecord] = field(default_factory=list)
+    corpus: Corpus | None = None
+    schedules: list[NoiseSchedule] = field(default_factory=list)  # one per step count
+    samplers: list[SamplerConfig] = field(default_factory=list)  # eval: one per strategy
+    t_values: list[float] = field(default_factory=list)  # corrupt's and probe's noise levels
+
+
+def load_inputs(resolved: dict) -> Inputs:
+    """Check the options the subcommand uses, then load its corpus.
+
+    Rejected input raises ValueError or an ingest error before any output
+    exists; main reports it as exit 2.
+    """
+    command = resolved["command"]
+    inputs = Inputs(None if command == "eval" else _anchor_config(resolved))
+    if command in ("corrupt", "sample", "eval"):
+        steps = str(resolved["steps"]).split(",") if command == "eval" else [resolved["steps"]]
+        kind = ScheduleKind(resolved["schedule"])
+        inputs.schedules = [NoiseSchedule(kind, int(v)) for v in steps]
+    if command == "sample":
+        inputs.samplers = [_sampler_config(resolved, inputs.anchor, inputs.schedules[0].T)]
+    if command == "eval":
+        names = str(resolved["strategy"]).split(",")
+        anchors = [_anchor_config(resolved, name.strip()) for name in names]
+        inputs.samplers = [_sampler_config(resolved, a, inputs.schedules[0].T) for a in anchors]
+    if command == "corrupt":
+        inputs.t_values = [_noise_level(resolved["t"])]
+    if command == "probe":
+        inputs.t_values = [_noise_level(v) for v in str(resolved["probe_t"]).split(",")]
+    inputs.sources = load_sources(resolved)
+    if command == "eval":
+        return inputs
+    split = resolved["split_max_len"]
+    inputs.records = [
+        annotate_program(s, inputs.anchor, record_id=str(i), split_max_len=split)
+        for i, s in enumerate(inputs.sources)
+    ]
+    if command != "annotate":
+        vocab = build_vocab(inputs.sources)
+        inputs.corpus = build_corpus(inputs.records, vocab, resolved["length"])
+    return inputs
+
+
 def make_run_dir(resolved: dict) -> Path:
     if resolved["out"]:
         run_dir = Path(resolved["out"])
@@ -217,24 +286,12 @@ def _write(run_dir: Path, name: str, payload: str) -> None:
     (run_dir / name).write_text(payload, encoding="utf-8")
 
 
-def _records(sources: list[str], config: AnchorConfig, resolved: dict | None = None):
-    split = resolved.get("split_max_len") if resolved else None
-    return [
-        annotate_program(s, config, record_id=str(i), split_max_len=split)
-        for i, s in enumerate(sources)
-    ]
-
-
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_annotate(resolved: dict) -> int:
-    config = _anchor_config(resolved)
-    sources = load_sources(resolved)
-    run_dir = make_run_dir(resolved)
-    write_manifest(run_dir, resolved, config)
-    records = _records(sources, config, resolved)
-    _write(run_dir, "dataset.jsonl", dataset_to_jsonl(records, config))
+def cmd_annotate(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+    records = inputs.records
+    _write(run_dir, "dataset.jsonl", dataset_to_jsonl(records, inputs.anchor))
     depth_hist: dict[int, int] = {}
     for rec in records:
         for ann in rec.annotations:
@@ -256,25 +313,19 @@ def cmd_annotate(resolved: dict) -> int:
     return EXIT_OK
 
 
-def cmd_corrupt(resolved: dict) -> int:
-    config = _anchor_config(resolved)
-    sources = load_sources(resolved)
-    run_dir = make_run_dir(resolved)
-    write_manifest(run_dir, resolved, config)
-    records = _records(sources, config, resolved)
-    vocab = build_vocab(sources)
-    corpus = build_corpus(records, vocab, resolved["length"])
-    schedule = NoiseSchedule(ScheduleKind(resolved["schedule"]), int(resolved["steps"]))
-    t = float(resolved["t"])
+def cmd_corrupt(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+    corpus = inputs.corpus
+    vocab = corpus.vocab
+    t = inputs.t_values[0]
     rng = np.random.default_rng(resolved["seed"])
     lines = []
     for i in range(corpus.n):
         x = LatentSequence(corpus.ids[i].copy(), vocab.mask_id)
-        z = corrupt(x, t, schedule, rng)
+        z = corrupt(x, t, inputs.schedules[0], rng)
         lines.append(
             json.dumps(
                 {
-                    "id": records[i].record_id,
+                    "id": inputs.records[i].record_id,
                     "t": t,
                     "masked": int(z.is_masked.sum()),
                     "text": render_ids(z.ids, vocab),
@@ -287,18 +338,6 @@ def cmd_corrupt(resolved: dict) -> int:
     return EXIT_OK
 
 
-def _build_predictors(resolved: dict, corpus, strategy: AnchorStrategy):
-    if resolved.get("predictor", "exact") == "backoff":
-        model = BackoffCountModel.fit(corpus)
-        if strategy is AnchorStrategy.NULL:
-            return SingleStage(model)
-        return AnchoredPair(model, model, MarginalAnchorProfile(corpus))
-    exact = ExactPosteriorDenoiser(corpus)
-    if strategy is AnchorStrategy.NULL:
-        return SingleStage(exact)
-    return AnchoredPair(exact, exact, PosteriorAnchorProfile(corpus))
-
-
 def _one_sample(task):
     predictors, cfg, schedule, length, seed, index = task
     rng = np.random.default_rng([seed, index])
@@ -306,33 +345,18 @@ def _one_sample(task):
     return index, out, trace
 
 
-def cmd_sample(resolved: dict) -> int:
-    config = _anchor_config(resolved)
-    sources = load_sources(resolved)
-    run_dir = make_run_dir(resolved)
-    write_manifest(run_dir, resolved, config)
-    records = _records(sources, config, resolved)
-    vocab = build_vocab(sources)
-    corpus = build_corpus(records, vocab, resolved["length"])
-    T = int(resolved["steps"])
-    schedule = NoiseSchedule(ScheduleKind(resolved["schedule"]), T)
-    remask = resolved["remask_rate"]
-    if remask is None:
-        remask = 0.0 if config.strategy is AnchorStrategy.NULL else 0.1
-    sampler_cfg = SamplerConfig(
-        T=T,
-        temperature=resolved["temperature"],
-        remask_rate=remask,
-        strategy=config,
-        seed=resolved["seed"],
+def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+    corpus = inputs.corpus
+    sampler_cfg = inputs.samplers[0]
+    predictors = build_strategy_predictors(
+        corpus, sampler_cfg.strategy.strategy, resolved["predictor"]
     )
-    predictors = _build_predictors(resolved, corpus, config.strategy)
-    if resolved.get("predictor") == "backoff":
+    if resolved["predictor"] == "backoff":
         model = predictors.predictor if isinstance(predictors, SingleStage) else predictors.denoiser
         _write(run_dir, "counts.json", model.to_json() + "\n")
     n = resolved["n_samples"]
     tasks = [
-        (predictors, sampler_cfg, schedule, corpus.length, resolved["seed"], j)
+        (predictors, sampler_cfg, inputs.schedules[0], corpus.length, resolved["seed"], j)
         for j in range(n)
     ]
     if resolved["workers"] > 1:
@@ -344,7 +368,7 @@ def cmd_sample(resolved: dict) -> int:
     (run_dir / "traces").mkdir(exist_ok=True)
     texts = []
     for index, out, trace in results:
-        text = render_ids(out, vocab)
+        text = render_ids(out, corpus.vocab)
         texts.append(text)
         _write(run_dir, f"samples/{index:04d}.txt", text)
         _write(run_dir, f"traces/{index:04d}.jsonl", trace.to_jsonl())
@@ -362,21 +386,13 @@ def cmd_sample(resolved: dict) -> int:
     return EXIT_OK
 
 
-def cmd_probe(resolved: dict) -> int:
-    config = _anchor_config(resolved)
-    sources = load_sources(resolved)
-    run_dir = make_run_dir(resolved)
-    write_manifest(run_dir, resolved, config)
-    records = _records(sources, config, resolved)
-    vocab = build_vocab(sources)
-    corpus = build_corpus(records, vocab, resolved["length"])
-    den = ExactPosteriorDenoiser(corpus)
-    t_values = [float(v) for v in str(resolved["probe_t"]).split(",")]
+def cmd_probe(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+    corpus = inputs.corpus
     run = ancestry_probe(
-        records,
+        inputs.records,
         corpus,
-        den,
-        t_values=t_values,
+        ExactPosteriorDenoiser(corpus),
+        t_values=inputs.t_values,
         k=resolved["probe_k"],
         n_probes=resolved["n_samples"],
         rng=resolved["seed"],
@@ -397,40 +413,22 @@ def cmd_probe(resolved: dict) -> int:
         )
         + "\n",
     )
-    print(f"probe k={run.k} over t={t_values} -> {run_dir}")
+    print(f"probe k={run.k} over t={inputs.t_values} -> {run_dir}")
     return EXIT_OK
 
 
-def cmd_eval(resolved: dict) -> int:
-    sources = load_sources(resolved)
-    run_dir = make_run_dir(resolved)
-    write_manifest(run_dir, resolved, None)
-    t_grid = [int(v) for v in str(resolved["steps"]).split(",")]
-    strategies = [s.strip() for s in str(resolved["strategy"]).split(",")]
-    configs = []
-    for name in strategies:
-        anchor = _anchor_config(resolved, name)
-        remask = resolved["remask_rate"]
-        if remask is None:
-            remask = 0.0 if anchor.strategy is AnchorStrategy.NULL else 0.1
-        configs.append(
-            SamplerConfig(
-                T=t_grid[0],
-                temperature=resolved["temperature"],
-                remask_rate=remask,
-                strategy=anchor,
-                seed=resolved["seed"],
-            )
-        )
+def cmd_eval(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+    t_grid = [s.T for s in inputs.schedules]
+    strategies = [c.strategy.strategy.value for c in inputs.samplers]
     rows = compare_strategies(
-        sources,
-        configs,
+        inputs.sources,
+        inputs.samplers,
         t_grid,
         resolved["n_samples"],
-        ScheduleKind(resolved["schedule"]),
+        inputs.schedules[0].kind,
         resolved["seed"],
         length=resolved["length"],
-        predictor_kind=resolved.get("predictor", "exact"),
+        predictor_kind=resolved["predictor"],
     )
     _write(run_dir, "eval.csv", eval_rows_to_csv(rows))
     for metric in ("syntax_fraction", "mean_unmask_depth_corr", "nelbo"):
@@ -454,13 +452,22 @@ COMMANDS = {
     "eval": cmd_eval,
 }
 
+INPUT_ERRORS = (IngestError, EmptyCorpusError, OSError)
+
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    resolved = resolve_config(args)
     try:
-        return COMMANDS[args.command](resolved)
-    except (IngestError, EmptyCorpusError, FileNotFoundError, OSError) as exc:
+        resolved = resolve_config(args)
+        inputs = load_inputs(resolved)
+    except (ValueError, *INPUT_ERRORS) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        run_dir = make_run_dir(resolved)
+        write_manifest(run_dir, resolved, inputs.anchor)
+        return COMMANDS[args.command](resolved, inputs, run_dir)
+    except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InsufficientDepth as exc:

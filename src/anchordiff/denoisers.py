@@ -11,6 +11,11 @@ the vocabulary, later passed through apply_constraints):
   right, then unigram, Laplace-smoothed; total on any input.
 * two_stage_predict: the anchored composition, committing anchor-stage
   argmax tokens into an intermediate sequence that conditions the denoiser.
+
+resolve_anchors is the single anchor-first commit routine, and
+anchor_commit_order the single anchor ordering. The anchored sampler shares
+that ordering; it commits every masked anchor of a step before any other
+position, so it never needs a provisional scaffold.
 """
 
 from __future__ import annotations
@@ -131,11 +136,6 @@ class ExactPosteriorDenoiser(Predictor):
         return counts / counts.sum()
 
 
-def exact_posterior_predict(corpus: Corpus, z: LatentSequence) -> PredictionMatrix:
-    """Constraint-satisfying exact posterior prediction for ``z``."""
-    return apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
-
-
 class BackoffCountModel(Predictor):
     """Neighbor-context count model with Laplace smoothing constant 1.
 
@@ -246,19 +246,24 @@ class BackoffCountModel(Predictor):
         return cls(vocab, pair, left, right, np.array(data["unigram"]))
 
 
-def backoff_count_predict(
-    model: BackoffCountModel, z: LatentSequence
-) -> PredictionMatrix:
-    """Constraint-satisfying backoff prediction for ``z``."""
-    return apply_constraints(model.predict(z), z)
-
-
 def anchor_commit_order(
     omega: np.ndarray, eta: np.ndarray, masked: np.ndarray
 ) -> list[int]:
     """Masked anchor positions ordered by descending weight, then position."""
-    candidates = [l for l in np.flatnonzero(masked) if omega[l] >= 0.5]
+    candidates = [int(l) for l in np.flatnonzero(masked) if omega[l] >= 0.5]
     return sorted(candidates, key=lambda l: (-float(omega[l] * eta[l]), l))
+
+
+def resolve_anchors(
+    anchor_predictor: Predictor, z: LatentSequence, order: list[int]
+) -> LatentSequence:
+    """Commit the anchor stage's argmax token at each position of ``order``
+    into a copy of ``z``, each commit conditioned on the ones before it,
+    which keeps the result inside a table predictor's support."""
+    y = z.copy_with(z.ids)
+    for l in order:
+        y.ids[l] = int(np.argmax(anchor_predictor.predict_row(y, l)))
+    return y
 
 
 def two_stage_predict(
@@ -267,40 +272,25 @@ def two_stage_predict(
     z: LatentSequence,
     omega: np.ndarray,
     eta: np.ndarray,
-    rng=None,
 ) -> tuple[PredictionMatrix, PredictionMatrix, LatentSequence]:
-    """Anchored composition: predict anchors, commit their argmax tokens
-    into an intermediate sequence, then run the denoiser on it.
+    """Anchored composition: predict anchors, resolve the masked ones into
+    an intermediate sequence (resolve_anchors, in anchor_commit_order), then
+    run the denoiser on it.
 
-    Commits are made one at a time in descending anchor weight (ties to the
-    lower position), each conditioned on the commits before it, which keeps
-    the intermediate sequence inside the posterior's support. In the
-    returned final matrix, positions the anchor stage resolved carry the
-    anchor stage's soft row (its marginal over the commitment) rather than
-    a one-hot of the committed token, so the composed prediction never
+    In the returned final matrix, positions the anchor stage resolved carry
+    the anchor stage's soft row (its marginal over the commitment) rather
+    than a one-hot of the committed token, so the composed prediction never
     assigns zero probability to a clean token the anchor stage considered
-    possible. ``rng`` is accepted for signature compatibility; commitment
-    is deterministic.
+    possible.
     """
-    del rng
     anchor_matrix = apply_constraints(anchor_predictor.predict(z), z)
     order = anchor_commit_order(omega, eta, z.is_masked)
-    y = z
-    for idx, l in enumerate(order):
-        row = (
-            anchor_matrix.probs[l]
-            if idx == 0
-            else anchor_predictor.predict_row(y, l)
-        )
-        ids = y.ids.copy()
-        ids[l] = int(np.argmax(row))
-        y = y.copy_with(ids)
+    y = resolve_anchors(anchor_predictor, z, order)
     final = apply_constraints(denoiser_predictor.predict(y), y).probs
     if order:
         final = final.copy()
         final[order] = anchor_matrix.probs[order]
-    final_matrix = PredictionMatrix(final)
-    return anchor_matrix, final_matrix, y
+    return anchor_matrix, PredictionMatrix(final), y
 
 
 @dataclass
@@ -336,11 +326,10 @@ class PosteriorAnchorProfile:
         if corpus.omega is None or corpus.eta is None:
             raise ValueError("corpus lacks omega/eta annotation arrays")
         self.corpus = corpus
+        self._exact = ExactPosteriorDenoiser(corpus)
 
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        agree = (self.corpus.ids == z.ids[None, :]) | z.is_masked[None, :]
-        m = agree.all(axis=1)
-        w = np.where(m, self.corpus.weights, 0.0)
+        w = np.where(self._exact.match_mask(z), self.corpus.weights, 0.0)
         if w.sum() == 0:
             w = self.corpus.weights
         w = w / w.sum()

@@ -10,10 +10,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anchors import AnchorStrategy
-from .corpus_io import DatasetRecord, build_corpus, build_vocab
+from .corpus_io import DatasetRecord, annotate_program, build_corpus, build_vocab
 from .denoisers import (
+    BackoffCountModel,
     Corpus,
     ExactPosteriorDenoiser,
+    MarginalAnchorProfile,
     PosteriorAnchorProfile,
     Predictor,
     TwoStagePredictor,
@@ -276,8 +278,6 @@ def build_strategy_predictors(
     Bayes-exact table or the backoff count model (whose anchored pair uses
     the corpus-marginal profile, since it has no match set)."""
     if predictor_kind == "backoff":
-        from .denoisers import BackoffCountModel, MarginalAnchorProfile
-
         model = BackoffCountModel.fit(corpus)
         if strategy is AnchorStrategy.NULL:
             return SingleStage(model)
@@ -307,8 +307,6 @@ def compare_strategies(
     """Generate with each config across the step grid and report validity,
     depth-ordering correlation, and NELBO, with seeds shared across configs
     so rows are paired."""
-    from .corpus_io import annotate_program  # local to avoid cycle at import
-
     vocab = build_vocab(sources)
     rows: list[EvalRow] = []
     for config in configs:
@@ -399,8 +397,6 @@ def _strategy_nelbo(
     tokens and its NELBO is infinite by construction; the smoothed count
     model is the learned-model stand-in and stays finite.
     """
-    from .denoisers import BackoffCountModel
-
     model = BackoffCountModel.fit(corpus)
     schedule = NoiseSchedule(T=16)
     total = 0.0

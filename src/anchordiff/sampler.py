@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorStrategy
+from .denoisers import anchor_commit_order
 from .diffusion import (
     LatentSequence,
     as_rng,
@@ -67,19 +68,18 @@ class DenoiseTrace:
         self.length = length
         self.events: list[TraceEvent] = []
         self.final: np.ndarray | None = None
+        self._last_unmask: list[int | None] = [None] * length
 
     def record(self, position: int, step: int, event: str, token: int, stage: str) -> None:
         self.events.append(TraceEvent(position, step, event, token, stage))
+        if event == "unmask":
+            self._last_unmask[position] = step
 
     def events_for(self, position: int) -> list[TraceEvent]:
         return [e for e in self.events if e.position == position]
 
     def final_unmask_step(self, position: int) -> int | None:
-        step = None
-        for e in self.events:
-            if e.position == position and e.event == "unmask":
-                step = e.step
-        return step
+        return self._last_unmask[position]
 
     def to_jsonl(self) -> str:
         lines = [
@@ -162,25 +162,24 @@ def generate(
     ids[: len(prompt)] = prompt
     prompt_mask = np.zeros(length, dtype=bool)
     prompt_mask[: len(prompt)] = True
+    # One live latent over ``ids``: every commit and remask below writes
+    # into ``ids`` and so is seen by the next predictor query.
+    z = LatentSequence(ids=ids, mask_id=mask_id, prompt_mask=prompt_mask)
     trace = DenoiseTrace(config.T, length)
     last_stage = ["denoise"] * length
 
-    def latent(t: float) -> LatentSequence:
-        return LatentSequence(ids=ids.copy(), mask_id=mask_id, prompt_mask=prompt_mask, t=t)
-
     for i in range(config.T, 0, -1):
         p = unmask_prob(schedule, i)
-        t_now = i / config.T
-        masked = np.flatnonzero((ids == mask_id) & ~prompt_mask)
+        z.t = i / config.T
+        masked = np.flatnonzero(z.is_masked)
         if len(masked):
             budget = int(rng.binomial(len(masked), p))
             if budget:
                 _step_commits(
-                    ids, masked, budget, predictors, config, latent(t_now),
-                    trace, last_stage, i, rng,
+                    z, masked, budget, predictors, config, trace, last_stage, i, rng
                 )
         if i > 1 and config.remask_rate > 0:
-            committed = np.flatnonzero((ids != mask_id) & ~prompt_mask)
+            committed = np.flatnonzero(~z.is_masked & ~prompt_mask)
             for l in committed:
                 if rng.random() < config.remask_rate * p:
                     trace.record(int(l), i, "remask", int(ids[l]), last_stage[l])
@@ -193,71 +192,40 @@ def generate(
 
 
 def _step_commits(
-    ids: np.ndarray,
+    z: LatentSequence,
     masked: np.ndarray,
     budget: int,
     predictors: SingleStage | AnchoredPair,
     config: SamplerConfig,
-    z: LatentSequence,
     trace: DenoiseTrace,
     last_stage: list[str],
     step: int,
     rng: np.random.Generator,
 ) -> None:
-    mask_id = z.mask_id
-
-    def current() -> LatentSequence:
-        return LatentSequence(
-            ids=ids.copy(), mask_id=mask_id, prompt_mask=z.prompt_mask, t=z.t
-        )
+    """Spend ``budget`` unmasks of one reverse step, writing into ``z``."""
 
     def commit(l: int, row: np.ndarray, stage: str) -> None:
         token = sample_categorical(temper_row(row, config.temperature), rng)
-        ids[l] = token
+        z.ids[l] = token
         last_stage[l] = stage
         trace.record(int(l), step, "unmask", int(token), stage)
 
     if not predictors.anchored:
         order = masked[rng.permutation(len(masked))]
         for l in order[:budget]:
-            commit(int(l), predictors.predictor.predict_row(current(), int(l)), "denoise")
+            commit(int(l), predictors.predictor.predict_row(z, int(l)), "denoise")
         return
 
     omega_hat, eta_hat = predictors.profile(z)
-    mu_hat = omega_hat * eta_hat
-    anchors = sorted(
-        (int(l) for l in masked if omega_hat[l] >= 0.5),
-        key=lambda l: (-mu_hat[l], l),
-    )
+    anchors = anchor_commit_order(omega_hat, eta_hat, z.is_masked)
     others = [int(l) for l in masked if omega_hat[l] < 0.5]
     rng.shuffle(others)
-    chosen = (anchors + others)[:budget]
-    anchor_set = set(anchors)
-
-    for l in chosen:
-        if l in anchor_set:
-            commit(l, predictors.anchor.predict_row(current(), l), "anchor")
-    rest = [l for l in chosen if l not in anchor_set]
-    if not rest:
-        return
-    # Provisionally resolve the remaining masked anchors so non-anchor
-    # predictions condition on the full anchor scaffold.
-    y_ids = ids.copy()
-    pending = sorted(
-        (int(l) for l in np.flatnonzero((y_ids == mask_id) & ~z.prompt_mask)
-         if omega_hat[l] >= 0.5),
-        key=lambda l: (-mu_hat[l], l),
-    )
-    y = LatentSequence(ids=y_ids.copy(), mask_id=mask_id, prompt_mask=z.prompt_mask, t=z.t)
-    for l in pending:
-        row = predictors.anchor.predict_row(y, l)
-        y_ids[l] = int(np.argmax(row))
-        y = LatentSequence(ids=y_ids.copy(), mask_id=mask_id, prompt_mask=z.prompt_mask, t=z.t)
-    for l in rest:
-        row = predictors.denoiser.predict_row(y, l)
-        commit(l, row, "denoise")
-        y_ids[l] = ids[l]
-        y = LatentSequence(ids=y_ids.copy(), mask_id=mask_id, prompt_mask=z.prompt_mask, t=z.t)
+    # Every masked anchor is committed before any other position, so the
+    # denoiser's rows always condition on the full anchor scaffold.
+    for l in anchors[:budget]:
+        commit(l, predictors.anchor.predict_row(z, l), "anchor")
+    for l in others[: max(budget - len(anchors), 0)]:
+        commit(l, predictors.denoiser.predict_row(z, l), "denoise")
 
 
 def unmask_order_stats(

@@ -46,19 +46,28 @@ def naive_node_assignment(tree: SyntaxTree, tokens: list[Token]) -> list[int]:
     return out
 
 
-def naive_posterior(corpus: Corpus, z: LatentSequence) -> np.ndarray:
-    """Per-sequence loop posterior: constraint-satisfying probability rows."""
-    K = corpus.vocab.size
+def naive_consistent_rows(corpus: Corpus, z: LatentSequence) -> list[int]:
+    """Indices of the corpus sequences that agree with z where unmasked."""
     mask = corpus.vocab.mask_id
-    matched = []
-    for ids, w in zip(corpus.ids, corpus.weights):
+    rows = []
+    for i, ids in enumerate(corpus.ids):
         ok = True
         for l in range(len(z)):
             if z.ids[l] != mask and z.ids[l] != ids[l]:
                 ok = False
                 break
         if ok:
-            matched.append((ids, w))
+            rows.append(i)
+    return rows
+
+
+def naive_posterior(corpus: Corpus, z: LatentSequence) -> np.ndarray:
+    """Per-sequence loop posterior: constraint-satisfying probability rows."""
+    K = corpus.vocab.size
+    mask = corpus.vocab.mask_id
+    matched = [
+        (corpus.ids[i], corpus.weights[i]) for i in naive_consistent_rows(corpus, z)
+    ]
     if not matched:
         raise NoMatchError("no corpus sequence matches")
     total = sum(w for _, w in matched)

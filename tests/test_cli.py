@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anchordiff.cli import main
@@ -40,6 +41,38 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["annotate", "--schedule", "bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corrupt", "--t", "2"],
+            ["sample", "--steps", "0"],
+            ["sample", "--temperature", "0"],
+            ["eval", "--steps", "0"],
+            ["probe", "--probe-t", "1.5"],
+            ["sample", "--strategy", "bogus"],
+            ["annotate", "--config", "BAD_JSON"],
+        ],
+        ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
+             "probe-t", "sample-strategy", "malformed-config"],
+    )
+    def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv = [str(bad) if a == "BAD_JSON" else a for a in argv]
+        out = tmp_path / "run"
+        assert main([*argv, *BASE, "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_error_inside_a_run_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def broken(texts):
+            raise ValueError("broken inside the run")
+
+        monkeypatch.setattr("anchordiff.cli.validity_eval", broken)
+        with pytest.raises(ValueError, match="broken inside the run"):
+            main(["sample", *BASE, "--steps", "2", "--n-samples", "1",
+                  "--out", str(tmp_path / "s")])
 
 
 class TestManifest:
@@ -183,6 +216,35 @@ class TestOutputs:
         for rec in rec_split[:3]:
             for tok in rec.tokens:
                 assert tok.text == rec.source[tok.start : tok.end]
+
+    def test_backoff_sample_matches_library_generate(self, tmp_path):
+        from anchordiff import (
+            AnchorConfig, AnchorStrategy, annotate_program, build_corpus,
+            build_vocab, synth_corpus,
+        )
+        from anchordiff.cli import SYNTH_SEED
+        from anchordiff.experiments import build_strategy_predictors, render_ids
+        from anchordiff.sampler import SamplerConfig, default_remask_rate, generate
+        from anchordiff.schedule import NoiseSchedule
+
+        out = tmp_path / "b"
+        assert main(["sample", *BASE, "--steps", "8", "--n-samples", "3",
+                     "--predictor", "backoff", "--out", str(out)]) == 0
+        sources = synth_corpus(seed=SYNTH_SEED, n_programs=25, max_depth=6)
+        config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+        records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
+        vocab = build_vocab(sources)
+        corpus = build_corpus(records, vocab, 64)
+        predictors = build_strategy_predictors(corpus, config.strategy, "backoff")
+        cfg = SamplerConfig(
+            T=8, remask_rate=default_remask_rate(config.strategy), strategy=config
+        )
+        for j in range(3):
+            ids, trace = generate(
+                [], 64, predictors, cfg, NoiseSchedule(T=8), np.random.default_rng([11, j])
+            )
+            assert (out / "samples" / f"{j:04d}.txt").read_text() == render_ids(ids, vocab)
+            assert (out / "traces" / f"{j:04d}.jsonl").read_text() == trace.to_jsonl()
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         seq = tmp_path / "w1"

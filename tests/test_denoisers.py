@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchordiff import (
     AnchorConfig,
@@ -12,21 +14,21 @@ from anchordiff import (
 )
 from anchordiff.denoisers import (
     BackoffCountModel,
+    Corpus,
     ExactPosteriorDenoiser,
     MarginalAnchorProfile,
     NoMatchError,
     PosteriorAnchorProfile,
     TwoStagePredictor,
     anchor_commit_order,
-    backoff_count_predict,
-    exact_posterior_predict,
+    resolve_anchors,
     two_stage_predict,
 )
-from anchordiff.diffusion import LatentSequence, apply_constraints, corrupt
+from anchordiff.diffusion import LatentSequence, Vocab, apply_constraints, corrupt
 from anchordiff.schedule import NoiseSchedule
 
 from .conftest import make_corpus
-from .oracles import naive_posterior
+from .oracles import naive_consistent_rows, naive_posterior
 
 
 def latent(corpus, ids):
@@ -38,21 +40,21 @@ class TestExactPosterior:
         corpus = make_corpus(["ab", "cd"])
         v = corpus.vocab
         z = latent(corpus, [v.mask_id, v.id("b")])
-        out = exact_posterior_predict(corpus, z)
+        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
         assert out.probs[0, v.id("a")] == 1.0
 
     def test_mixture_when_all_masked(self):
         corpus = make_corpus(["ab", "cd"])
         v = corpus.vocab
         z = latent(corpus, [v.mask_id, v.mask_id])
-        out = exact_posterior_predict(corpus, z)
+        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
         assert out.probs[0, v.id("a")] == 0.5
         assert out.probs[0, v.id("c")] == 0.5
 
     def test_fully_unmasked_identity(self):
         corpus = make_corpus(["ab", "cd"])
         z = latent(corpus, corpus.ids[0])
-        out = exact_posterior_predict(corpus, z)
+        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
         assert (out.probs[np.arange(2), corpus.ids[0]] == 1.0).all()
 
     def test_no_match_raises(self):
@@ -60,13 +62,13 @@ class TestExactPosterior:
         v = corpus.vocab
         z = latent(corpus, [v.id("a"), v.id("d")])
         with pytest.raises(NoMatchError):
-            exact_posterior_predict(corpus, z)
+            apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
 
     def test_weighted_mixture(self):
         corpus = make_corpus(["ab", "cb"], weights=[3.0, 1.0])
         v = corpus.vocab
         z = latent(corpus, [v.mask_id, v.id("b")])
-        out = exact_posterior_predict(corpus, z)
+        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
         assert out.probs[0, v.id("a")] == 0.75
 
     def test_randomized_oracle_equivalence(self):
@@ -149,7 +151,7 @@ class TestBackoff:
         model = BackoffCountModel.fit(corpus)
         v = corpus.vocab
         z = latent(corpus, [v.id("c"), v.mask_id, v.id("a")])
-        out = backoff_count_predict(model, z)
+        out = apply_constraints(model.predict(z), z)
         out.validate(z)
 
     def test_rejects_unknown_version_or_format(self):
@@ -255,6 +257,38 @@ class TestTwoStage:
         assert (anchor_m.probs[idx, corpus.ids[1]] == 1.0).all()
         assert (final_m.probs[idx, corpus.ids[1]] == 1.0).all()
 
+    @pytest.mark.parametrize("kind", ["exact", "backoff"])
+    def test_intermediate_is_resolve_anchors(self, synth_corpus_built, kind):
+        corpus = synth_corpus_built
+        model = (
+            ExactPosteriorDenoiser(corpus)
+            if kind == "exact"
+            else BackoffCountModel.fit(corpus)
+        )
+        rng = np.random.default_rng(17)
+        for i in range(6):
+            x = LatentSequence(corpus.ids[i].copy(), corpus.vocab.mask_id)
+            z = corrupt(x, 0.8, NoiseSchedule(T=8), rng)
+            omega, eta = corpus.omega[i], corpus.eta[i]
+            _, _, y = two_stage_predict(model, model, z, omega, eta)
+            order = anchor_commit_order(omega, eta, z.is_masked)
+            assert np.array_equal(y.ids, resolve_anchors(model, z, order).ids)
+
+    def test_resolve_anchors_stays_in_support(self, synth_corpus_built):
+        corpus = synth_corpus_built
+        den = ExactPosteriorDenoiser(corpus)
+        rng = np.random.default_rng(23)
+        for i in range(6):
+            x = LatentSequence(corpus.ids[i].copy(), corpus.vocab.mask_id)
+            z = corrupt(x, 0.9, NoiseSchedule(T=8), rng)
+            order = anchor_commit_order(corpus.omega[i], corpus.eta[i], z.is_masked)
+            y = resolve_anchors(den, z, order)
+            rest = np.setdiff1d(np.arange(len(z)), order)
+            assert not y.is_masked[order].any()
+            assert np.array_equal(y.ids[rest], z.ids[rest])
+            assert z.is_masked[order].all()  # z itself is left as it was
+            assert den.match_mask(y).any()
+
     def test_commit_order_deterministic(self):
         omega = np.array([1, 1, 0, 1, 1])
         eta = np.array([0.1, 0.3, 0.9, 0.3, 0.05])
@@ -295,3 +329,41 @@ class TestProfiles:
         a = prof(LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id))
         b = prof(latent(corpus, corpus.ids[2]))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+@st.composite
+def annotated_corpus_and_latent(draw):
+    n = draw(st.integers(1, 6))
+    L = draw(st.integers(1, 6))
+
+    def table(elements):
+        row = st.lists(elements, min_size=L, max_size=L)
+        return np.array(draw(st.lists(row, min_size=n, max_size=n)))
+
+    vocab = Vocab(("a", "b", "c", "d", "<pad>", "?"))
+    corpus = Corpus(
+        ids=table(st.integers(0, 3)),
+        weights=np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), float),
+        vocab=vocab,
+        omega=table(st.sampled_from([0.0, 1.0])),
+        eta=table(st.integers(0, 8)) / 8,
+    )
+    # Latent tokens range over the vocabulary and the mask, so some latents
+    # match no corpus row.
+    tokens = st.sampled_from([0, 1, 2, 3, vocab.mask_id])
+    z_ids = np.array(draw(st.lists(tokens, min_size=L, max_size=L)))
+    return corpus, LatentSequence(z_ids, vocab.mask_id)
+
+
+class TestPosteriorProfileOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(annotated_corpus_and_latent())
+    def test_matches_oracle_consistent_rows(self, case):
+        corpus, z = case
+        rows = naive_consistent_rows(corpus, z) or list(range(corpus.n))
+        w = corpus.weights[rows]
+        expected_omega = sum(wi * corpus.omega[i] for wi, i in zip(w, rows)) / w.sum()
+        expected_eta = sum(wi * corpus.eta[i] for wi, i in zip(w, rows)) / w.sum()
+        omega, eta = PosteriorAnchorProfile(corpus)(z)
+        assert np.allclose(omega, expected_omega, rtol=0, atol=1e-12)
+        assert np.allclose(eta, expected_eta, rtol=0, atol=1e-12)

@@ -118,6 +118,7 @@ class TestBasics:
                 expected = "remask" if expected == "unmask" else "unmask"
                 saw_remask |= e.event == "remask"
             assert events[-1].event == "unmask"
+            assert trace.final_unmask_step(l) == events[-1].step
         assert saw_remask
 
     def test_default_remask_rates(self):

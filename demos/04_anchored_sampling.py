@@ -30,11 +30,7 @@ records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
 vocab = build_vocab(sources)
 corpus = build_corpus(records, vocab, length=64)
 
-pair = AnchoredPair(
-    ExactPosteriorDenoiser(corpus),
-    ExactPosteriorDenoiser(corpus),
-    PosteriorAnchorProfile(corpus),
-)
+pair = AnchoredPair(ExactPosteriorDenoiser(corpus), PosteriorAnchorProfile(corpus))
 T = 24
 cfg = SamplerConfig(T=T, strategy=config, remask_rate=0.1, seed=5)
 out, trace = generate([], 64, pair, cfg, NoiseSchedule(T=T))

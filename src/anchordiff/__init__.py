@@ -88,7 +88,6 @@ from .sampler import (
     AnchoredPair,
     DenoiseTrace,
     SamplerConfig,
-    SingleStage,
     default_remask_rate,
     generate,
     unmask_order_stats,

@@ -33,7 +33,6 @@ from .corpus_io import (
     IngestError,
     annotate_program,
     build_corpus,
-    build_vocab,
     dataset_to_jsonl,
     ingest,
     load_dataset,
@@ -42,6 +41,7 @@ from .corpus_io import (
 from .denoisers import Corpus, ExactPosteriorDenoiser
 from .diffusion import DiffusionError, LatentSequence, corrupt
 from .experiments import (
+    PREDICTOR_KINDS,
     ancestry_probe,
     build_strategy_predictors,
     compare_strategies,
@@ -50,7 +50,7 @@ from .experiments import (
     validity_eval,
 )
 from .hierarchy import InsufficientDepth
-from .sampler import SamplerConfig, SingleStage, default_remask_rate, generate
+from .sampler import SamplerConfig, default_remask_rate, generate
 from .schedule import NoiseSchedule, ScheduleKind
 
 EXIT_OK = 0
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corrupt = sub.add_parser("corrupt", parents=[common], help="emit forward-noised samples")
     p_corrupt.add_argument("--t", type=float, help="noise level in [0, 1]")
     p_sample = sub.add_parser("sample", parents=[common], help="generate programs")
-    p_sample.add_argument("--predictor", choices=["exact", "backoff"])
+    p_sample.add_argument("--predictor", choices=PREDICTOR_KINDS)
     p_probe = sub.add_parser("probe", parents=[common], help="run the ancestry probe")
     p_probe.add_argument("--probe-k", type=int, dest="probe_k")
     p_probe.add_argument("--probe-t", dest="probe_t", help="comma-separated noise levels")
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which token stands in for an ancestor node",
     )
     p_eval = sub.add_parser("eval", parents=[common], help="strategy comparison grid")
-    p_eval.add_argument("--predictor", choices=["exact", "backoff"])
+    p_eval.add_argument("--predictor", choices=PREDICTOR_KINDS)
     return parser
 
 
@@ -234,10 +234,16 @@ def load_inputs(resolved: dict) -> Inputs:
         names = str(resolved["strategy"]).split(",")
         anchors = [_anchor_config(resolved, name.strip()) for name in names]
         inputs.samplers = [_sampler_config(resolved, a, inputs.schedules[0].T) for a in anchors]
+    if command in ("sample", "eval") and resolved["predictor"] not in PREDICTOR_KINDS:
+        raise ValueError(
+            f"unknown predictor {resolved['predictor']!r}; expected one of {PREDICTOR_KINDS}"
+        )
     if command == "corrupt":
         inputs.t_values = [_noise_level(resolved["t"])]
     if command == "probe":
         inputs.t_values = [_noise_level(v) for v in str(resolved["probe_t"]).split(",")]
+        if resolved["n_samples"] < 2:
+            raise ValueError("probe needs --n-samples >= 2 for a standard error")
     inputs.sources = load_sources(resolved)
     if command == "eval":
         return inputs
@@ -247,8 +253,9 @@ def load_inputs(resolved: dict) -> Inputs:
         for i, s in enumerate(inputs.sources)
     ]
     if command != "annotate":
-        vocab = build_vocab(inputs.sources)
-        inputs.corpus = build_corpus(inputs.records, vocab, resolved["length"])
+        # The vocabulary comes from the records' tokens, which carry any
+        # identifier splits, not from the unsplit sources.
+        inputs.corpus = build_corpus(inputs.records, length=resolved["length"])
     return inputs
 
 
@@ -352,8 +359,7 @@ def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         corpus, sampler_cfg.strategy.strategy, resolved["predictor"]
     )
     if resolved["predictor"] == "backoff":
-        model = predictors.predictor if isinstance(predictors, SingleStage) else predictors.denoiser
-        _write(run_dir, "counts.json", model.to_json() + "\n")
+        _write(run_dir, "counts.json", predictors.predictor.to_json() + "\n")
     n = resolved["n_samples"]
     tasks = [
         (predictors, sampler_cfg, inputs.schedules[0], corpus.length, resolved["seed"], j)

@@ -135,9 +135,11 @@ def build_vocab(texts: list[str]) -> Vocab:
     mask last. Deterministic across runs."""
     if not texts:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
-    surfaces: set[str] = set()
-    for text in texts:
-        surfaces.update(token_surface(t) for t in tokenize(text))
+    return _vocab_of(tokenize(text) for text in texts)
+
+
+def _vocab_of(token_lists) -> Vocab:
+    surfaces = {token_surface(t) for tokens in token_lists for t in tokens}
     return Vocab(tuple(sorted(surfaces)) + (PAD_SURFACE, MASK_SURFACE))
 
 
@@ -160,13 +162,14 @@ def build_corpus(
 ) -> Corpus:
     """Pad records to a shared length and bundle them as a Corpus.
 
-    Pad positions carry omega 0, eta 0, and depth -1 so downstream
-    statistics can exclude them.
+    Without ``vocab``, the vocabulary is built from the records' own tokens,
+    so it holds the chunks of split identifiers. Pad positions carry omega
+    0, eta 0, and depth -1 so downstream statistics can exclude them.
     """
     if not records:
         raise EmptyCorpusError("no records")
     if vocab is None:
-        vocab = build_vocab([r.source for r in records])
+        vocab = _vocab_of(rec.tokens for rec in records)
     if length is None:
         length = max(len(r) for r in records)
     n = len(records)

@@ -313,6 +313,31 @@ class TwoStagePredictor:
         return self.stage_matrices(z)[1]
 
 
+@dataclass
+class MarginalAnchorProfile:
+    """Latent-independent anchor profile: the same (omega, eta) on every
+    call. ``of_corpus`` gives the corpus marginal, for predictors without a
+    match set; ``zeros`` gives the Null strategy's profile, which marks no
+    position as an anchor."""
+
+    omega: np.ndarray
+    eta: np.ndarray
+
+    @classmethod
+    def of_corpus(cls, corpus: Corpus) -> "MarginalAnchorProfile":
+        if corpus.omega is None or corpus.eta is None:
+            raise ValueError("corpus lacks omega/eta annotation arrays")
+        w = corpus.weights / corpus.weights.sum()
+        return cls(w @ corpus.omega, w @ corpus.eta)
+
+    @classmethod
+    def zeros(cls, length: int) -> "MarginalAnchorProfile":
+        return cls(np.zeros(length), np.zeros(length))
+
+    def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+        return self.omega, self.eta
+
+
 class PosteriorAnchorProfile:
     """Posterior-expected anchor indicator and depth weight per position.
 
@@ -323,28 +348,13 @@ class PosteriorAnchorProfile:
     """
 
     def __init__(self, corpus: Corpus):
-        if corpus.omega is None or corpus.eta is None:
-            raise ValueError("corpus lacks omega/eta annotation arrays")
         self.corpus = corpus
         self._exact = ExactPosteriorDenoiser(corpus)
+        self._marginal = MarginalAnchorProfile.of_corpus(corpus)
 
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         w = np.where(self._exact.match_mask(z), self.corpus.weights, 0.0)
         if w.sum() == 0:
-            w = self.corpus.weights
+            return self._marginal(z)
         w = w / w.sum()
         return w @ self.corpus.omega, w @ self.corpus.eta
-
-
-class MarginalAnchorProfile:
-    """Corpus-marginal anchor profile, for predictors without a match set."""
-
-    def __init__(self, corpus: Corpus):
-        if corpus.omega is None or corpus.eta is None:
-            raise ValueError("corpus lacks omega/eta annotation arrays")
-        w = corpus.weights / corpus.weights.sum()
-        self._omega = w @ corpus.omega
-        self._eta = w @ corpus.eta
-
-    def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        return self._omega, self._eta

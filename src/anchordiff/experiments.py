@@ -28,13 +28,7 @@ from .hierarchy import (
     positions_by_node,
 )
 from .minilang import is_syntactically_valid, render_surfaces
-from .sampler import (
-    AnchoredPair,
-    DenoiseTrace,
-    SamplerConfig,
-    SingleStage,
-    generate,
-)
+from .sampler import AnchoredPair, DenoiseTrace, SamplerConfig, generate
 from .schedule import NoiseSchedule
 
 
@@ -86,7 +80,7 @@ class ProbeRun:
     ) -> tuple[float, float]:
         """Mean and standard error of the per-probe difference a - b at j."""
         diff = self.raw[(a, t)][:, j] - self.raw[(b, t)][:, j]
-        se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
+        se = float(diff.std(ddof=1) / math.sqrt(len(diff)))
         return float(diff.mean()), se
 
 
@@ -123,8 +117,11 @@ def ancestry_probe(
     - nearest ancestors first (in-out), farthest first (out-in), or k
     non-chain masked positions (random) - querying the predicted
     probability of the true token at l0 after each reveal. All three
-    orderings share each probe's corruption and reveal draws.
+    orderings share each probe's corruption and reveal draws. One probe
+    gives no standard error, so ``n_probes`` must be at least 2.
     """
+    if n_probes < 2:
+        raise ValueError(f"n_probes must be >= 2 for a standard error, got {n_probes}")
     rng = as_rng(rng)
     schedule = schedule or NoiseSchedule(T=max(corpus.length, 1))
     length = corpus.length
@@ -268,24 +265,35 @@ def eval_rows_to_csv(rows: list[EvalRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+PREDICTOR_KINDS = ("exact", "backoff")
+
+
 def build_strategy_predictors(
     corpus: Corpus,
     strategy: AnchorStrategy,
     predictor_kind: str = "exact",
-) -> SingleStage | AnchoredPair:
-    """Predictors wired for the strategy: a single stage for Null, the
-    anchored two-stage pair otherwise. ``predictor_kind`` selects the
-    Bayes-exact table or the backoff count model (whose anchored pair uses
-    the corpus-marginal profile, since it has no match set)."""
-    if predictor_kind == "backoff":
-        model = BackoffCountModel.fit(corpus)
-        if strategy is AnchorStrategy.NULL:
-            return SingleStage(model)
-        return AnchoredPair(model, model, MarginalAnchorProfile(corpus))
-    exact = ExactPosteriorDenoiser(corpus)
+) -> AnchoredPair:
+    """The predictor and anchor profile for the strategy. ``predictor_kind``
+    selects the Bayes-exact table or the backoff count model. Null's profile
+    is all zeros, so it has no anchors and ignores the corpus annotations;
+    the other strategies use the posterior profile with the exact table and
+    the corpus-marginal profile with the backoff model, which has no match
+    set."""
+    if predictor_kind == "exact":
+        predictor = ExactPosteriorDenoiser(corpus)
+    elif predictor_kind == "backoff":
+        predictor = BackoffCountModel.fit(corpus)
+    else:
+        raise ValueError(
+            f"unknown predictor {predictor_kind!r}; expected one of {PREDICTOR_KINDS}"
+        )
     if strategy is AnchorStrategy.NULL:
-        return SingleStage(exact)
-    return AnchoredPair(exact, exact, PosteriorAnchorProfile(corpus))
+        profile = MarginalAnchorProfile.zeros(corpus.length)
+    elif predictor_kind == "backoff":
+        profile = MarginalAnchorProfile.of_corpus(corpus)
+    else:
+        profile = PosteriorAnchorProfile(corpus)
+    return AnchoredPair(predictor, profile)
 
 
 def render_ids(ids: np.ndarray, vocab: Vocab) -> str:

@@ -5,8 +5,9 @@ unmask_prob(i)) - the same count distribution as independent per-position
 coins - and spends it anchors-first in descending anchor weight, then on
 uniformly shuffled non-anchor positions. Commits within a step are made one
 at a time, each conditioned on the commits before it, so table-based
-predictors are never queried outside their support. With the Null strategy
-the loop reduces to the plain masked-diffusion reverse process.
+predictors are never queried outside their support. Every strategy runs
+this one loop: the Null strategy's profile is all zeros, so it has no
+anchors and the loop is the plain masked-diffusion reverse process.
 """
 
 from __future__ import annotations
@@ -100,42 +101,18 @@ class DenoiseTrace:
 
 
 @dataclass
-class SingleStage:
-    """Plain one-predictor reverse process (the Null / MDLM path)."""
+class AnchoredPair:
+    """The predictor plus the per-position anchor profile used to schedule
+    anchor-first unmasking at inference time."""
 
     predictor: object
-
-    @property
-    def vocab(self):
-        return self.predictor.vocab
-
-    @property
-    def anchored(self) -> bool:
-        return False
-
-
-@dataclass
-class AnchoredPair:
-    """Anchor and denoiser predictors plus the per-position anchor profile
-    used to schedule anchor-first unmasking at inference time."""
-
-    anchor: object
-    denoiser: object
     profile: object  # callable: LatentSequence -> (omega_hat, eta_hat)
-
-    @property
-    def vocab(self):
-        return self.denoiser.vocab
-
-    @property
-    def anchored(self) -> bool:
-        return True
 
 
 def generate(
     prompt: np.ndarray | list[int],
     length: int,
-    predictors: SingleStage | AnchoredPair,
+    predictors: AnchoredPair,
     config: SamplerConfig,
     schedule: NoiseSchedule,
     rng: np.random.Generator | int | None = None,
@@ -150,8 +127,7 @@ def generate(
     prompt = np.asarray(prompt, dtype=np.int64)
     if len(prompt) > length:
         raise ValueError("prompt longer than requested length")
-    vocab = predictors.vocab
-    mask_id = vocab.mask_id
+    mask_id = predictors.predictor.vocab.mask_id
     if np.any(prompt == mask_id):
         raise ValueError("prompt must not contain mask tokens")
     rng = as_rng(config.seed if rng is None else rng)
@@ -170,14 +146,21 @@ def generate(
 
     for i in range(config.T, 0, -1):
         p = unmask_prob(schedule, i)
-        z.t = i / config.T
         masked = np.flatnonzero(z.is_masked)
-        if len(masked):
-            budget = int(rng.binomial(len(masked), p))
-            if budget:
-                _step_commits(
-                    z, masked, budget, predictors, config, trace, last_stage, i, rng
-                )
+        budget = int(rng.binomial(len(masked), p)) if len(masked) else 0
+        if budget:
+            omega_hat, eta_hat = predictors.profile(z)
+            anchors = anchor_commit_order(omega_hat, eta_hat, z.is_masked)
+            others = [int(l) for l in masked if omega_hat[l] < 0.5]
+            rng.shuffle(others)
+            # Every masked anchor is committed before any other position, so
+            # the later rows always condition on the full anchor scaffold.
+            for k, l in enumerate((anchors + others)[:budget]):
+                row = predictors.predictor.predict_row(z, l)
+                token = sample_categorical(temper_row(row, config.temperature), rng)
+                ids[l] = token
+                last_stage[l] = "anchor" if k < len(anchors) else "denoise"
+                trace.record(l, i, "unmask", int(token), last_stage[l])
         if i > 1 and config.remask_rate > 0:
             committed = np.flatnonzero(~z.is_masked & ~prompt_mask)
             for l in committed:
@@ -189,43 +172,6 @@ def generate(
         raise AssertionError("generation finished with mask tokens present")
     trace.final = ids.copy()
     return ids.copy(), trace
-
-
-def _step_commits(
-    z: LatentSequence,
-    masked: np.ndarray,
-    budget: int,
-    predictors: SingleStage | AnchoredPair,
-    config: SamplerConfig,
-    trace: DenoiseTrace,
-    last_stage: list[str],
-    step: int,
-    rng: np.random.Generator,
-) -> None:
-    """Spend ``budget`` unmasks of one reverse step, writing into ``z``."""
-
-    def commit(l: int, row: np.ndarray, stage: str) -> None:
-        token = sample_categorical(temper_row(row, config.temperature), rng)
-        z.ids[l] = token
-        last_stage[l] = stage
-        trace.record(int(l), step, "unmask", int(token), stage)
-
-    if not predictors.anchored:
-        order = masked[rng.permutation(len(masked))]
-        for l in order[:budget]:
-            commit(int(l), predictors.predictor.predict_row(z, int(l)), "denoise")
-        return
-
-    omega_hat, eta_hat = predictors.profile(z)
-    anchors = anchor_commit_order(omega_hat, eta_hat, z.is_masked)
-    others = [int(l) for l in masked if omega_hat[l] < 0.5]
-    rng.shuffle(others)
-    # Every masked anchor is committed before any other position, so the
-    # denoiser's rows always condition on the full anchor scaffold.
-    for l in anchors[:budget]:
-        commit(l, predictors.anchor.predict_row(z, l), "anchor")
-    for l in others[: max(budget - len(anchors), 0)]:
-        commit(l, predictors.denoiser.predict_row(z, l), "denoise")
 
 
 def unmask_order_stats(

@@ -49,7 +49,7 @@ from anchordiff.experiments import (
 )
 from anchordiff.hierarchy import precedes
 from anchordiff.minilang import parse, tokenize
-from anchordiff.sampler import AnchoredPair, SingleStage, generate
+from anchordiff.sampler import AnchoredPair, generate
 from anchordiff.schedule import NoiseSchedule, ScheduleKind, alpha
 
 from .conftest import make_corpus
@@ -82,7 +82,6 @@ def bundled():
 
 def anchored_pair(corpus) -> AnchoredPair:
     return AnchoredPair(
-        ExactPosteriorDenoiser(corpus),
         ExactPosteriorDenoiser(corpus),
         PosteriorAnchorProfile(corpus),
     )
@@ -173,7 +172,9 @@ def test_criterion_03_reverse_chain_fidelity():
     expected = enumerate_sequential_chain(small, sched2)
     cfg = SamplerConfig(T=2, temperature=1.0, seed=0,
                         strategy=AnchorConfig.for_strategy(AnchorStrategy.NULL))
-    single = SingleStage(ExactPosteriorDenoiser(small))
+    single = AnchoredPair(
+        ExactPosteriorDenoiser(small), MarginalAnchorProfile.zeros(small.length)
+    )
     counts: dict = {}
     n_runs = 20_000
     for j in range(n_runs):
@@ -186,7 +187,9 @@ def test_criterion_03_reverse_chain_fidelity():
     four = make_corpus(["na", "nb", "nc", "nd"])
     cfg64 = SamplerConfig(T=64, temperature=1.0, seed=0,
                           strategy=AnchorConfig.for_strategy(AnchorStrategy.NULL))
-    single4 = SingleStage(ExactPosteriorDenoiser(four))
+    single4 = AnchoredPair(
+        ExactPosteriorDenoiser(four), MarginalAnchorProfile.zeros(four.length)
+    )
     sched64 = NoiseSchedule(ScheduleKind.COSINE, 64)
     counts4: dict = {}
     for j in range(n_runs):
@@ -434,9 +437,9 @@ def test_criterion_10_termination_and_safety(bundled):
             seed=trial,
         )
         if strategy is AnchorStrategy.NULL:
-            predictors = SingleStage(backoff)
+            predictors = AnchoredPair(backoff, MarginalAnchorProfile.zeros(toy.length))
         else:
-            predictors = AnchoredPair(backoff, backoff, MarginalAnchorProfile(toy))
+            predictors = AnchoredPair(backoff, MarginalAnchorProfile.of_corpus(toy))
         n_prompt = int(rng.integers(0, 4))
         prompt = toy.ids[int(rng.integers(4))][:n_prompt]
         out, trace = generate(

@@ -52,14 +52,18 @@ class TestExitCodes:
             ["probe", "--probe-t", "1.5"],
             ["sample", "--strategy", "bogus"],
             ["annotate", "--config", "BAD_JSON"],
+            ["sample", "--config", "BOGUS_PREDICTOR"],
+            ["probe", "--n-samples", "1"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
-             "probe-t", "sample-strategy", "malformed-config"],
+             "probe-t", "sample-strategy", "malformed-config", "config-predictor",
+             "probe-single"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        argv = [str(bad) if a == "BAD_JSON" else a for a in argv]
+        configs = {"BAD_JSON": "{not json", "BOGUS_PREDICTOR": '{"predictor": "bogus"}'}
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in configs else a for a in argv]
         out = tmp_path / "run"
         assert main([*argv, *BASE, "--out", str(out)]) == 2
         assert "input error" in capsys.readouterr().err
@@ -217,6 +221,20 @@ class TestOutputs:
             for tok in rec.tokens:
                 assert tok.text == rec.source[tok.start : tok.end]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corrupt", "--t", "0.5"],
+            ["sample", "--steps", "4", "--n-samples", "2"],
+            ["probe", "--probe-k", "3", "--probe-t", "0.9", "--n-samples", "5"],
+        ],
+        ids=["corrupt", "sample", "probe"],
+    )
+    def test_split_identifiers_runs(self, tmp_path, argv):
+        # The vocabulary must hold the split chunks the records carry.
+        out = tmp_path / "run"
+        assert main([*argv, *BASE, "--split-identifiers", "3", "--out", str(out)]) == 0
+
     def test_backoff_sample_matches_library_generate(self, tmp_path):
         from anchordiff import (
             AnchorConfig, AnchorStrategy, annotate_program, build_corpus,
@@ -246,10 +264,11 @@ class TestOutputs:
             assert (out / "samples" / f"{j:04d}.txt").read_text() == render_ids(ids, vocab)
             assert (out / "traces" / f"{j:04d}.jsonl").read_text() == trace.to_jsonl()
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    @pytest.mark.parametrize("strategy", ["anchor_tree", "null"])
+    def test_worker_pool_matches_sequential(self, tmp_path, strategy):
         seq = tmp_path / "w1"
         par = tmp_path / "w2"
-        argv = ["sample", *BASE, "--steps", "4", "--n-samples", "4"]
+        argv = ["sample", *BASE, "--steps", "4", "--n-samples", "4", "--strategy", strategy]
         assert main([*argv, "--workers", "1", "--out", str(seq)]) == 0
         assert main([*argv, "--workers", "2", "--out", str(par)]) == 0
         assert run_dir_files(seq) == run_dir_files(par)

@@ -324,7 +324,7 @@ class TestProfiles:
 
     def test_marginal_profile_constant(self, synth_corpus_built):
         corpus = synth_corpus_built
-        prof = MarginalAnchorProfile(corpus)
+        prof = MarginalAnchorProfile.of_corpus(corpus)
         v = corpus.vocab
         a = prof(LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id))
         b = prof(latent(corpus, corpus.ids[2]))

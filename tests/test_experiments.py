@@ -8,17 +8,19 @@ from anchordiff import (
     AnchorStrategy,
     SamplerConfig,
 )
-from anchordiff.denoisers import ExactPosteriorDenoiser
+from anchordiff.denoisers import ExactPosteriorDenoiser, PosteriorAnchorProfile
 from anchordiff.experiments import (
     RevealOrder,
     ancestry_probe,
+    build_strategy_predictors,
     compare_strategies,
     eval_rows_to_csv,
     render_ids,
     validity_eval,
 )
 from anchordiff.hierarchy import InsufficientDepth
-from anchordiff.schedule import ScheduleKind
+from anchordiff.sampler import generate
+from anchordiff.schedule import NoiseSchedule, ScheduleKind
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,15 @@ class TestAncestryProbe:
                 t_values=[0.9], k=50, n_probes=5, rng=0,
             )
 
+    def test_single_probe_rejected(self, synth_records, synth_corpus_built):
+        # One probe has no standard error, which every CSV row reports.
+        den = ExactPosteriorDenoiser(synth_corpus_built)
+        with pytest.raises(ValueError, match="n_probes"):
+            ancestry_probe(
+                synth_records, synth_corpus_built, den,
+                t_values=[0.9], k=3, n_probes=1, rng=0,
+            )
+
     def test_reveals_never_grow_the_match_set(self, synth_corpus_built):
         # Revealing a true token only filters: the set of corpus sequences
         # consistent with the latent is non-increasing per reveal.
@@ -117,6 +128,34 @@ class TestAncestryProbe:
             )
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] >= 1
+
+
+class TestStrategyPredictors:
+    @pytest.mark.parametrize("kind", ["exact", "backoff"])
+    def test_null_ignores_anchor_annotations(self, synth_corpus_built, monkeypatch, kind):
+        # The corpus is annotated under anchor_tree, but Null has no anchors:
+        # every commit is a denoise commit and no posterior profile is taken.
+        def never(self, z):
+            raise AssertionError("Null queried the posterior anchor profile")
+
+        monkeypatch.setattr(PosteriorAnchorProfile, "__call__", never)
+        corpus = synth_corpus_built
+        assert corpus.omega.any()
+        predictors = build_strategy_predictors(corpus, AnchorStrategy.NULL, kind)
+        cfg = SamplerConfig(
+            T=16, strategy=AnchorConfig.for_strategy(AnchorStrategy.NULL), remask_rate=0.2
+        )
+        for j in range(4):
+            _, trace = generate(
+                [], corpus.length, predictors, cfg, NoiseSchedule(T=16),
+                np.random.default_rng(j),
+            )
+            assert trace.events
+            assert all(e.stage == "denoise" for e in trace.events)
+
+    def test_unknown_predictor_kind_rejected(self, synth_corpus_built):
+        with pytest.raises(ValueError, match="unknown predictor"):
+            build_strategy_predictors(synth_corpus_built, AnchorStrategy.NULL, "bogus")
 
 
 class TestValidityEval:

@@ -7,12 +7,12 @@ from anchordiff import AnchorConfig, AnchorStrategy
 from anchordiff.denoisers import (
     BackoffCountModel,
     ExactPosteriorDenoiser,
+    MarginalAnchorProfile,
     PosteriorAnchorProfile,
 )
 from anchordiff.sampler import (
     AnchoredPair,
     SamplerConfig,
-    SingleStage,
     default_remask_rate,
     generate,
     unmask_order_stats,
@@ -37,8 +37,14 @@ def null_config(T, seed=0, remask=0.0, temperature=1.0):
     )
 
 
+def null_pair(corpus):
+    return AnchoredPair(
+        ExactPosteriorDenoiser(corpus), MarginalAnchorProfile.zeros(corpus.length)
+    )
+
+
 def run_many(corpus, config, n, length=None, prompt=()):
-    predictors = SingleStage(ExactPosteriorDenoiser(corpus))
+    predictors = null_pair(corpus)
     sched = NoiseSchedule(ScheduleKind.COSINE, config.T)
     counts = {}
     for j in range(n):
@@ -53,7 +59,7 @@ class TestBasics:
     def test_t1_single_step_completes(self):
         corpus = make_corpus(["ab", "cb"])
         out, trace = generate(
-            [], 2, SingleStage(ExactPosteriorDenoiser(corpus)),
+            [], 2, null_pair(corpus),
             null_config(1), NoiseSchedule(T=1), 0,
         )
         assert (out != corpus.vocab.mask_id).all()
@@ -64,7 +70,7 @@ class TestBasics:
         v = corpus.vocab
         prompt = [v.id("c")]
         cfg = null_config(4, seed=5)
-        predictors = SingleStage(ExactPosteriorDenoiser(corpus))
+        predictors = null_pair(corpus)
         for j in range(20):
             out, trace = generate(
                 prompt, 2, predictors, cfg, NoiseSchedule(T=4),
@@ -83,7 +89,6 @@ class TestBasics:
         )
         pair = AnchoredPair(
             ExactPosteriorDenoiser(corpus),
-            ExactPosteriorDenoiser(corpus),
             PosteriorAnchorProfile(corpus),
         )
         sched = NoiseSchedule(ScheduleKind.COSINE, 8)
@@ -101,7 +106,6 @@ class TestBasics:
             seed=41,
         )
         pair = AnchoredPair(
-            ExactPosteriorDenoiser(corpus),
             ExactPosteriorDenoiser(corpus),
             PosteriorAnchorProfile(corpus),
         )
@@ -165,7 +169,7 @@ class TestOrderStats:
     def test_all_unmasked_at_single_step(self):
         corpus = make_corpus(["ab"])
         out, trace = generate(
-            [], 2, SingleStage(ExactPosteriorDenoiser(corpus)),
+            [], 2, null_pair(corpus),
             null_config(1), NoiseSchedule(T=1), 0,
         )
         stats = unmask_order_stats(trace, np.array([1, 1]), np.array([0, 0]))
@@ -192,7 +196,6 @@ class TestOrderStats:
             seed=7,
         )
         pair = AnchoredPair(
-            ExactPosteriorDenoiser(corpus),
             ExactPosteriorDenoiser(corpus),
             PosteriorAnchorProfile(corpus),
         )
@@ -233,14 +236,12 @@ class TestFuzzLight:
                 seed=trial,
             )
             if cfg.strategy.strategy is AnchorStrategy.NULL:
-                predictors = SingleStage(model)
+                predictors = AnchoredPair(model, MarginalAnchorProfile.zeros(corpus.length))
             else:
                 small = make_corpus(["abcab", "cabca", "bacbc"])
                 small.omega = rng.integers(0, 2, small.ids.shape).astype(float)
                 small.eta = rng.random(small.ids.shape)
-                from anchordiff.denoisers import MarginalAnchorProfile
-
-                predictors = AnchoredPair(model, model, MarginalAnchorProfile(small))
+                predictors = AnchoredPair(model, MarginalAnchorProfile.of_corpus(small))
             n_prompt = int(rng.integers(0, 3))
             prompt = corpus.ids[0][:n_prompt]
             out, trace = generate(

@@ -234,6 +234,9 @@ def load_inputs(resolved: dict) -> Inputs:
         names = str(resolved["strategy"]).split(",")
         anchors = [_anchor_config(resolved, name.strip()) for name in names]
         inputs.samplers = [_sampler_config(resolved, a, inputs.schedules[0].T) for a in anchors]
+        if resolved["split_max_len"] is not None:
+            # compare_strategies annotates the unsplit sources.
+            raise ValueError("eval does not support --split-identifiers")
     if command in ("sample", "eval") and resolved["predictor"] not in PREDICTOR_KINDS:
         raise ValueError(
             f"unknown predictor {resolved['predictor']!r}; expected one of {PREDICTOR_KINDS}"

@@ -84,18 +84,22 @@ class ProbeRun:
         return float(diff.mean()), se
 
 
-def _probe_targets(records: list[DatasetRecord], k: int, length: int) -> list[list[int]]:
-    """Per record: positions admitting an ancestor chain of length k."""
+def _probe_targets(
+    records: list[DatasetRecord], k: int, length: int
+) -> tuple[list[list[int]], int]:
+    """Per record: positions admitting an ancestor chain of length k; and
+    the longest chain any position admits."""
     eligible: list[list[int]] = []
+    achievable = 0
     for rec in records:
         index = positions_by_node(rec.annotations)
-        ok = [
-            l
+        chains = [
+            max_chain_length(l, rec.annotations, rec.tree, index)
             for l in range(min(len(rec), length))
-            if max_chain_length(l, rec.annotations, rec.tree, index) >= k
         ]
-        eligible.append(ok)
-    return eligible
+        eligible.append([l for l, c in enumerate(chains) if c >= k])
+        achievable = max([achievable, *chains])
+    return eligible, achievable
 
 
 def ancestry_probe(
@@ -125,16 +129,8 @@ def ancestry_probe(
     rng = as_rng(rng)
     schedule = schedule or NoiseSchedule(T=max(corpus.length, 1))
     length = corpus.length
-    eligible = _probe_targets(records, k, length)
+    eligible, achievable = _probe_targets(records, k, length)
     candidates = [i for i, ok in enumerate(eligible) if ok]
-    achievable = max(
-        (
-            max_chain_length(l, rec.annotations, rec.tree)
-            for rec in records
-            for l in range(min(len(rec), length))
-        ),
-        default=0,
-    )
     if not candidates:
         raise InsufficientDepth(-1, k, achievable)
     raw: dict[tuple[str, float], np.ndarray] = {

@@ -20,6 +20,7 @@ import numpy as np
 from .anchors import AnchorConfig, AnchorStrategy
 from .denoisers import anchor_commit_order
 from .diffusion import (
+    DiffusionError,
     LatentSequence,
     as_rng,
     sample_categorical,
@@ -122,7 +123,8 @@ def generate(
     The prompt occupies the leading positions verbatim and is never
     touched. Termination is guaranteed: the final step has unmask
     probability 1 and no remask pass. The config's step count wins when the
-    schedule was discretized differently.
+    schedule was discretized differently. A predictor that commits the mask
+    token leaves a residual mask, which raises DiffusionError.
     """
     prompt = np.asarray(prompt, dtype=np.int64)
     if len(prompt) > length:
@@ -169,7 +171,7 @@ def generate(
                     ids[l] = mask_id
 
     if np.any(ids == mask_id):
-        raise AssertionError("generation finished with mask tokens present")
+        raise DiffusionError("generation finished with mask tokens present")
     trace.final = ids.copy()
     return ids.copy(), trace
 

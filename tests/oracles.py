@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from anchordiff.denoisers import Corpus, ExactPosteriorDenoiser, NoMatchError
+from anchordiff.denoisers import Corpus, ExactPosteriorDenoiser, NoMatchError, Predictor
 from anchordiff.diffusion import LatentSequence, apply_constraints, temper_row
 from anchordiff.minilang import SyntaxTree, Token
 from anchordiff.schedule import NoiseSchedule, unmask_prob
@@ -80,6 +80,37 @@ def naive_posterior(corpus: Corpus, z: LatentSequence) -> np.ndarray:
                 probs[l, ids[l]] += w
             probs[l] /= total
     return probs
+
+
+class RescanExactDenoiser(Predictor):
+    """The exact posterior with a full n x L corpus rescan on every query:
+    the reference for ExactPosteriorDenoiser's incremental match state."""
+
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+
+    @property
+    def vocab(self):
+        return self.corpus.vocab
+
+    def match_mask(self, z: LatentSequence) -> np.ndarray:
+        agree = (self.corpus.ids == z.ids[None, :]) | z.is_masked[None, :]
+        return agree.all(axis=1)
+
+    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
+        m = self.match_mask(z)
+        if not m.any():
+            raise NoMatchError("latent matches no corpus sequence")
+        K = self.corpus.vocab.size
+        if not z.is_masked[position]:
+            row = np.zeros(K)
+            row[z.ids[position]] = 1.0
+            return row
+        hit = np.flatnonzero(m)
+        counts = np.bincount(
+            self.corpus.ids[hit, position], weights=self.corpus.weights[hit], minlength=K
+        )
+        return counts / counts.sum()
 
 
 def _predictor_rows(corpus: Corpus, state: tuple[int, ...], temperature: float):

@@ -54,10 +54,11 @@ class TestExitCodes:
             ["annotate", "--config", "BAD_JSON"],
             ["sample", "--config", "BOGUS_PREDICTOR"],
             ["probe", "--n-samples", "1"],
+            ["eval", "--split-identifiers", "3"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
-             "probe-single"],
+             "probe-single", "eval-split"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {"BAD_JSON": "{not json", "BOGUS_PREDICTOR": '{"predictor": "bogus"}'}
@@ -77,6 +78,23 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="broken inside the run"):
             main(["sample", *BASE, "--steps", "2", "--n-samples", "1",
                   "--out", str(tmp_path / "s")])
+
+    def test_residual_mask_exits_3(self, tmp_path, capsys, monkeypatch):
+        from anchordiff.denoisers import MarginalAnchorProfile
+        from anchordiff.sampler import AnchoredPair
+
+        from .test_sampler import MaskingPredictor
+
+        def masking_pair(corpus, strategy, kind):
+            return AnchoredPair(
+                MaskingPredictor(corpus.vocab), MarginalAnchorProfile.zeros(corpus.length)
+            )
+
+        monkeypatch.setattr("anchordiff.cli.build_strategy_predictors", masking_pair)
+        code = main(["sample", *BASE, "--steps", "2", "--n-samples", "1",
+                     "--out", str(tmp_path / "s")])
+        assert code == 3
+        assert "mask tokens" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,3 +369,88 @@ class TestPosteriorProfileOracle:
         omega, eta = PosteriorAnchorProfile(corpus)(z)
         assert np.allclose(omega, expected_omega, rtol=0, atol=1e-12)
         assert np.allclose(eta, expected_eta, rtol=0, atol=1e-12)
+
+
+@st.composite
+def match_state_walk(draw):
+    """A corpus with repeated rows, each copy carrying its own omega/eta and
+    a weight in 1..5, plus a walk of latent edits: unmask, remask, token
+    overwrite, a fresh random latent, and a pickle round-trip."""
+    L = draw(st.integers(1, 6))
+    token = st.integers(0, 3)
+    distinct = draw(st.lists(st.lists(token, min_size=L, max_size=L), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    n = len(picks)
+
+    def table(elements):
+        row = st.lists(elements, min_size=L, max_size=L)
+        return np.array(draw(st.lists(row, min_size=n, max_size=n)))
+
+    vocab = Vocab(("a", "b", "c", "d", "<pad>", "?"))
+    ids = np.array([distinct[i] for i in picks])
+    corpus = Corpus(
+        ids=ids,
+        weights=np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), float),
+        vocab=vocab,
+        omega=table(st.sampled_from([0.0, 1.0])),
+        eta=table(st.integers(0, 8)) / 8,
+    )
+    position = st.integers(0, L - 1)
+    # Unmasking to a corpus row's token keeps some matches along the walk.
+    unmask = st.tuples(position, st.integers(0, n - 1)).map(
+        lambda s: ("set", s[0], int(ids[s[1], s[0]]))
+    )
+    remask = st.tuples(st.just("set"), position, st.just(vocab.mask_id))
+    overwrite = st.tuples(st.just("set"), position, token)
+    step = st.one_of(
+        unmask,
+        remask,
+        overwrite,
+        st.tuples(
+            st.just("fresh"),
+            st.lists(st.sampled_from([0, 1, 2, 3, vocab.mask_id]), min_size=L, max_size=L),
+        ),
+        st.tuples(st.just("pickle")),
+    )
+    return corpus, draw(st.lists(step, min_size=1, max_size=12))
+
+
+class TestMatchState:
+    @settings(max_examples=200, deadline=None)
+    @given(match_state_walk())
+    def test_one_instance_tracks_the_oracle(self, case):
+        corpus, steps = case
+        mask_id = corpus.vocab.mask_id
+        den = ExactPosteriorDenoiser(corpus)
+        prof = PosteriorAnchorProfile(corpus)
+        # One live latent edited in place, as the sampler does.
+        z = LatentSequence(np.full(corpus.length, mask_id), mask_id)
+        for op, *args in steps:
+            if op == "pickle":
+                den, prof = pickle.loads(pickle.dumps((den, prof)))
+            elif op == "fresh":
+                z.ids[:] = args[0]
+            else:
+                z.ids[args[0]] = args[1]
+            rows = naive_consistent_rows(corpus, z)
+            assert np.flatnonzero(den.match_mask(z)).tolist() == rows
+            if rows:
+                oracle = naive_posterior(corpus, z)
+                assert np.array_equal(apply_constraints(den.predict(z), z).probs, oracle)
+                for l in range(corpus.length):
+                    assert np.array_equal(den.predict_row(z, l), oracle[l])
+            else:
+                with pytest.raises(NoMatchError):
+                    den.predict(z)
+                with pytest.raises(NoMatchError):
+                    den.predict_row(z, 0)
+            use = rows or list(range(corpus.n))
+            w = corpus.weights[use] / corpus.weights[use].sum()
+            omega, eta = prof(z)
+            assert np.allclose(omega, w @ corpus.omega[use], rtol=0, atol=1e-12)
+            assert np.allclose(eta, w @ corpus.eta[use], rtol=0, atol=1e-12)
+
+    def test_rejects_latent_of_other_length(self):
+        corpus = make_corpus(["ab", "cd"])
+        with pytest.raises(ValueError, match="length"):
+            ExactPosteriorDenoiser(corpus).match_mask(latent(corpus, [0, 1, 2]))

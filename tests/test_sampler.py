@@ -3,13 +3,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from anchordiff import AnchorConfig, AnchorStrategy
+from anchordiff import (
+    AnchorConfig,
+    AnchorStrategy,
+    annotate_program,
+    build_corpus,
+    synth_corpus,
+)
 from anchordiff.denoisers import (
     BackoffCountModel,
     ExactPosteriorDenoiser,
     MarginalAnchorProfile,
     PosteriorAnchorProfile,
 )
+from anchordiff.diffusion import DiffusionError
+from anchordiff.experiments import build_strategy_predictors
 from anchordiff.sampler import (
     AnchoredPair,
     SamplerConfig,
@@ -21,6 +29,7 @@ from anchordiff.schedule import NoiseSchedule, ScheduleKind
 
 from .conftest import make_corpus
 from .oracles import (
+    RescanExactDenoiser,
     enumerate_product_chain,
     enumerate_sequential_chain,
     total_variation,
@@ -41,6 +50,18 @@ def null_pair(corpus):
     return AnchoredPair(
         ExactPosteriorDenoiser(corpus), MarginalAnchorProfile.zeros(corpus.length)
     )
+
+
+class MaskingPredictor:
+    """Stub predictor whose rows put all mass on the mask token."""
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+
+    def predict_row(self, z, position):
+        row = np.zeros(self.vocab.size)
+        row[self.vocab.mask_id] = 1.0
+        return row
 
 
 def run_many(corpus, config, n, length=None, prompt=()):
@@ -124,6 +145,14 @@ class TestBasics:
             assert events[-1].event == "unmask"
             assert trace.final_unmask_step(l) == events[-1].step
         assert saw_remask
+
+    def test_residual_mask_raises_diffusion_error(self):
+        corpus = make_corpus(["ab", "cb"])
+        pair = AnchoredPair(
+            MaskingPredictor(corpus.vocab), MarginalAnchorProfile.zeros(corpus.length)
+        )
+        with pytest.raises(DiffusionError, match="mask tokens"):
+            generate([], 2, pair, null_config(2), NoiseSchedule(T=2), 0)
 
     def test_default_remask_rates(self):
         assert default_remask_rate(AnchorStrategy.NULL) == 0.0
@@ -250,3 +279,47 @@ class TestFuzzLight:
             )
             assert (out != corpus.vocab.mask_id).all()
             assert (out[:n_prompt] == prompt).all()
+
+
+@pytest.fixture(scope="module")
+def synth200_corpus():
+    config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+    sources = synth_corpus(seed=20260809, n_programs=200, max_depth=6)
+    records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
+    return build_corpus(records, length=64)
+
+
+def rescan_pair(corpus, strategy):
+    """The strategy's predictors with every match set found by a full
+    corpus rescan, as before the incremental match state."""
+    reference = RescanExactDenoiser(corpus)
+    if strategy is AnchorStrategy.NULL:
+        return AnchoredPair(reference, MarginalAnchorProfile.zeros(corpus.length))
+    profile = PosteriorAnchorProfile(corpus)
+    profile._exact = reference
+    return AnchoredPair(reference, profile)
+
+
+class TestMatchStateGeneration:
+    @pytest.mark.parametrize("T", [8, 64])
+    @pytest.mark.parametrize(
+        "strategy,remask",
+        [(AnchorStrategy.ANCHOR_TREE, 0.1), (AnchorStrategy.NULL, 0.0)],
+        ids=["anchor_tree", "null"],
+    )
+    def test_generate_equals_full_rescan(self, synth200_corpus, strategy, remask, T):
+        corpus = synth200_corpus
+        cfg = SamplerConfig(
+            T=T, remask_rate=remask, strategy=AnchorConfig.for_strategy(strategy)
+        )
+        # One pair serves every generation, so the match state carries over.
+        pair = build_strategy_predictors(corpus, strategy, "exact")
+        reference = rescan_pair(corpus, strategy)
+        sched = NoiseSchedule(T=T)
+        for j in range(4):
+            out, trace = generate([], 64, pair, cfg, sched, np.random.default_rng([3, j]))
+            ref_out, ref_trace = generate(
+                [], 64, reference, cfg, sched, np.random.default_rng([3, j])
+            )
+            assert np.array_equal(out, ref_out)
+            assert trace.events == ref_trace.events

@@ -30,7 +30,9 @@ records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
 vocab = build_vocab(sources)
 corpus = build_corpus(records, vocab, length=64)
 
-pair = AnchoredPair(ExactPosteriorDenoiser(corpus), PosteriorAnchorProfile(corpus))
+# The profile reads the predictor's match state: one exact table per pair.
+exact = ExactPosteriorDenoiser(corpus)
+pair = AnchoredPair(exact, PosteriorAnchorProfile(exact))
 T = 24
 cfg = SamplerConfig(T=T, strategy=config, remask_rate=0.1, seed=5)
 out, trace = generate([], 64, pair, cfg, NoiseSchedule(T=T))

@@ -49,13 +49,11 @@ from .diffusion import (
     DegenerateRowError,
     LatentSequence,
     LossReport,
-    PredictionMatrix,
     Vocab,
     anelbo,
     apply_constraints,
     corrupt,
     nelbo,
-    reverse_model_step,
     reverse_posterior_step,
 )
 from .experiments import (

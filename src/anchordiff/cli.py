@@ -2,7 +2,8 @@
 
 Subcommands: annotate, corrupt, sample, probe, eval. Configuration comes
 from a JSON config file (--config) with command-line flags taking
-precedence. The resolved configuration is checked and the corpus loaded
+precedence; a config value must have its flag's type and choices. The
+resolved configuration is checked and the corpus loaded
 before the run directory is made, so rejected input exits 2 and leaves no
 run directory. The run then writes a manifest with the fully resolved
 configuration before doing any work. All outputs are deterministic under a
@@ -137,12 +138,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Layer defaults, then the config file, then explicit flags."""
+def _config_value(action: argparse.Action, value):
+    """A config-file value checked as its flag checks its text: it must have
+    the flag's type (a JSON string is not a number), a number may stand for
+    a text option, and it must be one of the flag's choices. ``null`` keeps
+    a default that is None."""
+    if value is None and DEFAULTS[action.dest] is None:
+        return None
+    kind = action.type or str
+    allowed = {int: (int,), float: (int, float), str: (str, int, float)}[kind]
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(
+            f"config {action.dest!r} must be of type {kind.__name__}, got {value!r}"
+        )
+    value = kind(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"config {action.dest!r} must be one of {sorted(action.choices)}, got {value!r}"
+        )
+    return value
+
+
+def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Layer defaults, then the config file, then explicit flags. A config
+    value for one of the subcommand's options passes ``_config_value``."""
     resolved = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            resolved.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(
+                f"config file must hold a JSON object, got {type(config).__name__}"
+            )
+        subcommands = next(
+            a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        actions = {a.dest: a for a in subcommands[args.command]._actions}
+        for key, value in config.items():
+            if key in DEFAULTS and key in actions:
+                value = _config_value(actions[key], value)
+            resolved[key] = value
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
@@ -237,16 +272,20 @@ def load_inputs(resolved: dict) -> Inputs:
         if resolved["split_max_len"] is not None:
             # compare_strategies annotates the unsplit sources.
             raise ValueError("eval does not support --split-identifiers")
-    if command in ("sample", "eval") and resolved["predictor"] not in PREDICTOR_KINDS:
-        raise ValueError(
-            f"unknown predictor {resolved['predictor']!r}; expected one of {PREDICTOR_KINDS}"
-        )
+    if resolved["seed"] < 0:
+        raise ValueError(f"--seed must be >= 0, got {resolved['seed']}")
+    if command != "annotate" and resolved["length"] < 1:
+        raise ValueError(f"--length must be >= 1, got {resolved['length']}")
+    if command in ("sample", "eval") and resolved["n_samples"] < 1:
+        raise ValueError(f"--n-samples must be >= 1, got {resolved['n_samples']}")
     if command == "corrupt":
         inputs.t_values = [_noise_level(resolved["t"])]
     if command == "probe":
         inputs.t_values = [_noise_level(v) for v in str(resolved["probe_t"]).split(",")]
         if resolved["n_samples"] < 2:
             raise ValueError("probe needs --n-samples >= 2 for a standard error")
+        if resolved["probe_k"] < 0:
+            raise ValueError(f"--probe-k must be >= 0, got {resolved['probe_k']}")
     inputs.sources = load_sources(resolved)
     if command == "eval":
         return inputs
@@ -465,9 +504,10 @@ INPUT_ERRORS = (IngestError, EmptyCorpusError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        resolved = resolve_config(args)
+        resolved = resolve_config(args, parser)
         inputs = load_inputs(resolved)
     except (ValueError, *INPUT_ERRORS) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -8,11 +8,15 @@ the vocabulary, later passed through apply_constraints):
   empirical weight of corpus sequences matching the latent's unmasked
   positions. It keeps one match state over the corpus's unique rows (a
   mismatch count per row) and updates it at the positions that changed
-  since its last query instead of rescanning the corpus.
+  since its last query instead of rescanning the corpus. The anchored
+  sampler's PosteriorAnchorProfile reads the match state of the pair's
+  predictor, so an anchored exact pair holds one state and one copy of the
+  unique rows.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input.
 * two_stage_predict: the anchored composition, committing anchor-stage
-  argmax tokens into an intermediate sequence that conditions the denoiser.
+  argmax tokens into an intermediate sequence that conditions the denoiser;
+  it returns plain constraint-satisfying probability arrays.
 
 resolve_anchors is the single anchor-first commit routine, and
 anchor_commit_order the single anchor ordering. The anchored sampler shares
@@ -27,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (
-    DiffusionError,
-    LatentSequence,
-    PredictionMatrix,
-    Vocab,
-    apply_constraints,
-)
+from .diffusion import DiffusionError, LatentSequence, Vocab, apply_constraints
 
 BOS_CONTEXT = -1
 EOS_CONTEXT = -2
@@ -88,7 +86,7 @@ class Predictor:
         raise NotImplementedError
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        return apply_constraints(self.predict(z), z).probs[position]
+        return apply_constraints(self.predict(z), z)[position]
 
 
 class ExactPosteriorDenoiser(Predictor):
@@ -313,7 +311,7 @@ def two_stage_predict(
     z: LatentSequence,
     omega: np.ndarray,
     eta: np.ndarray,
-) -> tuple[PredictionMatrix, PredictionMatrix, LatentSequence]:
+) -> tuple[np.ndarray, np.ndarray, LatentSequence]:
     """Anchored composition: predict anchors, resolve the masked ones into
     an intermediate sequence (resolve_anchors, in anchor_commit_order), then
     run the denoiser on it.
@@ -324,14 +322,12 @@ def two_stage_predict(
     assigns zero probability to a clean token the anchor stage considered
     possible.
     """
-    anchor_matrix = apply_constraints(anchor_predictor.predict(z), z)
+    anchor_probs = apply_constraints(anchor_predictor.predict(z), z)
     order = anchor_commit_order(omega, eta, z.is_masked)
     y = resolve_anchors(anchor_predictor, z, order)
-    final = apply_constraints(denoiser_predictor.predict(y), y).probs
-    if order:
-        final = final.copy()
-        final[order] = anchor_matrix.probs[order]
-    return anchor_matrix, PredictionMatrix(final), y
+    final_probs = apply_constraints(denoiser_predictor.predict(y), y)
+    final_probs[order] = anchor_probs[order]
+    return anchor_probs, final_probs, y
 
 
 @dataclass
@@ -345,10 +341,10 @@ class TwoStagePredictor:
     eta: np.ndarray
 
     def stage_matrices(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        anchor_matrix, final_matrix, _ = two_stage_predict(
+        anchor_probs, final_probs, _ = two_stage_predict(
             self.anchor, self.denoiser, z, self.omega, self.eta
         )
-        return anchor_matrix.probs, final_matrix.probs
+        return anchor_probs, final_probs
 
     def predict(self, z: LatentSequence) -> np.ndarray:
         return self.stage_matrices(z)[1]
@@ -385,17 +381,19 @@ class PosteriorAnchorProfile:
     At sampling time the true per-position anchor labels are unknown, so the
     anchored sampler uses the weighted mean of (omega, eta) over the corpus
     sequences consistent with the current latent, falling back to the
-    corpus marginal when nothing matches.
+    corpus marginal when nothing matches. The consistent rows come from the
+    match state of ``exact``, normally the pair's own predictor, so the
+    predictor and the profile keep one state between them.
     """
 
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-        self._exact = ExactPosteriorDenoiser(corpus)
-        self._marginal = MarginalAnchorProfile.of_corpus(corpus)
+    def __init__(self, exact: ExactPosteriorDenoiser):
+        self.exact = exact
+        self._marginal = MarginalAnchorProfile.of_corpus(exact.corpus)
 
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        w = np.where(self._exact.match_mask(z), self.corpus.weights, 0.0)
+        corpus = self.exact.corpus
+        w = np.where(self.exact.match_mask(z), corpus.weights, 0.0)
         if w.sum() == 0:
             return self._marginal(z)
         w = w / w.sum()
-        return w @ self.corpus.omega, w @ self.corpus.eta
+        return w @ corpus.omega, w @ corpus.eta

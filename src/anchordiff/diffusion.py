@@ -1,11 +1,13 @@
-"""Masked-diffusion core: forward corruption, reverse stepping, predictor
-constraints, and Monte Carlo loss estimation.
+"""Masked-diffusion core: forward corruption, the exact reverse posterior
+step, predictor constraints, and Monte Carlo loss estimation.
 
 The forward process masks each non-prompt position independently with
 probability 1 - alpha(t). The exact reverse posterior copies unmasked
 positions and flips masked ones to the clean token with probability
-(alpha_s - alpha_t) / (1 - alpha_t); the model-driven step does the same
-with a predicted distribution in place of the clean token.
+(alpha_s - alpha_t) / (1 - alpha_t). Model-driven generation lives in
+``sampler.generate``. Predictions are plain ``(L, K)`` probability arrays:
+``apply_constraints`` gives every row zero mass on the mask token and a
+one-hot row at every unmasked position.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class Vocab:
 
 @dataclass
 class LatentSequence:
-    """Per-position token-or-mask state at normalized time t.
+    """Per-position token-or-mask state.
 
     Prompt positions are conditioning tokens: never masked, never touched
     by any step. Length is fixed at construction.
@@ -72,7 +74,6 @@ class LatentSequence:
     ids: np.ndarray
     mask_id: int
     prompt_mask: np.ndarray = None
-    t: float = 0.0
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -92,39 +93,12 @@ class LatentSequence:
     def is_masked(self) -> np.ndarray:
         return self.ids == self.mask_id
 
-    def copy_with(self, ids: np.ndarray, t: float | None = None) -> "LatentSequence":
+    def copy_with(self, ids: np.ndarray) -> "LatentSequence":
         return LatentSequence(
             ids=np.array(ids, dtype=np.int64),
             mask_id=self.mask_id,
             prompt_mask=self.prompt_mask,
-            t=self.t if t is None else t,
         )
-
-
-@dataclass(frozen=True)
-class PredictionMatrix:
-    """Per-position probability rows over the vocabulary, satisfying
-    zero-masking (no mass on the mask token) and carry-over unmasking
-    (one-hot rows at unmasked positions)."""
-
-    probs: np.ndarray
-
-    def validate(self, z: LatentSequence, atol: float = 1e-9) -> None:
-        probs = self.probs
-        if probs.shape != (len(z), z.mask_id + 1):
-            raise ValueError("prediction matrix shape mismatch")
-        if np.any(probs < 0):
-            raise ValueError("negative probability")
-        if np.any(np.abs(probs.sum(axis=1) - 1.0) > atol):
-            raise ValueError("rows must sum to 1")
-        if np.any(probs[:, z.mask_id] != 0):
-            raise ValueError("mask column must be zero")
-        unmasked = ~z.is_masked
-        if unmasked.any():
-            observed = z.ids[unmasked]
-            rows = probs[unmasked]
-            if np.any(rows[np.arange(len(observed)), observed] != 1.0):
-                raise ValueError("carry-over rows must be one-hot on the observation")
 
 
 def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -146,7 +120,7 @@ def corrupt(
     coins = rng.random(len(x))
     masked = (coins < 1.0 - keep) & ~x.prompt_mask
     ids = np.where(masked, x.mask_id, x.ids)
-    return x.copy_with(ids, t=t)
+    return x.copy_with(ids)
 
 
 def reverse_posterior_step(
@@ -164,19 +138,19 @@ def reverse_posterior_step(
     if np.any(z_t.ids[unmasked] != x.ids[unmasked]):
         raise ConsistencyError("z_t disagrees with x at an unmasked position")
     p = unmask_prob(schedule, i)
-    s, _ = step_times(schedule, i)
     coins = rng.random(len(z_t))
     flip = z_t.is_masked & ~z_t.prompt_mask & (coins < p)
     ids = np.where(flip, x.ids, z_t.ids)
-    return z_t.copy_with(ids, t=s)
+    return z_t.copy_with(ids)
 
 
-def apply_constraints(raw: np.ndarray, z: LatentSequence) -> PredictionMatrix:
+def apply_constraints(raw: np.ndarray, z: LatentSequence) -> np.ndarray:
     """Enforce zero-masking and carry-over on raw non-negative rows.
 
     The mask column is zeroed, masked-position rows are renormalized
     (raising DegenerateRowError when nothing is left), and unmasked
-    positions are overwritten with the observed one-hot. Idempotent.
+    positions are overwritten with the observed one-hot. Idempotent; the
+    result is a new array, which the caller may write to.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (len(z), z.mask_id + 1):
@@ -201,7 +175,7 @@ def apply_constraints(raw: np.ndarray, z: LatentSequence) -> PredictionMatrix:
     unmasked_idx = np.flatnonzero(~masked)
     probs[unmasked_idx] = 0.0
     probs[unmasked_idx, z.ids[unmasked_idx]] = 1.0
-    return PredictionMatrix(probs)
+    return probs
 
 
 def temper_row(row: np.ndarray, temperature: float) -> np.ndarray:
@@ -223,28 +197,6 @@ def sample_categorical(row: np.ndarray, rng: np.random.Generator) -> int:
     cdf = np.cumsum(row)
     u = rng.random() * cdf[-1]
     return int(min(np.searchsorted(cdf, u, side="right"), len(row) - 1))
-
-
-def reverse_model_step(
-    z_t: LatentSequence,
-    preds: PredictionMatrix | np.ndarray,
-    i: int,
-    schedule: NoiseSchedule,
-    temperature: float,
-    rng: np.random.Generator | int | None,
-) -> LatentSequence:
-    """One model-driven reverse step: each masked non-prompt position
-    independently unmasks with probability unmask_prob(i), drawing its
-    token from the temperature-sharpened prediction row."""
-    rng = as_rng(rng)
-    probs = preds.probs if isinstance(preds, PredictionMatrix) else np.asarray(preds)
-    p = unmask_prob(schedule, i)
-    s, _ = step_times(schedule, i)
-    ids = z_t.ids.copy()
-    for l in np.flatnonzero(z_t.is_masked & ~z_t.prompt_mask):
-        if rng.random() < p:
-            ids[l] = sample_categorical(temper_row(probs[l], temperature), rng)
-    return z_t.copy_with(ids, t=s)
 
 
 @dataclass
@@ -338,7 +290,7 @@ def nelbo(
     """
 
     def summand(z: LatentSequence) -> tuple[float, int]:
-        probs = apply_constraints(predictor.predict(z), z).probs
+        probs = apply_constraints(predictor.predict(z), z)
         masked = np.flatnonzero(z.is_masked)
         return _masked_log_prob(probs, x.ids, masked)
 

@@ -272,9 +272,10 @@ def build_strategy_predictors(
     """The predictor and anchor profile for the strategy. ``predictor_kind``
     selects the Bayes-exact table or the backoff count model. Null's profile
     is all zeros, so it has no anchors and ignores the corpus annotations;
-    the other strategies use the posterior profile with the exact table and
-    the corpus-marginal profile with the backoff model, which has no match
-    set."""
+    the other strategies use the posterior profile with the exact table,
+    built on the pair's own predictor so that both read one match state,
+    and the corpus-marginal profile with the backoff model, which has no
+    match set."""
     if predictor_kind == "exact":
         predictor = ExactPosteriorDenoiser(corpus)
     elif predictor_kind == "backoff":
@@ -288,7 +289,7 @@ def build_strategy_predictors(
     elif predictor_kind == "backoff":
         profile = MarginalAnchorProfile.of_corpus(corpus)
     else:
-        profile = PosteriorAnchorProfile(corpus)
+        profile = PosteriorAnchorProfile(predictor)
     return AnchoredPair(predictor, profile)
 
 
@@ -365,14 +366,9 @@ def _collect_depth_times(
     if len(matches) == 0 or corpus.depth is None:
         return
     depth_row = corpus.depth[matches[0]]
-    for l in range(trace.length):
-        if depth_row[l] < 0:
-            continue
-        step = trace.final_unmask_step(l)
-        if step is None:
-            continue
+    for l, time in trace.final_unmask_times(depth_row):
         depths.append(float(depth_row[l]))
-        times.append((trace.T - step) / trace.T)
+        times.append(time)
 
 
 def _pearson(xs: list[float], ys: list[float]) -> float:

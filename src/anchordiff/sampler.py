@@ -83,6 +83,18 @@ class DenoiseTrace:
     def final_unmask_step(self, position: int) -> int | None:
         return self._last_unmask[position]
 
+    def final_unmask_times(self, depth: np.ndarray) -> list[tuple[int, float]]:
+        """(position, normalized final-unmask time) for each position with
+        an unmask event (so not the prompt) and a depth >= 0 (so not
+        padding), in position order. Normalized time is (T - final unmask
+        step) / T: 0 means unmasked at the first reverse step, values near
+        1 mean resolved at the very end."""
+        return [
+            (l, (self.T - step) / self.T)
+            for l, step in enumerate(self._last_unmask)
+            if step is not None and depth[l] >= 0
+        ]
+
     def to_jsonl(self) -> str:
         lines = [
             json.dumps(
@@ -177,29 +189,16 @@ def generate(
 
 
 def unmask_order_stats(
-    trace: DenoiseTrace,
-    depth: np.ndarray,
-    omega: np.ndarray,
-    exclude_negative_depth: bool = True,
+    trace: DenoiseTrace, depth: np.ndarray, omega: np.ndarray
 ) -> dict[tuple[int, bool], tuple[float, int]]:
-    """Aggregate normalized final-unmask times per (depth, anchor flag).
-
-    Normalized time is (T - final unmask step) / T: 0 means unmasked at the
-    first reverse step, values near 1 mean resolved at the very end.
-    Positions with no events (prompt) and, by default, negative depths
-    (padding) are excluded.
-    """
+    """Aggregate normalized final-unmask times (``final_unmask_times``) per
+    (depth, anchor flag)."""
     depth = np.asarray(depth)
     omega = np.asarray(omega)
     buckets: dict[tuple[int, bool], list[float]] = {}
-    for l in range(trace.length):
-        step = trace.final_unmask_step(l)
-        if step is None:
-            continue
-        if exclude_negative_depth and depth[l] < 0:
-            continue
+    for l, time in trace.final_unmask_times(depth):
         key = (int(depth[l]), bool(omega[l] >= 0.5))
-        buckets.setdefault(key, []).append((trace.T - step) / trace.T)
+        buckets.setdefault(key, []).append(time)
     return {
         key: (float(np.mean(vals)), len(vals)) for key, vals in sorted(buckets.items())
     }

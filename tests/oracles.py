@@ -82,6 +82,27 @@ def naive_posterior(corpus: Corpus, z: LatentSequence) -> np.ndarray:
     return probs
 
 
+def validate_prediction(probs: np.ndarray, z: LatentSequence, atol: float = 1e-9) -> None:
+    """Raise ValueError unless ``probs`` satisfies the prediction contract:
+    shape (L, K), non-negative rows summing to 1, zero mass on the mask
+    token (zero-masking) and one-hot rows on the observed token at unmasked
+    positions (carry-over)."""
+    if probs.shape != (len(z), z.mask_id + 1):
+        raise ValueError("prediction matrix shape mismatch")
+    if np.any(probs < 0):
+        raise ValueError("negative probability")
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > atol):
+        raise ValueError("rows must sum to 1")
+    if np.any(probs[:, z.mask_id] != 0):
+        raise ValueError("mask column must be zero")
+    unmasked = ~z.is_masked
+    if unmasked.any():
+        observed = z.ids[unmasked]
+        rows = probs[unmasked]
+        if np.any(rows[np.arange(len(observed)), observed] != 1.0):
+            raise ValueError("carry-over rows must be one-hot on the observation")
+
+
 class RescanExactDenoiser(Predictor):
     """The exact posterior with a full n x L corpus rescan on every query:
     the reference for ExactPosteriorDenoiser's incremental match state."""
@@ -115,7 +136,7 @@ class RescanExactDenoiser(Predictor):
 
 def _predictor_rows(corpus: Corpus, state: tuple[int, ...], temperature: float):
     z = LatentSequence(ids=np.array(state), mask_id=corpus.vocab.mask_id)
-    rows = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z).probs
+    rows = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
     return [temper_row(rows[l], temperature) for l in range(len(state))]
 
 

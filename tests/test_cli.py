@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchordiff.cli import main
 
@@ -55,13 +60,36 @@ class TestExitCodes:
             ["sample", "--config", "BOGUS_PREDICTOR"],
             ["probe", "--n-samples", "1"],
             ["eval", "--split-identifiers", "3"],
+            ["sample", "--config", "LIST"],
+            ["sample", "--config", "NUMBER"],
+            ["sample", "--config", "TEXT_N_SAMPLES"],
+            ["sample", "--config", "TEXT_WORKERS"],
+            ["sample", "--config", "TEXT_SEED"],
+            ["sample", "--config", "TEXT_TEMPERATURE"],
+            ["annotate", "--config", "TEXT_GAMMA"],
+            ["probe", "--config", "BOGUS_RULE"],
+            ["probe", "--probe-k", "-1"],
+            ["eval", "--n-samples", "0"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
-             "probe-single", "eval-split"],
+             "probe-single", "eval-split", "config-list", "config-number",
+             "config-n-samples", "config-workers", "config-seed", "config-temperature",
+             "config-gamma", "config-probe-rule", "probe-k", "eval-n-samples"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
-        configs = {"BAD_JSON": "{not json", "BOGUS_PREDICTOR": '{"predictor": "bogus"}'}
+        configs = {
+            "BAD_JSON": "{not json",
+            "BOGUS_PREDICTOR": '{"predictor": "bogus"}',
+            "LIST": "[1, 2]",
+            "NUMBER": "42",
+            "TEXT_N_SAMPLES": '{"n_samples": "5"}',
+            "TEXT_WORKERS": '{"workers": "2"}',
+            "TEXT_SEED": '{"seed": "x"}',
+            "TEXT_TEMPERATURE": '{"temperature": "hot"}',
+            "TEXT_GAMMA": '{"gamma": "x"}',
+            "BOGUS_RULE": '{"probe_rule": "bogus"}',
+        }
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
         argv = [str(tmp_path / a) if a in configs else a for a in argv]
@@ -95,6 +123,42 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s")])
         assert code == 3
         assert "mask tokens" in capsys.readouterr().err
+
+
+# Zero, negative, non-numeric and wrong-typed values, plus a few valid ones.
+CONFIG_VALUES = st.one_of(
+    st.integers(-2, 1),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(["x", "", "1", "0.5", "1,x"]),
+    st.booleans(),
+    st.none(),
+    st.just([1]),
+)
+# The count, step, noise and temperature options.
+DRAWN_KEYS = ("n_samples", "workers", "probe_k", "length", "steps", "t", "probe_t",
+              "remask_rate", "temperature")
+
+
+class TestArgumentSpace:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(["annotate", "corrupt", "sample", "probe", "eval"]),
+        st.dictionaries(st.sampled_from(DRAWN_KEYS), CONFIG_VALUES, max_size=3),
+    )
+    def test_exit_code_contract(self, command, drawn):
+        # Small valid values for the options not drawn keep each run short;
+        # they live in the config file, because a flag would override it.
+        config = {"steps": "2", "n_samples": 2, "probe_k": 2, "probe_t": "0.9", **drawn}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            out = Path(tmp) / "run"
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--config", str(cfg), *BASE, "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code == 2:
+                assert not out.exists()
 
 
 class TestManifest:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,16 @@ class TestStrategyPredictors:
             )
             assert trace.events
             assert all(e.stage == "denoise" for e in trace.events)
+
+    def test_anchored_exact_pair_holds_one_exact_table(self, synth_corpus_built):
+        # The profile reads the predictor's match state, also in the copy a
+        # --workers task unpickles.
+        pair = build_strategy_predictors(
+            synth_corpus_built, AnchorStrategy.ANCHOR_TREE, "exact"
+        )
+        for p in (pair, pickle.loads(pickle.dumps(pair))):
+            assert isinstance(p.predictor, ExactPosteriorDenoiser)
+            assert p.profile.exact is p.predictor
 
     def test_unknown_predictor_kind_rejected(self, synth_corpus_built):
         with pytest.raises(ValueError, match="unknown predictor"):

@@ -52,6 +52,11 @@ def null_pair(corpus):
     )
 
 
+def anchored_pair(corpus):
+    exact = ExactPosteriorDenoiser(corpus)
+    return AnchoredPair(exact, PosteriorAnchorProfile(exact))
+
+
 class MaskingPredictor:
     """Stub predictor whose rows put all mass on the mask token."""
 
@@ -108,10 +113,7 @@ class TestBasics:
             remask_rate=0.1,
             seed=99,
         )
-        pair = AnchoredPair(
-            ExactPosteriorDenoiser(corpus),
-            PosteriorAnchorProfile(corpus),
-        )
+        pair = anchored_pair(corpus)
         sched = NoiseSchedule(ScheduleKind.COSINE, 8)
         out1, tr1 = generate([], corpus.length, pair, cfg, sched)
         out2, tr2 = generate([], corpus.length, pair, cfg, sched)
@@ -126,10 +128,7 @@ class TestBasics:
             remask_rate=0.25,
             seed=41,
         )
-        pair = AnchoredPair(
-            ExactPosteriorDenoiser(corpus),
-            PosteriorAnchorProfile(corpus),
-        )
+        pair = anchored_pair(corpus)
         out, trace = generate([], corpus.length, pair, cfg, NoiseSchedule(T=12))
         assert (out != corpus.vocab.mask_id).all()
         saw_remask = False
@@ -224,10 +223,7 @@ class TestOrderStats:
             remask_rate=0.1,
             seed=7,
         )
-        pair = AnchoredPair(
-            ExactPosteriorDenoiser(corpus),
-            PosteriorAnchorProfile(corpus),
-        )
+        pair = anchored_pair(corpus)
         sched = NoiseSchedule(ScheduleKind.COSINE, 16)
         anchor_times, other_times = [], []
         for j in range(30):
@@ -295,9 +291,7 @@ def rescan_pair(corpus, strategy):
     reference = RescanExactDenoiser(corpus)
     if strategy is AnchorStrategy.NULL:
         return AnchoredPair(reference, MarginalAnchorProfile.zeros(corpus.length))
-    profile = PosteriorAnchorProfile(corpus)
-    profile._exact = reference
-    return AnchoredPair(reference, profile)
+    return AnchoredPair(reference, PosteriorAnchorProfile(reference))
 
 
 class TestMatchStateGeneration:

@@ -56,10 +56,10 @@ class AnchorConfig:
     d0: int = DEFAULT_D0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        for name in ("gamma", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.d0 < 0:
             raise ValueError("d0 must be >= 0")
 

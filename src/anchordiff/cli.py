@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -151,11 +152,24 @@ def _config_value(action: argparse.Action, value):
         raise ValueError(
             f"config {action.dest!r} must be of type {kind.__name__}, got {value!r}"
         )
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:
+        raise ValueError(f"config {action.dest!r} is out of range, got {value!r}") from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(
             f"config {action.dest!r} must be one of {sorted(action.choices)}, got {value!r}"
         )
+    return value
+
+
+def _finite_number(text: str) -> float:
+    """A JSON number or constant of a config file, which must be finite:
+    ``NaN``, ``Infinity`` and literals such as ``1e400`` that overflow a
+    double are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"config file holds {text}, which is not a finite number")
     return value
 
 
@@ -165,7 +179,7 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     resolved = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
         if not isinstance(config, dict):
             raise ValueError(
                 f"config file must hold a JSON object, got {type(config).__name__}"
@@ -258,6 +272,9 @@ def load_inputs(resolved: dict) -> Inputs:
     exists; main reports it as exit 2.
     """
     command = resolved["command"]
+    for key, value in resolved.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value}")
     inputs = Inputs(None if command == "eval" else _anchor_config(resolved))
     if command in ("corrupt", "sample", "eval"):
         steps = str(resolved["steps"]).split(",") if command == "eval" else [resolved["steps"]]
@@ -326,13 +343,17 @@ def write_manifest(run_dir: Path, resolved: dict, anchor: AnchorConfig | None) -
             "beta": anchor.beta,
             "d0": anchor.d0,
         }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write(run_dir, "manifest.json", _json_document(manifest))
 
 
 def _write(run_dir: Path, name: str, payload: str) -> None:
     (run_dir / name).write_text(payload, encoding="utf-8")
+
+
+def _json_document(value: dict) -> str:
+    # allow_nan=False: a non-finite value that slipped past the checks fails
+    # loudly instead of writing NaN or Infinity, which are not JSON.
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # -- subcommands --------------------------------------------------------------
@@ -357,7 +378,7 @@ def cmd_annotate(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         "anchor_density": density,
         "depth_histogram": {str(k): v for k, v in sorted(depth_hist.items())},
     }
-    _write(run_dir, "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write(run_dir, "summary.json", _json_document(summary))
     print(f"annotated {len(records)} records -> {run_dir}")
     return EXIT_OK
 
@@ -380,6 +401,7 @@ def cmd_corrupt(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
                     "text": render_ids(z.ids, vocab),
                 },
                 sort_keys=True,
+                allow_nan=False,
             )
         )
     _write(run_dir, "corrupted.jsonl", "\n".join(lines) + "\n")
@@ -407,8 +429,11 @@ def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         (predictors, sampler_cfg, inputs.schedules[0], corpus.length, resolved["seed"], j)
         for j in range(n)
     ]
-    if resolved["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=resolved["workers"]) as pool:
+    # Each worker is a process, started up front: never more than there are
+    # samples or CPUs.
+    workers = min(resolved["workers"], n, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = sorted(pool.map(_one_sample, tasks), key=lambda r: r[0])
     else:
         results = [_one_sample(t) for t in tasks]
@@ -427,6 +452,7 @@ def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         json.dumps(
             {"fraction": report.fraction, "verdicts": report.verdicts},
             sort_keys=True,
+            allow_nan=False,
         )
         + "\n",
     )
@@ -458,6 +484,7 @@ def cmd_probe(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
                 "skipped": run.n_skipped,
             },
             sort_keys=True,
+            allow_nan=False,
         )
         + "\n",
     )

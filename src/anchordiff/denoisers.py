@@ -13,10 +13,16 @@ the vocabulary, later passed through apply_constraints):
   predictor, so an anchored exact pair holds one state and one copy of the
   unique rows.
 * BackoffCountModel: (left, right) context counts with backoff to left,
-  right, then unigram, Laplace-smoothed; total on any input.
-* two_stage_predict: the anchored composition, committing anchor-stage
-  argmax tokens into an intermediate sequence that conditions the denoiser;
-  it returns plain constraint-satisfying probability arrays.
+  right, then unigram, Laplace-smoothed; total on any input. It is stored
+  as tables (smoothed rows plus context-to-row index arrays), so a query
+  is one gather over all positions, or over a batch of latents.
+* two_stage_predict: the anchored composition of a batch of latents,
+  committing anchor-stage argmax tokens into an intermediate sequence that
+  conditions the denoiser; it returns plain constraint-satisfying
+  probability arrays.
+
+``Predictor.predict_batch`` scores several latents at once; it loops over
+``predict`` unless a predictor has a vectorized path.
 
 resolve_anchors is the single anchor-first commit routine, and
 anchor_commit_order the single anchor ordering. The anchored sampler shares
@@ -79,11 +85,18 @@ class Corpus:
 
 
 class Predictor:
-    """Base contract: ``predict`` returns raw rows; ``predict_row`` gives a
-    single normalized zero-mask row for sequential sampling."""
+    """Base contract: ``predict`` returns raw rows; ``predict_batch`` the
+    raw rows of several latents at once; ``predict_row`` gives a single
+    normalized zero-mask row for sequential sampling."""
 
     def predict(self, z: LatentSequence) -> np.ndarray:
         raise NotImplementedError
+
+    def predict_batch(self, zs: list[LatentSequence]) -> np.ndarray:
+        """Raw rows of each latent as a new array of shape (len(zs), L, K).
+        The default calls ``predict`` per latent; a vectorized predictor
+        overrides it."""
+        return np.stack([self.predict(z) for z in zs])
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         return apply_constraints(self.predict(z), z)[position]
@@ -181,93 +194,121 @@ class BackoffCountModel(Predictor):
     Each position is estimated from its (left token, right token) context,
     backing off pair -> left -> right -> unigram; a masked neighbor removes
     the routes that need it. Sequence boundaries use BOS/EOS sentinels.
+
+    The model is a set of tables. ``counts`` holds one row of weighted
+    token counts per seen context (pairs, then left contexts, then right
+    contexts) and the unigram row last. Index arrays map a context to its
+    row, or -1 when it was never seen: ``pair_index`` of shape (K+2, K+2),
+    ``left_index`` and ``right_index`` of shape (K+2,), where slot K is BOS
+    and slot K+1 is EOS. The mask id is never a seen context, so a masked
+    neighbor falls through its route. Construction smooths every row once
+    and folds the four routes into one (K+2, K+2) row index, so a query is
+    one gather, and there is no dense (K+2, K+2, K) table.
     """
 
     def __init__(
         self,
         vocab: Vocab,
-        pair: dict[tuple[int, int], np.ndarray],
-        left: dict[int, np.ndarray],
-        right: dict[int, np.ndarray],
+        routes: list[tuple[np.ndarray, np.ndarray]],
         unigram: np.ndarray,
     ):
+        """``routes`` holds the (context slots, count rows) of the pair, left
+        and right routes, a pair's slot being ``a * (K+2) + b``; ``unigram``
+        holds the unigram counts."""
+        S = vocab.size + 2
+        indexes = [np.full(S * S, -1), np.full(S, -1), np.full(S, -1)]
+        start = 0
+        for index, (slots, _) in zip(indexes, routes):
+            index[slots] = start + np.arange(len(slots))
+            start += len(slots)
         self.vocab = vocab
-        self.pair = pair
-        self.left = left
-        self.right = right
-        self.unigram = unigram
+        self.counts = np.vstack([rows for _, rows in routes] + [unigram[None, :]])
+        self.pair_index = indexes[0].reshape(S, S)
+        self.left_index, self.right_index = indexes[1], indexes[2]
+        smoothed = self.counts.copy()
+        smoothed[:, : vocab.mask_id] += 1.0  # Laplace over the non-mask vocabulary
+        self._rows = smoothed / smoothed.sum(axis=1, keepdims=True)
+        self._rows.setflags(write=False)
+        route = np.where(self.pair_index >= 0, self.pair_index, self.left_index[:, None])
+        route = np.where(route >= 0, route, self.right_index[None, :])
+        self._route = np.where(route >= 0, route, len(self.counts) - 1)
 
     @classmethod
     def fit(cls, corpus: Corpus) -> "BackoffCountModel":
+        # bincount adds the weights in corpus order, row by row, as a loop
+        # over the corpus would, so the count sums are the same doubles.
         K = corpus.vocab.size
-        pair: dict[tuple[int, int], np.ndarray] = {}
-        left: dict[int, np.ndarray] = {}
-        right: dict[int, np.ndarray] = {}
-        unigram = np.zeros(K)
-        for ids, w in zip(corpus.ids, corpus.weights):
-            L = len(ids)
-            for l in range(L):
-                a = int(ids[l - 1]) if l > 0 else BOS_CONTEXT
-                b = int(ids[l + 1]) if l < L - 1 else EOS_CONTEXT
-                tok = int(ids[l])
-                for table, key in ((pair, (a, b)), (left, a), (right, b)):
-                    if key not in table:
-                        table[key] = np.zeros(K)
-                    table[key][tok] += w
-                unigram[tok] += w
-        return cls(corpus.vocab, pair, left, right, unigram)
-
-    def _smooth(self, counts: np.ndarray) -> np.ndarray:
-        row = counts.copy()
-        row[: self.vocab.mask_id] += 1.0  # Laplace over the non-mask vocabulary
-        return row / row.sum()
-
-    def _context_row(self, a: int | None, b: int | None) -> np.ndarray:
-        if a is not None and b is not None and (a, b) in self.pair:
-            return self._smooth(self.pair[(a, b)])
-        if a is not None and a in self.left:
-            return self._smooth(self.left[a])
-        if b is not None and b in self.right:
-            return self._smooth(self.right[b])
-        return self._smooth(self.unigram)
-
-    def _neighbor(self, z: LatentSequence, position: int) -> int | None:
-        if position < 0:
-            return BOS_CONTEXT
-        if position >= len(z):
-            return EOS_CONTEXT
-        if z.is_masked[position]:
-            return None
-        return int(z.ids[position])
+        S = K + 2
+        tokens = corpus.ids.ravel()
+        left, right = _neighbor_slots(corpus.ids, K)
+        left, right = left.ravel(), right.ravel()
+        w = np.repeat(corpus.weights, corpus.length)
+        routes = []
+        for slots, size in ((left * S + right, S * S), (left, S), (right, S)):
+            seen = np.flatnonzero(np.bincount(slots, minlength=size))
+            row = np.full(size, -1)
+            row[seen] = np.arange(len(seen))
+            cell = row[slots]
+            cell *= K
+            cell += tokens
+            flat = np.bincount(cell, weights=w, minlength=len(seen) * K)
+            routes.append((seen, flat.reshape(len(seen), K)))
+        return cls(corpus.vocab, routes, np.bincount(tokens, weights=w, minlength=K))
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        if not z.is_masked[position]:
-            row = np.zeros(self.vocab.size)
-            row[z.ids[position]] = 1.0
+        """One row; a masked position's row is a read-only view of the table."""
+        ids = z.ids
+        K = self.vocab.size
+        if ids[position] != self.vocab.mask_id:
+            row = np.zeros(K)
+            row[ids[position]] = 1.0
             return row
-        return self._context_row(
-            self._neighbor(z, position - 1), self._neighbor(z, position + 1)
-        )
+        a = ids[position - 1] if position > 0 else K
+        b = ids[position + 1] if position < len(ids) - 1 else K + 1
+        return self._rows[self._route[a, b]]
 
     def predict(self, z: LatentSequence) -> np.ndarray:
-        return np.stack([self.predict_row(z, l) for l in range(len(z))])
+        return self.predict_batch([z])[0]
+
+    def predict_batch(self, zs: list[LatentSequence]) -> np.ndarray:
+        ids = np.stack([z.ids for z in zs])
+        left, right = _neighbor_slots(ids, self.vocab.size)
+        raw = self._rows[self._route[left, right]]
+        seen = np.nonzero(ids != self.vocab.mask_id)
+        raw[seen] = 0.0
+        raw[seen + (ids[seen],)] = 1.0
+        return raw
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        def table(d: dict) -> list:
-            return [[list(k) if isinstance(k, tuple) else k, v.tolist()]
-                    for k, v in sorted(d.items())]
+        """The version-1 document: every seen context of each route with
+        its raw counts, in sorted context order (BOS -1 and EOS -2 first)."""
+        K = self.vocab.size
+        a, b = np.nonzero(self.pair_index >= 0)
+        ca, cb = _context_of(a, K), _context_of(b, K)
+        pair = [
+            [[int(ca[i]), int(cb[i])], self.counts[self.pair_index[a[i], b[i]]].tolist()]
+            for i in np.lexsort((cb, ca))
+        ]
+
+        def table(index: np.ndarray) -> list:
+            slots = np.flatnonzero(index >= 0)
+            contexts = _context_of(slots, K)
+            return [
+                [int(contexts[i]), self.counts[index[slots[i]]].tolist()]
+                for i in np.argsort(contexts)
+            ]
 
         return json.dumps(
             {
                 "format": "anchordiff-backoff-counts",
                 "version": 1,
                 "vocab": list(self.vocab.tokens),
-                "pair": table(self.pair),
-                "left": table(self.left),
-                "right": table(self.right),
-                "unigram": self.unigram.tolist(),
+                "pair": pair,
+                "left": table(self.left_index),
+                "right": table(self.right_index),
+                "unigram": self.counts[-1].tolist(),
             }
         )
 
@@ -279,10 +320,51 @@ class BackoffCountModel(Predictor):
         if data.get("version") != 1:
             raise ValueError(f"unsupported version {data.get('version')}")
         vocab = Vocab(tuple(data["vocab"]))
-        pair = {tuple(k): np.array(v) for k, v in data["pair"]}
-        left = {k: np.array(v) for k, v in data["left"]}
-        right = {k: np.array(v) for k, v in data["right"]}
-        return cls(vocab, pair, left, right, np.array(data["unigram"]))
+        K = vocab.size
+
+        def route(entries: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+            keys = np.array([k for k, _ in entries], dtype=np.int64).reshape(-1, width)
+            rows = np.array([v for _, v in entries] or np.zeros((0, K)), dtype=np.float64)
+            if rows.shape != (len(keys), K):
+                raise ValueError(f"count rows must have {K} entries")
+            ok = np.isin(keys, (BOS_CONTEXT, EOS_CONTEXT)) | ((keys >= 0) & (keys < vocab.mask_id))
+            if not ok.all():
+                raise ValueError("count table has a context outside the vocabulary")
+            slots = _slot_of(keys, K)
+            if width == 2:
+                slots = slots[:, 0] * (K + 2) + slots[:, 1]
+            slots = slots.ravel()
+            if len(np.unique(slots)) != len(slots):
+                raise ValueError("count table repeats a context")
+            return slots, rows
+
+        routes = [route(data["pair"], 2), route(data["left"], 1), route(data["right"], 1)]
+        unigram = np.array(data["unigram"], dtype=np.float64)
+        if unigram.shape != (K,):
+            raise ValueError(f"unigram counts must have {K} entries")
+        return cls(vocab, routes, unigram)
+
+
+def _slot_of(contexts: np.ndarray, K: int) -> np.ndarray:
+    """Table slot of each context: the token id, K for BOS, K+1 for EOS."""
+    return np.where(contexts == BOS_CONTEXT, K, np.where(contexts == EOS_CONTEXT, K + 1, contexts))
+
+
+def _context_of(slots: np.ndarray, K: int) -> np.ndarray:
+    """The inverse of ``_slot_of``: the sentinel contexts back at K and K+1."""
+    return np.where(slots == K, BOS_CONTEXT, np.where(slots == K + 1, EOS_CONTEXT, slots))
+
+
+def _neighbor_slots(ids: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right neighbor slots of every position of (n, L) ids, with
+    BOS before the first position and EOS after the last."""
+    left = np.empty_like(ids)
+    left[:, 0] = K
+    left[:, 1:] = ids[:, :-1]
+    right = np.empty_like(ids)
+    right[:, -1] = K + 1
+    right[:, :-1] = ids[:, 1:]
+    return left, right
 
 
 def anchor_commit_order(
@@ -301,37 +383,40 @@ def resolve_anchors(
     which keeps the result inside a table predictor's support."""
     y = z.copy_with(z.ids)
     for l in order:
-        y.ids[l] = int(np.argmax(anchor_predictor.predict_row(y, l)))
+        y.ids[l] = int(anchor_predictor.predict_row(y, l).argmax())
     return y
 
 
 def two_stage_predict(
     anchor_predictor: Predictor,
     denoiser_predictor: Predictor,
-    z: LatentSequence,
+    zs: list[LatentSequence],
     omega: np.ndarray,
     eta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, LatentSequence]:
-    """Anchored composition: predict anchors, resolve the masked ones into
-    an intermediate sequence (resolve_anchors, in anchor_commit_order), then
-    run the denoiser on it.
+) -> tuple[np.ndarray, np.ndarray, list[LatentSequence]]:
+    """Anchored composition of each latent in ``zs``: predict anchors,
+    resolve the masked ones into an intermediate sequence (resolve_anchors,
+    in anchor_commit_order), then run the denoiser on it. Both predictors
+    score the whole batch at once; the commits are made per latent.
 
-    In the returned final matrix, positions the anchor stage resolved carry
-    the anchor stage's soft row (its marginal over the commitment) rather
-    than a one-hot of the committed token, so the composed prediction never
-    assigns zero probability to a clean token the anchor stage considered
-    possible.
+    Returns the anchor and final probability arrays, each of shape
+    (len(zs), L, K), and the intermediate sequences. In the final arrays,
+    positions the anchor stage resolved carry the anchor stage's soft row
+    (its marginal over the commitment) rather than a one-hot of the
+    committed token, so the composed prediction never assigns zero
+    probability to a clean token the anchor stage considered possible.
     """
-    anchor_probs = apply_constraints(anchor_predictor.predict(z), z)
-    order = anchor_commit_order(omega, eta, z.is_masked)
-    y = resolve_anchors(anchor_predictor, z, order)
-    final_probs = apply_constraints(denoiser_predictor.predict(y), y)
-    final_probs[order] = anchor_probs[order]
-    return anchor_probs, final_probs, y
+    anchor_probs = apply_constraints(anchor_predictor.predict_batch(zs), zs)
+    orders = [anchor_commit_order(omega, eta, z.is_masked) for z in zs]
+    ys = [resolve_anchors(anchor_predictor, z, order) for z, order in zip(zs, orders)]
+    final_probs = apply_constraints(denoiser_predictor.predict_batch(ys), ys)
+    for j, order in enumerate(orders):
+        final_probs[j, order] = anchor_probs[j, order]
+    return anchor_probs, final_probs, ys
 
 
 @dataclass
-class TwoStagePredictor:
+class TwoStagePredictor(Predictor):
     """Composition of anchor and denoiser predictors under fixed per-position
     anchor data, as used for loss evaluation on an annotated sequence."""
 
@@ -340,14 +425,18 @@ class TwoStagePredictor:
     omega: np.ndarray
     eta: np.ndarray
 
-    def stage_matrices(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+    def stage_matrices(self, zs: list[LatentSequence]) -> tuple[np.ndarray, np.ndarray]:
+        """Anchor and final probability arrays of each latent in ``zs``."""
         anchor_probs, final_probs, _ = two_stage_predict(
-            self.anchor, self.denoiser, z, self.omega, self.eta
+            self.anchor, self.denoiser, zs, self.omega, self.eta
         )
         return anchor_probs, final_probs
 
+    def predict_batch(self, zs: list[LatentSequence]) -> np.ndarray:
+        return self.stage_matrices(zs)[1]
+
     def predict(self, z: LatentSequence) -> np.ndarray:
-        return self.stage_matrices(z)[1]
+        return self.predict_batch([z])[0]
 
 
 @dataclass

@@ -5,9 +5,15 @@ The forward process masks each non-prompt position independently with
 probability 1 - alpha(t). The exact reverse posterior copies unmasked
 positions and flips masked ones to the clean token with probability
 (alpha_s - alpha_t) / (1 - alpha_t). Model-driven generation lives in
-``sampler.generate``. Predictions are plain ``(L, K)`` probability arrays:
-``apply_constraints`` gives every row zero mass on the mask token and a
-one-hot row at every unmasked position.
+``sampler.generate``. Predictions are plain ``(L, K)`` probability arrays,
+or ``(n, L, K)`` for a batch of latents: ``apply_constraints`` gives every
+row zero mass on the mask token and a one-hot row at every unmasked
+position.
+
+The losses are stratified Monte Carlo estimates over the step indices.
+Each stratum's draws are corrupted and scored as a batch (one block of
+coins, one batched prediction), with the same random stream and the same
+per-draw log sums as one ``corrupt`` call and one prediction per draw.
 """
 
 from __future__ import annotations
@@ -116,11 +122,14 @@ def corrupt(
     """Sample z_t from the forward process: each non-prompt position keeps
     its token with probability alpha(t), otherwise becomes the mask."""
     rng = as_rng(rng)
-    keep = alpha(schedule, t)
-    coins = rng.random(len(x))
-    masked = (coins < 1.0 - keep) & ~x.prompt_mask
-    ids = np.where(masked, x.mask_id, x.ids)
-    return x.copy_with(ids)
+    return x.copy_with(_forward_mask(x, alpha(schedule, t), rng.random(len(x))))
+
+
+def _forward_mask(x: LatentSequence, keep: float, coins: np.ndarray) -> np.ndarray:
+    """The forward process's masking rule: ids of ``x`` with each non-prompt
+    position masked where its uniform coin falls below 1 - keep. ``coins``
+    may carry leading draw dimensions."""
+    return np.where((coins < 1.0 - keep) & ~x.prompt_mask, x.mask_id, x.ids)
 
 
 def reverse_posterior_step(
@@ -144,37 +153,46 @@ def reverse_posterior_step(
     return z_t.copy_with(ids)
 
 
-def apply_constraints(raw: np.ndarray, z: LatentSequence) -> np.ndarray:
+def apply_constraints(
+    raw: np.ndarray, z: LatentSequence | list[LatentSequence]
+) -> np.ndarray:
     """Enforce zero-masking and carry-over on raw non-negative rows.
 
-    The mask column is zeroed, masked-position rows are renormalized
-    (raising DegenerateRowError when nothing is left), and unmasked
-    positions are overwritten with the observed one-hot. Idempotent; the
-    result is a new array, which the caller may write to.
+    ``raw`` holds the ``(L, K)`` rows of one latent ``z``, or the
+    ``(n, L, K)`` rows of a list of n latents of one length. The mask
+    column is zeroed, masked-position rows are renormalized (raising
+    DegenerateRowError when nothing is left), and unmasked positions are
+    overwritten with the observed one-hot. Each row gets the same
+    arithmetic either way. Idempotent; the result is a new array, which
+    the caller may write to.
     """
+    if isinstance(z, LatentSequence):
+        ids, mask_id = z.ids, z.mask_id
+    else:
+        ids, mask_id = np.stack([v.ids for v in z]), z[0].mask_id
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (len(z), z.mask_id + 1):
+    if raw.shape != ids.shape + (mask_id + 1,):
         raise ValueError(
-            f"raw predictions must have shape {(len(z), z.mask_id + 1)}, got {raw.shape}"
+            f"raw predictions must have shape {ids.shape + (mask_id + 1,)}, got {raw.shape}"
         )
     if np.any(raw < 0):
         raise ValueError("raw predictions must be non-negative")
     probs = raw.copy()
-    probs[:, z.mask_id] = 0.0
-    masked = z.is_masked
-    totals = probs.sum(axis=1)
+    probs[..., mask_id] = 0.0
+    masked = ids == mask_id
+    totals = probs.sum(axis=-1)
     bad = masked & ~(totals > 0)
     if np.any(bad):
         raise DegenerateRowError(
-            f"no non-mask mass at positions {np.flatnonzero(bad).tolist()}"
+            f"no non-mask mass at positions {np.nonzero(bad)[-1].tolist()}"
         )
     # Leave rows that already sum to 1 untouched so the operation is
     # exactly idempotent despite floating-point division.
     renorm = masked & (np.abs(totals - 1.0) > 1e-12)
-    probs[renorm] /= totals[renorm, None]
-    unmasked_idx = np.flatnonzero(~masked)
-    probs[unmasked_idx] = 0.0
-    probs[unmasked_idx, z.ids[unmasked_idx]] = 1.0
+    np.divide(probs, totals[..., None], out=probs, where=renorm[..., None])
+    unmasked = np.nonzero(~masked)
+    probs[unmasked] = 0.0
+    probs[unmasked + (ids[unmasked],)] = 1.0
     return probs
 
 
@@ -226,31 +244,45 @@ def _allocate_strata(n_samples: int, T: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(T)]
 
 
+# A batch of loss draws holds at most this many (position, token) cells per
+# probability array, so memory stays bounded whatever n_samples is.
+LOSS_BATCH_CELLS = 1 << 20
+
+
 def _stratified_loss(
     x: LatentSequence,
     schedule: NoiseSchedule,
     n_samples: int,
     rng: np.random.Generator | int | None,
-    summand,
+    score,
 ) -> LossReport:
-    """Shared stratified-MC loop: ``summand(z)`` returns the unweighted
-    per-draw log term, which is scaled by lambda_i within each stratum."""
+    """Shared stratified-MC loop: ``score(zs)`` yields the unweighted
+    per-draw (log term, infinite hits) of a batch of corrupted latents, and
+    each log term is scaled by lambda_i within its stratum.
+
+    Each stratum's corruption coins are drawn as one ``(draws, L)`` block
+    per batch, which gives the same doubles, in the same order, as one
+    ``corrupt`` call per draw.
+    """
     seed = rng if isinstance(rng, int) else None
     rng = as_rng(rng)
     counts = _allocate_strata(n_samples, schedule.T)
+    batch = max(1, LOSS_BATCH_CELLS // max(1, len(x) * (x.mask_id + 1)))
     estimate = 0.0
     variance = 0.0
     n_infinite = 0
     for i in range(1, schedule.T + 1):
         lam = lambda_weight(schedule, i)
         _, t = step_times(schedule, i)
+        keep = alpha(schedule, t)
         n_i = counts[i - 1]
         vals = np.empty(n_i)
-        for j in range(n_i):
-            z = corrupt(x, t, schedule, rng)
-            log_term, inf_hits = summand(z)
-            n_infinite += inf_hits
-            vals[j] = lam * log_term
+        for start in range(0, n_i, batch):
+            coins = rng.random((min(batch, n_i - start), len(x)))
+            zs = [x.copy_with(ids) for ids in _forward_mask(x, keep, coins)]
+            for j, (log_term, inf_hits) in enumerate(score(zs), start):
+                n_infinite += inf_hits
+                vals[j] = lam * log_term
         estimate += float(vals.mean())
         if n_i > 1:
             variance += float(vals.var(ddof=1)) / n_i
@@ -281,7 +313,8 @@ def nelbo(
     n_samples: int,
     rng: np.random.Generator | int | None,
 ) -> LossReport:
-    """Estimate the negative ELBO of ``predictor`` on clean sequence ``x``.
+    """Estimate the negative ELBO of ``predictor`` (a ``denoisers.Predictor``,
+    scored through ``predict_batch``) on clean sequence ``x``.
 
     Stratifies draws over the step indices; carry-over positions contribute
     exactly zero, so only masked positions are evaluated. A masked position
@@ -289,12 +322,11 @@ def nelbo(
     infinity rather than failing silently.
     """
 
-    def summand(z: LatentSequence) -> tuple[float, int]:
-        probs = apply_constraints(predictor.predict(z), z)
-        masked = np.flatnonzero(z.is_masked)
-        return _masked_log_prob(probs, x.ids, masked)
+    def score(zs: list[LatentSequence]):
+        for z, probs in zip(zs, apply_constraints(predictor.predict_batch(zs), zs)):
+            yield _masked_log_prob(probs, x.ids, np.flatnonzero(z.is_masked))
 
-    return _stratified_loss(x, schedule, n_samples, rng, summand)
+    return _stratified_loss(x, schedule, n_samples, rng, score)
 
 
 def anelbo(
@@ -309,9 +341,10 @@ def anelbo(
     """Anchored NELBO: the NELBO term of the composed predictor plus the
     mu-weighted anchor term, estimated on shared corruption draws.
 
-    ``predictor_pair`` must expose ``stage_matrices(z) -> (anchor, final)``
-    with both matrices already constraint-satisfying. Positions with
-    mu = 0 are excluded from the anchor term before any log is taken.
+    ``predictor_pair`` must expose ``stage_matrices(zs) -> (anchor, final)``,
+    two (len(zs), L, K) arrays of constraint-satisfying rows, as
+    ``TwoStagePredictor`` does. Positions with mu = 0 are excluded from the
+    anchor term before any log is taken.
     """
     anchor_targets = np.asarray(anchor_targets)
     mu = np.asarray(mu, dtype=np.float64)
@@ -319,18 +352,18 @@ def anelbo(
         raise ValueError("mu and anchor_targets must align with x")
     anchored = np.flatnonzero(mu > 0)
 
-    def summand(z: LatentSequence) -> tuple[float, int]:
-        anchor_probs, final_probs = predictor_pair.stage_matrices(z)
-        masked = np.flatnonzero(z.is_masked)
-        log_term, inf_hits = _masked_log_prob(final_probs, x.ids, masked)
-        if len(anchored):
-            p = anchor_probs[anchored, anchor_targets[anchored]]
-            zero = p == 0
-            inf_hits += int(zero.sum())
-            if zero.any():
-                log_term += float((mu[anchored][~zero] * np.log(p[~zero])).sum())
-            else:
-                log_term += float((mu[anchored] * np.log(p)).sum())
-        return log_term, inf_hits
+    def score(zs: list[LatentSequence]):
+        for z, anchor_probs, final_probs in zip(zs, *predictor_pair.stage_matrices(zs)):
+            masked = np.flatnonzero(z.is_masked)
+            log_term, inf_hits = _masked_log_prob(final_probs, x.ids, masked)
+            if len(anchored):
+                p = anchor_probs[anchored, anchor_targets[anchored]]
+                zero = p == 0
+                inf_hits += int(zero.sum())
+                if zero.any():
+                    log_term += float((mu[anchored][~zero] * np.log(p[~zero])).sum())
+                else:
+                    log_term += float((mu[anchored] * np.log(p)).sum())
+            yield log_term, inf_hits
 
-    return _stratified_loss(x, schedule, n_samples, rng, summand)
+    return _stratified_loss(x, schedule, n_samples, rng, score)

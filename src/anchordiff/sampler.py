@@ -13,6 +13,7 @@ anchors and the loop is the plain masked-diffusion reverse process.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,8 @@ class SamplerConfig:
             raise ValueError("T must be >= 1")
         if not 0.0 <= self.remask_rate <= 1.0:
             raise ValueError("remask_rate must lie in [0, 1]")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def default_remask_rate(strategy: AnchorStrategy) -> float:

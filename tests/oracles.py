@@ -2,21 +2,38 @@
 
 Each oracle recomputes a result through a second, naive code path: full
 node-table scans for token assignment, per-sequence loops for the
-posterior, and explicit state-space enumeration for reverse chains.
+posterior, explicit state-space enumeration for reverse chains, a
+dict-of-contexts count model, and a one-draw-at-a-time loss loop.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import defaultdict
 
 import numpy as np
 
-from anchordiff.denoisers import Corpus, ExactPosteriorDenoiser, NoMatchError, Predictor
-from anchordiff.diffusion import LatentSequence, apply_constraints, temper_row
+from anchordiff.denoisers import (
+    BOS_CONTEXT,
+    EOS_CONTEXT,
+    Corpus,
+    ExactPosteriorDenoiser,
+    NoMatchError,
+    Predictor,
+    anchor_commit_order,
+)
+from anchordiff.diffusion import (
+    LatentSequence,
+    LossReport,
+    apply_constraints,
+    as_rng,
+    corrupt,
+    temper_row,
+)
 from anchordiff.minilang import SyntaxTree, Token
-from anchordiff.schedule import NoiseSchedule, unmask_prob
+from anchordiff.schedule import NoiseSchedule, lambda_weight, step_times, unmask_prob
 
 
 def naive_node_assignment(tree: SyntaxTree, tokens: list[Token]) -> list[int]:
@@ -227,3 +244,181 @@ def total_variation(
 ) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+class DictBackoffModel(Predictor):
+    """The backoff count model with one dict entry per seen context and the
+    backoff walked per query: the reference for BackoffCountModel's tables."""
+
+    def __init__(self, vocab, pair, left, right, unigram):
+        self.vocab = vocab
+        self.pair = pair
+        self.left = left
+        self.right = right
+        self.unigram = unigram
+
+    @classmethod
+    def fit(cls, corpus: Corpus) -> "DictBackoffModel":
+        K = corpus.vocab.size
+        pair: dict[tuple[int, int], np.ndarray] = {}
+        left: dict[int, np.ndarray] = {}
+        right: dict[int, np.ndarray] = {}
+        unigram = np.zeros(K)
+        for ids, w in zip(corpus.ids, corpus.weights):
+            L = len(ids)
+            for l in range(L):
+                a = int(ids[l - 1]) if l > 0 else BOS_CONTEXT
+                b = int(ids[l + 1]) if l < L - 1 else EOS_CONTEXT
+                tok = int(ids[l])
+                for table, key in ((pair, (a, b)), (left, a), (right, b)):
+                    if key not in table:
+                        table[key] = np.zeros(K)
+                    table[key][tok] += w
+                unigram[tok] += w
+        return cls(corpus.vocab, pair, left, right, unigram)
+
+    def _smooth(self, counts: np.ndarray) -> np.ndarray:
+        row = counts.copy()
+        row[: self.vocab.mask_id] += 1.0
+        return row / row.sum()
+
+    def _context_row(self, a, b) -> np.ndarray:
+        if a is not None and b is not None and (a, b) in self.pair:
+            return self._smooth(self.pair[(a, b)])
+        if a is not None and a in self.left:
+            return self._smooth(self.left[a])
+        if b is not None and b in self.right:
+            return self._smooth(self.right[b])
+        return self._smooth(self.unigram)
+
+    def _neighbor(self, z: LatentSequence, position: int):
+        if position < 0:
+            return BOS_CONTEXT
+        if position >= len(z):
+            return EOS_CONTEXT
+        if z.is_masked[position]:
+            return None
+        return int(z.ids[position])
+
+    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
+        if not z.is_masked[position]:
+            row = np.zeros(self.vocab.size)
+            row[z.ids[position]] = 1.0
+            return row
+        return self._context_row(
+            self._neighbor(z, position - 1), self._neighbor(z, position + 1)
+        )
+
+    def predict(self, z: LatentSequence) -> np.ndarray:
+        return np.stack([self.predict_row(z, l) for l in range(len(z))])
+
+    def to_json(self) -> str:
+        def table(d: dict) -> list:
+            return [[list(k) if isinstance(k, tuple) else k, v.tolist()]
+                    for k, v in sorted(d.items())]
+
+        return json.dumps(
+            {
+                "format": "anchordiff-backoff-counts",
+                "version": 1,
+                "vocab": list(self.vocab.tokens),
+                "pair": table(self.pair),
+                "left": table(self.left),
+                "right": table(self.right),
+                "unigram": self.unigram.tolist(),
+            }
+        )
+
+
+def per_draw_two_stage(anchor, denoiser, z, omega, eta):
+    """The anchored composition of one latent: anchor rows, the anchors
+    committed one at a time by argmax, denoiser rows on the result, and the
+    anchor stage's rows kept at the committed positions."""
+    anchor_probs = apply_constraints(anchor.predict(z), z)
+    order = anchor_commit_order(omega, eta, z.is_masked)
+    y = z.copy_with(z.ids)
+    for l in order:
+        y.ids[l] = int(np.argmax(anchor.predict_row(y, l)))
+    final_probs = apply_constraints(denoiser.predict(y), y)
+    final_probs[order] = anchor_probs[order]
+    return anchor_probs, final_probs
+
+
+def _log_prob(probs, targets, positions, weights=None):
+    """Sum of (weighted) log probabilities of the targets at ``positions``,
+    skipping and counting the zeros."""
+    if len(positions) == 0:
+        return 0.0, 0
+    p = probs[positions, targets[positions]]
+    zero = p == 0
+    if zero.any():
+        p = p[~zero]
+        weights = None if weights is None else weights[~zero]
+    logs = np.log(p) if weights is None else weights * np.log(p)
+    return float(logs.sum()), int(zero.sum())
+
+
+def nelbo_summand(x: LatentSequence, predictor):
+    """One draw's NELBO log term and infinite hits. A predictor with an
+    ``anchor`` and a ``denoiser`` is composed per draw."""
+
+    def summand(z):
+        if hasattr(predictor, "denoiser"):
+            _, probs = per_draw_two_stage(
+                predictor.anchor, predictor.denoiser, z, predictor.omega, predictor.eta
+            )
+        else:
+            probs = apply_constraints(predictor.predict(z), z)
+        return _log_prob(probs, x.ids, np.flatnonzero(z.is_masked))
+
+    return summand
+
+
+def anelbo_summand(x: LatentSequence, anchor_targets, pair, mu):
+    """One draw's anchored-NELBO log term and infinite hits."""
+    anchored = np.flatnonzero(np.asarray(mu) > 0)
+
+    def summand(z):
+        anchor_probs, final_probs = per_draw_two_stage(
+            pair.anchor, pair.denoiser, z, pair.omega, pair.eta
+        )
+        log_term, hits = _log_prob(final_probs, x.ids, np.flatnonzero(z.is_masked))
+        if len(anchored):
+            extra, more = _log_prob(
+                anchor_probs, np.asarray(anchor_targets), anchored, np.asarray(mu)[anchored]
+            )
+            log_term += extra
+            hits += more
+        return log_term, hits
+
+    return summand
+
+
+def per_draw_loss(x, schedule: NoiseSchedule, n_samples: int, rng, summand) -> LossReport:
+    """The stratified Monte Carlo loss one draw at a time: ``corrupt`` per
+    draw, then ``summand(z) -> (log term, infinite hits)``."""
+    seed = rng if isinstance(rng, int) else None
+    rng = as_rng(rng)
+    base, rem = divmod(max(n_samples, schedule.T), schedule.T)
+    counts = [base + (1 if i < rem else 0) for i in range(schedule.T)]
+    estimate = 0.0
+    variance = 0.0
+    n_infinite = 0
+    for i in range(1, schedule.T + 1):
+        lam = lambda_weight(schedule, i)
+        _, t = step_times(schedule, i)
+        n_i = counts[i - 1]
+        vals = np.empty(n_i)
+        for j in range(n_i):
+            z = corrupt(x, t, schedule, rng)
+            log_term, inf_hits = summand(z)
+            n_infinite += inf_hits
+            vals[j] = lam * log_term
+        estimate += float(vals.mean())
+        if n_i > 1:
+            variance += float(vals.var(ddof=1)) / n_i
+    stderr = float(np.sqrt(variance))
+    if n_infinite:
+        estimate = float("inf")
+        stderr = float("inf")
+    return LossReport(estimate, stderr, sum(counts), seed, n_infinite)

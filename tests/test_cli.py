@@ -70,12 +70,26 @@ class TestExitCodes:
             ["probe", "--config", "BOGUS_RULE"],
             ["probe", "--probe-k", "-1"],
             ["eval", "--n-samples", "0"],
+            ["sample", "--temperature", "nan"],
+            ["sample", "--temperature", "inf"],
+            ["sample", "--gamma", "nan"],
+            ["sample", "--beta", "inf"],
+            ["eval", "--gamma", "nan"],
+            ["annotate", "--remask-rate", "nan"],
+            ["sample", "--config", "NAN_GAMMA"],
+            ["sample", "--config", "INFINITE_BETA"],
+            ["sample", "--config", "OVERFLOWING_GAMMA"],
+            ["sample", "--config", "HUGE_INT_TEMPERATURE"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
              "probe-single", "eval-split", "config-list", "config-number",
              "config-n-samples", "config-workers", "config-seed", "config-temperature",
-             "config-gamma", "config-probe-rule", "probe-k", "eval-n-samples"],
+             "config-gamma", "config-probe-rule", "probe-k", "eval-n-samples",
+             "sample-temperature-nan", "sample-temperature-inf", "sample-gamma-nan",
+             "sample-beta-inf", "eval-gamma-nan", "annotate-unused-nan",
+             "config-nan-literal", "config-infinity-literal", "config-overflowing-float",
+             "config-huge-int-float"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {
@@ -89,6 +103,10 @@ class TestExitCodes:
             "TEXT_TEMPERATURE": '{"temperature": "hot"}',
             "TEXT_GAMMA": '{"gamma": "x"}',
             "BOGUS_RULE": '{"probe_rule": "bogus"}',
+            "NAN_GAMMA": '{"gamma": NaN}',
+            "INFINITE_BETA": '{"beta": Infinity}',
+            "OVERFLOWING_GAMMA": '{"gamma": 1e400}',
+            "HUGE_INT_TEMPERATURE": '{"temperature": 1' + "0" * 400 + "}",
         }
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
@@ -134,31 +152,53 @@ CONFIG_VALUES = st.one_of(
     st.none(),
     st.just([1]),
 )
-# The count, step, noise and temperature options.
+# The count, step, noise, temperature and anchor-weight options.
 DRAWN_KEYS = ("n_samples", "workers", "probe_k", "length", "steps", "t", "probe_t",
-              "remask_rate", "temperature")
+              "remask_rate", "temperature", "gamma", "beta")
+# Non-finite and huge floats. JSON has no literal for NaN or infinity, so
+# they are passed as flags, each to the subcommands that have the flag.
+EXTREME_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
+FLAG_COMMANDS = {
+    "temperature": None,
+    "gamma": None,
+    "beta": None,
+    "remask-rate": None,
+    "t": ("corrupt",),
+    "probe-t": ("probe",),
+}
 
 
 class TestArgumentSpace:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(["annotate", "corrupt", "sample", "probe", "eval"]),
         st.dictionaries(st.sampled_from(DRAWN_KEYS), CONFIG_VALUES, max_size=3),
+        st.dictionaries(st.sampled_from(sorted(FLAG_COMMANDS)), EXTREME_FLOATS, max_size=2),
     )
-    def test_exit_code_contract(self, command, drawn):
+    def test_exit_code_contract(self, command, drawn, extreme):
         # Small valid values for the options not drawn keep each run short;
         # they live in the config file, because a flag would override it.
         config = {"steps": "2", "n_samples": 2, "probe_k": 2, "probe_t": "0.9", **drawn}
+        flags = [
+            f"--{flag}={value!r}"
+            for flag, value in extreme.items()
+            if FLAG_COMMANDS[flag] is None or command in FLAG_COMMANDS[flag]
+        ]
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"
             cfg.write_text(json.dumps(config))
             out = Path(tmp) / "run"
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, "--config", str(cfg), *BASE, "--out", str(out)])
+                code = main(
+                    [command, "--config", str(cfg), *flags, *BASE, "--out", str(out)]
+                )
             assert code in (0, 2, 3, 4)
             if code == 2:
                 assert not out.exists()
+            else:
+                manifest = (out / "manifest.json").read_text()
+                json.loads(manifest, parse_constant=pytest.fail)
 
 
 class TestManifest:
@@ -345,6 +385,41 @@ class TestOutputs:
             )
             assert (out / "samples" / f"{j:04d}.txt").read_text() == render_ids(ids, vocab)
             assert (out / "traces" / f"{j:04d}.jsonl").read_text() == trace.to_jsonl()
+
+    @pytest.mark.parametrize(
+        "workers,n_samples,cpus,pool_size",
+        [(5000, 3, 4, 3), (3, 4, 2, 2), (2, 1, 8, None), (4, 4, None, None)],
+    )
+    def test_worker_pool_is_capped(
+        self, tmp_path, monkeypatch, workers, n_samples, cpus, pool_size
+    ):
+        # The pool is replaced by a recorder that runs the tasks inline, so
+        # no process is started whatever --workers says.
+        from anchordiff import cli
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["sample", *BASE, "--steps", "4", "--n-samples", str(n_samples)]
+        seq, par = tmp_path / "w1", tmp_path / "wn"
+        assert main([*argv, "--workers", "1", "--out", str(seq)]) == 0
+        assert main([*argv, "--workers", str(workers), "--out", str(par)]) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert run_dir_files(seq) == run_dir_files(par)
 
     @pytest.mark.parametrize("strategy", ["anchor_tree", "null"])
     def test_worker_pool_matches_sequential(self, tmp_path, strategy):

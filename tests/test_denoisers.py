@@ -30,7 +30,12 @@ from anchordiff.diffusion import LatentSequence, Vocab, apply_constraints, corru
 from anchordiff.schedule import NoiseSchedule
 
 from .conftest import make_corpus
-from .oracles import naive_consistent_rows, naive_posterior, validate_prediction
+from .oracles import (
+    DictBackoffModel,
+    naive_consistent_rows,
+    naive_posterior,
+    validate_prediction,
+)
 
 
 def latent(corpus, ids):
@@ -206,6 +211,145 @@ class TestBackoff:
         assert diffs.mean() > 2 * se
 
 
+def _same_predictions(model, oracle, z):
+    """Bit-equal rows from the table model and the dict oracle, by
+    ``predict``, ``predict_batch`` and ``predict_row``."""
+    expected = oracle.predict(z)
+    assert np.array_equal(model.predict(z), expected)
+    assert np.array_equal(model.predict_batch([z, z])[1], expected)
+    for l in range(len(z)):
+        assert np.array_equal(model.predict_row(z, l), oracle.predict_row(z, l))
+
+
+# Tiny corpora: one context repeated with fractional weights (summation
+# order), single-token sequences (BOS and EOS on one position), and two.
+TINY_CORPORA = [
+    (["abc"], [100.0]),
+    (["ab", "cd"], [3.0, 1.0]),
+    (["a", "b", "a"], [0.1, 0.2, 0.7]),
+    (["abab", "abba", "baab"], [0.3, 1.7, 0.1]),
+]
+
+
+@st.composite
+def corpus_and_latents(draw):
+    L = draw(st.integers(1, 5))
+    n_tokens = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n_tokens - 1), min_size=L, max_size=L),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    weights = draw(
+        st.lists(st.floats(0.05, 5.0), min_size=len(rows), max_size=len(rows))
+    )
+    vocab = Vocab(tuple("abcd"[:n_tokens]) + ("?",))
+    corpus = Corpus(np.array(rows), np.array(weights), vocab)
+    # Latent ids run over the whole vocabulary, the mask id included.
+    latents = draw(
+        st.lists(
+            st.lists(st.integers(0, vocab.mask_id), min_size=L, max_size=L),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return corpus, latents
+
+
+class TestBackoffTables:
+    """The table model against the dict model kept in tests/oracles.py."""
+
+    @given(corpus_and_latents())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_bit_equal_oracle(self, drawn):
+        corpus, latents = drawn
+        model = BackoffCountModel.fit(corpus)
+        oracle = DictBackoffModel.fit(corpus)
+        for ids in latents:
+            _same_predictions(model, oracle, latent(corpus, ids))
+
+    @pytest.mark.parametrize("sequences,weights", TINY_CORPORA)
+    def test_every_route_bit_equal_oracle(self, sequences, weights):
+        corpus = make_corpus(sequences, weights=weights)
+        model = BackoffCountModel.fit(corpus)
+        oracle = DictBackoffModel.fit(corpus)
+        # Every latent of the corpus length over the whole vocabulary: seen
+        # and unseen pairs (the pad token is never a context), masked
+        # neighbours, and BOS and EOS contexts.
+        for ids in np.ndindex(*([corpus.vocab.size] * corpus.length)):
+            _same_predictions(model, oracle, latent(corpus, ids))
+
+    def test_routes_fall_back_in_order(self):
+        # "ab": pair (BOS, b) and (a, EOS); left BOS and a; right b and EOS.
+        corpus = make_corpus(["ab"], weights=[2.0], extra_tokens="c")
+        model = BackoffCountModel.fit(corpus)
+        oracle = DictBackoffModel.fit(corpus)
+        v = corpus.vocab
+        m = v.mask_id
+        a, b, c = v.id("a"), v.id("b"), v.id("c")
+        cases = [
+            [m, b],  # position 0: seen pair (BOS, b)
+            [m, c],  # position 0: unseen pair, left BOS seen
+            [c, m],  # position 1: unseen pair and left c, right EOS seen
+            [c, m, a],  # position 1: left c and right a unseen: unigram (any L)
+            [m, m],  # masked neighbour: right EOS at position 1, left BOS at 0
+            [m],  # L=1: pair (BOS, EOS) unseen, left BOS seen
+        ]
+        for ids in cases:
+            _same_predictions(model, oracle, latent(corpus, ids))
+
+    @pytest.mark.parametrize("sequences,weights", TINY_CORPORA)
+    def test_to_json_byte_equal_oracle(self, sequences, weights):
+        corpus = make_corpus(sequences, weights=weights)
+        payload = BackoffCountModel.fit(corpus).to_json()
+        assert payload == DictBackoffModel.fit(corpus).to_json()
+        assert BackoffCountModel.from_json(payload).to_json() == payload
+
+    def test_to_json_byte_equal_oracle_on_synth_2000(self):
+        from anchordiff import synth_corpus
+
+        config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+        sources = synth_corpus(seed=20260809, n_programs=2000, max_depth=6)
+        records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
+        corpus = build_corpus(records, build_vocab(sources), length=64)
+        model = BackoffCountModel.fit(corpus)
+        payload = model.to_json()
+        assert payload == DictBackoffModel.fit(corpus).to_json()
+        clone = BackoffCountModel.from_json(payload)
+        rng = np.random.default_rng(4)
+        zs = [
+            corrupt(latent(corpus, corpus.ids[i]), t, NoiseSchedule(T=8), rng)
+            for i in range(0, corpus.n, 97)
+            for t in (0.3, 0.7, 1.0)
+        ]
+        assert np.array_equal(clone.predict_batch(zs), model.predict_batch(zs))
+
+    def test_from_json_rejects_malformed_tables(self):
+        import json
+
+        corpus = make_corpus(["abc"])
+        good = json.loads(BackoffCountModel.fit(corpus).to_json())
+        mask = corpus.vocab.mask_id
+        for key, value in [
+            ("left", good["left"] + [[mask, good["left"][0][1]]]),  # the mask as context
+            ("left", good["left"] + good["left"][:1]),  # a repeated context
+            ("right", [[good["right"][0][0], [1.0]]]),  # a short count row
+            ("unigram", [1.0, 2.0]),
+        ]:
+            payload = dict(good, **{key: value})
+            with pytest.raises(ValueError):
+                BackoffCountModel.from_json(json.dumps(payload))
+
+    def test_rows_are_read_only(self):
+        corpus = make_corpus(["abc"])
+        model = BackoffCountModel.fit(corpus)
+        z = latent(corpus, [corpus.vocab.mask_id] * 3)
+        with pytest.raises(ValueError):
+            model.predict_row(z, 1)[0] = 0.5
+
+
 FOR_LOOP_P1 = "def f(numbers):\n    for num in numbers:\n        pass\n"
 FOR_LOOP_P2 = "def f(values):\n    for val in values:\n        pass\n"
 
@@ -231,8 +375,8 @@ class TestTwoStage:
         ids[loop_var] = vocab.mask_id
         ids[iterable] = vocab.mask_id
         z = latent(corpus, ids)
-        anchor_m, final_m, y_hat = two_stage_predict(
-            den, den, z, corpus.omega[0], corpus.eta[0]
+        (anchor_m,), (final_m,), (y_hat,) = two_stage_predict(
+            den, den, [z], corpus.omega[0], corpus.eta[0]
         )
         assert y_hat.ids[iterable] == vocab.id("numbers")
         assert int(np.argmax(final_m[loop_var])) == vocab.id("num")
@@ -243,7 +387,7 @@ class TestTwoStage:
         x = LatentSequence(corpus.ids[1].copy(), corpus.vocab.mask_id)
         z = corrupt(x, 0.8, NoiseSchedule(T=4), 3)
         omega = np.zeros(len(z))
-        anchor_m, final_m, y_hat = two_stage_predict(den, den, z, omega, omega)
+        (anchor_m,), (final_m,), (y_hat,) = two_stage_predict(den, den, [z], omega, omega)
         assert (y_hat.ids == z.ids).all()
         direct = apply_constraints(den.predict(z), z)
         assert np.array_equal(final_m, direct)
@@ -252,8 +396,8 @@ class TestTwoStage:
         corpus, records, vocab = self._loop_corpus()
         den = ExactPosteriorDenoiser(corpus)
         z = latent(corpus, corpus.ids[1])
-        anchor_m, final_m, y_hat = two_stage_predict(
-            den, den, z, corpus.omega[1], corpus.eta[1]
+        (anchor_m,), (final_m,), (y_hat,) = two_stage_predict(
+            den, den, [z], corpus.omega[1], corpus.eta[1]
         )
         idx = np.arange(corpus.length)
         assert (anchor_m[idx, corpus.ids[1]] == 1.0).all()
@@ -272,7 +416,7 @@ class TestTwoStage:
             x = LatentSequence(corpus.ids[i].copy(), corpus.vocab.mask_id)
             z = corrupt(x, 0.8, NoiseSchedule(T=8), rng)
             omega, eta = corpus.omega[i], corpus.eta[i]
-            _, _, y = two_stage_predict(model, model, z, omega, eta)
+            _, _, (y,) = two_stage_predict(model, model, [z], omega, eta)
             order = anchor_commit_order(omega, eta, z.is_masked)
             assert np.array_equal(y.ids, resolve_anchors(model, z, order).ids)
 
@@ -306,7 +450,7 @@ class TestTwoStage:
         oracle = OneHotPredictor(x, corpus.vocab.size)
         pair = TwoStagePredictor(oracle, oracle, corpus.omega[0], corpus.eta[0])
         z = corrupt(x, 0.9, NoiseSchedule(T=4), 8)
-        _, final = pair.stage_matrices(z)
+        _, (final,) = pair.stage_matrices([z])
         assert (final[np.arange(len(x)), x.ids] == 1.0).all()
 
 

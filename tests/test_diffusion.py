@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from anchordiff import diffusion
 from anchordiff.denoisers import (
     BackoffCountModel,
     ExactPosteriorDenoiser,
@@ -25,7 +26,7 @@ from anchordiff.diffusion import (
 from anchordiff.schedule import NoiseSchedule, ScheduleKind, alpha
 
 from .conftest import make_corpus
-from .oracles import validate_prediction
+from .oracles import anelbo_summand, nelbo_summand, per_draw_loss, validate_prediction
 
 COS = NoiseSchedule(ScheduleKind.COSINE, 8)
 
@@ -151,6 +152,23 @@ class TestApplyConstraints:
         with pytest.raises(ValueError):
             apply_constraints(np.full((1, 10), -1.0), z)
 
+    def test_batch_equals_per_latent(self):
+        rng = np.random.default_rng(1)
+        zs = [clean(rng.integers(0, 10, size=6), 9) for _ in range(5)]
+        raw = rng.random((5, 6, 10)) * 3
+        # Latent 0's rows hold no non-mask mass: harmless while it is fully
+        # unmasked, degenerate once it is masked.
+        raw[0, :, :9] = 0.0
+        zs[0] = zs[0].copy_with(np.arange(6))
+        batch = apply_constraints(raw, zs)
+        for j, z in enumerate(zs):
+            assert np.array_equal(batch[j], apply_constraints(raw[j], z))
+        zs[0] = zs[0].copy_with(np.full(6, 9))
+        with pytest.raises(DegenerateRowError):
+            apply_constraints(raw, zs)
+        with pytest.raises(ValueError):
+            apply_constraints(raw[:, :5], zs)
+
 
 class TestTemper:
     def test_identity_at_one(self):
@@ -270,3 +288,100 @@ class TestAnelbo:
         data = json.loads(report.to_json())
         assert set(data) == {"estimate", "stderr", "n_samples", "seed", "n_infinite"}
         assert data["seed"] == 21
+
+
+class TestBatchedLoss:
+    """nelbo/anelbo against the one-draw-at-a-time loop of tests/oracles.py:
+    estimate, stderr and n_infinite must be equal, not close."""
+
+    @staticmethod
+    def _same(report, expected):
+        assert (report.estimate, report.stderr, report.n_infinite, report.n_samples) == (
+            expected.estimate,
+            expected.stderr,
+            expected.n_infinite,
+            expected.n_samples,
+        )
+
+    def _record(self, corpus, i, prompt_len=0):
+        prompt = np.arange(corpus.length) < prompt_len
+        x = clean(corpus.ids[i], corpus.vocab.mask_id, prompt)
+        mu = corpus.omega[i] * corpus.eta[i]
+        targets = np.where(corpus.omega[i] >= 0.5, corpus.ids[i], corpus.vocab.mask_id)
+        return x, mu, targets
+
+    def _predictors(self, corpus, x, i):
+        exact = ExactPosteriorDenoiser(corpus)
+        backoff = BackoffCountModel.fit(corpus)
+        onehot = OneHotPredictor(x, corpus.vocab.size)
+        omega, eta = corpus.omega[i], corpus.eta[i]
+        return {
+            "exact": exact,
+            "backoff": backoff,
+            "onehot": onehot,
+            "two_stage_backoff": TwoStagePredictor(backoff, backoff, omega, eta),
+            "two_stage_exact": TwoStagePredictor(exact, exact, omega, eta),
+            "two_stage_onehot": TwoStagePredictor(onehot, onehot, omega, eta),
+        }
+
+    @pytest.mark.parametrize("n_samples", [5, 16, 37, 100])
+    @pytest.mark.parametrize("prompt_len", [0, 9])
+    def test_nelbo_equals_per_draw(self, synth_corpus_built, n_samples, prompt_len):
+        corpus = synth_corpus_built
+        x, _, _ = self._record(corpus, 3, prompt_len)
+        sched = NoiseSchedule(ScheduleKind.COSINE, 16)
+        for predictor in self._predictors(corpus, x, 3).values():
+            got = nelbo(x, predictor, sched, n_samples, 11)
+            want = per_draw_loss(x, sched, n_samples, 11, nelbo_summand(x, predictor))
+            self._same(got, want)
+
+    @pytest.mark.parametrize("n_samples", [5, 37])
+    @pytest.mark.parametrize("prompt_len", [0, 9])
+    def test_anelbo_equals_per_draw(self, synth_corpus_built, n_samples, prompt_len):
+        corpus = synth_corpus_built
+        x, mu, targets = self._record(corpus, 5, prompt_len)
+        sched = NoiseSchedule(ScheduleKind.COSINE, 16)
+        for name, pair in self._predictors(corpus, x, 5).items():
+            if not name.startswith("two_stage"):
+                continue
+            rng = np.random.default_rng([2, 7, 5])
+            got = anelbo(x, targets, pair, sched, mu, n_samples, rng)
+            rng = np.random.default_rng([2, 7, 5])
+            want = per_draw_loss(
+                x, sched, n_samples, rng, anelbo_summand(x, targets, pair, mu)
+            )
+            self._same(got, want)
+
+    def test_small_batches_equal_per_draw(self, synth_corpus_built, monkeypatch):
+        # Batches of 3 draws split every stratum of 7 or 8 draws.
+        corpus = synth_corpus_built
+        x, mu, targets = self._record(corpus, 2)
+        monkeypatch.setattr(diffusion, "LOSS_BATCH_CELLS", 3 * len(x) * corpus.vocab.size)
+        sched = NoiseSchedule(ScheduleKind.LINEAR, 8)
+        backoff = BackoffCountModel.fit(corpus)
+        pair = TwoStagePredictor(backoff, backoff, corpus.omega[2], corpus.eta[2])
+        self._same(
+            nelbo(x, backoff, sched, 61, 4),
+            per_draw_loss(x, sched, 61, 4, nelbo_summand(x, backoff)),
+        )
+        self._same(
+            anelbo(x, targets, pair, sched, mu, 61, 4),
+            per_draw_loss(x, sched, 61, 4, anelbo_summand(x, targets, pair, mu)),
+        )
+
+    def test_zero_probability_draws_equal_per_draw(self):
+        corpus = make_corpus(["ab", "cd"], weights=[3.0, 1.0])
+        den = ExactPosteriorDenoiser(corpus)
+        omega = np.array([1.0, 0.0])
+        eta = np.array([1.0, 1.0])
+        pair = TwoStagePredictor(den, den, omega, eta)
+        x = clean(corpus.ids[1], corpus.vocab.mask_id)
+        targets = np.where(omega >= 0.5, x.ids, corpus.vocab.mask_id)
+        sched = NoiseSchedule(ScheduleKind.COSINE, 4)
+        got = nelbo(x, pair, sched, 10, 0)
+        self._same(got, per_draw_loss(x, sched, 10, 0, nelbo_summand(x, pair)))
+        assert got.n_infinite > 0
+        got = anelbo(x, targets, pair, sched, omega * eta, 10, 0)
+        want = per_draw_loss(x, sched, 10, 0, anelbo_summand(x, targets, pair, omega * eta))
+        self._same(got, want)
+        assert got.n_infinite > 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,24 +69,36 @@ def annotate_program(
     record_id: str = "",
     split_max_len: int | None = None,
 ) -> DatasetRecord:
-    """Tokenize, parse, and annotate one program under ``config``."""
+    """Tokenize, parse, and annotate one program under ``config``.
+
+    The source is tokenized once; the parser reads those tokens before any
+    identifier split, and node assignment reads the split ones.
+    """
     tokens = tokenize(source)
+    tree = parse(source, tokens)
     if split_max_len is not None:
         tokens = split_identifiers(tokens, split_max_len)
-    tree = parse(source)
     annotations = assign_nodes(tree, tokens)
-    omega = compute_omega(annotations, config)
-    eta = compute_eta(annotations, config)
     return DatasetRecord(
         record_id=record_id,
         source=source,
         tokens=tokens,
         tree=tree,
         annotations=annotations,
-        omega=omega,
-        eta=eta,
-        mu=omega * eta,
+        **_anchor_arrays(annotations, config),
     )
+
+
+def reweight(rec: DatasetRecord, config: AnchorConfig) -> DatasetRecord:
+    """``rec`` under another anchor config: the same tokens, tree and
+    annotations, with omega, eta and mu recomputed."""
+    return replace(rec, **_anchor_arrays(rec.annotations, config))
+
+
+def _anchor_arrays(annotations: list[TokenAnnotation], config: AnchorConfig) -> dict:
+    omega = compute_omega(annotations, config)
+    eta = compute_eta(annotations, config)
+    return {"omega": omega, "eta": eta, "mu": omega * eta}
 
 
 @dataclass
@@ -259,23 +271,37 @@ def dataset_to_jsonl(records: list[DatasetRecord], config: AnchorConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dataset_from_jsonl(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]:
-    lines = [ln for ln in payload.splitlines() if ln.strip()]
-    if not lines:
-        raise EmptyCorpusError("empty dataset file")
-    header = json.loads(lines[0])
+def _config_from_header(header: dict) -> AnchorConfig:
     if header.get("schema") != SCHEMA_NAME:
         raise IngestError("not an anchordiff dataset")
     if header.get("version") != SCHEMA_VERSION:
         raise IngestError(f"unsupported schema version {header.get('version')}")
     anchor = header["anchor"]
-    config = AnchorConfig(
+    return AnchorConfig(
         strategy=AnchorStrategy(anchor["strategy"]),
         gamma=anchor["gamma"],
         beta=anchor["beta"],
         d0=anchor["d0"],
     )
-    records = [_record_from_dict(json.loads(ln)) for ln in lines[1:]]
+
+
+def _from_line(number: int, line: str, build):
+    """``build`` applied to one JSON line; a malformed line is an
+    IngestError naming it."""
+    try:
+        return build(json.loads(line))
+    except (ValueError, KeyError, TypeError, AttributeError, ParseError) as exc:
+        raise IngestError(
+            f"line {number}: malformed dataset line ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def dataset_from_jsonl(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]:
+    lines = [(n, ln) for n, ln in enumerate(payload.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise EmptyCorpusError("empty dataset file")
+    config = _from_line(*lines[0], _config_from_header)
+    records = [_from_line(n, ln, _record_from_dict) for n, ln in lines[1:]]
     return records, config
 
 
@@ -331,7 +357,7 @@ def synth_corpus(seed: int, n_programs: int = 120, max_depth: int = 6) -> list[s
     layers = min(max(max_depth - 5, 1), 3)
     rnd = random.Random(seed)
     programs = [_generate_program(rnd, layers) for _ in range(n_programs)]
-    for text in programs:
+    for text in dict.fromkeys(programs):  # each distinct program once
         if not is_syntactically_valid(text):
             raise AssertionError("generator produced an invalid program")
     return programs

@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anchors import AnchorStrategy
-from .corpus_io import DatasetRecord, annotate_program, build_corpus, build_vocab
+from .anchors import AnchorConfig, AnchorStrategy
+from .corpus_io import DatasetRecord, annotate_program, build_corpus, reweight
 from .denoisers import (
     BackoffCountModel,
     Corpus,
@@ -312,15 +312,16 @@ def compare_strategies(
     """Generate with each config across the step grid and report validity,
     depth-ordering correlation, and NELBO, with seeds shared across configs
     so rows are paired."""
-    vocab = build_vocab(sources)
+    # Tokens, trees and annotations do not depend on the anchor config:
+    # annotate once, then recompute only the anchor arrays per config. The
+    # vocabulary comes from the records' tokens, the same for every config.
+    null = AnchorConfig.for_strategy(AnchorStrategy.NULL)
+    annotated = [annotate_program(src, null, str(i)) for i, src in enumerate(sources)]
     rows: list[EvalRow] = []
     for config in configs:
         anchor_cfg = config.strategy
-        records = [
-            annotate_program(src, anchor_cfg, record_id=str(i))
-            for i, src in enumerate(sources)
-        ]
-        corpus = build_corpus(records, vocab, length)
+        records = [reweight(rec, anchor_cfg) for rec in annotated]
+        corpus = build_corpus(records, length=length)
         predictors = build_strategy_predictors(
             corpus, anchor_cfg.strategy, predictor_kind
         )
@@ -336,7 +337,7 @@ def compare_strategies(
             for j in range(n_samples):
                 rng = np.random.default_rng([seed, T, j])
                 out, trace = generate([], corpus.length, predictors, cfg, schedule, rng)
-                text = render_ids(out, vocab)
+                text = render_ids(out, corpus.vocab)
                 if is_syntactically_valid(text):
                     valid += 1
                 _collect_depth_times(out, trace, corpus, depths, times)

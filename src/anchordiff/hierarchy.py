@@ -2,14 +2,20 @@
 
 Each position gets the deepest node whose character span intersects the
 token's span; ties at equal depth go to the node containing the token's
-start byte, then to the leftmost intersecting node. The induced partial
-order over positions (ancestor-of, or same-node-and-earlier) is what the
-anchor weighting and the ancestry probe are built on.
+start byte, then to the leftmost intersecting node ``(span[0], id)``. A
+token no node intersects (the Newline ending the last line, say) goes to
+the root. ``assign_nodes`` settles every token in one walk of the tree rather
+than one tree search per token; ``tests/oracles.py`` keeps the per-token
+brute force it is checked against. The induced partial order over
+positions (ancestor-of, or same-node-and-earlier) is what the anchor
+weighting and the ancestry probe are built on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .minilang import SyntaxTree, Token, TokenKind
 
@@ -47,50 +53,39 @@ class InsufficientDepth(Exception):
         self.achieved = achieved
 
 
-def _intersects(node_span: tuple[int, int], tok_span: tuple[int, int]) -> bool:
-    ns, ne = node_span
-    ts, te = tok_span
-    if ts == te:  # zero-width structural token: treat as the point ts
-        return ns <= ts < ne
-    return max(ns, ts) < min(ne, te)
-
-
-def _contains_start(node_span: tuple[int, int], tok_span: tuple[int, int]) -> bool:
-    return node_span[0] <= tok_span[0] < node_span[1]
-
-
-def node_for_span(tree: SyntaxTree, span: tuple[int, int]) -> int:
-    """Deepest intersecting node for a byte span, with the tie-break rule.
-
-    Falls back to the root when nothing intersects (e.g. trailing
-    zero-width tokens), so every token always has a home.
-    """
-    candidates: list[int] = []
-    stack = [tree.root]
-    while stack:
-        node_id = stack.pop()
-        node = tree.nodes[node_id]
-        if not _intersects(node.span, span):
-            continue
-        candidates.append(node_id)
-        stack.extend(node.children)
-    if not candidates:
-        return tree.root
-    best_depth = max(tree.nodes[c].depth for c in candidates)
-    deepest = [c for c in candidates if tree.nodes[c].depth == best_depth]
-    if len(deepest) == 1:
-        return deepest[0]
-    owning = [c for c in deepest if _contains_start(tree.nodes[c].span, span)]
-    if owning:
-        return min(owning, key=lambda c: (tree.nodes[c].span[0], c))
-    return min(deepest, key=lambda c: (tree.nodes[c].span[0], c))
-
-
 def assign_nodes(tree: SyntaxTree, tokens: list[Token]) -> list[TokenAnnotation]:
-    """Annotate every token with its node, depth, and kind flags."""
+    """Annotate every token with its node, depth, and kind flags.
+
+    One walk over the nodes, deepest first and, within a depth, leftmost
+    ``(span[0], id)`` first: each node bisects for the tokens that can
+    intersect it and claims those not yet claimed. The start-byte rule
+    needs no step of its own. A node that intersects a token and starts at
+    or before its start holds that start byte, so among the intersecting
+    nodes of one depth the leftmost holds it whenever any does. A token is
+    the point ``[ts, ts + 1)`` when zero-width; a reversed span intersects
+    nothing. The token list may be in any order and its spans may overlap.
+    """
+    live = sorted(
+        (ts, te if te > ts else ts + 1, i)
+        for i, (ts, te) in enumerate(tok.span for tok in tokens)
+        if te >= ts
+    )
+    starts = [ts for ts, _, _ in live]
+    # Running maximum of the ends: no token before the first reach > ns
+    # intersects a node starting at ns.
+    reach = list(accumulate((end for _, end, _ in live), max))
+    home: list[int | None] = [None] * len(tokens)
+    for node in sorted(tree.nodes.values(), key=lambda n: (-n.depth, n.span[0], n.id)):
+        ns, ne = node.span
+        if ns >= ne:
+            continue
+        for _, end, i in live[bisect_right(reach, ns) : bisect_left(starts, ne)]:
+            if home[i] is None and end > ns:
+                home[i] = node.id
     annotations = []
-    for tok in tokens:
-        node_id = node_for_span(tree, tok.span)
+    for tok, node_id in zip(tokens, home):
+        if node_id is None:  # nothing intersects, e.g. a trailing Newline
+            node_id = tree.root
         annotations.append(
             TokenAnnotation(
                 position=tok.index,

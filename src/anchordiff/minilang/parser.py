@@ -423,9 +423,15 @@ def _assign_depths(tree: SyntaxTree) -> None:
             stack.append(child)
 
 
-def parse(source: str) -> SyntaxTree:
-    """Parse ``source`` into a SyntaxTree, raising ParseError on violations."""
-    return _Parser(source, tokenize(source)).parse_module()
+def parse(source: str, tokens: list[Token] | None = None) -> SyntaxTree:
+    """Parse ``source`` into a SyntaxTree, raising ParseError on violations.
+
+    ``tokens`` is ``tokenize(source)`` when the caller already has it; the
+    parser needs the unsplit tokens, before any ``split_identifiers``.
+    """
+    if tokens is None:
+        tokens = tokenize(source)
+    return _Parser(source, tokens).parse_module()
 
 
 def is_syntactically_valid(source: str) -> bool:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchordiff import AnchorConfig, AnchorStrategy, annotate_program
 from anchordiff.cli import main
+from anchordiff.corpus_io import dataset_to_jsonl
 
 
 def run_dir_files(path: Path) -> dict[str, bytes]:
@@ -23,6 +25,26 @@ def run_dir_files(path: Path) -> dict[str, bytes]:
 
 
 BASE = ["--corpus", "synth", "--synth-programs", "25", "--seed", "11"]
+JSONL_SAMPLE = ["--steps", "4", "--n-samples", "1"]
+
+
+def dataset_files() -> dict[str, str]:
+    """A valid one-record dataset file and copies that each break one line."""
+    config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+    payload = dataset_to_jsonl([annotate_program("x = 1\n", config, "0")], config)
+    header, record = (json.loads(ln) for ln in payload.splitlines())
+
+    def without(d, key):
+        return {k: v for k, v in d.items() if k != key}
+
+    lines = {
+        "VALID": (header, record),
+        "UNPARSEABLE_SOURCE": (header, {**record, "source": "x = (\n"}),
+        "NO_TOKENS": (header, without(record, "tokens")),
+        "NO_ANCHOR": (without(header, "anchor"), record),
+        "LIST_HEADER": ([1, 2], record),
+    }
+    return {name: "".join(json.dumps(v) + "\n" for v in pair) for name, pair in lines.items()}
 
 
 class TestExitCodes:
@@ -41,6 +63,13 @@ class TestExitCodes:
              "--out", str(tmp_path / "c")]
         )
         assert code == 4
+
+    def test_valid_dataset_corpus_runs(self, tmp_path):
+        # The base of the malformed dataset rows below is a working input.
+        path = tmp_path / "valid.jsonl"
+        path.write_text(dataset_files()["VALID"])
+        argv = ["sample", "--corpus", str(path), *JSONL_SAMPLE, "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
 
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -80,6 +109,10 @@ class TestExitCodes:
             ["sample", "--config", "INFINITE_BETA"],
             ["sample", "--config", "OVERFLOWING_GAMMA"],
             ["sample", "--config", "HUGE_INT_TEMPERATURE"],
+            ["sample", "--corpus", "UNPARSEABLE_SOURCE", *JSONL_SAMPLE],
+            ["sample", "--corpus", "NO_TOKENS", *JSONL_SAMPLE],
+            ["sample", "--corpus", "NO_ANCHOR", *JSONL_SAMPLE],
+            ["sample", "--corpus", "LIST_HEADER", *JSONL_SAMPLE],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
@@ -89,7 +122,8 @@ class TestExitCodes:
              "sample-temperature-nan", "sample-temperature-inf", "sample-gamma-nan",
              "sample-beta-inf", "eval-gamma-nan", "annotate-unused-nan",
              "config-nan-literal", "config-infinity-literal", "config-overflowing-float",
-             "config-huge-int-float"],
+             "config-huge-int-float", "jsonl-unparseable-source", "jsonl-no-tokens",
+             "jsonl-no-anchor", "jsonl-list-header"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {
@@ -108,11 +142,16 @@ class TestExitCodes:
             "OVERFLOWING_GAMMA": '{"gamma": 1e400}',
             "HUGE_INT_TEMPERATURE": '{"temperature": 1' + "0" * 400 + "}",
         }
+        paths = {name: tmp_path / name for name in configs}
         for name, text in configs.items():
-            (tmp_path / name).write_text(text)
-        argv = [str(tmp_path / a) if a in configs else a for a in argv]
+            paths[name].write_text(text)
+        for name, text in dataset_files().items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(text)
+        command, *rest = [str(paths[a]) if a in paths else a for a in argv]
         out = tmp_path / "run"
-        assert main([*argv, *BASE, "--out", str(out)]) == 2
+        # BASE first, so that a row's own --corpus overrides BASE's.
+        assert main([command, *BASE, *rest, "--out", str(out)]) == 2
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 

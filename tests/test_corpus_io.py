@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,8 @@ from anchordiff import (
     synth_corpus,
     tokenize,
 )
-from anchordiff.corpus_io import encode_tokens
+from anchordiff import corpus_io
+from anchordiff.corpus_io import encode_tokens, reweight
 from anchordiff.minilang import MASK_SURFACE, PAD_SURFACE, is_syntactically_valid
 
 
@@ -121,6 +125,31 @@ class TestSerialization:
         with pytest.raises(IngestError):
             dataset_from_jsonl('{"schema": "something-else", "version": 1}\n')
 
+    @pytest.mark.parametrize(
+        "target, edit",
+        [
+            ("record", lambda r: {**r, "source": "x = (\n"}),
+            ("record", lambda r: {k: v for k, v in r.items() if k != "tokens"}),
+            ("record", lambda r: {**r, "tokens": [{"kind": "Bogus"}]}),
+            ("header", lambda h: {k: v for k, v in h.items() if k != "anchor"}),
+            ("header", lambda h: {**h, "anchor": {"strategy": "bogus"}}),
+            ("header", lambda h: [1, 2]),
+        ],
+        ids=["unparseable-source", "missing-tokens", "bad-token-kind", "missing-anchor",
+             "bad-strategy", "header-list"],
+    )
+    def test_malformed_line_is_an_ingest_error_naming_it(self, synth_records, target, edit):
+        header, first, second = dataset_to_jsonl(synth_records[:2], CFG).splitlines()
+        if target == "header":
+            header = json.dumps(edit(json.loads(header)))
+        else:
+            second = json.dumps(edit(json.loads(second)))
+        # The blank line after the header still counts: the record is line 4.
+        payload = "\n".join([header, "", first, second]) + "\n"
+        line = 1 if target == "header" else 4
+        with pytest.raises(IngestError, match=f"^line {line}: "):
+            dataset_from_jsonl(payload)
+
 
 class TestSynthCorpus:
     def test_all_programs_valid(self, synth_sources):
@@ -147,6 +176,14 @@ class TestSynthCorpus:
         depths = {a.depth for r in synth_records for a in r.annotations}
         assert depths >= {0, 1, 2, 3, 4, 5, 6}
 
+    def test_invalid_distinct_program_still_raises(self, monkeypatch):
+        # Validation parses each distinct program once; a single invalid
+        # one among many duplicates must still be caught.
+        made = iter(["x = 1\n"] * 5 + ["x = (\n"] + ["x = 1\n"] * 5)
+        monkeypatch.setattr(corpus_io, "_generate_program", lambda rnd, layers: next(made))
+        with pytest.raises(AssertionError, match="invalid program"):
+            synth_corpus(seed=0, n_programs=11, max_depth=6)
+
     def test_min_depth_guard(self):
         with pytest.raises(ValueError):
             synth_corpus(seed=0, n_programs=1, max_depth=2)
@@ -157,3 +194,33 @@ class TestSynthCorpus:
 
     def test_fits_target_length(self, synth_sources):
         assert max(len(tokenize(s)) for s in synth_sources) <= 64
+
+
+class TestFrontEndGolden:
+    """The annotated dataset of a fixed synth corpus, byte for byte. A change
+    to the lexer, parser, node assignment or anchor weights that moves any
+    output byte fails here."""
+
+    @pytest.mark.parametrize(
+        "split, digest",
+        [
+            (None, "59fde50646cfdb2614a14c569adf439c3148c5e46eb0846eb37f10948fd0cefe"),
+            (3, "23fc6942f4f351246fe44a5baa02c77099d12cd547dfb482cb06550641499fa6"),
+        ],
+    )
+    def test_dataset_digest(self, split, digest):
+        sources = synth_corpus(seed=1, n_programs=200, max_depth=8)
+        records = [
+            annotate_program(src, CFG, record_id=str(i), split_max_len=split)
+            for i, src in enumerate(sources)
+        ]
+        payload = dataset_to_jsonl(records, CFG).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    @pytest.mark.parametrize("strategy", list(AnchorStrategy))
+    def test_reweight_equals_fresh_annotation(self, synth_sources, strategy):
+        config = AnchorConfig.for_strategy(strategy)
+        for i, src in enumerate(synth_sources[:10]):
+            fresh = annotate_program(src, config, str(i), split_max_len=2)
+            moved = reweight(annotate_program(src, CFG, str(i), split_max_len=2), config)
+            assert dataset_to_jsonl([moved], config) == dataset_to_jsonl([fresh], config)

@@ -248,6 +248,37 @@ class TestCompareStrategies:
         )
         assert eval_rows_to_csv(a) == eval_rows_to_csv(b)
 
+    def test_each_config_gets_its_own_anchor_arrays(self, synth_sources, monkeypatch):
+        # Sources are annotated once; the corpus each config runs on must
+        # equal one built from a fresh annotation under that config.
+        from anchordiff import experiments
+        from anchordiff.corpus_io import annotate_program, build_corpus
+
+        seen = []
+        real = experiments.build_strategy_predictors
+        monkeypatch.setattr(
+            experiments, "build_strategy_predictors",
+            lambda corpus, *args: seen.append(corpus) or real(corpus, *args),
+        )
+        configs = [
+            SamplerConfig(T=2, strategy=AnchorConfig.for_strategy(s), seed=0)
+            for s in (AnchorStrategy.ANCHOR_TREE, AnchorStrategy.KEYWORD, AnchorStrategy.NULL)
+        ]
+        compare_strategies(
+            synth_sources[:12], configs, [2], 1, ScheduleKind.COSINE, seed=0,
+            length=64, nelbo_records=1, nelbo_samples=2,
+        )
+        assert len(seen) == len(configs)
+        for corpus, config in zip(seen, configs):
+            fresh = build_corpus(
+                [annotate_program(src, config.strategy, str(i))
+                 for i, src in enumerate(synth_sources[:12])],
+                length=64,
+            )
+            assert corpus.vocab == fresh.vocab
+            for name in ("ids", "weights", "omega", "eta", "depth"):
+                assert np.array_equal(getattr(corpus, name), getattr(fresh, name)), name
+
     def test_exact_posterior_generations_fully_valid(self, rows):
         # Sequential exact-posterior sampling stays on-corpus, so every
         # generation parses.

@@ -12,7 +12,18 @@ from anchordiff.hierarchy import (
     positions_by_node,
     precedes,
 )
-from anchordiff.minilang import NodeKind, parse, split_identifiers, tokenize
+from anchordiff import synth_corpus
+from anchordiff.minilang import (
+    AstNode,
+    NodeKind,
+    ParseError,
+    SyntaxTree,
+    Token,
+    TokenKind,
+    parse,
+    split_identifiers,
+    tokenize,
+)
 
 from .oracles import naive_node_assignment
 
@@ -73,11 +84,9 @@ class TestAssignNodes:
 
 
 class TestTieBreaks:
-    """Direct coverage of the node_for_span rules on a synthetic tree."""
+    """Direct coverage of the tie-break rules on a synthetic tree."""
 
     def _tree(self):
-        from anchordiff.minilang import AstNode, NodeKind, SyntaxTree
-
         nodes = [
             AstNode(0, NodeKind.MODULE, (0, 20), [1, 2], 0),
             AstNode(1, NodeKind.IF, (0, 10), [3], 1),
@@ -87,49 +96,170 @@ class TestTieBreaks:
         ]
         return SyntaxTree("x" * 20, nodes, 0)
 
-    def test_deepest_wins_over_start_ownership(self):
-        from anchordiff.hierarchy import node_for_span
-
+    def _node_of(self, span):
         tree = self._tree()
+        (ann,) = assign_nodes(tree, [Token(0, TokenKind.IDENTIFIER, "t", span)])
+        assert ann.depth == tree.node(ann.node_id).depth
+        return ann.node_id
+
+    def test_deepest_wins_over_start_ownership(self):
         # Start byte sits in the depth-1 node, but a deeper node intersects.
-        assert node_for_span(tree, (8, 13)) == 4
+        assert self._node_of((8, 13)) == 4
 
     def test_equal_depth_prefers_start_owner(self):
-        from anchordiff.hierarchy import node_for_span
-
-        tree = self._tree()
-        assert node_for_span(tree, (5, 13)) == 3
+        assert self._node_of((5, 13)) == 3
 
     def test_equal_depth_without_owner_takes_leftmost(self):
-        from anchordiff.hierarchy import node_for_span
-
-        tree = self._tree()
-        assert node_for_span(tree, (1, 20)) == 3
+        assert self._node_of((1, 20)) == 3
 
     def test_zero_width_token_is_a_point(self):
-        from anchordiff.hierarchy import node_for_span
-
-        tree = self._tree()
-        assert node_for_span(tree, (10, 10)) == 2
+        assert self._node_of((10, 10)) == 2
 
     def test_fallback_to_root_outside_all_spans(self):
-        from anchordiff.hierarchy import node_for_span
+        assert self._node_of((25, 25)) == 0
 
+    def test_overlapping_tokens_out_of_end_order(self):
+        # (7, 14) reaches node 4 although the tokens after it in start
+        # order, (8, 9) and (12, 13), end earlier than it does.
         tree = self._tree()
-        assert node_for_span(tree, (25, 25)) == 0
+        spans = [(12, 13), (8, 9), (7, 14)]
+        tokens = [
+            Token(i, TokenKind.IDENTIFIER, "t", span) for i, span in enumerate(spans)
+        ]
+        got = [a.node_id for a in assign_nodes(tree, tokens)]
+        assert got == [4, 1, 4] == naive_node_assignment(tree, tokens)
+
+    def test_equal_depth_and_start_takes_lower_id(self):
+        # Overlapping siblings (not a parsed shape): the id breaks the tie.
+        nodes = [
+            AstNode(0, NodeKind.MODULE, (0, 20), [7, 5], 0),
+            AstNode(7, NodeKind.NAME, (4, 12), [], 1),
+            AstNode(5, NodeKind.NAME, (4, 9), [], 1),
+        ]
+        tree = SyntaxTree("x" * 20, nodes, 0)
+        tokens = [Token(0, TokenKind.IDENTIFIER, "t", (6, 7))]
+        assert [a.node_id for a in assign_nodes(tree, tokens)] == [5]
+        assert naive_node_assignment(tree, tokens) == [5]
 
     def test_oracle_agrees_on_synthetic_cases(self):
-        from anchordiff.minilang import Token, TokenKind
-        from anchordiff.hierarchy import node_for_span
-
         tree = self._tree()
         spans = [(8, 13), (5, 13), (1, 20), (10, 10), (25, 25), (6, 10)]
         tokens = [
             Token(i, TokenKind.IDENTIFIER, "t", span) for i, span in enumerate(spans)
         ]
-        assert [node_for_span(tree, s) for s in spans] == naive_node_assignment(
-            tree, tokens
-        )
+        got = [a.node_id for a in assign_nodes(tree, tokens)]
+        assert got == [4, 3, 3, 2, 0, 1]
+        assert got == naive_node_assignment(tree, tokens)
+
+
+# Sources the synth generator never writes: blank lines, Dedents closing
+# two blocks at once, input ending inside a block without a newline, a
+# Module-level Newline, tabs, brackets and nested parens. A final Newline
+# lies outside every node span and falls back to the root.
+HAND_WRITTEN = [
+    NESTED_SRC,
+    "def f(a):\n\n    if a:\n\n        return (a + 1) * 2\n\n\n    return a\n",
+    "while x:\n    if y:\n        z = 1",
+    "x = 1\n\n\ny = a[b][0]\n",
+    "def g():\n\tif h(1, 'q'):\n\t\tpass\n\treturn not h(2) or 3 >= 4\n",
+]
+# Inconsistent dedents: the lexer emits a Dedent, then an Indent that
+# starts earlier, so the token list is out of span order. No such source
+# parses, so their tokens are checked against the trees of other sources.
+INCONSISTENT_DEDENT = [
+    "if a:\n        x = 1\n    y = 2\n",
+    "def f(a):\n    if a:\n            x = 1\n        y = 2\n    return a\n",
+]
+
+
+def _check_against_oracle(tree, tokens):
+    anns = assign_nodes(tree, tokens)
+    assert [a.node_id for a in anns] == naive_node_assignment(tree, tokens)
+    assert [a.position for a in anns] == [t.index for t in tokens]
+    assert all(a.depth == tree.node(a.node_id).depth for a in anns)
+
+
+@st.composite
+def well_formed_trees(draw):
+    """A random tree whose children nest in their parent and whose
+    siblings are disjoint; spans may be empty and ids are shuffled."""
+    spans: list[tuple[int, int]] = []
+    children: list[list[int]] = []
+    depths: list[int] = []
+
+    def build(span, depth):
+        index = len(spans)
+        spans.append(span)
+        children.append([])
+        depths.append(depth)
+        lo, hi = span
+        if depth < 5 and len(spans) < 40:
+            n = draw(st.integers(0, 3))
+            cuts = sorted(draw(st.lists(st.integers(lo, hi), min_size=2 * n, max_size=2 * n)))
+            for a, b in zip(cuts[::2], cuts[1::2]):
+                children[index].append(build((a, b), depth + 1))
+        return index
+
+    start = draw(st.integers(0, 6))
+    build((start, draw(st.integers(start, 40))), 0)
+    ids = draw(st.permutations(range(len(spans))))
+    nodes = [
+        AstNode(ids[i], NodeKind.NAME, spans[i], [ids[c] for c in children[i]], depths[i])
+        for i in range(len(spans))
+    ]
+    return SyntaxTree("x" * 48, nodes, ids[0])
+
+
+class TestOneWalkAgainstOracle:
+    """assign_nodes against the per-token brute force of tests/oracles.py."""
+
+    @given(
+        seed=st.integers(0, 100_000),
+        max_depth=st.integers(3, 8),
+        split=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_parsed_synth_programs(self, seed, max_depth, split):
+        (src,) = synth_corpus(seed=seed, n_programs=1, max_depth=max_depth)
+        tokens = tokenize(src)
+        tree = parse(src, tokens)
+        if split is not None:
+            tokens = split_identifiers(tokens, split)
+        _check_against_oracle(tree, tokens)
+
+    @pytest.mark.parametrize("src", HAND_WRITTEN)
+    @pytest.mark.parametrize("split", [None, 1, 2])
+    def test_hand_written_sources(self, src, split):
+        tokens = tokenize(src)
+        tree = parse(src, tokens)
+        if split is not None:
+            tokens = split_identifiers(tokens, split)
+        _check_against_oracle(tree, tokens)
+
+    @pytest.mark.parametrize("bad", INCONSISTENT_DEDENT)
+    def test_inconsistent_dedent_tokens(self, bad, synth_sources):
+        tokens = tokenize(bad)
+        dedent = next(i for i, t in enumerate(tokens) if t.kind is TokenKind.DEDENT)
+        assert tokens[dedent + 1].kind is TokenKind.INDENT
+        assert tokens[dedent + 1].start < tokens[dedent].start
+        with pytest.raises(ParseError):
+            parse(bad)
+        for src in HAND_WRITTEN + synth_sources[:5]:
+            _check_against_oracle(parse(src), tokens)
+
+    @given(
+        tree=well_formed_trees(),
+        spans=st.lists(
+            st.tuples(st.integers(-3, 48), st.integers(-2, 10)), max_size=30
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_trees_and_spans(self, tree, spans):
+        # Unordered, overlapping, zero-width, reversed and out-of-root spans.
+        tokens = [
+            Token(i, TokenKind.IDENTIFIER, "t", (s, s + w)) for i, (s, w) in enumerate(spans)
+        ]
+        _check_against_oracle(tree, tokens)
 
 
 class TestPrecedes:

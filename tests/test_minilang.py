@@ -254,3 +254,29 @@ class TestRoundTrip:
             assert _structure(parse(rendered), parse(rendered).root) == _structure(
                 parse(src), parse(src).root
             )
+
+
+def _parse_outcome(src, *tokens):
+    """Every node's fields, or the ParseError's offset and message."""
+    try:
+        tree = parse(src, *tokens)
+    except ParseError as exc:
+        return ("error", exc.offset, exc.message)
+    nodes = [
+        (n.id, n.kind, n.span, n.children, n.depth, n.data) for n in tree.nodes.values()
+    ]
+    return ("tree", tree.root, nodes)
+
+
+# Mostly grammar fragments, so that a fair share of the drawn texts parse.
+PARSE_PIECES = st.sampled_from(
+    ["def f(a, b):", "if ", "while ", "for v in xs:", "return ", "x", "= ", "1",
+     " + ", " < ", "(", ")", ":", "\n", "    ", "\t", "pass", "h(2)", "'s'", "[0]", "@"]
+)
+
+
+class TestParseGivenTokens:
+    @given(st.one_of(st.text(max_size=80), st.lists(PARSE_PIECES, max_size=30).map("".join)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_tree_or_error_as_parse_alone(self, src):
+        assert _parse_outcome(src, tokenize(src)) == _parse_outcome(src)

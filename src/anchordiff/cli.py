@@ -409,11 +409,25 @@ def cmd_corrupt(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
     return EXIT_OK
 
 
-def _one_sample(task):
-    predictors, cfg, schedule, length, seed, index = task
+def _one_sample(predictors, task):
+    cfg, schedule, length, seed, index = task
     rng = np.random.default_rng([seed, index])
     out, trace = generate([], length, predictors, cfg, schedule, rng)
     return index, out, trace
+
+
+# The pair of a pool worker process, set once by its initializer, so that a
+# task carries only its own small arguments.
+_worker_predictors = None
+
+
+def _init_worker(predictors) -> None:
+    global _worker_predictors
+    _worker_predictors = predictors
+
+
+def _worker_sample(task):
+    return _one_sample(_worker_predictors, task)
 
 
 def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
@@ -426,17 +440,19 @@ def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         _write(run_dir, "counts.json", predictors.predictor.to_json() + "\n")
     n = resolved["n_samples"]
     tasks = [
-        (predictors, sampler_cfg, inputs.schedules[0], corpus.length, resolved["seed"], j)
+        (sampler_cfg, inputs.schedules[0], corpus.length, resolved["seed"], j)
         for j in range(n)
     ]
     # Each worker is a process, started up front: never more than there are
-    # samples or CPUs.
+    # samples or CPUs. The pair goes to each worker once, not with every task.
     workers = min(resolved["workers"], n, os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_one_sample, tasks), key=lambda r: r[0])
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(predictors,)
+        ) as pool:
+            results = sorted(pool.map(_worker_sample, tasks), key=lambda r: r[0])
     else:
-        results = [_one_sample(t) for t in tasks]
+        results = [_one_sample(predictors, t) for t in tasks]
     (run_dir / "samples").mkdir(exist_ok=True)
     (run_dir / "traces").mkdir(exist_ok=True)
     texts = []

@@ -8,10 +8,12 @@ the vocabulary, later passed through apply_constraints):
   empirical weight of corpus sequences matching the latent's unmasked
   positions. It keeps one match state over the corpus's unique rows (a
   mismatch count per row) and updates it at the positions that changed
-  since its last query instead of rescanning the corpus. The anchored
-  sampler's PosteriorAnchorProfile reads the match state of the pair's
-  predictor, so an anchored exact pair holds one state and one copy of the
-  unique rows.
+  since its last query instead of rescanning the corpus. It also caches
+  the consistent unique rows and their weights under a ``version`` that
+  moves only when that set changes. The anchored sampler's
+  PosteriorAnchorProfile reads the match state of the pair's predictor,
+  and recomputes only on a new version, so an anchored exact pair holds one
+  state and one copy of the unique rows.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
   as tables (smoothed rows plus context-to-row index arrays), so a query
@@ -113,8 +115,11 @@ class ExactPosteriorDenoiser(Predictor):
     query diffs the latent against those ids and updates the counts at the
     changed positions only: a fresh latent costs about one scan of the
     unique rows, a single commit or remask one column. A row is consistent
-    with the latent when its count is zero. Outputs do not depend on the
-    order of queries, only their cost does. The state belongs to the
+    with the latent when its count is zero. The indices and summed weights
+    of the consistent unique rows are cached, and ``version`` is bumped
+    whenever that set changes, so equal versions mean equal sets and equal
+    outputs; ``consistent(z)`` syncs and returns it. Outputs do not depend
+    on the order of queries, only their cost does. The state belongs to the
     instance, so one instance must not be queried from two threads at once.
     """
 
@@ -132,25 +137,49 @@ class ExactPosteriorDenoiser(Predictor):
         # Every row agrees with the all-masked latent.
         self._seen = np.full(corpus.length, corpus.vocab.mask_id, dtype=np.int64)
         self._mismatches = np.zeros(len(first), dtype=np.int64)
+        self.version = 0
+        self._set_consistent(np.arange(len(first)))
 
     @property
     def vocab(self) -> Vocab:
         return self.corpus.vocab
 
+    def _set_consistent(self, hit: np.ndarray) -> None:
+        self._hit = hit
+        self._hit_weights = self._unique_weights[hit]
+        self._hit.setflags(write=False)
+        self._hit_weights.setflags(write=False)
+
     def _sync(self, z: LatentSequence) -> None:
         """Bring the mismatch counts up to date with ``z``: subtract the old
-        terms and add the new ones at the positions whose ids changed."""
+        terms and add the new ones at the positions whose ids changed. When
+        the set of zero-mismatch unique rows changes, cache its indices and
+        weights and bump ``version``."""
         if z.ids.shape != self._seen.shape:
             raise ValueError(
                 f"latent length {len(z)} does not match corpus length {len(self._seen)}"
             )
-        mask_id = self.vocab.mask_id
         changed = np.flatnonzero(z.ids != self._seen)
+        if not len(changed):
+            return
+        mask_id = self.vocab.mask_id
         was = changed[self._seen[changed] != mask_id]
         now = changed[z.ids[changed] != mask_id]
-        self._mismatches -= (self._columns[was] != self._seen[was][:, None]).sum(axis=0)
-        self._mismatches += (self._columns[now] != z.ids[now][:, None]).sum(axis=0)
+        if len(was):
+            self._mismatches -= (self._columns[was] != self._seen[was][:, None]).sum(axis=0)
+        if len(now):
+            self._mismatches += (self._columns[now] != z.ids[now][:, None]).sum(axis=0)
         self._seen[changed] = z.ids[changed]
+        hit = np.flatnonzero(self._mismatches == 0)
+        if not np.array_equal(hit, self._hit):
+            self.version += 1
+            self._set_consistent(hit)
+
+    def consistent(self, z: LatentSequence) -> int:
+        """Bring the match state up to date with ``z`` and return its
+        version: equal versions mean the same set of consistent rows."""
+        self._sync(z)
+        return self.version
 
     def match_mask(self, z: LatentSequence) -> np.ndarray:
         """Boolean row per corpus sequence: agrees with z where unmasked."""
@@ -159,10 +188,10 @@ class ExactPosteriorDenoiser(Predictor):
 
     def _matched(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         """Indices and summed weights of the unique rows consistent with z."""
-        if not self.match_mask(z).any():
+        self._sync(z)
+        if not len(self._hit):
             raise NoMatchError("latent matches no corpus sequence")
-        hit = np.flatnonzero(self._mismatches == 0)
-        return hit, self._unique_weights[hit]
+        return self._hit, self._hit_weights
 
     def predict(self, z: LatentSequence) -> np.ndarray:
         """Raw rows: weighted empirical token counts among matching
@@ -371,8 +400,9 @@ def anchor_commit_order(
     omega: np.ndarray, eta: np.ndarray, masked: np.ndarray
 ) -> list[int]:
     """Masked anchor positions ordered by descending weight, then position."""
-    candidates = [int(l) for l in np.flatnonzero(masked) if omega[l] >= 0.5]
-    return sorted(candidates, key=lambda l: (-float(omega[l] * eta[l]), l))
+    candidates = np.flatnonzero(masked & (omega >= 0.5))
+    weights = omega[candidates] * eta[candidates]
+    return candidates[np.argsort(-weights, kind="stable")].tolist()
 
 
 def resolve_anchors(
@@ -439,15 +469,27 @@ class TwoStagePredictor(Predictor):
         return self.predict_batch([z])[0]
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only float view of ``values``: a profile hands the same
+    arrays to every caller, so none may edit them in place."""
+    view = np.asarray(values, dtype=np.float64).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass
 class MarginalAnchorProfile:
-    """Latent-independent anchor profile: the same (omega, eta) on every
-    call. ``of_corpus`` gives the corpus marginal, for predictors without a
-    match set; ``zeros`` gives the Null strategy's profile, which marks no
-    position as an anchor."""
+    """Latent-independent anchor profile: the same read-only (omega, eta)
+    on every call. ``of_corpus`` gives the corpus marginal, for predictors
+    without a match set; ``zeros`` gives the Null strategy's profile, which
+    marks no position as an anchor."""
 
     omega: np.ndarray
     eta: np.ndarray
+
+    def __post_init__(self):
+        self.omega = _read_only(self.omega)
+        self.eta = _read_only(self.eta)
 
     @classmethod
     def of_corpus(cls, corpus: Corpus) -> "MarginalAnchorProfile":
@@ -473,16 +515,31 @@ class PosteriorAnchorProfile:
     corpus marginal when nothing matches. The consistent rows come from the
     match state of ``exact``, normally the pair's own predictor, so the
     predictor and the profile keep one state between them.
+
+    The profile depends on the latent only through its consistent rows, so
+    it is recomputed only when ``exact.consistent(z)`` reports a new version
+    of that set; otherwise the last (omega, eta) is returned again. The
+    arrays are read-only, because callers share them.
     """
 
     def __init__(self, exact: ExactPosteriorDenoiser):
         self.exact = exact
         self._marginal = MarginalAnchorProfile.of_corpus(exact.corpus)
+        self._version: int | None = None
+        self._profile: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+        version = self.exact.consistent(z)
+        if version != self._version:
+            self._profile = self._posterior(z)
+            self._version = version
+        return self._profile
+
+    def _posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         corpus = self.exact.corpus
         w = np.where(self.exact.match_mask(z), corpus.weights, 0.0)
-        if w.sum() == 0:
+        total = w.sum()
+        if total == 0:
             return self._marginal(z)
-        w = w / w.sum()
-        return w @ corpus.omega, w @ corpus.eta
+        w = w / total
+        return _read_only(w @ corpus.omega), _read_only(w @ corpus.eta)

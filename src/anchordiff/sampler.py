@@ -161,16 +161,17 @@ def generate(
 
     for i in range(config.T, 0, -1):
         p = unmask_prob(schedule, i)
-        masked = np.flatnonzero(z.is_masked)
+        is_masked = z.is_masked
+        masked = np.flatnonzero(is_masked)
         budget = int(rng.binomial(len(masked), p)) if len(masked) else 0
         if budget:
             omega_hat, eta_hat = predictors.profile(z)
-            anchors = anchor_commit_order(omega_hat, eta_hat, z.is_masked)
-            others = [int(l) for l in masked if omega_hat[l] < 0.5]
+            anchors = anchor_commit_order(omega_hat, eta_hat, is_masked)
+            others = masked[omega_hat[masked] < 0.5]
             rng.shuffle(others)
             # Every masked anchor is committed before any other position, so
             # the later rows always condition on the full anchor scaffold.
-            for k, l in enumerate((anchors + others)[:budget]):
+            for k, l in enumerate((anchors + others.tolist())[:budget]):
                 row = predictors.predictor.predict_row(z, l)
                 token = sample_categorical(temper_row(row, config.temperature), rng)
                 ids[l] = token
@@ -178,10 +179,11 @@ def generate(
                 trace.record(l, i, "unmask", int(token), last_stage[l])
         if i > 1 and config.remask_rate > 0:
             committed = np.flatnonzero(~z.is_masked & ~prompt_mask)
-            for l in committed:
-                if rng.random() < config.remask_rate * p:
-                    trace.record(int(l), i, "remask", int(ids[l]), last_stage[l])
-                    ids[l] = mask_id
+            # One coin per committed position, drawn in position order.
+            coins = rng.random(len(committed))
+            for l in committed[coins < config.remask_rate * p].tolist():
+                trace.record(l, i, "remask", int(ids[l]), last_stage[l])
+                ids[l] = mask_id
 
     if np.any(ids == mask_id):
         raise DiffusionError("generation finished with mask tokens present")

@@ -126,10 +126,17 @@ class RescanExactDenoiser(Predictor):
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
+        self._queries = 0
 
     @property
     def vocab(self):
         return self.corpus.vocab
+
+    def consistent(self, z: LatentSequence) -> int:
+        """A fresh version on every call, so a profile over this predictor
+        recomputes on every query and stays the uncached reference."""
+        self._queries += 1
+        return self._queries
 
     def match_mask(self, z: LatentSequence) -> np.ndarray:
         agree = (self.corpus.ids == z.ids[None, :]) | z.is_masked[None, :]
@@ -149,6 +156,15 @@ class RescanExactDenoiser(Predictor):
             self.corpus.ids[hit, position], weights=self.corpus.weights[hit], minlength=K
         )
         return counts / counts.sum()
+
+
+def sorted_anchor_commit_order(
+    omega: np.ndarray, eta: np.ndarray, masked: np.ndarray
+) -> list[int]:
+    """Masked anchor positions by a sort on (-omega * eta, position): the
+    reference for the vectorized ``anchor_commit_order``."""
+    candidates = [int(l) for l in np.flatnonzero(masked) if omega[l] >= 0.5]
+    return sorted(candidates, key=lambda l: (-float(omega[l] * eta[l]), l))
 
 
 def _predictor_rows(corpus: Corpus, state: tuple[int, ...], temperature: float):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,30 @@ def run_dir_files(path: Path) -> dict[str, bytes]:
 
 BASE = ["--corpus", "synth", "--synth-programs", "25", "--seed", "11"]
 JSONL_SAMPLE = ["--steps", "4", "--n-samples", "1"]
+
+
+def inline_pool(sizes: list, tasks: list):
+    """A stand-in for ProcessPoolExecutor that records each pool size and
+    each task and runs the initializer and the tasks in this process."""
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            tasks.extend(items)
+            return map(fn, items)
+
+    return InlinePool
 
 
 def dataset_files() -> dict[str, str]:
@@ -437,21 +462,8 @@ class TestOutputs:
         from anchordiff import cli
 
         sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes, []))
+        monkeypatch.setattr(cli, "_worker_predictors", None)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         argv = ["sample", *BASE, "--steps", "4", "--n-samples", str(n_samples)]
         seq, par = tmp_path / "w1", tmp_path / "wn"
@@ -459,6 +471,26 @@ class TestOutputs:
         assert main([*argv, "--workers", str(workers), "--out", str(par)]) == 0
         assert sizes == ([] if pool_size is None else [pool_size])
         assert run_dir_files(seq) == run_dir_files(par)
+
+    @pytest.mark.parametrize("predictor", ["exact", "backoff"])
+    def test_pool_tasks_leave_the_pair_out(self, tmp_path, monkeypatch, predictor):
+        # The pair reaches each worker once, through the initializer; a task
+        # pickles to its own small arguments only.
+        from anchordiff import cli
+        from anchordiff.sampler import AnchoredPair
+
+        tasks = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([], tasks))
+        monkeypatch.setattr(cli, "_worker_predictors", None)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["sample", *BASE, "--steps", "4", "--n-samples", "3",
+                "--predictor", predictor, "--workers", "2", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert len(tasks) == 3
+        for task in tasks:
+            assert not any(isinstance(part, AnchoredPair) for part in task)
+            assert len(pickle.dumps(task)) < 1024
+        assert isinstance(cli._worker_predictors, AnchoredPair)
 
     @pytest.mark.parametrize("strategy", ["anchor_tree", "null"])
     def test_worker_pool_matches_sequential(self, tmp_path, strategy):

@@ -32,6 +32,7 @@ from anchordiff.schedule import NoiseSchedule
 from .conftest import make_corpus
 from .oracles import (
     DictBackoffModel,
+    RescanExactDenoiser,
     naive_consistent_rows,
     naive_posterior,
     validate_prediction,
@@ -455,6 +456,26 @@ class TestTwoStage:
 
 
 class TestProfiles:
+    def test_profile_arrays_are_read_only(self, synth_corpus_built):
+        corpus = synth_corpus_built
+        v = corpus.vocab
+        all_masked = LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id)
+        unmatched = latent(corpus, np.where(np.arange(corpus.length) == 0, 0, v.mask_id))
+        exact = ExactPosteriorDenoiser(corpus)
+        assert not exact.match_mask(unmatched).any()  # the marginal fallback
+        cases = [
+            MarginalAnchorProfile.of_corpus(corpus)(all_masked),
+            MarginalAnchorProfile.zeros(corpus.length)(all_masked),
+            PosteriorAnchorProfile(exact)(latent(corpus, corpus.ids[0])),
+            PosteriorAnchorProfile(exact)(unmatched),
+        ]
+        for omega, eta in cases:
+            for values in (omega, eta):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0.5
+                with pytest.raises(ValueError, match="read-only"):
+                    values += 1.0
+
     def test_posterior_profile_sharpens_with_matches(self, synth_corpus_built):
         corpus = synth_corpus_built
         prof = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
@@ -570,15 +591,35 @@ class TestMatchState:
         prof = PosteriorAnchorProfile(den)
         # One live latent edited in place, as the sampler does.
         z = LatentSequence(np.full(corpus.length, mask_id), mask_id)
+        last_rows, last_version = list(range(corpus.n)), den.version
+        last_profile = None
         for op, *args in steps:
             if op == "pickle":
                 den, prof = pickle.loads(pickle.dumps((den, prof)))
                 assert prof.exact is den
+                last_profile = None
             elif op == "fresh":
                 z.ids[:] = args[0]
             else:
                 z.ids[args[0]] = args[1]
             rows = naive_consistent_rows(corpus, z)
+            # The version moves exactly when the consistent set does.
+            version = den.consistent(z)
+            assert (version != last_version) == (rows != last_rows)
+            last_rows, last_version = rows, version
+            # The cached unique rows and summed weights are the oracle's rows.
+            hit, w = den._hit, den._hit_weights
+            assert np.flatnonzero(np.isin(den._unique_of_row, hit)).tolist() == rows
+            for h, wh in zip(hit, w):
+                assert wh == sum(corpus.weights[i] for i in rows if den._unique_of_row[i] == h)
+            # The cached profile is a fresh build's, bit for bit, and the
+            # very same arrays while the version holds.
+            cached = prof(z)
+            fresh = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z)
+            assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
+            if last_profile is not None and version == last_profile[0]:
+                assert cached is last_profile[1]
+            last_profile = (version, cached)
             assert np.flatnonzero(den.match_mask(z)).tolist() == rows
             if rows:
                 oracle = naive_posterior(corpus, z)
@@ -595,6 +636,13 @@ class TestMatchState:
             omega, eta = prof(z)
             assert np.allclose(omega, w @ corpus.omega[use], rtol=0, atol=1e-12)
             assert np.allclose(eta, w @ corpus.eta[use], rtol=0, atol=1e-12)
+
+    def test_rescan_reference_reports_a_fresh_version_per_query(self):
+        corpus = make_corpus(["ab", "cd"])
+        reference = RescanExactDenoiser(corpus)
+        z = latent(corpus, [corpus.vocab.mask_id] * 2)
+        versions = [reference.consistent(z) for _ in range(3)]
+        assert len(set(versions)) == 3
 
     def test_rejects_latent_of_other_length(self):
         corpus = make_corpus(["ab", "cd"])

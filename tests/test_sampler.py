@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchordiff import (
     AnchorConfig,
@@ -15,6 +17,7 @@ from anchordiff.denoisers import (
     ExactPosteriorDenoiser,
     MarginalAnchorProfile,
     PosteriorAnchorProfile,
+    anchor_commit_order,
 )
 from anchordiff.diffusion import DiffusionError
 from anchordiff.experiments import build_strategy_predictors
@@ -30,6 +33,7 @@ from anchordiff.schedule import NoiseSchedule, ScheduleKind
 from .conftest import make_corpus
 from .oracles import (
     RescanExactDenoiser,
+    sorted_anchor_commit_order,
     enumerate_product_chain,
     enumerate_sequential_chain,
     total_variation,
@@ -243,6 +247,52 @@ class TestOrderStats:
                     t_norm
                 )
         assert np.mean(anchor_times) < np.mean(other_times)
+
+
+@st.composite
+def anchor_profiles(draw):
+    """omega/eta/mask triples with tied weights, omega exactly at 0.5 and
+    empty or all-false masks."""
+    L = draw(st.integers(0, 12))
+    omega = st.sampled_from([0.0, 0.25, 0.49999999999999994, 0.5, 0.75, 1.0])
+    eta = st.sampled_from([0.0, 0.125, 0.5, 1.0, 2.0])
+    return (
+        np.array(draw(st.lists(omega, min_size=L, max_size=L)), dtype=float),
+        np.array(draw(st.lists(eta, min_size=L, max_size=L)), dtype=float),
+        np.array(draw(st.lists(st.booleans(), min_size=L, max_size=L)), dtype=bool),
+    )
+
+
+class TestStreamEquivalences:
+    """The vectorized bookkeeping of ``generate`` against the loops it
+    replaced: the same anchor order and the same random stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchor_profiles())
+    def test_anchor_order_equals_sorted_keys(self, case):
+        omega, eta, masked = case
+        order = anchor_commit_order(omega, eta, masked)
+        assert order == sorted_anchor_commit_order(omega, eta, masked)
+        assert all(type(l) is int for l in order)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_block_equals_scalar_draws(self, seed):
+        for n in range(71):
+            block, scalar = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            coins = block.random(n)
+            assert coins.tolist() == [scalar.random() for _ in range(n)]
+            assert block.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shuffle_permutes_array_and_list_alike(self, seed):
+        for n in range(71):
+            positions = np.flatnonzero(np.random.default_rng([seed, n, 1]).random(2 * n) < 0.5)
+            array, items = positions.copy(), positions.tolist()
+            on_array, on_list = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            on_array.shuffle(array)
+            on_list.shuffle(items)
+            assert array.tolist() == items
+            assert on_array.bit_generator.state == on_list.bit_generator.state
 
 
 class TestFuzzLight:

@@ -38,6 +38,7 @@ from .corpus_io import (
     dataset_to_jsonl,
     ingest,
     load_dataset,
+    reweight,
     synth_corpus,
 )
 from .denoisers import Corpus, ExactPosteriorDenoiser
@@ -211,25 +212,37 @@ def _anchor_config(resolved: dict, strategy: str | None = None) -> AnchorConfig:
     )
 
 
-def load_sources(resolved: dict) -> list[str]:
+def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
+    """The corpus's programs, each annotated once under ``anchor``.
+
+    Synth records take their index as id and a directory's records their
+    file name. A dataset file's records keep their ids and tokens, so such
+    a corpus takes no ``--split-identifiers``.
+    """
     spec = resolved["corpus"]
+    path = Path(spec)
+    split = resolved["split_max_len"]
     if spec == "synth":
-        return synth_corpus(
+        sources = synth_corpus(
             seed=SYNTH_SEED,
             n_programs=resolved["synth_programs"],
             max_depth=resolved["synth_depth"],
         )
-    path = Path(spec)
-    if not path.exists():
+        records = [
+            annotate_program(s, anchor, record_id=str(i), split_max_len=split)
+            for i, s in enumerate(sources)
+        ]
+    elif not path.exists():
         raise IngestError(f"no such corpus path: {path}")
-    if path.is_file() and path.suffix == ".jsonl":
-        records, _ = load_dataset(path)
-        return [r.source for r in records]
-    config = _anchor_config(resolved)
-    result = ingest([path], config)
-    if not result.records:
-        raise IngestError(f"no parseable programs under {path}")
-    return [r.source for r in result.records]
+    elif path.is_file() and path.suffix == ".jsonl":
+        if split is not None:
+            raise ValueError("a .jsonl corpus keeps its own tokens; drop --split-identifiers")
+        records = [reweight(rec, anchor) for rec in load_dataset(path)[0]]
+    else:
+        records = ingest([path], anchor, split).records
+    if not records:
+        raise EmptyCorpusError(f"no parseable programs in corpus {path}")
+    return records
 
 
 def _sampler_config(resolved: dict, anchor: AnchorConfig, T: int) -> SamplerConfig:
@@ -252,12 +265,12 @@ def _noise_level(value) -> float:
 
 @dataclass
 class Inputs:
-    """A subcommand's checked inputs. ``anchor`` is None for eval, which
-    sweeps strategies. Eval has no ``records``; eval and annotate have no
-    ``corpus``."""
+    """A subcommand's checked inputs. ``records`` hold the corpus's
+    programs, annotated once under ``anchor``. ``anchor`` is None for eval,
+    which sweeps strategies; its records are annotated under the first one
+    and reweighted per strategy. Eval and annotate have no ``corpus``."""
 
     anchor: AnchorConfig | None
-    sources: list[str] = field(default_factory=list)
     records: list[DatasetRecord] = field(default_factory=list)
     corpus: Corpus | None = None
     schedules: list[NoiseSchedule] = field(default_factory=list)  # one per step count
@@ -266,7 +279,8 @@ class Inputs:
 
 
 def load_inputs(resolved: dict) -> Inputs:
-    """Check the options the subcommand uses, then load its corpus.
+    """Check the options the subcommand uses, then load its corpus with
+    ``load_records``: every program is tokenized and parsed once, here.
 
     Rejected input raises ValueError or an ingest error before any output
     exists; main reports it as exit 2.
@@ -286,9 +300,6 @@ def load_inputs(resolved: dict) -> Inputs:
         names = str(resolved["strategy"]).split(",")
         anchors = [_anchor_config(resolved, name.strip()) for name in names]
         inputs.samplers = [_sampler_config(resolved, a, inputs.schedules[0].T) for a in anchors]
-        if resolved["split_max_len"] is not None:
-            # compare_strategies annotates the unsplit sources.
-            raise ValueError("eval does not support --split-identifiers")
     if resolved["seed"] < 0:
         raise ValueError(f"--seed must be >= 0, got {resolved['seed']}")
     if command != "annotate" and resolved["length"] < 1:
@@ -303,17 +314,10 @@ def load_inputs(resolved: dict) -> Inputs:
             raise ValueError("probe needs --n-samples >= 2 for a standard error")
         if resolved["probe_k"] < 0:
             raise ValueError(f"--probe-k must be >= 0, got {resolved['probe_k']}")
-    inputs.sources = load_sources(resolved)
-    if command == "eval":
-        return inputs
-    split = resolved["split_max_len"]
-    inputs.records = [
-        annotate_program(s, inputs.anchor, record_id=str(i), split_max_len=split)
-        for i, s in enumerate(inputs.sources)
-    ]
-    if command != "annotate":
-        # The vocabulary comes from the records' tokens, which carry any
-        # identifier splits, not from the unsplit sources.
+    inputs.records = load_records(resolved, inputs.anchor or inputs.samplers[0].strategy)
+    if command not in ("annotate", "eval"):
+        # The vocabulary comes from the records' tokens, so it holds the
+        # chunks of any split identifier.
         inputs.corpus = build_corpus(inputs.records, length=resolved["length"])
     return inputs
 
@@ -512,7 +516,7 @@ def cmd_eval(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
     t_grid = [s.T for s in inputs.schedules]
     strategies = [c.strategy.strategy.value for c in inputs.samplers]
     rows = compare_strategies(
-        inputs.sources,
+        inputs.records,
         inputs.samplers,
         t_grid,
         resolved["n_samples"],

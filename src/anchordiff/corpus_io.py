@@ -3,7 +3,9 @@ construction, and the bundled synthetic program generator.
 
 The on-disk dataset format is JSONL: a versioned header record followed by
 one record per line. Records serialize tokens with exact spans plus the
-per-token annotation arrays, and round-trip bit-exactly.
+per-token annotation arrays, and round-trip bit-exactly. Loading annotates
+each record's source afresh, once, and rejects a line whose stored fields
+disagree with that annotation, or a header whose record count is wrong.
 """
 
 from __future__ import annotations
@@ -221,34 +223,22 @@ def _record_to_dict(rec: DatasetRecord) -> dict:
     }
 
 
-def _record_from_dict(data: dict) -> DatasetRecord:
-    tokens = [
-        Token(i, TokenKind(t["kind"]), t["text"], (t["start"], t["end"]))
-        for i, t in enumerate(data["tokens"])
-    ]
-    tree = parse(data["source"])
-    annotations = [
-        TokenAnnotation(
-            position=i,
-            node_id=node_id,
-            depth=depth,
-            is_keyword=tok.kind is TokenKind.KEYWORD,
-            is_identifier=tok.kind is TokenKind.IDENTIFIER,
-        )
-        for i, (node_id, depth, tok) in enumerate(
-            zip(data["node_id"], data["depth"], tokens)
-        )
-    ]
-    return DatasetRecord(
-        record_id=data["id"],
-        source=data["source"],
-        tokens=tokens,
-        tree=tree,
-        annotations=annotations,
-        omega=np.array(data["omega"], dtype=np.int8),
-        eta=np.array(data["eta"], dtype=np.float64),
-        mu=np.array(data["mu"], dtype=np.float64),
+def _record_from_dict(data: dict, config: AnchorConfig) -> DatasetRecord:
+    """The record annotated afresh from its ``source`` under ``config``.
+
+    Identifiers are split at the length of the longest stored Identifier
+    token, which reproduces the chunks of a split dataset and splits nothing
+    in an unsplit one. Every stored field must equal the fresh annotation's.
+    """
+    lengths = [len(t["text"]) for t in data["tokens"] if t["kind"] == TokenKind.IDENTIFIER.value]
+    rec = annotate_program(
+        data["source"], config, data["id"], split_max_len=max(lengths, default=None)
     )
+    fresh = _record_to_dict(rec)
+    wrong = sorted(k for k in fresh.keys() | data.keys() if fresh.get(k) != data.get(k))
+    if wrong:
+        raise ValueError(f"fields disagree with the source's annotation: {', '.join(wrong)}")
+    return rec
 
 
 def dataset_to_jsonl(records: list[DatasetRecord], config: AnchorConfig) -> str:
@@ -271,11 +261,13 @@ def dataset_to_jsonl(records: list[DatasetRecord], config: AnchorConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_from_header(header: dict) -> AnchorConfig:
+def _config_from_header(header: dict, n_records: int) -> AnchorConfig:
     if header.get("schema") != SCHEMA_NAME:
         raise IngestError("not an anchordiff dataset")
     if header.get("version") != SCHEMA_VERSION:
         raise IngestError(f"unsupported schema version {header.get('version')}")
+    if header["count"] != n_records:
+        raise ValueError(f"the header counts {header['count']} records; the file has {n_records}")
     anchor = header["anchor"]
     return AnchorConfig(
         strategy=AnchorStrategy(anchor["strategy"]),
@@ -300,8 +292,10 @@ def dataset_from_jsonl(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]
     lines = [(n, ln) for n, ln in enumerate(payload.splitlines(), 1) if ln.strip()]
     if not lines:
         raise EmptyCorpusError("empty dataset file")
-    config = _from_line(*lines[0], _config_from_header)
-    records = [_from_line(n, ln, _record_from_dict) for n, ln in lines[1:]]
+    config = _from_line(*lines[0], lambda header: _config_from_header(header, len(lines) - 1))
+    records = [
+        _from_line(n, ln, lambda data: _record_from_dict(data, config)) for n, ln in lines[1:]
+    ]
     return records, config
 
 

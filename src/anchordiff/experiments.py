@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorStrategy
-from .corpus_io import DatasetRecord, annotate_program, build_corpus, reweight
+from .anchors import AnchorStrategy
+from .corpus_io import DatasetRecord, build_corpus, reweight
 from .denoisers import (
     BackoffCountModel,
     Corpus,
@@ -298,7 +298,7 @@ def render_ids(ids: np.ndarray, vocab: Vocab) -> str:
 
 
 def compare_strategies(
-    sources: list[str],
+    records: list[DatasetRecord],
     configs: list[SamplerConfig],
     t_grid: list[int],
     n_samples: int,
@@ -311,22 +311,22 @@ def compare_strategies(
 ) -> list[EvalRow]:
     """Generate with each config across the step grid and report validity,
     depth-ordering correlation, and NELBO, with seeds shared across configs
-    so rows are paired."""
-    # Tokens, trees and annotations do not depend on the anchor config:
-    # annotate once, then recompute only the anchor arrays per config. The
-    # vocabulary comes from the records' tokens, the same for every config.
-    null = AnchorConfig.for_strategy(AnchorStrategy.NULL)
-    annotated = [annotate_program(src, null, str(i)) for i, src in enumerate(sources)]
+    so rows are paired.
+
+    Tokens, trees and annotations do not depend on the anchor config, so
+    ``records`` may be annotated under any config: each config reweights
+    them. The vocabulary comes from the records' tokens, the same for every
+    config."""
     rows: list[EvalRow] = []
     for config in configs:
         anchor_cfg = config.strategy
-        records = [reweight(rec, anchor_cfg) for rec in annotated]
-        corpus = build_corpus(records, length=length)
+        weighted = [reweight(rec, anchor_cfg) for rec in records]
+        corpus = build_corpus(weighted, length=length)
         predictors = build_strategy_predictors(
             corpus, anchor_cfg.strategy, predictor_kind
         )
         loss = _strategy_nelbo(
-            records, corpus, anchor_cfg.strategy, nelbo_records, nelbo_samples, seed
+            weighted, corpus, anchor_cfg.strategy, nelbo_records, nelbo_samples, seed
         )
         for T in t_grid:
             cfg = replace(config, T=T)

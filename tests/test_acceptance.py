@@ -337,7 +337,7 @@ RANDOM_SOUP_VALIDITY = 0.0  # pinned: 300 draws, seed 2718, length 24
 
 
 def test_criterion_08_validity_harness(bundled):
-    sources, records, vocab, corpus = bundled
+    _, records, vocab, corpus = bundled
     # On-corpus anchored generation at T >= 4L parses every time.
     pair = anchored_pair(corpus)
     T = 4 * 64
@@ -364,7 +364,7 @@ def test_criterion_08_validity_harness(bundled):
         SamplerConfig(T=8, strategy=ANCHOR_TREE, remask_rate=0.1, seed=0),
     ]
     rows = compare_strategies(
-        sources, configs, [8, 16, 32, 64], n_samples=8,
+        records, configs, [8, 16, 32, 64], n_samples=8,
         schedule_kind=ScheduleKind.COSINE, seed=123, length=64,
         nelbo_records=2, nelbo_samples=48,
     )

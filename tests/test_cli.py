@@ -54,7 +54,8 @@ def inline_pool(sizes: list, tasks: list):
 
 
 def dataset_files() -> dict[str, str]:
-    """A valid one-record dataset file and copies that each break one line."""
+    """A valid one-record dataset file, copies that each break one line, and
+    a well-formed file with no record."""
     config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
     payload = dataset_to_jsonl([annotate_program("x = 1\n", config, "0")], config)
     header, record = (json.loads(ln) for ln in payload.splitlines())
@@ -68,6 +69,9 @@ def dataset_files() -> dict[str, str]:
         "NO_TOKENS": (header, without(record, "tokens")),
         "NO_ANCHOR": (without(header, "anchor"), record),
         "LIST_HEADER": ([1, 2], record),
+        "WRONG_NODE_ID": (header, {**record, "node_id": [999] * len(record["node_id"])}),
+        "WRONG_COUNT": ({**header, "count": 50}, record),
+        "EMPTY": ({**header, "count": 0},),
     }
     return {name: "".join(json.dumps(v) + "\n" for v in pair) for name, pair in lines.items()}
 
@@ -113,7 +117,6 @@ class TestExitCodes:
             ["annotate", "--config", "BAD_JSON"],
             ["sample", "--config", "BOGUS_PREDICTOR"],
             ["probe", "--n-samples", "1"],
-            ["eval", "--split-identifiers", "3"],
             ["sample", "--config", "LIST"],
             ["sample", "--config", "NUMBER"],
             ["sample", "--config", "TEXT_N_SAMPLES"],
@@ -138,17 +141,23 @@ class TestExitCodes:
             ["sample", "--corpus", "NO_TOKENS", *JSONL_SAMPLE],
             ["sample", "--corpus", "NO_ANCHOR", *JSONL_SAMPLE],
             ["sample", "--corpus", "LIST_HEADER", *JSONL_SAMPLE],
+            ["sample", "--corpus", "WRONG_NODE_ID", *JSONL_SAMPLE],
+            ["sample", "--corpus", "WRONG_COUNT", *JSONL_SAMPLE],
+            ["sample", "--corpus", "VALID", "--split-identifiers", "3", *JSONL_SAMPLE],
+            ["annotate", "--corpus", "EMPTY"],
+            ["annotate", "--synth-programs", "0"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
-             "probe-single", "eval-split", "config-list", "config-number",
+             "probe-single", "config-list", "config-number",
              "config-n-samples", "config-workers", "config-seed", "config-temperature",
              "config-gamma", "config-probe-rule", "probe-k", "eval-n-samples",
              "sample-temperature-nan", "sample-temperature-inf", "sample-gamma-nan",
              "sample-beta-inf", "eval-gamma-nan", "annotate-unused-nan",
              "config-nan-literal", "config-infinity-literal", "config-overflowing-float",
              "config-huge-int-float", "jsonl-unparseable-source", "jsonl-no-tokens",
-             "jsonl-no-anchor", "jsonl-list-header"],
+             "jsonl-no-anchor", "jsonl-list-header", "jsonl-wrong-node-id",
+             "jsonl-wrong-count", "jsonl-split", "jsonl-empty", "synth-empty"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {
@@ -413,8 +422,9 @@ class TestOutputs:
             ["corrupt", "--t", "0.5"],
             ["sample", "--steps", "4", "--n-samples", "2"],
             ["probe", "--probe-k", "3", "--probe-t", "0.9", "--n-samples", "5"],
+            ["eval", "--strategy", "null,anchor_tree", "--steps", "2", "--n-samples", "2"],
         ],
-        ids=["corrupt", "sample", "probe"],
+        ids=["corrupt", "sample", "probe", "eval"],
     )
     def test_split_identifiers_runs(self, tmp_path, argv):
         # The vocabulary must hold the split chunks the records carry.
@@ -500,3 +510,65 @@ class TestOutputs:
         assert main([*argv, "--workers", "1", "--out", str(seq)]) == 0
         assert main([*argv, "--workers", "2", "--out", str(par)]) == 0
         assert run_dir_files(seq) == run_dir_files(par)
+
+
+# Every subcommand that reads a corpus, on small settings.
+CORPUS_COMMANDS = [
+    ["annotate"],
+    ["corrupt", "--t", "0.5"],
+    ["sample", "--steps", "4", "--n-samples", "2"],
+    ["probe", "--probe-k", "3", "--probe-t", "0.9", "--n-samples", "5"],
+    ["eval", "--strategy", "null,anchor_tree", "--steps", "2", "--n-samples", "2"],
+]
+CORPUS_COMMAND_IDS = [argv[0] for argv in CORPUS_COMMANDS]
+
+
+class TestOneFrontEnd:
+    """Every corpus kind reaches the subcommands as the same annotated records."""
+
+    @pytest.mark.parametrize("split", [None, "3"], ids=["unsplit", "split3"])
+    @pytest.mark.parametrize("argv", CORPUS_COMMANDS, ids=CORPUS_COMMAND_IDS)
+    def test_dataset_corpus_matches_synth(self, tmp_path, argv, split):
+        # The dataset keeps its split: the run on it takes no split flag.
+        flags = [] if split is None else ["--split-identifiers", split]
+        assert main(["annotate", *BASE, *flags, "--out", str(tmp_path / "a")]) == 0
+        dataset = str(tmp_path / "a" / "dataset.jsonl")
+        synth, jsonl = tmp_path / "synth", tmp_path / "jsonl"
+        assert main([*argv, *BASE, *flags, "--out", str(synth)]) == 0
+        assert main([*argv, *BASE, "--corpus", dataset, "--out", str(jsonl)]) == 0
+        assert run_dir_files(synth) == run_dir_files(jsonl)
+
+    @pytest.mark.parametrize("kind", ["jsonl", "directory"])
+    @pytest.mark.parametrize("argv", CORPUS_COMMANDS, ids=CORPUS_COMMAND_IDS)
+    def test_each_program_is_parsed_once(self, tmp_path, monkeypatch, argv, kind):
+        from anchordiff import corpus_io, synth_corpus
+
+        sources = synth_corpus(seed=3, n_programs=12, max_depth=6)
+        if kind == "jsonl":
+            path = tmp_path / "data.jsonl"
+            config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+            records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
+            path.write_text(dataset_to_jsonl(records, config))
+        else:
+            path = tmp_path / "programs"
+            path.mkdir()
+            for i, src in enumerate(sources):
+                (path / f"p{i:02d}.mini").write_text(src)
+        calls = []
+        real = corpus_io.parse
+        monkeypatch.setattr(corpus_io, "parse", lambda *a: calls.append(a) or real(*a))
+        assert main([*argv, *BASE, "--corpus", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == len(sources)
+
+    def test_annotate_directory_keeps_file_names(self, tmp_path):
+        from anchordiff import load_dataset, synth_corpus
+
+        programs = tmp_path / "programs"
+        programs.mkdir()
+        for i, src in enumerate(synth_corpus(seed=3, n_programs=3, max_depth=6)):
+            (programs / f"p{i}.mini").write_text(src)
+        (programs / "broken.mini").write_text("def f(:")
+        out = tmp_path / "a"
+        assert main(["annotate", "--corpus", str(programs), "--out", str(out)]) == 0
+        records, _ = load_dataset(out / "dataset.jsonl")
+        assert [r.record_id for r in records] == ["p0.mini", "p1.mini", "p2.mini"]

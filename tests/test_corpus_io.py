@@ -134,9 +134,15 @@ class TestSerialization:
             ("header", lambda h: {k: v for k, v in h.items() if k != "anchor"}),
             ("header", lambda h: {**h, "anchor": {"strategy": "bogus"}}),
             ("header", lambda h: [1, 2]),
+            ("record", lambda r: {**r, "node_id": [999] * len(r["node_id"])}),
+            ("record", lambda r: {**r, "omega": [1 - v for v in r["omega"]]}),
+            ("record", lambda r: {
+                **r, "tokens": [{**r["tokens"][0], "text": "zzz"}, *r["tokens"][1:]]
+            }),
         ],
         ids=["unparseable-source", "missing-tokens", "bad-token-kind", "missing-anchor",
-             "bad-strategy", "header-list"],
+             "bad-strategy", "header-list", "wrong-node-id", "wrong-omega",
+             "token-text-not-in-source"],
     )
     def test_malformed_line_is_an_ingest_error_naming_it(self, synth_records, target, edit):
         header, first, second = dataset_to_jsonl(synth_records[:2], CFG).splitlines()
@@ -148,6 +154,15 @@ class TestSerialization:
         payload = "\n".join([header, "", first, second]) + "\n"
         line = 1 if target == "header" else 4
         with pytest.raises(IngestError, match=f"^line {line}: "):
+            dataset_from_jsonl(payload)
+
+
+    @pytest.mark.parametrize("keep, count", [(5, 50), (3, 5), (5, 4)])
+    def test_record_count_must_match_the_header(self, synth_records, keep, count):
+        header, *lines = dataset_to_jsonl(synth_records[:5], CFG).splitlines()
+        header = json.dumps({**json.loads(header), "count": count})
+        payload = "\n".join([header, *lines[:keep]]) + "\n"
+        with pytest.raises(IngestError, match="^line 1: .*counts"):
             dataset_from_jsonl(payload)
 
 

@@ -190,7 +190,7 @@ class TestValidityEval:
 
 
 @pytest.fixture(scope="module")
-def rows(synth_sources):
+def rows(synth_records):
     configs = [
         SamplerConfig(
             T=8, strategy=AnchorConfig.for_strategy(AnchorStrategy.NULL),
@@ -202,7 +202,7 @@ def rows(synth_sources):
         ),
     ]
     return compare_strategies(
-        synth_sources[:40], configs, t_grid=[4, 8], n_samples=6,
+        synth_records[:40], configs, t_grid=[4, 8], n_samples=6,
         schedule_kind=ScheduleKind.COSINE, seed=11, length=64,
         nelbo_records=2, nelbo_samples=32,
     )
@@ -232,25 +232,27 @@ class TestCompareStrategies:
         )
         assert len(csv.strip().splitlines()) == 5
 
-    def test_seed_paired_reproducibility(self, synth_sources):
+    def test_seed_paired_reproducibility(self, synth_records):
         config = [
             SamplerConfig(
                 T=4, strategy=AnchorConfig.for_strategy(AnchorStrategy.NULL), seed=0
             )
         ]
         a = compare_strategies(
-            synth_sources[:20], config, [4], 4, ScheduleKind.COSINE, seed=3,
+            synth_records[:20], config, [4], 4, ScheduleKind.COSINE, seed=3,
             length=64, nelbo_records=1, nelbo_samples=16,
         )
         b = compare_strategies(
-            synth_sources[:20], config, [4], 4, ScheduleKind.COSINE, seed=3,
+            synth_records[:20], config, [4], 4, ScheduleKind.COSINE, seed=3,
             length=64, nelbo_records=1, nelbo_samples=16,
         )
         assert eval_rows_to_csv(a) == eval_rows_to_csv(b)
 
-    def test_each_config_gets_its_own_anchor_arrays(self, synth_sources, monkeypatch):
-        # Sources are annotated once; the corpus each config runs on must
-        # equal one built from a fresh annotation under that config.
+    def test_each_config_gets_its_own_anchor_arrays(
+        self, synth_sources, synth_records, monkeypatch
+    ):
+        # The records are reweighted per config; the corpus each config runs
+        # on must equal one built from a fresh annotation under that config.
         from anchordiff import experiments
         from anchordiff.corpus_io import annotate_program, build_corpus
 
@@ -265,7 +267,7 @@ class TestCompareStrategies:
             for s in (AnchorStrategy.ANCHOR_TREE, AnchorStrategy.KEYWORD, AnchorStrategy.NULL)
         ]
         compare_strategies(
-            synth_sources[:12], configs, [2], 1, ScheduleKind.COSINE, seed=0,
+            synth_records[:12], configs, [2], 1, ScheduleKind.COSINE, seed=0,
             length=64, nelbo_records=1, nelbo_samples=2,
         )
         assert len(seen) == len(configs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -80,6 +80,19 @@ class AnchorConfig:
             beta=default_beta(strategy) if beta is None else beta,
             d0=d0,
         )
+
+    def to_dict(self) -> dict:
+        """The JSON form, as in a dataset header and a run manifest."""
+        return {**asdict(self), "strategy": self.strategy.value}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AnchorConfig":
+        """The config of a ``to_dict`` form; a missing or unknown key is a
+        ValueError."""
+        names = sorted(f.name for f in fields(cls))
+        if sorted(data) != names:
+            raise ValueError(f"anchor config needs the keys {names}, got {sorted(data)}")
+        return cls(**{**data, "strategy": AnchorStrategy(data["strategy"])})
 
 
 @dataclass(frozen=True)

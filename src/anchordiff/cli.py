@@ -216,8 +216,9 @@ def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
     """The corpus's programs, each annotated once under ``anchor``.
 
     Synth records take their index as id and a directory's records their
-    file name. A dataset file's records keep their ids and tokens, so such
-    a corpus takes no ``--split-identifiers``.
+    file name; each directory file that does not read or parse is named on
+    stderr. A dataset file's records keep their ids and tokens, so such a
+    corpus takes no ``--split-identifiers``.
     """
     spec = resolved["corpus"]
     path = Path(spec)
@@ -239,7 +240,10 @@ def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
             raise ValueError("a .jsonl corpus keeps its own tokens; drop --split-identifiers")
         records = [reweight(rec, anchor) for rec in load_dataset(path)[0]]
     else:
-        records = ingest([path], anchor, split).records
+        result = ingest([path], anchor, split)
+        for skipped, reason in result.skipped:
+            print(f"skipped {skipped}: {reason}", file=sys.stderr)
+        records = result.records
     if not records:
         raise EmptyCorpusError(f"no parseable programs in corpus {path}")
     return records
@@ -302,6 +306,8 @@ def load_inputs(resolved: dict) -> Inputs:
         inputs.samplers = [_sampler_config(resolved, a, inputs.schedules[0].T) for a in anchors]
     if resolved["seed"] < 0:
         raise ValueError(f"--seed must be >= 0, got {resolved['seed']}")
+    if resolved["workers"] < 1:
+        raise ValueError(f"--workers must be >= 1, got {resolved['workers']}")
     if command != "annotate" and resolved["length"] < 1:
         raise ValueError(f"--length must be >= 1, got {resolved['length']}")
     if command in ("sample", "eval") and resolved["n_samples"] < 1:
@@ -341,12 +347,7 @@ def write_manifest(run_dir: Path, resolved: dict, anchor: AnchorConfig | None) -
         "config": {k: v for k, v in sorted(resolved.items()) if k != "out"},
     }
     if anchor is not None:
-        manifest["anchor"] = {
-            "strategy": anchor.strategy.value,
-            "gamma": anchor.gamma,
-            "beta": anchor.beta,
-            "d0": anchor.d0,
-        }
+        manifest["anchor"] = anchor.to_dict()
     _write(run_dir, "manifest.json", _json_document(manifest))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorStrategy, compute_eta, compute_omega
+from .anchors import AnchorConfig, compute_eta, compute_omega
 from .denoisers import Corpus
 from .diffusion import Vocab
 from .hierarchy import TokenAnnotation, assign_nodes
@@ -230,6 +230,8 @@ def _record_from_dict(data: dict, config: AnchorConfig) -> DatasetRecord:
     token, which reproduces the chunks of a split dataset and splits nothing
     in an unsplit one. Every stored field must equal the fresh annotation's.
     """
+    if not isinstance(data["id"], str):
+        raise ValueError(f"id must be a string, got {data['id']!r}")
     lengths = [len(t["text"]) for t in data["tokens"] if t["kind"] == TokenKind.IDENTIFIER.value]
     rec = annotate_program(
         data["source"], config, data["id"], split_max_len=max(lengths, default=None)
@@ -246,12 +248,7 @@ def dataset_to_jsonl(records: list[DatasetRecord], config: AnchorConfig) -> str:
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
         "count": len(records),
-        "anchor": {
-            "strategy": config.strategy.value,
-            "gamma": config.gamma,
-            "beta": config.beta,
-            "d0": config.d0,
-        },
+        "anchor": config.to_dict(),
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     lines.extend(
@@ -268,13 +265,7 @@ def _config_from_header(header: dict, n_records: int) -> AnchorConfig:
         raise IngestError(f"unsupported schema version {header.get('version')}")
     if header["count"] != n_records:
         raise ValueError(f"the header counts {header['count']} records; the file has {n_records}")
-    anchor = header["anchor"]
-    return AnchorConfig(
-        strategy=AnchorStrategy(anchor["strategy"]),
-        gamma=anchor["gamma"],
-        beta=anchor["beta"],
-        d0=anchor["d0"],
-    )
+    return AnchorConfig.from_dict(header["anchor"])
 
 
 def _from_line(number: int, line: str, build):

@@ -5,6 +5,11 @@ defs, if/elif/else, while, for-in, return, assignment, and expression
 statements; expressions cover names, numeric/string constants, calls,
 subscripts, arithmetic, comparisons, boolean operators, and parentheses.
 
+Each grammar shape is written once: the five left-associative binary
+levels (or, and, comparison, arith, term) are rows of one loop, listed in
+the precedence order of docs/grammar.md; parameters and call arguments
+share one comma list; while and for share one loop body.
+
 Node spans run from the first token a construct consumed to the last, so a
 parenthesized operand contributes its opening paren to the enclosing
 expression's span while keeping its own span tight around the inner tokens.
@@ -16,6 +21,8 @@ from .lexer import Token, TokenKind, tokenize
 from .nodes import AstNode, NodeKind, SyntaxTree
 
 CONSTANT_KEYWORDS = frozenset({"True", "False", "None"})
+OR_OPS = frozenset({"or"})
+AND_OPS = frozenset({"and"})
 COMPARE_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
 ADD_OPS = frozenset({"+", "-"})
 MUL_OPS = frozenset({"*", "/", "//", "%"})
@@ -161,22 +168,36 @@ class _Parser:
             self._advance()  # DEDENT
         return body
 
+    def _loop_block(self) -> list[int]:
+        """A while or for body, where break and continue are allowed."""
+        self.loop_depth += 1
+        try:
+            return self._block()
+        finally:
+            self.loop_depth -= 1
+
+    def _comma_list(self, item) -> list[int]:
+        """``"(" [ item { "," item } ] ")"``: the items' node ids."""
+        self._expect_text(TokenKind.DELIMITER, "(")
+        items: list[int] = []
+        if not self._match_text(TokenKind.DELIMITER, ")"):
+            items.append(item())
+            while self._match_text(TokenKind.DELIMITER, ","):
+                self._advance()
+                items.append(item())
+        self._expect_text(TokenKind.DELIMITER, ")")
+        return items
+
+    def _name(self, expected: str) -> int:
+        tok = self._expect_kind(TokenKind.IDENTIFIER, expected)
+        return self._new_node(NodeKind.NAME, tok.span, data=tok.text)
+
     def _function_def(self) -> int:
         start = self.pos
         self._advance()  # def
         name = self._expect_kind(TokenKind.IDENTIFIER, "a function name")
         args_start = self.pos
-        self._expect_text(TokenKind.DELIMITER, "(")
-        params: list[int] = []
-        if not self._match_text(TokenKind.DELIMITER, ")"):
-            while True:
-                p = self._expect_kind(TokenKind.IDENTIFIER, "a parameter name or ')'")
-                params.append(self._new_node(NodeKind.NAME, p.span, data=p.text))
-                if self._match_text(TokenKind.DELIMITER, ","):
-                    self._advance()
-                    continue
-                break
-        self._expect_text(TokenKind.DELIMITER, ")")
+        params = self._comma_list(lambda: self._name("a parameter name or ')'"))
         args = self._new_node(NodeKind.ARGUMENTS, self._span_from(args_start), params)
         self.func_depth += 1
         outer_loops, self.loop_depth = self.loop_depth, 0
@@ -205,25 +226,16 @@ class _Parser:
         start = self.pos
         self._advance()
         test = self._expression()
-        self.loop_depth += 1
-        try:
-            body = self._block()
-        finally:
-            self.loop_depth -= 1
+        body = self._loop_block()
         return self._new_node(NodeKind.WHILE, self._span_from(start), [test] + body)
 
     def _for_stmt(self) -> int:
         start = self.pos
         self._advance()
-        var = self._expect_kind(TokenKind.IDENTIFIER, "a loop variable")
-        target = self._new_node(NodeKind.NAME, var.span, data=var.text)
+        target = self._name("a loop variable")
         self._expect_text(TokenKind.KEYWORD, "in")
         iterable = self._expression()
-        self.loop_depth += 1
-        try:
-            body = self._block()
-        finally:
-            self.loop_depth -= 1
+        body = self._loop_block()
         return self._new_node(
             NodeKind.FOR, self._span_from(start), [target, iterable] + body
         )
@@ -274,28 +286,28 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def _expression(self) -> int:
-        return self._or_expr()
-
-    def _or_expr(self) -> int:
-        start = self.pos
-        node = self._and_expr()
-        while self._match_text(TokenKind.KEYWORD, "or"):
-            self._advance()
-            right = self._and_expr()
-            node = self._new_node(
-                NodeKind.BINOP, self._span_from(start), [node, right], data="or"
-            )
-        return node
+        return self._binary(self._and_expr, TokenKind.KEYWORD, OR_OPS)
 
     def _and_expr(self) -> int:
+        return self._binary(self._not_expr, TokenKind.KEYWORD, AND_OPS)
+
+    def _comparison(self) -> int:
+        return self._binary(self._arith, TokenKind.OPERATOR, COMPARE_OPS, NodeKind.COMPARE)
+
+    def _arith(self) -> int:
+        return self._binary(self._term, TokenKind.OPERATOR, ADD_OPS)
+
+    def _term(self) -> int:
+        return self._binary(self._power, TokenKind.OPERATOR, MUL_OPS)
+
+    def _binary(self, operand, kind: TokenKind, ops, node_kind=NodeKind.BINOP) -> int:
+        """``operand { op operand }`` for the ``kind`` tokens whose text is in ``ops``."""
         start = self.pos
-        node = self._not_expr()
-        while self._match_text(TokenKind.KEYWORD, "and"):
+        node = operand()
+        while (tok := self._peek()) is not None and tok.kind is kind and tok.text in ops:
             self._advance()
-            right = self._not_expr()
-            node = self._new_node(
-                NodeKind.BINOP, self._span_from(start), [node, right], data="and"
-            )
+            right = operand()  # before _span_from, so the span ends at the operand
+            node = self._new_node(node_kind, self._span_from(start), [node, right], data=tok.text)
         return node
 
     def _not_expr(self) -> int:
@@ -307,51 +319,6 @@ class _Parser:
                 NodeKind.BINOP, self._span_from(start), [operand], data="not"
             )
         return self._comparison()
-
-    def _comparison(self) -> int:
-        start = self.pos
-        node = self._arith()
-        while (
-            self._peek() is not None
-            and self._peek().kind is TokenKind.OPERATOR
-            and self._peek().text in COMPARE_OPS
-        ):
-            op = self._advance().text
-            right = self._arith()
-            node = self._new_node(
-                NodeKind.COMPARE, self._span_from(start), [node, right], data=op
-            )
-        return node
-
-    def _arith(self) -> int:
-        start = self.pos
-        node = self._term()
-        while (
-            self._peek() is not None
-            and self._peek().kind is TokenKind.OPERATOR
-            and self._peek().text in ADD_OPS
-        ):
-            op = self._advance().text
-            right = self._term()
-            node = self._new_node(
-                NodeKind.BINOP, self._span_from(start), [node, right], data=op
-            )
-        return node
-
-    def _term(self) -> int:
-        start = self.pos
-        node = self._power()
-        while (
-            self._peek() is not None
-            and self._peek().kind is TokenKind.OPERATOR
-            and self._peek().text in MUL_OPS
-        ):
-            op = self._advance().text
-            right = self._power()
-            node = self._new_node(
-                NodeKind.BINOP, self._span_from(start), [node, right], data=op
-            )
-        return node
 
     def _power(self) -> int:
         start = self.pos
@@ -369,16 +336,7 @@ class _Parser:
         node = self._atom()
         while True:
             if self._match_text(TokenKind.DELIMITER, "("):
-                self._advance()
-                args: list[int] = []
-                if not self._match_text(TokenKind.DELIMITER, ")"):
-                    while True:
-                        args.append(self._expression())
-                        if self._match_text(TokenKind.DELIMITER, ","):
-                            self._advance()
-                            continue
-                        break
-                self._expect_text(TokenKind.DELIMITER, ")")
+                args = self._comma_list(self._expression)
                 node = self._new_node(
                     NodeKind.CALL, self._span_from(start), [node] + args
                 )

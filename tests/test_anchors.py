@@ -151,6 +151,14 @@ class TestDefaults:
             positive = rec.mu > 0
             assert np.all(rec.omega[positive] == 1)
 
+    @pytest.mark.parametrize("strategy", list(AnchorStrategy))
+    def test_dict_form_round_trips(self, strategy):
+        config = AnchorConfig.for_strategy(strategy, d0=3)
+        assert config.to_dict() == {
+            "strategy": strategy.value, "gamma": config.gamma, "beta": config.beta, "d0": 3,
+        }
+        assert AnchorConfig.from_dict(config.to_dict()) == config
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             AnchorConfig(AnchorStrategy.KEYWORD, gamma=-1.0, beta=0.0)

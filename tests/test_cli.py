@@ -71,6 +71,7 @@ def dataset_files() -> dict[str, str]:
         "LIST_HEADER": ([1, 2], record),
         "WRONG_NODE_ID": (header, {**record, "node_id": [999] * len(record["node_id"])}),
         "WRONG_COUNT": ({**header, "count": 50}, record),
+        "INT_ID": (header, {**record, "id": 7}),
         "EMPTY": ({**header, "count": 0},),
     }
     return {name: "".join(json.dumps(v) + "\n" for v in pair) for name, pair in lines.items()}
@@ -143,9 +144,11 @@ class TestExitCodes:
             ["sample", "--corpus", "LIST_HEADER", *JSONL_SAMPLE],
             ["sample", "--corpus", "WRONG_NODE_ID", *JSONL_SAMPLE],
             ["sample", "--corpus", "WRONG_COUNT", *JSONL_SAMPLE],
+            ["sample", "--corpus", "INT_ID", *JSONL_SAMPLE],
             ["sample", "--corpus", "VALID", "--split-identifiers", "3", *JSONL_SAMPLE],
             ["annotate", "--corpus", "EMPTY"],
             ["annotate", "--synth-programs", "0"],
+            ["sample", "--workers", "0"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
@@ -157,7 +160,8 @@ class TestExitCodes:
              "config-nan-literal", "config-infinity-literal", "config-overflowing-float",
              "config-huge-int-float", "jsonl-unparseable-source", "jsonl-no-tokens",
              "jsonl-no-anchor", "jsonl-list-header", "jsonl-wrong-node-id",
-             "jsonl-wrong-count", "jsonl-split", "jsonl-empty", "synth-empty"],
+             "jsonl-wrong-count", "jsonl-int-id", "jsonl-split", "jsonl-empty",
+             "synth-empty", "sample-workers-0"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {
@@ -572,3 +576,20 @@ class TestOneFrontEnd:
         assert main(["annotate", "--corpus", str(programs), "--out", str(out)]) == 0
         records, _ = load_dataset(out / "dataset.jsonl")
         assert [r.record_id for r in records] == ["p0.mini", "p1.mini", "p2.mini"]
+
+    def test_skipped_directory_files_are_reported_on_stderr(self, tmp_path, capsys):
+        from anchordiff import synth_corpus
+
+        good, mixed = tmp_path / "good", tmp_path / "mixed"
+        for directory in (good, mixed):
+            directory.mkdir()
+            for i, src in enumerate(synth_corpus(seed=3, n_programs=2, max_depth=6)):
+                (directory / f"p{i}.mini").write_text(src)
+        (mixed / "broken.mini").write_text("def f(:")
+        assert main(["annotate", "--corpus", str(good), "--out", str(tmp_path / "g")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["annotate", "--corpus", str(mixed), "--out", str(tmp_path / "m")]) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"skipped {mixed / 'broken.mini'}: offset 6: expected")
+        # The report goes to stderr only: the run's files are those of the good pair.
+        assert run_dir_files(tmp_path / "m") == run_dir_files(tmp_path / "g")

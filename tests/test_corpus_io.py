@@ -139,10 +139,16 @@ class TestSerialization:
             ("record", lambda r: {
                 **r, "tokens": [{**r["tokens"][0], "text": "zzz"}, *r["tokens"][1:]]
             }),
+            ("record", lambda r: {**r, "id": 7}),
+            ("header", lambda h: {**h, "anchor": {**h["anchor"], "extra": 1}}),
+            ("header", lambda h: {
+                **h, "anchor": {k: v for k, v in h["anchor"].items() if k != "d0"}
+            }),
         ],
         ids=["unparseable-source", "missing-tokens", "bad-token-kind", "missing-anchor",
              "bad-strategy", "header-list", "wrong-node-id", "wrong-omega",
-             "token-text-not-in-source"],
+             "token-text-not-in-source", "int-id", "unknown-anchor-field",
+             "missing-anchor-d0"],
     )
     def test_malformed_line_is_an_ingest_error_naming_it(self, synth_records, target, edit):
         header, first, second = dataset_to_jsonl(synth_records[:2], CFG).splitlines()

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,3 +284,181 @@ class TestParseGivenTokens:
     @settings(max_examples=300, deadline=None)
     def test_same_tree_or_error_as_parse_alone(self, src):
         assert _parse_outcome(src, tokenize(src)) == _parse_outcome(src)
+
+
+# -- a pinned corpus over the whole grammar --------------------------------
+#
+# Expressions carry their precedence level (docs/grammar.md, loosest first):
+# or 0, and 1, not 2, comparison 3, arith 4, term 5, power 6, postfix 7.
+# An operand looser than its slot is parenthesized, so every drawn program
+# is well formed; a few operands are parenthesized anyway.
+BINARY_LEVELS = [
+    (0, ["or"]),
+    (1, ["and"]),
+    (3, ["<", ">", "<=", ">=", "==", "!="]),
+    (4, ["+", "-"]),
+    (5, ["*", "/", "//", "%"]),
+    (6, ["**"]),
+]
+ATOMS = ["a", "b", "xs", "find_max", "0", "42", "1.5", "'s'", '"t\\"q"',
+         "True", "False", "None"]
+
+
+def _operand(rnd, depth, level):
+    text, own = _gen_expr(rnd, depth)
+    if own < level or rnd.random() < 0.1:
+        return f"({text})"
+    return text
+
+
+def _gen_expr(rnd, depth):
+    """(text, precedence level) of a random well-formed expression."""
+    if depth <= 0 or rnd.random() < 0.25:
+        return rnd.choice(ATOMS), 7
+    form = rnd.randrange(4)
+    if form == 0:
+        level, ops = rnd.choice(BINARY_LEVELS)
+        parts = [_operand(rnd, depth - 1, level + (level == 6))]
+        for _ in range(rnd.randint(1, 2)):
+            parts += [rnd.choice(ops), _operand(rnd, depth - 1, level)]
+        return " ".join(parts), level
+    if form == 1:
+        return "not " + _operand(rnd, depth - 1, 2), 2
+    target = _operand(rnd, depth - 1, 7)
+    if form == 2:
+        args = [_operand(rnd, depth - 1, 0) for _ in range(rnd.randint(0, 3))]
+        return f"{target}({', '.join(args)})", 7
+    return f"{target}[{_operand(rnd, depth - 1, 0)}]", 7
+
+
+def _gen_block(rnd, depth, indent, in_func, in_loop):
+    return [
+        line
+        for _ in range(rnd.randint(1, 3))
+        for line in _gen_stmt(rnd, depth, indent, in_func, in_loop)
+    ]
+
+
+def _gen_stmt(rnd, depth, indent, in_func, in_loop):
+    """The lines of one random well-formed statement at ``indent``."""
+    pad = " " * indent
+    expr = lambda: _gen_expr(rnd, rnd.randint(1, 3))[0]  # noqa: E731
+    simple = ["assign", "subscript-assign", "expr", "pass"]
+    simple += ["return", "bare-return"] if in_func else []
+    simple += ["break", "continue"] if in_loop else []
+    compound = ["def", "if", "while", "for"] if depth > 0 else []
+    form = rnd.choice(simple + compound * 2)
+    step = indent + rnd.choice([2, 4])
+    if form == "def":
+        params = ", ".join(rnd.sample(["a", "b", "xs", "n"], rnd.randint(0, 3)))
+        body = _gen_block(rnd, depth - 1, step, True, False)
+        return [f"{pad}def f({params}):", *body]
+    if form == "if":
+        lines = [f"{pad}if {expr()}:", *_gen_block(rnd, depth - 1, step, in_func, in_loop)]
+        for _ in range(rnd.randint(0, 2)):
+            lines += [f"{pad}elif {expr()}:", *_gen_block(rnd, depth - 1, step, in_func, in_loop)]
+        if rnd.random() < 0.5:
+            lines += [f"{pad}else:", *_gen_block(rnd, depth - 1, step, in_func, in_loop)]
+        return lines
+    if form in ("while", "for"):
+        head = f"while {expr()}" if form == "while" else f"for v in {expr()}"
+        return [f"{pad}{head}:", *_gen_block(rnd, depth - 1, step, in_func, True)]
+    return [pad + {
+        "assign": lambda: f"acc = {expr()}",
+        "subscript-assign": lambda: f"xs[{expr()}] = {expr()}",
+        "expr": expr,
+        "return": lambda: f"return {expr()}",
+        "bare-return": lambda: "return",
+        "pass": lambda: "pass",
+        "break": lambda: "break",
+        "continue": lambda: "continue",
+    }[form]()]
+
+
+def _gen_program(rnd):
+    lines = _gen_block(rnd, 2, 0, False, False)
+    if rnd.random() < 0.3:
+        lines.insert(rnd.randrange(len(lines) + 1), "")
+    return "\n".join(lines) + rnd.choice(["\n", ""])
+
+
+FRAGMENT_PIECES = [
+    "def f(", "def ", "(a, b)", "):", "if ", "elif ", "else", "while ", "for v in ",
+    "return", "pass", "break", "continue", "import", "x", "xs[", "]", "= ", "1", "'s'",
+    " or ", " and ", "not ", " < ", " >= ", " != ", " + ", " - ", " * ", " // ", " % ",
+    " ** ", "(", ")", ",", ":", "\n", "    ", "\t", "h(2)", "[0]", "@", "True",
+]
+
+
+def _mutate(rnd, source):
+    """``source`` with a short span deleted, duplicated or replaced by a piece."""
+    i = rnd.randrange(len(source) + 1)
+    j = min(len(source), i + rnd.randint(1, 6))
+    return rnd.choice([
+        source[:i] + source[j:],
+        source[:j] + source[i:],
+        source[:i] + rnd.choice(FRAGMENT_PIECES) + source[j:],
+    ])
+
+
+def parser_pin_corpus(seed=20261018):
+    """Well-formed programs over every production, then malformed inputs:
+    mutated programs and joins of random grammar fragments."""
+    rnd = random.Random(seed)
+    programs = [_gen_program(rnd) for _ in range(400)]
+    malformed = [_mutate(rnd, rnd.choice(programs)) for _ in range(1500)]
+    malformed += [
+        "".join(rnd.choices(FRAGMENT_PIECES, k=rnd.randint(1, 25))) for _ in range(1500)
+    ]
+    return programs, malformed
+
+
+def _json_outcome(src):
+    outcome = _parse_outcome(src)
+    if outcome[0] == "tree":
+        _, root, nodes = outcome
+        return ["tree", root, [[i, k.value, s, c, d, x] for i, k, s, c, d, x in nodes]]
+    return list(outcome)
+
+
+@pytest.fixture(scope="module")
+def pin_outcomes():
+    """The JSON form of each outcome: the programs', then the malformed inputs'."""
+    programs, malformed = parser_pin_corpus()
+    return [_json_outcome(src) for src in programs], [_json_outcome(src) for src in malformed]
+
+
+class TestParserPin:
+    """Every tree (ids, kinds, spans, children, depths, data) and every
+    ParseError (offset, message) of a seeded corpus, pinned by SHA-256."""
+
+    DIGEST = "d617399f1b35fb4526ceda3d5eac273b47112c332974a1160f39d8654f5da174"
+
+    def test_corpus_reaches_the_whole_grammar(self, pin_outcomes):
+        programs, malformed = pin_outcomes
+        assert all(outcome[0] == "tree" for outcome in programs)
+        nodes = [node for _, _, tree in programs for node in tree]
+        assert {kind for _, kind, *_ in nodes} == {k.value for k in NodeKind}
+        data = {(kind, x) for _, kind, _, _, _, x in nodes}
+        assert {x for kind, x in data if kind in ("BinOp", "Compare")} == {
+            op for _, ops in BINARY_LEVELS for op in ops
+        } | {"not"}
+        assert {x for kind, x in data if kind == "ExprStmt"} >= {"pass", "break", "continue"}
+        errors = [message for kind, _, message in malformed if kind == "error"]
+        assert len(errors) > len(malformed) // 2
+        assert {
+            "unexpected indent", "'return' outside a function", "'break' outside a loop",
+            "'continue' outside a loop", "cannot assign to this expression",
+        } <= set(errors)
+        assert {
+            "expected a function name", "expected a parameter name or ')'",
+            "expected a loop variable", "expected an expression", "expected end of line",
+            "expected an indented block", "expected ':'", "expected ')'", "expected ']'",
+            "expected 'in'", "expected '('",
+        } <= {m.split(", found")[0] for m in errors}
+
+    def test_trees_and_errors_are_pinned(self, pin_outcomes):
+        digest = hashlib.sha256()
+        for outcome in pin_outcomes[0] + pin_outcomes[1]:
+            digest.update(json.dumps(outcome).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST

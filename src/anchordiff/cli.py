@@ -308,6 +308,8 @@ def load_inputs(resolved: dict) -> Inputs:
         raise ValueError(f"--seed must be >= 0, got {resolved['seed']}")
     if resolved["workers"] < 1:
         raise ValueError(f"--workers must be >= 1, got {resolved['workers']}")
+    if command != "sample" and resolved["workers"] > 1:
+        raise ValueError(f"--workers above 1 applies to sample only; {command} runs in one process")
     if command != "annotate" and resolved["length"] < 1:
         raise ValueError(f"--length must be >= 1, got {resolved['length']}")
     if command in ("sample", "eval") and resolved["n_samples"] < 1:

@@ -20,7 +20,7 @@ import numpy as np
 from .anchors import AnchorConfig, compute_eta, compute_omega
 from .denoisers import Corpus
 from .diffusion import Vocab
-from .hierarchy import TokenAnnotation, assign_nodes
+from .hierarchy import TokenAnnotation, assign_nodes, chain_lengths
 from .minilang import (
     MASK_SURFACE,
     PAD_SURFACE,
@@ -50,13 +50,16 @@ class IngestError(Exception):
 @dataclass
 class DatasetRecord:
     """One annotated program: tokens with spans plus per-token node ids,
-    depths, and anchor arrays. The tree is re-derived from the source."""
+    depths, chain lengths and anchor arrays. The tree is re-derived from
+    the source, and ``chain`` (each token's count of token-bearing strict
+    ancestors) from the tree, so neither is serialized."""
 
     record_id: str
     source: str
     tokens: list[Token]
     tree: SyntaxTree
     annotations: list[TokenAnnotation]
+    chain: np.ndarray
     omega: np.ndarray
     eta: np.ndarray
     mu: np.ndarray
@@ -87,13 +90,14 @@ def annotate_program(
         tokens=tokens,
         tree=tree,
         annotations=annotations,
+        chain=chain_lengths(tree, annotations),
         **_anchor_arrays(annotations, config),
     )
 
 
 def reweight(rec: DatasetRecord, config: AnchorConfig) -> DatasetRecord:
-    """``rec`` under another anchor config: the same tokens, tree and
-    annotations, with omega, eta and mu recomputed."""
+    """``rec`` under another anchor config: the same tokens, tree,
+    annotations and chain lengths, with omega, eta and mu recomputed."""
     return replace(rec, **_anchor_arrays(rec.annotations, config))
 
 
@@ -178,7 +182,8 @@ def build_corpus(
 
     Without ``vocab``, the vocabulary is built from the records' own tokens,
     so it holds the chunks of split identifiers. Pad positions carry omega
-    0, eta 0, and depth -1 so downstream statistics can exclude them.
+    0, eta 0, and depth and chain -1 so downstream statistics can exclude
+    them.
     """
     if not records:
         raise EmptyCorpusError("no records")
@@ -191,16 +196,19 @@ def build_corpus(
     omega = np.zeros((n, length), dtype=np.float64)
     eta = np.zeros((n, length), dtype=np.float64)
     depth = np.full((n, length), -1, dtype=np.int64)
+    chain = np.full((n, length), -1, dtype=np.int64)
     for i, rec in enumerate(records):
         ids[i] = encode_tokens(rec.tokens, vocab, length)
         m = min(len(rec), length)
         omega[i, :m] = rec.omega[:m]
         eta[i, :m] = rec.eta[:m]
         depth[i, :m] = [a.depth for a in rec.annotations[:m]]
+        chain[i, :m] = rec.chain[:m]
     if weights is None:
         weights = np.ones(n)
     return Corpus(
-        ids=ids, weights=weights, vocab=vocab, omega=omega, eta=eta, depth=depth
+        ids=ids, weights=weights, vocab=vocab, omega=omega, eta=eta, depth=depth,
+        chain=chain,
     )
 
 

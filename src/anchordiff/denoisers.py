@@ -53,9 +53,10 @@ class NoMatchError(DiffusionError):
 class Corpus:
     """Equal-length token-id sequences with per-sequence multiplicities.
 
-    ``omega``/``eta``/``depth`` are optional per-position annotation arrays
-    aligned with ``ids`` (depth -1 marks padding); they power the anchored
-    sampler's position profile and the ordering statistics.
+    ``omega``/``eta``/``depth``/``chain`` are optional per-position
+    annotation arrays aligned with ``ids`` (depth and chain -1 mark
+    padding); they power the anchored sampler's position profile, the
+    ordering statistics and the ancestry probe.
     """
 
     ids: np.ndarray
@@ -64,6 +65,7 @@ class Corpus:
     omega: np.ndarray | None = None
     eta: np.ndarray | None = None
     depth: np.ndarray | None = None
+    chain: np.ndarray | None = None
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)

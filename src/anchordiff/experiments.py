@@ -21,12 +21,7 @@ from .denoisers import (
     TwoStagePredictor,
 )
 from .diffusion import LatentSequence, Vocab, as_rng, corrupt, nelbo
-from .hierarchy import (
-    InsufficientDepth,
-    ancestor_chain,
-    max_chain_length,
-    positions_by_node,
-)
+from .hierarchy import InsufficientDepth, ancestor_chain
 from .minilang import is_syntactically_valid, render_surfaces
 from .sampler import AnchoredPair, DenoiseTrace, SamplerConfig, generate
 from .schedule import NoiseSchedule
@@ -84,24 +79,6 @@ class ProbeRun:
         return float(diff.mean()), se
 
 
-def _probe_targets(
-    records: list[DatasetRecord], k: int, length: int
-) -> tuple[list[list[int]], int]:
-    """Per record: positions admitting an ancestor chain of length k; and
-    the longest chain any position admits."""
-    eligible: list[list[int]] = []
-    achievable = 0
-    for rec in records:
-        index = positions_by_node(rec.annotations)
-        chains = [
-            max_chain_length(l, rec.annotations, rec.tree, index)
-            for l in range(min(len(rec), length))
-        ]
-        eligible.append([l for l, c in enumerate(chains) if c >= k])
-        achievable = max([achievable, *chains])
-    return eligible, achievable
-
-
 def ancestry_probe(
     records: list[DatasetRecord],
     corpus: Corpus,
@@ -123,15 +100,26 @@ def ancestry_probe(
     probability of the true token at l0 after each reveal. All three
     orderings share each probe's corruption and reveal draws. One probe
     gives no standard error, so ``n_probes`` must be at least 2.
+
+    A target is any position whose chain length (``corpus.chain``, one row
+    per record, as ``build_corpus`` pads it) is at least ``k``, so it
+    always has a chain of k ancestors; a probe is skipped only when the
+    chain reaches past the corpus length or too few other positions are
+    masked.
     """
     if n_probes < 2:
         raise ValueError(f"n_probes must be >= 2 for a standard error, got {n_probes}")
+    if corpus.chain is None:
+        raise ValueError("the probe reads chain lengths from corpus.chain, which build_corpus fills")
+    if corpus.n != len(records):
+        raise ValueError(f"{len(records)} records for {corpus.n} corpus rows")
     rng = as_rng(rng)
     schedule = schedule or NoiseSchedule(T=max(corpus.length, 1))
     length = corpus.length
-    eligible, achievable = _probe_targets(records, k, length)
-    candidates = [i for i, ok in enumerate(eligible) if ok]
-    if not candidates:
+    ok = corpus.chain >= k
+    candidates = np.flatnonzero(ok.any(axis=1))
+    achievable = int(corpus.chain.max(initial=0))
+    if not len(candidates):
         raise InsufficientDepth(-1, k, achievable)
     raw: dict[tuple[str, float], np.ndarray] = {
         (o.value, t): np.zeros((n_probes, k + 1)) for o in RevealOrder for t in t_values
@@ -145,14 +133,11 @@ def ancestry_probe(
             attempts += 1
             if attempts > 50 * n_probes:
                 raise InsufficientDepth(-1, k, achievable)
-            ri = candidates[rng.integers(len(candidates))]
+            ri = int(candidates[rng.integers(len(candidates))])
             rec = records[ri]
-            l0 = eligible[ri][rng.integers(len(eligible[ri]))]
-            try:
-                chain = ancestor_chain(l0, k, rec.annotations, rec.tree, rule).positions
-            except InsufficientDepth:
-                skipped += 1
-                continue
+            targets = np.flatnonzero(ok[ri])
+            l0 = int(targets[rng.integers(len(targets))])
+            chain = ancestor_chain(l0, k, rec.annotations, rec.tree, rule).positions
             if any(pos >= length for pos in chain):
                 skipped += 1
                 continue

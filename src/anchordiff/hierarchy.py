@@ -9,6 +9,12 @@ than one tree search per token; ``tests/oracles.py`` keeps the per-token
 brute force it is checked against. The induced partial order over
 positions (ancestor-of, or same-node-and-earlier) is what the anchor
 weighting and the ancestry probe are built on.
+
+A position's chain length, the number of token-bearing strict ancestors of
+its node, bounds the ancestor chains the probe can draw from it.
+``chain_lengths`` counts them for every token in one top-down walk, once
+per record; ``max_chain_length`` climbs the tree for one position and is
+the reference the walk is tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+
+import numpy as np
 
 from .minilang import SyntaxTree, Token, TokenKind
 
@@ -194,3 +202,25 @@ def max_chain_length(
             count += 1
         current = tree.parent(current)
     return count
+
+
+def chain_lengths(tree: SyntaxTree, annotations: list[TokenAnnotation]) -> np.ndarray:
+    """``max_chain_length`` of every position, from one top-down walk.
+
+    Each node hands its children the count of token-bearing nodes from the
+    root down to itself, so every node learns its count of token-bearing
+    strict ancestors from its parent; a token reads its node's count.
+    """
+    bearing = {a.node_id for a in annotations}
+    nodes = tree.nodes
+    above = {tree.root: 0}
+    todo = [tree.root]
+    while todo:
+        node_id = todo.pop()
+        children = nodes[node_id].children
+        if children:
+            below = above[node_id] + (node_id in bearing)
+            for child in children:
+                above[child] = below
+            todo.extend(children)
+    return np.array([above[a.node_id] for a in annotations], dtype=np.int64)

@@ -117,13 +117,14 @@ class _Parser:
     # -- module ------------------------------------------------------------
 
     def parse_module(self) -> SyntaxTree:
+        # No Dedent reaches this loop. Only _block consumes Indent and Dedent
+        # tokens, one of each, so between module-level statements no Indent
+        # is open, and the lexer emits a Dedent only to close an open one.
         body: list[int] = []
         while not self._at_end():
             tok = self._peek()
             if tok.kind is TokenKind.INDENT:
                 raise ParseError(tok.start, "unexpected indent")
-            if tok.kind is TokenKind.DEDENT:
-                raise ParseError(tok.start, "unexpected dedent")
             body.append(self._statement())
         content = [
             t

@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations used only by tests.
 
 Each oracle recomputes a result through a second, naive code path: full
-node-table scans for token assignment, per-sequence loops for the
-posterior, explicit state-space enumeration for reverse chains, a
-dict-of-contexts count model, and a one-draw-at-a-time loss loop.
+node-table scans for token assignment, a tree climb per position for the
+probe's targets, per-sequence loops for the posterior, explicit
+state-space enumeration for reverse chains, a dict-of-contexts count
+model, and a one-draw-at-a-time loss loop.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from anchordiff.diffusion import (
     corrupt,
     temper_row,
 )
+from anchordiff.hierarchy import max_chain_length, positions_by_node
 from anchordiff.minilang import SyntaxTree, Token
 from anchordiff.schedule import NoiseSchedule, lambda_weight, step_times, unmask_prob
 
@@ -61,6 +63,23 @@ def naive_node_assignment(tree: SyntaxTree, tokens: list[Token]) -> list[int]:
         pool.sort(key=lambda n: (n.span[0], n.id))
         out.append(pool[0].id)
     return out
+
+
+def naive_probe_targets(records, k: int, length: int) -> tuple[list[list[int]], int]:
+    """Per record: positions below ``length`` admitting an ancestor chain of
+    length k, each found by climbing the tree; and the longest chain any
+    such position admits (0 when there is none)."""
+    eligible: list[list[int]] = []
+    achievable = 0
+    for rec in records:
+        index = positions_by_node(rec.annotations)
+        chains = [
+            max_chain_length(l, rec.annotations, rec.tree, index)
+            for l in range(min(len(rec), length))
+        ]
+        eligible.append([l for l, c in enumerate(chains) if c >= k])
+        achievable = max([achievable, *chains])
+    return eligible, achievable
 
 
 def naive_consistent_rows(corpus: Corpus, z: LatentSequence) -> list[int]:

@@ -149,6 +149,10 @@ class TestExitCodes:
             ["annotate", "--corpus", "EMPTY"],
             ["annotate", "--synth-programs", "0"],
             ["sample", "--workers", "0"],
+            ["annotate", "--workers", "2"],
+            ["corrupt", "--workers", "2"],
+            ["probe", "--workers", "2"],
+            ["eval", "--workers", "2"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
@@ -161,7 +165,8 @@ class TestExitCodes:
              "config-huge-int-float", "jsonl-unparseable-source", "jsonl-no-tokens",
              "jsonl-no-anchor", "jsonl-list-header", "jsonl-wrong-node-id",
              "jsonl-wrong-count", "jsonl-int-id", "jsonl-split", "jsonl-empty",
-             "synth-empty", "sample-workers-0"],
+             "synth-empty", "sample-workers-0", "annotate-workers-2", "corrupt-workers-2",
+             "probe-workers-2", "eval-workers-2"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {

@@ -12,6 +12,7 @@ from anchordiff import (
     EmptyCorpusError,
     IngestError,
     annotate_program,
+    build_corpus,
     build_vocab,
     dataset_from_jsonl,
     dataset_to_jsonl,
@@ -78,6 +79,20 @@ class TestEncode:
         assert not corpus.omega[pads].any()
         assert (corpus.depth[pads] == -1).all()
 
+    @pytest.mark.parametrize("split", [None, 2])
+    @pytest.mark.parametrize("extra", [-20, 0, 5])
+    def test_chain_rows_are_the_records_padded_with_minus_one(self, synth_sources, split, extra):
+        # Split records differ in length; the corpus may cut or pad them.
+        records = [annotate_program(s, CFG, split_max_len=split) for s in synth_sources[:8]]
+        length = max(len(r) for r in records) + extra
+        corpus = build_corpus(records, length=length)
+        assert corpus.chain.shape == corpus.depth.shape == (8, length)
+        for row, rec in zip(corpus.chain, records):
+            m = min(len(rec), length)
+            assert row[:m].tolist() == rec.chain[:m].tolist()
+            assert (row[m:] == -1).all()
+        assert ((corpus.chain == -1) == (corpus.depth == -1)).all()
+
 
 class TestIngest:
     def test_directory_roundtrip(self, tmp_path, synth_sources):
@@ -120,6 +135,8 @@ class TestSerialization:
             ]
             assert np.array_equal(back.omega, orig.omega)
             assert np.array_equal(back.eta, orig.eta)
+            # chain is not serialized: loading rebuilds it from the source
+            assert np.array_equal(back.chain, orig.chain)
 
     def test_rejects_foreign_payload(self):
         with pytest.raises(IngestError):
@@ -245,3 +262,4 @@ class TestFrontEndGolden:
             fresh = annotate_program(src, config, str(i), split_max_len=2)
             moved = reweight(annotate_program(src, CFG, str(i), split_max_len=2), config)
             assert dataset_to_jsonl([moved], config) == dataset_to_jsonl([fresh], config)
+            assert np.array_equal(moved.chain, fresh.chain)

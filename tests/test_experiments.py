@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchordiff import (
     AnchorConfig,
     AnchorStrategy,
     SamplerConfig,
+    annotate_program,
+    build_corpus,
+    synth_corpus,
 )
-from anchordiff.denoisers import ExactPosteriorDenoiser, PosteriorAnchorProfile
+from anchordiff import experiments
+from anchordiff.denoisers import Corpus, ExactPosteriorDenoiser, PosteriorAnchorProfile
 from anchordiff.experiments import (
     RevealOrder,
     ancestry_probe,
@@ -23,6 +30,8 @@ from anchordiff.experiments import (
 from anchordiff.hierarchy import InsufficientDepth
 from anchordiff.sampler import generate
 from anchordiff.schedule import NoiseSchedule, ScheduleKind
+
+from .oracles import naive_probe_targets
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +103,16 @@ class TestAncestryProbe:
                 t_values=[0.9], k=50, n_probes=5, rng=0,
             )
 
+    def test_corpus_without_chain_rows_rejected(self, synth_records, synth_corpus_built):
+        # The targets come from Corpus.chain, which only build_corpus fills.
+        built = synth_corpus_built
+        bare = Corpus(built.ids, built.weights, built.vocab, built.omega, built.eta, built.depth)
+        den = ExactPosteriorDenoiser(built)
+        with pytest.raises(ValueError, match="corpus.chain"):
+            ancestry_probe(synth_records, bare, den, [0.9], k=3, n_probes=5, rng=0)
+        with pytest.raises(ValueError, match="records for"):
+            ancestry_probe(synth_records[:-1], built, den, [0.9], k=3, n_probes=5, rng=0)
+
     def test_single_probe_rejected(self, synth_records, synth_corpus_built):
         # One probe has no standard error, which every CSV row reports.
         den = ExactPosteriorDenoiser(synth_corpus_built)
@@ -130,6 +149,87 @@ class TestAncestryProbe:
             )
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] >= 1
+
+
+PROBE_CONFIG = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+
+
+class TestProbeTargets:
+    """The probe's targets, read from Corpus.chain, against the per-position
+    tree climb of tests/oracles.py."""
+
+    @given(
+        seed=st.integers(0, 100_000),
+        max_depth=st.integers(3, 8),
+        split=st.sampled_from([None, 1, 2, 3]),
+        k=st.integers(0, 6),
+        extra=st.sampled_from([-30, -1, 0, 6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_targets_match_the_oracle(self, seed, max_depth, split, k, extra):
+        # extra sets the corpus length against the longest record: shorter,
+        # equal or longer. Split records differ in length.
+        sources = synth_corpus(seed=seed, n_programs=5, max_depth=max_depth)
+        records = [annotate_program(s, PROBE_CONFIG, split_max_len=split) for s in sources]
+        length = max(1, max(len(r) for r in records) + extra)
+        corpus = build_corpus(records, length=length)
+        eligible, achievable = naive_probe_targets(records, k, length)
+        assert [np.flatnonzero(row >= k).tolist() for row in corpus.chain] == eligible
+
+        drawn = []
+        real = experiments.ancestor_chain
+
+        def recording(l0, k_, annotations, *args):
+            ri = next(i for i, rec in enumerate(records) if rec.annotations is annotations)
+            drawn.append((ri, l0))
+            assert type(l0) is int
+            return real(l0, k_, annotations, *args)
+
+        den = ExactPosteriorDenoiser(corpus)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "ancestor_chain", recording)
+            try:
+                run = ancestry_probe(records, corpus, den, [0.7], k=k, n_probes=4, rng=seed)
+            except InsufficientDepth as exc:
+                # No target at all, or every draw skipped.
+                assert exc.achieved == achievable
+            else:
+                assert run.achievable_k == achievable
+        assert all(l0 in eligible[ri] for ri, l0 in drawn)
+
+
+class TestProbePin:
+    """probe.csv and (skipped, achievable_k) of seeded 200-program probes,
+    pinned by SHA-256: the rows, the skip count and the draws are those of
+    the per-position chain climb the probe used before Corpus.chain. The
+    three cases cover both designation rules, split records and a corpus
+    length that cuts chains (so probes are skipped)."""
+
+    DIGEST = "1af3939fd7f0ade095bd9c9475fdc79b3d0d6fda8de9ef6c9b14b32a347ac63b"
+
+    def test_probe_outputs_are_pinned(self):
+        sources = synth_corpus(seed=1107, n_programs=200, max_depth=7)
+        digest = hashlib.sha256()
+        skipped = []
+        for k, rule, split, length in [
+            (3, "keyword_first", None, None),
+            (2, "first_token", None, 30),
+            (5, "keyword_first", 2, 80),
+        ]:
+            records = [
+                annotate_program(s, PROBE_CONFIG, str(i), split_max_len=split)
+                for i, s in enumerate(sources)
+            ]
+            corpus = build_corpus(records, length=length)
+            run = ancestry_probe(
+                records, corpus, ExactPosteriorDenoiser(corpus), [0.6, 0.95],
+                k=k, n_probes=40, rng=[k, 11], rule=rule,
+            )
+            digest.update(run.to_csv().encode())
+            digest.update(repr((run.n_skipped, run.achievable_k)).encode())
+            skipped.append(run.n_skipped)
+        assert skipped[1] > 0
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestStrategyPredictors:
@@ -278,7 +378,7 @@ class TestCompareStrategies:
                 length=64,
             )
             assert corpus.vocab == fresh.vocab
-            for name in ("ids", "weights", "omega", "eta", "depth"):
+            for name in ("ids", "weights", "omega", "eta", "depth", "chain"):
                 assert np.array_equal(getattr(corpus, name), getattr(fresh, name)), name
 
     def test_exact_posterior_generations_fully_valid(self, rows):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,12 @@ from anchordiff.hierarchy import (
     InsufficientDepth,
     ancestor_chain,
     assign_nodes,
+    chain_lengths,
     max_chain_length,
     positions_by_node,
     precedes,
 )
-from anchordiff import synth_corpus
+from anchordiff import AnchorConfig, AnchorStrategy, annotate_program, synth_corpus
 from anchordiff.minilang import (
     AstNode,
     NodeKind,
@@ -36,6 +38,9 @@ NESTED_SRC = (
     "            return mid\n"
     "    return lo\n"
 )
+
+
+PROBE_CONFIG = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
 
 
 def annotate(src):
@@ -177,6 +182,10 @@ def _check_against_oracle(tree, tokens):
     assert [a.node_id for a in anns] == naive_node_assignment(tree, tokens)
     assert [a.position for a in anns] == [t.index for t in tokens]
     assert all(a.depth == tree.node(a.node_id).depth for a in anns)
+    index = positions_by_node(anns)
+    chains = chain_lengths(tree, anns)
+    assert chains.dtype == np.int64
+    assert chains.tolist() == [max_chain_length(l, anns, tree, index) for l in range(len(anns))]
 
 
 @st.composite
@@ -211,7 +220,8 @@ def well_formed_trees(draw):
 
 
 class TestOneWalkAgainstOracle:
-    """assign_nodes against the per-token brute force of tests/oracles.py."""
+    """assign_nodes against the per-token brute force of tests/oracles.py,
+    and chain_lengths against max_chain_length's per-position climb."""
 
     @given(
         seed=st.integers(0, 100_000),
@@ -288,7 +298,7 @@ class TestPrecedes:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_strict_partial_order(self, seed):
-        from anchordiff import synth_corpus
+        from anchordiff import AnchorConfig, AnchorStrategy, annotate_program, synth_corpus
 
         src = synth_corpus(seed=seed, n_programs=1, max_depth=6)[0]
         tree, tokens, anns = annotate(src)
@@ -342,6 +352,28 @@ class TestAncestorChain:
                     while node != anns[hi].node_id:
                         assert not index.get(node), "token-bearing node skipped"
                         node = tree.parent(node)
+
+    @given(
+        seed=st.integers(0, 100_000),
+        max_depth=st.integers(3, 8),
+        split=st.sampled_from([None, 1, 2, 3]),
+        k=st.integers(0, 6),
+        rule=st.sampled_from(["keyword_first", "first_token"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_chain_length_decides_the_chain(self, seed, max_depth, split, k, rule):
+        # A position with chain length >= k always gets a chain of k + 1
+        # positions, and one below k always raises InsufficientDepth.
+        (src,) = synth_corpus(seed=seed, n_programs=1, max_depth=max_depth)
+        rec = annotate_program(src, PROBE_CONFIG, split_max_len=split)
+        index = positions_by_node(rec.annotations)
+        for l0, length in enumerate(rec.chain.tolist()):
+            if length >= k:
+                chain = ancestor_chain(l0, k, rec.annotations, rec.tree, rule, index)
+                assert len(chain) == k + 1
+            else:
+                with pytest.raises(InsufficientDepth):
+                    ancestor_chain(l0, k, rec.annotations, rec.tree, rule, index)
 
     def test_insufficient_depth(self):
         tree, tokens, anns = annotate("x = 1")

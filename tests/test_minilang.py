@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchordiff.minilang import parser as parser_module
 from anchordiff.minilang import (
     NodeKind,
     ParseError,
@@ -284,6 +285,74 @@ class TestParseGivenTokens:
     @settings(max_examples=300, deadline=None)
     def test_same_tree_or_error_as_parse_alone(self, src):
         assert _parse_outcome(src, tokenize(src)) == _parse_outcome(src)
+
+
+# Mostly whole statements, some fragments; a block header's next line is
+# indented deeper, and any other line mostly returns to an open level and
+# sometimes to a width no block opened, so blocks close by one or several
+# dedents and misaligned dedents occur.
+DEDENT_LINES = st.sampled_from(["def f(a):", "if x:", "elif x:", "else:", "while x < 1:",
+                                "for v in xs:", "x = 1", "pass", "h(2)", ""])
+DEDENT_FRAGMENTS = st.lists(PARSE_PIECES.filter(lambda p: p != "\n"), max_size=4).map("".join)
+
+
+@st.composite
+def indented_sources(draw):
+    open_widths = [0]
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        if lines and lines[-1].endswith(":"):
+            width = open_widths[-1] + draw(st.sampled_from([1, 2, 4]))
+        elif draw(st.integers(0, 9)):
+            width = draw(st.sampled_from(open_widths))
+        else:
+            width = draw(st.integers(0, 10))
+        while width < open_widths[-1]:
+            open_widths.pop()
+        if width > open_widths[-1]:
+            open_widths.append(width)
+        pad = draw(st.sampled_from([" " * width, "\t" * (width // 4) + " " * (width % 4)]))
+        body = DEDENT_LINES if draw(st.integers(0, 9)) else DEDENT_FRAGMENTS
+        lines.append(pad + draw(body))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestModuleLevelDedent:
+    """No Dedent token reaches parse_module's loop, which is why it has no
+    branch for one. Only _block consumes Indent and Dedent tokens, one of
+    each, so no Indent is open between module-level statements; the lexer
+    emits a Dedent only to close an open Indent, right after a Newline."""
+
+    @given(st.one_of(indented_sources(), st.text(alphabet=" \t\nif:x=1", max_size=60)))
+    @settings(max_examples=300, deadline=None)
+    def test_every_dedent_closes_an_open_indent_after_a_newline(self, src):
+        open_indents = 0
+        tokens = tokenize(src)
+        for before, tok in zip([None, *tokens], tokens):
+            if tok.kind is TokenKind.INDENT:
+                open_indents += 1
+            elif tok.kind is TokenKind.DEDENT:
+                assert open_indents > 0
+                assert before.kind in (TokenKind.NEWLINE, TokenKind.DEDENT)
+                open_indents -= 1
+
+    @given(indented_sources())
+    @settings(max_examples=300, deadline=None)
+    def test_no_statement_starts_at_a_dedent(self, src):
+        # The module loop hands every token but an Indent to _statement, so
+        # a module-level Dedent would start a statement here.
+        real = parser_module._Parser._statement
+
+        def checked(parser):
+            assert parser._peek().kind is not TokenKind.DEDENT
+            return real(parser)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parser_module._Parser, "_statement", checked)
+            try:
+                parse(src)
+            except ParseError:
+                pass
 
 
 # -- a pinned corpus over the whole grammar --------------------------------

@@ -29,22 +29,22 @@ tree = parse(SOURCE)
 print("\nsyntax tree (kind, payload, byte span):")
 print(tree.pretty())
 
-annotations = assign_nodes(tree, tokens)
+node_id = assign_nodes(tree, tokens)  # one node id per token position
 print("\ntoken -> deepest intersecting node:")
-for tok, ann in list(zip(tokens, annotations))[:12]:
-    node = tree.node(ann.node_id)
-    print(f"  {tok.text!r:<10} -> {node.kind.value:<12} depth {ann.depth}")
+for tok, home in list(zip(tokens, node_id.tolist()))[:12]:
+    node = tree.node(home)
+    print(f"  {tok.text!r:<10} -> {node.kind.value:<12} depth {node.depth}")
 
 # The partial order: a position is coarser than everything nested below it.
 pos = {t.text: t.index for t in tokens}
 print("\npartial order checks:")
-print("  def  over return :", precedes(pos["def"], pos["return"], annotations, tree))
-print("  while over mid   :", precedes(pos["while"], pos["mid"], annotations, tree))
-print("  lo   over mid    :", precedes(pos["lo"], pos["mid"], annotations, tree))
+print("  def  over return :", precedes(pos["def"], pos["return"], node_id, tree))
+print("  while over mid   :", precedes(pos["while"], pos["mid"], node_id, tree))
+print("  lo   over mid    :", precedes(pos["lo"], pos["mid"], node_id, tree))
 
 # Ancestor chains step through each node's designated (keyword-first) token.
 mid = next(t.index for t in tokens
            if t.text == "mid" and tokens[t.index - 1].text == "return")
-chain = ancestor_chain(mid, 4, annotations, tree)
+chain = ancestor_chain(mid, 4, node_id, tokens, tree)
 print("\nancestor chain from the returned 'mid':",
       [tokens[p].text for p in chain.positions])

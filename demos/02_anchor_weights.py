@@ -25,7 +25,8 @@ def tally(nums, lim):
 
 tokens = tokenize(SOURCE)
 tree = parse(SOURCE)
-annotations = assign_nodes(tree, tokens)
+# Each token's depth is its node's: node ids from assign_nodes, depths from the tree.
+depth = [tree.depth(n) for n in assign_nodes(tree, tokens).tolist()]
 
 print("per-token anchor weights under each strategy\n")
 header = f"{'token':<8} {'depth':>5} "
@@ -35,15 +36,14 @@ for name in ("null", "keyword", "identifier", "anchor_tree"):
     header += f"{name:>12}"
 print(header)
 
+mu = {name: compute_omega(tokens, cfg) * compute_eta(depth, cfg) for name, cfg in configs.items()}
 rows = []
-for tok, ann in zip(tokens, annotations):
+for tok, d in zip(tokens, depth):
     if tok.kind.value in ("Newline", "Indent", "Dedent"):
         continue
-    line = f"{tok.text!r:<8} {ann.depth:>5} "
-    for name, cfg in configs.items():
-        omega = compute_omega(annotations, cfg)[tok.index]
-        eta = compute_eta(annotations, cfg)[tok.index]
-        line += f"{omega * eta:>12.5f}"
+    line = f"{tok.text!r:<8} {d:>5} "
+    for name in configs:
+        line += f"{mu[name][tok.index]:>12.5f}"
     rows.append(line)
 for line in rows[:24]:
     print(line)
@@ -55,9 +55,8 @@ print("  - Keyword / Identifier are the hard variants: beta 0, flat gamma.")
 print("  - With beta = 0 the weights collapse to {0, gamma}: hard anchoring.")
 
 cfg = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
-eta = compute_eta(annotations, cfg)
+eta = compute_eta(depth, cfg)
 print("\neta by depth (gamma 0.03, beta 0.7, d0 2):")
-for depth in sorted({a.depth for a in annotations}):
-    value = next(e for a, e in zip(annotations, eta) if a.depth == depth)
+for d, value in sorted(dict(zip(depth, eta)).items()):  # eta depends only on depth
     bar = "#" * int(round(value / 0.03 * 30))
-    print(f"  depth {depth}: {value:.5f} {bar}")
+    print(f"  depth {d}: {value:.5f} {bar}")

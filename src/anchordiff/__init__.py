@@ -68,7 +68,6 @@ from .experiments import (
 from .hierarchy import (
     AncestorChain,
     InsufficientDepth,
-    TokenAnnotation,
     ancestor_chain,
     assign_nodes,
     precedes,

@@ -4,6 +4,10 @@ A position's weight is mu(l) = omega(l) * eta(l): omega flags which tokens
 are anchors under the chosen strategy, and eta decays exponentially with
 tree depth, eta(l) = gamma * exp(-beta * max(depth(l) - d0, 0)). With
 beta = 0 every anchor gets the flat weight gamma (hard anchoring).
+
+Omega reads each token's kind; eta is gathered from a table over the depth
+excess max(depth - d0, 0) whose entries ``eta_for_depth`` computes, so it
+equals the scalar formula bit for bit at every depth, a pad's -1 included.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .hierarchy import TokenAnnotation
+from .minilang import Token, TokenKind
 
 
 class AnchorStrategy(enum.Enum):
@@ -38,6 +42,13 @@ _DEFAULT_BETA = {
     AnchorStrategy.NULL: 0.0,
 }
 DEFAULT_D0 = 2
+
+_ANCHORED_KINDS = {  # the token kinds each strategy anchors
+    AnchorStrategy.NULL: frozenset(),
+    AnchorStrategy.KEYWORD: frozenset({TokenKind.KEYWORD}),
+    AnchorStrategy.IDENTIFIER: frozenset({TokenKind.IDENTIFIER}),
+    AnchorStrategy.ANCHOR_TREE: frozenset({TokenKind.KEYWORD, TokenKind.IDENTIFIER}),
+}
 
 
 def default_gamma(strategy: AnchorStrategy) -> float:
@@ -107,36 +118,21 @@ class AnchorWeights:
     anchor_target: np.ndarray
 
 
-def compute_omega(
-    annotations: list[TokenAnnotation], config: AnchorConfig
-) -> np.ndarray:
+def compute_omega(tokens: list[Token], config: AnchorConfig) -> np.ndarray:
     """0/1 anchor indicator per position under the configured strategy."""
-    strategy = config.strategy
-    out = np.zeros(len(annotations), dtype=np.int8)
-    if strategy is AnchorStrategy.NULL:
-        return out
-    for i, ann in enumerate(annotations):
-        if strategy is AnchorStrategy.KEYWORD:
-            flag = ann.is_keyword
-        elif strategy is AnchorStrategy.IDENTIFIER:
-            flag = ann.is_identifier
-        else:  # ANCHOR_TREE
-            flag = ann.is_keyword or ann.is_identifier
-        out[i] = 1 if flag else 0
-    return out
+    anchored = _ANCHORED_KINDS[config.strategy]
+    return np.array([tok.kind in anchored for tok in tokens], dtype=np.int8)
 
 
 def eta_for_depth(depth: int, config: AnchorConfig) -> float:
     return config.gamma * math.exp(-config.beta * max(depth - config.d0, 0))
 
 
-def compute_eta(
-    annotations: list[TokenAnnotation], config: AnchorConfig
-) -> np.ndarray:
+def compute_eta(depth: np.ndarray, config: AnchorConfig) -> np.ndarray:
     """Depth-decay schedule per position; depends only on node depth."""
-    return np.array(
-        [eta_for_depth(ann.depth, config) for ann in annotations], dtype=np.float64
-    )
+    excess = np.maximum(np.asarray(depth, dtype=np.int64) - config.d0, 0)
+    table = [eta_for_depth(config.d0 + e, config) for e in range(excess.max(initial=0) + 1)]
+    return np.array(table, dtype=np.float64)[excess]
 
 
 def compute_anchor_targets(
@@ -151,14 +147,15 @@ def compute_anchor_targets(
 
 
 def compute_weights(
-    annotations: list[TokenAnnotation],
+    tokens: list[Token],
+    depth: np.ndarray,
     token_ids: np.ndarray,
     config: AnchorConfig,
     mask_id: int,
 ) -> AnchorWeights:
     """Bundle omega, eta, mu, and anchor targets for one sequence."""
-    omega = compute_omega(annotations, config)
-    eta = compute_eta(annotations, config)
+    omega = compute_omega(tokens, config)
+    eta = compute_eta(depth, config)
     mu = omega * eta
     target = compute_anchor_targets(token_ids, omega, mask_id)
     return AnchorWeights(omega=omega, eta=eta, mu=mu, anchor_target=target)

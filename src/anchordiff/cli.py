@@ -369,21 +369,17 @@ def _json_document(value: dict) -> str:
 def cmd_annotate(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
     records = inputs.records
     _write(run_dir, "dataset.jsonl", dataset_to_jsonl(records, inputs.anchor))
-    depth_hist: dict[int, int] = {}
-    for rec in records:
-        for ann in rec.annotations:
-            depth_hist[ann.depth] = depth_hist.get(ann.depth, 0) + 1
-    total = sum(len(r) for r in records)
-    density = {}
-    for name in ("null", "keyword", "identifier", "anchor_tree"):
-        cfg = AnchorConfig.for_strategy(AnchorStrategy(name))
-        hits = sum(int(compute_omega(r.annotations, cfg).sum()) for r in records)
-        density[name] = hits / total
+    depth_hist = np.bincount(np.concatenate([rec.depth for rec in records]))
+    tokens = [tok for rec in records for tok in rec.tokens]
+    density = {
+        s.value: int(compute_omega(tokens, AnchorConfig.for_strategy(s)).sum()) / len(tokens)
+        for s in AnchorStrategy
+    }
     summary = {
         "records": len(records),
-        "tokens": total,
+        "tokens": len(tokens),
         "anchor_density": density,
-        "depth_histogram": {str(k): v for k, v in sorted(depth_hist.items())},
+        "depth_histogram": {str(d): int(n) for d, n in enumerate(depth_hist) if n},
     }
     _write(run_dir, "summary.json", _json_document(summary))
     print(f"annotated {len(records)} records -> {run_dir}")
@@ -559,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolved = resolve_config(args, parser)
         inputs = load_inputs(resolved)
-    except (ValueError, *INPUT_ERRORS) as exc:
+    except (ValueError, RecursionError, *INPUT_ERRORS) as exc:  # JSON nested too deep
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -20,7 +20,7 @@ import numpy as np
 from .anchors import AnchorConfig, compute_eta, compute_omega
 from .denoisers import Corpus
 from .diffusion import Vocab
-from .hierarchy import TokenAnnotation, assign_nodes, chain_lengths
+from .hierarchy import assign_nodes, chain_lengths
 from .minilang import (
     MASK_SURFACE,
     PAD_SURFACE,
@@ -49,16 +49,17 @@ class IngestError(Exception):
 
 @dataclass
 class DatasetRecord:
-    """One annotated program: tokens with spans plus per-token node ids,
-    depths, chain lengths and anchor arrays. The tree is re-derived from
-    the source, and ``chain`` (each token's count of token-bearing strict
-    ancestors) from the tree, so neither is serialized."""
+    """One annotated program: tokens with spans, per-token int64 arrays of
+    node ids, depths and chain lengths (each token's count of token-bearing
+    strict ancestors), and the anchor arrays. The tree and ``chain`` are
+    re-derived from the source, so neither is serialized."""
 
     record_id: str
     source: str
     tokens: list[Token]
     tree: SyntaxTree
-    annotations: list[TokenAnnotation]
+    node_id: np.ndarray
+    depth: np.ndarray
     chain: np.ndarray
     omega: np.ndarray
     eta: np.ndarray
@@ -83,27 +84,29 @@ def annotate_program(
     tree = parse(source, tokens)
     if split_max_len is not None:
         tokens = split_identifiers(tokens, split_max_len)
-    annotations = assign_nodes(tree, tokens)
+    node_id = assign_nodes(tree, tokens)
+    depth = np.array([tree.nodes[n].depth for n in node_id.tolist()], dtype=np.int64)
     return DatasetRecord(
         record_id=record_id,
         source=source,
         tokens=tokens,
         tree=tree,
-        annotations=annotations,
-        chain=chain_lengths(tree, annotations),
-        **_anchor_arrays(annotations, config),
+        node_id=node_id,
+        depth=depth,
+        chain=chain_lengths(tree, node_id),
+        **_anchor_arrays(tokens, depth, config),
     )
 
 
 def reweight(rec: DatasetRecord, config: AnchorConfig) -> DatasetRecord:
-    """``rec`` under another anchor config: the same tokens, tree,
-    annotations and chain lengths, with omega, eta and mu recomputed."""
-    return replace(rec, **_anchor_arrays(rec.annotations, config))
+    """``rec`` under another anchor config: the same tokens, tree, node ids,
+    depths and chain lengths, with omega, eta and mu recomputed."""
+    return replace(rec, **_anchor_arrays(rec.tokens, rec.depth, config))
 
 
-def _anchor_arrays(annotations: list[TokenAnnotation], config: AnchorConfig) -> dict:
-    omega = compute_omega(annotations, config)
-    eta = compute_eta(annotations, config)
+def _anchor_arrays(tokens: list[Token], depth: np.ndarray, config: AnchorConfig) -> dict:
+    omega = compute_omega(tokens, config)
+    eta = compute_eta(depth, config)
     return {"omega": omega, "eta": eta, "mu": omega * eta}
 
 
@@ -202,7 +205,7 @@ def build_corpus(
         m = min(len(rec), length)
         omega[i, :m] = rec.omega[:m]
         eta[i, :m] = rec.eta[:m]
-        depth[i, :m] = [a.depth for a in rec.annotations[:m]]
+        depth[i, :m] = rec.depth[:m]
         chain[i, :m] = rec.chain[:m]
     if weights is None:
         weights = np.ones(n)
@@ -223,11 +226,11 @@ def _record_to_dict(rec: DatasetRecord) -> dict:
             {"text": t.text, "kind": t.kind.value, "start": t.start, "end": t.end}
             for t in rec.tokens
         ],
-        "node_id": [a.node_id for a in rec.annotations],
-        "depth": [a.depth for a in rec.annotations],
-        "omega": [int(v) for v in rec.omega],
-        "eta": [float(v) for v in rec.eta],
-        "mu": [float(v) for v in rec.mu],
+        "node_id": rec.node_id.tolist(),
+        "depth": rec.depth.tolist(),
+        "omega": rec.omega.tolist(),
+        "eta": rec.eta.tolist(),
+        "mu": rec.mu.tolist(),
     }
 
 
@@ -277,11 +280,11 @@ def _config_from_header(header: dict, n_records: int) -> AnchorConfig:
 
 
 def _from_line(number: int, line: str, build):
-    """``build`` applied to one JSON line; a malformed line is an
-    IngestError naming it."""
+    """``build`` applied to one JSON line; a malformed line, one nested past
+    the JSON decoder's recursion limit included, is an IngestError naming it."""
     try:
         return build(json.loads(line))
-    except (ValueError, KeyError, TypeError, AttributeError, ParseError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ParseError, RecursionError) as exc:
         raise IngestError(
             f"line {number}: malformed dataset line ({type(exc).__name__}: {exc})"
         ) from exc

@@ -21,7 +21,7 @@ from .denoisers import (
     TwoStagePredictor,
 )
 from .diffusion import LatentSequence, Vocab, as_rng, corrupt, nelbo
-from .hierarchy import InsufficientDepth, ancestor_chain
+from .hierarchy import InsufficientDepth, ancestor_chain, check_rule
 from .minilang import is_syntactically_valid, render_surfaces
 from .sampler import AnchoredPair, DenoiseTrace, SamplerConfig, generate
 from .schedule import NoiseSchedule
@@ -107,6 +107,7 @@ def ancestry_probe(
     chain reaches past the corpus length or too few other positions are
     masked.
     """
+    check_rule(rule)
     if n_probes < 2:
         raise ValueError(f"n_probes must be >= 2 for a standard error, got {n_probes}")
     if corpus.chain is None:
@@ -137,7 +138,7 @@ def ancestry_probe(
             rec = records[ri]
             targets = np.flatnonzero(ok[ri])
             l0 = int(targets[rng.integers(len(targets))])
-            chain = ancestor_chain(l0, k, rec.annotations, rec.tree, rule).positions
+            chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.tree, rule).positions
             if any(pos >= length for pos in chain):
                 skipped += 1
                 continue
@@ -163,12 +164,13 @@ def ancestry_probe(
             }
             true_id = int(corpus.ids[ri][l0])
             for ordering, reveals in reveal_orders.items():
-                state = ids.copy()
+                # One live latent per ordering; each reveal writes into its ids.
+                z = LatentSequence(ids=ids.copy(), mask_id=mask_id)
                 row = raw[(ordering, t)][done]
-                row[0] = _query(predictor, state, mask_id, l0, true_id)
+                row[0] = predictor.predict_row(z, l0)[true_id]
                 for j, pos in enumerate(reveals, start=1):
-                    state[pos] = corpus.ids[ri][pos]
-                    row[j] = _query(predictor, state, mask_id, l0, true_id)
+                    z.ids[pos] = corpus.ids[ri][pos]
+                    row[j] = predictor.predict_row(z, l0)[true_id]
             done += 1
     results = []
     for (ordering, t), mat in sorted(raw.items()):
@@ -191,13 +193,6 @@ def ancestry_probe(
         k=k, results=results, raw=raw, n_skipped=skipped, n_probes=n_probes,
         achievable_k=achievable,
     )
-
-
-def _query(
-    predictor: Predictor, ids: np.ndarray, mask_id: int, l0: int, true_id: int
-) -> float:
-    z = LatentSequence(ids=ids.copy(), mask_id=mask_id)
-    return float(predictor.predict_row(z, l0)[true_id])
 
 
 # -- syntactic validity -----------------------------------------------------

@@ -10,6 +10,10 @@ brute force it is checked against. The induced partial order over
 positions (ancestor-of, or same-node-and-earlier) is what the anchor
 weighting and the ancestry probe are built on.
 
+Annotations are arrays indexed by position: ``assign_nodes`` returns each
+token's node id, which every function here takes as ``node_id``; a token's
+depth is its node's, and its kind is read from the token itself.
+
 A position's chain length, the number of token-bearing strict ancestors of
 its node, bounds the ancestor chains the probe can draw from it.
 ``chain_lengths`` counts them for every token in one top-down walk, once
@@ -26,15 +30,6 @@ from itertools import accumulate
 import numpy as np
 
 from .minilang import SyntaxTree, Token, TokenKind
-
-
-@dataclass(frozen=True)
-class TokenAnnotation:
-    position: int
-    node_id: int
-    depth: int
-    is_keyword: bool
-    is_identifier: bool
 
 
 @dataclass(frozen=True)
@@ -61,8 +56,8 @@ class InsufficientDepth(Exception):
         self.achieved = achieved
 
 
-def assign_nodes(tree: SyntaxTree, tokens: list[Token]) -> list[TokenAnnotation]:
-    """Annotate every token with its node, depth, and kind flags.
+def assign_nodes(tree: SyntaxTree, tokens: list[Token]) -> np.ndarray:
+    """The node id of every token, as an int64 array.
 
     One walk over the nodes, deepest first and, within a depth, leftmost
     ``(span[0], id)`` first: each node bisects for the tokens that can
@@ -90,48 +85,32 @@ def assign_nodes(tree: SyntaxTree, tokens: list[Token]) -> list[TokenAnnotation]
         for _, end, i in live[bisect_right(reach, ns) : bisect_left(starts, ne)]:
             if home[i] is None and end > ns:
                 home[i] = node.id
-    annotations = []
-    for tok, node_id in zip(tokens, home):
-        if node_id is None:  # nothing intersects, e.g. a trailing Newline
-            node_id = tree.root
-        annotations.append(
-            TokenAnnotation(
-                position=tok.index,
-                node_id=node_id,
-                depth=tree.nodes[node_id].depth,
-                is_keyword=tok.kind is TokenKind.KEYWORD,
-                is_identifier=tok.kind is TokenKind.IDENTIFIER,
-            )
-        )
-    return annotations
+    # A token nothing intersects (a trailing Newline, say) goes to the root.
+    return np.array([tree.root if n is None else n for n in home], dtype=np.int64)
 
 
-def precedes(
-    l: int, l_prime: int, annotations: list[TokenAnnotation], tree: SyntaxTree
-) -> bool:
+def precedes(l: int, l_prime: int, node_id: np.ndarray, tree: SyntaxTree) -> bool:
     """True iff position ``l`` is syntactically coarser than ``l_prime``:
     node(l) is a strict ancestor of node(l'), or both share a node and
     ``l`` comes first."""
-    a = annotations[l].node_id
-    b = annotations[l_prime].node_id
+    a = int(node_id[l])
+    b = int(node_id[l_prime])
     if a == b:
         return l < l_prime
     return tree.is_strict_ancestor(a, b)
 
 
-def positions_by_node(annotations: list[TokenAnnotation]) -> dict[int, list[int]]:
-    """Node id -> sorted positions of the tokens assigned to it."""
+def positions_by_node(node_id: np.ndarray) -> dict[int, list[int]]:
+    """Node id -> ascending positions of the tokens assigned to it."""
     index: dict[int, list[int]] = {}
-    for ann in annotations:
-        index.setdefault(ann.node_id, []).append(ann.position)
-    for positions in index.values():
-        positions.sort()
+    for pos, node in enumerate(node_id.tolist()):
+        index.setdefault(node, []).append(pos)
     return index
 
 
 def designated_position(
-    node_id: int,
-    annotations: list[TokenAnnotation],
+    node: int,
+    tokens: list[Token],
     node_index: dict[int, list[int]],
     rule: str = "keyword_first",
 ) -> int | None:
@@ -141,22 +120,26 @@ def designated_position(
     (the rule that reproduces keyword-stepping chains); ``first_token``
     always takes the earliest assigned position.
     """
-    positions = node_index.get(node_id)
+    check_rule(rule)
+    positions = node_index.get(node)
     if not positions:
         return None
     if rule == "keyword_first":
-        for pos in positions:
-            if annotations[pos].is_keyword:
-                return pos
-    elif rule != "first_token":
-        raise ValueError(f"unknown designation rule: {rule!r}")
+        return next((p for p in positions if tokens[p].kind is TokenKind.KEYWORD), positions[0])
     return positions[0]
+
+
+def check_rule(rule: str) -> None:
+    """Raise ValueError unless ``rule`` is a designation rule."""
+    if rule not in ("keyword_first", "first_token"):
+        raise ValueError(f"unknown designation rule: {rule!r}")
 
 
 def ancestor_chain(
     l0: int,
     k: int,
-    annotations: list[TokenAnnotation],
+    node_id: np.ndarray,
+    tokens: list[Token],
     tree: SyntaxTree,
     rule: str = "keyword_first",
     node_index: dict[int, list[int]] | None = None,
@@ -167,36 +150,37 @@ def ancestor_chain(
     token and takes that node's designated position. Nodes owning no tokens
     contribute no positions to the partial order, so skipping them keeps
     the chain contiguous. Raises InsufficientDepth when fewer than ``k``
-    token-bearing ancestors exist.
+    token-bearing ancestors exist, and ValueError for an unknown ``rule``
+    whatever ``k`` is.
     """
+    check_rule(rule)
     if k < 0:
         raise ValueError("chain length k must be >= 0")
     if node_index is None:
-        node_index = positions_by_node(annotations)
+        node_index = positions_by_node(node_id)
     positions = [l0]
-    current = annotations[l0].node_id
+    current = int(node_id[l0])
     while len(positions) < k + 1:
         current = tree.parent(current)
         while current is not None and not node_index.get(current):
             current = tree.parent(current)
         if current is None:
             raise InsufficientDepth(l0, k, len(positions) - 1)
-        designated = designated_position(current, annotations, node_index, rule)
-        positions.append(designated)
+        positions.append(designated_position(current, tokens, node_index, rule))
     return AncestorChain(tuple(positions))
 
 
 def max_chain_length(
     l0: int,
-    annotations: list[TokenAnnotation],
+    node_id: np.ndarray,
     tree: SyntaxTree,
     node_index: dict[int, list[int]] | None = None,
 ) -> int:
     """Number of token-bearing strict ancestors above ``l0``'s node."""
     if node_index is None:
-        node_index = positions_by_node(annotations)
+        node_index = positions_by_node(node_id)
     count = 0
-    current = tree.parent(annotations[l0].node_id)
+    current = tree.parent(int(node_id[l0]))
     while current is not None:
         if node_index.get(current):
             count += 1
@@ -204,23 +188,24 @@ def max_chain_length(
     return count
 
 
-def chain_lengths(tree: SyntaxTree, annotations: list[TokenAnnotation]) -> np.ndarray:
+def chain_lengths(tree: SyntaxTree, node_id: np.ndarray) -> np.ndarray:
     """``max_chain_length`` of every position, from one top-down walk.
 
     Each node hands its children the count of token-bearing nodes from the
     root down to itself, so every node learns its count of token-bearing
     strict ancestors from its parent; a token reads its node's count.
     """
-    bearing = {a.node_id for a in annotations}
+    homes = node_id.tolist()
+    bearing = set(homes)
     nodes = tree.nodes
     above = {tree.root: 0}
     todo = [tree.root]
     while todo:
-        node_id = todo.pop()
-        children = nodes[node_id].children
+        node = todo.pop()
+        children = nodes[node].children
         if children:
-            below = above[node_id] + (node_id in bearing)
+            below = above[node] + (node in bearing)
             for child in children:
                 above[child] = below
             todo.extend(children)
-    return np.array([above[a.node_id] for a in annotations], dtype=np.int64)
+    return np.array([above[n] for n in homes], dtype=np.int64)

@@ -13,6 +13,9 @@ share one comma list; while and for share one loop body.
 Node spans run from the first token a construct consumed to the last, so a
 parenthesized operand contributes its opening paren to the enclosing
 expression's span while keeping its own span tight around the inner tokens.
+
+Brackets, parentheses, comma lists and blocks recurse, at most MAX_NESTING
+levels deep; chains of ``not``, ``**`` and ``elif`` are loops of any length.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ AND_OPS = frozenset({"and"})
 COMPARE_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
 ADD_OPS = frozenset({"+", "-"})
 MUL_OPS = frozenset({"*", "/", "//", "%"})
+
+# A level costs at most 14 frames (_atom through every binary level back to
+# _atom), so a parse stays under half of Python's default recursion limit.
+MAX_NESTING = 32
 
 
 class ParseError(Exception):
@@ -46,6 +53,7 @@ class _Parser:
         self.nodes: list[AstNode] = []
         self.func_depth = 0
         self.loop_depth = 0
+        self.nesting = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -85,6 +93,12 @@ class _Parser:
         if tok is None or tok.kind is not kind:
             raise self._fail(expected)
         return self._advance()
+
+    def _open_level(self, tok: Token) -> None:
+        """Open one nesting level at ``tok``; the caller closes it."""
+        if self.nesting == MAX_NESTING:
+            raise ParseError(tok.start, f"nesting deeper than {MAX_NESTING} levels")
+        self.nesting += 1
 
     def _expect_newline(self) -> None:
         if self._at_end():
@@ -157,7 +171,7 @@ class _Parser:
         return self._expr_or_assign()
 
     def _block(self) -> list[int]:
-        self._expect_text(TokenKind.DELIMITER, ":")
+        self._open_level(self._expect_text(TokenKind.DELIMITER, ":"))
         if self._at_end():
             raise self._fail("an indented block")
         self._expect_kind(TokenKind.NEWLINE, "end of line")
@@ -167,6 +181,7 @@ class _Parser:
             body.append(self._statement())
         if not self._at_end():
             self._advance()  # DEDENT
+        self.nesting -= 1
         return body
 
     def _loop_block(self) -> list[int]:
@@ -179,7 +194,7 @@ class _Parser:
 
     def _comma_list(self, item) -> list[int]:
         """``"(" [ item { "," item } ] ")"``: the items' node ids."""
-        self._expect_text(TokenKind.DELIMITER, "(")
+        self._open_level(self._expect_text(TokenKind.DELIMITER, "("))
         items: list[int] = []
         if not self._match_text(TokenKind.DELIMITER, ")"):
             items.append(item())
@@ -187,6 +202,7 @@ class _Parser:
                 self._advance()
                 items.append(item())
         self._expect_text(TokenKind.DELIMITER, ")")
+        self.nesting -= 1
         return items
 
     def _name(self, expected: str) -> int:
@@ -211,17 +227,21 @@ class _Parser:
             NodeKind.FUNCTION_DEF, self._span_from(start), [args] + body, data=name.text
         )
 
-    def _if_stmt(self, keyword: str = "if") -> int:
-        start = self.pos
-        self._expect_text(TokenKind.KEYWORD, keyword)
-        test = self._expression()
-        children = [test] + self._block()
-        if self._match_text(TokenKind.KEYWORD, "elif"):
-            children.append(self._if_stmt("elif"))
-        elif self._match_text(TokenKind.KEYWORD, "else"):
+    def _if_stmt(self) -> int:
+        """An if and its elifs. Each elif is an If node, the last child of
+        the clause before it, so the nodes are made innermost first."""
+        clauses = []
+        while not clauses or self._match_text(TokenKind.KEYWORD, "elif"):
+            start = self.pos
+            self._advance()  # if or elif
+            clauses.append((start, [self._expression()] + self._block()))
+        if self._match_text(TokenKind.KEYWORD, "else"):
             self._advance()
-            children.extend(self._block())
-        return self._new_node(NodeKind.IF, self._span_from(start), children)
+            clauses[-1][1].extend(self._block())
+        inner: list[int] = []  # the next clause's If node, once made
+        for start, children in reversed(clauses):
+            inner = [self._new_node(NodeKind.IF, self._span_from(start), children + inner)]
+        return inner[0]
 
     def _while_stmt(self) -> int:
         start = self.pos
@@ -312,24 +332,25 @@ class _Parser:
         return node
 
     def _not_expr(self) -> int:
-        if self._match_text(TokenKind.KEYWORD, "not"):
-            start = self.pos
+        starts = []
+        while self._match_text(TokenKind.KEYWORD, "not"):
+            starts.append(self.pos)
             self._advance()
-            operand = self._not_expr()
-            return self._new_node(
-                NodeKind.BINOP, self._span_from(start), [operand], data="not"
-            )
-        return self._comparison()
+        node = self._comparison()
+        for start in reversed(starts):
+            node = self._new_node(NodeKind.BINOP, self._span_from(start), [node], data="not")
+        return node
 
     def _power(self) -> int:
-        start = self.pos
-        node = self._postfix()
-        if self._match_text(TokenKind.OPERATOR, "**"):
+        """``postfix { "**" postfix }``, right-associative, so its nodes are
+        made rightmost first."""
+        operands = [(self.pos, self._postfix())]
+        while self._match_text(TokenKind.OPERATOR, "**"):
             self._advance()
-            right = self._power()  # right-associative
-            node = self._new_node(
-                NodeKind.BINOP, self._span_from(start), [node, right], data="**"
-            )
+            operands.append((self.pos, self._postfix()))
+        _, node = operands.pop()
+        for start, left in reversed(operands):
+            node = self._new_node(NodeKind.BINOP, self._span_from(start), [left, node], data="**")
         return node
 
     def _postfix(self) -> int:
@@ -342,9 +363,10 @@ class _Parser:
                     NodeKind.CALL, self._span_from(start), [node] + args
                 )
             elif self._match_text(TokenKind.DELIMITER, "["):
-                self._advance()
+                self._open_level(self._advance())
                 index = self._expression()
                 self._expect_text(TokenKind.DELIMITER, "]")
+                self.nesting -= 1
                 node = self._new_node(
                     NodeKind.SUBSCRIPT, self._span_from(start), [node, index]
                 )
@@ -365,9 +387,10 @@ class _Parser:
             self._advance()
             return self._new_node(NodeKind.CONSTANT, tok.span, data=tok.text)
         if tok.kind is TokenKind.DELIMITER and tok.text == "(":
-            self._advance()
+            self._open_level(self._advance())
             node = self._expression()
             self._expect_text(TokenKind.DELIMITER, ")")
+            self.nesting -= 1
             return node
         raise self._fail("an expression")
 

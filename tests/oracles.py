@@ -33,8 +33,9 @@ from anchordiff.diffusion import (
     corrupt,
     temper_row,
 )
+from anchordiff.anchors import AnchorStrategy
 from anchordiff.hierarchy import max_chain_length, positions_by_node
-from anchordiff.minilang import SyntaxTree, Token
+from anchordiff.minilang import SyntaxTree, Token, TokenKind
 from anchordiff.schedule import NoiseSchedule, lambda_weight, step_times, unmask_prob
 
 
@@ -65,6 +66,20 @@ def naive_node_assignment(tree: SyntaxTree, tokens: list[Token]) -> list[int]:
     return out
 
 
+def naive_omega(token: Token, strategy: AnchorStrategy) -> int:
+    """The anchor indicator of one token: keywords under keyword, identifiers
+    under identifier, both under anchor_tree, nothing under null."""
+    is_keyword = token.kind is TokenKind.KEYWORD
+    is_identifier = token.kind is TokenKind.IDENTIFIER
+    if strategy is AnchorStrategy.KEYWORD:
+        return int(is_keyword)
+    if strategy is AnchorStrategy.IDENTIFIER:
+        return int(is_identifier)
+    if strategy is AnchorStrategy.ANCHOR_TREE:
+        return int(is_keyword or is_identifier)
+    return 0
+
+
 def naive_probe_targets(records, k: int, length: int) -> tuple[list[list[int]], int]:
     """Per record: positions below ``length`` admitting an ancestor chain of
     length k, each found by climbing the tree; and the longest chain any
@@ -72,9 +87,9 @@ def naive_probe_targets(records, k: int, length: int) -> tuple[list[list[int]], 
     eligible: list[list[int]] = []
     achievable = 0
     for rec in records:
-        index = positions_by_node(rec.annotations)
+        index = positions_by_node(rec.node_id)
         chains = [
-            max_chain_length(l, rec.annotations, rec.tree, index)
+            max_chain_length(l, rec.node_id, rec.tree, index)
             for l in range(min(len(rec), length))
         ]
         eligible.append([l for l, c in enumerate(chains) if c >= k])

@@ -232,12 +232,12 @@ def test_criterion_05_anchor_math(tmp_path):
         tree = parse(src)
         from anchordiff import assign_nodes
 
-        anns = assign_nodes(tree, tokens)
-        eta = compute_eta(anns, ANCHOR_TREE)
+        node_id = assign_nodes(tree, tokens)
+        eta = compute_eta([tree.depth(v) for v in node_id.tolist()], ANCHOR_TREE)
         n = len(tokens)
         for a in range(n):
             for b in range(n):
-                if a != b and precedes(a, b, anns, tree) and eta[a] < eta[b]:
+                if a != b and precedes(a, b, node_id, tree) and eta[a] < eta[b]:
                     violations += 1
     assert violations == 0
     # Hard anchoring at beta = 0.
@@ -247,8 +247,9 @@ def test_criterion_05_anchor_math(tmp_path):
         tree = parse(src)
         from anchordiff import assign_nodes
 
-        anns = assign_nodes(tree, tokens)
-        mu = compute_omega(anns, hard) * compute_eta(anns, hard)
+        node_id = assign_nodes(tree, tokens)
+        depth = [tree.depth(v) for v in node_id.tolist()]
+        mu = compute_omega(tokens, hard) * compute_eta(depth, hard)
         assert set(np.unique(mu)) <= {0.0, 0.1}
     # Tuned defaults wired and surfaced in run manifests.
     assert default_gamma(AnchorStrategy.ANCHOR_TREE) == 0.03

@@ -20,13 +20,19 @@ from anchordiff import (
     synth_corpus,
     tokenize,
 )
+from anchordiff.anchors import eta_for_depth
 from anchordiff.hierarchy import precedes
+from anchordiff.minilang import split_identifiers
+
+from .oracles import naive_omega
 
 
 def annotate(src):
+    """The tree, tokens, node ids and depths of ``src``."""
     tokens = tokenize(src)
     tree = parse(src)
-    return tree, tokens, assign_nodes(tree, tokens)
+    node_id = assign_nodes(tree, tokens)
+    return tree, tokens, node_id, np.array([tree.depth(n) for n in node_id.tolist()])
 
 
 def cfg(strategy, **kw):
@@ -38,44 +44,42 @@ LOOP_SRC = "def f(numbers):\n    for num in numbers:\n        pass\n"
 
 class TestOmega:
     def _loop_positions(self):
-        tree, tokens, anns = annotate(LOOP_SRC)
+        tree, tokens, node_id, depth = annotate(LOOP_SRC)
         wanted = ["for", "num", "in", "numbers"]
         idx = [t.index for t in tokens if t.text in wanted and t.index > 6]
-        return anns, idx[:4]
+        return tokens, idx[:4]
 
     def test_anchor_tree_selects_keywords_and_identifiers(self):
-        anns, positions = self._loop_positions()
-        omega = compute_omega(anns, cfg(AnchorStrategy.ANCHOR_TREE))
+        tokens, positions = self._loop_positions()
+        omega = compute_omega(tokens, cfg(AnchorStrategy.ANCHOR_TREE))
         assert [omega[p] for p in positions] == [1, 1, 1, 1]
 
     def test_keyword_strategy(self):
-        anns, positions = self._loop_positions()
-        omega = compute_omega(anns, cfg(AnchorStrategy.KEYWORD))
+        tokens, positions = self._loop_positions()
+        omega = compute_omega(tokens, cfg(AnchorStrategy.KEYWORD))
         assert [omega[p] for p in positions] == [1, 0, 1, 0]
 
     def test_identifier_strategy_excludes_literals_and_operators(self):
-        tree, tokens, anns = annotate("x = 1")
-        omega = compute_omega(anns, cfg(AnchorStrategy.IDENTIFIER))
+        tree, tokens, node_id, depth = annotate("x = 1")
+        omega = compute_omega(tokens, cfg(AnchorStrategy.IDENTIFIER))
         assert omega.tolist() == [1, 0, 0]
 
     def test_null_strategy_all_zero(self, synth_records):
         for rec in synth_records[:5]:
-            omega = compute_omega(rec.annotations, cfg(AnchorStrategy.NULL))
+            omega = compute_omega(rec.tokens, cfg(AnchorStrategy.NULL))
             assert not omega.any()
 
 
 class TestEta:
     def test_no_decay_at_or_below_d0(self):
         config = AnchorConfig(AnchorStrategy.ANCHOR_TREE, gamma=0.03, beta=0.7, d0=2)
-        tree, tokens, anns = annotate("x = 1")  # depths 1..2ish
-        eta = compute_eta(anns, config)
-        for ann, e in zip(anns, eta):
-            if ann.depth <= 2:
+        tree, tokens, node_id, depth = annotate("x = 1")  # depths 1..2ish
+        eta = compute_eta(depth, config)
+        for d, e in zip(depth, eta):
+            if d <= 2:
                 assert e == 0.03
 
     def test_exponential_decay_value(self):
-        from anchordiff.anchors import eta_for_depth
-
         config = AnchorConfig(AnchorStrategy.ANCHOR_TREE, gamma=0.03, beta=0.7, d0=2)
         expected = 0.03 * math.exp(-0.7)  # scalar-math oracle
         assert eta_for_depth(3, config) == pytest.approx(expected, rel=1e-12)
@@ -84,34 +88,69 @@ class TestEta:
     def test_beta_zero_recovers_hard_anchoring(self, synth_records):
         config = AnchorConfig(AnchorStrategy.KEYWORD, gamma=0.1, beta=0.0)
         for rec in synth_records[:10]:
-            omega = compute_omega(rec.annotations, config)
-            eta = compute_eta(rec.annotations, config)
+            omega = compute_omega(rec.tokens, config)
+            eta = compute_eta(rec.depth, config)
             mu = omega * eta
             assert set(np.unique(mu)) <= {0.0, 0.1}
 
     def test_eta_depends_only_on_depth(self, synth_records):
         config = cfg(AnchorStrategy.ANCHOR_TREE)
         rec = synth_records[0]
-        eta = compute_eta(rec.annotations, config)
+        eta = compute_eta(rec.depth, config)
         by_depth = {}
-        for ann, e in zip(rec.annotations, eta):
-            by_depth.setdefault(ann.depth, set()).add(e)
+        for d, e in zip(rec.depth.tolist(), eta):
+            by_depth.setdefault(d, set()).add(e)
         assert all(len(v) == 1 for v in by_depth.values())
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_eta_monotone_along_partial_order(self, seed):
         src = synth_corpus(seed=seed, n_programs=1, max_depth=6)[0]
-        tree, tokens, anns = annotate(src)
-        eta = compute_eta(anns, cfg(AnchorStrategy.ANCHOR_TREE))
+        tree, tokens, node_id, depth = annotate(src)
+        eta = compute_eta(depth, cfg(AnchorStrategy.ANCHOR_TREE))
         n = len(tokens)
         import random
 
         rnd = random.Random(seed)
         for _ in range(80):
             a, b = rnd.randrange(n), rnd.randrange(n)
-            if precedes(a, b, anns, tree):
+            if precedes(a, b, node_id, tree):
                 assert eta[a] >= eta[b]
+
+
+class TestArrayForms:
+    """compute_omega and compute_eta against their per-token definitions."""
+
+    @given(
+        gamma=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+        beta=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+        d0=st.integers(0, 8),
+        depth=st.lists(st.integers(-1, 40), max_size=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_eta_gather_equals_the_scalar_formula_bit_for_bit(self, gamma, beta, d0, depth):
+        # -1 is a pad's depth; a table indexed by raw depth would misread it.
+        config = AnchorConfig(AnchorStrategy.ANCHOR_TREE, gamma=gamma, beta=beta, d0=d0)
+        eta = compute_eta(np.array(depth, dtype=np.int64), config)
+        expected = np.array([eta_for_depth(d, config) for d in depth], dtype=np.float64)
+        assert eta.dtype == np.float64
+        assert eta.tobytes() == expected.tobytes()
+
+    @given(
+        seed=st.integers(0, 100_000),
+        max_depth=st.integers(3, 8),
+        split=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_omega_equals_the_per_token_rule(self, seed, max_depth, split):
+        (src,) = synth_corpus(seed=seed, n_programs=1, max_depth=max_depth)
+        tokens = tokenize(src)
+        if split is not None:
+            tokens = split_identifiers(tokens, split)
+        for strategy in AnchorStrategy:
+            omega = compute_omega(tokens, cfg(strategy))
+            assert omega.dtype == np.int8
+            assert omega.tolist() == [naive_omega(t, strategy) for t in tokens]
 
 
 class TestTargets:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import pickle
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from anchordiff import AnchorConfig, AnchorStrategy, annotate_program
 from anchordiff.cli import main
 from anchordiff.corpus_io import dataset_to_jsonl
+from anchordiff.minilang.parser import MAX_NESTING
 
 
 def run_dir_files(path: Path) -> dict[str, bytes]:
@@ -598,3 +600,70 @@ class TestOneFrontEnd:
         assert line.startswith(f"skipped {mixed / 'broken.mini'}: offset 6: expected")
         # The report goes to stderr only: the run's files are those of the good pair.
         assert run_dir_files(tmp_path / "m") == run_dir_files(tmp_path / "g")
+
+
+class TestAnnotateSummary:
+    """annotate's summary.json, byte for byte, and its depth histogram."""
+
+    @pytest.mark.parametrize(
+        "split, digest",
+        [
+            (None, "3858631733768b95f37aa9fef2e2c3c1f94fb5d013310143a849f44042ae8c36"),
+            (3, "01f2a1b6331257ecc88236beafc35c4ca895f397a0ae9d38f456bdc95e3dee98"),
+        ],
+    )
+    def test_summary_is_pinned(self, tmp_path, split, digest):
+        argv = ["annotate", "--corpus", "synth", "--synth-programs", "200", "--out", str(tmp_path)]
+        if split is not None:
+            argv += ["--split-identifiers", str(split)]
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == digest
+
+    def test_histogram_lists_only_depths_that_hold_tokens(self, tmp_path):
+        # Without a final newline no token falls to the root, so depth 0 is absent.
+        programs = tmp_path / "programs"
+        programs.mkdir()
+        (programs / "p.mini").write_text("x = 1")
+        assert main(["annotate", "--corpus", str(programs), "--out", str(tmp_path / "a")]) == 0
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert summary["depth_histogram"] == {"1": 1, "2": 2}
+
+
+class TestDeepInput:
+    """Input nested past the parser's limit or past the JSON decoder's
+    recursion limit is a skipped file or an input error, never a
+    RecursionError."""
+
+    DEEP = "x = " + "(" * 1000 + "1" + ")" * 1000 + "\n"
+    NESTING = f"offset {4 + MAX_NESTING}: nesting deeper than {MAX_NESTING} levels"
+
+    def test_directory_file_is_skipped_and_named(self, tmp_path, capsys):
+        programs = tmp_path / "programs"
+        programs.mkdir()
+        (programs / "deep.mini").write_text(self.DEEP)
+        (programs / "ok.mini").write_text("x = (1)\n")
+        assert main(["annotate", "--corpus", str(programs), "--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"skipped {programs / 'deep.mini'}: {self.NESTING}"
+        ]
+
+    def test_dataset_source_exits_2_naming_the_line(self, tmp_path, capsys):
+        config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+        records = [annotate_program(src, config, str(i)) for i, src in enumerate(["x = 1\n"] * 2)]
+        header, first, second = (json.loads(ln) for ln in dataset_to_jsonl(records, config).splitlines())
+        path = tmp_path / "deep.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in (header, first, {**second, "source": self.DEEP})))
+        out = tmp_path / "a"
+        assert main(["annotate", "--corpus", str(path), "--out", str(out)]) == 2
+        assert f"line 3: malformed dataset line (ParseError: {self.NESTING})" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--config"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        out = tmp_path / "a"
+        assert main(["annotate", flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "recursion" in err
+        assert not out.exists()

@@ -130,9 +130,7 @@ class TestSerialization:
         for orig, back in zip(synth_records, records):
             assert back.source == orig.source
             assert back.tokens == orig.tokens
-            assert [a.node_id for a in back.annotations] == [
-                a.node_id for a in orig.annotations
-            ]
+            assert back.node_id.tolist() == orig.node_id.tolist()
             assert np.array_equal(back.omega, orig.omega)
             assert np.array_equal(back.eta, orig.eta)
             # chain is not serialized: loading rebuilds it from the source
@@ -205,13 +203,13 @@ class TestSynthCorpus:
         # d0 = 2 at max_depth 6 (fixture requires >= 30%).
         sources = synth_corpus(seed=20260809, n_programs=200, max_depth=6)
         records = [annotate_program(s, CFG, str(i)) for i, s in enumerate(sources)]
-        deep = sum(1 for r in records for a in r.annotations if a.depth > 2)
+        deep = sum(int((r.depth > 2).sum()) for r in records)
         total = sum(len(r) for r in records)
         assert deep / total >= 0.30
         assert deep / total == pytest.approx(0.501, abs=0.02)
 
     def test_depth_coverage(self, synth_records):
-        depths = {a.depth for r in synth_records for a in r.annotations}
+        depths = {d for r in synth_records for d in r.depth.tolist()}
         assert depths >= {0, 1, 2, 3, 4, 5, 6}
 
     def test_invalid_distinct_program_still_raises(self, monkeypatch):
@@ -247,13 +245,30 @@ class TestFrontEndGolden:
         ],
     )
     def test_dataset_digest(self, split, digest):
+        assert self._digest(CFG, split) == digest
+
+    @pytest.mark.parametrize(
+        "strategy, split, digest",
+        [
+            ("keyword", None, "d57cdf812da79152a4badbf0057b74b6291c35ebabea51c06f61ec245dced07f"),
+            ("keyword", 3, "9ece3a1ce6887c941fc9be8ca62d1c7d2c4a2ae89f8d3802207398e5139a6668"),
+            ("identifier", None, "0bd622deff4fe23a973bde4b6134e41df30b319f5979a5803ff17bbd0d4a106c"),
+            ("identifier", 3, "7a0bcf239b41a26301ffe9bc4ae3693eaeb4bc5039a8335a2524979ba12f2783"),
+            ("null", None, "8fb6077f1aa500e2dd832999e00ffb56418394161b55cb0dc8c3ecb7c5eaf146"),
+            ("null", 3, "dfe48335a4a3ef98af0fe8003abb276a6abdd46a54c6b06ab771ac729c4a8d84"),
+        ],
+    )
+    def test_strategy_dataset_digest(self, strategy, split, digest):
+        assert self._digest(AnchorConfig.for_strategy(strategy), split) == digest
+
+    @staticmethod
+    def _digest(config, split):
         sources = synth_corpus(seed=1, n_programs=200, max_depth=8)
         records = [
-            annotate_program(src, CFG, record_id=str(i), split_max_len=split)
+            annotate_program(src, config, record_id=str(i), split_max_len=split)
             for i, src in enumerate(sources)
         ]
-        payload = dataset_to_jsonl(records, CFG).encode("utf-8")
-        assert hashlib.sha256(payload).hexdigest() == digest
+        return hashlib.sha256(dataset_to_jsonl(records, config).encode("utf-8")).hexdigest()
 
     @pytest.mark.parametrize("strategy", list(AnchorStrategy))
     def test_reweight_equals_fresh_annotation(self, synth_sources, strategy):

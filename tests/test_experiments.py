@@ -113,6 +113,16 @@ class TestAncestryProbe:
         with pytest.raises(ValueError, match="records for"):
             ancestry_probe(synth_records[:-1], built, den, [0.9], k=3, n_probes=5, rng=0)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_unknown_rule_rejected_for_every_k(self, synth_records, synth_corpus_built, k):
+        # k = 0 never designates a position, so the rule is checked on entry.
+        den = ExactPosteriorDenoiser(synth_corpus_built)
+        with pytest.raises(ValueError, match="unknown designation rule: 'bogus'"):
+            ancestry_probe(
+                synth_records, synth_corpus_built, den,
+                t_values=[0.9], k=k, n_probes=2, rng=0, rule="bogus",
+            )
+
     def test_single_probe_rejected(self, synth_records, synth_corpus_built):
         # One probe has no standard error, which every CSV row reports.
         den = ExactPosteriorDenoiser(synth_corpus_built)
@@ -179,11 +189,11 @@ class TestProbeTargets:
         drawn = []
         real = experiments.ancestor_chain
 
-        def recording(l0, k_, annotations, *args):
-            ri = next(i for i, rec in enumerate(records) if rec.annotations is annotations)
+        def recording(l0, k_, node_id, *args):
+            ri = next(i for i, rec in enumerate(records) if rec.node_id is node_id)
             drawn.append((ri, l0))
             assert type(l0) is int
-            return real(l0, k_, annotations, *args)
+            return real(l0, k_, node_id, *args)
 
         den = ExactPosteriorDenoiser(corpus)
         with pytest.MonkeyPatch.context() as mp:

@@ -52,36 +52,37 @@ def annotate(src):
 class TestAssignNodes:
     def test_matches_naive_oracle_on_corpus(self, synth_sources):
         for src in synth_sources:
-            tree, tokens, anns = annotate(src)
+            tree, tokens, node_id = annotate(src)
             oracle = naive_node_assignment(tree, tokens)
-            assert [a.node_id for a in anns] == oracle
+            assert node_id.tolist() == oracle
 
     def test_depths_match_tree(self, synth_sources):
         for src in synth_sources[:10]:
-            tree, _, anns = annotate(src)
-            for a in anns:
-                assert a.depth == tree.node(a.node_id).depth
+            rec = annotate_program(src, PROBE_CONFIG)
+            assert rec.depth.dtype == np.int64
+            for node, depth in zip(rec.node_id.tolist(), rec.depth.tolist()):
+                assert depth == rec.tree.node(node).depth
 
     def test_expression_example(self):
-        tree, tokens, anns = annotate("x = (a + 2) * b")
-        by_text = {t.text: anns[t.index] for t in tokens}
-        a_node = tree.node(by_text["a"].node_id)
-        plus_node = tree.node(by_text["+"].node_id)
+        tree, tokens, node_id = annotate("x = (a + 2) * b")
+        by_text = {t.text: tree.node(node_id[t.index]) for t in tokens}
+        a_node = by_text["a"]
+        plus_node = by_text["+"]
         assert a_node.kind is NodeKind.NAME
-        assert by_text["a"].depth == plus_node.depth + 1
-        eq_node = tree.node(by_text["="].node_id)
+        assert a_node.depth == plus_node.depth + 1
+        eq_node = by_text["="]
         assert eq_node.kind is NodeKind.ASSIGN
-        paren = tree.node(by_text["("].node_id)
+        paren = by_text["("]
         assert paren.kind is NodeKind.BINOP and paren.span == (4, 15)
 
     def test_every_token_intersects_no_deeper_node(self, synth_sources):
         # The invariant behind node(l): nothing strictly deeper intersects.
         for src in synth_sources[:8]:
-            tree, tokens, anns = annotate(src)
-            for tok, ann in zip(tokens, anns):
+            tree, tokens, node_id = annotate(src)
+            for tok, home in zip(tokens, node_id.tolist()):
                 ts, te = tok.span
                 for node in tree.nodes.values():
-                    if node.depth <= ann.depth:
+                    if node.depth <= tree.node(home).depth:
                         continue
                     ns, ne = node.span
                     hit = ns <= ts < ne if ts == te else max(ns, ts) < min(ne, te)
@@ -103,9 +104,10 @@ class TestTieBreaks:
 
     def _node_of(self, span):
         tree = self._tree()
-        (ann,) = assign_nodes(tree, [Token(0, TokenKind.IDENTIFIER, "t", span)])
-        assert ann.depth == tree.node(ann.node_id).depth
-        return ann.node_id
+        node_id = assign_nodes(tree, [Token(0, TokenKind.IDENTIFIER, "t", span)])
+        assert node_id.dtype == np.int64
+        (node,) = node_id.tolist()
+        return node
 
     def test_deepest_wins_over_start_ownership(self):
         # Start byte sits in the depth-1 node, but a deeper node intersects.
@@ -131,7 +133,7 @@ class TestTieBreaks:
         tokens = [
             Token(i, TokenKind.IDENTIFIER, "t", span) for i, span in enumerate(spans)
         ]
-        got = [a.node_id for a in assign_nodes(tree, tokens)]
+        got = assign_nodes(tree, tokens).tolist()
         assert got == [4, 1, 4] == naive_node_assignment(tree, tokens)
 
     def test_equal_depth_and_start_takes_lower_id(self):
@@ -143,7 +145,7 @@ class TestTieBreaks:
         ]
         tree = SyntaxTree("x" * 20, nodes, 0)
         tokens = [Token(0, TokenKind.IDENTIFIER, "t", (6, 7))]
-        assert [a.node_id for a in assign_nodes(tree, tokens)] == [5]
+        assert assign_nodes(tree, tokens).tolist() == [5]
         assert naive_node_assignment(tree, tokens) == [5]
 
     def test_oracle_agrees_on_synthetic_cases(self):
@@ -152,7 +154,7 @@ class TestTieBreaks:
         tokens = [
             Token(i, TokenKind.IDENTIFIER, "t", span) for i, span in enumerate(spans)
         ]
-        got = [a.node_id for a in assign_nodes(tree, tokens)]
+        got = assign_nodes(tree, tokens).tolist()
         assert got == [4, 3, 3, 2, 0, 1]
         assert got == naive_node_assignment(tree, tokens)
 
@@ -178,14 +180,17 @@ INCONSISTENT_DEDENT = [
 
 
 def _check_against_oracle(tree, tokens):
-    anns = assign_nodes(tree, tokens)
-    assert [a.node_id for a in anns] == naive_node_assignment(tree, tokens)
-    assert [a.position for a in anns] == [t.index for t in tokens]
-    assert all(a.depth == tree.node(a.node_id).depth for a in anns)
-    index = positions_by_node(anns)
-    chains = chain_lengths(tree, anns)
+    node_id = assign_nodes(tree, tokens)
+    assert node_id.dtype == np.int64
+    assert node_id.tolist() == naive_node_assignment(tree, tokens)
+    index = positions_by_node(node_id)
+    assert sorted(p for positions in index.values() for p in positions) == list(range(len(tokens)))
+    assert all(positions == sorted(positions) for positions in index.values())
+    chains = chain_lengths(tree, node_id)
     assert chains.dtype == np.int64
-    assert chains.tolist() == [max_chain_length(l, anns, tree, index) for l in range(len(anns))]
+    assert chains.tolist() == [
+        max_chain_length(l, node_id, tree, index) for l in range(len(node_id))
+    ]
 
 
 @st.composite
@@ -274,26 +279,26 @@ class TestOneWalkAgainstOracle:
 
 class TestPrecedes:
     def test_def_precedes_return(self):
-        tree, tokens, anns = annotate(NESTED_SRC)
+        tree, tokens, node_id = annotate(NESTED_SRC)
         pos = {t.text: t.index for t in tokens}
-        assert precedes(pos["def"], pos["return"], anns, tree)
-        assert not precedes(pos["return"], pos["def"], anns, tree)
+        assert precedes(pos["def"], pos["return"], node_id, tree)
+        assert not precedes(pos["return"], pos["def"], node_id, tree)
 
     def test_split_identifier_chunks_ordered(self):
         src = "quicksort = 1"
         tokens = split_identifiers(tokenize(src), 5)
         tree = parse(src)
-        anns = assign_nodes(tree, tokens)
-        assert anns[0].node_id == anns[1].node_id
-        assert precedes(0, 1, anns, tree)
-        assert not precedes(1, 0, anns, tree)
+        node_id = assign_nodes(tree, tokens)
+        assert node_id[0] == node_id[1]
+        assert precedes(0, 1, node_id, tree)
+        assert not precedes(1, 0, node_id, tree)
 
     def test_disjoint_siblings_incomparable(self):
         src = "a = 1\nb = 2\n"
-        tree, tokens, anns = annotate(src)
+        tree, tokens, node_id = annotate(src)
         pos = {t.text: t.index for t in tokens}
-        assert not precedes(pos["a"], pos["b"], anns, tree)
-        assert not precedes(pos["b"], pos["a"], anns, tree)
+        assert not precedes(pos["a"], pos["b"], node_id, tree)
+        assert not precedes(pos["b"], pos["a"], node_id, tree)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -301,55 +306,56 @@ class TestPrecedes:
         from anchordiff import AnchorConfig, AnchorStrategy, annotate_program, synth_corpus
 
         src = synth_corpus(seed=seed, n_programs=1, max_depth=6)[0]
-        tree, tokens, anns = annotate(src)
+        tree, tokens, node_id = annotate(src)
         n = len(tokens)
         import random
 
         rnd = random.Random(seed)
         picks = [tuple(rnd.randrange(n) for _ in range(3)) for _ in range(60)]
         for a, b, c in picks:
-            assert not precedes(a, a, anns, tree)  # irreflexive
-            if precedes(a, b, anns, tree):
-                assert not precedes(b, a, anns, tree)  # antisymmetric
-                if precedes(b, c, anns, tree):
-                    assert precedes(a, c, anns, tree)  # transitive
+            assert not precedes(a, a, node_id, tree)  # irreflexive
+            if precedes(a, b, node_id, tree):
+                assert not precedes(b, a, node_id, tree)  # antisymmetric
+                if precedes(b, c, node_id, tree):
+                    assert precedes(a, c, node_id, tree)  # transitive
 
 
 class TestAncestorChain:
     def test_keyword_stepping_chain(self):
-        tree, tokens, anns = annotate(NESTED_SRC)
+        tree, tokens, node_id = annotate(NESTED_SRC)
         mid = next(t.index for t in tokens if t.text == "mid" and
                    tokens[t.index - 1].text == "return")
-        chain = ancestor_chain(mid, 4, anns, tree)
+        chain = ancestor_chain(mid, 4, node_id, tokens, tree)
         texts = [tokens[p].text for p in chain.positions]
         assert texts == ["mid", "return", "if", "while", "def"]
 
     def test_chain_is_identity_at_k0(self):
-        tree, tokens, anns = annotate(NESTED_SRC)
-        chain = ancestor_chain(3, 0, anns, tree)
+        tree, tokens, node_id = annotate(NESTED_SRC)
+        chain = ancestor_chain(3, 0, node_id, tokens, tree)
         assert chain.positions == (3,)
 
     def test_chain_pairs_satisfy_partial_order(self, synth_sources):
         for src in synth_sources[:10]:
-            tree, tokens, anns = annotate(src)
-            index = positions_by_node(anns)
+            tree, tokens, node_id = annotate(src)
+            index = positions_by_node(node_id)
             for l0 in range(len(tokens)):
-                k = min(max_chain_length(l0, anns, tree, index), 3)
-                chain = ancestor_chain(l0, k, anns, tree, node_index=index)
+                k = min(max_chain_length(l0, node_id, tree, index), 3)
+                chain = ancestor_chain(l0, k, node_id, tokens, tree, node_index=index)
                 for lo, hi in zip(chain.positions, chain.positions[1:]):
-                    assert precedes(hi, lo, anns, tree)
+                    assert precedes(hi, lo, node_id, tree)
 
     def test_chain_contiguity_no_interposing_token_node(self, synth_sources):
         # Between consecutive chain nodes there is no token-bearing node.
         for src in synth_sources[:10]:
-            tree, tokens, anns = annotate(src)
-            index = positions_by_node(anns)
+            tree, tokens, node_id = annotate(src)
+            index = positions_by_node(node_id)
+            homes = node_id.tolist()
             for l0 in range(0, len(tokens), 5):
-                k = min(max_chain_length(l0, anns, tree, index), 3)
-                chain = ancestor_chain(l0, k, anns, tree, node_index=index)
+                k = min(max_chain_length(l0, node_id, tree, index), 3)
+                chain = ancestor_chain(l0, k, node_id, tokens, tree, node_index=index)
                 for lo, hi in zip(chain.positions, chain.positions[1:]):
-                    node = tree.parent(anns[lo].node_id)
-                    while node != anns[hi].node_id:
+                    node = tree.parent(homes[lo])
+                    while node != homes[hi]:
                         assert not index.get(node), "token-bearing node skipped"
                         node = tree.parent(node)
 
@@ -366,38 +372,45 @@ class TestAncestorChain:
         # positions, and one below k always raises InsufficientDepth.
         (src,) = synth_corpus(seed=seed, n_programs=1, max_depth=max_depth)
         rec = annotate_program(src, PROBE_CONFIG, split_max_len=split)
-        index = positions_by_node(rec.annotations)
+        index = positions_by_node(rec.node_id)
         for l0, length in enumerate(rec.chain.tolist()):
             if length >= k:
-                chain = ancestor_chain(l0, k, rec.annotations, rec.tree, rule, index)
+                chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.tree, rule, index)
                 assert len(chain) == k + 1
             else:
                 with pytest.raises(InsufficientDepth):
-                    ancestor_chain(l0, k, rec.annotations, rec.tree, rule, index)
+                    ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.tree, rule, index)
 
     def test_insufficient_depth(self):
-        tree, tokens, anns = annotate("x = 1")
+        tree, tokens, node_id = annotate("x = 1")
         with pytest.raises(InsufficientDepth) as err:
-            ancestor_chain(0, 5, anns, tree)
+            ancestor_chain(0, 5, node_id, tokens, tree)
         assert err.value.requested == 5
 
     def test_module_child_boundary(self):
         # Token of a module-level statement: chain of length 1 requires a
         # Module-assigned token, which exists only with top-level newlines.
         src = "x = 1"
-        tree, tokens, anns = annotate(src)
+        tree, tokens, node_id = annotate(src)
         with pytest.raises(InsufficientDepth):
-            ancestor_chain(0, 2, anns, tree)
+            ancestor_chain(0, 2, node_id, tokens, tree)
         src2 = "x = 1\ny = 2\n"
-        tree2, tokens2, anns2 = annotate(src2)
-        chain = ancestor_chain(0, 2, anns2, tree2)
-        assert anns2[chain.positions[-1]].node_id == tree2.root
+        tree2, tokens2, node_id2 = annotate(src2)
+        chain = ancestor_chain(0, 2, node_id2, tokens2, tree2)
+        assert node_id2[chain.positions[-1]] == tree2.root
 
     def test_first_token_rule(self):
-        tree, tokens, anns = annotate(NESTED_SRC)
+        tree, tokens, node_id = annotate(NESTED_SRC)
         mid = next(t.index for t in tokens if t.text == "mid" and
                    tokens[t.index - 1].text == "return")
-        chain = ancestor_chain(mid, 2, anns, tree, rule="first_token")
+        chain = ancestor_chain(mid, 2, node_id, tokens, tree, rule="first_token")
         # Return owns only its keyword either way; the If node's first
         # assigned token is still "if".
         assert tokens[chain.positions[1]].text == "return"
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_unknown_rule_is_rejected_for_every_k(self, k):
+        tree, tokens, node_id = annotate(NESTED_SRC)
+        mid = next(t.index for t in tokens if t.text == "mid")
+        with pytest.raises(ValueError, match="unknown designation rule: 'bogus'"):
+            ancestor_chain(mid, k, node_id, tokens, tree, rule="bogus")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,27 @@ from anchordiff.minilang import (
     split_identifiers,
     tokenize,
 )
+
+
+# Each shape nests n levels; its opener is the token that opens a level.
+NESTED = {
+    "parens": ("(", lambda n: "x = " + "(" * n + "1" + ")" * n + "\n"),
+    "subscripts": ("[", lambda n: "x = a" + "[a" * n + "]" * n + "\n"),
+    "calls": ("(", lambda n: "x = " + "f(" * n + "1" + ")" * n + "\n"),
+    "ifs": (":", lambda n: "".join(" " * i + "if x:\n" for i in range(n)) + " " * n + "y = 1\n"),
+}
+
+
+def _with_frames_below(n, fn):
+    """``fn()`` called from n extra stack frames."""
+    return fn() if n == 0 else _with_frames_below(n - 1, fn)
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
 
 
 def kinds_and_texts(tokens):
@@ -531,3 +553,49 @@ class TestParserPin:
         for outcome in pin_outcomes[0] + pin_outcomes[1]:
             digest.update(json.dumps(outcome).encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestNestingLimit:
+    """Nesting past MAX_NESTING levels is a ParseError at the opening token of
+    the first level past it, whatever the caller's stack depth; nothing the
+    parser reads raises RecursionError."""
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_deep_nesting_is_one_parse_error_at_any_stack_depth(self, shape):
+        opener, make = NESTED[shape]
+        src = make(1000)
+        offset = [i for i, c in enumerate(src) if c == opener][parser_module.MAX_NESTING]
+        for extra in (0, 200, 400):
+            with pytest.raises(ParseError) as err:
+                _with_frames_below(extra, lambda: parse(src))
+            assert (err.value.offset, err.value.message) == (
+                offset, f"nesting deeper than {parser_module.MAX_NESTING} levels"
+            )
+            assert _with_frames_below(extra, lambda: is_syntactically_valid(src)) is False
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_the_limit_parses_within_half_the_default_recursion_limit(self, shape):
+        src = NESTED[shape][1](parser_module.MAX_NESTING)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 500)
+        try:
+            parse(src)
+        finally:
+            sys.setrecursionlimit(limit)
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(NESTED[shape][1](parser_module.MAX_NESTING + 1))
+
+    @pytest.mark.parametrize(
+        "src, kind, data, nodes",
+        [
+            ("x = " + "not " * 3000 + "y\n", NodeKind.BINOP, "not", 3000),
+            ("x = " + "2 ** " * 3000 + "2\n", NodeKind.BINOP, "**", 3000),
+            ("if a:\n    x = 1\n" + "elif a:\n    x = 1\n" * 3000, NodeKind.IF, None, 3001),
+        ],
+        ids=["not", "power", "elif"],
+    )
+    def test_long_chains_are_loops_not_levels(self, src, kind, data, nodes):
+        # Each node of the chain is the child of the one before.
+        chain = [n for n in parse(src).nodes.values() if n.kind is kind and n.data == data]
+        assert len(chain) == nodes
+        assert sorted(n.depth for n in chain) == list(range(chain[-1].depth, chain[-1].depth + nodes))

@@ -246,6 +246,8 @@ def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
         records = result.records
     if not records:
         raise EmptyCorpusError(f"no parseable programs in corpus {path}")
+    if not any(rec.tokens for rec in records):
+        raise EmptyCorpusError(f"no tokens in corpus {path}: every program is empty")
     return records
 
 

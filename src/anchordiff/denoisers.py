@@ -24,12 +24,20 @@ the vocabulary, later passed through apply_constraints):
   probability arrays.
 
 ``Predictor.predict_batch`` scores several latents at once; it loops over
-``predict`` unless a predictor has a vectorized path.
+``predict`` unless a predictor has a vectorized path. ``target_probs`` gives
+only the constrained probability of one target token per position of a
+batch of latent id rows, which is all a loss needs; the default gathers it
+from ``predict_batch``, and the backoff model answers it with one gather
+from rows constrained once at construction. ``argmax_at`` gives the argmax
+token of ``predict_row`` at one position for a batch of rows.
 
 resolve_anchors is the single anchor-first commit routine, and
-anchor_commit_order the single anchor ordering. The anchored sampler shares
-that ordering; it commits every masked anchor of a step before any other
-position, so it never needs a provisional scaffold.
+anchor_commit_order the single anchor ordering. resolve_anchors works on a
+batch of latent id rows: it walks the record's full anchor order once and
+commits each position in the rows where it is masked, which equals walking
+each row's own order (the full order filtered by the row's mask). The
+anchored sampler shares that ordering; it commits every masked anchor of a
+step before any other position, so it never needs a provisional scaffold.
 """
 
 from __future__ import annotations
@@ -104,6 +112,24 @@ class Predictor:
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         return apply_constraints(self.predict(z), z)[position]
+
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
+        """Constrained probability of ``targets[l]`` at each position l of
+        each row of the (n, L) latent ids, as a new (n, L) array: equal to
+        ``apply_constraints(predict_batch(zs), zs)[d, l, targets[l]]``, where
+        ``zs`` are the rows as latents. The default computes exactly that."""
+        zs = [LatentSequence(row, mask_id) for row in ids]
+        probs = apply_constraints(self.predict_batch(zs), zs)
+        # The gather comes out in Fortran order; callers read it row by row.
+        return np.ascontiguousarray(probs[:, np.arange(ids.shape[1]), targets])
+
+    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
+        """The argmax token of ``predict_row`` at ``position`` for each row
+        of the (m, L) latent ids."""
+        return np.array(
+            [self.predict_row(LatentSequence(row, mask_id), position).argmax() for row in ids],
+            dtype=np.int64,
+        )
 
 
 class ExactPosteriorDenoiser(Predictor):
@@ -234,7 +260,9 @@ class BackoffCountModel(Predictor):
     and slot K+1 is EOS. The mask id is never a seen context, so a masked
     neighbor falls through its route. Construction smooths every row once
     and folds the four routes into one (K+2, K+2) row index, so a query is
-    one gather, and there is no dense (K+2, K+2, K) table.
+    one gather, and there is no dense (K+2, K+2, K) table. It also keeps
+    each row as ``apply_constraints`` leaves it at a masked position, and
+    each row's argmax, so ``target_probs`` and ``argmax_at`` are gathers too.
     """
 
     def __init__(
@@ -263,6 +291,15 @@ class BackoffCountModel(Predictor):
         route = np.where(self.pair_index >= 0, self.pair_index, self.left_index[:, None])
         route = np.where(route >= 0, route, self.right_index[None, :])
         self._route = np.where(route >= 0, route, len(self.counts) - 1)
+        # apply_constraints' arithmetic on a masked position's row, done once
+        # per table row; Laplace smoothing leaves every row mass off the mask.
+        constrained = self._rows.copy()
+        constrained[:, vocab.mask_id] = 0.0
+        totals = constrained.sum(axis=-1)
+        renorm = np.abs(totals - 1.0) > 1e-12
+        np.divide(constrained, totals[:, None], out=constrained, where=renorm[:, None])
+        self._constrained = constrained
+        self._argmax = self._rows.argmax(axis=1)
 
     @classmethod
     def fit(cls, corpus: Corpus) -> "BackoffCountModel":
@@ -309,6 +346,17 @@ class BackoffCountModel(Predictor):
         raw[seen] = 0.0
         raw[seen + (ids[seen],)] = 1.0
         return raw
+
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
+        left, right = _neighbor_slots(ids, self.vocab.size)
+        probs = self._constrained[self._route[left, right], targets]
+        return np.where(ids == mask_id, probs, targets == ids)
+
+    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
+        K = self.vocab.size
+        a = ids[:, position - 1] if position > 0 else K
+        b = ids[:, position + 1] if position < ids.shape[1] - 1 else K + 1
+        return np.where(ids[:, position] == mask_id, self._argmax[self._route[a, b]], ids[:, position])
 
     # -- serialization ----------------------------------------------------
 
@@ -358,6 +406,7 @@ class BackoffCountModel(Predictor):
             rows = np.array([v for _, v in entries] or np.zeros((0, K)), dtype=np.float64)
             if rows.shape != (len(keys), K):
                 raise ValueError(f"count rows must have {K} entries")
+            _check_counts(rows)
             ok = np.isin(keys, (BOS_CONTEXT, EOS_CONTEXT)) | ((keys >= 0) & (keys < vocab.mask_id))
             if not ok.all():
                 raise ValueError("count table has a context outside the vocabulary")
@@ -373,7 +422,15 @@ class BackoffCountModel(Predictor):
         unigram = np.array(data["unigram"], dtype=np.float64)
         if unigram.shape != (K,):
             raise ValueError(f"unigram counts must have {K} entries")
+        _check_counts(unigram)
         return cls(vocab, routes, unigram)
+
+
+def _check_counts(counts: np.ndarray) -> None:
+    """Counts are finite and non-negative, so every smoothed row has mass
+    off the mask token and no row is degenerate."""
+    if not (np.isfinite(counts).all() and (counts >= 0).all()):
+        raise ValueError("counts must be finite and non-negative")
 
 
 def _slot_of(contexts: np.ndarray, K: int) -> np.ndarray:
@@ -408,15 +465,27 @@ def anchor_commit_order(
 
 
 def resolve_anchors(
-    anchor_predictor: Predictor, z: LatentSequence, order: list[int]
-) -> LatentSequence:
+    anchor_predictor: Predictor, ids: np.ndarray, order: list[int], mask_id: int
+) -> np.ndarray:
     """Commit the anchor stage's argmax token at each position of ``order``
-    into a copy of ``z``, each commit conditioned on the ones before it,
-    which keeps the result inside a table predictor's support."""
-    y = z.copy_with(z.ids)
+    into a copy of the (n, L) latent ids, in the rows where that position is
+    masked, each commit conditioned on the ones before it, which keeps the
+    result inside a table predictor's support.
+
+    ``order`` is the record's full anchor order, ``anchor_commit_order``
+    over all positions. A row's own order is that list filtered by the
+    row's mask, and a commit changes only its own position, so walking the
+    full order once commits every row as walking its own order would."""
+    y = np.array(ids, dtype=np.int64)
     for l in order:
-        y.ids[l] = int(anchor_predictor.predict_row(y, l).argmax())
+        rows = np.flatnonzero(y[:, l] == mask_id)
+        if len(rows):
+            y[rows, l] = anchor_predictor.argmax_at(y[rows], l, mask_id)
     return y
+
+
+def _full_order(omega: np.ndarray, eta: np.ndarray) -> list[int]:
+    return anchor_commit_order(omega, eta, np.ones(len(omega), dtype=bool))
 
 
 def two_stage_predict(
@@ -429,7 +498,8 @@ def two_stage_predict(
     """Anchored composition of each latent in ``zs``: predict anchors,
     resolve the masked ones into an intermediate sequence (resolve_anchors,
     in anchor_commit_order), then run the denoiser on it. Both predictors
-    score the whole batch at once; the commits are made per latent.
+    score the whole batch at once, and the anchors of the batch are
+    resolved together.
 
     Returns the anchor and final probability arrays, each of shape
     (len(zs), L, K), and the intermediate sequences. In the final arrays,
@@ -438,12 +508,14 @@ def two_stage_predict(
     committed token, so the composed prediction never assigns zero
     probability to a clean token the anchor stage considered possible.
     """
+    mask_id = zs[0].mask_id
+    ids = np.stack([z.ids for z in zs])
     anchor_probs = apply_constraints(anchor_predictor.predict_batch(zs), zs)
-    orders = [anchor_commit_order(omega, eta, z.is_masked) for z in zs]
-    ys = [resolve_anchors(anchor_predictor, z, order) for z, order in zip(zs, orders)]
+    resolved = resolve_anchors(anchor_predictor, ids, _full_order(omega, eta), mask_id)
+    ys = [z.copy_with(row) for z, row in zip(zs, resolved)]
     final_probs = apply_constraints(denoiser_predictor.predict_batch(ys), ys)
-    for j, order in enumerate(orders):
-        final_probs[j, order] = anchor_probs[j, order]
+    committed = (ids == mask_id) & (omega >= 0.5)
+    final_probs[committed] = anchor_probs[committed]
     return anchor_probs, final_probs, ys
 
 
@@ -457,18 +529,23 @@ class TwoStagePredictor(Predictor):
     omega: np.ndarray
     eta: np.ndarray
 
-    def stage_matrices(self, zs: list[LatentSequence]) -> tuple[np.ndarray, np.ndarray]:
-        """Anchor and final probability arrays of each latent in ``zs``."""
-        anchor_probs, final_probs, _ = two_stage_predict(
-            self.anchor, self.denoiser, zs, self.omega, self.eta
-        )
-        return anchor_probs, final_probs
-
     def predict_batch(self, zs: list[LatentSequence]) -> np.ndarray:
-        return self.stage_matrices(zs)[1]
+        return two_stage_predict(self.anchor, self.denoiser, zs, self.omega, self.eta)[1]
 
     def predict(self, z: LatentSequence) -> np.ndarray:
         return self.predict_batch([z])[0]
+
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
+        """The composition gathered at the targets, from each stage's own
+        ``target_probs``: the denoiser's on the resolved rows, and the anchor
+        stage's on ``ids`` at the positions it committed."""
+        resolved = resolve_anchors(self.anchor, ids, _full_order(self.omega, self.eta), mask_id)
+        final = self.denoiser.target_probs(resolved, targets, mask_id)
+        committed = (ids == mask_id) & (self.omega >= 0.5)
+        if committed.any():
+            anchor = self.anchor.target_probs(ids, targets, mask_id)
+            final[committed] = anchor[committed]
+        return final
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

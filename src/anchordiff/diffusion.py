@@ -11,9 +11,12 @@ row zero mass on the mask token and a one-hot row at every unmasked
 position.
 
 The losses are stratified Monte Carlo estimates over the step indices.
-Each stratum's draws are corrupted and scored as a batch (one block of
-coins, one batched prediction), with the same random stream and the same
-per-draw log sums as one ``corrupt`` call and one prediction per draw.
+The draws of all strata are corrupted and scored as batches (one block of
+coins per batch, one batched query), with the same random stream and the
+same per-draw log sums as one ``corrupt`` call and one prediction per draw.
+A loss reads only the probability of the clean token (and of the anchor
+target) at each position, so it asks the predictor for those through
+``target_probs`` rather than for whole ``(n, L, K)`` arrays.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def corrupt(
 def _forward_mask(x: LatentSequence, keep: float, coins: np.ndarray) -> np.ndarray:
     """The forward process's masking rule: ids of ``x`` with each non-prompt
     position masked where its uniform coin falls below 1 - keep. ``coins``
-    may carry leading draw dimensions."""
+    may carry leading draw dimensions, and ``keep`` one value per draw."""
     return np.where((coins < 1.0 - keep) & ~x.prompt_mask, x.mask_id, x.ids)
 
 
@@ -256,36 +259,36 @@ def _stratified_loss(
     rng: np.random.Generator | int | None,
     score,
 ) -> LossReport:
-    """Shared stratified-MC loop: ``score(zs)`` yields the unweighted
-    per-draw (log term, infinite hits) of a batch of corrupted latents, and
-    each log term is scaled by lambda_i within its stratum.
+    """Shared stratified-MC loop: ``score(ids)`` yields the unweighted
+    per-draw log terms and infinite hits, two (n,) arrays, of an (n, L)
+    batch of corrupted latent ids, and each log term is scaled by lambda_i
+    of its draw's stratum.
 
-    Each stratum's corruption coins are drawn as one ``(draws, L)`` block
-    per batch, which gives the same doubles, in the same order, as one
-    ``corrupt`` call per draw.
+    The draws are laid out stratum by stratum, and each batch's corruption
+    coins are one ``(draws, L)`` block, which gives the same doubles, in the
+    same order, as one ``corrupt`` call per draw.
     """
     seed = rng if isinstance(rng, int) else None
     rng = as_rng(rng)
     counts = _allocate_strata(n_samples, schedule.T)
+    steps = range(1, schedule.T + 1)
+    lam = np.repeat([lambda_weight(schedule, i) for i in steps], counts)
+    keep = np.repeat([alpha(schedule, step_times(schedule, i)[1]) for i in steps], counts)
     batch = max(1, LOSS_BATCH_CELLS // max(1, len(x) * (x.mask_id + 1)))
+    vals = np.empty(len(lam))
+    n_infinite = 0
+    for start in range(0, len(vals), batch):
+        stop = min(start + batch, len(vals))
+        coins = rng.random((stop - start, len(x)))
+        log_terms, inf_hits = score(_forward_mask(x, keep[start:stop, None], coins))
+        n_infinite += int(inf_hits.sum())
+        vals[start:stop] = lam[start:stop] * log_terms
     estimate = 0.0
     variance = 0.0
-    n_infinite = 0
-    for i in range(1, schedule.T + 1):
-        lam = lambda_weight(schedule, i)
-        _, t = step_times(schedule, i)
-        keep = alpha(schedule, t)
-        n_i = counts[i - 1]
-        vals = np.empty(n_i)
-        for start in range(0, n_i, batch):
-            coins = rng.random((min(batch, n_i - start), len(x)))
-            zs = [x.copy_with(ids) for ids in _forward_mask(x, keep, coins)]
-            for j, (log_term, inf_hits) in enumerate(score(zs), start):
-                n_infinite += inf_hits
-                vals[j] = lam * log_term
-        estimate += float(vals.mean())
-        if n_i > 1:
-            variance += float(vals.var(ddof=1)) / n_i
+    for stratum in np.split(vals, np.cumsum(counts)[:-1]):
+        estimate += float(stratum.mean())
+        if len(stratum) > 1:
+            variance += float(stratum.var(ddof=1)) / len(stratum)
     stderr = float(np.sqrt(variance))
     if n_infinite:
         estimate = float("inf")
@@ -293,17 +296,26 @@ def _stratified_loss(
     return LossReport(estimate, stderr, sum(counts), seed, n_infinite)
 
 
-def _masked_log_prob(
-    probs: np.ndarray, targets: np.ndarray, positions: np.ndarray
-) -> tuple[float, int]:
-    if len(positions) == 0:
-        return 0.0, 0
-    p = probs[positions, targets[positions]]
-    zero = p == 0
-    if zero.any():
-        with np.errstate(divide="ignore"):
-            return float(np.log(p[~zero]).sum()), int(zero.sum())
-    return float(np.log(p).sum()), 0
+def _log_sums(
+    probs: np.ndarray, use: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (n, L) target probabilities: the sum of the logs at the
+    positions ``use`` marks, each times its weight when ``weights`` is
+    given, skipping zero probabilities, and the number of zeros skipped.
+
+    Each row's terms are summed as their own 1-D array, in position order:
+    a row-wise sum over the whole matrix would change numpy's summation
+    order and so the last bits of the estimate."""
+    zero = probs == 0
+    hits = (zero & use).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(probs)
+    sums = np.empty(len(probs))
+    for j, (row, keep) in enumerate(zip(logs, use)):
+        if hits[j]:
+            keep = keep & ~zero[j]
+        sums[j] = (row[keep] if weights is None else weights[keep] * row[keep]).sum()
+    return sums, hits
 
 
 def nelbo(
@@ -314,7 +326,7 @@ def nelbo(
     rng: np.random.Generator | int | None,
 ) -> LossReport:
     """Estimate the negative ELBO of ``predictor`` (a ``denoisers.Predictor``,
-    scored through ``predict_batch``) on clean sequence ``x``.
+    scored through ``target_probs``) on clean sequence ``x``.
 
     Stratifies draws over the step indices; carry-over positions contribute
     exactly zero, so only masked positions are evaluated. A masked position
@@ -322,9 +334,8 @@ def nelbo(
     infinity rather than failing silently.
     """
 
-    def score(zs: list[LatentSequence]):
-        for z, probs in zip(zs, apply_constraints(predictor.predict_batch(zs), zs)):
-            yield _masked_log_prob(probs, x.ids, np.flatnonzero(z.is_masked))
+    def score(ids: np.ndarray):
+        return _log_sums(predictor.target_probs(ids, x.ids, x.mask_id), ids == x.mask_id)
 
     return _stratified_loss(x, schedule, n_samples, rng, score)
 
@@ -341,29 +352,28 @@ def anelbo(
     """Anchored NELBO: the NELBO term of the composed predictor plus the
     mu-weighted anchor term, estimated on shared corruption draws.
 
-    ``predictor_pair`` must expose ``stage_matrices(zs) -> (anchor, final)``,
-    two (len(zs), L, K) arrays of constraint-satisfying rows, as
-    ``TwoStagePredictor`` does. Positions with mu = 0 are excluded from the
-    anchor term before any log is taken.
+    ``predictor_pair`` is a composed predictor with an ``anchor`` stage, as
+    ``TwoStagePredictor`` is: the NELBO term reads the composition's
+    ``target_probs`` of the clean tokens, the anchor term the anchor stage's
+    ``target_probs`` of ``anchor_targets``. Positions with mu = 0 are
+    excluded from the anchor term before any log is taken.
     """
     anchor_targets = np.asarray(anchor_targets)
     mu = np.asarray(mu, dtype=np.float64)
     if len(mu) != len(x) or len(anchor_targets) != len(x):
         raise ValueError("mu and anchor_targets must align with x")
-    anchored = np.flatnonzero(mu > 0)
+    anchored = mu > 0
 
-    def score(zs: list[LatentSequence]):
-        for z, anchor_probs, final_probs in zip(zs, *predictor_pair.stage_matrices(zs)):
-            masked = np.flatnonzero(z.is_masked)
-            log_term, inf_hits = _masked_log_prob(final_probs, x.ids, masked)
-            if len(anchored):
-                p = anchor_probs[anchored, anchor_targets[anchored]]
-                zero = p == 0
-                inf_hits += int(zero.sum())
-                if zero.any():
-                    log_term += float((mu[anchored][~zero] * np.log(p[~zero])).sum())
-                else:
-                    log_term += float((mu[anchored] * np.log(p)).sum())
-            yield log_term, inf_hits
+    def score(ids: np.ndarray):
+        probs = predictor_pair.target_probs(ids, x.ids, x.mask_id)
+        log_terms, inf_hits = _log_sums(probs, ids == x.mask_id)
+        if anchored.any():
+            probs = predictor_pair.anchor.target_probs(ids, anchor_targets, x.mask_id)
+            anchor_terms, anchor_hits = _log_sums(
+                probs, np.broadcast_to(anchored, ids.shape), mu
+            )
+            log_terms += anchor_terms
+            inf_hits += anchor_hits
+        return log_terms, inf_hits
 
     return _stratified_loss(x, schedule, n_samples, rng, score)

@@ -88,17 +88,17 @@ class SyntaxTree:
             stack.extend(reversed(self.nodes[node_id].children))
 
     def pretty(self) -> str:
-        """Indented one-line-per-node rendering, useful in demos."""
+        """Indented one-line-per-node rendering, useful in demos. Walks with
+        an explicit stack, so a deep tree (a long operator chain nests one
+        level per operator) does not hit the recursion limit."""
         lines: list[str] = []
-
-        def rec(node_id: int, indent: int) -> None:
+        stack = [(self.root, 0)]
+        while stack:
+            node_id, indent = stack.pop()
             node = self.nodes[node_id]
             label = node.kind.value
             if node.data is not None:
                 label += f"({node.data!r})"
             lines.append("  " * indent + f"{label} [{node.span[0]}:{node.span[1]}]")
-            for child in node.children:
-                rec(child, indent + 1)
-
-        rec(self.root, 0)
+            stack.extend((child, indent + 1) for child in reversed(node.children))
         return "\n".join(lines)

@@ -66,6 +66,23 @@ def naive_node_assignment(tree: SyntaxTree, tokens: list[Token]) -> list[int]:
     return out
 
 
+def recursive_pretty(tree: SyntaxTree) -> str:
+    """``SyntaxTree.pretty`` written as one recursive call per node."""
+    lines: list[str] = []
+
+    def rec(node_id: int, indent: int) -> None:
+        node = tree.nodes[node_id]
+        label = node.kind.value
+        if node.data is not None:
+            label += f"({node.data!r})"
+        lines.append("  " * indent + f"{label} [{node.span[0]}:{node.span[1]}]")
+        for child in node.children:
+            rec(child, indent + 1)
+
+    rec(tree.root, 0)
+    return "\n".join(lines)
+
+
 def naive_omega(token: Token, strategy: AnchorStrategy) -> int:
     """The anchor indicator of one token: keywords under keyword, identifiers
     under identifier, both under anchor_tree, nothing under null."""
@@ -380,15 +397,22 @@ class DictBackoffModel(Predictor):
         )
 
 
+def per_draw_resolve(anchor, z: LatentSequence, order: list[int]) -> LatentSequence:
+    """The anchors of one latent committed one at a time, in the latent's
+    own order, each by the argmax of ``predict_row`` given the ones before."""
+    y = z.copy_with(z.ids)
+    for l in order:
+        y.ids[l] = int(np.argmax(anchor.predict_row(y, l)))
+    return y
+
+
 def per_draw_two_stage(anchor, denoiser, z, omega, eta):
     """The anchored composition of one latent: anchor rows, the anchors
     committed one at a time by argmax, denoiser rows on the result, and the
     anchor stage's rows kept at the committed positions."""
     anchor_probs = apply_constraints(anchor.predict(z), z)
     order = anchor_commit_order(omega, eta, z.is_masked)
-    y = z.copy_with(z.ids)
-    for l in order:
-        y.ids[l] = int(np.argmax(anchor.predict_row(y, l)))
+    y = per_draw_resolve(anchor, z, order)
     final_probs = apply_constraints(denoiser.predict(y), y)
     final_probs[order] = anchor_probs[order]
     return anchor_probs, final_probs

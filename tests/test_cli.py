@@ -200,6 +200,18 @@ class TestExitCodes:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["annotate", "sample"])
+    def test_corpus_without_tokens_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        # The one program is empty: it parses, but leaves nothing to count.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.mini").write_text("")
+        out = tmp_path / "run"
+        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "no tokens in corpus" in err
+        assert not out.exists()
+
     def test_value_error_inside_a_run_is_not_an_input_error(self, tmp_path, monkeypatch):
         def broken(texts):
             raise ValueError("broken inside the run")

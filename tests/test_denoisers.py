@@ -21,6 +21,7 @@ from anchordiff.denoisers import (
     MarginalAnchorProfile,
     NoMatchError,
     PosteriorAnchorProfile,
+    Predictor,
     TwoStagePredictor,
     anchor_commit_order,
     resolve_anchors,
@@ -35,6 +36,8 @@ from .oracles import (
     RescanExactDenoiser,
     naive_consistent_rows,
     naive_posterior,
+    per_draw_resolve,
+    per_draw_two_stage,
     validate_prediction,
 )
 
@@ -338,6 +341,9 @@ class TestBackoffTables:
             ("left", good["left"] + good["left"][:1]),  # a repeated context
             ("right", [[good["right"][0][0], [1.0]]]),  # a short count row
             ("unigram", [1.0, 2.0]),
+            # Counts that would leave a smoothed row with no mass off the mask.
+            ("unigram", [-1.0] * corpus.vocab.size),
+            ("right", [[good["right"][0][0], [float("nan")] * corpus.vocab.size]]),
         ]:
             payload = dict(good, **{key: value})
             with pytest.raises(ValueError):
@@ -353,6 +359,49 @@ class TestBackoffTables:
 
 FOR_LOOP_P1 = "def f(numbers):\n    for num in numbers:\n        pass\n"
 FOR_LOOP_P2 = "def f(values):\n    for val in values:\n        pass\n"
+
+
+class TestLossQueries:
+    """The backoff model's ``target_probs`` and ``argmax_at`` against the
+    gathered constrained rows and ``predict_row``, equal, not close."""
+
+    @given(corpus_and_latents(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_backoff_target_probs_equal_constrained_rows(self, drawn, data):
+        # Latents over the whole vocabulary (masked neighbours, BOS and EOS
+        # contexts, L=1), a prompt that is never masked, and targets that
+        # include the mask id.
+        corpus, latents = drawn
+        model = BackoffCountModel.fit(corpus)
+        L, mask_id = corpus.length, corpus.vocab.mask_id
+        targets = np.array(data.draw(st.lists(st.integers(0, mask_id), min_size=L, max_size=L)))
+        prompt = np.arange(L) < data.draw(st.integers(0, L))
+        ids = np.where(prompt & (np.array(latents) == mask_id), 0, latents)
+        zs = [LatentSequence(row, mask_id, prompt) for row in ids]
+        want = apply_constraints(model.predict_batch(zs), zs)[:, np.arange(L), targets]
+        assert np.array_equal(model.target_probs(ids, targets, mask_id), want)
+        assert np.array_equal(Predictor.target_probs(model, ids, targets, mask_id), want)
+        for l in range(L):
+            argmax = [model.predict_row(z, l).argmax() for z in zs]
+            assert np.array_equal(model.argmax_at(ids, l, mask_id), argmax)
+
+    def test_backoff_target_probs_on_corrupted_records(self, synth_corpus_built):
+        # Full-length latents with prompts, scored at the clean tokens and
+        # at the anchor targets (the mask id off the anchors).
+        corpus = synth_corpus_built
+        model = BackoffCountModel.fit(corpus)
+        mask_id = corpus.vocab.mask_id
+        rng = np.random.default_rng(5)
+        for i in range(6):
+            prompt = np.arange(corpus.length) < 2 * i
+            x = LatentSequence(corpus.ids[i].copy(), mask_id, prompt)
+            zs = [corrupt(x, t, NoiseSchedule(T=8), rng) for t in (0.1, 0.5, 0.9, 1.0)]
+            ids = np.stack([z.ids for z in zs])
+            rows = apply_constraints(model.predict_batch(zs), zs)
+            anchor_targets = np.where(corpus.omega[i] >= 0.5, x.ids, mask_id)
+            for targets in (x.ids, anchor_targets):
+                want = rows[:, np.arange(len(x)), targets]
+                assert np.array_equal(model.target_probs(ids, targets, mask_id), want)
 
 
 class TestTwoStage:
@@ -419,22 +468,68 @@ class TestTwoStage:
             omega, eta = corpus.omega[i], corpus.eta[i]
             _, _, (y,) = two_stage_predict(model, model, [z], omega, eta)
             order = anchor_commit_order(omega, eta, z.is_masked)
-            assert np.array_equal(y.ids, resolve_anchors(model, z, order).ids)
+            assert np.array_equal(y.ids, per_draw_resolve(model, z, order).ids)
 
     def test_resolve_anchors_stays_in_support(self, synth_corpus_built):
         corpus = synth_corpus_built
         den = ExactPosteriorDenoiser(corpus)
+        mask_id = corpus.vocab.mask_id
         rng = np.random.default_rng(23)
         for i in range(6):
-            x = LatentSequence(corpus.ids[i].copy(), corpus.vocab.mask_id)
+            x = LatentSequence(corpus.ids[i].copy(), mask_id)
             z = corrupt(x, 0.9, NoiseSchedule(T=8), rng)
-            order = anchor_commit_order(corpus.omega[i], corpus.eta[i], z.is_masked)
-            y = resolve_anchors(den, z, order)
+            omega, eta = corpus.omega[i], corpus.eta[i]
+            order = anchor_commit_order(omega, eta, z.is_masked)
+            full = anchor_commit_order(omega, eta, np.ones(len(z), dtype=bool))
+            (y,) = resolve_anchors(den, z.ids[None], full, mask_id)
             rest = np.setdiff1d(np.arange(len(z)), order)
-            assert not y.is_masked[order].any()
-            assert np.array_equal(y.ids[rest], z.ids[rest])
+            assert not (y[order] == mask_id).any()
+            assert np.array_equal(y[rest], z.ids[rest])
             assert z.is_masked[order].all()  # z itself is left as it was
-            assert den.match_mask(y).any()
+            assert den.match_mask(latent(corpus, y)).any()
+
+    @pytest.mark.parametrize("kind", ["exact", "backoff"])
+    def test_batched_resolve_equals_per_draw(self, synth_corpus_built, kind):
+        # One batch of latents at several noise levels, prompts included,
+        # resolved together in the record's full order, against each latent
+        # resolved alone in its own order; and the composition's target
+        # probabilities against the per-draw composition, gathered.
+        corpus = synth_corpus_built
+        mask_id = corpus.vocab.mask_id
+        model = (
+            ExactPosteriorDenoiser(corpus)
+            if kind == "exact"
+            else BackoffCountModel.fit(corpus)
+        )
+        rng = np.random.default_rng(31)
+        for i in range(4):
+            omega, eta = corpus.omega[i], corpus.eta[i]
+            prompt = np.arange(corpus.length) < 3 * i
+            x = LatentSequence(corpus.ids[i].copy(), mask_id, prompt)
+            zs = [corrupt(x, t, NoiseSchedule(T=8), rng) for t in (0.3, 0.6, 0.9, 1.0) * 3]
+            ids = np.stack([z.ids for z in zs])
+            full = anchor_commit_order(omega, eta, np.ones(len(x), dtype=bool))
+            resolved = resolve_anchors(model, ids, full, mask_id)
+            pair = TwoStagePredictor(model, model, omega, eta)
+            probs = pair.target_probs(ids, x.ids, mask_id)
+            assert np.array_equal(ids, [z.ids for z in zs])  # the batch is left as it was
+            for z, y, row in zip(zs, resolved, probs):
+                order = anchor_commit_order(omega, eta, z.is_masked)
+                assert np.array_equal(y, per_draw_resolve(model, z, order).ids)
+                _, final = per_draw_two_stage(model, model, z, omega, eta)
+                assert np.array_equal(row, final[np.arange(len(x)), x.ids])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_full_order_filtered_by_mask_is_the_latent_order(self, data):
+        L = data.draw(st.integers(1, 12))
+        # A few fixed values among the floats, so that weights tie.
+        value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0))
+        omega = np.array(data.draw(st.lists(value, min_size=L, max_size=L)))
+        eta = np.array(data.draw(st.lists(value, min_size=L, max_size=L)))
+        masked = np.array(data.draw(st.lists(st.booleans(), min_size=L, max_size=L)))
+        full = anchor_commit_order(omega, eta, np.ones(L, dtype=bool))
+        assert [l for l in full if masked[l]] == anchor_commit_order(omega, eta, masked)
 
     def test_commit_order_deterministic(self):
         omega = np.array([1, 1, 0, 1, 1])
@@ -451,7 +546,7 @@ class TestTwoStage:
         oracle = OneHotPredictor(x, corpus.vocab.size)
         pair = TwoStagePredictor(oracle, oracle, corpus.omega[0], corpus.eta[0])
         z = corrupt(x, 0.9, NoiseSchedule(T=4), 8)
-        _, (final,) = pair.stage_matrices([z])
+        (final,) = pair.predict_batch([z])
         assert (final[np.arange(len(x)), x.ids] == 1.0).all()
 
 

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from anchordiff import diffusion
+from anchordiff import (
+    AnchorConfig,
+    AnchorStrategy,
+    annotate_program,
+    build_corpus,
+    denoisers,
+    diffusion,
+    synth_corpus,
+)
+from anchordiff.anchors import compute_anchor_targets
 from anchordiff.denoisers import (
     BackoffCountModel,
     ExactPosteriorDenoiser,
@@ -324,7 +333,8 @@ class TestBatchedLoss:
             "two_stage_onehot": TwoStagePredictor(onehot, onehot, omega, eta),
         }
 
-    @pytest.mark.parametrize("n_samples", [5, 16, 37, 100])
+    # 96 draws at T=16 is the loss workload's and eval's setting.
+    @pytest.mark.parametrize("n_samples", [5, 16, 37, 96, 100])
     @pytest.mark.parametrize("prompt_len", [0, 9])
     def test_nelbo_equals_per_draw(self, synth_corpus_built, n_samples, prompt_len):
         corpus = synth_corpus_built
@@ -335,7 +345,7 @@ class TestBatchedLoss:
             want = per_draw_loss(x, sched, n_samples, 11, nelbo_summand(x, predictor))
             self._same(got, want)
 
-    @pytest.mark.parametrize("n_samples", [5, 37])
+    @pytest.mark.parametrize("n_samples", [5, 37, 96])
     @pytest.mark.parametrize("prompt_len", [0, 9])
     def test_anelbo_equals_per_draw(self, synth_corpus_built, n_samples, prompt_len):
         corpus = synth_corpus_built
@@ -385,3 +395,65 @@ class TestBatchedLoss:
         want = per_draw_loss(x, sched, 10, 0, anelbo_summand(x, targets, pair, omega * eta))
         self._same(got, want)
         assert got.n_infinite > 0
+
+    def test_backoff_losses_build_no_probability_arrays(self, synth_corpus_built, monkeypatch):
+        # The backoff model and its composition score a loss through
+        # target_probs alone: with every (n, L, K) path made to raise, both
+        # losses still run and give the same reports.
+        corpus = synth_corpus_built
+        x, mu, targets = self._record(corpus, 4, prompt_len=5)
+        sched = NoiseSchedule(ScheduleKind.COSINE, 16)
+        backoff = BackoffCountModel.fit(corpus)
+        pair = TwoStagePredictor(backoff, backoff, corpus.omega[4], corpus.eta[4])
+        runs = [
+            lambda: nelbo(x, backoff, sched, 96, 3),
+            lambda: nelbo(x, pair, sched, 96, 3),
+            lambda: anelbo(x, targets, pair, sched, mu, 96, 3),
+        ]
+        before = [run() for run in runs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the loss path built a probability array")
+
+        monkeypatch.setattr(diffusion, "apply_constraints", forbidden)
+        monkeypatch.setattr(denoisers, "apply_constraints", forbidden)
+        for name in ("predict", "predict_batch", "predict_row"):
+            monkeypatch.setattr(BackoffCountModel, name, forbidden)
+        for run, want in zip(runs, before):
+            self._same(run(), want)
+
+
+class TestLossPin:
+    """repr of each estimate and stderr on records 0-5 of the 200-program
+    synth corpus, as ``eval`` scores them (backoff model, T=16, 96 draws):
+    the null NELBO, the anchored composition's NELBO, and its anchored
+    NELBO. Computed before the loss path read target probabilities only."""
+
+    PINS = {
+        0: (("74.09662266711081", "2.1294154831196965"), ("89.69790876479148", "2.874045167105513"), ("90.28526379626875", "2.890743227636931")),
+        1: (("71.64120093372843", "2.0982563040508246"), ("87.49651145741129", "2.781567959489366"), ("87.95101249883477", "2.793151261321371")),
+        2: (("66.39166794919649", "2.207448083272023"), ("84.08193941052049", "2.9860237717617086"), ("84.54660450013901", "2.9984166354304063")),
+        3: (("78.48007737128347", "2.62126734263262"), ("93.26639065312634", "3.536776707019727"), ("93.82542582123588", "3.551876825898928")),
+        4: (("72.1973807549023", "2.3572945872498634"), ("88.89433119769276", "3.136797610388512"), ("89.30709709654556", "3.147888084640514")),
+        5: (("65.91979149196166", "1.8942462339205655"), ("85.52727360939102", "2.7880076310716113"), ("85.90308862237434", "2.794523659716873")),
+    }
+
+    def test_estimates_are_pinned(self):
+        config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+        sources = synth_corpus(seed=20260809, n_programs=200)
+        corpus = build_corpus([annotate_program(s, config, str(i)) for i, s in enumerate(sources)])
+        model = BackoffCountModel.fit(corpus)
+        sched = NoiseSchedule(T=16)
+        mask_id = corpus.vocab.mask_id
+        for i, pins in self.PINS.items():
+            x = LatentSequence(corpus.ids[i].copy(), mask_id)
+            omega, eta = corpus.omega[i], corpus.eta[i]
+            pair = TwoStagePredictor(model, model, omega, eta)
+            targets = compute_anchor_targets(corpus.ids[i], omega, mask_id)
+            reports = (
+                nelbo(x, model, sched, 96, np.random.default_rng([1, 7, i])),
+                nelbo(x, pair, sched, 96, np.random.default_rng([1, 7, i])),
+                anelbo(x, targets, pair, sched, omega * eta, 96, np.random.default_rng([1, 7, i])),
+            )
+            got = tuple((repr(r.estimate), repr(r.stderr)) for r in reports)
+            assert got == pins, f"record {i}"

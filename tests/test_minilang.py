@@ -21,6 +21,7 @@ from anchordiff.minilang import (
     tokenize,
 )
 
+from .oracles import recursive_pretty
 
 # Each shape nests n levels; its opener is the token that opens a level.
 NESTED = {
@@ -553,6 +554,21 @@ class TestParserPin:
         for outcome in pin_outcomes[0] + pin_outcomes[1]:
             digest.update(json.dumps(outcome).encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestPretty:
+    def test_equals_the_recursive_rendering_on_the_pin_corpus(self):
+        programs, _ = parser_pin_corpus()
+        for src in programs:
+            tree = parse(src)
+            assert tree.pretty() == recursive_pretty(tree)
+
+    def test_renders_a_chain_deeper_than_the_recursion_limit(self):
+        tree = parse("x = " + "1 + " * 1000 + "1\n")
+        lines = tree.pretty().splitlines()
+        assert len(lines) == len(tree.nodes)
+        # The innermost operand sits below all 1,000 operators.
+        assert max(len(ln) - len(ln.lstrip(" ")) for ln in lines) > 2 * 1000
 
 
 class TestNestingLimit:

@@ -22,8 +22,8 @@ print(SOURCE)
 
 tokens = tokenize(SOURCE)
 print(f"{len(tokens)} tokens; first ten with spans:")
-for tok in tokens[:10]:
-    print(f"  {tok.index:3d} {tok.kind.value:<10} {tok.text!r:<10} {tok.span}")
+for i, tok in enumerate(tokens[:10]):
+    print(f"  {i:3d} {tok.kind.value:<10} {tok.text!r:<10} {tok.span}")
 
 tree = parse(SOURCE)
 print("\nsyntax tree (kind, payload, byte span):")
@@ -36,15 +36,15 @@ for tok, home in list(zip(tokens, node_id.tolist()))[:12]:
     print(f"  {tok.text!r:<10} -> {node.kind.value:<12} depth {node.depth}")
 
 # The partial order: a position is coarser than everything nested below it.
-pos = {t.text: t.index for t in tokens}
+pos = {t.text: i for i, t in enumerate(tokens)}
 print("\npartial order checks:")
 print("  def  over return :", precedes(pos["def"], pos["return"], node_id, tree))
 print("  while over mid   :", precedes(pos["while"], pos["mid"], node_id, tree))
 print("  lo   over mid    :", precedes(pos["lo"], pos["mid"], node_id, tree))
 
 # Ancestor chains step through each node's designated (keyword-first) token.
-mid = next(t.index for t in tokens
-           if t.text == "mid" and tokens[t.index - 1].text == "return")
+mid = next(i for i, t in enumerate(tokens)
+           if t.text == "mid" and tokens[i - 1].text == "return")
 chain = ancestor_chain(mid, 4, node_id, tokens, tree)
 print("\nancestor chain from the returned 'mid':",
       [tokens[p].text for p in chain.positions])

@@ -38,12 +38,12 @@ print(header)
 
 mu = {name: compute_omega(tokens, cfg) * compute_eta(depth, cfg) for name, cfg in configs.items()}
 rows = []
-for tok, d in zip(tokens, depth):
+for i, (tok, d) in enumerate(zip(tokens, depth)):
     if tok.kind.value in ("Newline", "Indent", "Dedent"):
         continue
     line = f"{tok.text!r:<8} {d:>5} "
     for name in configs:
-        line += f"{mu[name][tok.index]:>12.5f}"
+        line += f"{mu[name][i]:>12.5f}"
     rows.append(line)
 for line in rows[:24]:
     print(line)

@@ -31,7 +31,7 @@ from .minilang import (
     is_syntactically_valid,
     parse,
     split_identifiers,
-    token_surface,
+    token_surfaces,
     tokenize,
 )
 
@@ -160,7 +160,7 @@ def build_vocab(texts: list[str]) -> Vocab:
 
 
 def _vocab_of(token_lists) -> Vocab:
-    surfaces = {token_surface(t) for tokens in token_lists for t in tokens}
+    surfaces = {s for tokens in token_lists for s in token_surfaces(tokens)}
     return Vocab(tuple(sorted(surfaces)) + (PAD_SURFACE, MASK_SURFACE))
 
 
@@ -170,7 +170,7 @@ def pad_id(vocab: Vocab) -> int:
 
 def encode_tokens(tokens: list[Token], vocab: Vocab, length: int) -> np.ndarray:
     """Token ids truncated or padded to ``length`` with the pad token."""
-    ids = [vocab.id(token_surface(t)) for t in tokens[:length]]
+    ids = [vocab.id(s) for s in token_surfaces(tokens[:length])]
     ids.extend([pad_id(vocab)] * (length - len(ids)))
     return np.array(ids, dtype=np.int64)
 

@@ -15,7 +15,7 @@ from .render import (
     PAD_SURFACE,
     render_surfaces,
     render_tokens,
-    token_surface,
+    token_surfaces,
 )
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "MASK_SURFACE",
     "PAD_SURFACE",
     "DEDENT_SURFACE",
-    "token_surface",
+    "token_surfaces",
     "render_surfaces",
     "render_tokens",
 ]

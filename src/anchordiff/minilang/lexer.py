@@ -8,7 +8,7 @@ significant and surfaces as Indent/Dedent tokens; a tab counts as 4 spaces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 KEYWORDS = frozenset(
     {
@@ -37,9 +37,13 @@ class TokenKind(enum.Enum):
     DEDENT = "Dedent"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
-    index: int
+    """One lexeme: its kind, its text and its ``[start, end)`` byte span.
+
+    A token's position is its index in the list; nothing mutates a token.
+    """
+
     kind: TokenKind
     text: str
     span: tuple[int, int]
@@ -82,7 +86,7 @@ def tokenize(source: str) -> list[Token]:
     n = len(source)
 
     def emit(kind: TokenKind, text: str, start: int, end: int) -> None:
-        tokens.append(Token(len(tokens), kind, text, (start, end)))
+        tokens.append(Token(kind, text, (start, end)))
 
     while pos < n:
         # Start of a line: measure indentation.
@@ -180,8 +184,8 @@ def split_identifiers(tokens: list[Token], max_len: int) -> list[Token]:
     """Split Identifier tokens longer than ``max_len`` into greedy chunks.
 
     Chunk spans partition the original identifier span, so downstream node
-    assignment lands every chunk on the original Name node. Indices are
-    reassigned to keep the sequence dense.
+    assignment lands every chunk on the original Name node. Other tokens
+    are passed through as they are.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -191,9 +195,7 @@ def split_identifiers(tokens: list[Token], max_len: int) -> list[Token]:
             for off in range(0, len(tok.text), max_len):
                 chunk = tok.text[off : off + max_len]
                 start = tok.start + off
-                out.append(
-                    Token(len(out), tok.kind, chunk, (start, start + len(chunk)))
-                )
+                out.append(Token(tok.kind, chunk, (start, start + len(chunk))))
         else:
-            out.append(replace(tok, index=len(out)))
+            out.append(tok)
     return out

@@ -5,10 +5,10 @@ defs, if/elif/else, while, for-in, return, assignment, and expression
 statements; expressions cover names, numeric/string constants, calls,
 subscripts, arithmetic, comparisons, boolean operators, and parentheses.
 
-Each grammar shape is written once: the five left-associative binary
-levels (or, and, comparison, arith, term) are rows of one loop, listed in
-the precedence order of docs/grammar.md; parameters and call arguments
-share one comma list; while and for share one loop body.
+Each grammar shape is written once: the binary operators are one
+precedence-climbing loop over BINARY_OPS (the table of docs/grammar.md);
+parameters and call arguments share one comma list; while and for share
+one loop body.
 
 Node spans run from the first token a construct consumed to the last, so a
 parenthesized operand contributes its opening paren to the enclosing
@@ -24,14 +24,22 @@ from .lexer import Token, TokenKind, tokenize
 from .nodes import AstNode, NodeKind, SyntaxTree
 
 CONSTANT_KEYWORDS = frozenset({"True", "False", "None"})
-OR_OPS = frozenset({"or"})
-AND_OPS = frozenset({"and"})
-COMPARE_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
-ADD_OPS = frozenset({"+", "-"})
-MUL_OPS = frozenset({"*", "/", "//", "%"})
+# (kind, text) -> (binding power, node kind); a higher power binds tighter.
+BINARY_OPS = {
+    (kind, op): (power, node_kind)
+    for kind, ops, power, node_kind in [
+        (TokenKind.KEYWORD, ["or"], 1, NodeKind.BINOP),
+        (TokenKind.KEYWORD, ["and"], 2, NodeKind.BINOP),
+        (TokenKind.OPERATOR, ["<", ">", "<=", ">=", "==", "!="], 4, NodeKind.COMPARE),
+        (TokenKind.OPERATOR, ["+", "-"], 5, NodeKind.BINOP),
+        (TokenKind.OPERATOR, ["*", "/", "//", "%"], 6, NodeKind.BINOP),
+    ]
+    for op in ops
+}
+NOT_POWER = 3  # prefix ``not`` sits between ``and`` and the comparisons
 
-# A level costs at most 14 frames (_atom through every binary level back to
-# _atom), so a parse stays under half of Python's default recursion limit.
+# A level costs at most 5 frames (_atom, _expression, a not's operand,
+# _power, _postfix), so a parse at the limit needs at most 170 frames.
 MAX_NESTING = 32
 
 
@@ -306,39 +314,26 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def _expression(self) -> int:
-        return self._binary(self._and_expr, TokenKind.KEYWORD, OR_OPS)
-
-    def _and_expr(self) -> int:
-        return self._binary(self._not_expr, TokenKind.KEYWORD, AND_OPS)
-
-    def _comparison(self) -> int:
-        return self._binary(self._arith, TokenKind.OPERATOR, COMPARE_OPS, NodeKind.COMPARE)
-
-    def _arith(self) -> int:
-        return self._binary(self._term, TokenKind.OPERATOR, ADD_OPS)
-
-    def _term(self) -> int:
-        return self._binary(self._power, TokenKind.OPERATOR, MUL_OPS)
-
-    def _binary(self, operand, kind: TokenKind, ops, node_kind=NodeKind.BINOP) -> int:
-        """``operand { op operand }`` for the ``kind`` tokens whose text is in ``ops``."""
+    def _expression(self, power: int = 1) -> int:
+        """Precedence climbing: an operand, then each binary operator of at
+        least ``power`` with a right operand that binds tighter, so every
+        level is left-associative. A prefix ``not`` is read only while
+        ``power`` is at most NOT_POWER."""
         start = self.pos
-        node = operand()
-        while (tok := self._peek()) is not None and tok.kind is kind and tok.text in ops:
-            self._advance()
-            right = operand()  # before _span_from, so the span ends at the operand
-            node = self._new_node(node_kind, self._span_from(start), [node, right], data=tok.text)
-        return node
-
-    def _not_expr(self) -> int:
         starts = []
-        while self._match_text(TokenKind.KEYWORD, "not"):
+        while power <= NOT_POWER and self._match_text(TokenKind.KEYWORD, "not"):
             starts.append(self.pos)
             self._advance()
-        node = self._comparison()
-        for start in reversed(starts):
-            node = self._new_node(NodeKind.BINOP, self._span_from(start), [node], data="not")
+        node = self._expression(NOT_POWER + 1) if starts else self._power()
+        for not_start in reversed(starts):
+            node = self._new_node(NodeKind.BINOP, self._span_from(not_start), [node], data="not")
+        while (tok := self._peek()) is not None:
+            op_power, kind = BINARY_OPS.get((tok.kind, tok.text), (0, None))
+            if op_power < power:
+                break
+            self._advance()
+            right = self._expression(op_power + 1)  # before _span_from, so the span ends at it
+            node = self._new_node(kind, self._span_from(start), [node, right], data=tok.text)
         return node
 
     def _power(self) -> int:

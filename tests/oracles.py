@@ -1,10 +1,10 @@
 """Independent brute-force reference implementations used only by tests.
 
 Each oracle recomputes a result through a second, naive code path: full
-node-table scans for token assignment, a tree climb per position for the
-probe's targets, per-sequence loops for the posterior, explicit
-state-space enumeration for reverse chains, a dict-of-contexts count
-model, and a one-draw-at-a-time loss loop.
+node-table scans for token assignment, one parser method per precedence
+level, a tree climb per position for the probe's targets, per-sequence
+loops for the posterior, explicit state-space enumeration for reverse
+chains, a dict-of-contexts count model, and a one-draw-at-a-time loss loop.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from anchordiff.diffusion import (
 )
 from anchordiff.anchors import AnchorStrategy
 from anchordiff.hierarchy import max_chain_length, positions_by_node
-from anchordiff.minilang import SyntaxTree, Token, TokenKind
+from anchordiff.minilang import SyntaxTree, Token, TokenKind, tokenize
+from anchordiff.minilang.nodes import NodeKind
+from anchordiff.minilang.parser import _Parser
 from anchordiff.schedule import NoiseSchedule, lambda_weight, step_times, unmask_prob
 
 
@@ -81,6 +83,57 @@ def recursive_pretty(tree: SyntaxTree) -> str:
 
     rec(tree.root, 0)
     return "\n".join(lines)
+
+
+class _LeveledParser(_Parser):
+    """The parser with one method per binary precedence level: every operand
+    descends through ``or``, ``and``, ``not``, the comparisons, ``+ -`` and
+    ``* / // %`` in turn."""
+
+    OR_OPS = frozenset({"or"})
+    AND_OPS = frozenset({"and"})
+    COMPARE_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
+    ADD_OPS = frozenset({"+", "-"})
+    MUL_OPS = frozenset({"*", "/", "//", "%"})
+
+    def _expression(self) -> int:
+        return self._binary(self._and_expr, TokenKind.KEYWORD, self.OR_OPS)
+
+    def _and_expr(self) -> int:
+        return self._binary(self._not_expr, TokenKind.KEYWORD, self.AND_OPS)
+
+    def _comparison(self) -> int:
+        return self._binary(self._arith, TokenKind.OPERATOR, self.COMPARE_OPS, NodeKind.COMPARE)
+
+    def _arith(self) -> int:
+        return self._binary(self._term, TokenKind.OPERATOR, self.ADD_OPS)
+
+    def _term(self) -> int:
+        return self._binary(self._power, TokenKind.OPERATOR, self.MUL_OPS)
+
+    def _binary(self, operand, kind: TokenKind, ops, node_kind=NodeKind.BINOP) -> int:
+        start = self.pos
+        node = operand()
+        while (tok := self._peek()) is not None and tok.kind is kind and tok.text in ops:
+            self._advance()
+            right = operand()
+            node = self._new_node(node_kind, self._span_from(start), [node, right], data=tok.text)
+        return node
+
+    def _not_expr(self) -> int:
+        starts = []
+        while self._match_text(TokenKind.KEYWORD, "not"):
+            starts.append(self.pos)
+            self._advance()
+        node = self._comparison()
+        for start in reversed(starts):
+            node = self._new_node(NodeKind.BINOP, self._span_from(start), [node], data="not")
+        return node
+
+
+def leveled_parse(source: str) -> SyntaxTree:
+    """``parse`` through one method per precedence level."""
+    return _LeveledParser(source, tokenize(source)).parse_module()
 
 
 def naive_omega(token: Token, strategy: AnchorStrategy) -> int:

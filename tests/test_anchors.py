@@ -46,7 +46,7 @@ class TestOmega:
     def _loop_positions(self):
         tree, tokens, node_id, depth = annotate(LOOP_SRC)
         wanted = ["for", "num", "in", "numbers"]
-        idx = [t.index for t in tokens if t.text in wanted and t.index > 6]
+        idx = [i for i, t in enumerate(tokens) if t.text in wanted and i > 6]
         return tokens, idx[:4]
 
     def test_anchor_tree_selects_keywords_and_identifiers(self):

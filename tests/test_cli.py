@@ -390,6 +390,14 @@ class TestOutputs:
         event = json.loads(trace[0])
         assert set(event) == {"pos", "step", "event", "token", "stage"}
 
+    def test_split_identifier_samples_parse(self, tmp_path):
+        # With the exact predictor every sample is a corpus row, so each one
+        # renders back to a program once its chunks are joined.
+        out = tmp_path / "s"
+        main(["sample", *BASE, "--split-identifiers", "3", "--predictor", "exact",
+              "--steps", "8", "--n-samples", "4", "--out", str(out)])
+        assert json.loads((out / "validity.json").read_text())["fraction"] == 1.0
+
     def test_eval_reserves_pass_at_1(self, tmp_path):
         out = tmp_path / "e"
         main(["eval", *BASE, "--strategy", "null", "--steps", "2",

@@ -65,7 +65,7 @@ class TestAssignNodes:
 
     def test_expression_example(self):
         tree, tokens, node_id = annotate("x = (a + 2) * b")
-        by_text = {t.text: tree.node(node_id[t.index]) for t in tokens}
+        by_text = {t.text: tree.node(node_id[i]) for i, t in enumerate(tokens)}
         a_node = by_text["a"]
         plus_node = by_text["+"]
         assert a_node.kind is NodeKind.NAME
@@ -104,7 +104,7 @@ class TestTieBreaks:
 
     def _node_of(self, span):
         tree = self._tree()
-        node_id = assign_nodes(tree, [Token(0, TokenKind.IDENTIFIER, "t", span)])
+        node_id = assign_nodes(tree, [Token(TokenKind.IDENTIFIER, "t", span)])
         assert node_id.dtype == np.int64
         (node,) = node_id.tolist()
         return node
@@ -130,9 +130,7 @@ class TestTieBreaks:
         # order, (8, 9) and (12, 13), end earlier than it does.
         tree = self._tree()
         spans = [(12, 13), (8, 9), (7, 14)]
-        tokens = [
-            Token(i, TokenKind.IDENTIFIER, "t", span) for i, span in enumerate(spans)
-        ]
+        tokens = [Token(TokenKind.IDENTIFIER, "t", span) for span in spans]
         got = assign_nodes(tree, tokens).tolist()
         assert got == [4, 1, 4] == naive_node_assignment(tree, tokens)
 
@@ -144,16 +142,14 @@ class TestTieBreaks:
             AstNode(5, NodeKind.NAME, (4, 9), [], 1),
         ]
         tree = SyntaxTree("x" * 20, nodes, 0)
-        tokens = [Token(0, TokenKind.IDENTIFIER, "t", (6, 7))]
+        tokens = [Token(TokenKind.IDENTIFIER, "t", (6, 7))]
         assert assign_nodes(tree, tokens).tolist() == [5]
         assert naive_node_assignment(tree, tokens) == [5]
 
     def test_oracle_agrees_on_synthetic_cases(self):
         tree = self._tree()
         spans = [(8, 13), (5, 13), (1, 20), (10, 10), (25, 25), (6, 10)]
-        tokens = [
-            Token(i, TokenKind.IDENTIFIER, "t", span) for i, span in enumerate(spans)
-        ]
+        tokens = [Token(TokenKind.IDENTIFIER, "t", span) for span in spans]
         got = assign_nodes(tree, tokens).tolist()
         assert got == [4, 3, 3, 2, 0, 1]
         assert got == naive_node_assignment(tree, tokens)
@@ -271,16 +267,14 @@ class TestOneWalkAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_random_trees_and_spans(self, tree, spans):
         # Unordered, overlapping, zero-width, reversed and out-of-root spans.
-        tokens = [
-            Token(i, TokenKind.IDENTIFIER, "t", (s, s + w)) for i, (s, w) in enumerate(spans)
-        ]
+        tokens = [Token(TokenKind.IDENTIFIER, "t", (s, s + w)) for s, w in spans]
         _check_against_oracle(tree, tokens)
 
 
 class TestPrecedes:
     def test_def_precedes_return(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
-        pos = {t.text: t.index for t in tokens}
+        pos = {t.text: i for i, t in enumerate(tokens)}
         assert precedes(pos["def"], pos["return"], node_id, tree)
         assert not precedes(pos["return"], pos["def"], node_id, tree)
 
@@ -296,7 +290,7 @@ class TestPrecedes:
     def test_disjoint_siblings_incomparable(self):
         src = "a = 1\nb = 2\n"
         tree, tokens, node_id = annotate(src)
-        pos = {t.text: t.index for t in tokens}
+        pos = {t.text: i for i, t in enumerate(tokens)}
         assert not precedes(pos["a"], pos["b"], node_id, tree)
         assert not precedes(pos["b"], pos["a"], node_id, tree)
 
@@ -323,8 +317,8 @@ class TestPrecedes:
 class TestAncestorChain:
     def test_keyword_stepping_chain(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
-        mid = next(t.index for t in tokens if t.text == "mid" and
-                   tokens[t.index - 1].text == "return")
+        mid = next(i for i, t in enumerate(tokens) if t.text == "mid" and
+                   tokens[i - 1].text == "return")
         chain = ancestor_chain(mid, 4, node_id, tokens, tree)
         texts = [tokens[p].text for p in chain.positions]
         assert texts == ["mid", "return", "if", "while", "def"]
@@ -401,8 +395,8 @@ class TestAncestorChain:
 
     def test_first_token_rule(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
-        mid = next(t.index for t in tokens if t.text == "mid" and
-                   tokens[t.index - 1].text == "return")
+        mid = next(i for i, t in enumerate(tokens) if t.text == "mid" and
+                   tokens[i - 1].text == "return")
         chain = ancestor_chain(mid, 2, node_id, tokens, tree, rule="first_token")
         # Return owns only its keyword either way; the If node's first
         # assigned token is still "if".
@@ -411,6 +405,6 @@ class TestAncestorChain:
     @pytest.mark.parametrize("k", [0, 2])
     def test_unknown_rule_is_rejected_for_every_k(self, k):
         tree, tokens, node_id = annotate(NESTED_SRC)
-        mid = next(t.index for t in tokens if t.text == "mid")
+        mid = next(i for i, t in enumerate(tokens) if t.text == "mid")
         with pytest.raises(ValueError, match="unknown designation rule: 'bogus'"):
             ancestor_chain(mid, k, node_id, tokens, tree, rule="bogus")

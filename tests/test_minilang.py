@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchordiff.corpus_io import synth_corpus
 from anchordiff.minilang import parser as parser_module
 from anchordiff.minilang import (
     NodeKind,
@@ -16,18 +18,22 @@ from anchordiff.minilang import (
     TokenKind,
     is_syntactically_valid,
     parse,
+    render_surfaces,
     render_tokens,
     split_identifiers,
+    token_surfaces,
     tokenize,
 )
 
-from .oracles import recursive_pretty
+from .oracles import leveled_parse, recursive_pretty
 
 # Each shape nests n levels; its opener is the token that opens a level.
 NESTED = {
     "parens": ("(", lambda n: "x = " + "(" * n + "1" + ")" * n + "\n"),
     "subscripts": ("[", lambda n: "x = a" + "[a" * n + "]" * n + "\n"),
     "calls": ("(", lambda n: "x = " + "f(" * n + "1" + ")" * n + "\n"),
+    "not-parens": ("(", lambda n: "x = " + "not (" * n + "1" + ")" * n + "\n"),
+    "not-calls": ("(", lambda n: "x = " + "not f(" * n + "1" + ")" * n + "\n"),
     "ifs": (":", lambda n: "".join(" " * i + "if x:\n" for i in range(n)) + " " * n + "y = 1\n"),
 }
 
@@ -142,7 +148,31 @@ class TestSplitIdentifiers:
         assert chunks[-1].end == orig.end
         for a, b in zip(chunks, chunks[1:]):
             assert a.end == b.start
-        assert [c.index for c in chunks] == list(range(len(chunks)))
+        assert "".join(c.text for c in chunks) == orig.text
+
+    @given(
+        st.text(alphabet=st.sampled_from(list("abxy_09 (+=:\n\t")), max_size=80),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_leaves_its_input_unchanged(self, source, max_len):
+        tokens = tokenize(source)
+        before = copy.deepcopy(tokens)
+        split_identifiers(tokens, max_len)
+        assert tokens == before
+
+    def test_continuation_chunks_have_marked_surfaces(self):
+        tokens = split_identifiers(tokenize("quicksort = best\n"), 3)
+        assert token_surfaces(tokens) == ["qui", "##cks", "##ort", "=", "bes", "##t", "\n"]
+        assert render_tokens(tokens) == "quicksort = best\n"
+
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_split_surfaces_render_to_the_same_tree(self, seed, max_len):
+        [src] = synth_corpus(seed=seed, n_programs=1)
+        rendered = render_surfaces(token_surfaces(split_identifiers(tokenize(src), max_len)))
+        tree, original = parse(rendered), parse(src)
+        assert _structure(tree, tree.root) == _structure(original, original.root)
 
 
 class TestParse:
@@ -284,7 +314,7 @@ class TestRoundTrip:
             )
 
 
-def _parse_outcome(src, *tokens):
+def _parse_outcome(src, *tokens, parse=parse):
     """Every node's fields, or the ParseError's offset and message."""
     try:
         tree = parse(src, *tokens)
@@ -556,6 +586,43 @@ class TestParserPin:
         assert digest.hexdigest() == self.DIGEST
 
 
+# Expressions as operands joined by operators. An operand may open with
+# ``not``s, a paren, a call or a subscript; an operator may be a closing
+# bracket, a comma or a byte no expression holds, so brackets go unbalanced.
+SOUP_PREFIXES = ["", "", "", "not ", "not not ", "(", "f(", "a[", "not ("]
+SOUP_OPERANDS = ["a", "b1", "0", "2.5", "'s'", "True", "None"]
+SOUP_OPERATORS = [
+    " or ", " and ", " < ", " > ", " <= ", " >= ", " == ", " != ", " + ", " - ",
+    " * ", " / ", " // ", " % ", " ** ", ")", "]", ", ", " not ", " = ", ":", "@", "\n",
+]
+SOUP_TERMS = st.tuples(st.sampled_from(SOUP_PREFIXES), st.sampled_from(SOUP_OPERANDS)).map("".join)
+EXPRESSION_SOUPS = st.tuples(
+    SOUP_TERMS,
+    st.lists(st.tuples(st.sampled_from(SOUP_OPERATORS), SOUP_TERMS).map("".join), max_size=12),
+    st.sampled_from(["", ")", "))", "]", "\n"]),
+).map(lambda parts: "x = " + parts[0] + "".join(parts[1]) + parts[2])
+
+
+def _mutated_expression(seed, mutations):
+    rnd = random.Random(seed)
+    text = "x = " + _gen_expr(rnd, rnd.randint(1, 4))[0]
+    for _ in range(mutations):
+        text = _mutate(rnd, text)
+    return text
+
+
+class TestLeveledOracle:
+    """The precedence-climbing parser against one method per precedence level."""
+
+    @given(st.one_of(
+        EXPRESSION_SOUPS,
+        st.builds(_mutated_expression, st.integers(0, 2**32), st.integers(0, 3)),
+    ))
+    @settings(max_examples=600, deadline=None)
+    def test_same_tree_or_error(self, src):
+        assert _parse_outcome(src) == _parse_outcome(src, parse=leveled_parse)
+
+
 class TestPretty:
     def test_equals_the_recursive_rendering_on_the_pin_corpus(self):
         programs, _ = parser_pin_corpus()
@@ -600,6 +667,16 @@ class TestNestingLimit:
             sys.setrecursionlimit(limit)
         with pytest.raises(ParseError, match="nesting deeper"):
             parse(NESTED[shape][1](parser_module.MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_the_limit_parses_within_200_frames(self, shape):
+        src = NESTED[shape][1](parser_module.MAX_NESTING)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 200)
+        try:
+            parse(src)
+        finally:
+            sys.setrecursionlimit(limit)
 
     @pytest.mark.parametrize(
         "src, kind, data, nodes",

@@ -306,6 +306,13 @@ def load_inputs(resolved: dict) -> Inputs:
         names = str(resolved["strategy"]).split(",")
         anchors = [_anchor_config(resolved, name.strip()) for name in names]
         inputs.samplers = [_sampler_config(resolved, a, inputs.schedules[0].T) for a in anchors]
+        # A metric CSV has one row per strategy and one column per step count.
+        for flag, values in (
+            ("--strategy", [a.strategy.value for a in anchors]),
+            ("--steps", [s.T for s in inputs.schedules]),
+        ):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
     if resolved["seed"] < 0:
         raise ValueError(f"--seed must be >= 0, got {resolved['seed']}")
     if resolved["workers"] < 1:

@@ -1,43 +1,25 @@
-"""Reference predictors over a finite corpus.
-
-Three implementations of the predictor contract (raw per-position rows over
-the vocabulary, later passed through apply_constraints):
+"""Reference predictors over a finite corpus, answering the three queries
+of ``Predictor``; no query builds an (n, L, K) array.
 
 * ExactPosteriorDenoiser: the Bayes-optimal table, valid because uniform
   random masking makes the posterior over clean sequences the renormalized
   empirical weight of corpus sequences matching the latent's unmasked
-  positions. It keeps one match state over the corpus's unique rows (a
-  mismatch count per row) and updates it at the positions that changed
-  since its last query instead of rescanning the corpus. It also caches
-  the consistent unique rows and their weights under a ``version`` that
-  moves only when that set changes. The anchored sampler's
-  PosteriorAnchorProfile reads the match state of the pair's predictor,
-  and recomputes only on a new version, so an anchored exact pair holds one
-  state and one copy of the unique rows.
+  positions. ``predict_row`` keeps one match state over the corpus's unique
+  rows and updates it only at the positions that changed since its last
+  query; a ``version`` moves only when the consistent set changes, and the
+  anchored sampler's PosteriorAnchorProfile reads the same state. The
+  batched ``target_probs`` and ``argmax_at`` leave that state alone.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
-  as tables (smoothed rows plus context-to-row index arrays), so a query
-  is one gather over all positions, or over a batch of latents.
-* two_stage_predict: the anchored composition of a batch of latents,
-  committing anchor-stage argmax tokens into an intermediate sequence that
-  conditions the denoiser; it returns plain constraint-satisfying
-  probability arrays.
-
-``Predictor.predict_batch`` scores several latents at once; it loops over
-``predict`` unless a predictor has a vectorized path. ``target_probs`` gives
-only the constrained probability of one target token per position of a
-batch of latent id rows, which is all a loss needs; the default gathers it
-from ``predict_batch``, and the backoff model answers it with one gather
-from rows constrained once at construction. ``argmax_at`` gives the argmax
-token of ``predict_row`` at one position for a batch of rows.
+  as tables, so each query is a gather.
+* two_stage_predict: the anchored composition, committing anchor-stage
+  argmax tokens into an intermediate sequence that conditions the
+  denoiser; TwoStagePredictor is that composition under fixed anchor data.
 
 resolve_anchors is the single anchor-first commit routine, and
-anchor_commit_order the single anchor ordering. resolve_anchors works on a
-batch of latent id rows: it walks the record's full anchor order once and
-commits each position in the rows where it is masked, which equals walking
-each row's own order (the full order filtered by the row's mask). The
-anchored sampler shares that ordering; it commits every masked anchor of a
-step before any other position, so it never needs a provisional scaffold.
+anchor_commit_order the single anchor ordering, which the anchored sampler
+shares: it commits every masked anchor of a step before any other position,
+so it never needs a provisional scaffold.
 """
 
 from __future__ import annotations
@@ -47,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionError, LatentSequence, Vocab, apply_constraints
+from .diffusion import DiffusionError, LatentSequence, Vocab
 
 BOS_CONTEXT = -1
 EOS_CONTEXT = -2
@@ -97,50 +79,34 @@ class Corpus:
 
 
 class Predictor:
-    """Base contract: ``predict`` returns raw rows; ``predict_batch`` the
-    raw rows of several latents at once; ``predict_row`` gives a single
-    normalized zero-mask row for sequential sampling."""
-
-    def predict(self, z: LatentSequence) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict_batch(self, zs: list[LatentSequence]) -> np.ndarray:
-        """Raw rows of each latent as a new array of shape (len(zs), L, K).
-        The default calls ``predict`` per latent; a vectorized predictor
-        overrides it."""
-        return np.stack([self.predict(z) for z in zs])
+    """The predictor contract: three queries, whose probabilities follow
+    ``apply_constraints``' rules (no mass on the mask token, a one-hot on
+    the observed token at every unmasked position)."""
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        return apply_constraints(self.predict(z), z)[position]
+        """The (K,) row of ``position`` given the latent ``z`` (sampler, probe)."""
+        raise NotImplementedError
 
     def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
-        """Constrained probability of ``targets[l]`` at each position l of
-        each row of the (n, L) latent ids, as a new (n, L) array: equal to
-        ``apply_constraints(predict_batch(zs), zs)[d, l, targets[l]]``, where
-        ``zs`` are the rows as latents. The default computes exactly that."""
-        zs = [LatentSequence(row, mask_id) for row in ids]
-        probs = apply_constraints(self.predict_batch(zs), zs)
-        # The gather comes out in Fortran order; callers read it row by row.
-        return np.ascontiguousarray(probs[:, np.arange(ids.shape[1]), targets])
+        """A new (n, L) array: ``predict_row`` of each row of the (n, L)
+        latent ids read at ``targets[l]`` at each position l (losses)."""
+        raise NotImplementedError
 
     def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
-        """The argmax token of ``predict_row`` at ``position`` for each row
-        of the (m, L) latent ids."""
-        return np.array(
-            [self.predict_row(LatentSequence(row, mask_id), position).argmax() for row in ids],
-            dtype=np.int64,
-        )
+        """The argmax of ``predict_row`` at ``position`` per row (resolve_anchors)."""
+        raise NotImplementedError
 
 
 class ExactPosteriorDenoiser(Predictor):
-    """The Bayes-exact table over a corpus, queried through a match state.
+    """The Bayes-exact table over a corpus.
 
     Duplicate corpus rows are merged at construction into unique rows with
     summed weights, stored column-major, so that one position's tokens over
-    all unique rows are contiguous. The match state holds, per unique row,
-    the number of unmasked latent positions where the row disagrees with
-    the latent, plus the latent ids it was last brought up to date with. A
-    query diffs the latent against those ids and updates the counts at the
+    all unique rows are contiguous. ``predict_row``, ``consistent`` and
+    ``match_mask`` read a match state. It holds, per unique row, the number
+    of unmasked latent positions where the row disagrees with the latent,
+    plus the latent ids it was last brought up to date with. A query diffs
+    the latent against those ids and updates the counts at the
     changed positions only: a fresh latent costs about one scan of the
     unique rows, a single commit or remask one column. A row is consistent
     with the latent when its count is zero. The indices and summed weights
@@ -149,6 +115,8 @@ class ExactPosteriorDenoiser(Predictor):
     outputs; ``consistent(z)`` syncs and returns it. Outputs do not depend
     on the order of queries, only their cost does. The state belongs to the
     instance, so one instance must not be queried from two threads at once.
+    The batched ``target_probs`` and ``argmax_at`` compare each latent row
+    with the unique rows afresh and neither read nor change the state.
     """
 
     def __init__(self, corpus: Corpus):
@@ -221,19 +189,6 @@ class ExactPosteriorDenoiser(Predictor):
             raise NoMatchError("latent matches no corpus sequence")
         return self._hit, self._hit_weights
 
-    def predict(self, z: LatentSequence) -> np.ndarray:
-        """Raw rows: weighted empirical token counts among matching
-        sequences at masked positions, one-hot at unmasked positions."""
-        hit, w = self._matched(z)
-        K = self.corpus.vocab.size
-        raw = np.zeros((len(z), K))
-        masked = np.flatnonzero(z.is_masked)
-        for l in masked:
-            raw[l] = np.bincount(self._columns[l, hit], weights=w, minlength=K)
-        unmasked = np.flatnonzero(~z.is_masked)
-        raw[unmasked, z.ids[unmasked]] = 1.0
-        return raw
-
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         hit, w = self._matched(z)
         K = self.corpus.vocab.size
@@ -243,6 +198,42 @@ class ExactPosteriorDenoiser(Predictor):
             return row
         counts = np.bincount(self._columns[position, hit], weights=w, minlength=K)
         return counts / counts.sum()
+
+    def _agreement(self, ids: np.ndarray, mask_id: int) -> np.ndarray:
+        """(n, U) booleans: unique row u agrees with row d of the (n, L)
+        latent ids wherever d is unmasked. Reads no match state."""
+        if ids.shape[1] != self.corpus.length:
+            raise ValueError(f"latent length {ids.shape[1]} does not match the corpus")
+        masked = ids == mask_id
+        agree = np.ones((len(ids), self._columns.shape[1]), dtype=bool)
+        for l in np.flatnonzero(~masked.all(axis=0)):
+            agree &= (self._columns[l] == ids[:, l, None]) | masked[:, l, None]
+        if not agree.any(axis=1).all():
+            raise NoMatchError("latent matches no corpus sequence")
+        return agree
+
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
+        """The consistent rows' weight on the target over their total, by
+        ``apply_constraints``' renormalization rule. With integer weights
+        every sum is exact, so this equals ``predict_row``."""
+        w = self._agreement(ids, mask_id) * self._unique_weights
+        totals = w.sum(axis=1)
+        probs = w @ (self._columns == targets[:, None]).T
+        np.divide(probs, totals[:, None], out=probs, where=np.abs(totals - 1.0)[:, None] > 1e-12)
+        return np.where(ids == mask_id, probs, targets == ids)
+
+    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
+        """One bincount adds each masked row's consistent unique rows in
+        unique-row order, as ``predict_row`` does, so the argmax is its."""
+        agree = self._agreement(ids, mask_id)
+        out = np.array(ids[:, position], dtype=np.int64)
+        masked = np.flatnonzero(out == mask_id)
+        K = self.vocab.size
+        row, u = np.nonzero(agree[masked])
+        cells = row * K + self._columns[position, u]
+        counts = np.bincount(cells, self._unique_weights[u], len(masked) * K).reshape(-1, K)
+        out[masked] = (counts / counts.sum(axis=1, keepdims=True)).argmax(axis=1)
+        return out
 
 
 class BackoffCountModel(Predictor):
@@ -260,9 +251,9 @@ class BackoffCountModel(Predictor):
     and slot K+1 is EOS. The mask id is never a seen context, so a masked
     neighbor falls through its route. Construction smooths every row once
     and folds the four routes into one (K+2, K+2) row index, so a query is
-    one gather, and there is no dense (K+2, K+2, K) table. It also keeps
+    one lookup, and there is no dense (K+2, K+2, K) table. It also keeps
     each row as ``apply_constraints`` leaves it at a masked position, and
-    each row's argmax, so ``target_probs`` and ``argmax_at`` are gathers too.
+    each row's argmax, so ``target_probs`` and ``argmax_at`` are gathers.
     """
 
     def __init__(
@@ -334,18 +325,6 @@ class BackoffCountModel(Predictor):
         a = ids[position - 1] if position > 0 else K
         b = ids[position + 1] if position < len(ids) - 1 else K + 1
         return self._rows[self._route[a, b]]
-
-    def predict(self, z: LatentSequence) -> np.ndarray:
-        return self.predict_batch([z])[0]
-
-    def predict_batch(self, zs: list[LatentSequence]) -> np.ndarray:
-        ids = np.stack([z.ids for z in zs])
-        left, right = _neighbor_slots(ids, self.vocab.size)
-        raw = self._rows[self._route[left, right]]
-        seen = np.nonzero(ids != self.vocab.mask_id)
-        raw[seen] = 0.0
-        raw[seen + (ids[seen],)] = 1.0
-        return raw
 
     def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
         left, right = _neighbor_slots(ids, self.vocab.size)
@@ -484,68 +463,45 @@ def resolve_anchors(
     return y
 
 
-def _full_order(omega: np.ndarray, eta: np.ndarray) -> list[int]:
-    return anchor_commit_order(omega, eta, np.ones(len(omega), dtype=bool))
-
-
 def two_stage_predict(
     anchor_predictor: Predictor,
     denoiser_predictor: Predictor,
-    zs: list[LatentSequence],
+    ids: np.ndarray,
+    targets: np.ndarray,
     omega: np.ndarray,
     eta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[LatentSequence]]:
-    """Anchored composition of each latent in ``zs``: predict anchors,
-    resolve the masked ones into an intermediate sequence (resolve_anchors,
-    in anchor_commit_order), then run the denoiser on it. Both predictors
-    score the whole batch at once, and the anchors of the batch are
-    resolved together.
-
-    Returns the anchor and final probability arrays, each of shape
-    (len(zs), L, K), and the intermediate sequences. In the final arrays,
-    positions the anchor stage resolved carry the anchor stage's soft row
-    (its marginal over the commitment) rather than a one-hot of the
-    committed token, so the composed prediction never assigns zero
-    probability to a clean token the anchor stage considered possible.
-    """
-    mask_id = zs[0].mask_id
-    ids = np.stack([z.ids for z in zs])
-    anchor_probs = apply_constraints(anchor_predictor.predict_batch(zs), zs)
-    resolved = resolve_anchors(anchor_predictor, ids, _full_order(omega, eta), mask_id)
-    ys = [z.copy_with(row) for z, row in zip(zs, resolved)]
-    final_probs = apply_constraints(denoiser_predictor.predict_batch(ys), ys)
+    mask_id: int,
+) -> np.ndarray:
+    """Anchored composition of each row of the (n, L) latent ids, gathered
+    at the targets, as a new (n, L) array: the denoiser's ``target_probs``
+    of the rows resolve_anchors gives. At the positions the anchor stage
+    committed, it keeps the anchor stage's own ``target_probs`` on ``ids``
+    (its marginal over the commitment), so it never assigns zero
+    probability to a clean token the anchor stage considered possible."""
+    order = anchor_commit_order(omega, eta, np.ones(len(omega), dtype=bool))
+    resolved = resolve_anchors(anchor_predictor, ids, order, mask_id)
+    final = denoiser_predictor.target_probs(resolved, targets, mask_id)
     committed = (ids == mask_id) & (omega >= 0.5)
-    final_probs[committed] = anchor_probs[committed]
-    return anchor_probs, final_probs, ys
+    if committed.any():
+        anchor = anchor_predictor.target_probs(ids, targets, mask_id)
+        final[committed] = anchor[committed]
+    return final
 
 
 @dataclass
 class TwoStagePredictor(Predictor):
     """Composition of anchor and denoiser predictors under fixed per-position
-    anchor data, as used for loss evaluation on an annotated sequence."""
+    anchor data, as the losses score an annotated sequence."""
 
     anchor: Predictor
     denoiser: Predictor
     omega: np.ndarray
     eta: np.ndarray
 
-    def predict_batch(self, zs: list[LatentSequence]) -> np.ndarray:
-        return two_stage_predict(self.anchor, self.denoiser, zs, self.omega, self.eta)[1]
-
-    def predict(self, z: LatentSequence) -> np.ndarray:
-        return self.predict_batch([z])[0]
-
     def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
-        """The composition gathered at the targets, from each stage's own
-        ``target_probs``: the denoiser's on the resolved rows, and the anchor
-        stage's on ``ids`` at the positions it committed."""
-        resolved = resolve_anchors(self.anchor, ids, _full_order(self.omega, self.eta), mask_id)
-        final = self.denoiser.target_probs(resolved, targets, mask_id)
-        committed = (ids == mask_id) & (self.omega >= 0.5)
-        if committed.any():
-            anchor = self.anchor.target_probs(ids, targets, mask_id)
-            final[committed] = anchor[committed]
-        return final
+        return two_stage_predict(
+            self.anchor, self.denoiser, ids, targets, self.omega, self.eta, mask_id
+        )
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

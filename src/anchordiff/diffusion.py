@@ -5,10 +5,10 @@ The forward process masks each non-prompt position independently with
 probability 1 - alpha(t). The exact reverse posterior copies unmasked
 positions and flips masked ones to the clean token with probability
 (alpha_s - alpha_t) / (1 - alpha_t). Model-driven generation lives in
-``sampler.generate``. Predictions are plain ``(L, K)`` probability arrays,
-or ``(n, L, K)`` for a batch of latents: ``apply_constraints`` gives every
-row zero mass on the mask token and a one-hot row at every unmasked
-position.
+``sampler.generate``. Predictors answer the three queries of
+``denoisers.Predictor``; ``apply_constraints`` states the rules their
+probabilities follow (zero mass on the mask token, a one-hot row at every
+unmasked position) for raw rows a caller holds.
 
 The losses are stratified Monte Carlo estimates over the step indices.
 The draws of all strata are corrupted and scored as batches (one block of
@@ -16,7 +16,7 @@ coins per batch, one batched query), with the same random stream and the
 same per-draw log sums as one ``corrupt`` call and one prediction per draw.
 A loss reads only the probability of the clean token (and of the anchor
 target) at each position, so it asks the predictor for those through
-``target_probs`` rather than for whole ``(n, L, K)`` arrays.
+``target_probs``, an (n, L) array per batch.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def _allocate_strata(n_samples: int, T: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(T)]
 
 
-# A batch of loss draws holds at most this many (position, token) cells per
-# probability array, so memory stays bounded whatever n_samples is.
+# A batch of loss draws holds at most this many cells, counting (L, K) per
+# draw, so memory stays bounded whatever n_samples is.
 LOSS_BATCH_CELLS = 1 << 20
 
 

@@ -105,7 +105,8 @@ def ancestry_probe(
     per record, as ``build_corpus`` pads it) is at least ``k``, so it
     always has a chain of k ancestors; a probe is skipped only when the
     chain reaches past the corpus length or too few other positions are
-    masked.
+    masked. No target, or more than ``50 * n_probes`` draws at one noise
+    level, raises InsufficientDepth; the second names its skips.
     """
     check_rule(rule)
     if n_probes < 2:
@@ -130,10 +131,16 @@ def ancestry_probe(
     for t in t_values:
         done = 0
         attempts = 0
+        past_length = 0
         while done < n_probes:
             attempts += 1
             if attempts > 50 * n_probes:
-                raise InsufficientDepth(-1, k, achievable)
+                few = attempts - 1 - done - past_length
+                raise InsufficientDepth(-1, k, achievable, (
+                    f"gave up at t={t} with {done} probes done after skipping {past_length + few} "
+                    f"draws: {past_length} ancestor chains ran past the corpus length {length} "
+                    f"(--length), and {few} draws had fewer than {k} other positions masked"
+                ))
             ri = int(candidates[rng.integers(len(candidates))])
             rec = records[ri]
             targets = np.flatnonzero(ok[ri])
@@ -141,6 +148,7 @@ def ancestry_probe(
             chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.tree, rule).positions
             if any(pos >= length for pos in chain):
                 skipped += 1
+                past_length += 1
                 continue
             clean = LatentSequence(ids=corpus.ids[ri].copy(), mask_id=mask_id)
             z = corrupt(clean, t, schedule, rng)

@@ -44,11 +44,13 @@ class AncestorChain:
 
 class InsufficientDepth(Exception):
     """Raised when a position lacks the requested number of token-bearing
-    ancestors."""
+    ancestors, or with ``reason`` when an experiment that needs such chains
+    cannot go on."""
 
-    def __init__(self, position: int, requested: int, achieved: int):
+    def __init__(self, position: int, requested: int, achieved: int, reason: str | None = None):
         super().__init__(
-            f"position {position}: requested chain length {requested}, "
+            reason
+            or f"position {position}: requested chain length {requested}, "
             f"only {achieved} token-bearing ancestors available"
         )
         self.position = position

@@ -78,12 +78,6 @@ class DenoiseTrace:
         if event == "unmask":
             self._last_unmask[position] = step
 
-    def events_for(self, position: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.position == position]
-
-    def final_unmask_step(self, position: int) -> int | None:
-        return self._last_unmask[position]
-
     def final_unmask_times(self, depth: np.ndarray) -> list[tuple[int, float]]:
         """(position, normalized final-unmask time) for each position with
         an unmask event (so not the prompt) and a depth >= 0 (so not

@@ -4,7 +4,8 @@ Each oracle recomputes a result through a second, naive code path: full
 node-table scans for token assignment, one parser method per precedence
 level, a tree climb per position for the probe's targets, per-sequence
 loops for the posterior, explicit state-space enumeration for reverse
-chains, a dict-of-contexts count model, and a one-draw-at-a-time loss loop.
+chains, a dict-of-contexts count model, dense (L, K) rows behind the
+predictor queries, and a one-draw-at-a-time loss loop.
 """
 
 from __future__ import annotations
@@ -203,6 +204,46 @@ def naive_posterior(corpus: Corpus, z: LatentSequence) -> np.ndarray:
     return probs
 
 
+class DenseRows(Predictor):
+    """The three predictor queries derived from dense rows: a subclass gives
+    ``predict(z)``, the raw (L, K) rows of one latent, and every query reads
+    them through ``apply_constraints``. The reference for the native
+    queries of the table predictors."""
+
+    def predict(self, z: LatentSequence) -> np.ndarray:
+        raise NotImplementedError
+
+    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
+        return apply_constraints(self.predict(z), z)[position]
+
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
+        zs = [LatentSequence(row, mask_id) for row in ids]
+        probs = apply_constraints(np.stack([self.predict(z) for z in zs]), zs)
+        return probs[:, np.arange(ids.shape[1]), targets]
+
+    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
+        return np.array(
+            [self.predict_row(LatentSequence(row, mask_id), position).argmax() for row in ids],
+            dtype=np.int64,
+        )
+
+
+class NaivePosterior(DenseRows):
+    """The exact posterior's dense rows by ``naive_posterior``."""
+
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+
+    def predict(self, z: LatentSequence) -> np.ndarray:
+        return naive_posterior(self.corpus, z)
+
+
+def constrained_rows(predictor, z: LatentSequence) -> np.ndarray:
+    """All (L, K) constrained rows of one latent: ``predict_row`` at every
+    position."""
+    return np.stack([predictor.predict_row(z, l) for l in range(len(z))])
+
+
 def validate_prediction(probs: np.ndarray, z: LatentSequence, atol: float = 1e-9) -> None:
     """Raise ValueError unless ``probs`` satisfies the prediction contract:
     shape (L, K), non-negative rows summing to 1, zero mass on the mask
@@ -273,8 +314,8 @@ def sorted_anchor_commit_order(
 
 def _predictor_rows(corpus: Corpus, state: tuple[int, ...], temperature: float):
     z = LatentSequence(ids=np.array(state), mask_id=corpus.vocab.mask_id)
-    rows = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
-    return [temper_row(rows[l], temperature) for l in range(len(state))]
+    rows = constrained_rows(ExactPosteriorDenoiser(corpus), z)
+    return [temper_row(row, temperature) for row in rows]
 
 
 def enumerate_product_chain(
@@ -366,7 +407,7 @@ def total_variation(
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-class DictBackoffModel(Predictor):
+class DictBackoffModel(DenseRows):
     """The backoff count model with one dict entry per seen context and the
     backoff walked per query: the reference for BackoffCountModel's tables."""
 
@@ -463,10 +504,10 @@ def per_draw_two_stage(anchor, denoiser, z, omega, eta):
     """The anchored composition of one latent: anchor rows, the anchors
     committed one at a time by argmax, denoiser rows on the result, and the
     anchor stage's rows kept at the committed positions."""
-    anchor_probs = apply_constraints(anchor.predict(z), z)
+    anchor_probs = constrained_rows(anchor, z)
     order = anchor_commit_order(omega, eta, z.is_masked)
     y = per_draw_resolve(anchor, z, order)
-    final_probs = apply_constraints(denoiser.predict(y), y)
+    final_probs = constrained_rows(denoiser, y)
     final_probs[order] = anchor_probs[order]
     return anchor_probs, final_probs
 
@@ -495,7 +536,7 @@ def nelbo_summand(x: LatentSequence, predictor):
                 predictor.anchor, predictor.denoiser, z, predictor.omega, predictor.eta
             )
         else:
-            probs = apply_constraints(predictor.predict(z), z)
+            probs = constrained_rows(predictor, z)
         return _log_prob(probs, x.ids, np.flatnonzero(z.is_masked))
 
     return summand

@@ -34,12 +34,7 @@ from anchordiff.denoisers import (
     NoMatchError,
     PosteriorAnchorProfile,
 )
-from anchordiff.diffusion import (
-    LatentSequence,
-    apply_constraints,
-    corrupt,
-    nelbo,
-)
+from anchordiff.diffusion import LatentSequence, corrupt, nelbo
 from anchordiff.experiments import (
     ancestry_probe,
     compare_strategies,
@@ -140,11 +135,11 @@ def test_criterion_02_exact_posterior_oracle_equivalence():
                 expected = naive_posterior(corpus, z)
             except NoMatchError:
                 with pytest.raises(NoMatchError):
-                    den.predict(z)
+                    den.predict_row(z, 0)
                 nomatches += 1
                 queries += 1
                 continue
-            mine = apply_constraints(den.predict(z), z)
+            mine = np.stack([den.predict_row(z, l) for l in range(L)])
             assert np.array_equal(mine, expected)
             queries += 1
     report(2, f"{queries} randomized queries match the brute-force oracle exactly "
@@ -306,11 +301,7 @@ def test_criterion_07_anchored_ordering(bundled):
         assert len(match), "exact-posterior generation left the corpus"
         ri = match[0]
         per = {"s": [], "d": [], "n": []}
-        for l in range(64):
-            step = trace.final_unmask_step(l)
-            if step is None or corpus.depth[ri][l] < 0:
-                continue
-            t_norm = (trace.T - step) / trace.T
+        for l, t_norm in trace.final_unmask_times(corpus.depth[ri]):
             if corpus.omega[ri][l] >= 0.5:
                 per["s" if corpus.depth[ri][l] <= 2 else "d"].append(t_norm)
             else:
@@ -447,8 +438,7 @@ def test_criterion_10_termination_and_safety(bundled):
         )
         assert not (out == toy.vocab.mask_id).any()
         assert (out[:n_prompt] == prompt).all()
-        for l in range(n_prompt):
-            assert not trace.events_for(l)
+        assert not any(e.position < n_prompt for e in trace.events)
     for trial in range(n_exact):
         T = exact_cfg_pool[trial % 2]
         cfg = SamplerConfig(

@@ -96,6 +96,17 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_probe_names_why_it_gave_up(self, tmp_path, capsys):
+        # No position has a chain of 40: the depth message.
+        argv = ["probe", *BASE, "--n-samples", "5"]
+        assert main([*argv, "--probe-k", "40", "--out", str(tmp_path / "a")]) == 4
+        assert "requested chain length 40, only 6" in capsys.readouterr().err
+        # Chains of 3 exist, but every one runs past a corpus of length 5.
+        assert main([*argv, "--length", "5", "--out", str(tmp_path / "b")]) == 4
+        err = capsys.readouterr().err
+        assert "skipping 250 draws: 250 ancestor chains ran past the corpus length 5" in err
+        assert "requested chain length" not in err
+
     def test_valid_dataset_corpus_runs(self, tmp_path):
         # The base of the malformed dataset rows below is a working input.
         path = tmp_path / "valid.jsonl"
@@ -155,6 +166,9 @@ class TestExitCodes:
             ["corrupt", "--workers", "2"],
             ["probe", "--workers", "2"],
             ["eval", "--workers", "2"],
+            ["eval", "--strategy", "null,null"],
+            ["eval", "--strategy", "null,anchor_tree, null"],
+            ["eval", "--steps", "2,2"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
@@ -168,7 +182,8 @@ class TestExitCodes:
              "jsonl-no-anchor", "jsonl-list-header", "jsonl-wrong-node-id",
              "jsonl-wrong-count", "jsonl-int-id", "jsonl-split", "jsonl-empty",
              "synth-empty", "sample-workers-0", "annotate-workers-2", "corrupt-workers-2",
-             "probe-workers-2", "eval-workers-2"],
+             "probe-workers-2", "eval-workers-2", "eval-strategy-repeat",
+             "eval-strategy-repeat-spaced", "eval-steps-repeat"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {

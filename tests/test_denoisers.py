@@ -21,19 +21,20 @@ from anchordiff.denoisers import (
     MarginalAnchorProfile,
     NoMatchError,
     PosteriorAnchorProfile,
-    Predictor,
     TwoStagePredictor,
     anchor_commit_order,
     resolve_anchors,
     two_stage_predict,
 )
-from anchordiff.diffusion import LatentSequence, Vocab, apply_constraints, corrupt
+from anchordiff.diffusion import LatentSequence, Vocab, corrupt
 from anchordiff.schedule import NoiseSchedule
 
 from .conftest import make_corpus
 from .oracles import (
     DictBackoffModel,
+    NaivePosterior,
     RescanExactDenoiser,
+    constrained_rows,
     naive_consistent_rows,
     naive_posterior,
     per_draw_resolve,
@@ -51,35 +52,38 @@ class TestExactPosterior:
         corpus = make_corpus(["ab", "cd"])
         v = corpus.vocab
         z = latent(corpus, [v.mask_id, v.id("b")])
-        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
+        out = constrained_rows(ExactPosteriorDenoiser(corpus), z)
         assert out[0, v.id("a")] == 1.0
 
     def test_mixture_when_all_masked(self):
         corpus = make_corpus(["ab", "cd"])
         v = corpus.vocab
         z = latent(corpus, [v.mask_id, v.mask_id])
-        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
+        out = constrained_rows(ExactPosteriorDenoiser(corpus), z)
         assert out[0, v.id("a")] == 0.5
         assert out[0, v.id("c")] == 0.5
 
     def test_fully_unmasked_identity(self):
         corpus = make_corpus(["ab", "cd"])
         z = latent(corpus, corpus.ids[0])
-        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
+        out = constrained_rows(ExactPosteriorDenoiser(corpus), z)
         assert (out[np.arange(2), corpus.ids[0]] == 1.0).all()
 
     def test_no_match_raises(self):
         corpus = make_corpus(["ab", "cd"])
         v = corpus.vocab
         z = latent(corpus, [v.id("a"), v.id("d")])
+        den = ExactPosteriorDenoiser(corpus)
         with pytest.raises(NoMatchError):
-            apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
+            den.predict_row(z, 0)
+        with pytest.raises(NoMatchError):
+            den.target_probs(z.ids[None], z.ids, v.mask_id)
 
     def test_weighted_mixture(self):
         corpus = make_corpus(["ab", "cb"], weights=[3.0, 1.0])
         v = corpus.vocab
         z = latent(corpus, [v.mask_id, v.id("b")])
-        out = apply_constraints(ExactPosteriorDenoiser(corpus).predict(z), z)
+        out = constrained_rows(ExactPosteriorDenoiser(corpus), z)
         assert out[0, v.id("a")] == 0.75
 
     def test_randomized_oracle_equivalence(self):
@@ -98,7 +102,7 @@ class TestExactPosterior:
                 mask = rng.random(L) < 0.6
                 pick[mask] = corpus.vocab.mask_id
                 z = latent(corpus, pick)
-                mine = apply_constraints(den.predict(z), z)
+                mine = constrained_rows(den, z)
                 oracle = naive_posterior(corpus, z)
                 assert np.array_equal(mine, oracle)
 
@@ -111,7 +115,7 @@ class TestExactPosterior:
             NoiseSchedule(T=8),
             2,
         )
-        full = apply_constraints(den.predict(z), z)
+        full = NaivePosterior(corpus).predict(z)
         for l in range(0, len(z), 7):
             assert np.allclose(den.predict_row(z, l), full[l], atol=1e-12)
 
@@ -162,8 +166,7 @@ class TestBackoff:
         model = BackoffCountModel.fit(corpus)
         v = corpus.vocab
         z = latent(corpus, [v.id("c"), v.mask_id, v.id("a")])
-        out = apply_constraints(model.predict(z), z)
-        validate_prediction(out, z)
+        validate_prediction(constrained_rows(model, z), z)
 
     def test_rejects_unknown_version_or_format(self):
         import json
@@ -187,7 +190,7 @@ class TestBackoff:
         z = LatentSequence(
             np.full(synth_corpus_built.length, v.mask_id), v.mask_id
         )
-        assert np.array_equal(model.predict(z), clone.predict(z))
+        assert np.array_equal(constrained_rows(model, z), constrained_rows(clone, z))
 
     def test_bayes_optimality_gap(self, synth_corpus_built):
         # Expected cross-entropy of the exact posterior is no worse than the
@@ -205,10 +208,10 @@ class TestBackoff:
             masked = np.flatnonzero(z.is_masked)
             if len(masked) == 0:
                 continue
-            pe = apply_constraints(exact.predict(z), z)
-            pb = apply_constraints(backoff.predict(z), z)
-            ce_e = -np.log(pe[masked, x.ids[masked]]).sum()
-            ce_b = -np.log(np.maximum(pb[masked, x.ids[masked]], 1e-300)).sum()
+            (pe,) = exact.target_probs(z.ids[None], x.ids, z.mask_id)
+            (pb,) = backoff.target_probs(z.ids[None], x.ids, z.mask_id)
+            ce_e = -np.log(pe[masked]).sum()
+            ce_b = -np.log(np.maximum(pb[masked], 1e-300)).sum()
             diffs.append(ce_b - ce_e)
         diffs = np.array(diffs)
         se = diffs.std(ddof=1) / np.sqrt(len(diffs))
@@ -216,13 +219,16 @@ class TestBackoff:
 
 
 def _same_predictions(model, oracle, z):
-    """Bit-equal rows from the table model and the dict oracle, by
-    ``predict``, ``predict_batch`` and ``predict_row``."""
-    expected = oracle.predict(z)
-    assert np.array_equal(model.predict(z), expected)
-    assert np.array_equal(model.predict_batch([z, z])[1], expected)
+    """Bit-equal answers from the table model and the dict oracle, by
+    ``predict_row``, ``target_probs`` at every token and ``argmax_at``."""
+    ids = np.stack([z.ids, z.ids])
+    for v in range(z.mask_id + 1):
+        targets = np.full(len(z), v)
+        want = oracle.target_probs(ids, targets, z.mask_id)
+        assert np.array_equal(model.target_probs(ids, targets, z.mask_id), want)
     for l in range(len(z)):
         assert np.array_equal(model.predict_row(z, l), oracle.predict_row(z, l))
+        assert np.array_equal(model.argmax_at(ids, l, z.mask_id), oracle.argmax_at(ids, l, z.mask_id))
 
 
 # Tiny corpora: one context repeated with fractional weights (summation
@@ -328,7 +334,15 @@ class TestBackoffTables:
             for i in range(0, corpus.n, 97)
             for t in (0.3, 0.7, 1.0)
         ]
-        assert np.array_equal(clone.predict_batch(zs), model.predict_batch(zs))
+        ids = np.stack([z.ids for z in zs])
+        mask_id = corpus.vocab.mask_id
+        for targets in corpus.ids[::197]:
+            assert np.array_equal(
+                clone.target_probs(ids, targets, mask_id),
+                model.target_probs(ids, targets, mask_id),
+            )
+        for l in range(corpus.length):
+            assert np.array_equal(clone.argmax_at(ids, l, mask_id), model.argmax_at(ids, l, mask_id))
 
     def test_from_json_rejects_malformed_tables(self):
         import json
@@ -357,13 +371,77 @@ class TestBackoffTables:
             model.predict_row(z, 1)[0] = 0.5
 
 
+@st.composite
+def exact_corpus_and_batch(draw):
+    """A corpus of at most 6 rows with integer or fractional weights, and a
+    batch of latents: corpus rows with positions masked past a prompt and,
+    now and then, a token overwritten, so that some rows match nothing."""
+    L = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    rows = np.array(
+        draw(st.lists(st.lists(st.integers(0, 3), min_size=L, max_size=L), min_size=n, max_size=n))
+    )
+    integer = draw(st.booleans())
+    weight = st.integers(1, 5).map(float) if integer else st.floats(0.05, 5.0)
+    vocab = Vocab(("a", "b", "c", "d", "<pad>", "?"))
+    corpus = Corpus(rows, np.array(draw(st.lists(weight, min_size=n, max_size=n))), vocab)
+    prompt = draw(st.integers(0, L))
+    cell = st.sampled_from(["keep"] * 3 + ["mask"] * 3 + ["other"])
+    latents = []
+    for _ in range(draw(st.integers(1, 6))):
+        ids = rows[draw(st.integers(0, n - 1))].copy()
+        for l, op in enumerate(draw(st.lists(cell, min_size=L, max_size=L))):
+            if op == "mask" and l >= prompt:
+                ids[l] = vocab.mask_id
+            elif op == "other":
+                ids[l] = draw(st.integers(0, 3))
+        latents.append(ids)
+    return corpus, np.array(latents), integer
+
+
+class TestExactQueries:
+    """The exact model's batched ``target_probs`` and ``argmax_at`` against
+    the dense rows of ``naive_posterior``: equal with integer weights,
+    within 1e-12 with fractional ones, and the match state left alone."""
+
+    @given(exact_corpus_and_batch(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batched_queries_equal_naive_rows(self, drawn, data):
+        corpus, ids, integer = drawn
+        L, mask_id = corpus.length, corpus.vocab.mask_id
+        targets = np.array(data.draw(st.lists(st.integers(0, mask_id), min_size=L, max_size=L)))
+        exact = ExactPosteriorDenoiser(corpus)
+        z = latent(corpus, ids[0])
+        version = exact.consistent(z)
+        matched = np.array([bool(naive_consistent_rows(corpus, latent(corpus, r))) for r in ids])
+        if not matched.all():
+            with pytest.raises(NoMatchError):
+                exact.target_probs(ids, targets, mask_id)
+            with pytest.raises(NoMatchError):
+                exact.argmax_at(ids, data.draw(st.integers(0, L - 1)), mask_id)
+        ids = ids[matched]
+        got = exact.target_probs(ids, targets, mask_id)
+        argmax = [exact.argmax_at(ids, l, mask_id) for l in range(L)]
+        assert exact.consistent(z) == version
+        if not len(ids):
+            return
+        want = NaivePosterior(corpus).target_probs(ids, targets, mask_id)
+        if integer:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for l in range(L):
+            rows = [exact.predict_row(latent(corpus, row), l).argmax() for row in ids]
+            assert np.array_equal(argmax[l], rows)
+
+
 FOR_LOOP_P1 = "def f(numbers):\n    for num in numbers:\n        pass\n"
 FOR_LOOP_P2 = "def f(values):\n    for val in values:\n        pass\n"
 
 
 class TestLossQueries:
     """The backoff model's ``target_probs`` and ``argmax_at`` against the
-    gathered constrained rows and ``predict_row``, equal, not close."""
+    dict oracle's dense rows and ``predict_row``, equal, not close."""
 
     @given(corpus_and_latents(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -378,9 +456,8 @@ class TestLossQueries:
         prompt = np.arange(L) < data.draw(st.integers(0, L))
         ids = np.where(prompt & (np.array(latents) == mask_id), 0, latents)
         zs = [LatentSequence(row, mask_id, prompt) for row in ids]
-        want = apply_constraints(model.predict_batch(zs), zs)[:, np.arange(L), targets]
+        want = DictBackoffModel.fit(corpus).target_probs(ids, targets, mask_id)
         assert np.array_equal(model.target_probs(ids, targets, mask_id), want)
-        assert np.array_equal(Predictor.target_probs(model, ids, targets, mask_id), want)
         for l in range(L):
             argmax = [model.predict_row(z, l).argmax() for z in zs]
             assert np.array_equal(model.argmax_at(ids, l, mask_id), argmax)
@@ -397,7 +474,7 @@ class TestLossQueries:
             x = LatentSequence(corpus.ids[i].copy(), mask_id, prompt)
             zs = [corrupt(x, t, NoiseSchedule(T=8), rng) for t in (0.1, 0.5, 0.9, 1.0)]
             ids = np.stack([z.ids for z in zs])
-            rows = apply_constraints(model.predict_batch(zs), zs)
+            rows = np.stack([constrained_rows(model, z) for z in zs])
             anchor_targets = np.where(corpus.omega[i] >= 0.5, x.ids, mask_id)
             for targets in (x.ids, anchor_targets):
                 want = rows[:, np.arange(len(x)), targets]
@@ -424,12 +501,13 @@ class TestTwoStage:
         iterable = texts.index("numbers", texts.index("for"))
         ids[loop_var] = vocab.mask_id
         ids[iterable] = vocab.mask_id
-        z = latent(corpus, ids)
-        (anchor_m,), (final_m,), (y_hat,) = two_stage_predict(
-            den, den, [z], corpus.omega[0], corpus.eta[0]
-        )
-        assert y_hat.ids[iterable] == vocab.id("numbers")
-        assert int(np.argmax(final_m[loop_var])) == vocab.id("num")
+        omega, eta = corpus.omega[0], corpus.eta[0]
+        full = anchor_commit_order(omega, eta, np.ones(len(ids), dtype=bool))
+        (y_hat,) = resolve_anchors(den, ids[None], full, vocab.mask_id)
+        assert y_hat[iterable] == vocab.id("numbers")
+        # More than half the mass on "num" makes it the composition's argmax.
+        (final,) = two_stage_predict(den, den, ids[None], corpus.ids[0], omega, eta, vocab.mask_id)
+        assert final[loop_var] > 0.5
 
     def test_null_omega_reduces_to_single_stage(self, synth_corpus_built):
         corpus = synth_corpus_built
@@ -437,21 +515,21 @@ class TestTwoStage:
         x = LatentSequence(corpus.ids[1].copy(), corpus.vocab.mask_id)
         z = corrupt(x, 0.8, NoiseSchedule(T=4), 3)
         omega = np.zeros(len(z))
-        (anchor_m,), (final_m,), (y_hat,) = two_stage_predict(den, den, [z], omega, omega)
-        assert (y_hat.ids == z.ids).all()
-        direct = apply_constraints(den.predict(z), z)
-        assert np.array_equal(final_m, direct)
+        mask_id = corpus.vocab.mask_id
+        for targets in (x.ids, corpus.ids[2]):
+            composed = two_stage_predict(den, den, z.ids[None], targets, omega, omega, mask_id)
+            assert np.array_equal(composed, den.target_probs(z.ids[None], targets, mask_id))
 
     def test_fully_unmasked_identity(self):
         corpus, records, vocab = self._loop_corpus()
         den = ExactPosteriorDenoiser(corpus)
-        z = latent(corpus, corpus.ids[1])
-        (anchor_m,), (final_m,), (y_hat,) = two_stage_predict(
-            den, den, [z], corpus.omega[1], corpus.eta[1]
+        ids = corpus.ids[1][None]
+        (anchor_m,) = den.target_probs(ids, corpus.ids[1], vocab.mask_id)
+        (final_m,) = two_stage_predict(
+            den, den, ids, corpus.ids[1], corpus.omega[1], corpus.eta[1], vocab.mask_id
         )
-        idx = np.arange(corpus.length)
-        assert (anchor_m[idx, corpus.ids[1]] == 1.0).all()
-        assert (final_m[idx, corpus.ids[1]] == 1.0).all()
+        assert (anchor_m == 1.0).all()
+        assert (final_m == 1.0).all()
 
     @pytest.mark.parametrize("kind", ["exact", "backoff"])
     def test_intermediate_is_resolve_anchors(self, synth_corpus_built, kind):
@@ -461,14 +539,24 @@ class TestTwoStage:
             if kind == "exact"
             else BackoffCountModel.fit(corpus)
         )
+        seen = []
+
+        class Recorder:
+            """The denoiser stage, recording the rows it is asked to score."""
+
+            def target_probs(self, ids, targets, mask_id):
+                seen.append(ids.copy())
+                return model.target_probs(ids, targets, mask_id)
+
         rng = np.random.default_rng(17)
         for i in range(6):
             x = LatentSequence(corpus.ids[i].copy(), corpus.vocab.mask_id)
             z = corrupt(x, 0.8, NoiseSchedule(T=8), rng)
             omega, eta = corpus.omega[i], corpus.eta[i]
-            _, _, (y,) = two_stage_predict(model, model, [z], omega, eta)
+            two_stage_predict(model, Recorder(), z.ids[None], x.ids, omega, eta, x.mask_id)
+            (y,) = seen.pop()
             order = anchor_commit_order(omega, eta, z.is_masked)
-            assert np.array_equal(y.ids, per_draw_resolve(model, z, order).ids)
+            assert np.array_equal(y, per_draw_resolve(model, z, order).ids)
 
     def test_resolve_anchors_stays_in_support(self, synth_corpus_built):
         corpus = synth_corpus_built
@@ -546,8 +634,8 @@ class TestTwoStage:
         oracle = OneHotPredictor(x, corpus.vocab.size)
         pair = TwoStagePredictor(oracle, oracle, corpus.omega[0], corpus.eta[0])
         z = corrupt(x, 0.9, NoiseSchedule(T=4), 8)
-        (final,) = pair.predict_batch([z])
-        assert (final[np.arange(len(x)), x.ids] == 1.0).all()
+        (final,) = pair.target_probs(z.ids[None], x.ids, x.mask_id)
+        assert (final == 1.0).all()
 
 
 class TestProfiles:
@@ -718,12 +806,11 @@ class TestMatchState:
             assert np.flatnonzero(den.match_mask(z)).tolist() == rows
             if rows:
                 oracle = naive_posterior(corpus, z)
-                assert np.array_equal(apply_constraints(den.predict(z), z), oracle)
                 for l in range(corpus.length):
                     assert np.array_equal(den.predict_row(z, l), oracle[l])
             else:
                 with pytest.raises(NoMatchError):
-                    den.predict(z)
+                    den.target_probs(z.ids[None], z.ids, mask_id)
                 with pytest.raises(NoMatchError):
                     den.predict_row(z, 0)
             use = rows or list(range(corpus.n))

@@ -10,7 +10,6 @@ from anchordiff import (
     AnchorStrategy,
     annotate_program,
     build_corpus,
-    denoisers,
     diffusion,
     synth_corpus,
 )
@@ -18,7 +17,6 @@ from anchordiff.anchors import compute_anchor_targets
 from anchordiff.denoisers import (
     BackoffCountModel,
     ExactPosteriorDenoiser,
-    Predictor,
     TwoStagePredictor,
 )
 from anchordiff.diffusion import (
@@ -35,7 +33,13 @@ from anchordiff.diffusion import (
 from anchordiff.schedule import NoiseSchedule, ScheduleKind, alpha
 
 from .conftest import make_corpus
-from .oracles import anelbo_summand, nelbo_summand, per_draw_loss, validate_prediction
+from .oracles import (
+    DenseRows,
+    anelbo_summand,
+    nelbo_summand,
+    per_draw_loss,
+    validate_prediction,
+)
 
 COS = NoiseSchedule(ScheduleKind.COSINE, 8)
 
@@ -44,7 +48,7 @@ def clean(ids, mask_id, prompt=None):
     return LatentSequence(ids=np.array(ids), mask_id=mask_id, prompt_mask=prompt)
 
 
-class OneHotPredictor(Predictor):
+class OneHotPredictor(DenseRows):
     """Perfect oracle: always predicts the clean sequence."""
 
     def __init__(self, x: LatentSequence, K: int):
@@ -57,7 +61,7 @@ class OneHotPredictor(Predictor):
         return raw
 
 
-class UniformPredictor(Predictor):
+class UniformPredictor(DenseRows):
     def __init__(self, K: int):
         self.K = K
 
@@ -397,28 +401,30 @@ class TestBatchedLoss:
         assert got.n_infinite > 0
 
     def test_backoff_losses_build_no_probability_arrays(self, synth_corpus_built, monkeypatch):
-        # The backoff model and its composition score a loss through
-        # target_probs alone: with every (n, L, K) path made to raise, both
+        # The backoff and exact models and their compositions score a loss
+        # through target_probs alone: with apply_constraints, the per-row
+        # queries and the exact model's match state made to raise, both
         # losses still run and give the same reports.
         corpus = synth_corpus_built
         x, mu, targets = self._record(corpus, 4, prompt_len=5)
         sched = NoiseSchedule(ScheduleKind.COSINE, 16)
-        backoff = BackoffCountModel.fit(corpus)
-        pair = TwoStagePredictor(backoff, backoff, corpus.omega[4], corpus.eta[4])
-        runs = [
-            lambda: nelbo(x, backoff, sched, 96, 3),
-            lambda: nelbo(x, pair, sched, 96, 3),
-            lambda: anelbo(x, targets, pair, sched, mu, 96, 3),
-        ]
+        runs = []
+        for model in (BackoffCountModel.fit(corpus), ExactPosteriorDenoiser(corpus)):
+            pair = TwoStagePredictor(model, model, corpus.omega[4], corpus.eta[4])
+            runs += [
+                lambda model=model: nelbo(x, model, sched, 96, 3),
+                lambda pair=pair: nelbo(x, pair, sched, 96, 3),
+                lambda pair=pair: anelbo(x, targets, pair, sched, mu, 96, 3),
+            ]
         before = [run() for run in runs]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the loss path built a probability array")
 
         monkeypatch.setattr(diffusion, "apply_constraints", forbidden)
-        monkeypatch.setattr(denoisers, "apply_constraints", forbidden)
-        for name in ("predict", "predict_batch", "predict_row"):
-            monkeypatch.setattr(BackoffCountModel, name, forbidden)
+        monkeypatch.setattr(BackoffCountModel, "predict_row", forbidden)
+        for name in ("predict_row", "_sync"):
+            monkeypatch.setattr(ExactPosteriorDenoiser, name, forbidden)
         for run, want in zip(runs, before):
             self._same(run(), want)
 

@@ -136,8 +136,9 @@ class TestBasics:
         out, trace = generate([], corpus.length, pair, cfg, NoiseSchedule(T=12))
         assert (out != corpus.vocab.mask_id).all()
         saw_remask = False
+        times = dict(trace.final_unmask_times(np.zeros(corpus.length)))
         for l in range(corpus.length):
-            events = trace.events_for(l)
+            events = [e for e in trace.events if e.position == l]
             if not events:
                 continue
             expected = "unmask"
@@ -146,7 +147,7 @@ class TestBasics:
                 expected = "remask" if expected == "unmask" else "unmask"
                 saw_remask |= e.event == "remask"
             assert events[-1].event == "unmask"
-            assert trace.final_unmask_step(l) == events[-1].step
+            assert times[l] == (trace.T - events[-1].step) / trace.T
         assert saw_remask
 
     def test_residual_mask_raises_diffusion_error(self):
@@ -238,11 +239,7 @@ class TestOrderStats:
             if len(match) == 0:
                 continue
             ri = match[0]
-            for l in range(corpus.length):
-                step = trace.final_unmask_step(l)
-                if step is None or corpus.depth[ri][l] < 0:
-                    continue
-                t_norm = (trace.T - step) / trace.T
+            for l, t_norm in trace.final_unmask_times(corpus.depth[ri]):
                 (anchor_times if corpus.omega[ri][l] >= 0.5 else other_times).append(
                     t_norm
                 )

@@ -49,6 +49,7 @@ from .experiments import (
     build_strategy_predictors,
     compare_strategies,
     eval_rows_to_csv,
+    probe_candidates,
     render_ids,
     validity_eval,
 )
@@ -289,7 +290,9 @@ def load_inputs(resolved: dict) -> Inputs:
     ``load_records``: every program is tokenized and parsed once, here.
 
     Rejected input raises ValueError or an ingest error before any output
-    exists; main reports it as exit 2.
+    exists; main reports it as exit 2. A probe whose corpus has no position
+    with a chain of ``--probe-k`` raises InsufficientDepth here, also before
+    any output exists; main reports it as exit 4.
     """
     command = resolved["command"]
     for key, value in resolved.items():
@@ -336,6 +339,8 @@ def load_inputs(resolved: dict) -> Inputs:
         # The vocabulary comes from the records' tokens, so it holds the
         # chunks of any split identifier.
         inputs.corpus = build_corpus(inputs.records, length=resolved["length"])
+    if command == "probe":
+        probe_candidates(inputs.corpus, resolved["probe_k"])
     return inputs
 
 
@@ -567,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RecursionError, *INPUT_ERRORS) as exc:  # JSON nested too deep
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InsufficientDepth as exc:
+        print(f"infeasible experiment: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     try:
         run_dir = make_run_dir(resolved)
         write_manifest(run_dir, resolved, inputs.anchor)

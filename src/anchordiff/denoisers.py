@@ -4,11 +4,13 @@ of ``Predictor``; no query builds an (n, L, K) array.
 * ExactPosteriorDenoiser: the Bayes-optimal table, valid because uniform
   random masking makes the posterior over clean sequences the renormalized
   empirical weight of corpus sequences matching the latent's unmasked
-  positions. ``predict_row`` keeps one match state over the corpus's unique
-  rows and updates it only at the positions that changed since its last
-  query; a ``version`` moves only when the consistent set changes, and the
-  anchored sampler's PosteriorAnchorProfile reads the same state. The
-  batched ``target_probs`` and ``argmax_at`` leave that state alone.
+  positions. ``predict_row`` keeps one match state, the corpus's unique
+  rows still consistent with the latent: a commit filters that set on its
+  column, and only a remask, an overwrite or a fresh latent rebuilds it. A
+  ``version`` moves only when the set changes, and the anchored sampler's
+  PosteriorAnchorProfile sums per-unique-row (omega, eta) over the same set
+  (``consistent_rows``), so both cost as much as the set, not the corpus.
+  The batched ``target_probs`` and ``argmax_at`` leave that state alone.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
   as tables, so each query is a gather.
@@ -102,21 +104,24 @@ class ExactPosteriorDenoiser(Predictor):
 
     Duplicate corpus rows are merged at construction into unique rows with
     summed weights, stored column-major, so that one position's tokens over
-    all unique rows are contiguous. ``predict_row``, ``consistent`` and
-    ``match_mask`` read a match state. It holds, per unique row, the number
-    of unmasked latent positions where the row disagrees with the latent,
-    plus the latent ids it was last brought up to date with. A query diffs
-    the latent against those ids and updates the counts at the
-    changed positions only: a fresh latent costs about one scan of the
-    unique rows, a single commit or remask one column. A row is consistent
-    with the latent when its count is zero. The indices and summed weights
-    of the consistent unique rows are cached, and ``version`` is bumped
-    whenever that set changes, so equal versions mean equal sets and equal
-    outputs; ``consistent(z)`` syncs and returns it. Outputs do not depend
-    on the order of queries, only their cost does. The state belongs to the
-    instance, so one instance must not be queried from two threads at once.
-    The batched ``target_probs`` and ``argmax_at`` compare each latent row
-    with the unique rows afresh and neither read nor change the state.
+    all unique rows are contiguous; ``unique_of_row`` maps each corpus row
+    to its unique row. ``predict_row``, ``consistent``, ``consistent_rows``
+    and ``match_mask`` read a match state: the indices and summed weights
+    of the unique rows consistent with the latent (agreeing with it at every
+    unmasked position), plus the latent ids the state was last brought up
+    to date with. A query diffs the latent against those ids. When every
+    changed position was masked before, as after the sampler's commits and
+    the probe's reveals, the consistent rows are filtered on the changed
+    columns, so a commit costs one column of the consistent rows only.
+    Any other change (a remask, an overwrite, a fresh latent) rebuilds the
+    set from the latent's unmasked positions, about one scan of the unique
+    rows. ``version`` is bumped whenever the set changes, so equal versions
+    mean equal sets and equal outputs; ``consistent(z)`` syncs and returns
+    it. Outputs do not depend on the order of queries, only their cost
+    does. The state belongs to the instance, so one instance must not be
+    queried from two threads at once. The batched ``target_probs`` and
+    ``argmax_at`` compare each latent row with the unique rows afresh and
+    neither read nor change the state.
     """
 
     def __init__(self, corpus: Corpus):
@@ -125,14 +130,12 @@ class ExactPosteriorDenoiser(Predictor):
         # with a single memcmp; np.unique(axis=0) is about 8x slower.
         ids = np.ascontiguousarray(corpus.ids)
         rows = ids.view(np.dtype((np.void, ids.itemsize * corpus.length))).ravel()
-        _, first, self._unique_of_row = np.unique(
-            rows, return_index=True, return_inverse=True
-        )
+        _, first, self.unique_of_row = np.unique(rows, return_index=True, return_inverse=True)
+        self.unique_of_row.setflags(write=False)
         self._columns = np.ascontiguousarray(ids[first].T)
-        self._unique_weights = np.bincount(self._unique_of_row, weights=corpus.weights)
+        self._unique_weights = np.bincount(self.unique_of_row, weights=corpus.weights)
         # Every row agrees with the all-masked latent.
         self._seen = np.full(corpus.length, corpus.vocab.mask_id, dtype=np.int64)
-        self._mismatches = np.zeros(len(first), dtype=np.int64)
         self.version = 0
         self._set_consistent(np.arange(len(first)))
 
@@ -147,10 +150,10 @@ class ExactPosteriorDenoiser(Predictor):
         self._hit_weights.setflags(write=False)
 
     def _sync(self, z: LatentSequence) -> None:
-        """Bring the mismatch counts up to date with ``z``: subtract the old
-        terms and add the new ones at the positions whose ids changed. When
-        the set of zero-mismatch unique rows changes, cache its indices and
-        weights and bump ``version``."""
+        """Bring the consistent set up to date with ``z``: filter it on the
+        changed positions when each of them was masked, otherwise rebuild
+        it from ``z``'s unmasked positions. When the set changes, cache its
+        indices and weights and bump ``version``."""
         if z.ids.shape != self._seen.shape:
             raise ValueError(
                 f"latent length {len(z)} does not match corpus length {len(self._seen)}"
@@ -158,18 +161,29 @@ class ExactPosteriorDenoiser(Predictor):
         changed = np.flatnonzero(z.ids != self._seen)
         if not len(changed):
             return
-        mask_id = self.vocab.mask_id
-        was = changed[self._seen[changed] != mask_id]
-        now = changed[z.ids[changed] != mask_id]
-        if len(was):
-            self._mismatches -= (self._columns[was] != self._seen[was][:, None]).sum(axis=0)
-        if len(now):
-            self._mismatches += (self._columns[now] != z.ids[now][:, None]).sum(axis=0)
+        hit = self._filtered(z, changed.tolist())
+        if hit is not None:
+            moved = len(hit) != len(self._hit)  # a subset moves only by shrinking
+        else:
+            # One pass over every unmasked column: a rebuild reads most of
+            # them, and _filtered's loop from all rows costs about twice this.
+            now = np.flatnonzero(z.ids != self.vocab.mask_id)
+            hit = np.flatnonzero((self._columns[now] == z.ids[now, None]).all(axis=0))
+            moved = not np.array_equal(hit, self._hit)
         self._seen[changed] = z.ids[changed]
-        hit = np.flatnonzero(self._mismatches == 0)
-        if not np.array_equal(hit, self._hit):
+        if moved:
             self.version += 1
             self._set_consistent(hit)
+
+    def _filtered(self, z: LatentSequence, changed: list[int]) -> np.ndarray | None:
+        """The consistent rows that agree with each commit at ``changed``, or
+        None when one of those positions was not masked before."""
+        hit = self._hit
+        for l in changed:
+            if self._seen[l] != self.vocab.mask_id:
+                return None
+            hit = hit[self._columns[l][hit] == z.ids[l]]
+        return hit
 
     def consistent(self, z: LatentSequence) -> int:
         """Bring the match state up to date with ``z`` and return its
@@ -177,17 +191,26 @@ class ExactPosteriorDenoiser(Predictor):
         self._sync(z)
         return self.version
 
+    def consistent_rows(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending indices of the unique rows consistent with ``z`` and
+        their summed weights, as read-only arrays; both are empty when no
+        row matches."""
+        self._sync(z)
+        return self._hit, self._hit_weights
+
     def match_mask(self, z: LatentSequence) -> np.ndarray:
         """Boolean row per corpus sequence: agrees with z where unmasked."""
         self._sync(z)
-        return (self._mismatches == 0)[self._unique_of_row]
+        consistent = np.zeros(len(self._unique_weights), dtype=bool)
+        consistent[self._hit] = True
+        return consistent[self.unique_of_row]
 
     def _matched(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         """Indices and summed weights of the unique rows consistent with z."""
-        self._sync(z)
-        if not len(self._hit):
+        hit, w = self.consistent_rows(z)
+        if not len(hit):
             raise NoMatchError("latent matches no corpus sequence")
-        return self._hit, self._hit_weights
+        return hit, w
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         hit, w = self._matched(z)
@@ -547,9 +570,15 @@ class PosteriorAnchorProfile:
     At sampling time the true per-position anchor labels are unknown, so the
     anchored sampler uses the weighted mean of (omega, eta) over the corpus
     sequences consistent with the current latent, falling back to the
-    corpus marginal when nothing matches. The consistent rows come from the
-    match state of ``exact``, normally the pair's own predictor, so the
-    predictor and the profile keep one state between them.
+    corpus marginal when nothing matches. The consistent rows come from
+    ``exact.consistent_rows``, normally on the pair's own predictor, so the
+    predictor and the profile keep one match state between them.
+
+    Construction sums weight * omega and weight * eta over the copies of
+    each unique row (``exact.unique_of_row``). A profile is then the sum of
+    those rows over the consistent unique rows, in ascending order, divided
+    by their summed weight: it costs as much as the consistent set, not the
+    corpus, and its bits do not depend on a BLAS kernel.
 
     The profile depends on the latent only through its consistent rows, so
     it is recomputed only when ``exact.consistent(z)`` reports a new version
@@ -559,7 +588,11 @@ class PosteriorAnchorProfile:
 
     def __init__(self, exact: ExactPosteriorDenoiser):
         self.exact = exact
-        self._marginal = MarginalAnchorProfile.of_corpus(exact.corpus)
+        corpus = exact.corpus
+        self._marginal = MarginalAnchorProfile.of_corpus(corpus)
+        weighted = corpus.weights[:, None] * np.hstack([corpus.omega, corpus.eta])
+        self._sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
+        np.add.at(self._sums, exact.unique_of_row, weighted)
         self._version: int | None = None
         self._profile: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -571,10 +604,8 @@ class PosteriorAnchorProfile:
         return self._profile
 
     def _posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        corpus = self.exact.corpus
-        w = np.where(self.exact.match_mask(z), corpus.weights, 0.0)
-        total = w.sum()
-        if total == 0:
+        hit, w = self.exact.consistent_rows(z)
+        if not len(hit):
             return self._marginal(z)
-        w = w / total
-        return _read_only(w @ corpus.omega), _read_only(w @ corpus.eta)
+        mean = self._sums[hit].sum(axis=0) / w.sum()
+        return _read_only(mean[: len(z)]), _read_only(mean[len(z) :])

@@ -79,6 +79,15 @@ class ProbeRun:
         return float(diff.mean()), se
 
 
+def probe_candidates(corpus: Corpus, k: int) -> np.ndarray:
+    """The corpus rows holding a position whose chain length is at least
+    ``k``; InsufficientDepth, naming the longest chain, when none does."""
+    candidates = np.flatnonzero((corpus.chain >= k).any(axis=1))
+    if not len(candidates):
+        raise InsufficientDepth(-1, k, int(corpus.chain.max(initial=0)))
+    return candidates
+
+
 def ancestry_probe(
     records: list[DatasetRecord],
     corpus: Corpus,
@@ -119,10 +128,8 @@ def ancestry_probe(
     schedule = schedule or NoiseSchedule(T=max(corpus.length, 1))
     length = corpus.length
     ok = corpus.chain >= k
-    candidates = np.flatnonzero(ok.any(axis=1))
+    candidates = probe_candidates(corpus, k)
     achievable = int(corpus.chain.max(initial=0))
-    if not len(candidates):
-        raise InsufficientDepth(-1, k, achievable)
     raw: dict[tuple[str, float], np.ndarray] = {
         (o.value, t): np.zeros((n_probes, k + 1)) for o in RevealOrder for t in t_values
     }

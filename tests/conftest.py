@@ -55,3 +55,10 @@ def synth_vocab(synth_sources):
 @pytest.fixture(scope="session")
 def synth_corpus_built(synth_records, synth_vocab):
     return build_corpus(synth_records, synth_vocab, length=64)
+
+
+@pytest.fixture(scope="session")
+def synth200_corpus(anchor_tree_config):
+    sources = synth_corpus(seed=20260809, n_programs=200, max_depth=6)
+    records = [annotate_program(s, anchor_tree_config, str(i)) for i, s in enumerate(sources)]
+    return build_corpus(records, length=64)

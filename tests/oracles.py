@@ -267,10 +267,14 @@ def validate_prediction(probs: np.ndarray, z: LatentSequence, atol: float = 1e-9
 
 class RescanExactDenoiser(Predictor):
     """The exact posterior with a full n x L corpus rescan on every query:
-    the reference for ExactPosteriorDenoiser's incremental match state."""
+    the reference for ExactPosteriorDenoiser's incremental match state. It
+    groups corpus rows into unique rows as the exact predictor does (that
+    grouping is construction, not match state), so a profile summing its
+    consistent unique rows adds the same numbers in the same order."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
+        self.unique_of_row = ExactPosteriorDenoiser(corpus).unique_of_row
         self._queries = 0
 
     @property
@@ -287,6 +291,15 @@ class RescanExactDenoiser(Predictor):
         agree = (self.corpus.ids == z.ids[None, :]) | z.is_masked[None, :]
         return agree.all(axis=1)
 
+    def consistent_rows(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+        """The unique rows holding a matching corpus row, ascending, and the
+        weights of their matching copies summed in corpus order."""
+        m = self.match_mask(z)
+        unique = self.unique_of_row[m]
+        hit = np.unique(unique)
+        weights = np.bincount(unique, weights=self.corpus.weights[m])
+        return hit, weights[hit]
+
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         m = self.match_mask(z)
         if not m.any():
@@ -301,6 +314,17 @@ class RescanExactDenoiser(Predictor):
             self.corpus.ids[hit, position], weights=self.corpus.weights[hit], minlength=K
         )
         return counts / counts.sum()
+
+
+def all_rows_profile(corpus: Corpus, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior anchor profile as a weighted mean over every corpus
+    row: the matching rows' normalized weights (zero elsewhere) times the
+    (n, L) omega and eta, or the corpus marginal when no row matches."""
+    w = np.zeros(corpus.n)
+    rows = naive_consistent_rows(corpus, z) or list(range(corpus.n))
+    w[rows] = corpus.weights[rows]
+    w = w / w.sum()
+    return w @ corpus.omega, w @ corpus.eta
 
 
 def sorted_anchor_commit_order(

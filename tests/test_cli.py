@@ -96,6 +96,15 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_probe_without_deep_chains_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        # No position of the corpus reaches k = 40, which is known before
+        # any output is written.
+        out = tmp_path / "run"
+        argv = ["probe", *BASE, "--probe-k", "40", "--n-samples", "5", "--out", str(out)]
+        assert main(argv) == 4
+        assert "requested chain length 40" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probe_names_why_it_gave_up(self, tmp_path, capsys):
         # No position has a chain of 40: the depth message.
         argv = ["probe", *BASE, "--n-samples", "5"]

@@ -27,6 +27,8 @@ from anchordiff.denoisers import (
     two_stage_predict,
 )
 from anchordiff.diffusion import LatentSequence, Vocab, corrupt
+from anchordiff.experiments import build_strategy_predictors
+from anchordiff.sampler import AnchoredPair, SamplerConfig, generate
 from anchordiff.schedule import NoiseSchedule
 
 from .conftest import make_corpus
@@ -34,6 +36,7 @@ from .oracles import (
     DictBackoffModel,
     NaivePosterior,
     RescanExactDenoiser,
+    all_rows_profile,
     constrained_rows,
     naive_consistent_rows,
     naive_posterior,
@@ -710,20 +713,75 @@ class TestPosteriorProfileOracle:
     @given(annotated_corpus_and_latent())
     def test_matches_oracle_consistent_rows(self, case):
         corpus, z = case
-        rows = naive_consistent_rows(corpus, z) or list(range(corpus.n))
-        w = corpus.weights[rows]
-        expected_omega = sum(wi * corpus.omega[i] for wi, i in zip(w, rows)) / w.sum()
-        expected_eta = sum(wi * corpus.eta[i] for wi, i in zip(w, rows)) / w.sum()
-        omega, eta = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z)
-        assert np.allclose(omega, expected_omega, rtol=0, atol=1e-12)
-        assert np.allclose(eta, expected_eta, rtol=0, atol=1e-12)
+        profile = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
+        assert_profile_is_all_rows_mean(profile(z), corpus, z)
+
+    def test_equals_all_rows_mean_on_synth_200(self, synth200_corpus):
+        corpus = synth200_corpus
+        mask_id = corpus.vocab.mask_id
+        pair = build_strategy_predictors(corpus, AnchorStrategy.ANCHOR_TREE, "exact")
+        # The latents anchored generation queries the profile with.
+        queried = []
+
+        def recording(z):
+            queried.append(z.ids.copy())
+            return pair.profile(z)
+
+        cfg = SamplerConfig(
+            T=16, remask_rate=0.1, strategy=AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+        )
+        for j in range(3):
+            generate([], 64, AnchoredPair(pair.predictor, recording), cfg, NoiseSchedule(T=16), j)
+        # Corrupted corpus rows, and one latent no row matches.
+        corrupted = [
+            corrupt(latent(corpus, corpus.ids[i]), t, NoiseSchedule(T=4), i).ids
+            for i in range(0, corpus.n, 10)
+            for t in (0.3, 0.6, 0.9)
+        ]
+        unmatched = np.full(corpus.length, mask_id)
+        unmatched[:2] = corpus.ids[0, 1], corpus.ids[0, 0]
+        latents = queried + corrupted + [unmatched]
+        assert len(queried) > 20
+        profile = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
+        for ids in latents:
+            z = latent(corpus, ids)
+            assert_profile_is_all_rows_mean(profile(z), corpus, z)
+
+
+# The unique-row sums and the all-rows weighted mean round differently.
+PROFILE_TOL = 1e-12
+
+
+def assert_profile_is_all_rows_mean(profile, corpus, z) -> None:
+    """The profile equals the all-rows weighted mean within PROFILE_TOL, and
+    its anchor order is the mean's, except that a position whose mean omega
+    lies within PROFILE_TOL of the 0.5 threshold may join or leave it, and
+    two positions whose omega * eta differ by less than PROFILE_TOL may
+    swap."""
+    omega, eta = profile
+    ref_omega, ref_eta = all_rows_profile(corpus, z)
+    assert np.allclose(omega, ref_omega, rtol=0, atol=PROFILE_TOL)
+    assert np.allclose(eta, ref_eta, rtol=0, atol=PROFILE_TOL)
+    order = anchor_commit_order(omega, eta, z.is_masked)
+    ref_order = anchor_commit_order(ref_omega, ref_eta, z.is_masked)
+    at_threshold = set(np.flatnonzero(np.abs(ref_omega - 0.5) < PROFILE_TOL).tolist())
+    assert not (set(order) ^ set(ref_order)) - at_threshold
+    both = set(order) & set(ref_order)
+    order = [l for l in order if l in both]
+    rank = {l: r for r, l in enumerate(l for l in ref_order if l in both)}
+    key = ref_omega * ref_eta
+    for i, a in enumerate(order):
+        for b in order[i + 1 :]:
+            if rank[a] > rank[b]:
+                assert abs(key[a] - key[b]) < PROFILE_TOL, (a, b)
 
 
 @st.composite
 def match_state_walk(draw):
     """A corpus with repeated rows, each copy carrying its own omega/eta and
-    a weight in 1..5, plus a walk of latent edits: unmask, remask, token
-    overwrite, a fresh random latent, and a pickle round-trip."""
+    a weight in 1..5, plus a walk of latent edits: unmask, several commits
+    at once, remask, token overwrite, a fresh random latent, and a pickle
+    round-trip."""
     L = draw(st.integers(1, 6))
     token = st.integers(0, 3)
     distinct = draw(st.lists(st.lists(token, min_size=L, max_size=L), min_size=1, max_size=4))
@@ -748,10 +806,17 @@ def match_state_walk(draw):
     unmask = st.tuples(position, st.integers(0, n - 1)).map(
         lambda s: ("set", s[0], int(ids[s[1], s[0]]))
     )
+    # Several masked positions unmasked to one corpus row's tokens in one
+    # edit, so that one query filters the consistent rows on several columns.
+    commits = st.tuples(
+        st.just("commit"), st.lists(position, min_size=1, max_size=L, unique=True),
+        st.integers(0, n - 1),
+    )
     remask = st.tuples(st.just("set"), position, st.just(vocab.mask_id))
     overwrite = st.tuples(st.just("set"), position, token)
     step = st.one_of(
         unmask,
+        commits,
         remask,
         overwrite,
         st.tuples(
@@ -783,6 +848,10 @@ class TestMatchState:
                 last_profile = None
             elif op == "fresh":
                 z.ids[:] = args[0]
+            elif op == "commit":
+                positions, row = args
+                masked = [l for l in positions if z.ids[l] == mask_id]
+                z.ids[masked] = corpus.ids[row, masked]
             else:
                 z.ids[args[0]] = args[1]
             rows = naive_consistent_rows(corpus, z)
@@ -790,11 +859,11 @@ class TestMatchState:
             version = den.consistent(z)
             assert (version != last_version) == (rows != last_rows)
             last_rows, last_version = rows, version
-            # The cached unique rows and summed weights are the oracle's rows.
-            hit, w = den._hit, den._hit_weights
-            assert np.flatnonzero(np.isin(den._unique_of_row, hit)).tolist() == rows
+            # The consistent unique rows and summed weights are the oracle's rows.
+            hit, w = den.consistent_rows(z)
+            assert np.flatnonzero(np.isin(den.unique_of_row, hit)).tolist() == rows
             for h, wh in zip(hit, w):
-                assert wh == sum(corpus.weights[i] for i in rows if den._unique_of_row[i] == h)
+                assert wh == sum(corpus.weights[i] for i in rows if den.unique_of_row[i] == h)
             # The cached profile is a fresh build's, bit for bit, and the
             # very same arrays while the version holds.
             cached = prof(z)

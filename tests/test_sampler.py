@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchordiff import (
-    AnchorConfig,
-    AnchorStrategy,
-    annotate_program,
-    build_corpus,
-    synth_corpus,
-)
+from anchordiff import AnchorConfig, AnchorStrategy
 from anchordiff.denoisers import (
     BackoffCountModel,
     ExactPosteriorDenoiser,
@@ -322,14 +316,6 @@ class TestFuzzLight:
             )
             assert (out != corpus.vocab.mask_id).all()
             assert (out[:n_prompt] == prompt).all()
-
-
-@pytest.fixture(scope="module")
-def synth200_corpus():
-    config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
-    sources = synth_corpus(seed=20260809, n_programs=200, max_depth=6)
-    records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
-    return build_corpus(records, length=64)
 
 
 def rescan_pair(corpus, strategy):

@@ -179,9 +179,9 @@ def build_corpus(
     records: list[DatasetRecord],
     vocab: Vocab | None = None,
     length: int | None = None,
-    weights: np.ndarray | None = None,
 ) -> Corpus:
-    """Pad records to a shared length and bundle them as a Corpus.
+    """Pad records to a shared length and bundle them as a Corpus, each
+    record a row of weight 1.
 
     Without ``vocab``, the vocabulary is built from the records' own tokens,
     so it holds the chunks of split identifiers. Pad positions carry omega
@@ -207,10 +207,8 @@ def build_corpus(
         eta[i, :m] = rec.eta[:m]
         depth[i, :m] = rec.depth[:m]
         chain[i, :m] = rec.chain[:m]
-    if weights is None:
-        weights = np.ones(n)
     return Corpus(
-        ids=ids, weights=weights, vocab=vocab, omega=omega, eta=eta, depth=depth,
+        ids=ids, weights=np.ones(n), vocab=vocab, omega=omega, eta=eta, depth=depth,
         chain=chain,
     )
 

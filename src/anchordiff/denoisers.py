@@ -4,13 +4,13 @@ of ``Predictor``; no query builds an (n, L, K) array.
 * ExactPosteriorDenoiser: the Bayes-optimal table, valid because uniform
   random masking makes the posterior over clean sequences the renormalized
   empirical weight of corpus sequences matching the latent's unmasked
-  positions. ``predict_row`` keeps one match state, the corpus's unique
-  rows still consistent with the latent: a commit filters that set on its
-  column, and only a remask, an overwrite or a fresh latent rebuilds it. A
-  ``version`` moves only when the set changes, and the anchored sampler's
-  PosteriorAnchorProfile sums per-unique-row (omega, eta) over the same set
-  (``consistent_rows``), so both cost as much as the set, not the corpus.
-  The batched ``target_probs`` and ``argmax_at`` leave that state alone.
+  positions. Its only state is the consistent set, the corpus's unique
+  rows still consistent with the latent (``consistent_rows``): a commit
+  filters that set on its column, and only a remask, an overwrite or a
+  fresh latent rebuilds it. ``predict_row`` and the anchored sampler's
+  PosteriorAnchorProfile are both functions of that set, so both cost as
+  much as the set, not the corpus. The batched ``target_probs`` and
+  ``argmax_at`` leave it alone.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
   as tables, so each query is a gather.
@@ -105,23 +105,21 @@ class ExactPosteriorDenoiser(Predictor):
     Duplicate corpus rows are merged at construction into unique rows with
     summed weights, stored column-major, so that one position's tokens over
     all unique rows are contiguous; ``unique_of_row`` maps each corpus row
-    to its unique row. ``predict_row``, ``consistent``, ``consistent_rows``
-    and ``match_mask`` read a match state: the indices and summed weights
-    of the unique rows consistent with the latent (agreeing with it at every
-    unmasked position), plus the latent ids the state was last brought up
-    to date with. A query diffs the latent against those ids. When every
-    changed position was masked before, as after the sampler's commits and
-    the probe's reveals, the consistent rows are filtered on the changed
-    columns, so a commit costs one column of the consistent rows only.
-    Any other change (a remask, an overwrite, a fresh latent) rebuilds the
-    set from the latent's unmasked positions, about one scan of the unique
-    rows. ``version`` is bumped whenever the set changes, so equal versions
-    mean equal sets and equal outputs; ``consistent(z)`` syncs and returns
-    it. Outputs do not depend on the order of queries, only their cost
-    does. The state belongs to the instance, so one instance must not be
-    queried from two threads at once. The batched ``target_probs`` and
-    ``argmax_at`` compare each latent row with the unique rows afresh and
-    neither read nor change the state.
+    to its unique row. The instance's only state is the consistent set:
+    the indices and summed weights of the unique rows consistent with the
+    latent (agreeing with it at every unmasked position), plus the latent
+    ids the set was last brought up to date with. ``consistent_rows``,
+    ``match_mask`` and ``predict_row`` read it, and a query diffs the latent
+    against those ids. When every changed position was masked before, as
+    after the sampler's commits and the probe's reveals, the consistent rows
+    are filtered on the changed columns, so a commit costs one column of the
+    consistent rows only. Any other change (a remask, an overwrite, a fresh
+    latent) rebuilds the set from the latent's unmasked positions, about one
+    scan of the unique rows. Outputs do not depend on the order of queries,
+    only their cost does. The state belongs to the instance, so one
+    instance must not be queried from two threads at once. The batched
+    ``target_probs`` and ``argmax_at`` compare each latent row with the
+    unique rows afresh and neither read nor change the state.
     """
 
     def __init__(self, corpus: Corpus):
@@ -136,24 +134,19 @@ class ExactPosteriorDenoiser(Predictor):
         self._unique_weights = np.bincount(self.unique_of_row, weights=corpus.weights)
         # Every row agrees with the all-masked latent.
         self._seen = np.full(corpus.length, corpus.vocab.mask_id, dtype=np.int64)
-        self.version = 0
-        self._set_consistent(np.arange(len(first)))
+        self._hit = np.arange(len(first))
+        self._hit_weights = self._unique_weights
+        self._hit.setflags(write=False)
+        self._hit_weights.setflags(write=False)
 
     @property
     def vocab(self) -> Vocab:
         return self.corpus.vocab
 
-    def _set_consistent(self, hit: np.ndarray) -> None:
-        self._hit = hit
-        self._hit_weights = self._unique_weights[hit]
-        self._hit.setflags(write=False)
-        self._hit_weights.setflags(write=False)
-
     def _sync(self, z: LatentSequence) -> None:
         """Bring the consistent set up to date with ``z``: filter it on the
         changed positions when each of them was masked, otherwise rebuild
-        it from ``z``'s unmasked positions. When the set changes, cache its
-        indices and weights and bump ``version``."""
+        it from ``z``'s unmasked positions."""
         if z.ids.shape != self._seen.shape:
             raise ValueError(
                 f"latent length {len(z)} does not match corpus length {len(self._seen)}"
@@ -162,18 +155,15 @@ class ExactPosteriorDenoiser(Predictor):
         if not len(changed):
             return
         hit = self._filtered(z, changed.tolist())
-        if hit is not None:
-            moved = len(hit) != len(self._hit)  # a subset moves only by shrinking
-        else:
+        if hit is None:
             # One pass over every unmasked column: a rebuild reads most of
             # them, and _filtered's loop from all rows costs about twice this.
             now = np.flatnonzero(z.ids != self.vocab.mask_id)
             hit = np.flatnonzero((self._columns[now] == z.ids[now, None]).all(axis=0))
-            moved = not np.array_equal(hit, self._hit)
         self._seen[changed] = z.ids[changed]
-        if moved:
-            self.version += 1
-            self._set_consistent(hit)
+        self._hit, self._hit_weights = hit, self._unique_weights[hit]
+        self._hit.setflags(write=False)
+        self._hit_weights.setflags(write=False)
 
     def _filtered(self, z: LatentSequence, changed: list[int]) -> np.ndarray | None:
         """The consistent rows that agree with each commit at ``changed``, or
@@ -184,12 +174,6 @@ class ExactPosteriorDenoiser(Predictor):
                 return None
             hit = hit[self._columns[l][hit] == z.ids[l]]
         return hit
-
-    def consistent(self, z: LatentSequence) -> int:
-        """Bring the match state up to date with ``z`` and return its
-        version: equal versions mean the same set of consistent rows."""
-        self._sync(z)
-        return self.version
 
     def consistent_rows(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         """The ascending indices of the unique rows consistent with ``z`` and
@@ -205,17 +189,12 @@ class ExactPosteriorDenoiser(Predictor):
         consistent[self._hit] = True
         return consistent[self.unique_of_row]
 
-    def _matched(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and summed weights of the unique rows consistent with z."""
+    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         hit, w = self.consistent_rows(z)
         if not len(hit):
             raise NoMatchError("latent matches no corpus sequence")
-        return hit, w
-
-    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        hit, w = self._matched(z)
-        K = self.corpus.vocab.size
-        if not z.is_masked[position]:
+        K = self.vocab.size
+        if z.ids[position] != self.vocab.mask_id:
             row = np.zeros(K)
             row[z.ids[position]] = 1.0
             return row
@@ -572,18 +551,16 @@ class PosteriorAnchorProfile:
     sequences consistent with the current latent, falling back to the
     corpus marginal when nothing matches. The consistent rows come from
     ``exact.consistent_rows``, normally on the pair's own predictor, so the
-    predictor and the profile keep one match state between them.
+    profile is a function of that predictor's consistent set and keeps no
+    state of its own.
 
     Construction sums weight * omega and weight * eta over the copies of
     each unique row (``exact.unique_of_row``). A profile is then the sum of
     those rows over the consistent unique rows, in ascending order, divided
     by their summed weight: it costs as much as the consistent set, not the
-    corpus, and its bits do not depend on a BLAS kernel.
-
-    The profile depends on the latent only through its consistent rows, so
-    it is recomputed only when ``exact.consistent(z)`` reports a new version
-    of that set; otherwise the last (omega, eta) is returned again. The
-    arrays are read-only, because callers share them.
+    corpus, and its bits do not depend on a BLAS kernel. The arrays are
+    read-only, as MarginalAnchorProfile's shared ones are, so a caller
+    treats every profile alike.
     """
 
     def __init__(self, exact: ExactPosteriorDenoiser):
@@ -593,19 +570,11 @@ class PosteriorAnchorProfile:
         weighted = corpus.weights[:, None] * np.hstack([corpus.omega, corpus.eta])
         self._sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
         np.add.at(self._sums, exact.unique_of_row, weighted)
-        self._version: int | None = None
-        self._profile: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        version = self.exact.consistent(z)
-        if version != self._version:
-            self._profile = self._posterior(z)
-            self._version = version
-        return self._profile
-
-    def _posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         hit, w = self.exact.consistent_rows(z)
         if not len(hit):
             return self._marginal(z)
         mean = self._sums[hit].sum(axis=0) / w.sum()
-        return _read_only(mean[: len(z)]), _read_only(mean[len(z) :])
+        mean.setflags(write=False)  # which makes both views of it read-only
+        return mean[: len(z)], mean[len(z) :]

@@ -64,13 +64,12 @@ class TraceEvent:
 
 
 class DenoiseTrace:
-    """Chronological unmask/remask events plus the final sequence."""
+    """Chronological unmask/remask events and each position's last unmask step."""
 
     def __init__(self, T: int, length: int):
         self.T = T
         self.length = length
         self.events: list[TraceEvent] = []
-        self.final: np.ndarray | None = None
         self._last_unmask: list[int | None] = [None] * length
 
     def record(self, position: int, step: int, event: str, token: int, stage: str) -> None:
@@ -155,7 +154,7 @@ def generate(
 
     for i in range(config.T, 0, -1):
         p = unmask_prob(schedule, i)
-        is_masked = z.is_masked
+        is_masked = ids == mask_id
         masked = np.flatnonzero(is_masked)
         budget = int(rng.binomial(len(masked), p)) if len(masked) else 0
         if budget:
@@ -172,7 +171,7 @@ def generate(
                 last_stage[l] = "anchor" if k < len(anchors) else "denoise"
                 trace.record(l, i, "unmask", int(token), last_stage[l])
         if i > 1 and config.remask_rate > 0:
-            committed = np.flatnonzero(~z.is_masked & ~prompt_mask)
+            committed = np.flatnonzero((ids != mask_id) & ~prompt_mask)
             # One coin per committed position, drawn in position order.
             coins = rng.random(len(committed))
             for l in committed[coins < config.remask_rate * p].tolist():
@@ -181,7 +180,6 @@ def generate(
 
     if np.any(ids == mask_id):
         raise DiffusionError("generation finished with mask tokens present")
-    trace.final = ids.copy()
     return ids.copy(), trace
 
 

@@ -267,7 +267,7 @@ def validate_prediction(probs: np.ndarray, z: LatentSequence, atol: float = 1e-9
 
 class RescanExactDenoiser(Predictor):
     """The exact posterior with a full n x L corpus rescan on every query:
-    the reference for ExactPosteriorDenoiser's incremental match state. It
+    the reference for ExactPosteriorDenoiser's incremental consistent set. It
     groups corpus rows into unique rows as the exact predictor does (that
     grouping is construction, not match state), so a profile summing its
     consistent unique rows adds the same numbers in the same order."""
@@ -275,17 +275,10 @@ class RescanExactDenoiser(Predictor):
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
         self.unique_of_row = ExactPosteriorDenoiser(corpus).unique_of_row
-        self._queries = 0
 
     @property
     def vocab(self):
         return self.corpus.vocab
-
-    def consistent(self, z: LatentSequence) -> int:
-        """A fresh version on every call, so a profile over this predictor
-        recomputes on every query and stays the uncached reference."""
-        self._queries += 1
-        return self._queries
 
     def match_mask(self, z: LatentSequence) -> np.ndarray:
         agree = (self.corpus.ids == z.ids[None, :]) | z.is_masked[None, :]

@@ -35,7 +35,6 @@ from .conftest import make_corpus
 from .oracles import (
     DictBackoffModel,
     NaivePosterior,
-    RescanExactDenoiser,
     all_rows_profile,
     constrained_rows,
     naive_consistent_rows,
@@ -415,7 +414,7 @@ class TestExactQueries:
         targets = np.array(data.draw(st.lists(st.integers(0, mask_id), min_size=L, max_size=L)))
         exact = ExactPosteriorDenoiser(corpus)
         z = latent(corpus, ids[0])
-        version = exact.consistent(z)
+        state = exact.consistent_rows(z)
         matched = np.array([bool(naive_consistent_rows(corpus, latent(corpus, r))) for r in ids])
         if not matched.all():
             with pytest.raises(NoMatchError):
@@ -425,7 +424,7 @@ class TestExactQueries:
         ids = ids[matched]
         got = exact.target_probs(ids, targets, mask_id)
         argmax = [exact.argmax_at(ids, l, mask_id) for l in range(L)]
-        assert exact.consistent(z) == version
+        assert all(a is b for a, b in zip(exact.consistent_rows(z), state))
         if not len(ids):
             return
         want = NaivePosterior(corpus).target_probs(ids, targets, mask_id)
@@ -646,15 +645,22 @@ class TestProfiles:
         corpus = synth_corpus_built
         v = corpus.vocab
         all_masked = LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id)
-        unmatched = latent(corpus, np.where(np.arange(corpus.length) == 0, 0, v.mask_id))
+        first = corpus.ids[0]
+        positions = np.arange(corpus.length)
+        unmatched = latent(corpus, np.where(positions == 0, 0, v.mask_id))
         exact = ExactPosteriorDenoiser(corpus)
-        assert not exact.match_mask(unmatched).any()  # the marginal fallback
         cases = [
+            # The exact model's consistent set as built, filtered by commits
+            # and rebuilt after remasks.
+            exact.consistent_rows(all_masked),
+            exact.consistent_rows(latent(corpus, np.where(positions < 3, first, v.mask_id))),
+            exact.consistent_rows(latent(corpus, np.where(positions == 1, first, v.mask_id))),
             MarginalAnchorProfile.of_corpus(corpus)(all_masked),
             MarginalAnchorProfile.zeros(corpus.length)(all_masked),
-            PosteriorAnchorProfile(exact)(latent(corpus, corpus.ids[0])),
+            PosteriorAnchorProfile(exact)(latent(corpus, first)),
             PosteriorAnchorProfile(exact)(unmatched),
         ]
+        assert not exact.match_mask(unmatched).any()  # the marginal fallback
         for omega, eta in cases:
             for values in (omega, eta):
                 with pytest.raises(ValueError, match="read-only"):
@@ -839,13 +845,10 @@ class TestMatchState:
         prof = PosteriorAnchorProfile(den)
         # One live latent edited in place, as the sampler does.
         z = LatentSequence(np.full(corpus.length, mask_id), mask_id)
-        last_rows, last_version = list(range(corpus.n)), den.version
-        last_profile = None
         for op, *args in steps:
             if op == "pickle":
                 den, prof = pickle.loads(pickle.dumps((den, prof)))
                 assert prof.exact is den
-                last_profile = None
             elif op == "fresh":
                 z.ids[:] = args[0]
             elif op == "commit":
@@ -855,23 +858,15 @@ class TestMatchState:
             else:
                 z.ids[args[0]] = args[1]
             rows = naive_consistent_rows(corpus, z)
-            # The version moves exactly when the consistent set does.
-            version = den.consistent(z)
-            assert (version != last_version) == (rows != last_rows)
-            last_rows, last_version = rows, version
             # The consistent unique rows and summed weights are the oracle's rows.
             hit, w = den.consistent_rows(z)
             assert np.flatnonzero(np.isin(den.unique_of_row, hit)).tolist() == rows
             for h, wh in zip(hit, w):
                 assert wh == sum(corpus.weights[i] for i in rows if den.unique_of_row[i] == h)
-            # The cached profile is a fresh build's, bit for bit, and the
-            # very same arrays while the version holds.
-            cached = prof(z)
+            # The profile is a fresh build's, bit for bit.
+            profile = prof(z)
             fresh = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z)
-            assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
-            if last_profile is not None and version == last_profile[0]:
-                assert cached is last_profile[1]
-            last_profile = (version, cached)
+            assert all(np.array_equal(p, f) for p, f in zip(profile, fresh))
             assert np.flatnonzero(den.match_mask(z)).tolist() == rows
             if rows:
                 oracle = naive_posterior(corpus, z)
@@ -887,13 +882,6 @@ class TestMatchState:
             omega, eta = prof(z)
             assert np.allclose(omega, w @ corpus.omega[use], rtol=0, atol=1e-12)
             assert np.allclose(eta, w @ corpus.eta[use], rtol=0, atol=1e-12)
-
-    def test_rescan_reference_reports_a_fresh_version_per_query(self):
-        corpus = make_corpus(["ab", "cd"])
-        reference = RescanExactDenoiser(corpus)
-        z = latent(corpus, [corpus.vocab.mask_id] * 2)
-        versions = [reference.consistent(z) for _ in range(3)]
-        assert len(set(versions)) == 3
 
     def test_rejects_latent_of_other_length(self):
         corpus = make_corpus(["ab", "cd"])

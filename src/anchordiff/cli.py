@@ -33,12 +33,12 @@ from .corpus_io import (
     DatasetRecord,
     EmptyCorpusError,
     IngestError,
-    annotate_program,
+    annotator,
     build_corpus,
     dataset_to_jsonl,
     ingest,
     load_dataset,
-    reweight,
+    reweight_records,
     synth_corpus,
 )
 from .denoisers import Corpus, ExactPosteriorDenoiser
@@ -214,12 +214,15 @@ def _anchor_config(resolved: dict, strategy: str | None = None) -> AnchorConfig:
 
 
 def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
-    """The corpus's programs, each annotated once under ``anchor``.
+    """The corpus's programs under ``anchor``, each distinct program
+    annotated once: its duplicates are records of their own ids that share
+    its tokens, tree and read-only arrays.
 
     Synth records take their index as id and a directory's records their
     file name; each directory file that does not read or parse is named on
     stderr. A dataset file's records keep their ids and tokens, so such a
-    corpus takes no ``--split-identifiers``.
+    corpus takes no ``--split-identifiers``; each line is checked against
+    its source's annotation and reweighted once per distinct program.
     """
     spec = resolved["corpus"]
     path = Path(spec)
@@ -230,16 +233,14 @@ def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
             n_programs=resolved["synth_programs"],
             max_depth=resolved["synth_depth"],
         )
-        records = [
-            annotate_program(s, anchor, record_id=str(i), split_max_len=split)
-            for i, s in enumerate(sources)
-        ]
+        annotate = annotator(anchor, split)
+        records = [annotate(s, str(i)) for i, s in enumerate(sources)]
     elif not path.exists():
         raise IngestError(f"no such corpus path: {path}")
     elif path.is_file() and path.suffix == ".jsonl":
         if split is not None:
             raise ValueError("a .jsonl corpus keeps its own tokens; drop --split-identifiers")
-        records = [reweight(rec, anchor) for rec in load_dataset(path)[0]]
+        records = reweight_records(load_dataset(path)[0], anchor)
     else:
         result = ingest([path], anchor, split)
         for skipped, reason in result.skipped:
@@ -287,7 +288,8 @@ class Inputs:
 
 def load_inputs(resolved: dict) -> Inputs:
     """Check the options the subcommand uses, then load its corpus with
-    ``load_records``: every program is tokenized and parsed once, here.
+    ``load_records``: every distinct program is tokenized and parsed once,
+    here, and the corpus encodes it once.
 
     Rejected input raises ValueError or an ingest error before any output
     exists; main reports it as exit 2. A probe whose corpus has no position

@@ -4,8 +4,15 @@ construction, and the bundled synthetic program generator.
 The on-disk dataset format is JSONL: a versioned header record followed by
 one record per line. Records serialize tokens with exact spans plus the
 per-token annotation arrays, and round-trip bit-exactly. Loading annotates
-each record's source afresh, once, and rejects a line whose stored fields
-disagree with that annotation, or a header whose record count is wrong.
+each distinct program once per call, keyed by its source and identifier
+split, and rejects a line whose stored fields disagree with that
+annotation, or a header whose record count is wrong.
+
+A corpus repeats programs (the 2,000 synth programs hold 667 distinct
+sources). Within one call, the loaders, ``reweight_records`` and
+``build_corpus`` do their per-record work once per distinct annotation:
+duplicates are records of their own ids that share one token list, tree
+and set of read-only arrays. No memo outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import AnchorConfig, compute_eta, compute_omega
-from .denoisers import Corpus
+from .denoisers import Corpus, ReadOnlyArrays
 from .diffusion import Vocab
 from .hierarchy import assign_nodes, chain_lengths
 from .minilang import (
@@ -48,11 +55,12 @@ class IngestError(Exception):
 
 
 @dataclass
-class DatasetRecord:
+class DatasetRecord(ReadOnlyArrays):
     """One annotated program: tokens with spans, per-token int64 arrays of
     node ids, depths and chain lengths (each token's count of token-bearing
     strict ancestors), and the anchor arrays. The tree and ``chain`` are
-    re-derived from the source, so neither is serialized."""
+    re-derived from the source, so neither is serialized. The arrays are
+    read-only, since duplicates of one program share them."""
 
     record_id: str
     source: str
@@ -64,6 +72,11 @@ class DatasetRecord:
     omega: np.ndarray
     eta: np.ndarray
     mu: np.ndarray
+
+    _frozen = ("node_id", "depth", "chain", "omega", "eta", "mu")
+
+    def __post_init__(self):
+        self._freeze()
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -98,10 +111,50 @@ def annotate_program(
     )
 
 
+def annotator(config: AnchorConfig, split_max_len: int | None = None):
+    """``annotate(source, record_id)``: ``annotate_program`` under ``config``
+    that annotates each distinct source once. A repeat is a record of its
+    own id sharing the first one's tokens, tree and arrays. The memo lives
+    as long as the returned function."""
+    shared: dict[str, DatasetRecord] = {}
+
+    def annotate(source: str, record_id: str) -> DatasetRecord:
+        if source not in shared:
+            shared[source] = annotate_program(source, config, split_max_len=split_max_len)
+        return replace(shared[source], record_id=record_id)
+
+    return annotate
+
+
 def reweight(rec: DatasetRecord, config: AnchorConfig) -> DatasetRecord:
     """``rec`` under another anchor config: the same tokens, tree, node ids,
     depths and chain lengths, with omega, eta and mu recomputed."""
     return replace(rec, **_anchor_arrays(rec.tokens, rec.depth, config))
+
+
+def reweight_records(records: list[DatasetRecord], config: AnchorConfig) -> list[DatasetRecord]:
+    """``reweight`` of each record, computed once per distinct annotation;
+    records that shared their arrays share the new ones."""
+    distinct, inverse = _distinct(records)
+    arrays = [_anchor_arrays(rec.tokens, rec.depth, config) for rec in distinct]
+    return [replace(rec, **arrays[k]) for rec, k in zip(records, inverse.tolist())]
+
+
+def _distinct(records: list[DatasetRecord]) -> tuple[list[DatasetRecord], np.ndarray]:
+    """The records of distinct annotations, first occurrences in order, and
+    each record's index among them. Records share an annotation when they
+    hold the very same tokens and arrays, as the loaders' duplicates do;
+    equal copies made apart count as distinct, which costs only time."""
+    index: dict[tuple[int, ...], int] = {}
+    distinct: list[DatasetRecord] = []
+    inverse = []
+    for rec in records:
+        key = tuple(map(id, (rec.tokens, rec.depth, rec.chain, rec.omega, rec.eta)))
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(rec)
+        inverse.append(index[key])
+    return distinct, np.array(inverse, dtype=np.int64)
 
 
 def _anchor_arrays(tokens: list[Token], depth: np.ndarray, config: AnchorConfig) -> dict:
@@ -124,7 +177,8 @@ def ingest(
     """Annotate every parseable file under ``paths``; report the rest.
 
     Directories are walked in sorted order. Files that fail to read or
-    parse are skipped and listed with the reason.
+    parse are skipped and listed with the reason. Files of one source share
+    one annotation.
     """
     files: list[Path] = []
     for p in paths:
@@ -135,14 +189,12 @@ def ingest(
             files.append(p)
         else:
             raise IngestError(f"no such path: {p}")
+    annotate = annotator(config, split_max_len)
     records: list[DatasetRecord] = []
     skipped: list[tuple[str, str]] = []
     for f in files:
         try:
-            source = f.read_text(encoding="utf-8")
-            records.append(
-                annotate_program(source, config, record_id=f.name, split_max_len=split_max_len)
-            )
+            records.append(annotate(f.read_text(encoding="utf-8"), f.name))
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             skipped.append((str(f), str(exc)))
     return IngestResult(records, skipped)
@@ -153,10 +205,11 @@ def ingest(
 
 def build_vocab(texts: list[str]) -> Vocab:
     """Sorted unique token surfaces plus the reserved pad and mask tokens,
-    mask last. Deterministic across runs."""
+    mask last. Deterministic across runs. Each distinct text is tokenized
+    once."""
     if not texts:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
-    return _vocab_of(tokenize(text) for text in texts)
+    return _vocab_of(tokenize(text) for text in dict.fromkeys(texts))
 
 
 def _vocab_of(token_lists) -> Vocab:
@@ -186,21 +239,23 @@ def build_corpus(
     Without ``vocab``, the vocabulary is built from the records' own tokens,
     so it holds the chunks of split identifiers. Pad positions carry omega
     0, eta 0, and depth and chain -1 so downstream statistics can exclude
-    them.
+    them. Each distinct annotation is encoded once and copied to the rows
+    of the records that share it.
     """
     if not records:
         raise EmptyCorpusError("no records")
+    distinct, inverse = _distinct(records)
     if vocab is None:
-        vocab = _vocab_of(rec.tokens for rec in records)
+        vocab = _vocab_of(rec.tokens for rec in distinct)
     if length is None:
-        length = max(len(r) for r in records)
-    n = len(records)
+        length = max(len(r) for r in distinct)
+    n = len(distinct)
     ids = np.empty((n, length), dtype=np.int64)
     omega = np.zeros((n, length), dtype=np.float64)
     eta = np.zeros((n, length), dtype=np.float64)
     depth = np.full((n, length), -1, dtype=np.int64)
     chain = np.full((n, length), -1, dtype=np.int64)
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(distinct):
         ids[i] = encode_tokens(rec.tokens, vocab, length)
         m = min(len(rec), length)
         omega[i, :m] = rec.omega[:m]
@@ -208,8 +263,8 @@ def build_corpus(
         depth[i, :m] = rec.depth[:m]
         chain[i, :m] = rec.chain[:m]
     return Corpus(
-        ids=ids, weights=np.ones(n), vocab=vocab, omega=omega, eta=eta, depth=depth,
-        chain=chain,
+        ids=ids[inverse], weights=np.ones(len(records)), vocab=vocab, omega=omega[inverse],
+        eta=eta[inverse], depth=depth[inverse], chain=chain[inverse],
     )
 
 
@@ -232,24 +287,29 @@ def _record_to_dict(rec: DatasetRecord) -> dict:
     }
 
 
-def _record_from_dict(data: dict, config: AnchorConfig) -> DatasetRecord:
-    """The record annotated afresh from its ``source`` under ``config``.
+def _record_from_dict(data: dict, config: AnchorConfig, annotated: dict) -> DatasetRecord:
+    """The record of ``data``'s ``source`` annotated under ``config``.
 
     Identifiers are split at the length of the longest stored Identifier
     token, which reproduces the chunks of a split dataset and splits nothing
-    in an unsplit one. Every stored field must equal the fresh annotation's.
+    in an unsplit one. ``annotated`` maps each (source, split length) met
+    so far in the load to its annotation and that annotation's dict form,
+    so a repeated program is annotated once. Every stored field must still
+    equal the annotation's, on every line.
     """
     if not isinstance(data["id"], str):
         raise ValueError(f"id must be a string, got {data['id']!r}")
     lengths = [len(t["text"]) for t in data["tokens"] if t["kind"] == TokenKind.IDENTIFIER.value]
-    rec = annotate_program(
-        data["source"], config, data["id"], split_max_len=max(lengths, default=None)
-    )
-    fresh = _record_to_dict(rec)
+    key = (data["source"], max(lengths, default=None))
+    if key not in annotated:
+        rec = annotate_program(key[0], config, split_max_len=key[1])
+        annotated[key] = rec, _record_to_dict(rec)
+    rec, fresh = annotated[key]
+    fresh = {**fresh, "id": data["id"]}
     wrong = sorted(k for k in fresh.keys() | data.keys() if fresh.get(k) != data.get(k))
     if wrong:
         raise ValueError(f"fields disagree with the source's annotation: {', '.join(wrong)}")
-    return rec
+    return replace(rec, record_id=data["id"])
 
 
 def dataset_to_jsonl(records: list[DatasetRecord], config: AnchorConfig) -> str:
@@ -293,8 +353,10 @@ def dataset_from_jsonl(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]
     if not lines:
         raise EmptyCorpusError("empty dataset file")
     config = _from_line(*lines[0], lambda header: _config_from_header(header, len(lines) - 1))
+    annotated: dict = {}  # for this call only
     records = [
-        _from_line(n, ln, lambda data: _record_from_dict(data, config)) for n, ln in lines[1:]
+        _from_line(n, ln, lambda data: _record_from_dict(data, config, annotated))
+        for n, ln in lines[1:]
     ]
     return records, config
 

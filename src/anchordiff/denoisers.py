@@ -37,6 +37,22 @@ BOS_CONTEXT = -1
 EOS_CONTEXT = -2
 
 
+class ReadOnlyArrays:
+    """Keeps the arrays named in ``_frozen`` read-only, also through
+    pickle, which does not keep numpy's flag: ``sample --workers`` pickles
+    the predictors under the spawn and forkserver start methods."""
+
+    _frozen: tuple[str, ...] = ()
+
+    def _freeze(self) -> None:
+        for name in self._frozen:
+            getattr(self, name).setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._freeze()
+
+
 class NoMatchError(DiffusionError):
     """The latent is inconsistent with every corpus sequence."""
 
@@ -99,7 +115,7 @@ class Predictor:
         raise NotImplementedError
 
 
-class ExactPosteriorDenoiser(Predictor):
+class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
     """The Bayes-exact table over a corpus.
 
     Duplicate corpus rows are merged at construction into unique rows with
@@ -122,6 +138,8 @@ class ExactPosteriorDenoiser(Predictor):
     unique rows afresh and neither read nor change the state.
     """
 
+    _frozen = ("unique_of_row", "_unique_weights", "_hit", "_hit_weights")
+
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
         # Each row viewed as one opaque byte string, which np.unique compares
@@ -129,15 +147,13 @@ class ExactPosteriorDenoiser(Predictor):
         ids = np.ascontiguousarray(corpus.ids)
         rows = ids.view(np.dtype((np.void, ids.itemsize * corpus.length))).ravel()
         _, first, self.unique_of_row = np.unique(rows, return_index=True, return_inverse=True)
-        self.unique_of_row.setflags(write=False)
         self._columns = np.ascontiguousarray(ids[first].T)
         self._unique_weights = np.bincount(self.unique_of_row, weights=corpus.weights)
         # Every row agrees with the all-masked latent.
         self._seen = np.full(corpus.length, corpus.vocab.mask_id, dtype=np.int64)
         self._hit = np.arange(len(first))
         self._hit_weights = self._unique_weights
-        self._hit.setflags(write=False)
-        self._hit_weights.setflags(write=False)
+        self._freeze()
 
     @property
     def vocab(self) -> Vocab:
@@ -238,7 +254,7 @@ class ExactPosteriorDenoiser(Predictor):
         return out
 
 
-class BackoffCountModel(Predictor):
+class BackoffCountModel(ReadOnlyArrays, Predictor):
     """Neighbor-context count model with Laplace smoothing constant 1.
 
     Each position is estimated from its (left token, right token) context,
@@ -257,6 +273,8 @@ class BackoffCountModel(Predictor):
     each row as ``apply_constraints`` leaves it at a masked position, and
     each row's argmax, so ``target_probs`` and ``argmax_at`` are gathers.
     """
+
+    _frozen = ("_rows",)
 
     def __init__(
         self,
@@ -280,7 +298,7 @@ class BackoffCountModel(Predictor):
         smoothed = self.counts.copy()
         smoothed[:, : vocab.mask_id] += 1.0  # Laplace over the non-mask vocabulary
         self._rows = smoothed / smoothed.sum(axis=1, keepdims=True)
-        self._rows.setflags(write=False)
+        self._freeze()
         route = np.where(self.pair_index >= 0, self.pair_index, self.left_index[:, None])
         route = np.where(route >= 0, route, self.right_index[None, :])
         self._route = np.where(route >= 0, route, len(self.counts) - 1)
@@ -506,16 +524,8 @@ class TwoStagePredictor(Predictor):
         )
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    """A read-only float view of ``values``: a profile hands the same
-    arrays to every caller, so none may edit them in place."""
-    view = np.asarray(values, dtype=np.float64).view()
-    view.setflags(write=False)
-    return view
-
-
 @dataclass
-class MarginalAnchorProfile:
+class MarginalAnchorProfile(ReadOnlyArrays):
     """Latent-independent anchor profile: the same read-only (omega, eta)
     on every call. ``of_corpus`` gives the corpus marginal, for predictors
     without a match set; ``zeros`` gives the Null strategy's profile, which
@@ -524,9 +534,15 @@ class MarginalAnchorProfile:
     omega: np.ndarray
     eta: np.ndarray
 
+    _frozen = ("omega", "eta")
+
     def __post_init__(self):
-        self.omega = _read_only(self.omega)
-        self.eta = _read_only(self.eta)
+        # Read-only float views: a profile hands the same arrays to every
+        # caller, so none may edit them in place, and the caller's own
+        # arrays stay writeable.
+        self.omega = np.asarray(self.omega, dtype=np.float64).view()
+        self.eta = np.asarray(self.eta, dtype=np.float64).view()
+        self._freeze()
 
     @classmethod
     def of_corpus(cls, corpus: Corpus) -> "MarginalAnchorProfile":

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anchors import AnchorStrategy
-from .corpus_io import DatasetRecord, build_corpus, reweight
+from .corpus_io import DatasetRecord, build_corpus, reweight_records
 from .denoisers import (
     BackoffCountModel,
     Corpus,
@@ -310,12 +310,12 @@ def compare_strategies(
 
     Tokens, trees and annotations do not depend on the anchor config, so
     ``records`` may be annotated under any config: each config reweights
-    them. The vocabulary comes from the records' tokens, the same for every
-    config."""
+    them, once per distinct annotation. The vocabulary comes from the
+    records' tokens, the same for every config."""
     rows: list[EvalRow] = []
     for config in configs:
         anchor_cfg = config.strategy
-        weighted = [reweight(rec, anchor_cfg) for rec in records]
+        weighted = reweight_records(records, anchor_cfg)
         corpus = build_corpus(weighted, length=length)
         predictors = build_strategy_predictors(
             corpus, anchor_cfg.strategy, predictor_kind

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchordiff import (
     AnchorConfig,
@@ -24,8 +27,10 @@ from anchordiff import (
     tokenize,
 )
 from anchordiff import corpus_io
-from anchordiff.corpus_io import encode_tokens, reweight
-from anchordiff.minilang import MASK_SURFACE, PAD_SURFACE, is_syntactically_valid
+from anchordiff.cli import DEFAULTS, load_records
+from anchordiff.corpus_io import annotator, encode_tokens, reweight, reweight_records
+from anchordiff.diffusion import Vocab
+from anchordiff.minilang import MASK_SURFACE, PAD_SURFACE, is_syntactically_valid, token_surfaces
 
 
 CFG = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
@@ -178,6 +183,26 @@ class TestSerialization:
             dataset_from_jsonl(payload)
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: {**r, "omega": [1 - v for v in r["omega"]]},
+            lambda r: {**r, "node_id": [999] * len(r["node_id"])},
+            lambda r: {**r, "tokens": [{**r["tokens"][0], "text": "zzz"}, *r["tokens"][1:]]},
+        ],
+        ids=["wrong-omega", "wrong-node-id", "token-text-not-in-source"],
+    )
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_edited_duplicate_is_an_ingest_error_naming_it(self, synth_sources, edit, split):
+        # The edited line repeats an earlier line's source, so its program's
+        # annotation is shared; the line is still checked against it.
+        sources = [synth_sources[0], synth_sources[1], synth_sources[0]]
+        records = [annotate_program(s, CFG, str(i), split) for i, s in enumerate(sources)]
+        *lines, duplicate = dataset_to_jsonl(records, CFG).splitlines()
+        payload = "\n".join([*lines, json.dumps(edit(json.loads(duplicate)))]) + "\n"
+        with pytest.raises(IngestError, match="^line 4: "):
+            dataset_from_jsonl(payload)
+
     @pytest.mark.parametrize("keep, count", [(5, 50), (3, 5), (5, 4)])
     def test_record_count_must_match_the_header(self, synth_records, keep, count):
         header, *lines = dataset_to_jsonl(synth_records[:5], CFG).splitlines()
@@ -278,3 +303,119 @@ class TestFrontEndGolden:
             moved = reweight(annotate_program(src, CFG, str(i), split_max_len=2), config)
             assert dataset_to_jsonl([moved], config) == dataset_to_jsonl([fresh], config)
             assert np.array_equal(moved.chain, fresh.chain)
+
+
+RECORD_ARRAYS = ("node_id", "depth", "chain", "omega", "eta", "mu")
+
+
+def _fresh(source, config, record_id, split, reweight_to=None):
+    rec = annotate_program(source, config, record_id, split_max_len=split)
+    return rec if reweight_to is None else reweight(rec, reweight_to)
+
+
+def assert_same_record(got, want):
+    assert got.record_id == want.record_id
+    assert got.source == want.source
+    assert got.tokens == want.tokens
+    assert got.tree.source == want.tree.source
+    assert (got.tree.root, got.tree.nodes) == (want.tree.root, want.tree.nodes)
+    for name in RECORD_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def assert_shared_and_read_only(records):
+    """Records of one source (and split) share tokens, tree and arrays, and
+    no record's array is writeable."""
+    first = {}
+    for rec in records:
+        assert not any(getattr(rec, a).flags.writeable for a in RECORD_ARRAYS)
+        key = (rec.source, tuple(t.text for t in rec.tokens))
+        other = first.setdefault(key, rec)
+        assert rec.tokens is other.tokens and rec.tree is other.tree
+        assert all(getattr(rec, a) is getattr(other, a) for a in RECORD_ARRAYS)
+
+
+def assert_same_corpus(records, fresh):
+    """``build_corpus`` and ``build_vocab`` of shared records equal those of
+    the per-record path."""
+    got, want = build_corpus(records, length=64), build_corpus(fresh, length=64)
+    assert got.vocab == want.vocab
+    for name in ("ids", "weights", "omega", "eta", "depth", "chain"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    texts = [rec.source for rec in records]
+    surfaces = {s for text in texts for s in token_surfaces(tokenize(text))}
+    assert build_vocab(texts) == Vocab(tuple(sorted(surfaces)) + (PAD_SURFACE, MASK_SURFACE))
+
+
+class TestSharedAnnotation:
+    """Each front-end path annotates a distinct program once and gives its
+    duplicates records that share it; every record equals a fresh per-record
+    annotation, and the corpus equals the per-record path's."""
+
+    KEYWORD = AnchorConfig.for_strategy(AnchorStrategy.KEYWORD)
+
+    @staticmethod
+    def _resolved(corpus, split):
+        return {**DEFAULTS, "corpus": str(corpus), "split_max_len": split, "synth_programs": 60}
+
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_synth(self, synth_sources, split):
+        records = load_records(self._resolved("synth", split), self.KEYWORD)
+        assert [rec.source for rec in records] == synth_sources
+        assert len(set(synth_sources)) < len(synth_sources)  # the corpus repeats programs
+        fresh = [_fresh(s, self.KEYWORD, str(i), split) for i, s in enumerate(synth_sources)]
+        for got, want in zip(records, fresh, strict=True):
+            assert_same_record(got, want)
+        assert_shared_and_read_only(records)
+        assert_same_corpus(records, fresh)
+
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_jsonl(self, tmp_path, synth_sources, split):
+        stored = [_fresh(s, CFG, f"r{i}", split) for i, s in enumerate(synth_sources)]
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, stored, CFG)
+        records = load_records(self._resolved(path, None), self.KEYWORD)
+        fresh = [_fresh(s, CFG, f"r{i}", split, self.KEYWORD) for i, s in enumerate(synth_sources)]
+        for got, want in zip(records, fresh, strict=True):
+            assert_same_record(got, want)
+        assert_shared_and_read_only(records)
+        assert_shared_and_read_only(pickle.loads(pickle.dumps(records)))
+        assert_same_corpus(records, fresh)
+
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_directory_with_identical_files(self, tmp_path, synth_sources, split):
+        names = ["a.mini", "b.mini", "c.mini"]
+        for name, source in zip(names, [synth_sources[0], synth_sources[0], synth_sources[1]]):
+            (tmp_path / name).write_text(source)
+        assert synth_sources[0] != synth_sources[1]
+        records = load_records(self._resolved(tmp_path, split), self.KEYWORD)
+        fresh = [
+            _fresh((tmp_path / name).read_text(), self.KEYWORD, name, split) for name in names
+        ]
+        for got, want in zip(records, fresh, strict=True):
+            assert_same_record(got, want)
+        assert records[0].node_id is records[1].node_id
+        assert records[0].node_id is not records[2].node_id
+        assert_shared_and_read_only(records)
+        assert_same_corpus(records, fresh)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([None, 2, 3])), min_size=1,
+                    max_size=12))
+    def test_mixed_splits_of_one_source(self, synth_sources, picks):
+        # Records of one source split and unsplit share nothing with each
+        # other, but each shares its own annotation with its duplicates.
+        sources = list(dict.fromkeys(synth_sources))[:4]
+        annotators = {split: annotator(CFG, split) for split in (None, 2, 3)}
+        records = [annotators[split](sources[k], str(i)) for i, (k, split) in enumerate(picks)]
+        fresh = [_fresh(sources[k], CFG, str(i), split) for i, (k, split) in enumerate(picks)]
+        for got, want in zip(records, fresh, strict=True):
+            assert_same_record(got, want)
+        assert_shared_and_read_only(records)
+        assert_same_corpus(records, fresh)
+        moved = reweight_records(records, self.KEYWORD)
+        for got, want in zip(moved, fresh, strict=True):
+            assert_same_record(got, reweight(want, self.KEYWORD))
+        assert_shared_and_read_only(moved)

@@ -369,8 +369,9 @@ class TestBackoffTables:
         corpus = make_corpus(["abc"])
         model = BackoffCountModel.fit(corpus)
         z = latent(corpus, [corpus.vocab.mask_id] * 3)
-        with pytest.raises(ValueError):
-            model.predict_row(z, 1)[0] = 0.5
+        for m in (model, pickle.loads(pickle.dumps(model))):
+            with pytest.raises(ValueError):
+                m.predict_row(z, 1)[0] = 0.5
 
 
 @st.composite
@@ -849,6 +850,10 @@ class TestMatchState:
             if op == "pickle":
                 den, prof = pickle.loads(pickle.dumps((den, prof)))
                 assert prof.exact is den
+                # numpy drops the read-only flag in pickle; unpickling restores it.
+                shared = [den.unique_of_row, den._unique_weights, *den.consistent_rows(z)]
+                shared += [prof._marginal.omega, prof._marginal.eta]
+                assert not any(a.flags.writeable for a in shared)
             elif op == "fresh":
                 z.ids[:] = args[0]
             elif op == "commit":

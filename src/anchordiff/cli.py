@@ -2,11 +2,12 @@
 
 Subcommands: annotate, corrupt, sample, probe, eval. Configuration comes
 from a JSON config file (--config) with command-line flags taking
-precedence; a config value must have its flag's type and choices. The
-resolved configuration is checked and the corpus loaded
-before the run directory is made, so rejected input exits 2 and leaves no
-run directory. The run then writes a manifest with the fully resolved
-configuration before doing any work. All outputs are deterministic under a
+precedence; a config key must name an option, and its value must have that
+option's flag's type and choices. The resolved configuration is checked and
+the corpus loaded, then the subcommand computes its files in memory. Only a
+run that succeeds makes its run directory, in ``write_run``: the manifest
+with the fully resolved configuration, then every file. So a run that exits
+2, 3 or 4 leaves no run directory. All outputs are deterministic under a
 fixed seed (timestamps live only in the manifest).
 
 Exit codes: 0 success, 2 input error, 3 predictor/runtime error,
@@ -48,8 +49,8 @@ from .experiments import (
     ancestry_probe,
     build_strategy_predictors,
     compare_strategies,
+    csv_number,
     eval_rows_to_csv,
-    probe_candidates,
     render_ids,
     validity_eval,
 )
@@ -177,7 +178,9 @@ def _finite_number(text: str) -> float:
 
 def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Layer defaults, then the config file, then explicit flags. A config
-    value for one of the subcommand's options passes ``_config_value``."""
+    key must be an option of ``DEFAULTS``; its value passes ``_config_value``
+    against the subcommand's flag, or against the flag of a subcommand that
+    takes it, so one config file can serve a whole pipeline."""
     resolved = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -189,11 +192,14 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         subcommands = next(
             a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
-        actions = {a.dest: a for a in subcommands[args.command]._actions}
+        actions = {}
+        for name in (args.command, *subcommands):
+            for action in subcommands[name]._actions:
+                actions.setdefault(action.dest, action)
         for key, value in config.items():
-            if key in DEFAULTS and key in actions:
-                value = _config_value(actions[key], value)
-            resolved[key] = value
+            if key not in DEFAULTS:
+                raise ValueError(f"config key {key!r} names no option a config file sets")
+            resolved[key] = _config_value(actions[key], value)
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
@@ -291,10 +297,10 @@ def load_inputs(resolved: dict) -> Inputs:
     ``load_records``: every distinct program is tokenized and parsed once,
     here, and the corpus encodes it once.
 
-    Rejected input raises ValueError or an ingest error before any output
-    exists; main reports it as exit 2. A probe whose corpus has no position
-    with a chain of ``--probe-k`` raises InsufficientDepth here, also before
-    any output exists; main reports it as exit 4.
+    Rejected input raises ValueError or an ingest error; main reports it as
+    exit 2. Nothing is written before the subcommand has returned its files,
+    so a probe that finds no position with a chain of ``--probe-k``, a check
+    that ``ancestry_probe`` makes, also leaves no run directory.
     """
     command = resolved["command"]
     for key, value in resolved.items():
@@ -311,13 +317,6 @@ def load_inputs(resolved: dict) -> Inputs:
         names = str(resolved["strategy"]).split(",")
         anchors = [_anchor_config(resolved, name.strip()) for name in names]
         inputs.samplers = [_sampler_config(resolved, a, inputs.schedules[0].T) for a in anchors]
-        # A metric CSV has one row per strategy and one column per step count.
-        for flag, values in (
-            ("--strategy", [a.strategy.value for a in anchors]),
-            ("--steps", [s.T for s in inputs.schedules]),
-        ):
-            if len(set(values)) < len(values):
-                raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
     if resolved["seed"] < 0:
         raise ValueError(f"--seed must be >= 0, got {resolved['seed']}")
     if resolved["workers"] < 1:
@@ -336,28 +335,32 @@ def load_inputs(resolved: dict) -> Inputs:
             raise ValueError("probe needs --n-samples >= 2 for a standard error")
         if resolved["probe_k"] < 0:
             raise ValueError(f"--probe-k must be >= 0, got {resolved['probe_k']}")
+    # A metric CSV has one row per strategy and one column per step count,
+    # and probe.csv one block of rows per noise level.
+    for flag, values in (
+        ("--strategy", [c.strategy.strategy.value for c in inputs.samplers]),
+        ("--steps", [s.T for s in inputs.schedules]),
+        ("--probe-t", inputs.t_values),
+    ):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
     inputs.records = load_records(resolved, inputs.anchor or inputs.samplers[0].strategy)
     if command not in ("annotate", "eval"):
         # The vocabulary comes from the records' tokens, so it holds the
         # chunks of any split identifier.
         inputs.corpus = build_corpus(inputs.records, length=resolved["length"])
-    if command == "probe":
-        probe_candidates(inputs.corpus, resolved["probe_k"])
     return inputs
 
 
-def make_run_dir(resolved: dict) -> Path:
+def write_run(resolved: dict, anchor: AnchorConfig | None, files: dict[str, str]) -> Path:
+    """Make the run directory, the ``--out`` path or a timestamped one, and
+    write ``manifest.json`` and every ``{relative path: text}`` of ``files``
+    into it, with the subdirectories they name. The one place a run writes."""
     if resolved["out"]:
         run_dir = Path(resolved["out"])
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
-        stamp = time.strftime("%Y%m%dT%H%M%S")
-        run_dir = root / f"{stamp}-{resolved['command']}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
-
-
-def write_manifest(run_dir: Path, resolved: dict, anchor: AnchorConfig | None) -> None:
+        run_dir = root / f"{time.strftime('%Y%m%dT%H%M%S')}-{resolved['command']}"
     manifest = {
         "tool": "anchordiff",
         "version": __version__,
@@ -366,11 +369,11 @@ def write_manifest(run_dir: Path, resolved: dict, anchor: AnchorConfig | None) -
     }
     if anchor is not None:
         manifest["anchor"] = anchor.to_dict()
-    _write(run_dir, "manifest.json", _json_document(manifest))
-
-
-def _write(run_dir: Path, name: str, payload: str) -> None:
-    (run_dir / name).write_text(payload, encoding="utf-8")
+    for name, text in {"manifest.json": _json_document(manifest), **files}.items():
+        path = run_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return run_dir
 
 
 def _json_document(value: dict) -> str:
@@ -380,11 +383,12 @@ def _json_document(value: dict) -> str:
 
 
 # -- subcommands --------------------------------------------------------------
+# Each maps its checked inputs to its files, ``{relative path: text}``, and
+# the one-line message that main prints with the run directory.
 
 
-def cmd_annotate(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+def cmd_annotate(resolved: dict, inputs: Inputs) -> tuple[dict[str, str], str]:
     records = inputs.records
-    _write(run_dir, "dataset.jsonl", dataset_to_jsonl(records, inputs.anchor))
     depth_hist = np.bincount(np.concatenate([rec.depth for rec in records]))
     tokens = [tok for rec in records for tok in rec.tokens]
     density = {
@@ -397,12 +401,14 @@ def cmd_annotate(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         "anchor_density": density,
         "depth_histogram": {str(d): int(n) for d, n in enumerate(depth_hist) if n},
     }
-    _write(run_dir, "summary.json", _json_document(summary))
-    print(f"annotated {len(records)} records -> {run_dir}")
-    return EXIT_OK
+    files = {
+        "dataset.jsonl": dataset_to_jsonl(records, inputs.anchor),
+        "summary.json": _json_document(summary),
+    }
+    return files, f"annotated {len(records)} records"
 
 
-def cmd_corrupt(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+def cmd_corrupt(resolved: dict, inputs: Inputs) -> tuple[dict[str, str], str]:
     corpus = inputs.corpus
     vocab = corpus.vocab
     t = inputs.t_values[0]
@@ -423,9 +429,7 @@ def cmd_corrupt(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
                 allow_nan=False,
             )
         )
-    _write(run_dir, "corrupted.jsonl", "\n".join(lines) + "\n")
-    print(f"corrupted {corpus.n} records at t={t} -> {run_dir}")
-    return EXIT_OK
+    return {"corrupted.jsonl": "\n".join(lines) + "\n"}, f"corrupted {corpus.n} records at t={t}"
 
 
 def _one_sample(predictors, task):
@@ -449,14 +453,15 @@ def _worker_sample(task):
     return _one_sample(_worker_predictors, task)
 
 
-def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+def cmd_sample(resolved: dict, inputs: Inputs) -> tuple[dict[str, str], str]:
     corpus = inputs.corpus
     sampler_cfg = inputs.samplers[0]
     predictors = build_strategy_predictors(
         corpus, sampler_cfg.strategy.strategy, resolved["predictor"]
     )
+    files = {}
     if resolved["predictor"] == "backoff":
-        _write(run_dir, "counts.json", predictors.predictor.to_json() + "\n")
+        files["counts.json"] = predictors.predictor.to_json() + "\n"
     n = resolved["n_samples"]
     tasks = [
         (sampler_cfg, inputs.schedules[0], corpus.length, resolved["seed"], j)
@@ -472,30 +477,22 @@ def cmd_sample(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
             results = sorted(pool.map(_worker_sample, tasks), key=lambda r: r[0])
     else:
         results = [_one_sample(predictors, t) for t in tasks]
-    (run_dir / "samples").mkdir(exist_ok=True)
-    (run_dir / "traces").mkdir(exist_ok=True)
     texts = []
     for index, out, trace in results:
         text = render_ids(out, corpus.vocab)
         texts.append(text)
-        _write(run_dir, f"samples/{index:04d}.txt", text)
-        _write(run_dir, f"traces/{index:04d}.jsonl", trace.to_jsonl())
+        files[f"samples/{index:04d}.txt"] = text
+        files[f"traces/{index:04d}.jsonl"] = trace.to_jsonl()
     report = validity_eval(texts)
-    _write(
-        run_dir,
-        "validity.json",
-        json.dumps(
-            {"fraction": report.fraction, "verdicts": report.verdicts},
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n",
-    )
-    print(f"sampled {n} programs (validity {report.fraction}) -> {run_dir}")
-    return EXIT_OK
+    files["validity.json"] = json.dumps(
+        {"fraction": report.fraction, "verdicts": report.verdicts},
+        sort_keys=True,
+        allow_nan=False,
+    ) + "\n"
+    return files, f"sampled {n} programs (validity {report.fraction})"
 
 
-def cmd_probe(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+def cmd_probe(resolved: dict, inputs: Inputs) -> tuple[dict[str, str], str]:
     corpus = inputs.corpus
     run = ancestry_probe(
         inputs.records,
@@ -507,27 +504,20 @@ def cmd_probe(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         rng=resolved["seed"],
         rule=resolved["probe_rule"],
     )
-    _write(run_dir, "probe.csv", run.to_csv())
-    _write(
-        run_dir,
-        "probe_summary.json",
-        json.dumps(
-            {
-                "k": run.k,
-                "achievable_k": run.achievable_k,
-                "n_probes": run.n_probes,
-                "skipped": run.n_skipped,
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n",
-    )
-    print(f"probe k={run.k} over t={inputs.t_values} -> {run_dir}")
-    return EXIT_OK
+    summary = {
+        "k": run.k,
+        "achievable_k": run.achievable_k,
+        "n_probes": run.n_probes,
+        "skipped": run.n_skipped,
+    }
+    files = {
+        "probe.csv": run.to_csv(),
+        "probe_summary.json": json.dumps(summary, sort_keys=True, allow_nan=False) + "\n",
+    }
+    return files, f"probe k={run.k} over t={inputs.t_values}"
 
 
-def cmd_eval(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
+def cmd_eval(resolved: dict, inputs: Inputs) -> tuple[dict[str, str], str]:
     t_grid = [s.T for s in inputs.schedules]
     strategies = [c.strategy.strategy.value for c in inputs.samplers]
     rows = compare_strategies(
@@ -540,7 +530,7 @@ def cmd_eval(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
         length=resolved["length"],
         predictor_kind=resolved["predictor"],
     )
-    _write(run_dir, "eval.csv", eval_rows_to_csv(rows))
+    files = {"eval.csv": eval_rows_to_csv(rows)}
     for metric in ("syntax_fraction", "mean_unmask_depth_corr", "nelbo"):
         lines = ["strategy," + ",".join(f"T{t}" for t in t_grid)]
         for name in strategies:
@@ -548,10 +538,9 @@ def cmd_eval(resolved: dict, inputs: Inputs, run_dir: Path) -> int:
                 next(getattr(r, metric) for r in rows if r.strategy == name and r.T == t)
                 for t in t_grid
             ]
-            lines.append(name + "," + ",".join(repr(v) for v in vals))
-        _write(run_dir, f"metric_{metric}.csv", "\n".join(lines) + "\n")
-    print(f"eval {strategies} x T{t_grid} -> {run_dir}")
-    return EXIT_OK
+            lines.append(name + "," + ",".join(csv_number(v) for v in vals))
+        files[f"metric_{metric}.csv"] = "\n".join(lines) + "\n"
+    return files, f"eval {strategies} x T{t_grid}"
 
 
 COMMANDS = {
@@ -574,13 +563,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RecursionError, *INPUT_ERRORS) as exc:  # JSON nested too deep
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InsufficientDepth as exc:
-        print(f"infeasible experiment: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     try:
-        run_dir = make_run_dir(resolved)
-        write_manifest(run_dir, resolved, inputs.anchor)
-        return COMMANDS[args.command](resolved, inputs, run_dir)
+        files, message = COMMANDS[args.command](resolved, inputs)
+        run_dir = write_run(resolved, inputs.anchor, files)
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -590,6 +575,8 @@ def main(argv: list[str] | None = None) -> int:
     except DiffusionError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    print(f"{message} -> {run_dir}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -79,15 +79,6 @@ class ProbeRun:
         return float(diff.mean()), se
 
 
-def probe_candidates(corpus: Corpus, k: int) -> np.ndarray:
-    """The corpus rows holding a position whose chain length is at least
-    ``k``; InsufficientDepth, naming the longest chain, when none does."""
-    candidates = np.flatnonzero((corpus.chain >= k).any(axis=1))
-    if not len(candidates):
-        raise InsufficientDepth(-1, k, int(corpus.chain.max(initial=0)))
-    return candidates
-
-
 def ancestry_probe(
     records: list[DatasetRecord],
     corpus: Corpus,
@@ -128,8 +119,10 @@ def ancestry_probe(
     schedule = schedule or NoiseSchedule(T=max(corpus.length, 1))
     length = corpus.length
     ok = corpus.chain >= k
-    candidates = probe_candidates(corpus, k)
+    candidates = np.flatnonzero(ok.any(axis=1))  # the rows holding a target
     achievable = int(corpus.chain.max(initial=0))
+    if not len(candidates):
+        raise InsufficientDepth(-1, k, achievable)
     raw: dict[tuple[str, float], np.ndarray] = {
         (o.value, t): np.zeros((n_probes, k + 1)) for o in RevealOrder for t in t_values
     }
@@ -243,16 +236,18 @@ class EvalRow:
     pass_at_1: str = "unavailable"
 
 
+def csv_number(value: float) -> str:
+    """A number's cell in the eval CSVs: its repr, or empty for NaN."""
+    return "" if math.isnan(value) else repr(value)
+
+
 def eval_rows_to_csv(rows: list[EvalRow]) -> str:
     lines = [
         "strategy,gamma,beta,T,syntax_fraction,mean_unmask_depth_corr,nelbo,pass_at_1"
     ]
     for r in rows:
-        corr = "" if math.isnan(r.mean_unmask_depth_corr) else repr(r.mean_unmask_depth_corr)
-        lines.append(
-            f"{r.strategy},{r.gamma!r},{r.beta!r},{r.T},{r.syntax_fraction!r},"
-            f"{corr},{r.nelbo!r},{r.pass_at_1}"
-        )
+        cells = (r.gamma, r.beta, r.T, r.syntax_fraction, r.mean_unmask_depth_corr, r.nelbo)
+        lines.append(",".join([r.strategy, *map(csv_number, cells), r.pass_at_1]))
     return "\n".join(lines) + "\n"
 
 

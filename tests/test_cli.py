@@ -97,8 +97,8 @@ class TestExitCodes:
         assert code == 4
 
     def test_probe_without_deep_chains_exits_4_and_writes_nothing(self, tmp_path, capsys):
-        # No position of the corpus reaches k = 40, which is known before
-        # any output is written.
+        # No position of the corpus reaches k = 40: the probe draws nothing,
+        # and no output is written.
         out = tmp_path / "run"
         argv = ["probe", *BASE, "--probe-k", "40", "--n-samples", "5", "--out", str(out)]
         assert main(argv) == 4
@@ -115,6 +115,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "skipping 250 draws: 250 ancestor chains ran past the corpus length 5" in err
         assert "requested chain length" not in err
+        assert not (tmp_path / "b").exists()
+        # At t = 0 only the chain is masked, so no draw has 3 other masked positions.
+        assert main([*argv, "--probe-t", "0", "--out", str(tmp_path / "c")]) == 4
+        err = capsys.readouterr().err
+        assert "gave up at t=0.0 with 0 probes done after skipping 250 draws" in err
+        assert "250 draws had fewer than 3 other positions masked" in err
+        assert not (tmp_path / "c").exists()
 
     def test_valid_dataset_corpus_runs(self, tmp_path):
         # The base of the malformed dataset rows below is a working input.
@@ -178,6 +185,11 @@ class TestExitCodes:
             ["eval", "--strategy", "null,null"],
             ["eval", "--strategy", "null,anchor_tree, null"],
             ["eval", "--steps", "2,2"],
+            ["probe", "--probe-t", "0.9,0.9"],
+            ["sample", "--config", "UNKNOWN_KEYS"],
+            ["sample", "--config", "OUT_KEY"],
+            ["sample", "--config", "CONFIG_KEY"],
+            ["sample", "--config", "TEXT_PROBE_K"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
@@ -192,7 +204,9 @@ class TestExitCodes:
              "jsonl-wrong-count", "jsonl-int-id", "jsonl-split", "jsonl-empty",
              "synth-empty", "sample-workers-0", "annotate-workers-2", "corrupt-workers-2",
              "probe-workers-2", "eval-workers-2", "eval-strategy-repeat",
-             "eval-strategy-repeat-spaced", "eval-steps-repeat"],
+             "eval-strategy-repeat-spaced", "eval-steps-repeat", "probe-t-repeat",
+             "config-unknown-keys", "config-out-key", "config-config-key",
+             "config-other-command-key"],
     )
     def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         configs = {
@@ -210,6 +224,11 @@ class TestExitCodes:
             "INFINITE_BETA": '{"beta": Infinity}',
             "OVERFLOWING_GAMMA": '{"gamma": 1e400}',
             "HUGE_INT_TEMPERATURE": '{"temperature": 1' + "0" * 400 + "}",
+            "UNKNOWN_KEYS": '{"n_sample": 2, "stepz": 4}',
+            "OUT_KEY": '{"out": "elsewhere"}',
+            "CONFIG_KEY": '{"config": "other.json"}',
+            # sample takes no --probe-k, but the value is checked as probe's flag checks it.
+            "TEXT_PROBE_K": '{"probe_k": "x"}',
         }
         paths = {name: tmp_path / name for name in configs}
         for name, text in configs.items():
@@ -261,6 +280,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s")])
         assert code == 3
         assert "mask tokens" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_unknown_config_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": "2", "stepz": 4}))
+        assert main(["sample", *BASE, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "config key 'stepz'" in capsys.readouterr().err
 
 
 # Zero, negative, non-numeric and wrong-typed values, plus a few valid ones.
@@ -314,11 +340,11 @@ class TestArgumentSpace:
                     [command, "--config", str(cfg), *flags, *BASE, "--out", str(out)]
                 )
             assert code in (0, 2, 3, 4)
-            if code == 2:
-                assert not out.exists()
-            else:
+            if code == 0:
                 manifest = (out / "manifest.json").read_text()
                 json.loads(manifest, parse_constant=pytest.fail)
+            else:
+                assert not out.exists()
 
 
 class TestManifest:
@@ -345,6 +371,19 @@ class TestManifest:
         assert manifest["anchor"]["strategy"] == "identifier"
         assert manifest["anchor"]["gamma"] == 0.01
         assert manifest["config"]["seed"] == 5  # from config file
+
+    def test_one_config_serves_a_pipeline(self, tmp_path):
+        # Each subcommand accepts the keys of the others, checked by their flags.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "steps": "2", "n_samples": 2, "t": 0.3, "probe_k": 2, "probe_t": "0.9",
+            "probe_rule": "first_token", "predictor": "backoff",
+        }))
+        for command in ("annotate", "corrupt", "sample", "probe", "eval"):
+            out = tmp_path / command
+            assert main([command, *BASE, "--config", str(cfg), "--out", str(out)]) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert (config["t"], config["probe_k"], config["predictor"]) == (0.3, 2, "backoff")
 
 
 class TestDeterminism:
@@ -421,6 +460,23 @@ class TestOutputs:
         main(["sample", *BASE, "--split-identifiers", "3", "--predictor", "exact",
               "--steps", "8", "--n-samples", "4", "--out", str(out)])
         assert json.loads((out / "validity.json").read_text())["fraction"] == 1.0
+
+    def test_eval_pivots_hold_the_cells_of_eval_csv(self, tmp_path):
+        # No backoff sample is a corpus row, so the depth correlation is NaN:
+        # an empty cell in both files.
+        out = tmp_path / "e"
+        assert main(["eval", *BASE, "--strategy", "null,anchor_tree", "--steps", "2,4",
+                     "--n-samples", "2", "--predictor", "backoff", "--out", str(out)]) == 0
+        header, *rows = [ln.split(",") for ln in (out / "eval.csv").read_text().splitlines()]
+        for metric in ("syntax_fraction", "mean_unmask_depth_corr", "nelbo"):
+            column = header.index(metric)
+            pivot = (out / f"metric_{metric}.csv").read_text().splitlines()
+            assert pivot[0] == "strategy,T2,T4"
+            assert pivot[1:] == [
+                ",".join([name] + [r[column] for r in rows if r[0] == name])
+                for name in ("null", "anchor_tree")
+            ]
+        assert {r[header.index("mean_unmask_depth_corr")] for r in rows} == {""}
 
     def test_eval_reserves_pass_at_1(self, tmp_path):
         out = tmp_path / "e"
@@ -614,6 +670,23 @@ class TestOneFrontEnd:
         monkeypatch.setattr(corpus_io, "parse", lambda *a: calls.append(a) or real(*a))
         assert main([*argv, *BASE, "--corpus", str(path), "--out", str(tmp_path / "r")]) == 0
         assert len(calls) == len(sources)
+
+    @pytest.mark.parametrize("argv", CORPUS_COMMANDS, ids=CORPUS_COMMAND_IDS)
+    def test_subcommand_returns_its_files_and_writes_nothing(self, tmp_path, monkeypatch, argv):
+        from anchordiff import cli
+
+        out = tmp_path / "run"
+        assert main([*argv, *BASE, "--out", str(out)]) == 0
+        parser = cli.build_parser()
+        resolved = cli.resolve_config(parser.parse_args([*argv, *BASE]), parser)
+        inputs = cli.load_inputs(resolved)
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        files, message = cli.COMMANDS[argv[0]](resolved, inputs)
+        assert list(work.iterdir()) == []
+        assert {k: v.encode() for k, v in files.items()} == run_dir_files(out)
+        assert "->" not in message and "\n" not in message
 
     def test_annotate_directory_keeps_file_names(self, tmp_path):
         from anchordiff import load_dataset, synth_corpus

@@ -7,8 +7,9 @@ option's flag's type and choices. The resolved configuration is checked and
 the corpus loaded, then the subcommand computes its files in memory. Only a
 run that succeeds makes its run directory, in ``write_run``: the manifest
 with the fully resolved configuration, then every file. So a run that exits
-2, 3 or 4 leaves no run directory. All outputs are deterministic under a
-fixed seed (timestamps live only in the manifest).
+2, 3 or 4 leaves no run directory, and no run writes into a used ``--out``
+(exit 2). All outputs are deterministic under a fixed seed (timestamps live
+only in the manifest).
 
 Exit codes: 0 success, 2 input error, 3 predictor/runtime error,
 4 infeasible experiment.
@@ -297,9 +298,10 @@ def load_inputs(resolved: dict) -> Inputs:
     ``load_records``: every distinct program is tokenized and parsed once,
     here, and the corpus encodes it once.
 
-    Rejected input raises ValueError or an ingest error; main reports it as
-    exit 2. Nothing is written before the subcommand has returned its files,
-    so a probe that finds no position with a chain of ``--probe-k``, a check
+    Rejected input, an ``--out`` that already holds something included,
+    raises ValueError or an ingest error; main reports it as exit 2.
+    Nothing is written before the subcommand has returned its files, so a
+    probe that finds no position with a chain of ``--probe-k``, a check
     that ``ancestry_probe`` makes, also leaves no run directory.
     """
     command = resolved["command"]
@@ -344,6 +346,9 @@ def load_inputs(resolved: dict) -> Inputs:
     ):
         if len(set(values)) < len(values):
             raise ValueError(f"{flag} repeats a value: {','.join(map(str, values))}")
+    out = resolved["out"] and Path(resolved["out"])
+    if out and out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ValueError(f"--out {out} exists and is not an empty directory")
     inputs.records = load_records(resolved, inputs.anchor or inputs.samplers[0].strategy)
     if command not in ("annotate", "eval"):
         # The vocabulary comes from the records' tokens, so it holds the

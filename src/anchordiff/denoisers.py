@@ -10,18 +10,19 @@ of ``Predictor``; no query builds an (n, L, K) array.
   fresh latent rebuilds it. ``predict_row`` and the anchored sampler's
   PosteriorAnchorProfile are both functions of that set, so both cost as
   much as the set, not the corpus. The batched ``target_probs`` and
-  ``argmax_at`` leave it alone.
+  ``resolve_anchors`` leave it alone; ``resolve_anchors`` filters a batch's
+  own agreement on each commit by the same rule.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
   as tables, so each query is a gather.
 * two_stage_predict: the anchored composition, committing anchor-stage
-  argmax tokens into an intermediate sequence that conditions the
-  denoiser; TwoStagePredictor is that composition under fixed anchor data.
+  argmax tokens (the anchor predictor's ``resolve_anchors``) into an
+  intermediate sequence that conditions the denoiser; TwoStagePredictor is
+  that composition under fixed anchor data.
 
-resolve_anchors is the single anchor-first commit routine, and
-anchor_commit_order the single anchor ordering, which the anchored sampler
-shares: it commits every masked anchor of a step before any other position,
-so it never needs a provisional scaffold.
+anchor_commit_order is the single anchor ordering, which the anchored
+sampler shares: it commits every masked anchor of a step before any other
+position, so it never needs a provisional scaffold.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ class Corpus:
 
 
 class Predictor:
-    """The predictor contract: three queries, whose probabilities follow
-    ``apply_constraints``' rules (no mass on the mask token, a one-hot on
-    the observed token at every unmasked position)."""
+    """The predictor contract: three queries, one per consumer, whose
+    probabilities follow ``apply_constraints``' rules (no mass on the mask
+    token, a one-hot on the observed token at every unmasked position)."""
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         """The (K,) row of ``position`` given the latent ``z`` (sampler, probe)."""
@@ -110,8 +111,12 @@ class Predictor:
         latent ids read at ``targets[l]`` at each position l (losses)."""
         raise NotImplementedError
 
-    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
-        """The argmax of ``predict_row`` at ``position`` per row (resolve_anchors)."""
+    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
+        """A copy of the (n, L) latent ids with the argmax of ``predict_row``
+        committed at each position of ``order`` in turn, in the rows where it
+        is masked (two_stage_predict). A commit changes only its own position,
+        so one walk of the record's full anchor order commits each row as a
+        walk of that order filtered by the row's mask would."""
         raise NotImplementedError
 
 
@@ -134,8 +139,9 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
     scan of the unique rows. Outputs do not depend on the order of queries,
     only their cost does. The state belongs to the instance, so one
     instance must not be queried from two threads at once. The batched
-    ``target_probs`` and ``argmax_at`` compare each latent row with the
-    unique rows afresh and neither read nor change the state.
+    ``target_probs`` and ``resolve_anchors`` compare their latent rows with
+    the unique rows afresh, once per call, and neither read nor change the
+    state.
     """
 
     _frozen = ("unique_of_row", "_unique_weights", "_hit", "_hit_weights")
@@ -240,18 +246,27 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
         np.divide(probs, totals[:, None], out=probs, where=np.abs(totals - 1.0)[:, None] > 1e-12)
         return np.where(ids == mask_id, probs, targets == ids)
 
-    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
-        """One bincount adds each masked row's consistent unique rows in
-        unique-row order, as ``predict_row`` does, so the argmax is its."""
-        agree = self._agreement(ids, mask_id)
-        out = np.array(ids[:, position], dtype=np.int64)
-        masked = np.flatnonzero(out == mask_id)
+    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
+        """The agreement of the rows ``order`` masks somewhere is built once,
+        and a commit filters its rows on its column, as it filters the
+        consistent set. A position's bincount adds each row's consistent
+        unique rows in unique-row order, as ``predict_row`` does, so the
+        argmax is its. A commit keeps its row consistent, so an unmatched
+        row raises NoMatchError only if ``order`` masks it somewhere."""
+        y = np.array(ids, dtype=np.int64)
+        walked = np.flatnonzero((y[:, order] == mask_id).any(axis=1))
+        sub = y[walked]
+        agree = self._agreement(sub, mask_id)
         K = self.vocab.size
-        row, u = np.nonzero(agree[masked])
-        cells = row * K + self._columns[position, u]
-        counts = np.bincount(cells, self._unique_weights[u], len(masked) * K).reshape(-1, K)
-        out[masked] = (counts / counts.sum(axis=1, keepdims=True)).argmax(axis=1)
-        return out
+        for l in order:
+            rows = np.flatnonzero(sub[:, l] == mask_id)
+            row, u = np.nonzero(agree[rows])
+            cells = row * K + self._columns[l, u]
+            counts = np.bincount(cells, self._unique_weights[u], len(rows) * K).reshape(-1, K)
+            sub[rows, l] = (counts / counts.sum(axis=1, keepdims=True)).argmax(axis=1)
+            agree[rows] &= self._columns[l] == sub[rows, l, None]
+        y[walked] = sub
+        return y
 
 
 class BackoffCountModel(ReadOnlyArrays, Predictor):
@@ -269,9 +284,10 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
     and slot K+1 is EOS. The mask id is never a seen context, so a masked
     neighbor falls through its route. Construction smooths every row once
     and folds the four routes into one (K+2, K+2) row index, so a query is
-    one lookup, and there is no dense (K+2, K+2, K) table. It also keeps
-    each row as ``apply_constraints`` leaves it at a masked position, and
-    each row's argmax, so ``target_probs`` and ``argmax_at`` are gathers.
+    one lookup, and there is no dense (K+2, K+2, K) table. No count sits
+    at the mask token, so a smoothed row is already as ``apply_constraints``
+    leaves it at a masked position, and ``target_probs`` is a gather; so is
+    each commit of ``resolve_anchors``, through each row's argmax.
     """
 
     _frozen = ("_rows",)
@@ -302,14 +318,6 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
         route = np.where(self.pair_index >= 0, self.pair_index, self.left_index[:, None])
         route = np.where(route >= 0, route, self.right_index[None, :])
         self._route = np.where(route >= 0, route, len(self.counts) - 1)
-        # apply_constraints' arithmetic on a masked position's row, done once
-        # per table row; Laplace smoothing leaves every row mass off the mask.
-        constrained = self._rows.copy()
-        constrained[:, vocab.mask_id] = 0.0
-        totals = constrained.sum(axis=-1)
-        renorm = np.abs(totals - 1.0) > 1e-12
-        np.divide(constrained, totals[:, None], out=constrained, where=renorm[:, None])
-        self._constrained = constrained
         self._argmax = self._rows.argmax(axis=1)
 
     @classmethod
@@ -348,14 +356,19 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
 
     def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
         left, right = _neighbor_slots(ids, self.vocab.size)
-        probs = self._constrained[self._route[left, right], targets]
+        probs = self._rows[self._route[left, right], targets]
         return np.where(ids == mask_id, probs, targets == ids)
 
-    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
+    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
         K = self.vocab.size
-        a = ids[:, position - 1] if position > 0 else K
-        b = ids[:, position + 1] if position < ids.shape[1] - 1 else K + 1
-        return np.where(ids[:, position] == mask_id, self._argmax[self._route[a, b]], ids[:, position])
+        y = np.array(ids, dtype=np.int64)
+        for l in order:
+            rows = np.flatnonzero(y[:, l] == mask_id)
+            if len(rows):
+                a = y[rows, l - 1] if l > 0 else K
+                b = y[rows, l + 1] if l < y.shape[1] - 1 else K + 1
+                y[rows, l] = self._argmax[self._route[a, b]]
+        return y
 
     # -- serialization ----------------------------------------------------
 
@@ -405,7 +418,7 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
             rows = np.array([v for _, v in entries] or np.zeros((0, K)), dtype=np.float64)
             if rows.shape != (len(keys), K):
                 raise ValueError(f"count rows must have {K} entries")
-            _check_counts(rows)
+            _check_counts(rows, vocab.mask_id)
             ok = np.isin(keys, (BOS_CONTEXT, EOS_CONTEXT)) | ((keys >= 0) & (keys < vocab.mask_id))
             if not ok.all():
                 raise ValueError("count table has a context outside the vocabulary")
@@ -421,15 +434,17 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
         unigram = np.array(data["unigram"], dtype=np.float64)
         if unigram.shape != (K,):
             raise ValueError(f"unigram counts must have {K} entries")
-        _check_counts(unigram)
+        _check_counts(unigram, vocab.mask_id)
         return cls(vocab, routes, unigram)
 
 
-def _check_counts(counts: np.ndarray) -> None:
-    """Counts are finite and non-negative, so every smoothed row has mass
-    off the mask token and no row is degenerate."""
+def _check_counts(counts: np.ndarray, mask_id: int) -> None:
+    """Counts are finite, non-negative and zero at the mask token, so every
+    smoothed row has mass off the mask token and none on it."""
     if not (np.isfinite(counts).all() and (counts >= 0).all()):
         raise ValueError("counts must be finite and non-negative")
+    if counts[..., mask_id].any():
+        raise ValueError("counts at the mask token must be zero")
 
 
 def _slot_of(contexts: np.ndarray, K: int) -> np.ndarray:
@@ -463,26 +478,6 @@ def anchor_commit_order(
     return candidates[np.argsort(-weights, kind="stable")].tolist()
 
 
-def resolve_anchors(
-    anchor_predictor: Predictor, ids: np.ndarray, order: list[int], mask_id: int
-) -> np.ndarray:
-    """Commit the anchor stage's argmax token at each position of ``order``
-    into a copy of the (n, L) latent ids, in the rows where that position is
-    masked, each commit conditioned on the ones before it, which keeps the
-    result inside a table predictor's support.
-
-    ``order`` is the record's full anchor order, ``anchor_commit_order``
-    over all positions. A row's own order is that list filtered by the
-    row's mask, and a commit changes only its own position, so walking the
-    full order once commits every row as walking its own order would."""
-    y = np.array(ids, dtype=np.int64)
-    for l in order:
-        rows = np.flatnonzero(y[:, l] == mask_id)
-        if len(rows):
-            y[rows, l] = anchor_predictor.argmax_at(y[rows], l, mask_id)
-    return y
-
-
 def two_stage_predict(
     anchor_predictor: Predictor,
     denoiser_predictor: Predictor,
@@ -494,12 +489,13 @@ def two_stage_predict(
 ) -> np.ndarray:
     """Anchored composition of each row of the (n, L) latent ids, gathered
     at the targets, as a new (n, L) array: the denoiser's ``target_probs``
-    of the rows resolve_anchors gives. At the positions the anchor stage
+    of the rows the anchor stage's ``resolve_anchors`` gives, which stay
+    inside a table predictor's support. At the positions the anchor stage
     committed, it keeps the anchor stage's own ``target_probs`` on ``ids``
     (its marginal over the commitment), so it never assigns zero
     probability to a clean token the anchor stage considered possible."""
     order = anchor_commit_order(omega, eta, np.ones(len(omega), dtype=bool))
-    resolved = resolve_anchors(anchor_predictor, ids, order, mask_id)
+    resolved = anchor_predictor.resolve_anchors(ids, order, mask_id)
     final = denoiser_predictor.target_probs(resolved, targets, mask_id)
     committed = (ids == mask_id) & (omega >= 0.5)
     if committed.any():

@@ -315,9 +315,7 @@ def compare_strategies(
         predictors = build_strategy_predictors(
             corpus, anchor_cfg.strategy, predictor_kind
         )
-        loss = _strategy_nelbo(
-            weighted, corpus, anchor_cfg.strategy, nelbo_records, nelbo_samples, seed
-        )
+        loss = _strategy_nelbo(corpus, anchor_cfg.strategy, nelbo_records, nelbo_samples, seed)
         for T in t_grid:
             cfg = replace(config, T=T)
             schedule = NoiseSchedule(schedule_kind, T)
@@ -374,7 +372,6 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
 
 
 def _strategy_nelbo(
-    records: list[DatasetRecord],
     corpus: Corpus,
     strategy: AnchorStrategy,
     n_records: int,
@@ -391,8 +388,8 @@ def _strategy_nelbo(
     model = BackoffCountModel.fit(corpus)
     schedule = NoiseSchedule(T=16)
     total = 0.0
-    use = records[: max(1, min(n_records, len(records)))]
-    for i, rec in enumerate(use):
+    n = max(1, min(n_records, corpus.n))
+    for i in range(n):
         x = LatentSequence(ids=corpus.ids[i].copy(), mask_id=corpus.vocab.mask_id)
         if strategy is AnchorStrategy.NULL:
             predictor = model
@@ -402,4 +399,4 @@ def _strategy_nelbo(
             )
         report = nelbo(x, predictor, schedule, n_samples, np.random.default_rng([seed, 7, i]))
         total += report.estimate
-    return total / len(use)
+    return total / n

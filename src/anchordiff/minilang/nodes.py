@@ -79,14 +79,6 @@ class SyntaxTree:
             cur = self._parent.get(cur)
         return False
 
-    def walk(self, start: int | None = None):
-        """Yield node ids in depth-first preorder."""
-        stack = [self.root if start is None else start]
-        while stack:
-            node_id = stack.pop()
-            yield node_id
-            stack.extend(reversed(self.nodes[node_id].children))
-
     def pretty(self) -> str:
         """Indented one-line-per-node rendering, useful in demos. Walks with
         an explicit stack, so a deep tree (a long operator chain nests one

@@ -221,11 +221,16 @@ class DenseRows(Predictor):
         probs = apply_constraints(np.stack([self.predict(z) for z in zs]), zs)
         return probs[:, np.arange(ids.shape[1]), targets]
 
-    def argmax_at(self, ids: np.ndarray, position: int, mask_id: int) -> np.ndarray:
-        return np.array(
-            [self.predict_row(LatentSequence(row, mask_id), position).argmax() for row in ids],
-            dtype=np.int64,
-        )
+    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
+        """Each row resolved alone by ``per_draw_resolve``, in its own order:
+        ``order`` filtered by the row's mask."""
+        resolved = [
+            per_draw_resolve(
+                self, LatentSequence(row, mask_id), [l for l in order if row[l] == mask_id]
+            ).ids
+            for row in ids
+        ]
+        return np.array(resolved, dtype=np.int64).reshape(np.shape(ids))
 
 
 class NaivePosterior(DenseRows):

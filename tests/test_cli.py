@@ -282,6 +282,33 @@ class TestExitCodes:
         assert "mask tokens" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_used_out_exits_2_and_is_left_as_it_was(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "same"
+        assert main(["sample", *BASE, "--steps", "2", "--n-samples", "3", "--out", str(out)]) == 0
+        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def unreached(*args):
+            raise AssertionError("the corpus loaded")
+
+        # The check comes before the corpus loads.
+        monkeypatch.setattr("anchordiff.cli.load_records", unreached)
+        used = tmp_path / "file.txt"
+        used.write_text("kept")
+        for argv, target in [
+            (["sample", "--steps", "2", "--n-samples", "1", "--predictor", "backoff"], out),
+            (["annotate"], out),
+            (["annotate"], used),
+        ]:
+            assert main([argv[0], *BASE, *argv[1:], "--out", str(target)]) == 2
+            assert "not an empty directory" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+        assert used.read_text() == "kept"
+        monkeypatch.undo()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["annotate", *BASE, "--out", str(empty)]) == 0
+        assert (empty / "manifest.json").is_file()
+
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": "2", "stepz": 4}))

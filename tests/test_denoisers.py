@@ -23,7 +23,6 @@ from anchordiff.denoisers import (
     PosteriorAnchorProfile,
     TwoStagePredictor,
     anchor_commit_order,
-    resolve_anchors,
     two_stage_predict,
 )
 from anchordiff.diffusion import LatentSequence, Vocab, corrupt
@@ -222,7 +221,8 @@ class TestBackoff:
 
 def _same_predictions(model, oracle, z):
     """Bit-equal answers from the table model and the dict oracle, by
-    ``predict_row``, ``target_probs`` at every token and ``argmax_at``."""
+    ``predict_row``, ``target_probs`` at every token and ``resolve_anchors``
+    at each single position and in both full orders."""
     ids = np.stack([z.ids, z.ids])
     for v in range(z.mask_id + 1):
         targets = np.full(len(z), v)
@@ -230,7 +230,10 @@ def _same_predictions(model, oracle, z):
         assert np.array_equal(model.target_probs(ids, targets, z.mask_id), want)
     for l in range(len(z)):
         assert np.array_equal(model.predict_row(z, l), oracle.predict_row(z, l))
-        assert np.array_equal(model.argmax_at(ids, l, z.mask_id), oracle.argmax_at(ids, l, z.mask_id))
+    positions = list(range(len(z)))
+    for order in [[l] for l in positions] + [positions, positions[::-1]]:
+        want = oracle.resolve_anchors(ids, order, z.mask_id)
+        assert np.array_equal(model.resolve_anchors(ids, order, z.mask_id), want)
 
 
 # Tiny corpora: one context repeated with fractional weights (summation
@@ -343,8 +346,10 @@ class TestBackoffTables:
                 clone.target_probs(ids, targets, mask_id),
                 model.target_probs(ids, targets, mask_id),
             )
-        for l in range(corpus.length):
-            assert np.array_equal(clone.argmax_at(ids, l, mask_id), model.argmax_at(ids, l, mask_id))
+        positions = list(range(corpus.length))
+        for order in [[l] for l in positions] + [positions]:
+            want = model.resolve_anchors(ids, order, mask_id)
+            assert np.array_equal(clone.resolve_anchors(ids, order, mask_id), want)
 
     def test_from_json_rejects_malformed_tables(self):
         import json
@@ -360,6 +365,9 @@ class TestBackoffTables:
             # Counts that would leave a smoothed row with no mass off the mask.
             ("unigram", [-1.0] * corpus.vocab.size),
             ("right", [[good["right"][0][0], [float("nan")] * corpus.vocab.size]]),
+            # A count at the mask token, which would give it mass.
+            ("pair", [[good["pair"][0][0], [0.0] * mask + [5.0]]]),
+            ("unigram", good["unigram"][:mask] + [1.0]),
         ]:
             payload = dict(good, **{key: value})
             with pytest.raises(ValueError):
@@ -403,9 +411,10 @@ def exact_corpus_and_batch(draw):
 
 
 class TestExactQueries:
-    """The exact model's batched ``target_probs`` and ``argmax_at`` against
-    the dense rows of ``naive_posterior``: equal with integer weights,
-    within 1e-12 with fractional ones, and the match state left alone."""
+    """The exact model's batched ``target_probs`` and single-position
+    ``resolve_anchors`` against the dense rows of ``naive_posterior``:
+    equal with integer weights, within 1e-12 with fractional ones, and the
+    match state left alone."""
 
     @given(exact_corpus_and_batch(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -420,11 +429,17 @@ class TestExactQueries:
         if not matched.all():
             with pytest.raises(NoMatchError):
                 exact.target_probs(ids, targets, mask_id)
-            with pytest.raises(NoMatchError):
-                exact.argmax_at(ids, data.draw(st.integers(0, L - 1)), mask_id)
+            # The walk raises for an unmatched row only where it commits.
+            l = data.draw(st.integers(0, L - 1))
+            if (ids[~matched, l] == mask_id).any():
+                with pytest.raises(NoMatchError):
+                    exact.resolve_anchors(ids, [l], mask_id)
+            else:
+                unmatched = ids[~matched]
+                assert np.array_equal(exact.resolve_anchors(unmatched, [l], mask_id), unmatched)
         ids = ids[matched]
         got = exact.target_probs(ids, targets, mask_id)
-        argmax = [exact.argmax_at(ids, l, mask_id) for l in range(L)]
+        argmax = [exact.resolve_anchors(ids, [l], mask_id) for l in range(L)]
         assert all(a is b for a, b in zip(exact.consistent_rows(z), state))
         if not len(ids):
             return
@@ -435,7 +450,9 @@ class TestExactQueries:
             assert np.allclose(got, want, rtol=0, atol=1e-12)
         for l in range(L):
             rows = [exact.predict_row(latent(corpus, row), l).argmax() for row in ids]
-            assert np.array_equal(argmax[l], rows)
+            assert np.array_equal(argmax[l][:, l], rows)
+            others = np.arange(L) != l
+            assert np.array_equal(argmax[l][:, others], ids[:, others])
 
 
 FOR_LOOP_P1 = "def f(numbers):\n    for num in numbers:\n        pass\n"
@@ -443,8 +460,9 @@ FOR_LOOP_P2 = "def f(values):\n    for val in values:\n        pass\n"
 
 
 class TestLossQueries:
-    """The backoff model's ``target_probs`` and ``argmax_at`` against the
-    dict oracle's dense rows and ``predict_row``, equal, not close."""
+    """The backoff model's ``target_probs`` and single-position
+    ``resolve_anchors`` against the dict oracle's dense rows and
+    ``predict_row``, equal, not close."""
 
     @given(corpus_and_latents(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -463,7 +481,7 @@ class TestLossQueries:
         assert np.array_equal(model.target_probs(ids, targets, mask_id), want)
         for l in range(L):
             argmax = [model.predict_row(z, l).argmax() for z in zs]
-            assert np.array_equal(model.argmax_at(ids, l, mask_id), argmax)
+            assert np.array_equal(model.resolve_anchors(ids, [l], mask_id)[:, l], argmax)
 
     def test_backoff_target_probs_on_corrupted_records(self, synth_corpus_built):
         # Full-length latents with prompts, scored at the clean tokens and
@@ -482,6 +500,90 @@ class TestLossQueries:
             for targets in (x.ids, anchor_targets):
                 want = rows[:, np.arange(len(x)), targets]
                 assert np.array_equal(model.target_probs(ids, targets, mask_id), want)
+
+
+class TestResolveAnchors:
+    """Each table's ``resolve_anchors`` against ``per_draw_resolve`` row by
+    row, each row in its own order (the walk's order filtered by its mask),
+    NoMatchError included."""
+
+    @pytest.mark.parametrize("kind", ["exact", "backoff"])
+    @given(exact_corpus_and_batch(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_walk_equals_per_draw_resolve(self, kind, drawn, data):
+        # Batches with prompts (positions of the order unmasked in every
+        # row), unmatched rows, and now and then no row at all.
+        corpus, ids, _ = drawn
+        L, mask_id = corpus.length, corpus.vocab.mask_id
+        ids = ids[: data.draw(st.integers(0, len(ids)))]
+        order = data.draw(st.permutations(range(L)))[: data.draw(st.integers(0, L))]
+        model = ExactPosteriorDenoiser(corpus) if kind == "exact" else BackoffCountModel.fit(corpus)
+        want = []
+        for row in ids:
+            z = latent(corpus, row)
+            try:
+                want.append(per_draw_resolve(model, z, [l for l in order if z.is_masked[l]]).ids)
+            except NoMatchError:
+                want.append(None)
+            if want[-1] is None:
+                with pytest.raises(NoMatchError):
+                    model.resolve_anchors(row[None], order, mask_id)
+            else:
+                assert np.array_equal(model.resolve_anchors(row[None], order, mask_id), [want[-1]])
+        before = ids.copy()
+        if any(w is None for w in want):
+            with pytest.raises(NoMatchError):
+                model.resolve_anchors(ids, order, mask_id)
+        else:
+            got = model.resolve_anchors(ids, order, mask_id)
+            assert np.array_equal(got, np.reshape(want, ids.shape))
+        assert np.array_equal(ids, before)  # the batch is left as it was
+
+    @pytest.mark.parametrize("kind", ["exact", "backoff"])
+    def test_positions_unmasked_everywhere_and_empty_batch(self, kind):
+        corpus = make_corpus(["abc", "cba"])
+        v = corpus.vocab
+        m = v.mask_id
+        if kind == "exact":
+            model, oracle = ExactPosteriorDenoiser(corpus), NaivePosterior(corpus)
+        else:
+            model, oracle = BackoffCountModel.fit(corpus), DictBackoffModel.fit(corpus)
+        # "aaa" matches no corpus row; with no masked position in the order
+        # nothing is committed in it, so nothing raises.
+        ids = np.array([[v.id("a")] * 3, [v.id("a"), m, m], [v.id("c"), v.id("b"), m]])
+        assert np.array_equal(model.resolve_anchors(ids, [0], m), ids)
+        got = model.resolve_anchors(ids[1:], [2, 1, 0], m)
+        assert np.array_equal(got, oracle.resolve_anchors(ids[1:], [2, 1, 0], m))
+        assert not (got == m).any()
+        for order in ([], [0, 1, 2]):
+            assert model.resolve_anchors(ids[:0], order, m).shape == (0, 3)
+
+    def test_two_stage_builds_the_agreement_at_most_three_times(
+        self, synth_corpus_built, monkeypatch
+    ):
+        # One agreement for the walk, one for the denoiser and one for the
+        # anchor stage, however many anchors the walk commits.
+        corpus = synth_corpus_built
+        calls = []
+        agreement = ExactPosteriorDenoiser._agreement
+
+        def spy(self, ids, mask_id):
+            calls.append(len(ids))
+            return agreement(self, ids, mask_id)
+
+        monkeypatch.setattr(ExactPosteriorDenoiser, "_agreement", spy)
+        anchor, denoiser = ExactPosteriorDenoiser(corpus), ExactPosteriorDenoiser(corpus)
+        mask_id = corpus.vocab.mask_id
+        rng = np.random.default_rng(41)
+        for i in range(4):
+            omega, eta = corpus.omega[i], corpus.eta[i]
+            x = LatentSequence(corpus.ids[i].copy(), mask_id)
+            ids = np.stack([corrupt(x, t, NoiseSchedule(T=8), rng).ids for t in (0.5, 0.9, 1.0)])
+            full = anchor_commit_order(omega, eta, np.ones(len(x), dtype=bool))
+            assert len(full) > 3
+            calls.clear()
+            two_stage_predict(anchor, denoiser, ids, x.ids, omega, eta, mask_id)
+            assert 2 <= len(calls) <= 3
 
 
 class TestTwoStage:
@@ -506,7 +608,7 @@ class TestTwoStage:
         ids[iterable] = vocab.mask_id
         omega, eta = corpus.omega[0], corpus.eta[0]
         full = anchor_commit_order(omega, eta, np.ones(len(ids), dtype=bool))
-        (y_hat,) = resolve_anchors(den, ids[None], full, vocab.mask_id)
+        (y_hat,) = den.resolve_anchors(ids[None], full, vocab.mask_id)
         assert y_hat[iterable] == vocab.id("numbers")
         # More than half the mass on "num" makes it the composition's argmax.
         (final,) = two_stage_predict(den, den, ids[None], corpus.ids[0], omega, eta, vocab.mask_id)
@@ -572,7 +674,7 @@ class TestTwoStage:
             omega, eta = corpus.omega[i], corpus.eta[i]
             order = anchor_commit_order(omega, eta, z.is_masked)
             full = anchor_commit_order(omega, eta, np.ones(len(z), dtype=bool))
-            (y,) = resolve_anchors(den, z.ids[None], full, mask_id)
+            (y,) = den.resolve_anchors(z.ids[None], full, mask_id)
             rest = np.setdiff1d(np.arange(len(z)), order)
             assert not (y[order] == mask_id).any()
             assert np.array_equal(y[rest], z.ids[rest])
@@ -600,7 +702,7 @@ class TestTwoStage:
             zs = [corrupt(x, t, NoiseSchedule(T=8), rng) for t in (0.3, 0.6, 0.9, 1.0) * 3]
             ids = np.stack([z.ids for z in zs])
             full = anchor_commit_order(omega, eta, np.ones(len(x), dtype=bool))
-            resolved = resolve_anchors(model, ids, full, mask_id)
+            resolved = model.resolve_anchors(ids, full, mask_id)
             pair = TwoStagePredictor(model, model, omega, eta)
             probs = pair.target_probs(ids, x.ids, mask_id)
             assert np.array_equal(ids, [z.ids for z in zs])  # the batch is left as it was

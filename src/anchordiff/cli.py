@@ -1,15 +1,17 @@
 """Command-line entry point.
 
-Subcommands: annotate, corrupt, sample, probe, eval. Configuration comes
-from a JSON config file (--config) with command-line flags taking
-precedence; a config key must name an option, and its value must have that
-option's flag's type and choices. The resolved configuration is checked and
-the corpus loaded, then the subcommand computes its files in memory. Only a
-run that succeeds makes its run directory, in ``write_run``: the manifest
-with the fully resolved configuration, then every file. So a run that exits
-2, 3 or 4 leaves no run directory, and no run writes into a used ``--out``
-(exit 2). All outputs are deterministic under a fixed seed (timestamps live
-only in the manifest).
+Subcommands: annotate, corrupt, sample, probe, eval. Each option is
+declared once, in ``OPTIONS``, which builds every subcommand's parser, the
+defaults and the config-file check. Configuration comes from a JSON config
+file (--config) with command-line flags taking precedence; a config key is
+a key of ``OPTIONS``, and its value must have that option's type and
+choices. The resolved configuration is checked and the corpus loaded, then
+the subcommand computes its files in memory. Only a run that succeeds makes
+its run directory, in ``write_run``: the manifest with the fully resolved
+configuration, then every file. So a run that exits 2, 3 or 4 leaves no run
+directory, and a run writes into no used ``--out`` (exit 2) and no
+timestamped directory it did not make. All outputs are deterministic under
+a fixed seed (timestamps live only in the manifest).
 
 Exit codes: 0 success, 2 input error, 3 predictor/runtime error,
 4 infeasible experiment.
@@ -18,6 +20,7 @@ Exit codes: 0 success, 2 input error, 3 predictor/runtime error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -67,102 +70,97 @@ EXIT_INFEASIBLE = 4
 OUTPUT_ROOT_ENV = "ANCHORDIFF_OUT"
 SYNTH_SEED = 20260809
 
-DEFAULTS = {
-    "corpus": "synth",
-    "strategy": "anchor_tree",
-    "gamma": None,
-    "beta": None,
-    "d0": 2,
-    "schedule": "cosine",
-    "steps": "16",
-    "temperature": 0.8,
-    "remask_rate": None,
-    "seed": 0,
-    "workers": 1,
-    "n_samples": 16,
-    "t": 0.5,
-    "probe_k": 3,
-    "probe_t": "0.85,0.95",
-    "predictor": "exact",
-    "length": 64,
-    "synth_programs": 200,
-    "synth_depth": 6,
-    "split_max_len": None,
-    "probe_rule": "keyword_first",
+SUBCOMMANDS = {
+    "annotate": "write annotated JSONL dataset",
+    "corrupt": "emit forward-noised samples",
+    "sample": "generate programs",
+    "probe": "run the ancestry probe",
+    "eval": "strategy comparison grid",
 }
 
 
+@dataclass(frozen=True)
+class Option:
+    """An option's default, its flag's type, choices and help, and the
+    subcommands that take the flag. Its key in ``OPTIONS`` is its dest and
+    config key; ``flag`` is set where the flag is not that key dashed."""
+
+    default: object
+    type: type = str
+    choices: tuple | None = None
+    commands: tuple[str, ...] = tuple(SUBCOMMANDS)
+    help: str | None = None
+    flag: str | None = None
+
+
+OPTIONS = {
+    "corpus": Option("synth", help="directory, dataset .jsonl, or 'synth'"),
+    "strategy": Option("anchor_tree", help="null|keyword|identifier|anchor_tree "
+                       "(comma-separated for eval)"),
+    "gamma": Option(None, float, help="anchor weight scale"),
+    "beta": Option(None, float, help="depth-decay rate"),
+    "d0": Option(2, int, help="depth where decay begins"),
+    "schedule": Option("cosine", choices=("cosine", "linear")),
+    "steps": Option("16", help="denoising steps (comma grid for eval)"),
+    "temperature": Option(0.8, float),
+    "remask_rate": Option(None, float),
+    "seed": Option(0, int),
+    "workers": Option(1, int),
+    "n_samples": Option(16, int),
+    "t": Option(0.5, float, commands=("corrupt",), help="noise level in [0, 1]"),
+    "probe_k": Option(3, int, commands=("probe",)),
+    "probe_t": Option("0.85,0.95", commands=("probe",), help="comma-separated noise levels"),
+    "predictor": Option("exact", choices=PREDICTOR_KINDS, commands=("sample", "eval")),
+    "length": Option(64, int, help="sequence length L"),
+    "synth_programs": Option(200, int),
+    "synth_depth": Option(6, int),
+    "split_max_len": Option(None, int, flag="--split-identifiers",
+                            help="split identifiers longer than this many characters"),
+    "probe_rule": Option("keyword_first", choices=("keyword_first", "first_token"),
+                         commands=("probe",), help="which token stands in for an ancestor node"),
+}
+DEFAULTS = {name: option.default for name, option in OPTIONS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand: ``--config``, ``--out`` and its ``OPTIONS``
+    flags, which default to None so that ``resolve_config`` sees one left out."""
     parser = argparse.ArgumentParser(
         prog="anchordiff",
         description="Anchored masked diffusion over mini-language syntax trees",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--corpus", help="directory, dataset .jsonl, or 'synth'")
-    common.add_argument(
-        "--strategy",
-        help="null|keyword|identifier|anchor_tree (comma-separated for eval)",
-    )
-    common.add_argument("--gamma", type=float, help="anchor weight scale")
-    common.add_argument("--beta", type=float, help="depth-decay rate")
-    common.add_argument("--d0", type=int, help="depth where decay begins")
-    common.add_argument("--schedule", choices=["cosine", "linear"])
-    common.add_argument("--steps", help="denoising steps (comma grid for eval)")
-    common.add_argument("--temperature", type=float)
-    common.add_argument("--remask-rate", type=float, dest="remask_rate")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="output directory (default: timestamped)")
-    common.add_argument("--workers", type=int)
-    common.add_argument("--n-samples", type=int, dest="n_samples")
-    common.add_argument("--length", type=int, help="sequence length L")
-    common.add_argument("--synth-programs", type=int, dest="synth_programs")
-    common.add_argument("--synth-depth", type=int, dest="synth_depth")
-    common.add_argument(
-        "--split-identifiers", type=int, dest="split_max_len",
-        help="split identifiers longer than this many characters",
-    )
-
-    sub.add_parser("annotate", parents=[common], help="write annotated JSONL dataset")
-    p_corrupt = sub.add_parser("corrupt", parents=[common], help="emit forward-noised samples")
-    p_corrupt.add_argument("--t", type=float, help="noise level in [0, 1]")
-    p_sample = sub.add_parser("sample", parents=[common], help="generate programs")
-    p_sample.add_argument("--predictor", choices=PREDICTOR_KINDS)
-    p_probe = sub.add_parser("probe", parents=[common], help="run the ancestry probe")
-    p_probe.add_argument("--probe-k", type=int, dest="probe_k")
-    p_probe.add_argument("--probe-t", dest="probe_t", help="comma-separated noise levels")
-    p_probe.add_argument(
-        "--probe-rule", dest="probe_rule", choices=["keyword_first", "first_token"],
-        help="which token stands in for an ancestor node",
-    )
-    p_eval = sub.add_parser("eval", parents=[common], help="strategy comparison grid")
-    p_eval.add_argument("--predictor", choices=PREDICTOR_KINDS)
+    for command, summary in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out", help="output directory (default: timestamped)")
+        for name, option in OPTIONS.items():
+            if command in option.commands:
+                p.add_argument(option.flag or "--" + name.replace("_", "-"), dest=name,
+                               type=option.type, choices=option.choices, help=option.help)
     return parser
 
 
-def _config_value(action: argparse.Action, value):
+def _config_value(key: str, value):
     """A config-file value checked as its flag checks its text: it must have
     the flag's type (a JSON string is not a number), a number may stand for
     a text option, and it must be one of the flag's choices. ``null`` keeps
     a default that is None."""
-    if value is None and DEFAULTS[action.dest] is None:
+    option = OPTIONS[key]
+    if value is None and option.default is None:
         return None
-    kind = action.type or str
-    allowed = {int: (int,), float: (int, float), str: (str, int, float)}[kind]
+    allowed = {int: (int,), float: (int, float), str: (str, int, float)}[option.type]
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValueError(
-            f"config {action.dest!r} must be of type {kind.__name__}, got {value!r}"
-        )
+        kind = option.type.__name__
+        raise ValueError(f"config {key!r} must be of type {kind}, got {value!r}")
     try:
-        value = kind(value)
+        value = option.type(value)
     except OverflowError:
-        raise ValueError(f"config {action.dest!r} is out of range, got {value!r}") from None
-    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config {key!r} is out of range, got {value!r}") from None
+    if option.choices is not None and value not in option.choices:
         raise ValueError(
-            f"config {action.dest!r} must be one of {sorted(action.choices)}, got {value!r}"
+            f"config {key!r} must be one of {sorted(option.choices)}, got {value!r}"
         )
     return value
 
@@ -177,36 +175,26 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def resolve_config(args: argparse.Namespace) -> dict:
     """Layer defaults, then the config file, then explicit flags. A config
-    key must be an option of ``DEFAULTS``; its value passes ``_config_value``
-    against the subcommand's flag, or against the flag of a subcommand that
-    takes it, so one config file can serve a whole pipeline."""
+    key must name an option of ``OPTIONS``, whichever subcommand takes its
+    flag, so one config file can serve a whole pipeline; its value passes
+    ``_config_value``."""
     resolved = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
         if not isinstance(config, dict):
             raise ValueError(
                 f"config file must hold a JSON object, got {type(config).__name__}"
             )
-        subcommands = next(
-            a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        actions = {}
-        for name in (args.command, *subcommands):
-            for action in subcommands[name]._actions:
-                actions.setdefault(action.dest, action)
         for key, value in config.items():
-            if key not in DEFAULTS:
+            if key not in OPTIONS:
                 raise ValueError(f"config key {key!r} names no option a config file sets")
-            resolved[key] = _config_value(actions[key], value)
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
+            resolved[key] = _config_value(key, value)
+    resolved |= {k: v for k, v in vars(args).items() if k in OPTIONS and v is not None}
     resolved["command"] = args.command
-    resolved["out"] = getattr(args, "out", None)
+    resolved["out"] = args.out
     return resolved
 
 
@@ -360,12 +348,22 @@ def load_inputs(resolved: dict) -> Inputs:
 def write_run(resolved: dict, anchor: AnchorConfig | None, files: dict[str, str]) -> Path:
     """Make the run directory, the ``--out`` path or a timestamped one, and
     write ``manifest.json`` and every ``{relative path: text}`` of ``files``
-    into it, with the subdirectories they name. The one place a run writes."""
+    into it, with the subdirectories they name. The one place a run writes.
+    A timestamped name that another run holds gets the first free ``-2``,
+    ``-3``, ... suffix: a run never writes into a directory it did not make."""
     if resolved["out"]:
         run_dir = Path(resolved["out"])
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
-        run_dir = root / f"{time.strftime('%Y%m%dT%H%M%S')}-{resolved['command']}"
+        root.mkdir(parents=True, exist_ok=True)
+        stem = f"{time.strftime('%Y%m%dT%H%M%S')}-{resolved['command']}"
+        for n in itertools.count(1):
+            run_dir = root / (stem if n == 1 else f"{stem}-{n}")
+            try:
+                run_dir.mkdir()  # FileExistsError if another run made it
+                break
+            except FileExistsError:
+                pass
     manifest = {
         "tool": "anchordiff",
         "version": __version__,
@@ -563,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolved = resolve_config(args, parser)
+        resolved = resolve_config(args)
         inputs = load_inputs(resolved)
     except (ValueError, RecursionError, *INPUT_ERRORS) as exc:  # JSON nested too deep
         print(f"input error: {exc}", file=sys.stderr)

@@ -560,11 +560,11 @@ class PosteriorAnchorProfile:
 
     At sampling time the true per-position anchor labels are unknown, so the
     anchored sampler uses the weighted mean of (omega, eta) over the corpus
-    sequences consistent with the current latent, falling back to the
-    corpus marginal when nothing matches. The consistent rows come from
-    ``exact.consistent_rows``, normally on the pair's own predictor, so the
-    profile is a function of that predictor's consistent set and keeps no
-    state of its own.
+    sequences consistent with the current latent. The consistent rows come
+    from ``exact.consistent_rows``, normally on the pair's own predictor, so
+    the profile is a function of that predictor's consistent set and keeps
+    no state of its own. When nothing matches it raises NoMatchError, as
+    ``predict_row`` does on the same latent.
 
     Construction sums weight * omega and weight * eta over the copies of
     each unique row (``exact.unique_of_row``). A profile is then the sum of
@@ -578,7 +578,8 @@ class PosteriorAnchorProfile:
     def __init__(self, exact: ExactPosteriorDenoiser):
         self.exact = exact
         corpus = exact.corpus
-        self._marginal = MarginalAnchorProfile.of_corpus(corpus)
+        if corpus.omega is None or corpus.eta is None:
+            raise ValueError("corpus lacks omega/eta annotation arrays")
         weighted = corpus.weights[:, None] * np.hstack([corpus.omega, corpus.eta])
         self._sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
         np.add.at(self._sums, exact.unique_of_row, weighted)
@@ -586,7 +587,7 @@ class PosteriorAnchorProfile:
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         hit, w = self.exact.consistent_rows(z)
         if not len(hit):
-            return self._marginal(z)
+            raise NoMatchError("latent matches no corpus sequence")
         mean = self._sums[hit].sum(axis=0) / w.sum()
         mean.setflags(write=False)  # which makes both views of it read-only
         return mean[: len(z)], mean[len(z) :]

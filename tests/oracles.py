@@ -317,9 +317,10 @@ class RescanExactDenoiser(Predictor):
 def all_rows_profile(corpus: Corpus, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
     """The posterior anchor profile as a weighted mean over every corpus
     row: the matching rows' normalized weights (zero elsewhere) times the
-    (n, L) omega and eta, or the corpus marginal when no row matches."""
+    (n, L) omega and eta. Some row must match ``z``."""
     w = np.zeros(corpus.n)
-    rows = naive_consistent_rows(corpus, z) or list(range(corpus.n))
+    rows = naive_consistent_rows(corpus, z)
+    assert rows, "no corpus row matches the latent"
     w[rows] = corpus.weights[rows]
     w = w / w.sum()
     return w @ corpus.omega, w @ corpus.eta

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pickle
+import re
 import tempfile
 from pathlib import Path
 
@@ -308,6 +309,38 @@ class TestExitCodes:
         empty.mkdir()
         assert main(["annotate", *BASE, "--out", str(empty)]) == 0
         assert (empty / "manifest.json").is_file()
+
+    def test_runs_in_one_second_get_their_own_directories(self, tmp_path, capsys, monkeypatch):
+        from anchordiff import cli
+
+        monkeypatch.setenv("ANCHORDIFF_OUT", str(tmp_path / "runs"))
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20261019T120000")
+        first = tmp_path / "runs" / "20261019T120000-annotate"
+        assert main(["annotate", "--synth-programs", "5"]) == 0
+        assert capsys.readouterr().out.endswith(f"-> {first}\n")
+        kept = {p: p.read_bytes() for p in first.rglob("*")}
+        for n in (2, 3):
+            assert main(["annotate", "--synth-programs", str(n + 1)]) == 0
+            assert capsys.readouterr().out.endswith(f"-> {first}-{n}\n")
+        assert {p: p.read_bytes() for p in first.rglob("*")} == kept
+        assert sorted(p.name for p in first.parent.iterdir()) == [
+            first.name, f"{first.name}-2", f"{first.name}-3",
+        ]
+        lines = [(first.parent / d / "dataset.jsonl").read_text().count("\n")
+                 for d in sorted(p.name for p in first.parent.iterdir())]
+        assert lines == [6, 4, 5]  # a header line and one line per record
+
+    def test_output_root_that_is_no_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A file, and a dangling symlink: a make-parents mkdir of each
+        # suffixed name would find the symlink "taken" every time, forever.
+        (tmp_path / "file").write_text("kept")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        for root in ("file", "dangling"):
+            monkeypatch.setenv("ANCHORDIFF_OUT", str(tmp_path / root))
+            assert main(["annotate", "--synth-programs", "3"]) == 2
+            assert "input error" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "kept"
+        assert not (tmp_path / "nowhere").exists()
 
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -705,7 +738,7 @@ class TestOneFrontEnd:
         out = tmp_path / "run"
         assert main([*argv, *BASE, "--out", str(out)]) == 0
         parser = cli.build_parser()
-        resolved = cli.resolve_config(parser.parse_args([*argv, *BASE]), parser)
+        resolved = cli.resolve_config(parser.parse_args([*argv, *BASE]))
         inputs = cli.load_inputs(resolved)
         work = tmp_path / "cwd"
         work.mkdir()
@@ -811,3 +844,144 @@ class TestDeepInput:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "recursion" in err
         assert not out.exists()
+
+
+# Every flag of the command line, with a valid value as typed and the value
+# it parses to, and the subcommands that take it; None means all five.
+FLAGS = {
+    "--config": ("config", "cfg.json", "cfg.json", None),
+    "--out": ("out", "runs/x", "runs/x", None),
+    "--corpus": ("corpus", "progs", "progs", None),
+    "--strategy": ("strategy", "null,keyword", "null,keyword", None),
+    "--gamma": ("gamma", "0.5", 0.5, None),
+    "--beta": ("beta", "0.25", 0.25, None),
+    "--d0": ("d0", "3", 3, None),
+    "--schedule": ("schedule", "linear", "linear", None),
+    "--steps": ("steps", "8,16", "8,16", None),
+    "--temperature": ("temperature", "1.5", 1.5, None),
+    "--remask-rate": ("remask_rate", "0.2", 0.2, None),
+    "--seed": ("seed", "7", 7, None),
+    "--workers": ("workers", "2", 2, None),
+    "--n-samples": ("n_samples", "5", 5, None),
+    "--length": ("length", "32", 32, None),
+    "--synth-programs": ("synth_programs", "12", 12, None),
+    "--synth-depth": ("synth_depth", "4", 4, None),
+    "--split-identifiers": ("split_max_len", "3", 3, None),
+    "--t": ("t", "0.25", 0.25, ("corrupt",)),
+    "--predictor": ("predictor", "backoff", "backoff", ("sample", "eval")),
+    "--probe-k": ("probe_k", "4", 4, ("probe",)),
+    "--probe-t": ("probe_t", "0.5,0.9", "0.5,0.9", ("probe",)),
+    "--probe-rule": ("probe_rule", "first_token", "first_token", ("probe",)),
+}
+# Flags whose value argparse checks: a word is not a number, and a choice
+# must be listed.
+REJECTED_VALUES = {
+    "--gamma": "x", "--beta": "x", "--d0": "1.5", "--schedule": "bogus",
+    "--temperature": "x", "--remask-rate": "x", "--seed": "x", "--workers": "x",
+    "--n-samples": "x", "--length": "x", "--synth-programs": "x", "--synth-depth": "x",
+    "--split-identifiers": "x", "--t": "x", "--predictor": "bogus", "--probe-k": "x",
+    "--probe-rule": "bogus",
+}
+# The resolved configuration of a bare subcommand, before its command and --out.
+BARE_CONFIG = {
+    "corpus": "synth",
+    "strategy": "anchor_tree",
+    "gamma": None,
+    "beta": None,
+    "d0": 2,
+    "schedule": "cosine",
+    "steps": "16",
+    "temperature": 0.8,
+    "remask_rate": None,
+    "seed": 0,
+    "workers": 1,
+    "n_samples": 16,
+    "t": 0.5,
+    "probe_k": 3,
+    "probe_t": "0.85,0.95",
+    "predictor": "exact",
+    "length": 64,
+    "synth_programs": 200,
+    "synth_depth": 6,
+    "split_max_len": None,
+    "probe_rule": "keyword_first",
+}
+COMMAND_NAMES = ("annotate", "corrupt", "sample", "probe", "eval")
+
+
+def help_flags(command: str, capsys) -> set[str]:
+    """The flags that ``<command> --help`` lists."""
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+
+
+def takes(command: str) -> list[str]:
+    return [f for f, (*_, commands) in FLAGS.items() if commands is None or command in commands]
+
+
+class TestOptionSurface:
+    """The command line as a user meets it: which flags each subcommand
+    takes, what they parse to, and the defaults a bare run resolves."""
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_each_flag_parses_its_value(self, command):
+        from anchordiff.cli import build_parser
+
+        for flag in takes(command):
+            dest, text, value, _ = FLAGS[flag]
+            args = build_parser().parse_args([command, flag, text])
+            assert (args.command, getattr(args, dest)) == (command, value), flag
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_a_flag_checks_its_value(self, command, capsys):
+        from anchordiff.cli import build_parser
+
+        for flag in set(takes(command)) & set(REJECTED_VALUES):
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args([command, flag, REJECTED_VALUES[flag]])
+            assert err.value.code == 2, flag
+            assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_other_subcommands_flags_exit_2(self, command, capsys):
+        from anchordiff.cli import build_parser
+
+        others = [f for f in FLAGS if f not in takes(command)]
+        assert others
+        if "--t" in others:
+            # argparse takes an unambiguous prefix of a flag for the flag, so
+            # without corrupt's own --t, "--t" is short for --temperature.
+            others.remove("--t")
+            args = build_parser().parse_args([command, "--t", "0.25"])
+            assert args.temperature == 0.25 and not hasattr(args, "t")
+        for flag in others:
+            with pytest.raises(SystemExit) as err:
+                main([command, flag, FLAGS[flag][1]])
+            assert err.value.code == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_help_lists_exactly_the_flags_it_takes(self, command, capsys):
+        assert help_flags(command, capsys) == {"--help", *takes(command)}
+
+    def test_readme_names_every_flag(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+        named = set(re.findall(r"`(--[a-z][a-z0-9-]*)", section))
+        flags = set().union(*(help_flags(c, capsys) for c in COMMAND_NAMES)) - {"--help"}
+        assert flags - named == set()
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_bare_subcommand_resolves_the_defaults(self, command, monkeypatch):
+        seen = []
+
+        def stop(resolved):
+            seen.append(resolved)
+            raise ValueError("stop before the corpus loads")
+
+        monkeypatch.setattr("anchordiff.cli.load_inputs", stop)
+        assert main([command]) == 2
+        assert seen == [{**BARE_CONFIG, "command": command, "out": None}]
+        assert list(seen[0]) == [*BARE_CONFIG, "command", "out"]

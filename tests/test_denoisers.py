@@ -761,9 +761,9 @@ class TestProfiles:
             MarginalAnchorProfile.of_corpus(corpus)(all_masked),
             MarginalAnchorProfile.zeros(corpus.length)(all_masked),
             PosteriorAnchorProfile(exact)(latent(corpus, first)),
-            PosteriorAnchorProfile(exact)(unmatched),
         ]
-        assert not exact.match_mask(unmatched).any()  # the marginal fallback
+        with pytest.raises(NoMatchError):
+            PosteriorAnchorProfile(exact)(unmatched)
         for omega, eta in cases:
             for values in (omega, eta):
                 with pytest.raises(ValueError, match="read-only"):
@@ -823,7 +823,11 @@ class TestPosteriorProfileOracle:
     def test_matches_oracle_consistent_rows(self, case):
         corpus, z = case
         profile = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
-        assert_profile_is_all_rows_mean(profile(z), corpus, z)
+        if naive_consistent_rows(corpus, z):
+            assert_profile_is_all_rows_mean(profile(z), corpus, z)
+        else:
+            with pytest.raises(NoMatchError):
+                profile(z)
 
     def test_equals_all_rows_mean_on_synth_200(self, synth200_corpus):
         corpus = synth200_corpus
@@ -841,20 +845,22 @@ class TestPosteriorProfileOracle:
         )
         for j in range(3):
             generate([], 64, AnchoredPair(pair.predictor, recording), cfg, NoiseSchedule(T=16), j)
-        # Corrupted corpus rows, and one latent no row matches.
+        # Corrupted corpus rows.
         corrupted = [
             corrupt(latent(corpus, corpus.ids[i]), t, NoiseSchedule(T=4), i).ids
             for i in range(0, corpus.n, 10)
             for t in (0.3, 0.6, 0.9)
         ]
-        unmatched = np.full(corpus.length, mask_id)
-        unmatched[:2] = corpus.ids[0, 1], corpus.ids[0, 0]
-        latents = queried + corrupted + [unmatched]
         assert len(queried) > 20
         profile = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
-        for ids in latents:
+        for ids in queried + corrupted:
             z = latent(corpus, ids)
             assert_profile_is_all_rows_mean(profile(z), corpus, z)
+        # A latent no row matches.
+        unmatched = np.full(corpus.length, mask_id)
+        unmatched[:2] = corpus.ids[0, 1], corpus.ids[0, 0]
+        with pytest.raises(NoMatchError):
+            profile(latent(corpus, unmatched))
 
 
 # The unique-row sums and the all-rows weighted mean round differently.
@@ -954,7 +960,6 @@ class TestMatchState:
                 assert prof.exact is den
                 # numpy drops the read-only flag in pickle; unpickling restores it.
                 shared = [den.unique_of_row, den._unique_weights, *den.consistent_rows(z)]
-                shared += [prof._marginal.omega, prof._marginal.eta]
                 assert not any(a.flags.writeable for a in shared)
             elif op == "fresh":
                 z.ids[:] = args[0]
@@ -970,25 +975,25 @@ class TestMatchState:
             assert np.flatnonzero(np.isin(den.unique_of_row, hit)).tolist() == rows
             for h, wh in zip(hit, w):
                 assert wh == sum(corpus.weights[i] for i in rows if den.unique_of_row[i] == h)
-            # The profile is a fresh build's, bit for bit.
-            profile = prof(z)
-            fresh = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z)
-            assert all(np.array_equal(p, f) for p, f in zip(profile, fresh))
             assert np.flatnonzero(den.match_mask(z)).tolist() == rows
             if rows:
                 oracle = naive_posterior(corpus, z)
                 for l in range(corpus.length):
                     assert np.array_equal(den.predict_row(z, l), oracle[l])
+                # The profile is a fresh build's, bit for bit.
+                omega, eta = prof(z)
+                fresh = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z)
+                assert np.array_equal(omega, fresh[0]) and np.array_equal(eta, fresh[1])
+                w = corpus.weights[rows] / corpus.weights[rows].sum()
+                assert np.allclose(omega, w @ corpus.omega[rows], rtol=0, atol=1e-12)
+                assert np.allclose(eta, w @ corpus.eta[rows], rtol=0, atol=1e-12)
             else:
                 with pytest.raises(NoMatchError):
                     den.target_probs(z.ids[None], z.ids, mask_id)
                 with pytest.raises(NoMatchError):
                     den.predict_row(z, 0)
-            use = rows or list(range(corpus.n))
-            w = corpus.weights[use] / corpus.weights[use].sum()
-            omega, eta = prof(z)
-            assert np.allclose(omega, w @ corpus.omega[use], rtol=0, atol=1e-12)
-            assert np.allclose(eta, w @ corpus.eta[use], rtol=0, atol=1e-12)
+                with pytest.raises(NoMatchError):
+                    prof(z)
 
     def test_rejects_latent_of_other_length(self):
         corpus = make_corpus(["ab", "cd"])

@@ -96,24 +96,27 @@ class Option:
 OPTIONS = {
     "corpus": Option("synth", help="directory, dataset .jsonl, or 'synth'"),
     "strategy": Option("anchor_tree", help="null|keyword|identifier|anchor_tree "
-                       "(comma-separated for eval)"),
+                       "(a comma list on eval only)"),
     "gamma": Option(None, float, help="anchor weight scale"),
     "beta": Option(None, float, help="depth-decay rate"),
     "d0": Option(2, int, help="depth where decay begins"),
-    "schedule": Option("cosine", choices=("cosine", "linear")),
+    "schedule": Option("cosine", choices=("cosine", "linear"), help="noise schedule"),
     "steps": Option("16", help="denoising steps (comma grid for eval)"),
-    "temperature": Option(0.8, float),
-    "remask_rate": Option(None, float),
-    "seed": Option(0, int),
-    "workers": Option(1, int),
-    "n_samples": Option(16, int),
+    "temperature": Option(0.8, float, help="sampling temperature, above 0 (default 0.8)"),
+    "remask_rate": Option(None, float, help="remask probability per step "
+                          "(default 0.1 anchored, 0 null)"),
+    "seed": Option(0, int, help="random seed, at least 0"),
+    "workers": Option(1, int, help="sample's worker processes; 1 on the other subcommands"),
+    "n_samples": Option(16, int, help="generations per strategy and step count, "
+                        "or probes per noise level"),
     "t": Option(0.5, float, commands=("corrupt",), help="noise level in [0, 1]"),
-    "probe_k": Option(3, int, commands=("probe",)),
+    "probe_k": Option(3, int, commands=("probe",), help="ancestor chain length"),
     "probe_t": Option("0.85,0.95", commands=("probe",), help="comma-separated noise levels"),
-    "predictor": Option("exact", choices=PREDICTOR_KINDS, commands=("sample", "eval")),
+    "predictor": Option("exact", choices=PREDICTOR_KINDS, commands=("sample", "eval"),
+                        help="Bayes-exact table or smoothed count model"),
     "length": Option(64, int, help="sequence length L"),
-    "synth_programs": Option(200, int),
-    "synth_depth": Option(6, int),
+    "synth_programs": Option(200, int, help="programs in the synth corpus"),
+    "synth_depth": Option(6, int, help="tree depth of the synth programs, at least 3"),
     "split_max_len": Option(None, int, flag="--split-identifiers",
                             help="split identifiers longer than this many characters"),
     "probe_rule": Option("keyword_first", choices=("keyword_first", "first_token"),
@@ -128,11 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchordiff",
         description="Anchored masked diffusion over mini-language syntax trees",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, summary in SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory (default: timestamped)")
         for name, option in OPTIONS.items():
@@ -199,7 +203,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _anchor_config(resolved: dict, strategy: str | None = None) -> AnchorConfig:
-    name = strategy or str(resolved["strategy"]).split(",")[0]
+    """The anchor config of ``strategy``, or else of ``--strategy``, which
+    names one strategy: only eval sweeps a comma list, one name at a time."""
+    name = str(resolved["strategy"]) if strategy is None else strategy
+    if "," in name:
+        raise ValueError(
+            f"--strategy takes a comma list on eval only; {resolved['command']} got {name!r}"
+        )
     return AnchorConfig.for_strategy(
         AnchorStrategy(name),
         gamma=resolved["gamma"],

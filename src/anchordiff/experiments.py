@@ -315,7 +315,7 @@ def compare_strategies(
         predictors = build_strategy_predictors(
             corpus, anchor_cfg.strategy, predictor_kind
         )
-        loss = _strategy_nelbo(corpus, anchor_cfg.strategy, nelbo_records, nelbo_samples, seed)
+        loss = _strategy_nelbo(corpus, nelbo_records, nelbo_samples, seed)
         for T in t_grid:
             cfg = replace(config, T=T)
             schedule = NoiseSchedule(schedule_kind, T)
@@ -371,19 +371,14 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
-def _strategy_nelbo(
-    corpus: Corpus,
-    strategy: AnchorStrategy,
-    n_records: int,
-    n_samples: int,
-    seed: int,
-) -> float:
-    """NELBO of the strategy's composed predictor, using the count model.
+def _strategy_nelbo(corpus: Corpus, n_records: int, n_samples: int, seed: int) -> float:
+    """NELBO of the count model composed under the corpus's anchor arrays.
 
     The Bayes-exact composition pins its intermediate sequence to one
     corpus program, so at high noise it assigns zero probability to clean
     tokens and its NELBO is infinite by construction; the smoothed count
-    model is the learned-model stand-in and stays finite.
+    model is the learned-model stand-in and stays finite. Under Null the
+    corpus marks no anchor, so the composition scores as the model alone.
     """
     model = BackoffCountModel.fit(corpus)
     schedule = NoiseSchedule(T=16)
@@ -391,12 +386,7 @@ def _strategy_nelbo(
     n = max(1, min(n_records, corpus.n))
     for i in range(n):
         x = LatentSequence(ids=corpus.ids[i].copy(), mask_id=corpus.vocab.mask_id)
-        if strategy is AnchorStrategy.NULL:
-            predictor = model
-        else:
-            predictor = TwoStagePredictor(
-                model, model, corpus.omega[i], corpus.eta[i]
-            )
+        predictor = TwoStagePredictor(model, model, corpus.omega[i], corpus.eta[i])
         report = nelbo(x, predictor, schedule, n_samples, np.random.default_rng([seed, 7, i]))
         total += report.estimate
     return total / n

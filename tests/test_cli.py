@@ -191,6 +191,12 @@ class TestExitCodes:
             ["sample", "--config", "OUT_KEY"],
             ["sample", "--config", "CONFIG_KEY"],
             ["sample", "--config", "TEXT_PROBE_K"],
+            ["annotate", "--strategy", "anchor_tree,bogus"],
+            ["corrupt", "--strategy", "null,keyword"],
+            ["sample", "--strategy", "null,anchor_tree"],
+            ["probe", "--strategy", "anchor_tree,null"],
+            ["sample", "--config", "STRATEGY_LIST"],
+            ["probe", "--config", "STRATEGY_LIST"],
         ],
         ids=["corrupt-t", "sample-steps", "sample-temperature", "eval-steps",
              "probe-t", "sample-strategy", "malformed-config", "config-predictor",
@@ -207,9 +213,11 @@ class TestExitCodes:
              "probe-workers-2", "eval-workers-2", "eval-strategy-repeat",
              "eval-strategy-repeat-spaced", "eval-steps-repeat", "probe-t-repeat",
              "config-unknown-keys", "config-out-key", "config-config-key",
-             "config-other-command-key"],
+             "config-other-command-key", "annotate-strategy-list", "corrupt-strategy-list",
+             "sample-strategy-list", "probe-strategy-list", "sample-config-strategy-list",
+             "probe-config-strategy-list"],
     )
-    def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+    def test_rejected_input_exits_2_and_writes_nothing(self, tmp_path, capsys, request, argv):
         configs = {
             "BAD_JSON": "{not json",
             "BOGUS_PREDICTOR": '{"predictor": "bogus"}',
@@ -230,6 +238,8 @@ class TestExitCodes:
             "CONFIG_KEY": '{"config": "other.json"}',
             # sample takes no --probe-k, but the value is checked as probe's flag checks it.
             "TEXT_PROBE_K": '{"probe_k": "x"}',
+            # Only eval sweeps a comma list of strategies.
+            "STRATEGY_LIST": '{"strategy": "null,anchor_tree"}',
         }
         paths = {name: tmp_path / name for name in configs}
         for name, text in configs.items():
@@ -241,7 +251,10 @@ class TestExitCodes:
         out = tmp_path / "run"
         # BASE first, so that a row's own --corpus overrides BASE's.
         assert main([command, *BASE, *rest, "--out", str(out)]) == 2
-        assert "input error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input error" in err
+        if "strategy-list" in request.node.callspec.id:
+            assert "--strategy takes a comma list on eval only" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["annotate", "sample"])
@@ -731,6 +744,37 @@ class TestOneFrontEnd:
         assert main([*argv, *BASE, "--corpus", str(path), "--out", str(tmp_path / "r")]) == 0
         assert len(calls) == len(sources)
 
+    @pytest.mark.parametrize("kind", ["synth", "jsonl", "directory"])
+    def test_load_records_parses_each_distinct_program_once(self, tmp_path, monkeypatch, kind):
+        # The annotation is the front end's only parse on every corpus path:
+        # the synth generator makes text, and each distinct program is
+        # parsed where it is annotated.
+        from anchordiff import cli, synth_corpus
+        from anchordiff.minilang.parser import _Parser
+
+        calls = []
+        real = _Parser.parse_module
+        monkeypatch.setattr(_Parser, "parse_module", lambda self: calls.append(self) or real(self))
+        sources = synth_corpus(seed=cli.SYNTH_SEED, n_programs=60, max_depth=6)
+        assert calls == []
+        config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
+        corpus = tmp_path / "corpus"
+        if kind == "synth":
+            corpus = "synth"
+        elif kind == "jsonl":
+            corpus = tmp_path / "data.jsonl"
+            records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
+            corpus.write_text(dataset_to_jsonl(records, config))
+            calls.clear()
+        else:
+            corpus.mkdir()
+            for i, src in enumerate(sources):
+                (corpus / f"p{i:02d}.mini").write_text(src)
+        resolved = {**cli.DEFAULTS, "corpus": str(corpus), "synth_programs": len(sources)}
+        records = cli.load_records(resolved, config)
+        assert [rec.source for rec in records] == sources
+        assert len(calls) == len(set(sources)) < len(sources)
+
     @pytest.mark.parametrize("argv", CORPUS_COMMANDS, ids=CORPUS_COMMAND_IDS)
     def test_subcommand_returns_its_files_and_writes_nothing(self, tmp_path, monkeypatch, argv):
         from anchordiff import cli
@@ -950,17 +994,27 @@ class TestOptionSurface:
 
         others = [f for f in FLAGS if f not in takes(command)]
         assert others
-        if "--t" in others:
-            # argparse takes an unambiguous prefix of a flag for the flag, so
-            # without corrupt's own --t, "--t" is short for --temperature.
-            others.remove("--t")
-            args = build_parser().parse_args([command, "--t", "0.25"])
-            assert args.temperature == 0.25 and not hasattr(args, "t")
         for flag in others:
             with pytest.raises(SystemExit) as err:
                 main([command, flag, FLAGS[flag][1]])
             assert err.value.code == 2, flag
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_a_prefix_of_a_flag_exits_2(self, command, capsys):
+        # No flag is read as an abbreviation: "--n" is not --n-samples.
+        for flag in takes(command):
+            prefix = flag[:-1]
+            if len(prefix) > 2 and prefix not in FLAGS:  # "--" alone ends the options
+                with pytest.raises(SystemExit) as err:
+                    main([command, prefix, FLAGS[flag][1]])
+                assert err.value.code == 2, prefix
+                assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+
+    def test_every_option_has_help(self):
+        from anchordiff.cli import OPTIONS
+
+        assert [name for name, option in OPTIONS.items() if not option.help] == []
 
     @pytest.mark.parametrize("command", COMMAND_NAMES)
     def test_help_lists_exactly_the_flags_it_takes(self, command, capsys):

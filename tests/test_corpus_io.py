@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import pickle
 
@@ -27,10 +28,17 @@ from anchordiff import (
     tokenize,
 )
 from anchordiff import corpus_io
-from anchordiff.cli import DEFAULTS, load_records
+from anchordiff.cli import DEFAULTS, load_records, main
 from anchordiff.corpus_io import annotator, encode_tokens, reweight, reweight_records
 from anchordiff.diffusion import Vocab
-from anchordiff.minilang import MASK_SURFACE, PAD_SURFACE, is_syntactically_valid, token_surfaces
+from anchordiff.minilang import (
+    MASK_SURFACE,
+    PAD_SURFACE,
+    ParseError,
+    is_syntactically_valid,
+    parse,
+    token_surfaces,
+)
 
 
 CFG = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
@@ -237,13 +245,25 @@ class TestSynthCorpus:
         depths = {d for r in synth_records for d in r.depth.tolist()}
         assert depths >= {0, 1, 2, 3, 4, 5, 6}
 
-    def test_invalid_distinct_program_still_raises(self, monkeypatch):
-        # Validation parses each distinct program once; a single invalid
-        # one among many duplicates must still be caught.
-        made = iter(["x = 1\n"] * 5 + ["x = (\n"] + ["x = 1\n"] * 5)
-        monkeypatch.setattr(corpus_io, "_generate_program", lambda rnd, layers: next(made))
-        with pytest.raises(AssertionError, match="invalid program"):
-            synth_corpus(seed=0, n_programs=11, max_depth=6)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(3, 8))
+    def test_every_distinct_program_parses(self, seed, n_programs, max_depth):
+        for text in dict.fromkeys(synth_corpus(seed, n_programs, max_depth)):
+            parse(text)
+
+    def test_invalid_program_raises_where_it_is_annotated(self, tmp_path, monkeypatch):
+        # synth_corpus only makes text; the annotation that every caller
+        # runs is what rejects a program that does not parse, even one
+        # invalid program among many duplicates.
+        programs = itertools.cycle(["x = 1\n"] * 5 + ["x = (\n"] + ["x = 1\n"] * 5)
+        monkeypatch.setattr(corpus_io, "_generate_program", lambda rnd, layers: next(programs))
+        resolved = {**DEFAULTS, "corpus": "synth", "synth_programs": 11}
+        with pytest.raises(ParseError):
+            load_records(resolved, CFG)
+        out = tmp_path / "run"
+        with pytest.raises(ParseError):
+            main(["annotate", "--synth-programs", "11", "--out", str(out)])
+        assert not out.exists()
 
     def test_min_depth_guard(self):
         with pytest.raises(ValueError):

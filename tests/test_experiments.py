@@ -391,6 +391,27 @@ class TestCompareStrategies:
             for name in ("ids", "weights", "omega", "eta", "depth", "chain"):
                 assert np.array_equal(getattr(corpus, name), getattr(fresh, name)), name
 
+    def test_null_nelbo_is_the_models_own(self, synth_records):
+        # Under Null no position is an anchor, so the composed predictor
+        # eval scores gives the count model's probabilities bit for bit.
+        from anchordiff import BackoffCountModel, LatentSequence, nelbo
+        from anchordiff.corpus_io import reweight_records
+
+        null = AnchorConfig.for_strategy(AnchorStrategy.NULL)
+        config = SamplerConfig(T=2, strategy=null, remask_rate=0.0, seed=0)
+        [row] = compare_strategies(
+            synth_records[:40], [config], [2], 1, ScheduleKind.COSINE, seed=5, length=64,
+        )
+        corpus = build_corpus(reweight_records(synth_records[:40], null), length=64)
+        assert not corpus.omega.any()
+        model = BackoffCountModel.fit(corpus)
+        total = 0.0
+        for i in range(6):
+            x = LatentSequence(ids=corpus.ids[i].copy(), mask_id=corpus.vocab.mask_id)
+            rng = np.random.default_rng([5, 7, i])
+            total += nelbo(x, model, NoiseSchedule(T=16), 96, rng).estimate
+        assert row.nelbo == total / 6
+
     def test_exact_posterior_generations_fully_valid(self, rows):
         # Sequential exact-posterior sampling stays on-corpus, so every
         # generation parses.

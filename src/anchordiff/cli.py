@@ -100,14 +100,18 @@ OPTIONS = {
     "gamma": Option(None, float, help="anchor weight scale"),
     "beta": Option(None, float, help="depth-decay rate"),
     "d0": Option(2, int, help="depth where decay begins"),
-    "schedule": Option("cosine", choices=("cosine", "linear"), help="noise schedule"),
-    "steps": Option("16", help="denoising steps (comma grid for eval)"),
-    "temperature": Option(0.8, float, help="sampling temperature, above 0 (default 0.8)"),
-    "remask_rate": Option(None, float, help="remask probability per step "
-                          "(default 0.1 anchored, 0 null)"),
+    "schedule": Option("cosine", choices=("cosine", "linear"),
+                       commands=("corrupt", "sample", "eval"), help="noise schedule"),
+    "steps": Option("16", commands=("corrupt", "sample", "eval"),
+                    help="denoising steps (comma grid for eval)"),
+    "temperature": Option(0.8, float, commands=("sample", "eval"),
+                          help="sampling temperature, above 0 (default 0.8)"),
+    "remask_rate": Option(None, float, commands=("sample", "eval"),
+                          help="remask probability per step (default 0.1 anchored, 0 null)"),
     "seed": Option(0, int, help="random seed, at least 0"),
     "workers": Option(1, int, help="sample's worker processes; 1 on the other subcommands"),
-    "n_samples": Option(16, int, help="generations per strategy and step count, "
+    "n_samples": Option(16, int, commands=("sample", "probe", "eval"),
+                        help="generations per strategy and step count, "
                         "or probes per noise level"),
     "t": Option(0.5, float, commands=("corrupt",), help="noise level in [0, 1]"),
     "probe_k": Option(3, int, commands=("probe",), help="ancestor chain length"),
@@ -227,7 +231,8 @@ def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
     file name; each directory file that does not read or parse is named on
     stderr. A dataset file's records keep their ids and tokens, so such a
     corpus takes no ``--split-identifiers``; each line is checked against
-    its source's annotation and reweighted once per distinct program.
+    its source's annotation under the header's config, and the records are
+    reweighted, once per distinct program, only where ``anchor`` differs.
     """
     spec = resolved["corpus"]
     path = Path(spec)
@@ -245,7 +250,9 @@ def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
     elif path.is_file() and path.suffix == ".jsonl":
         if split is not None:
             raise ValueError("a .jsonl corpus keeps its own tokens; drop --split-identifiers")
-        records = reweight_records(load_dataset(path)[0], anchor)
+        records, stored = load_dataset(path)
+        if _weight_key(stored) != _weight_key(anchor):
+            records = reweight_records(records, anchor)
     else:
         result = ingest([path], anchor, split)
         for skipped, reason in result.skipped:
@@ -256,6 +263,12 @@ def load_records(resolved: dict, anchor: AnchorConfig) -> list[DatasetRecord]:
     if not any(rec.tokens for rec in records):
         raise EmptyCorpusError(f"no tokens in corpus {path}: every program is empty")
     return records
+
+
+def _weight_key(config: AnchorConfig) -> tuple:
+    """What the anchor arrays depend on: the config, and the sign of a zero
+    gamma, which ``0.0 == -0.0`` leaves out but eta's zeros carry."""
+    return config, math.copysign(1.0, config.gamma)
 
 
 def _sampler_config(resolved: dict, anchor: AnchorConfig, T: int) -> SamplerConfig:

@@ -6,7 +6,11 @@ one record per line. Records serialize tokens with exact spans plus the
 per-token annotation arrays, and round-trip bit-exactly. Loading annotates
 each distinct program once per call, keyed by its source and identifier
 split, and rejects a line whose stored fields disagree with that
-annotation, or a header whose record count is wrong.
+annotation, or a header whose record count is wrong. ``load_dataset``
+streams its file: one pass counts the lines, a second checks them one at
+a time, and each distinct program's check form is its annotation plus its
+tokens as ``(text, kind, start, end)`` rows. The check itself is the
+whole-text loader's, field by field, with the same verdicts and messages.
 
 A corpus repeats programs (the 2,000 synth programs hold 667 distinct
 sources). Within one call, the loaders, ``reweight_records`` and
@@ -19,7 +23,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -270,20 +277,37 @@ def build_corpus(
 # -- JSONL serialization ---------------------------------------------------
 
 
+_TOKEN_FIELDS = ("text", "kind", "start", "end")
+_TOKEN_ROW = itemgetter(*_TOKEN_FIELDS)
+_ARRAY_FIELDS = ("node_id", "depth", "omega", "eta", "mu")
+_RECORD_FIELDS = frozenset({"id", "source", "tokens", *_ARRAY_FIELDS})
+
+
+def _token_rows(tokens: list[Token]) -> list[tuple[str, str, int, int]]:
+    """Each token as its stored ``(text, kind, start, end)``."""
+    return [(t.text, t.kind.value, t.start, t.end) for t in tokens]
+
+
 def _record_to_dict(rec: DatasetRecord) -> dict:
     return {
         "id": rec.record_id,
         "source": rec.source,
-        "tokens": [
-            {"text": t.text, "kind": t.kind.value, "start": t.start, "end": t.end}
-            for t in rec.tokens
-        ],
-        "node_id": rec.node_id.tolist(),
-        "depth": rec.depth.tolist(),
-        "omega": rec.omega.tolist(),
-        "eta": rec.eta.tolist(),
-        "mu": rec.mu.tolist(),
+        "tokens": [dict(zip(_TOKEN_FIELDS, row)) for row in _token_rows(rec.tokens)],
+        **{name: getattr(rec, name).tolist() for name in _ARRAY_FIELDS},
     }
+
+
+def _same_tokens(stored, rows: list[tuple]) -> bool:
+    """Whether a stored token list equals the dict form of ``rows``: a list
+    of dicts, each with exactly the four fields, whose values equal the
+    rows'. A token that is not a dict, or lacks a field, fails the lookup."""
+    if type(stored) is not list:
+        return False
+    try:
+        stored_rows = list(map(_TOKEN_ROW, stored))
+    except (KeyError, TypeError):
+        return False
+    return stored_rows == rows and sum(map(len, stored)) == len(_TOKEN_FIELDS) * len(rows)
 
 
 def _record_from_dict(data: dict, config: AnchorConfig, annotated: dict) -> DatasetRecord:
@@ -292,21 +316,28 @@ def _record_from_dict(data: dict, config: AnchorConfig, annotated: dict) -> Data
     Identifiers are split at the length of the longest stored Identifier
     token, which reproduces the chunks of a split dataset and splits nothing
     in an unsplit one. ``annotated`` maps each (source, split length) met
-    so far in the load to its annotation and that annotation's dict form,
+    so far in the load to its annotation and that annotation's token rows,
     so a repeated program is annotated once. Every stored field must still
-    equal the annotation's, on every line.
+    equal ``_record_to_dict`` of the annotation, on every line: the tokens
+    as rows, the arrays as lists, and a key the form lacks only as ``null``.
+    The id is the line's own and the source keys the memo, so neither can
+    disagree.
     """
     if not isinstance(data["id"], str):
         raise ValueError(f"id must be a string, got {data['id']!r}")
-    lengths = [len(t["text"]) for t in data["tokens"] if t["kind"] == TokenKind.IDENTIFIER.value]
+    identifier = TokenKind.IDENTIFIER.value
+    lengths = [len(t["text"]) for t in data["tokens"] if t["kind"] == identifier]
     key = (data["source"], max(lengths, default=None))
     if key not in annotated:
         rec = annotate_program(key[0], config, split_max_len=key[1])
-        annotated[key] = rec, _record_to_dict(rec)
-    rec, fresh = annotated[key]
-    fresh = {**fresh, "id": data["id"]}
-    wrong = sorted(k for k in fresh.keys() | data.keys() if fresh.get(k) != data.get(k))
+        annotated[key] = rec, _token_rows(rec.tokens)
+    rec, rows = annotated[key]
+    wrong = [k for k in data.keys() - _RECORD_FIELDS if data[k] is not None]
+    if not _same_tokens(data["tokens"], rows):
+        wrong.append("tokens")
+    wrong.extend(k for k in _ARRAY_FIELDS if getattr(rec, k).tolist() != data.get(k))
     if wrong:
+        wrong.sort()
         raise ValueError(f"fields disagree with the source's annotation: {', '.join(wrong)}")
     return replace(rec, record_id=data["id"])
 
@@ -323,7 +354,8 @@ def dataset_to_jsonl(records: list[DatasetRecord], config: AnchorConfig) -> str:
         json.dumps(_record_to_dict(r), sort_keys=True, separators=(",", ":"))
         for r in records
     )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, so the text is made by one join
+    return "\n".join(lines)
 
 
 def _config_from_header(header: dict, n_records: int) -> AnchorConfig:
@@ -347,17 +379,44 @@ def _from_line(number: int, line: str, build):
         ) from exc
 
 
-def dataset_from_jsonl(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]:
-    lines = [(n, ln) for n, ln in enumerate(payload.splitlines(), 1) if ln.strip()]
-    if not lines:
+def _numbered_lines(physical_lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The non-blank lines, each with its number as ``str.splitlines`` of
+    the whole text numbers it. Physical lines end at ``\\n``, ``\\r`` or
+    ``\\r\\n``; splitting each again breaks it at the other boundaries that
+    ``splitlines`` knows, such as ``\\x0c`` and ``\\u2028``."""
+    number = 0
+    for physical in physical_lines:
+        for line in physical.splitlines():
+            number += 1
+            if line.strip():
+                yield number, line
+
+
+def _read_dataset(physical_lines) -> tuple[list[DatasetRecord], AnchorConfig]:
+    """The dataset of the text that ``physical_lines()`` yields, read twice.
+    The first pass counts the records, so the whole text is read (and a
+    file decoded) before the header is checked against the count; the
+    second checks and annotates one line at a time."""
+    n_lines = sum(1 for _ in _numbered_lines(physical_lines()))
+    if not n_lines:
         raise EmptyCorpusError("empty dataset file")
-    config = _from_line(*lines[0], lambda header: _config_from_header(header, len(lines) - 1))
+    lines = _numbered_lines(physical_lines())
+    config = _from_line(*next(lines), lambda header: _config_from_header(header, n_lines - 1))
     annotated: dict = {}  # for this call only
     records = [
         _from_line(n, ln, lambda data: _record_from_dict(data, config, annotated))
-        for n, ln in lines[1:]
+        for n, ln in lines
     ]
     return records, config
+
+
+# A physical line as ``open(..., newline="")`` reads one: up to and
+# including its ``\n``, ``\r\n`` or ``\r``, or the unended rest of the text.
+_PHYSICAL_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def dataset_from_jsonl(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]:
+    return _read_dataset(lambda: (m.group() for m in _PHYSICAL_LINE.finditer(payload)))
 
 
 def save_dataset(path: str | Path, records: list[DatasetRecord], config: AnchorConfig) -> None:
@@ -365,7 +424,22 @@ def save_dataset(path: str | Path, records: list[DatasetRecord], config: AnchorC
 
 
 def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], AnchorConfig]:
-    return dataset_from_jsonl(Path(path).read_text(encoding="utf-8"))
+    """The dataset in the file at ``path``, streamed: the whole text is
+    never held, only one line and the records made so far."""
+    with open(path, encoding="utf-8", newline="") as stream:
+
+        def physical_lines():
+            stream.seek(0)
+            return stream
+
+        try:
+            return _read_dataset(physical_lines)
+        except UnicodeDecodeError:
+            # Raised in the first pass, at an offset into the chunk being
+            # decoded. Decoding the whole text raises it at its offset in
+            # the file.
+            Path(path).read_text(encoding="utf-8")
+            raise
 
 
 # -- synthetic corpus -------------------------------------------------------

@@ -80,7 +80,7 @@ def assign_nodes(tree: SyntaxTree, tokens: list[Token]) -> np.ndarray:
     # intersects a node starting at ns.
     reach = list(accumulate((end for _, end, _ in live), max))
     home: list[int | None] = [None] * len(tokens)
-    for node in sorted(tree.nodes.values(), key=lambda n: (-n.depth, n.span[0], n.id)):
+    for node in sorted(tree.nodes, key=lambda n: (-n.depth, n.span[0], n.id)):
         ns, ne = node.span
         if ns >= ne:
             continue
@@ -200,7 +200,7 @@ def chain_lengths(tree: SyntaxTree, node_id: np.ndarray) -> np.ndarray:
     homes = node_id.tolist()
     bearing = set(homes)
     nodes = tree.nodes
-    above = {tree.root: 0}
+    above = [0] * len(nodes)
     todo = [tree.root]
     while todo:
         node = todo.pop()

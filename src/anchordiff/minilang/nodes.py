@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 class NodeKind(enum.Enum):
@@ -29,7 +30,7 @@ class NodeKind(enum.Enum):
     EXPR_STMT = "ExprStmt"
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     """One tree node: kind, byte span, ordered children, depth (root = 0).
 
@@ -48,13 +49,20 @@ class AstNode:
 
 
 class SyntaxTree:
-    """Parsed program: node table, root id, and the original source."""
+    """Parsed program: node table, root id, and the original source.
+
+    Node ids are ``0..n-1``, the parser's creation order, so ``nodes`` and
+    the parent map are lists indexed by node id; ``nodes`` holds the nodes
+    in id order whatever order they are passed in.
+    """
 
     def __init__(self, source: str, nodes: list[AstNode], root: int):
         self.source = source
-        self.nodes = {n.id: n for n in nodes}
+        self.nodes: list[AstNode] = sorted(nodes, key=attrgetter("id"))
+        if [n.id for n in self.nodes] != list(range(len(nodes))):
+            raise ValueError("node ids must be 0..n-1")
         self.root = root
-        self._parent: dict[int, int] = {}
+        self._parent: list[int | None] = [None] * len(nodes)
         for node in nodes:
             for child in node.children:
                 self._parent[child] = node.id
@@ -63,7 +71,7 @@ class SyntaxTree:
         return self.nodes[node_id]
 
     def parent(self, node_id: int) -> int | None:
-        return self._parent.get(node_id)
+        return self._parent[node_id]
 
     def depth(self, node_id: int) -> int:
         return self.nodes[node_id].depth
@@ -72,11 +80,11 @@ class SyntaxTree:
         """True when node ``a`` lies strictly above node ``b``."""
         if a == b:
             return False
-        cur = self._parent.get(b)
+        cur = self._parent[b]
         while cur is not None:
             if cur == a:
                 return True
-            cur = self._parent.get(cur)
+            cur = self._parent[cur]
         return False
 
     def pretty(self) -> str:

@@ -1,11 +1,13 @@
 """Independent brute-force reference implementations used only by tests.
 
-Each oracle recomputes a result through a second, naive code path: full
-node-table scans for token assignment, one parser method per precedence
-level, a tree climb per position for the probe's targets, per-sequence
-loops for the posterior, explicit state-space enumeration for reverse
-chains, a dict-of-contexts count model, dense (L, K) rows behind the
-predictor queries, and a one-draw-at-a-time loss loop.
+Each oracle recomputes a result through a second, naive code path: a
+dataset loader that holds the whole text and checks each line against a
+dict form of its annotation, full node-table scans for token assignment,
+one parser method per precedence level, a tree climb per position for
+the probe's targets, per-sequence loops for the posterior, explicit
+state-space enumeration for reverse chains, a dict-of-contexts count
+model, dense (L, K) rows behind the predictor queries, and a
+one-draw-at-a-time loss loop.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 import json
 import math
 from collections import defaultdict
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -34,12 +38,72 @@ from anchordiff.diffusion import (
     corrupt,
     temper_row,
 )
-from anchordiff.anchors import AnchorStrategy
+from anchordiff.anchors import AnchorConfig, AnchorStrategy
+from anchordiff.corpus_io import (
+    DatasetRecord,
+    EmptyCorpusError,
+    _config_from_header,
+    _from_line,
+    annotate_program,
+)
 from anchordiff.hierarchy import max_chain_length, positions_by_node
 from anchordiff.minilang import SyntaxTree, Token, TokenKind, tokenize
 from anchordiff.minilang.nodes import NodeKind
 from anchordiff.minilang.parser import _Parser
 from anchordiff.schedule import NoiseSchedule, lambda_weight, step_times, unmask_prob
+
+
+def _record_dict(rec: DatasetRecord) -> dict:
+    return {
+        "id": rec.record_id,
+        "source": rec.source,
+        "tokens": [
+            {"text": t.text, "kind": t.kind.value, "start": t.start, "end": t.end}
+            for t in rec.tokens
+        ],
+        "node_id": rec.node_id.tolist(),
+        "depth": rec.depth.tolist(),
+        "omega": rec.omega.tolist(),
+        "eta": rec.eta.tolist(),
+        "mu": rec.mu.tolist(),
+    }
+
+
+def _whole_dict_record(data: dict, config: AnchorConfig, annotated: dict) -> DatasetRecord:
+    if not isinstance(data["id"], str):
+        raise ValueError(f"id must be a string, got {data['id']!r}")
+    lengths = [len(t["text"]) for t in data["tokens"] if t["kind"] == TokenKind.IDENTIFIER.value]
+    key = (data["source"], max(lengths, default=None))
+    if key not in annotated:
+        rec = annotate_program(key[0], config, split_max_len=key[1])
+        annotated[key] = rec, _record_dict(rec)
+    rec, fresh = annotated[key]
+    fresh = {**fresh, "id": data["id"]}
+    wrong = sorted(k for k in fresh.keys() | data.keys() if fresh.get(k) != data.get(k))
+    if wrong:
+        raise ValueError(f"fields disagree with the source's annotation: {', '.join(wrong)}")
+    return replace(rec, record_id=data["id"])
+
+
+def whole_text_dataset(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]:
+    """``dataset_from_jsonl`` over the whole text at once: ``splitlines``,
+    then each line compared with the full dict form of its program's
+    annotation, which is made once per (source, split length)."""
+    lines = [(n, ln) for n, ln in enumerate(payload.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise EmptyCorpusError("empty dataset file")
+    config = _from_line(*lines[0], lambda header: _config_from_header(header, len(lines) - 1))
+    annotated: dict = {}
+    records = [
+        _from_line(n, ln, lambda data: _whole_dict_record(data, config, annotated))
+        for n, ln in lines[1:]
+    ]
+    return records, config
+
+
+def whole_text_load(path) -> tuple[list[DatasetRecord], AnchorConfig]:
+    """``load_dataset`` that reads the whole file first."""
+    return whole_text_dataset(Path(path).read_text(encoding="utf-8"))
 
 
 def naive_node_assignment(tree: SyntaxTree, tokens: list[Token]) -> list[int]:
@@ -49,7 +113,7 @@ def naive_node_assignment(tree: SyntaxTree, tokens: list[Token]) -> list[int]:
     for tok in tokens:
         ts, te = tok.span
         candidates = []
-        for node in tree.nodes.values():
+        for node in tree.nodes:
             ns, ne = node.span
             if ts == te:
                 hit = ns <= ts < ne

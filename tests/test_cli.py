@@ -163,7 +163,7 @@ class TestExitCodes:
             ["sample", "--gamma", "nan"],
             ["sample", "--beta", "inf"],
             ["eval", "--gamma", "nan"],
-            ["annotate", "--remask-rate", "nan"],
+            ["annotate", "--config", "NAN_REMASK_RATE"],
             ["sample", "--config", "NAN_GAMMA"],
             ["sample", "--config", "INFINITE_BETA"],
             ["sample", "--config", "OVERFLOWING_GAMMA"],
@@ -230,6 +230,8 @@ class TestExitCodes:
             "TEXT_GAMMA": '{"gamma": "x"}',
             "BOGUS_RULE": '{"probe_rule": "bogus"}',
             "NAN_GAMMA": '{"gamma": NaN}',
+            # annotate takes no --remask-rate; a config file may still set it.
+            "NAN_REMASK_RATE": '{"remask_rate": NaN}',
             "INFINITE_BETA": '{"beta": Infinity}',
             "OVERFLOWING_GAMMA": '{"gamma": 1e400}',
             "HUGE_INT_TEMPERATURE": '{"temperature": 1' + "0" * 400 + "}",
@@ -378,10 +380,10 @@ DRAWN_KEYS = ("n_samples", "workers", "probe_k", "length", "steps", "t", "probe_
 # they are passed as flags, each to the subcommands that have the flag.
 EXTREME_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
 FLAG_COMMANDS = {
-    "temperature": None,
+    "temperature": ("sample", "eval"),
     "gamma": None,
     "beta": None,
-    "remask-rate": None,
+    "remask-rate": ("sample", "eval"),
     "t": ("corrupt",),
     "probe-t": ("probe",),
 }
@@ -900,13 +902,13 @@ FLAGS = {
     "--gamma": ("gamma", "0.5", 0.5, None),
     "--beta": ("beta", "0.25", 0.25, None),
     "--d0": ("d0", "3", 3, None),
-    "--schedule": ("schedule", "linear", "linear", None),
-    "--steps": ("steps", "8,16", "8,16", None),
-    "--temperature": ("temperature", "1.5", 1.5, None),
-    "--remask-rate": ("remask_rate", "0.2", 0.2, None),
+    "--schedule": ("schedule", "linear", "linear", ("corrupt", "sample", "eval")),
+    "--steps": ("steps", "8,16", "8,16", ("corrupt", "sample", "eval")),
+    "--temperature": ("temperature", "1.5", 1.5, ("sample", "eval")),
+    "--remask-rate": ("remask_rate", "0.2", 0.2, ("sample", "eval")),
     "--seed": ("seed", "7", 7, None),
     "--workers": ("workers", "2", 2, None),
-    "--n-samples": ("n_samples", "5", 5, None),
+    "--n-samples": ("n_samples", "5", 5, ("sample", "probe", "eval")),
     "--length": ("length", "32", 32, None),
     "--synth-programs": ("synth_programs", "12", 12, None),
     "--synth-depth": ("synth_depth", "4", 4, None),
@@ -999,6 +1001,26 @@ class TestOptionSurface:
                 main([command, flag, FLAGS[flag][1]])
             assert err.value.code == 2, flag
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["annotate", "--temperature", "5", "--steps", "3", "--n-samples", "9",
+             "--schedule", "linear"],
+            ["probe", "--schedule", "linear"],
+            ["corrupt", "--n-samples", "9"],
+        ],
+        ids=["annotate-sampling-flags", "probe-schedule", "corrupt-n-samples"],
+    )
+    def test_a_flag_the_subcommand_does_not_use_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, argv
+    ):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMAND_NAMES)
     def test_a_prefix_of_a_flag_exits_2(self, command, capsys):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchordiff import (
@@ -39,6 +41,8 @@ from anchordiff.minilang import (
     parse,
     token_surfaces,
 )
+
+from .oracles import whole_text_dataset, whole_text_load
 
 
 CFG = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
@@ -439,3 +443,220 @@ class TestSharedAnnotation:
         for got, want in zip(moved, fresh, strict=True):
             assert_same_record(got, reweight(want, self.KEYWORD))
         assert_shared_and_read_only(moved)
+
+
+class TestDatasetCorpusWeights:
+    """A dataset corpus is reweighted only under a config other than its
+    header's: under an equal one, reweighting would remake the same arrays."""
+
+    ZERO = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE, gamma=0.0)
+
+    @pytest.mark.parametrize(
+        "stored, anchor, reweighted",
+        [
+            (CFG, CFG, False),
+            (CFG, AnchorConfig.for_strategy(AnchorStrategy.KEYWORD), True),
+            (CFG, AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE, beta=0.1), True),
+            # -0.0 == 0.0, but eta's zeros carry gamma's sign.
+            (ZERO, AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE, gamma=-0.0), True),
+        ],
+        ids=["equal", "keyword", "other-beta", "negative-zero-gamma"],
+    )
+    def test_fields_equal_reweight_records(self, tmp_path, monkeypatch, synth_sources, stored,
+                                           anchor, reweighted):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, [annotate_program(s, stored, str(i))
+                            for i, s in enumerate(synth_sources[:12])], stored)
+        calls = []
+        monkeypatch.setattr("anchordiff.cli.reweight_records",
+                            lambda records, config: calls.append(config) or
+                            reweight_records(records, config))
+        records = load_records({**DEFAULTS, "corpus": str(path)}, anchor)
+        assert calls == ([anchor] if reweighted else [])
+        loaded, _ = load_dataset(path)
+        want = dataset_to_jsonl(reweight_records(loaded, anchor), anchor)
+        assert dataset_to_jsonl(records, anchor) == want
+        assert (dataset_to_jsonl(loaded, anchor) != want) == reweighted
+
+
+# -- streaming load against the whole-text loader ------------------------------
+
+_EDIT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 300), st.floats(-2, 2), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}),
+)
+_RECORD_KEYS = ["id", "source", "tokens", "node_id", "depth", "omega", "eta", "mu", "extra"]
+_JSON_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 6), st.sampled_from(_RECORD_KEYS), _EDIT_VALUES),
+    st.tuples(st.just("copy"), st.integers(0, 6), st.sampled_from(_RECORD_KEYS),
+              st.integers(0, 6)),
+    st.tuples(st.just("nudge"), st.integers(0, 6),
+              st.sampled_from(["node_id", "depth", "omega", "eta", "mu"]), st.integers(0, 60)),
+    st.tuples(st.just("drop"), st.integers(0, 6), st.sampled_from(_RECORD_KEYS)),
+    st.tuples(st.just("token"), st.integers(0, 6), st.integers(0, 60),
+              st.sampled_from(["text", "kind", "start", "end", "extra"]), _EDIT_VALUES),
+    st.tuples(st.just("token-drop"), st.integers(0, 6), st.integers(0, 60),
+              st.sampled_from(["text", "kind", "start", "end"])),
+    st.tuples(st.just("count"), st.integers(-2, 2)),
+)
+_BREAKS = ["\r\n", "\r", "\n", "\x0c", "\x0b", "\x1c", "\x85", " ", " "]
+_TEXT_EDITS = st.one_of(
+    st.tuples(st.just("blank"), st.integers(0, 7), st.sampled_from(["", "  ", "\t", "\x0c"])),
+    st.tuples(st.just("break"), st.integers(0, 7), st.integers(0, 4000),
+              st.sampled_from(_BREAKS)),
+)
+
+
+def _base_dataset() -> list[dict]:
+    """A header and seven records: repeated programs, one of them split,
+    and an empty program, which has no tokens."""
+    sources = [*synth_corpus(seed=20260809, n_programs=60, max_depth=6)[:4], ""]
+    picks = [(0, None), (1, None), (0, None), (2, 3), (2, 3), (3, None), (4, None)]
+    records = [annotate_program(sources[k], CFG, f"r{i}", split) for i, (k, split) in
+               enumerate(picks)]
+    return [json.loads(line) for line in dataset_to_jsonl(records, CFG).splitlines()]
+
+
+_BASE = _base_dataset()
+
+
+def _edited_payload(json_edits, text_edits, ending) -> str:
+    header, *rows = json.loads(json.dumps(_BASE))
+    for edit in json_edits:
+        kind, *args = edit
+        if kind == "count":
+            header["count"] += args[0]
+            continue
+        row = rows[args[0]]
+        if kind == "set":
+            row[args[1]] = args[2]
+        elif kind == "copy":
+            row[args[1]] = rows[args[2]].get(args[1])
+        elif kind == "nudge" and isinstance(row.get(args[1]), list) and row[args[1]]:
+            values = row[args[1]]
+            values[args[2] % len(values)] += 1
+        elif kind == "drop":
+            row.pop(args[1], None)
+        elif kind.startswith("token") and isinstance(row.get("tokens"), list) and row["tokens"]:
+            tok = row["tokens"][args[1] % len(row["tokens"])]
+            if isinstance(tok, dict):
+                if kind == "token":
+                    tok[args[2]] = args[3]
+                else:
+                    tok.pop(args[2], None)
+    lines = [json.dumps(header), *(json.dumps(row) for row in rows)]
+    for kind, where, *args in text_edits:
+        where %= len(lines) + 1
+        if kind == "blank":
+            lines.insert(where, args[0])
+        elif where < len(lines):
+            at = args[0] % (len(lines[where]) + 1)
+            lines[where] = lines[where][:at] + args[1] + lines[where][at:]
+    return ending.join(lines) + ending
+
+
+def _outcome(load, arg):
+    try:
+        records, config = load(arg)
+    except Exception as exc:  # the verdict under test
+        return type(exc), str(exc)
+    return records, config
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[0], want[0]):
+        assert_same_record(a, b)
+
+
+class TestStreamingLoad:
+    """``load_dataset`` streams its file and ``dataset_from_jsonl`` walks its
+    text line by line, each line checked against a compact form of its
+    annotation; both give what the whole-text loader of tests/oracles.py
+    gives, records or the very exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @example([("token", 0, 3, "extra", None)], [], "\n")
+    @example([("token", 1, 3, "kind", None)], [], "\n")
+    @example([("token-drop", 3, 5, "start"), ("token", 3, 5, "extra", 1)], [], "\n")
+    @example([("set", 1, "extra", None)], [], "\n")
+    @example([("set", 1, "extra", 0)], [], "\n")
+    @example([("set", 6, "tokens", {})], [], "\n")
+    @example([("set", 6, "tokens", "")], [], "\n")
+    @example([("drop", 2, "mu")], [], "\n")
+    @example([("nudge", 4, "omega", 7)], [], "\n")
+    @example([("count", 1)], [("blank", 3, "  ")], "\r\n")
+    @example([], [("break", 2, 100, "\x0c")], "\n")
+    @given(
+        st.lists(_JSON_EDITS, max_size=3),
+        st.lists(_TEXT_EDITS, max_size=2),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_text_equals_the_whole_text_loader(self, json_edits, text_edits, ending):
+        payload = _edited_payload(json_edits, text_edits, ending)
+        assert_same_outcome(_outcome(dataset_from_jsonl, payload),
+                            _outcome(whole_text_dataset, payload))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_JSON_EDITS, max_size=2),
+        st.lists(_TEXT_EDITS, max_size=2),
+        st.sampled_from(["\n", "\r\n"]),
+        st.one_of(st.none(), st.tuples(st.integers(0, 30_000),
+                                       st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"]))),
+    )
+    def test_file_equals_the_whole_text_loader(self, tmp_path_factory, json_edits, text_edits,
+                                               ending, bad_byte):
+        data = _edited_payload(json_edits, text_edits, ending).encode("utf-8")
+        if bad_byte is not None:
+            at, byte = bad_byte
+            at %= len(data) + 1
+            data = data[:at] + byte + data[at:]
+        path = tmp_path_factory.mktemp("load") / "data.jsonl"
+        path.write_bytes(data)
+        assert_same_outcome(_outcome(load_dataset, path), _outcome(whole_text_load, path))
+
+    def test_unedited_base_loads(self):
+        # The base of the edits above is a valid dataset of six records.
+        records, config = dataset_from_jsonl(_edited_payload([], [], "\n"))
+        assert (len(records), config) == (7, CFG)
+
+    @pytest.mark.parametrize("text, number", [
+        ("\x0c\n{", 4), ("\r\n\r\n{", 4), (" \u2028\n{", 4), ("\x85{", 3), ("\r{", 3),
+    ])
+    def test_lines_are_numbered_as_splitlines_numbers_them(self, tmp_path, text, number):
+        # Blank lines after the header, then a "{" that breaks the first
+        # record line, which is the line named.
+        header, rest = _edited_payload([], [], "\n").split("\n", 1)
+        payload = header + "\n" + text + rest
+        path = tmp_path / "data.jsonl"
+        path.write_text(payload, encoding="utf-8", newline="")
+        for load, arg in ((dataset_from_jsonl, payload), (load_dataset, path)):
+            with pytest.raises(IngestError, match=f"^line {number}: "):
+                load(arg)
+        assert _outcome(load_dataset, path) == _outcome(whole_text_load, path)
+
+    def test_transient_memory_is_below_the_file_size(self, tmp_path):
+        # The perfbench corpus: 2,000 synth programs, 667 of them distinct.
+        # Beyond the records it returns, the load holds less than the file:
+        # one line at a time and a compact check form per program.
+        annotate = annotator(CFG)
+        records = [annotate(s, str(i)) for i, s in enumerate(synth_corpus(1, 2000))]
+        path = tmp_path / "synth2000.jsonl"
+        save_dataset(path, records, CFG)
+        del records, annotate
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded, _ = load_dataset(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 2000
+        assert peak - held < path.stat().st_size
+

@@ -81,7 +81,7 @@ class TestAssignNodes:
             tree, tokens, node_id = annotate(src)
             for tok, home in zip(tokens, node_id.tolist()):
                 ts, te = tok.span
-                for node in tree.nodes.values():
+                for node in tree.nodes:
                     if node.depth <= tree.node(home).depth:
                         continue
                     ns, ne = node.span
@@ -137,14 +137,14 @@ class TestTieBreaks:
     def test_equal_depth_and_start_takes_lower_id(self):
         # Overlapping siblings (not a parsed shape): the id breaks the tie.
         nodes = [
-            AstNode(0, NodeKind.MODULE, (0, 20), [7, 5], 0),
-            AstNode(7, NodeKind.NAME, (4, 12), [], 1),
-            AstNode(5, NodeKind.NAME, (4, 9), [], 1),
+            AstNode(0, NodeKind.MODULE, (0, 20), [2, 1], 0),
+            AstNode(2, NodeKind.NAME, (4, 12), [], 1),
+            AstNode(1, NodeKind.NAME, (4, 9), [], 1),
         ]
         tree = SyntaxTree("x" * 20, nodes, 0)
         tokens = [Token(TokenKind.IDENTIFIER, "t", (6, 7))]
-        assert assign_nodes(tree, tokens).tolist() == [5]
-        assert naive_node_assignment(tree, tokens) == [5]
+        assert assign_nodes(tree, tokens).tolist() == [1]
+        assert naive_node_assignment(tree, tokens) == [1]
 
     def test_oracle_agrees_on_synthetic_cases(self):
         tree = self._tree()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import pickle
 import random
 import sys
 
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from anchordiff.corpus_io import synth_corpus
 from anchordiff.minilang import parser as parser_module
 from anchordiff.minilang import (
+    AstNode,
     NodeKind,
     ParseError,
+    SyntaxTree,
     TokenKind,
     is_syntactically_valid,
     parse,
@@ -226,7 +229,7 @@ class TestParse:
             "        return 2\n"
         )
         tree = parse(src)
-        kinds = [n.kind for n in tree.nodes.values()]
+        kinds = [n.kind for n in tree.nodes]
         assert kinds.count(NodeKind.IF) == 2  # elif nests a second If
 
     def test_boolean_operator_shapes(self):
@@ -244,14 +247,14 @@ class TestParse:
     def test_depth_increments(self, synth_sources):
         for src in synth_sources[:10]:
             tree = parse(src)
-            for node in tree.nodes.values():
+            for node in tree.nodes:
                 for child in node.children:
                     assert tree.node(child).depth == node.depth + 1
 
     def test_span_nesting(self, synth_sources):
         for src in synth_sources[:10]:
             tree = parse(src)
-            nodes = list(tree.nodes.values())
+            nodes = tree.nodes
             for i, u in enumerate(nodes):
                 for v in nodes[i + 1 :]:
                     a, b = u.span, v.span
@@ -282,6 +285,30 @@ REPARSE_KINDS = {
 }
 
 
+class TestSyntaxTreeTable:
+    """The node table and the parent map are lists indexed by node id."""
+
+    def test_nodes_are_indexed_by_id(self, synth_sources):
+        tree = parse(synth_sources[0])
+        assert [n.id for n in tree.nodes] == list(range(len(tree.nodes)))
+        assert [tree.parent(n.id) for n in tree.nodes].count(None) == 1
+        assert tree.parent(tree.root) is None
+
+    def test_node_ids_must_be_0_to_n_minus_1(self):
+        nodes = [AstNode(0, NodeKind.MODULE, (0, 2), [2]), AstNode(2, NodeKind.NAME, (0, 1))]
+        with pytest.raises(ValueError, match="0..n-1"):
+            SyntaxTree("xy", nodes, 0)
+
+    def test_pickle_and_deepcopy_give_equal_trees(self, synth_sources):
+        for src in synth_sources[:5]:
+            want = parse(src)
+            for tree in (pickle.loads(pickle.dumps(want)), copy.deepcopy(want)):
+                assert (tree.source, tree.root, tree.nodes) == (want.source, want.root, want.nodes)
+                assert [tree.parent(n.id) for n in tree.nodes] == [
+                    want.parent(n.id) for n in want.nodes
+                ]
+
+
 class TestRoundTrip:
     def test_corpus_parses(self, synth_sources):
         assert all(is_syntactically_valid(s) for s in synth_sources)
@@ -290,7 +317,7 @@ class TestRoundTrip:
         checked = 0
         for src in synth_sources[:15]:
             tree = parse(src)
-            for node in tree.nodes.values():
+            for node in tree.nodes:
                 if node.kind not in REPARSE_KINDS:
                     continue
                 if node.kind is NodeKind.EXPR_STMT and node.data in ("break", "continue"):
@@ -321,7 +348,7 @@ def _parse_outcome(src, *tokens, parse=parse):
     except ParseError as exc:
         return ("error", exc.offset, exc.message)
     nodes = [
-        (n.id, n.kind, n.span, n.children, n.depth, n.data) for n in tree.nodes.values()
+        (n.id, n.kind, n.span, n.children, n.depth, n.data) for n in tree.nodes
     ]
     return ("tree", tree.root, nodes)
 
@@ -689,6 +716,6 @@ class TestNestingLimit:
     )
     def test_long_chains_are_loops_not_levels(self, src, kind, data, nodes):
         # Each node of the chain is the child of the one before.
-        chain = [n for n in parse(src).nodes.values() if n.kind is kind and n.data == data]
+        chain = [n for n in parse(src).nodes if n.kind is kind and n.data == data]
         assert len(chain) == nodes
         assert sorted(n.depth for n in chain) == list(range(chain[-1].depth, chain[-1].depth + nodes))

@@ -98,12 +98,22 @@ class AnchorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnchorConfig":
-        """The config of a ``to_dict`` form; a missing or unknown key is a
-        ValueError."""
+        """The config of a ``to_dict`` form; a missing or unknown key, or a
+        value of another JSON type (a bool is no number), is a ValueError."""
         names = sorted(f.name for f in fields(cls))
         if sorted(data) != names:
             raise ValueError(f"anchor config needs the keys {names}, got {sorted(data)}")
+        for name, types in _FIELD_TYPES.items():
+            if isinstance(data[name], bool) or not isinstance(data[name], types):
+                raise ValueError(
+                    f"anchor config {name!r} must be of type {types[-1].__name__}, "
+                    f"got {data[name]!r}"
+                )
         return cls(**{**data, "strategy": AnchorStrategy(data["strategy"])})
+
+
+# The JSON types of each field of an AnchorConfig's dict form.
+_FIELD_TYPES = {"strategy": (str,), "gamma": (int, float), "beta": (int, float), "d0": (int,)}
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ one record per line. Records serialize tokens with exact spans plus the
 per-token annotation arrays, and round-trip bit-exactly. Loading annotates
 each distinct program once per call, keyed by its source and identifier
 split, and rejects a line whose stored fields disagree with that
-annotation, or a header whose record count is wrong. ``load_dataset``
-streams its file: one pass counts the lines, a second checks them one at
-a time, and each distinct program's check form is its annotation plus its
-tokens as ``(text, kind, start, end)`` rows. The check itself is the
-whole-text loader's, field by field, with the same verdicts and messages.
+annotation, a header value of another JSON type, or a header whose
+record count is wrong. ``load_dataset`` streams its file: one pass counts
+the lines, a second checks them one at a time against their program's
+annotation. The check itself is the whole-text loader's, field by field,
+with the same verdicts and messages. A line equal to an already checked
+line up to its id takes that line's verdict, with no decode or check of
+its own: the synth-2000 file's 2,000 lines hold 667 distinct ones.
 
 A corpus repeats programs (the 2,000 synth programs hold 667 distinct
 sources). Within one call, the loaders, ``reweight_records`` and
@@ -316,12 +318,11 @@ def _record_from_dict(data: dict, config: AnchorConfig, annotated: dict) -> Data
     Identifiers are split at the length of the longest stored Identifier
     token, which reproduces the chunks of a split dataset and splits nothing
     in an unsplit one. ``annotated`` maps each (source, split length) met
-    so far in the load to its annotation and that annotation's token rows,
-    so a repeated program is annotated once. Every stored field must still
-    equal ``_record_to_dict`` of the annotation, on every line: the tokens
-    as rows, the arrays as lists, and a key the form lacks only as ``null``.
-    The id is the line's own and the source keys the memo, so neither can
-    disagree.
+    so far in the load to its annotation, so a repeated program is annotated
+    once. Every stored field must still equal ``_record_to_dict`` of the
+    annotation: the tokens as rows, the arrays as lists, and a key the form
+    lacks only as ``null``. The id is the line's own and the source keys the
+    memo, so neither can disagree.
     """
     if not isinstance(data["id"], str):
         raise ValueError(f"id must be a string, got {data['id']!r}")
@@ -329,11 +330,10 @@ def _record_from_dict(data: dict, config: AnchorConfig, annotated: dict) -> Data
     lengths = [len(t["text"]) for t in data["tokens"] if t["kind"] == identifier]
     key = (data["source"], max(lengths, default=None))
     if key not in annotated:
-        rec = annotate_program(key[0], config, split_max_len=key[1])
-        annotated[key] = rec, _token_rows(rec.tokens)
-    rec, rows = annotated[key]
+        annotated[key] = annotate_program(key[0], config, split_max_len=key[1])
+    rec = annotated[key]
     wrong = [k for k in data.keys() - _RECORD_FIELDS if data[k] is not None]
-    if not _same_tokens(data["tokens"], rows):
+    if not _same_tokens(data["tokens"], _token_rows(rec.tokens)):
         wrong.append("tokens")
     wrong.extend(k for k in _ARRAY_FIELDS if getattr(rec, k).tolist() != data.get(k))
     if wrong:
@@ -363,9 +363,19 @@ def _config_from_header(header: dict, n_records: int) -> AnchorConfig:
         raise IngestError("not an anchordiff dataset")
     if header.get("version") != SCHEMA_VERSION:
         raise IngestError(f"unsupported schema version {header.get('version')}")
-    if header["count"] != n_records:
+    _header_int(header, "version")
+    if _header_int(header, "count") != n_records:
         raise ValueError(f"the header counts {header['count']} records; the file has {n_records}")
     return AnchorConfig.from_dict(header["anchor"])
+
+
+def _header_int(header: dict, key: str) -> int:
+    """The header's ``key``, which must be a JSON integer: a bool or a float
+    equal to an int is not one."""
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"header {key!r} must be of type int, got {value!r}")
+    return value
 
 
 def _from_line(number: int, line: str, build):
@@ -392,21 +402,58 @@ def _numbered_lines(physical_lines: Iterable[str]) -> Iterator[tuple[int, str]]:
                 yield number, line
 
 
+# A line's first "id" member, as ``json.dumps`` writes one: the key, then
+# its value as one JSON string literal (group 1), which may not decode.
+_ID_MEMBER = re.compile(r'"id"[ \t\n\r]*:[ \t\n\r]*("(?:[^"\\]|\\.)*")')
+# A key that decodes to "id", in any of its escaped forms. It also finds a
+# key whose text ends in a quote and "id", which only makes the memo of
+# _read_dataset pass over a line it could have taken.
+_ID_KEY = re.compile(r'"(?:i|\\u0069)(?:d|\\u0064)"[ \t\n\r]*:')
+
+
 def _read_dataset(physical_lines) -> tuple[list[DatasetRecord], AnchorConfig]:
     """The dataset of the text that ``physical_lines()`` yields, read twice.
     The first pass counts the records, so the whole text is read (and a
     file decoded) before the header is checked against the count; the
-    second checks and annotates one line at a time."""
+    second checks and annotates one line at a time.
+
+    A line equal to an already checked line but for the string literal of
+    its id takes that line's verdict: the checked line's record under the
+    new id. That holds only where ``json.loads`` of the new line would give
+    the checked line's dict with another id, so a line is memoized only
+    when its one key that decodes to ``id`` is the member ``_ID_MEMBER``
+    finds, and a new literal is used only when it decodes on its own.
+    """
     n_lines = sum(1 for _ in _numbered_lines(physical_lines()))
     if not n_lines:
         raise EmptyCorpusError("empty dataset file")
     lines = _numbered_lines(physical_lines())
     config = _from_line(*next(lines), lambda header: _config_from_header(header, n_lines - 1))
     annotated: dict = {}  # for this call only
-    records = [
-        _from_line(n, ln, lambda data: _record_from_dict(data, config, annotated))
-        for n, ln in lines
-    ]
+    # The text before and after a checked line's id literal -> its record.
+    checked: dict[tuple[str, str], DatasetRecord] = {}
+    records = []
+    for number, line in lines:
+        member = _ID_MEMBER.search(line)
+        if member is not None:
+            around = (line[: member.start(1)], line[member.end(1) :])
+            rec = checked.get(around)
+            if rec is not None:
+                try:
+                    record_id = json.loads(member.group(1))
+                except ValueError:  # not a JSON string: the line is checked in full
+                    pass
+                else:
+                    records.append(replace(rec, record_id=record_id))
+                    continue
+        rec = _from_line(number, line, lambda data: _record_from_dict(data, config, annotated))
+        if (
+            member is not None
+            and len(_ID_KEY.findall(line)) == 1
+            and json.loads(member.group(1)) == rec.record_id
+        ):
+            checked[around] = rec
+        records.append(rec)
     return records, config
 
 

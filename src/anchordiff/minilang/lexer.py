@@ -8,6 +8,7 @@ significant and surfaces as Indent/Dedent tokens; a tab counts as 4 spaces.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset(
@@ -19,7 +20,6 @@ KEYWORDS = frozenset(
 )
 
 TWO_CHAR_OPERATORS = ("**", "//", "<=", ">=", "==", "!=")
-ONE_CHAR_OPERATORS = frozenset("+-*/%<>=")
 DELIMITERS = frozenset("()[]:,")
 
 TAB_WIDTH = 4
@@ -57,19 +57,16 @@ class Token:
         return self.span[1]
 
 
-def _indent_width(ws: str) -> int:
-    width = 0
-    for ch in ws:
-        width += TAB_WIDTH if ch == "\t" else 1
-    return width
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# What the lexer matches with one call each: the blanks that indent a
+# line, an identifier's characters after its first (``\w`` is
+# ``str.isalnum`` or ``_``), and a quoted string, in which a backslash
+# escapes the next character, a line break included.
+_BLANKS = re.compile(r"[ \t]*")
+_WORD_REST = re.compile(r"\w*")
+_STRINGS = {
+    quote: re.compile(rf"{quote}(?:[^{quote}\\\n]|\\.)*{quote}", re.DOTALL)
+    for quote in "'\""
+}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -81,103 +78,84 @@ def tokenize(source: str) -> list[Token]:
     appended; the parser treats end-of-input as an implicit terminator.
     """
     tokens: list[Token] = []
+    append = tokens.append
     indent_stack = [0]
     pos = 0
     n = len(source)
-
-    def emit(kind: TokenKind, text: str, start: int, end: int) -> None:
-        tokens.append(Token(kind, text, (start, end)))
-
     while pos < n:
         # Start of a line: measure indentation.
         line_start = pos
-        while pos < n and source[pos] in " \t":
-            pos += 1
-        ws_end = pos
-        if pos >= n or source[pos] == "\n":
+        end = source.find("\n", pos)
+        if end < 0:
+            end = n
+        pos = _BLANKS.match(source, pos, end).end()
+        if pos == end:
             # Blank line: the break is inter-token whitespace, not a token.
-            if pos < n:
-                pos += 1
+            pos = end + 1
             continue
-        width = _indent_width(source[line_start:ws_end])
+        ws = source[line_start:pos]
+        width = len(ws) + (TAB_WIDTH - 1) * ws.count("\t")
         if width > indent_stack[-1]:
             indent_stack.append(width)
-            emit(TokenKind.INDENT, source[line_start:ws_end], line_start, ws_end)
+            append(Token(TokenKind.INDENT, ws, (line_start, pos)))
         else:
             while width < indent_stack[-1]:
                 indent_stack.pop()
-                emit(TokenKind.DEDENT, "", ws_end, ws_end)
+                append(Token(TokenKind.DEDENT, "", (pos, pos)))
             if width > indent_stack[-1]:
                 # Inconsistent dedent; recover by adopting the new level.
                 indent_stack.append(width)
-                emit(TokenKind.INDENT, source[line_start:ws_end], line_start, ws_end)
+                append(Token(TokenKind.INDENT, ws, (line_start, pos)))
 
         # Lex the line's content.
-        while pos < n and source[pos] != "\n":
+        while pos < end:
             ch = source[pos]
-            if ch in " \t":
+            if ch == " " or ch == "\t":
                 pos += 1
                 continue
             start = pos
-            if _is_ident_start(ch):
-                while pos < n and _is_ident_char(source[pos]):
-                    pos += 1
+            if ch.isalpha() or ch == "_":
+                pos = _WORD_REST.match(source, pos + 1).end()
                 text = source[start:pos]
                 kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-                emit(kind, text, start, pos)
+                append(Token(kind, text, (start, pos)))
             elif ch.isdigit():
-                while pos < n and source[pos].isdigit():
+                pos += 1
+                while pos < end and source[pos].isdigit():
                     pos += 1
                 if pos + 1 < n and source[pos] == "." and source[pos + 1].isdigit():
-                    pos += 1
-                    while pos < n and source[pos].isdigit():
+                    pos += 2
+                    while pos < end and source[pos].isdigit():
                         pos += 1
-                emit(TokenKind.NUMBER, source[start:pos], start, pos)
-            elif ch in "'\"":
-                end = _scan_string(source, pos)
-                if end is None:
+                append(Token(TokenKind.NUMBER, source[start:pos], (start, pos)))
+            elif ch == "'" or ch == '"':
+                match = _STRINGS[ch].match(source, pos)
+                if match is None:
                     # Unterminated: the quote alone degrades to an Operator.
                     pos += 1
-                    emit(TokenKind.OPERATOR, ch, start, pos)
+                    append(Token(TokenKind.OPERATOR, ch, (start, pos)))
                 else:
-                    pos = end
-                    emit(TokenKind.STRING, source[start:pos], start, pos)
+                    pos = match.end()
+                    append(Token(TokenKind.STRING, match.group(), (start, pos)))
+                    if pos > end:  # an escaped line break: the line goes on
+                        end = source.find("\n", pos)
+                        if end < 0:
+                            end = n
             elif source.startswith(TWO_CHAR_OPERATORS, pos):
                 pos += 2
-                emit(TokenKind.OPERATOR, source[start:pos], start, pos)
-            elif ch in ONE_CHAR_OPERATORS:
-                pos += 1
-                emit(TokenKind.OPERATOR, ch, start, pos)
-            elif ch in DELIMITERS:
-                pos += 1
-                emit(TokenKind.DELIMITER, ch, start, pos)
+                append(Token(TokenKind.OPERATOR, source[start:pos], (start, pos)))
             else:
-                # Unknown byte: keep totality, surface it as an Operator.
+                # One of "+-*/%<>=" or a delimiter; an unknown byte is an
+                # Operator too, which keeps the lexer total.
                 pos += 1
-                emit(TokenKind.OPERATOR, ch, start, pos)
+                kind = TokenKind.DELIMITER if ch in DELIMITERS else TokenKind.OPERATOR
+                append(Token(kind, ch, (start, pos)))
 
         if pos < n:  # the "\n" ending a content line
-            emit(TokenKind.NEWLINE, "\n", pos, pos + 1)
+            append(Token(TokenKind.NEWLINE, "\n", (pos, pos + 1)))
             pos += 1
 
     return tokens
-
-
-def _scan_string(source: str, pos: int) -> int | None:
-    """Return the end offset of a quoted string starting at ``pos``.
-
-    Strings do not span lines. Returns None when unterminated.
-    """
-    quote = source[pos]
-    i = pos + 1
-    while i < len(source) and source[i] != "\n":
-        if source[i] == "\\" and i + 1 < len(source):
-            i += 2
-            continue
-        if source[i] == quote:
-            return i + 1
-        i += 1
-    return None
 
 
 def split_identifiers(tokens: list[Token], max_len: int) -> list[Token]:

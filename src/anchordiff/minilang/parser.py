@@ -23,24 +23,29 @@ from __future__ import annotations
 from .lexer import Token, TokenKind, tokenize
 from .nodes import AstNode, NodeKind, SyntaxTree
 
-CONSTANT_KEYWORDS = frozenset({"True", "False", "None"})
-# (kind, text) -> (binding power, node kind); a higher power binds tighter.
+# The operators' texts -> (binding power, node kind); a higher power binds
+# tighter. The texts are token keys (see _Parser).
 BINARY_OPS = {
-    (kind, op): (power, node_kind)
-    for kind, ops, power, node_kind in [
-        (TokenKind.KEYWORD, ["or"], 1, NodeKind.BINOP),
-        (TokenKind.KEYWORD, ["and"], 2, NodeKind.BINOP),
-        (TokenKind.OPERATOR, ["<", ">", "<=", ">=", "==", "!="], 4, NodeKind.COMPARE),
-        (TokenKind.OPERATOR, ["+", "-"], 5, NodeKind.BINOP),
-        (TokenKind.OPERATOR, ["*", "/", "//", "%"], 6, NodeKind.BINOP),
+    op: (power, node_kind)
+    for ops, power, node_kind in [
+        (["or"], 1, NodeKind.BINOP),
+        (["and"], 2, NodeKind.BINOP),
+        (["<", ">", "<=", ">=", "==", "!="], 4, NodeKind.COMPARE),
+        (["+", "-"], 5, NodeKind.BINOP),
+        (["*", "/", "//", "%"], 6, NodeKind.BINOP),
     ]
     for op in ops
 }
+_NOT_AN_OPERATOR = (0, None)
 NOT_POWER = 3  # prefix ``not`` sits between ``and`` and the comparisons
 
 # A level costs at most 5 frames (_atom, _expression, a not's operand,
 # _power, _postfix), so a parse at the limit needs at most 170 frames.
 MAX_NESTING = 32
+
+_KEYED_BY_TEXT = (TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.DELIMITER)
+_NEWLINE, _INDENT, _DEDENT = TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT
+_IDENTIFIER, _NUMBER, _STRING = TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.STRING
 
 
 class ParseError(Exception):
@@ -53,11 +58,22 @@ class ParseError(Exception):
 
 
 class _Parser:
+    """Reads one key per token: the text of a Keyword, Operator or
+    Delimiter, the kind of any other token, and None past the last token.
+    Texts of different kinds never coincide, so a key names its kind, and
+    each test of the current token is one index and one compare.
+
+    Only content tokens are consumed by ``_advance``, which records the
+    last one for ``_span_from``; ``_block`` and ``_expect_newline`` step
+    over Newline, Indent and Dedent tokens themselves."""
+
     def __init__(self, source: str, tokens: list[Token]):
         self.source = source
         self.tokens = tokens
+        self.keys = [t.text if t.kind in _KEYED_BY_TEXT else t.kind for t in tokens]
+        self.keys.append(None)
         self.pos = 0
-        self.last_content = 0  # index of the last non-structural token consumed
+        self.last_content = 0  # index of the last content token consumed
         self.nodes: list[AstNode] = []
         self.func_depth = 0
         self.loop_depth = 0
@@ -65,76 +81,49 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def _peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def _advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind not in (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT):
-            self.last_content = self.pos
+    def _advance(self) -> None:
+        self.last_content = self.pos
         self.pos += 1
-        return tok
-
-    def _error_offset(self) -> int:
-        tok = self._peek()
-        return tok.start if tok is not None else len(self.source)
 
     def _fail(self, expected: str) -> ParseError:
-        tok = self._peek()
-        found = "end of input" if tok is None else f"{tok.kind.value} {tok.text!r}"
-        return ParseError(self._error_offset(), f"expected {expected}, found {found}")
+        if self.keys[self.pos] is None:
+            return ParseError(len(self.source), f"expected {expected}, found end of input")
+        tok = self.tokens[self.pos]
+        return ParseError(tok.span[0], f"expected {expected}, found {tok.kind.value} {tok.text!r}")
 
-    def _match_text(self, kind: TokenKind, text: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind is kind and tok.text == text
+    def _expect(self, key: str) -> None:
+        if self.keys[self.pos] != key:
+            raise self._fail(repr(key))
+        self._advance()
 
-    def _expect_text(self, kind: TokenKind, text: str) -> Token:
-        if not self._match_text(kind, text):
-            raise self._fail(repr(text))
-        return self._advance()
-
-    def _expect_kind(self, kind: TokenKind, expected: str) -> Token:
-        tok = self._peek()
-        if tok is None or tok.kind is not kind:
+    def _identifier(self, expected: str) -> Token:
+        if self.keys[self.pos] is not _IDENTIFIER:
             raise self._fail(expected)
-        return self._advance()
+        self._advance()
+        return self.tokens[self.pos - 1]
 
-    def _open_level(self, tok: Token) -> None:
-        """Open one nesting level at ``tok``; the caller closes it."""
+    def _open(self, key: str) -> None:
+        """Consume ``key`` and open one nesting level at it; the caller
+        closes the level."""
+        if self.keys[self.pos] != key:
+            raise self._fail(repr(key))
         if self.nesting == MAX_NESTING:
-            raise ParseError(tok.start, f"nesting deeper than {MAX_NESTING} levels")
+            offset = self.tokens[self.pos].span[0]
+            raise ParseError(offset, f"nesting deeper than {MAX_NESTING} levels")
         self.nesting += 1
+        self._advance()
 
     def _expect_newline(self) -> None:
-        if self._at_end():
-            return
-        if self._peek().kind is TokenKind.NEWLINE:
-            self._advance()
-            return
-        raise self._fail("end of line")
-
-    # -- node helpers ------------------------------------------------------
-
-    def _new_node(
-        self,
-        kind: NodeKind,
-        span: tuple[int, int],
-        children: list[int] | None = None,
-        data: str | None = None,
-    ) -> int:
-        node = AstNode(len(self.nodes), kind, span, children or [], 0, data)
-        self.nodes.append(node)
-        return node.id
+        key = self.keys[self.pos]
+        if key is _NEWLINE:
+            self.pos += 1
+        elif key is not None:
+            raise self._fail("end of line")
 
     def _span_from(self, start_index: int) -> tuple[int, int]:
         """Span from a construct's first token to its last content token,
         so trailing newlines and dedents stay outside statement spans."""
-        first = self.tokens[start_index]
-        last = self.tokens[self.last_content]
-        return (first.start, last.end)
+        return (self.tokens[start_index].span[0], self.tokens[self.last_content].span[1])
 
     # -- module ------------------------------------------------------------
 
@@ -143,87 +132,83 @@ class _Parser:
         # tokens, one of each, so between module-level statements no Indent
         # is open, and the lexer emits a Dedent only to close an open one.
         body: list[int] = []
-        while not self._at_end():
-            tok = self._peek()
-            if tok.kind is TokenKind.INDENT:
-                raise ParseError(tok.start, "unexpected indent")
+        while (key := self.keys[self.pos]) is not None:
+            if key is _INDENT:
+                raise ParseError(self.tokens[self.pos].span[0], "unexpected indent")
             body.append(self._statement())
-        content = [
-            t
-            for t in self.tokens
-            if t.kind not in (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT)
-        ]
-        span = (content[0].start, content[-1].end) if content else (0, 0)
-        root = self._new_node(NodeKind.MODULE, span, body)
-        tree = SyntaxTree(self.source, self.nodes, root)
-        _assign_depths(tree)
-        return tree
+        # A parsed module's first token is content (an Indent is refused
+        # above, and Newlines and Dedents follow content), and its last
+        # content token was consumed last.
+        span = self._span_from(0) if self.tokens else (0, 0)
+        nodes = self.nodes
+        nodes.append(AstNode(len(nodes), NodeKind.MODULE, span, body, 0, None))
+        _assign_depths(nodes)
+        return SyntaxTree(self.source, nodes, len(nodes) - 1)
 
     # -- statements ----------------------------------------------------------
 
     def _statement(self) -> int:
-        tok = self._peek()
-        if tok.kind is TokenKind.KEYWORD:
-            if tok.text == "def":
-                return self._function_def()
-            if tok.text == "if":
-                return self._if_stmt()
-            if tok.text == "while":
-                return self._while_stmt()
-            if tok.text == "for":
-                return self._for_stmt()
-            if tok.text == "return":
-                return self._return_stmt()
-            if tok.text in ("pass", "break", "continue"):
-                return self._keyword_stmt(tok.text)
+        key = self.keys[self.pos]
+        if key == "def":
+            return self._function_def()
+        if key == "if":
+            return self._if_stmt()
+        if key == "while" or key == "for":
+            return self._loop_stmt(key)
+        if key == "return":
+            return self._return_stmt()
+        if key == "pass" or key == "break" or key == "continue":
+            return self._keyword_stmt(key)
         return self._expr_or_assign()
 
     def _block(self) -> list[int]:
-        self._open_level(self._expect_text(TokenKind.DELIMITER, ":"))
-        if self._at_end():
+        self._open(":")
+        keys = self.keys
+        if keys[self.pos] is None:
             raise self._fail("an indented block")
-        self._expect_kind(TokenKind.NEWLINE, "end of line")
-        self._expect_kind(TokenKind.INDENT, "an indented block")
+        if keys[self.pos] is not _NEWLINE:
+            raise self._fail("end of line")
+        self.pos += 1
+        if keys[self.pos] is not _INDENT:
+            raise self._fail("an indented block")
+        self.pos += 1
         body = [self._statement()]
-        while not self._at_end() and self._peek().kind is not TokenKind.DEDENT:
+        while (key := keys[self.pos]) is not None and key is not _DEDENT:
             body.append(self._statement())
-        if not self._at_end():
-            self._advance()  # DEDENT
+        if key is _DEDENT:
+            self.pos += 1
         self.nesting -= 1
         return body
 
-    def _loop_block(self) -> list[int]:
-        """A while or for body, where break and continue are allowed."""
-        self.loop_depth += 1
-        try:
-            return self._block()
-        finally:
-            self.loop_depth -= 1
-
     def _comma_list(self, item) -> list[int]:
         """``"(" [ item { "," item } ] ")"``: the items' node ids."""
-        self._open_level(self._expect_text(TokenKind.DELIMITER, "("))
+        self._open("(")
         items: list[int] = []
-        if not self._match_text(TokenKind.DELIMITER, ")"):
+        if self.keys[self.pos] != ")":
             items.append(item())
-            while self._match_text(TokenKind.DELIMITER, ","):
+            while self.keys[self.pos] == ",":
                 self._advance()
                 items.append(item())
-        self._expect_text(TokenKind.DELIMITER, ")")
+        self._expect(")")
         self.nesting -= 1
         return items
 
     def _name(self, expected: str) -> int:
-        tok = self._expect_kind(TokenKind.IDENTIFIER, expected)
-        return self._new_node(NodeKind.NAME, tok.span, data=tok.text)
+        tok = self._identifier(expected)
+        nodes = self.nodes
+        nodes.append(AstNode(len(nodes), NodeKind.NAME, tok.span, [], 0, tok.text))
+        return len(nodes) - 1
 
     def _function_def(self) -> int:
         start = self.pos
         self._advance()  # def
-        name = self._expect_kind(TokenKind.IDENTIFIER, "a function name")
+        name = self._identifier("a function name")
         args_start = self.pos
         params = self._comma_list(lambda: self._name("a parameter name or ')'"))
-        args = self._new_node(NodeKind.ARGUMENTS, self._span_from(args_start), params)
+        nodes = self.nodes
+        nodes.append(AstNode(len(nodes), NodeKind.ARGUMENTS, self._span_from(args_start),
+                             params, 0, None))
+        args = len(nodes) - 1
         self.func_depth += 1
         outer_loops, self.loop_depth = self.loop_depth, 0
         try:
@@ -231,86 +216,89 @@ class _Parser:
         finally:
             self.func_depth -= 1
             self.loop_depth = outer_loops
-        return self._new_node(
-            NodeKind.FUNCTION_DEF, self._span_from(start), [args] + body, data=name.text
-        )
+        nodes.append(AstNode(len(nodes), NodeKind.FUNCTION_DEF, self._span_from(start),
+                             [args] + body, 0, name.text))
+        return len(nodes) - 1
 
     def _if_stmt(self) -> int:
         """An if and its elifs. Each elif is an If node, the last child of
         the clause before it, so the nodes are made innermost first."""
         clauses = []
-        while not clauses or self._match_text(TokenKind.KEYWORD, "elif"):
+        while not clauses or self.keys[self.pos] == "elif":
             start = self.pos
             self._advance()  # if or elif
             clauses.append((start, [self._expression()] + self._block()))
-        if self._match_text(TokenKind.KEYWORD, "else"):
+        if self.keys[self.pos] == "else":
             self._advance()
             clauses[-1][1].extend(self._block())
+        nodes = self.nodes
         inner: list[int] = []  # the next clause's If node, once made
         for start, children in reversed(clauses):
-            inner = [self._new_node(NodeKind.IF, self._span_from(start), children + inner)]
+            nodes.append(AstNode(len(nodes), NodeKind.IF, self._span_from(start),
+                                 children + inner, 0, None))
+            inner = [len(nodes) - 1]
         return inner[0]
 
-    def _while_stmt(self) -> int:
+    def _loop_stmt(self, keyword: str) -> int:
+        """A while or a for, whose body allows break and continue."""
         start = self.pos
         self._advance()
-        test = self._expression()
-        body = self._loop_block()
-        return self._new_node(NodeKind.WHILE, self._span_from(start), [test] + body)
-
-    def _for_stmt(self) -> int:
-        start = self.pos
-        self._advance()
-        target = self._name("a loop variable")
-        self._expect_text(TokenKind.KEYWORD, "in")
-        iterable = self._expression()
-        body = self._loop_block()
-        return self._new_node(
-            NodeKind.FOR, self._span_from(start), [target, iterable] + body
-        )
+        if keyword == "while":
+            kind, head = NodeKind.WHILE, [self._expression()]
+        else:
+            kind, head = NodeKind.FOR, [self._name("a loop variable")]
+            self._expect("in")
+            head.append(self._expression())
+        self.loop_depth += 1
+        try:
+            body = self._block()
+        finally:
+            self.loop_depth -= 1
+        nodes = self.nodes
+        nodes.append(AstNode(len(nodes), kind, self._span_from(start), head + body, 0, None))
+        return len(nodes) - 1
 
     def _return_stmt(self) -> int:
-        tok = self._peek()
         if self.func_depth == 0:
-            raise ParseError(tok.start, "'return' outside a function")
+            raise ParseError(self.tokens[self.pos].span[0], "'return' outside a function")
         start = self.pos
         self._advance()
-        children = []
-        if not self._at_end() and self._peek().kind is not TokenKind.NEWLINE:
-            children.append(self._expression())
-        node = self._new_node(NodeKind.RETURN, self._span_from(start), children)
+        key = self.keys[self.pos]
+        children = [] if key is None or key is _NEWLINE else [self._expression()]
+        nodes = self.nodes
+        nodes.append(AstNode(len(nodes), NodeKind.RETURN, self._span_from(start),
+                             children, 0, None))
         self._expect_newline()
-        return node
+        return len(nodes) - 1
 
-    def _keyword_stmt(self, text: str) -> int:
-        tok = self._peek()
-        if text in ("break", "continue") and self.loop_depth == 0:
-            raise ParseError(tok.start, f"'{text}' outside a loop")
+    def _keyword_stmt(self, keyword: str) -> int:
+        tok = self.tokens[self.pos]
+        if keyword != "pass" and self.loop_depth == 0:
+            raise ParseError(tok.span[0], f"'{keyword}' outside a loop")
         self._advance()
-        node = self._new_node(NodeKind.EXPR_STMT, tok.span, data=text)
+        nodes = self.nodes
+        nodes.append(AstNode(len(nodes), NodeKind.EXPR_STMT, tok.span, [], 0, keyword))
         self._expect_newline()
-        return node
+        return len(nodes) - 1
 
     def _expr_or_assign(self) -> int:
         start = self.pos
         expr = self._expression()
-        if self._match_text(TokenKind.OPERATOR, "="):
-            target_kind = self.nodes[expr].kind
-            if target_kind not in (NodeKind.NAME, NodeKind.SUBSCRIPT):
+        nodes = self.nodes
+        if self.keys[self.pos] == "=":
+            if nodes[expr].kind is not NodeKind.NAME and nodes[expr].kind is not NodeKind.SUBSCRIPT:
                 raise ParseError(
-                    self._peek().start, "cannot assign to this expression"
+                    self.tokens[self.pos].span[0], "cannot assign to this expression"
                 )
             self._advance()
             value = self._expression()
-            node = self._new_node(
-                NodeKind.ASSIGN, self._span_from(start), [expr, value]
-            )
+            node = AstNode(len(nodes), NodeKind.ASSIGN, self._span_from(start),
+                           [expr, value], 0, None)
         else:
-            node = self._new_node(
-                NodeKind.EXPR_STMT, self.nodes[expr].span, [expr]
-            )
+            node = AstNode(len(nodes), NodeKind.EXPR_STMT, nodes[expr].span, [expr], 0, None)
+        nodes.append(node)
         self._expect_newline()
-        return node
+        return node.id
 
     # -- expressions -------------------------------------------------------
 
@@ -319,85 +307,100 @@ class _Parser:
         least ``power`` with a right operand that binds tighter, so every
         level is left-associative. A prefix ``not`` is read only while
         ``power`` is at most NOT_POWER."""
+        keys = self.keys
+        nodes = self.nodes
         start = self.pos
-        starts = []
-        while power <= NOT_POWER and self._match_text(TokenKind.KEYWORD, "not"):
-            starts.append(self.pos)
-            self._advance()
-        node = self._expression(NOT_POWER + 1) if starts else self._power()
-        for not_start in reversed(starts):
-            node = self._new_node(NodeKind.BINOP, self._span_from(not_start), [node], data="not")
-        while (tok := self._peek()) is not None:
-            op_power, kind = BINARY_OPS.get((tok.kind, tok.text), (0, None))
+        if power <= NOT_POWER and keys[start] == "not":
+            starts = []
+            while keys[self.pos] == "not":
+                starts.append(self.pos)
+                self._advance()
+            node = self._expression(NOT_POWER + 1)
+            for not_start in reversed(starts):
+                nodes.append(AstNode(len(nodes), NodeKind.BINOP, self._span_from(not_start),
+                                     [node], 0, "not"))
+                node = len(nodes) - 1
+        else:
+            node = self._power()
+        while True:
+            op = keys[self.pos]
+            op_power, kind = BINARY_OPS.get(op, _NOT_AN_OPERATOR)
             if op_power < power:
-                break
+                return node
             self._advance()
             right = self._expression(op_power + 1)  # before _span_from, so the span ends at it
-            node = self._new_node(kind, self._span_from(start), [node, right], data=tok.text)
-        return node
+            nodes.append(AstNode(len(nodes), kind, self._span_from(start),
+                                 [node, right], 0, op))
+            node = len(nodes) - 1
 
     def _power(self) -> int:
         """``postfix { "**" postfix }``, right-associative, so its nodes are
         made rightmost first."""
-        operands = [(self.pos, self._postfix())]
-        while self._match_text(TokenKind.OPERATOR, "**"):
+        start = self.pos
+        node = self._postfix()
+        if self.keys[self.pos] != "**":
+            return node
+        operands = [(start, node)]
+        while self.keys[self.pos] == "**":
             self._advance()
             operands.append((self.pos, self._postfix()))
         _, node = operands.pop()
+        nodes = self.nodes
         for start, left in reversed(operands):
-            node = self._new_node(NodeKind.BINOP, self._span_from(start), [left, node], data="**")
+            nodes.append(AstNode(len(nodes), NodeKind.BINOP, self._span_from(start),
+                                 [left, node], 0, "**"))
+            node = len(nodes) - 1
         return node
 
     def _postfix(self) -> int:
         start = self.pos
         node = self._atom()
+        keys = self.keys
+        nodes = self.nodes
         while True:
-            if self._match_text(TokenKind.DELIMITER, "("):
-                args = self._comma_list(self._expression)
-                node = self._new_node(
-                    NodeKind.CALL, self._span_from(start), [node] + args
-                )
-            elif self._match_text(TokenKind.DELIMITER, "["):
-                self._open_level(self._advance())
-                index = self._expression()
-                self._expect_text(TokenKind.DELIMITER, "]")
+            key = keys[self.pos]
+            if key == "(":
+                children = [node] + self._comma_list(self._expression)
+                kind = NodeKind.CALL
+            elif key == "[":
+                self._open("[")
+                children = [node, self._expression()]
+                self._expect("]")
                 self.nesting -= 1
-                node = self._new_node(
-                    NodeKind.SUBSCRIPT, self._span_from(start), [node, index]
-                )
+                kind = NodeKind.SUBSCRIPT
             else:
                 return node
+            nodes.append(AstNode(len(nodes), kind, self._span_from(start), children, 0, None))
+            node = len(nodes) - 1
 
     def _atom(self) -> int:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail("an expression")
-        if tok.kind is TokenKind.IDENTIFIER:
-            self._advance()
-            return self._new_node(NodeKind.NAME, tok.span, data=tok.text)
-        if tok.kind in (TokenKind.NUMBER, TokenKind.STRING):
-            self._advance()
-            return self._new_node(NodeKind.CONSTANT, tok.span, data=tok.text)
-        if tok.kind is TokenKind.KEYWORD and tok.text in CONSTANT_KEYWORDS:
-            self._advance()
-            return self._new_node(NodeKind.CONSTANT, tok.span, data=tok.text)
-        if tok.kind is TokenKind.DELIMITER and tok.text == "(":
-            self._open_level(self._advance())
+        key = self.keys[self.pos]
+        if key is _IDENTIFIER:
+            kind = NodeKind.NAME
+        elif key is _NUMBER or key is _STRING or key == "True" or key == "False" or key == "None":
+            kind = NodeKind.CONSTANT
+        elif key == "(":
+            self._open("(")
             node = self._expression()
-            self._expect_text(TokenKind.DELIMITER, ")")
+            self._expect(")")
             self.nesting -= 1
             return node
-        raise self._fail("an expression")
+        else:
+            raise self._fail("an expression")
+        tok = self.tokens[self.pos]
+        self._advance()
+        nodes = self.nodes
+        nodes.append(AstNode(len(nodes), kind, tok.span, [], 0, tok.text))
+        return len(nodes) - 1
 
 
-def _assign_depths(tree: SyntaxTree) -> None:
-    tree.nodes[tree.root].depth = 0
-    stack = [tree.root]
-    while stack:
-        node = tree.nodes[stack.pop()]
+def _assign_depths(nodes: list[AstNode]) -> None:
+    """Each node's depth below the root, the last node. A node is made
+    after its children, so its depth is set before theirs."""
+    for node in reversed(nodes):
+        depth = node.depth + 1
         for child in node.children:
-            tree.nodes[child].depth = node.depth + 1
-            stack.append(child)
+            nodes[child].depth = depth
 
 
 def parse(source: str, tokens: list[Token] | None = None) -> SyntaxTree:

@@ -2,8 +2,9 @@
 
 Each oracle recomputes a result through a second, naive code path: a
 dataset loader that holds the whole text and checks each line against a
-dict form of its annotation, full node-table scans for token assignment,
-one parser method per precedence level, a tree climb per position for
+dict form of its annotation, a lexer that reads one character per step,
+full node-table scans for token assignment, a parser of its own with one
+method per precedence level, a tree climb per position for
 the probe's targets, per-sequence loops for the posterior, explicit
 state-space enumeration for reverse chains, a dict-of-contexts count
 model, dense (L, K) rows behind the predictor queries, and a
@@ -47,9 +48,9 @@ from anchordiff.corpus_io import (
     annotate_program,
 )
 from anchordiff.hierarchy import max_chain_length, positions_by_node
-from anchordiff.minilang import SyntaxTree, Token, TokenKind, tokenize
+from anchordiff.minilang import KEYWORDS, AstNode, SyntaxTree, Token, TokenKind
 from anchordiff.minilang.nodes import NodeKind
-from anchordiff.minilang.parser import _Parser
+from anchordiff.minilang.parser import MAX_NESTING, ParseError
 from anchordiff.schedule import NoiseSchedule, lambda_weight, step_times, unmask_prob
 
 
@@ -150,16 +151,329 @@ def recursive_pretty(tree: SyntaxTree) -> str:
     return "\n".join(lines)
 
 
-class _LeveledParser(_Parser):
-    """The parser with one method per binary precedence level: every operand
-    descends through ``or``, ``and``, ``not``, the comparisons, ``+ -`` and
-    ``* / // %`` in turn."""
+def char_tokenize(source: str) -> list[Token]:
+    """``tokenize`` reading one character per step, each character class
+    tested by its own call."""
+    tokens: list[Token] = []
+    indent_stack = [0]
+    pos = 0
+    n = len(source)
+
+    def emit(kind: TokenKind, text: str, start: int, end: int) -> None:
+        tokens.append(Token(kind, text, (start, end)))
+
+    while pos < n:
+        line_start = pos
+        while pos < n and source[pos] in " \t":
+            pos += 1
+        ws_end = pos
+        if pos >= n or source[pos] == "\n":
+            if pos < n:
+                pos += 1
+            continue
+        width = sum(4 if ch == "\t" else 1 for ch in source[line_start:ws_end])
+        if width > indent_stack[-1]:
+            indent_stack.append(width)
+            emit(TokenKind.INDENT, source[line_start:ws_end], line_start, ws_end)
+        else:
+            while width < indent_stack[-1]:
+                indent_stack.pop()
+                emit(TokenKind.DEDENT, "", ws_end, ws_end)
+            if width > indent_stack[-1]:
+                indent_stack.append(width)
+                emit(TokenKind.INDENT, source[line_start:ws_end], line_start, ws_end)
+
+        while pos < n and source[pos] != "\n":
+            ch = source[pos]
+            if ch in " \t":
+                pos += 1
+                continue
+            start = pos
+            if ch.isalpha() or ch == "_":
+                while pos < n and (source[pos].isalnum() or source[pos] == "_"):
+                    pos += 1
+                text = source[start:pos]
+                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
+                emit(kind, text, start, pos)
+            elif ch.isdigit():
+                while pos < n and source[pos].isdigit():
+                    pos += 1
+                if pos + 1 < n and source[pos] == "." and source[pos + 1].isdigit():
+                    pos += 1
+                    while pos < n and source[pos].isdigit():
+                        pos += 1
+                emit(TokenKind.NUMBER, source[start:pos], start, pos)
+            elif ch in "'\"":
+                end = _scan_string(source, pos)
+                if end is None:
+                    pos += 1
+                    emit(TokenKind.OPERATOR, ch, start, pos)
+                else:
+                    pos = end
+                    emit(TokenKind.STRING, source[start:pos], start, pos)
+            elif source.startswith(("**", "//", "<=", ">=", "==", "!="), pos):
+                pos += 2
+                emit(TokenKind.OPERATOR, source[start:pos], start, pos)
+            elif ch in "+-*/%<>=":
+                pos += 1
+                emit(TokenKind.OPERATOR, ch, start, pos)
+            elif ch in "()[]:,":
+                pos += 1
+                emit(TokenKind.DELIMITER, ch, start, pos)
+            else:
+                pos += 1
+                emit(TokenKind.OPERATOR, ch, start, pos)
+
+        if pos < n:
+            emit(TokenKind.NEWLINE, "\n", pos, pos + 1)
+            pos += 1
+
+    return tokens
+
+
+def _scan_string(source: str, pos: int) -> int | None:
+    """The end of the quoted string at ``pos``: a backslash skips the next
+    character, a line break included; None when a line break or the end
+    comes first."""
+    quote = source[pos]
+    i = pos + 1
+    while i < len(source) and source[i] != "\n":
+        if source[i] == "\\" and i + 1 < len(source):
+            i += 2
+            continue
+        if source[i] == quote:
+            return i + 1
+        i += 1
+    return None
+
+
+_STRUCTURAL = (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT)
+
+
+class _LeveledParser:
+    """A parser that reads each token's kind and text, with one method per
+    binary precedence level: every operand descends through ``or``, ``and``,
+    ``not``, the comparisons, ``+ -`` and ``* / // %`` in turn."""
 
     OR_OPS = frozenset({"or"})
     AND_OPS = frozenset({"and"})
     COMPARE_OPS = frozenset({"<", ">", "<=", ">=", "==", "!="})
     ADD_OPS = frozenset({"+", "-"})
     MUL_OPS = frozenset({"*", "/", "//", "%"})
+
+    def __init__(self, source: str, tokens: list[Token]):
+        self.source = source
+        self.tokens = tokens
+        self.pos = 0
+        self.last_content = 0
+        self.nodes: list[AstNode] = []
+        self.func_depth = 0
+        self.loop_depth = 0
+        self.nesting = 0
+
+    def _peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _at_end(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def _advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind not in _STRUCTURAL:
+            self.last_content = self.pos
+        self.pos += 1
+        return tok
+
+    def _fail(self, expected: str) -> ParseError:
+        tok = self._peek()
+        if tok is None:
+            return ParseError(len(self.source), f"expected {expected}, found end of input")
+        return ParseError(tok.start, f"expected {expected}, found {tok.kind.value} {tok.text!r}")
+
+    def _match_text(self, kind: TokenKind, text: str) -> bool:
+        tok = self._peek()
+        return tok is not None and tok.kind is kind and tok.text == text
+
+    def _expect_text(self, kind: TokenKind, text: str) -> Token:
+        if not self._match_text(kind, text):
+            raise self._fail(repr(text))
+        return self._advance()
+
+    def _expect_kind(self, kind: TokenKind, expected: str) -> Token:
+        tok = self._peek()
+        if tok is None or tok.kind is not kind:
+            raise self._fail(expected)
+        return self._advance()
+
+    def _open_level(self, tok: Token) -> None:
+        if self.nesting == MAX_NESTING:
+            raise ParseError(tok.start, f"nesting deeper than {MAX_NESTING} levels")
+        self.nesting += 1
+
+    def _expect_newline(self) -> None:
+        if self._at_end():
+            return
+        if self._peek().kind is TokenKind.NEWLINE:
+            self._advance()
+            return
+        raise self._fail("end of line")
+
+    def _new_node(self, kind, span, children=None, data=None) -> int:
+        node = AstNode(len(self.nodes), kind, span, children or [], 0, data)
+        self.nodes.append(node)
+        return node.id
+
+    def _span_from(self, start_index: int) -> tuple[int, int]:
+        return (self.tokens[start_index].start, self.tokens[self.last_content].end)
+
+    def parse_module(self) -> SyntaxTree:
+        body: list[int] = []
+        while not self._at_end():
+            tok = self._peek()
+            if tok.kind is TokenKind.INDENT:
+                raise ParseError(tok.start, "unexpected indent")
+            body.append(self._statement())
+        content = [t for t in self.tokens if t.kind not in _STRUCTURAL]
+        span = (content[0].start, content[-1].end) if content else (0, 0)
+        root = self._new_node(NodeKind.MODULE, span, body)
+        tree = SyntaxTree(self.source, self.nodes, root)
+        tree.nodes[root].depth = 0
+        stack = [root]
+        while stack:
+            node = tree.nodes[stack.pop()]
+            for child in node.children:
+                tree.nodes[child].depth = node.depth + 1
+                stack.append(child)
+        return tree
+
+    def _statement(self) -> int:
+        tok = self._peek()
+        if tok.kind is TokenKind.KEYWORD:
+            if tok.text == "def":
+                return self._function_def()
+            if tok.text == "if":
+                return self._if_stmt()
+            if tok.text in ("while", "for"):
+                return self._loop_stmt(tok.text)
+            if tok.text == "return":
+                return self._return_stmt()
+            if tok.text in ("pass", "break", "continue"):
+                return self._keyword_stmt(tok.text)
+        return self._expr_or_assign()
+
+    def _block(self) -> list[int]:
+        self._open_level(self._expect_text(TokenKind.DELIMITER, ":"))
+        if self._at_end():
+            raise self._fail("an indented block")
+        self._expect_kind(TokenKind.NEWLINE, "end of line")
+        self._expect_kind(TokenKind.INDENT, "an indented block")
+        body = [self._statement()]
+        while not self._at_end() and self._peek().kind is not TokenKind.DEDENT:
+            body.append(self._statement())
+        if not self._at_end():
+            self._advance()
+        self.nesting -= 1
+        return body
+
+    def _comma_list(self, item) -> list[int]:
+        self._open_level(self._expect_text(TokenKind.DELIMITER, "("))
+        items: list[int] = []
+        if not self._match_text(TokenKind.DELIMITER, ")"):
+            items.append(item())
+            while self._match_text(TokenKind.DELIMITER, ","):
+                self._advance()
+                items.append(item())
+        self._expect_text(TokenKind.DELIMITER, ")")
+        self.nesting -= 1
+        return items
+
+    def _name(self, expected: str) -> int:
+        tok = self._expect_kind(TokenKind.IDENTIFIER, expected)
+        return self._new_node(NodeKind.NAME, tok.span, data=tok.text)
+
+    def _function_def(self) -> int:
+        start = self.pos
+        self._advance()
+        name = self._expect_kind(TokenKind.IDENTIFIER, "a function name")
+        args_start = self.pos
+        params = self._comma_list(lambda: self._name("a parameter name or ')'"))
+        args = self._new_node(NodeKind.ARGUMENTS, self._span_from(args_start), params)
+        self.func_depth += 1
+        outer_loops, self.loop_depth = self.loop_depth, 0
+        try:
+            body = self._block()
+        finally:
+            self.func_depth -= 1
+            self.loop_depth = outer_loops
+        return self._new_node(
+            NodeKind.FUNCTION_DEF, self._span_from(start), [args] + body, data=name.text
+        )
+
+    def _if_stmt(self) -> int:
+        clauses = []
+        while not clauses or self._match_text(TokenKind.KEYWORD, "elif"):
+            start = self.pos
+            self._advance()
+            clauses.append((start, [self._expression()] + self._block()))
+        if self._match_text(TokenKind.KEYWORD, "else"):
+            self._advance()
+            clauses[-1][1].extend(self._block())
+        inner: list[int] = []
+        for start, children in reversed(clauses):
+            inner = [self._new_node(NodeKind.IF, self._span_from(start), children + inner)]
+        return inner[0]
+
+    def _loop_stmt(self, keyword: str) -> int:
+        start = self.pos
+        self._advance()
+        if keyword == "while":
+            kind, head = NodeKind.WHILE, [self._expression()]
+        else:
+            kind, head = NodeKind.FOR, [self._name("a loop variable")]
+            self._expect_text(TokenKind.KEYWORD, "in")
+            head.append(self._expression())
+        self.loop_depth += 1
+        try:
+            body = self._block()
+        finally:
+            self.loop_depth -= 1
+        return self._new_node(kind, self._span_from(start), head + body)
+
+    def _return_stmt(self) -> int:
+        tok = self._peek()
+        if self.func_depth == 0:
+            raise ParseError(tok.start, "'return' outside a function")
+        start = self.pos
+        self._advance()
+        children = []
+        if not self._at_end() and self._peek().kind is not TokenKind.NEWLINE:
+            children.append(self._expression())
+        node = self._new_node(NodeKind.RETURN, self._span_from(start), children)
+        self._expect_newline()
+        return node
+
+    def _keyword_stmt(self, text: str) -> int:
+        tok = self._peek()
+        if text in ("break", "continue") and self.loop_depth == 0:
+            raise ParseError(tok.start, f"'{text}' outside a loop")
+        self._advance()
+        node = self._new_node(NodeKind.EXPR_STMT, tok.span, data=text)
+        self._expect_newline()
+        return node
+
+    def _expr_or_assign(self) -> int:
+        start = self.pos
+        expr = self._expression()
+        if self._match_text(TokenKind.OPERATOR, "="):
+            if self.nodes[expr].kind not in (NodeKind.NAME, NodeKind.SUBSCRIPT):
+                raise ParseError(self._peek().start, "cannot assign to this expression")
+            self._advance()
+            value = self._expression()
+            node = self._new_node(NodeKind.ASSIGN, self._span_from(start), [expr, value])
+        else:
+            node = self._new_node(NodeKind.EXPR_STMT, self.nodes[expr].span, [expr])
+        self._expect_newline()
+        return node
 
     def _expression(self) -> int:
         return self._binary(self._and_expr, TokenKind.KEYWORD, self.OR_OPS)
@@ -195,10 +509,57 @@ class _LeveledParser(_Parser):
             node = self._new_node(NodeKind.BINOP, self._span_from(start), [node], data="not")
         return node
 
+    def _power(self) -> int:
+        operands = [(self.pos, self._postfix())]
+        while self._match_text(TokenKind.OPERATOR, "**"):
+            self._advance()
+            operands.append((self.pos, self._postfix()))
+        _, node = operands.pop()
+        for start, left in reversed(operands):
+            node = self._new_node(NodeKind.BINOP, self._span_from(start), [left, node], data="**")
+        return node
+
+    def _postfix(self) -> int:
+        start = self.pos
+        node = self._atom()
+        while True:
+            if self._match_text(TokenKind.DELIMITER, "("):
+                args = self._comma_list(self._expression)
+                node = self._new_node(NodeKind.CALL, self._span_from(start), [node] + args)
+            elif self._match_text(TokenKind.DELIMITER, "["):
+                self._open_level(self._advance())
+                index = self._expression()
+                self._expect_text(TokenKind.DELIMITER, "]")
+                self.nesting -= 1
+                node = self._new_node(NodeKind.SUBSCRIPT, self._span_from(start), [node, index])
+            else:
+                return node
+
+    def _atom(self) -> int:
+        tok = self._peek()
+        if tok is None:
+            raise self._fail("an expression")
+        if tok.kind is TokenKind.IDENTIFIER:
+            self._advance()
+            return self._new_node(NodeKind.NAME, tok.span, data=tok.text)
+        if tok.kind in (TokenKind.NUMBER, TokenKind.STRING) or (
+            tok.kind is TokenKind.KEYWORD and tok.text in ("True", "False", "None")
+        ):
+            self._advance()
+            return self._new_node(NodeKind.CONSTANT, tok.span, data=tok.text)
+        if tok.kind is TokenKind.DELIMITER and tok.text == "(":
+            self._open_level(self._advance())
+            node = self._expression()
+            self._expect_text(TokenKind.DELIMITER, ")")
+            self.nesting -= 1
+            return node
+        raise self._fail("an expression")
+
 
 def leveled_parse(source: str) -> SyntaxTree:
-    """``parse`` through one method per precedence level."""
-    return _LeveledParser(source, tokenize(source)).parse_module()
+    """``parse`` through one method per precedence level, over the tokens
+    of ``char_tokenize``."""
+    return _LeveledParser(source, char_tokenize(source)).parse_module()
 
 
 def naive_omega(token: Token, strategy: AnchorStrategy) -> int:

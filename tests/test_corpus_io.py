@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,6 +215,46 @@ class TestSerialization:
         payload = "\n".join([*lines, json.dumps(edit(json.loads(duplicate)))]) + "\n"
         with pytest.raises(IngestError, match="^line 4: "):
             dataset_from_jsonl(payload)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("d0", 1.5, "anchor config 'd0' must be of type int, got 1.5"),
+            ("d0", True, "anchor config 'd0' must be of type int, got True"),
+            ("gamma", True, "anchor config 'gamma' must be of type float, got True"),
+            ("beta", False, "anchor config 'beta' must be of type float, got False"),
+            ("strategy", 1, "anchor config 'strategy' must be of type str, got 1"),
+            ("count", 2.0, "header 'count' must be of type int, got 2.0"),
+            ("count", True, "header 'count' must be of type int, got True"),
+            ("version", True, "header 'version' must be of type int, got True"),
+            ("version", 1.0, "header 'version' must be of type int, got 1.0"),
+        ],
+        ids=["d0-float", "d0-bool", "gamma-bool", "beta-bool", "strategy-int", "count-float",
+             "count-bool", "version-bool", "version-float"],
+    )
+    def test_header_value_of_another_type_names_line_1(self, tmp_path, capsys, synth_records,
+                                                       key, value, message):
+        # The number stands for the record count, so only the type is wrong:
+        # ``true`` counts one record, ``2.0`` two.
+        records = synth_records[: 1 if value is True else 2]
+        header, *lines = dataset_to_jsonl(records, CFG).splitlines()
+        header = json.loads(header)
+        if key in header["anchor"]:
+            header["anchor"][key] = value
+        else:
+            header[key] = value
+        payload = "\n".join([json.dumps(header), *lines]) + "\n"
+        path = tmp_path / "data.jsonl"
+        path.write_text(payload)
+        pattern = f"^line 1: malformed dataset line \\(ValueError: {re.escape(message)}\\)$"
+        for load, arg in ((dataset_from_jsonl, payload), (load_dataset, path)):
+            with pytest.raises(IngestError, match=pattern):
+                load(arg)
+        out = tmp_path / "run"
+        argv = ["sample", "--corpus", str(path), "--steps", "4", "--n-samples", "1"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("keep, count", [(5, 50), (3, 5), (5, 4)])
     def test_record_count_must_match_the_header(self, synth_records, keep, count):
@@ -498,12 +539,27 @@ _JSON_EDITS = st.one_of(
     st.tuples(st.just("token-drop"), st.integers(0, 6), st.integers(0, 60),
               st.sampled_from(["text", "kind", "start", "end"])),
     st.tuples(st.just("count"), st.integers(-2, 2)),
+    # Row j becomes row i under a new id, which json.dumps may escape.
+    st.tuples(st.just("repeat"), st.integers(0, 6), st.integers(0, 6),
+              st.one_of(st.text(max_size=3), st.sampled_from(["r0", "r1", "\x01", "\ud800"]),
+                        st.integers(0, 3), st.none())),
 )
 _BREAKS = ["\r\n", "\r", "\n", "\x0c", "\x0b", "\x1c", "\x85", " ", " "]
+# An id member's value as raw text: escaped, a raw control character, a lone
+# surrogate, a bad escape, an escaped quote, non-ASCII, not a string.
+_ID_LITERALS = ['"r0"', '"x"', '"\\u0072\\u0030"', '"a\x01b"', '"\\ud800"', '"\\x"', '"\\""',
+                '"\u00e9"', '"\\\\"', "7", "null"]
+_ID_VALUE = re.compile(r'"id"\s*:\s*("(?:[^"\\]|\\.)*"|[^,}]*)')
 _TEXT_EDITS = st.one_of(
     st.tuples(st.just("blank"), st.integers(0, 7), st.sampled_from(["", "  ", "\t", "\x0c"])),
     st.tuples(st.just("break"), st.integers(0, 7), st.integers(0, 4000),
               st.sampled_from(_BREAKS)),
+    st.tuples(st.just("id-literal"), st.integers(0, 7), st.sampled_from(_ID_LITERALS)),
+    # A second id member, first or last in its object; the last one counts.
+    st.tuples(st.just("id-key"), st.integers(0, 7), st.sampled_from(['"id"', '"\\u0069d"']),
+              st.sampled_from(_ID_LITERALS), st.booleans()),
+    st.tuples(st.just("id-space"), st.integers(0, 7),
+              st.sampled_from(['"id" : ', '"id":', '"id"\t:\t', '"id"\xa0: '])),
 )
 
 
@@ -544,14 +600,29 @@ def _edited_payload(json_edits, text_edits, ending) -> str:
                     tok[args[2]] = args[3]
                 else:
                     tok.pop(args[2], None)
+        elif kind == "repeat":
+            rows[args[1]] = {**json.loads(json.dumps(row)), "id": args[2]}
     lines = [json.dumps(header), *(json.dumps(row) for row in rows)]
     for kind, where, *args in text_edits:
         where %= len(lines) + 1
         if kind == "blank":
             lines.insert(where, args[0])
-        elif where < len(lines):
+        elif where == len(lines):
+            pass
+        elif kind == "break":
             at = args[0] % (len(lines[where]) + 1)
             lines[where] = lines[where][:at] + args[1] + lines[where][at:]
+        elif kind == "id-literal":
+            lines[where] = _ID_VALUE.sub(lambda m: m.group()[: m.start(1) - m.start()] + args[0],
+                                          lines[where], count=1)
+        elif kind == "id-key":
+            member = f"{args[0]}: {args[1]}"
+            line = lines[where]
+            if line.startswith("{") and line.endswith("}") and len(line) > 2:
+                first = "{" + member + ", " + line[1:]
+                lines[where] = first if args[2] else line[:-1] + ", " + member + "}"
+        else:
+            lines[where] = lines[where].replace('"id": ', args[0], 1)
     return ending.join(lines) + ending
 
 
@@ -592,6 +663,23 @@ class TestStreamingLoad:
     @example([("nudge", 4, "omega", 7)], [], "\n")
     @example([("count", 1)], [("blank", 3, "  ")], "\r\n")
     @example([], [("break", 2, 100, "\x0c")], "\n")
+    # Repeats under new ids, written in every form a literal can take.
+    @example([("repeat", 0, 5, "x")], [("id-literal", 6, '"a\x01b"')], "\n")
+    @example([("repeat", 0, 5, "x")], [("id-literal", 6, '"\\ud800"')], "\n")
+    @example([("repeat", 0, 5, "x")], [("id-literal", 6, '"\\x"')], "\n")
+    @example([("repeat", 0, 5, "x")], [("id-literal", 6, '"\\u0072\\u0030"')], "\n")
+    @example([("repeat", 0, 5, "x")], [("id-literal", 6, "7")], "\n")
+    @example([("repeat", 0, 5, 7)], [], "\n")
+    @example([("repeat", 0, 5, "\x01\u00e9")], [], "\n")
+    # A second id member, on the checked line and on its repeat: the last wins.
+    @example([("repeat", 0, 1, "x")], [("id-key", 1, '"\\u0069d"', '"r0"', False),
+                                       ("id-key", 2, '"\\u0069d"', '"r0"', False)], "\n")
+    @example([("repeat", 0, 1, "x")], [("id-key", 1, '"id"', '"r0"', False),
+                                       ("id-key", 2, '"id"', '"r0"', False)], "\n")
+    @example([("repeat", 0, 1, "x")], [("id-key", 1, '"id"', '"q"', True),
+                                       ("id-key", 2, '"id"', '"q"', True)], "\n")
+    @example([("repeat", 0, 1, "x")], [("id-space", 1, '"id" : '), ("id-space", 2, '"id" : ')],
+             "\n")
     @given(
         st.lists(_JSON_EDITS, max_size=3),
         st.lists(_TEXT_EDITS, max_size=2),
@@ -640,6 +728,22 @@ class TestStreamingLoad:
             with pytest.raises(IngestError, match=f"^line {number}: "):
                 load(arg)
         assert _outcome(load_dataset, path) == _outcome(whole_text_load, path)
+
+    def test_a_line_repeated_up_to_its_id_is_checked_once(self, tmp_path, monkeypatch):
+        # The perfbench corpus: 2,000 lines of 667 distinct programs, each
+        # program's lines equal up to their ids.
+        sources = synth_corpus(1, 2000)
+        annotate = annotator(CFG)
+        path = tmp_path / "synth2000.jsonl"
+        save_dataset(path, [annotate(s, str(i)) for i, s in enumerate(sources)], CFG)
+        real = corpus_io._record_from_dict
+        calls = []
+        monkeypatch.setattr(corpus_io, "_record_from_dict",
+                            lambda data, *rest: calls.append(data["id"]) or real(data, *rest))
+        records, _ = load_dataset(path)
+        assert len(calls) == len(set(sources)) == 667
+        assert [r.record_id for r in records] == [str(i) for i in range(2000)]
+        assert [r.source for r in records] == sources
 
     def test_transient_memory_is_below_the_file_size(self, tmp_path):
         # The perfbench corpus: 2,000 synth programs, 667 of them distinct.

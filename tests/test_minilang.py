@@ -28,7 +28,7 @@ from anchordiff.minilang import (
     tokenize,
 )
 
-from .oracles import leveled_parse, recursive_pretty
+from .oracles import char_tokenize, leveled_parse, recursive_pretty
 
 # Each shape nests n levels; its opener is the token that opens a level.
 NESTED = {
@@ -55,6 +55,33 @@ def _frames() -> int:
 
 def kinds_and_texts(tokens):
     return [(t.kind, t.text) for t in tokens]
+
+
+# Synth programs edited with what the lexer treats specially: tabs, a
+# carriage return, quotes, backslashes (one before a line break lets a
+# string go on), non-ASCII letters and digits, and numbers.
+LEXER_BASES = list(dict.fromkeys(synth_corpus(seed=3, n_programs=60, max_depth=8)))
+LEXER_PIECES = [
+    "\t", "\r", "'", '"', "\\", "\\\n", "'a\\\nb'", "\"c\\\"\"", "\u00b2", "\u00e9", "\u0663",
+    "\u00bd", "1.5", "7.", ".5", "_x9", "**", "!=", "!", "\n", "    ", " ", "\x0c",
+]
+
+
+def _lexer_edit(base, edits):
+    source = LEXER_BASES[base % len(LEXER_BASES)]
+    for at, span, piece in edits:
+        i = at % (len(source) + 1)
+        source = source[:i] + piece + source[i + span:]
+    return source
+
+
+LEXER_SOURCES = st.one_of(
+    st.builds(_lexer_edit, st.integers(0, 1000), st.lists(
+        st.tuples(st.integers(0, 400), st.integers(0, 3), st.sampled_from(LEXER_PIECES)),
+        min_size=1, max_size=5,
+    )),
+    st.lists(st.sampled_from(LEXER_PIECES + ["x", "if", "(", ")", ":"]), max_size=30).map("".join),
+)
 
 
 class TestTokenize:
@@ -129,6 +156,11 @@ class TestTokenize:
     @settings(max_examples=60, deadline=None)
     def test_deterministic(self, source):
         assert tokenize(source) == tokenize(source)
+
+    @given(st.one_of(LEXER_SOURCES, st.text(max_size=80)))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_per_character_lexer(self, source):
+        assert tokenize(source) == char_tokenize(source)
 
 
 class TestSplitIdentifiers:
@@ -424,7 +456,7 @@ class TestModuleLevelDedent:
         real = parser_module._Parser._statement
 
         def checked(parser):
-            assert parser._peek().kind is not TokenKind.DEDENT
+            assert parser.tokens[parser.pos].kind is not TokenKind.DEDENT
             return real(parser)
 
         with pytest.MonkeyPatch.context() as mp:

@@ -43,8 +43,9 @@ print("  while over mid   :", precedes(pos["while"], pos["mid"], node_id, tree))
 print("  lo   over mid    :", precedes(pos["lo"], pos["mid"], node_id, tree))
 
 # Ancestor chains step through each node's designated (keyword-first) token.
+# The climb needs only each node's parent, the map an annotation record keeps.
 mid = next(i for i, t in enumerate(tokens)
            if t.text == "mid" and tokens[i - 1].text == "return")
-chain = ancestor_chain(mid, 4, node_id, tokens, tree)
+chain = ancestor_chain(mid, 4, node_id, tokens, tree.parents)
 print("\nancestor chain from the returned 'mid':",
       [tokens[p].text for p in chain.positions])

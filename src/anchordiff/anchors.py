@@ -43,11 +43,14 @@ _DEFAULT_BETA = {
 }
 DEFAULT_D0 = 2
 
-_ANCHORED_KINDS = {  # the token kinds each strategy anchors
-    AnchorStrategy.NULL: frozenset(),
-    AnchorStrategy.KEYWORD: frozenset({TokenKind.KEYWORD}),
-    AnchorStrategy.IDENTIFIER: frozenset({TokenKind.IDENTIFIER}),
-    AnchorStrategy.ANCHOR_TREE: frozenset({TokenKind.KEYWORD, TokenKind.IDENTIFIER}),
+# The token kinds each strategy anchors. Tuples, since ``in`` on a tuple
+# compares members by identity first, where a set would hash each kind
+# through the Python-level ``Enum.__hash__``.
+_ANCHORED_KINDS = {
+    AnchorStrategy.NULL: (),
+    AnchorStrategy.KEYWORD: (TokenKind.KEYWORD,),
+    AnchorStrategy.IDENTIFIER: (TokenKind.IDENTIFIER,),
+    AnchorStrategy.ANCHOR_TREE: (TokenKind.KEYWORD, TokenKind.IDENTIFIER),
 }
 
 

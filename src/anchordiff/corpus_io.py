@@ -17,8 +17,8 @@ its own: the synth-2000 file's 2,000 lines hold 667 distinct ones.
 A corpus repeats programs (the 2,000 synth programs hold 667 distinct
 sources). Within one call, the loaders, ``reweight_records`` and
 ``build_corpus`` do their per-record work once per distinct annotation:
-duplicates are records of their own ids that share one token list, tree
-and set of read-only arrays. No memo outlives the call that made it.
+duplicates are records of their own ids that share one token list, parent
+map and set of read-only arrays. No memo outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .minilang import (
     MASK_SURFACE,
     PAD_SURFACE,
     ParseError,
-    SyntaxTree,
     Token,
     TokenKind,
     parse,
@@ -64,16 +63,19 @@ class IngestError(Exception):
 
 @dataclass
 class DatasetRecord(ReadOnlyArrays):
-    """One annotated program: tokens with spans, per-token int64 arrays of
-    node ids, depths and chain lengths (each token's count of token-bearing
-    strict ancestors), and the anchor arrays. The tree and ``chain`` are
-    re-derived from the source, so neither is serialized. The arrays are
-    read-only, since duplicates of one program share them."""
+    """One annotated program: tokens with spans, the syntax tree's parent
+    map (``SyntaxTree.parents``, which the ancestry probe climbs), per-token
+    int64 arrays of node ids, depths and chain lengths (each token's count
+    of token-bearing strict ancestors), and the anchor arrays. The record
+    keeps no tree: what the tree gives is read from it at annotation time,
+    so its nodes are freed then. ``parents`` and ``chain`` are re-derived
+    from the source, so neither is serialized. The arrays are read-only,
+    since duplicates of one program share them."""
 
     record_id: str
     source: str
     tokens: list[Token]
-    tree: SyntaxTree
+    parents: tuple[int | None, ...]
     node_id: np.ndarray
     depth: np.ndarray
     chain: np.ndarray
@@ -111,7 +113,7 @@ def annotate_program(
         record_id=record_id,
         source=source,
         tokens=tokens,
-        tree=tree,
+        parents=tree.parents,
         node_id=node_id,
         depth=depth,
         chain=chain_lengths(tree, node_id),
@@ -122,8 +124,8 @@ def annotate_program(
 def annotator(config: AnchorConfig, split_max_len: int | None = None):
     """``annotate(source, record_id)``: ``annotate_program`` under ``config``
     that annotates each distinct source once. A repeat is a record of its
-    own id sharing the first one's tokens, tree and arrays. The memo lives
-    as long as the returned function."""
+    own id sharing the first one's tokens, parent map and arrays. The memo
+    lives as long as the returned function."""
     shared: dict[str, DatasetRecord] = {}
 
     def annotate(source: str, record_id: str) -> DatasetRecord:
@@ -135,8 +137,8 @@ def annotator(config: AnchorConfig, split_max_len: int | None = None):
 
 
 def reweight(rec: DatasetRecord, config: AnchorConfig) -> DatasetRecord:
-    """``rec`` under another anchor config: the same tokens, tree, node ids,
-    depths and chain lengths, with omega, eta and mu recomputed."""
+    """``rec`` under another anchor config: the same tokens, parent map, node
+    ids, depths and chain lengths, with omega, eta and mu recomputed."""
     return replace(rec, **_anchor_arrays(rec.tokens, rec.depth, config))
 
 
@@ -286,8 +288,9 @@ _RECORD_FIELDS = frozenset({"id", "source", "tokens", *_ARRAY_FIELDS})
 
 
 def _token_rows(tokens: list[Token]) -> list[tuple[str, str, int, int]]:
-    """Each token as its stored ``(text, kind, start, end)``."""
-    return [(t.text, t.kind.value, t.start, t.end) for t in tokens]
+    """Each token as its stored ``(text, kind, start, end)``. The kind's
+    ``_value_`` is its ``value`` without the Python-level property call."""
+    return [(t.text, t.kind._value_, t.start, t.end) for t in tokens]
 
 
 def _record_to_dict(rec: DatasetRecord) -> dict:
@@ -359,10 +362,12 @@ def dataset_to_jsonl(records: list[DatasetRecord], config: AnchorConfig) -> str:
 
 
 def _config_from_header(header: dict, n_records: int) -> AnchorConfig:
+    """The header's anchor config. Each fault raises ValueError, which
+    ``_from_line`` reports as an IngestError naming line 1."""
     if header.get("schema") != SCHEMA_NAME:
-        raise IngestError("not an anchordiff dataset")
+        raise ValueError("not an anchordiff dataset")
     if header.get("version") != SCHEMA_VERSION:
-        raise IngestError(f"unsupported schema version {header.get('version')}")
+        raise ValueError(f"unsupported schema version {header.get('version')}")
     _header_int(header, "version")
     if _header_int(header, "count") != n_records:
         raise ValueError(f"the header counts {header['count']} records; the file has {n_records}")

@@ -145,7 +145,7 @@ def ancestry_probe(
             rec = records[ri]
             targets = np.flatnonzero(ok[ri])
             l0 = int(targets[rng.integers(len(targets))])
-            chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.tree, rule).positions
+            chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule).positions
             if any(pos >= length for pos in chain):
                 skipped += 1
                 past_length += 1

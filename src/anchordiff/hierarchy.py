@@ -17,8 +17,12 @@ depth is its node's, and its kind is read from the token itself.
 A position's chain length, the number of token-bearing strict ancestors of
 its node, bounds the ancestor chains the probe can draw from it.
 ``chain_lengths`` counts them for every token in one top-down walk, once
-per record; ``max_chain_length`` climbs the tree for one position and is
-the reference the walk is tested against.
+per record; ``max_chain_length`` climbs for one position and is the
+reference the walk is tested against.
+
+Once a program is annotated, the climbs need only each node's parent:
+``ancestor_chain`` and ``max_chain_length`` take the tree's ``parents``
+tuple, which an annotation record keeps in place of the tree.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ def ancestor_chain(
     k: int,
     node_id: np.ndarray,
     tokens: list[Token],
-    tree: SyntaxTree,
+    parents: tuple[int | None, ...],
     rule: str = "keyword_first",
     node_index: dict[int, list[int]] | None = None,
 ) -> AncestorChain:
@@ -153,7 +157,8 @@ def ancestor_chain(
     contribute no positions to the partial order, so skipping them keeps
     the chain contiguous. Raises InsufficientDepth when fewer than ``k``
     token-bearing ancestors exist, and ValueError for an unknown ``rule``
-    whatever ``k`` is.
+    whatever ``k`` is. ``parents`` maps each node id to its parent's, as
+    ``SyntaxTree.parents`` does.
     """
     check_rule(rule)
     if k < 0:
@@ -163,9 +168,9 @@ def ancestor_chain(
     positions = [l0]
     current = int(node_id[l0])
     while len(positions) < k + 1:
-        current = tree.parent(current)
+        current = parents[current]
         while current is not None and not node_index.get(current):
-            current = tree.parent(current)
+            current = parents[current]
         if current is None:
             raise InsufficientDepth(l0, k, len(positions) - 1)
         positions.append(designated_position(current, tokens, node_index, rule))
@@ -175,18 +180,19 @@ def ancestor_chain(
 def max_chain_length(
     l0: int,
     node_id: np.ndarray,
-    tree: SyntaxTree,
+    parents: tuple[int | None, ...],
     node_index: dict[int, list[int]] | None = None,
 ) -> int:
-    """Number of token-bearing strict ancestors above ``l0``'s node."""
+    """Number of token-bearing strict ancestors above ``l0``'s node, by a
+    climb of ``parents`` (``SyntaxTree.parents``)."""
     if node_index is None:
         node_index = positions_by_node(node_id)
     count = 0
-    current = tree.parent(int(node_id[l0]))
+    current = parents[int(node_id[l0])]
     while current is not None:
         if node_index.get(current):
             count += 1
-        current = tree.parent(current)
+        current = parents[current]
     return count
 
 

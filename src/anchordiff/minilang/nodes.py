@@ -51,9 +51,11 @@ class AstNode:
 class SyntaxTree:
     """Parsed program: node table, root id, and the original source.
 
-    Node ids are ``0..n-1``, the parser's creation order, so ``nodes`` and
-    the parent map are lists indexed by node id; ``nodes`` holds the nodes
-    in id order whatever order they are passed in.
+    Node ids are ``0..n-1``, the parser's creation order, so ``nodes`` is a
+    list and ``parents`` a tuple indexed by node id; ``nodes`` holds the
+    nodes in id order whatever order they are passed in. ``parents`` holds
+    each node's parent id (``None`` at the root) and outlives the tree in
+    an annotation record: a tuple of ints and ``None`` holds no node.
     """
 
     def __init__(self, source: str, nodes: list[AstNode], root: int):
@@ -62,16 +64,17 @@ class SyntaxTree:
         if [n.id for n in self.nodes] != list(range(len(nodes))):
             raise ValueError("node ids must be 0..n-1")
         self.root = root
-        self._parent: list[int | None] = [None] * len(nodes)
+        parents: list[int | None] = [None] * len(nodes)
         for node in nodes:
             for child in node.children:
-                self._parent[child] = node.id
+                parents[child] = node.id
+        self.parents: tuple[int | None, ...] = tuple(parents)
 
     def node(self, node_id: int) -> AstNode:
         return self.nodes[node_id]
 
     def parent(self, node_id: int) -> int | None:
-        return self._parent[node_id]
+        return self.parents[node_id]
 
     def depth(self, node_id: int) -> int:
         return self.nodes[node_id].depth
@@ -80,11 +83,11 @@ class SyntaxTree:
         """True when node ``a`` lies strictly above node ``b``."""
         if a == b:
             return False
-        cur = self._parent[b]
+        cur = self.parents[b]
         while cur is not None:
             if cur == a:
                 return True
-            cur = self._parent[cur]
+            cur = self.parents[cur]
         return False
 
     def pretty(self) -> str:

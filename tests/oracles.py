@@ -4,11 +4,11 @@ Each oracle recomputes a result through a second, naive code path: a
 dataset loader that holds the whole text and checks each line against a
 dict form of its annotation, a lexer that reads one character per step,
 full node-table scans for token assignment, a parser of its own with one
-method per precedence level, a tree climb per position for
-the probe's targets, per-sequence loops for the posterior, explicit
-state-space enumeration for reverse chains, a dict-of-contexts count
-model, dense (L, K) rows behind the predictor queries, and a
-one-draw-at-a-time loss loop.
+method per precedence level, tree climbs through the children lists for
+ancestor chains and the probe's targets, per-sequence loops for the
+posterior, explicit state-space enumeration for reverse chains, a
+dict-of-contexts count model, dense (L, K) rows behind the predictor
+queries, and a one-draw-at-a-time loss loop.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from anchordiff.corpus_io import (
     _from_line,
     annotate_program,
 )
-from anchordiff.hierarchy import max_chain_length, positions_by_node
-from anchordiff.minilang import KEYWORDS, AstNode, SyntaxTree, Token, TokenKind
+from anchordiff.minilang import KEYWORDS, AstNode, SyntaxTree, Token, TokenKind, parse
 from anchordiff.minilang.nodes import NodeKind
 from anchordiff.minilang.parser import MAX_NESTING, ParseError
 from anchordiff.schedule import NoiseSchedule, lambda_weight, step_times, unmask_prob
@@ -576,16 +575,57 @@ def naive_omega(token: Token, strategy: AnchorStrategy) -> int:
     return 0
 
 
+def _child_parent(tree: SyntaxTree, node: int) -> int | None:
+    """The node whose children list holds ``node``, by a scan of the table."""
+    return next((n.id for n in tree.nodes if node in n.children), None)
+
+
+def tree_max_chain_length(l0: int, node_id, tree: SyntaxTree) -> int:
+    """``max_chain_length`` by a climb of the tree itself: each parent is
+    found in the children lists, and a node bears a token when some
+    position's node id is its id."""
+    homes = node_id.tolist()
+    count = 0
+    current = _child_parent(tree, homes[l0])
+    while current is not None:
+        count += current in homes
+        current = _child_parent(tree, current)
+    return count
+
+
+def tree_ancestor_chain(l0: int, k: int, node_id, tokens: list[Token], tree: SyntaxTree,
+                        rule: str) -> tuple[int, ...] | None:
+    """``ancestor_chain(...).positions`` by a climb of the tree itself, or
+    None where it raises InsufficientDepth: each step takes the nearest
+    token-bearing strict ancestor's first Keyword position under
+    ``keyword_first`` (else its first position), its first position under
+    ``first_token``."""
+    homes = node_id.tolist()
+    positions = [l0]
+    current = homes[l0]
+    while len(positions) < k + 1:
+        current = _child_parent(tree, current)
+        while current is not None and current not in homes:
+            current = _child_parent(tree, current)
+        if current is None:
+            return None
+        owned = [p for p, home in enumerate(homes) if home == current]
+        keywords = [p for p in owned if tokens[p].kind is TokenKind.KEYWORD]
+        positions.append((keywords if rule == "keyword_first" and keywords else owned)[0])
+    return tuple(positions)
+
+
 def naive_probe_targets(records, k: int, length: int) -> tuple[list[list[int]], int]:
     """Per record: positions below ``length`` admitting an ancestor chain of
-    length k, each found by climbing the tree; and the longest chain any
-    such position admits (0 when there is none)."""
+    length k, each found by climbing the record's tree, parsed again from
+    its source; and the longest chain any such position admits (0 when
+    there is none)."""
     eligible: list[list[int]] = []
     achievable = 0
     for rec in records:
-        index = positions_by_node(rec.node_id)
+        tree = parse(rec.source)
         chains = [
-            max_chain_length(l, rec.node_id, rec.tree, index)
+            tree_max_chain_length(l, rec.node_id, tree)
             for l in range(min(len(rec), length))
         ]
         eligible.append([l for l, c in enumerate(chains) if c >= k])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import gc
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import json
 import pickle
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -37,7 +39,9 @@ from anchordiff.diffusion import Vocab
 from anchordiff.minilang import (
     MASK_SURFACE,
     PAD_SURFACE,
+    AstNode,
     ParseError,
+    SyntaxTree,
     is_syntactically_valid,
     parse,
     token_surfaces,
@@ -228,14 +232,17 @@ class TestSerialization:
             ("count", True, "header 'count' must be of type int, got True"),
             ("version", True, "header 'version' must be of type int, got True"),
             ("version", 1.0, "header 'version' must be of type int, got 1.0"),
+            ("version", 2, "unsupported schema version 2"),
+            ("schema", "something-else", "not an anchordiff dataset"),
         ],
         ids=["d0-float", "d0-bool", "gamma-bool", "beta-bool", "strategy-int", "count-float",
-             "count-bool", "version-bool", "version-float"],
+             "count-bool", "version-bool", "version-float", "version-2", "foreign-schema"],
     )
     def test_header_value_of_another_type_names_line_1(self, tmp_path, capsys, synth_records,
                                                        key, value, message):
         # The number stands for the record count, so only the type is wrong:
-        # ``true`` counts one record, ``2.0`` two.
+        # ``true`` counts one record, ``2.0`` two. A schema name or version
+        # of the right type but another value names line 1 too.
         records = synth_records[: 1 if value is True else 2]
         header, *lines = dataset_to_jsonl(records, CFG).splitlines()
         header = json.loads(header)
@@ -382,22 +389,21 @@ def assert_same_record(got, want):
     assert got.record_id == want.record_id
     assert got.source == want.source
     assert got.tokens == want.tokens
-    assert got.tree.source == want.tree.source
-    assert (got.tree.root, got.tree.nodes) == (want.tree.root, want.tree.nodes)
+    assert got.parents == want.parents
     for name in RECORD_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def assert_shared_and_read_only(records):
-    """Records of one source (and split) share tokens, tree and arrays, and
-    no record's array is writeable."""
+    """Records of one source (and split) share tokens, parent map and
+    arrays, and no record's array is writeable."""
     first = {}
     for rec in records:
         assert not any(getattr(rec, a).flags.writeable for a in RECORD_ARRAYS)
         key = (rec.source, tuple(t.text for t in rec.tokens))
         other = first.setdefault(key, rec)
-        assert rec.tokens is other.tokens and rec.tree is other.tree
+        assert rec.tokens is other.tokens and rec.parents is other.parents
         assert all(getattr(rec, a) is getattr(other, a) for a in RECORD_ARRAYS)
 
 
@@ -484,6 +490,59 @@ class TestSharedAnnotation:
         for got, want in zip(moved, fresh, strict=True):
             assert_same_record(got, reweight(want, self.KEYWORD))
         assert_shared_and_read_only(moved)
+
+
+def _reachable(root) -> list:
+    """Every object ``gc.get_referents`` reaches from ``root``, entering no
+    class, module, function or enum member: those are shared by the whole
+    program, not held by ``root``."""
+    shared = (type, types.ModuleType, types.FunctionType, enum.Enum)
+    seen = {id(root)}
+    todo = [root]
+    found = []
+    while todo:
+        obj = todo.pop()
+        found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, shared):
+                seen.add(id(ref))
+                todo.append(ref)
+    return found
+
+
+class TestRecordKeepsNoTree:
+    """A record keeps its tree's parent map, not the tree: nothing it holds
+    reaches an AstNode or a SyntaxTree, and once collected the map is a
+    tuple the garbage collector no longer tracks."""
+
+    @staticmethod
+    def _check(records):
+        assert records
+        for rec in records:
+            assert type(rec.parents) is tuple
+            assert rec.parents == parse(rec.source).parents
+            assert not [o for o in _reachable(rec) if isinstance(o, (AstNode, SyntaxTree))]
+        gc.collect()
+        assert not [rec.record_id for rec in records if gc.is_tracked(rec.parents)]
+
+    def test_the_walk_finds_a_tree(self, synth_sources):
+        assert any(isinstance(o, AstNode) for o in _reachable(parse(synth_sources[0])))
+
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_annotate_program(self, synth_sources, split):
+        self._check([_fresh(s, CFG, str(i), split) for i, s in enumerate(synth_sources[:8])])
+
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_annotator(self, synth_sources, split):
+        annotate = annotator(CFG, split)
+        self._check([annotate(s, str(i)) for i, s in enumerate(synth_sources)])
+
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_load_dataset(self, tmp_path, synth_sources, split):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, [_fresh(s, CFG, str(i), split) for i, s in enumerate(synth_sources)], CFG)
+        records, _ = load_dataset(path)
+        self._check(records)
 
 
 class TestDatasetCorpusWeights:

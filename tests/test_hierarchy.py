@@ -27,7 +27,7 @@ from anchordiff.minilang import (
     tokenize,
 )
 
-from .oracles import naive_node_assignment
+from .oracles import naive_node_assignment, tree_ancestor_chain, tree_max_chain_length
 
 NESTED_SRC = (
     "def search(xs, t):\n"
@@ -59,9 +59,11 @@ class TestAssignNodes:
     def test_depths_match_tree(self, synth_sources):
         for src in synth_sources[:10]:
             rec = annotate_program(src, PROBE_CONFIG)
+            tree = parse(rec.source)
+            assert rec.parents == tree.parents
             assert rec.depth.dtype == np.int64
             for node, depth in zip(rec.node_id.tolist(), rec.depth.tolist()):
-                assert depth == rec.tree.node(node).depth
+                assert depth == tree.node(node).depth
 
     def test_expression_example(self):
         tree, tokens, node_id = annotate("x = (a + 2) * b")
@@ -185,7 +187,7 @@ def _check_against_oracle(tree, tokens):
     chains = chain_lengths(tree, node_id)
     assert chains.dtype == np.int64
     assert chains.tolist() == [
-        max_chain_length(l, node_id, tree, index) for l in range(len(node_id))
+        max_chain_length(l, node_id, tree.parents, index) for l in range(len(node_id))
     ]
 
 
@@ -319,13 +321,13 @@ class TestAncestorChain:
         tree, tokens, node_id = annotate(NESTED_SRC)
         mid = next(i for i, t in enumerate(tokens) if t.text == "mid" and
                    tokens[i - 1].text == "return")
-        chain = ancestor_chain(mid, 4, node_id, tokens, tree)
+        chain = ancestor_chain(mid, 4, node_id, tokens, tree.parents)
         texts = [tokens[p].text for p in chain.positions]
         assert texts == ["mid", "return", "if", "while", "def"]
 
     def test_chain_is_identity_at_k0(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
-        chain = ancestor_chain(3, 0, node_id, tokens, tree)
+        chain = ancestor_chain(3, 0, node_id, tokens, tree.parents)
         assert chain.positions == (3,)
 
     def test_chain_pairs_satisfy_partial_order(self, synth_sources):
@@ -333,8 +335,8 @@ class TestAncestorChain:
             tree, tokens, node_id = annotate(src)
             index = positions_by_node(node_id)
             for l0 in range(len(tokens)):
-                k = min(max_chain_length(l0, node_id, tree, index), 3)
-                chain = ancestor_chain(l0, k, node_id, tokens, tree, node_index=index)
+                k = min(max_chain_length(l0, node_id, tree.parents, index), 3)
+                chain = ancestor_chain(l0, k, node_id, tokens, tree.parents, node_index=index)
                 for lo, hi in zip(chain.positions, chain.positions[1:]):
                     assert precedes(hi, lo, node_id, tree)
 
@@ -345,8 +347,8 @@ class TestAncestorChain:
             index = positions_by_node(node_id)
             homes = node_id.tolist()
             for l0 in range(0, len(tokens), 5):
-                k = min(max_chain_length(l0, node_id, tree, index), 3)
-                chain = ancestor_chain(l0, k, node_id, tokens, tree, node_index=index)
+                k = min(max_chain_length(l0, node_id, tree.parents, index), 3)
+                chain = ancestor_chain(l0, k, node_id, tokens, tree.parents, node_index=index)
                 for lo, hi in zip(chain.positions, chain.positions[1:]):
                     node = tree.parent(homes[lo])
                     while node != homes[hi]:
@@ -369,16 +371,44 @@ class TestAncestorChain:
         index = positions_by_node(rec.node_id)
         for l0, length in enumerate(rec.chain.tolist()):
             if length >= k:
-                chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.tree, rule, index)
+                chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule, index)
                 assert len(chain) == k + 1
             else:
                 with pytest.raises(InsufficientDepth):
-                    ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.tree, rule, index)
+                    ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule, index)
+
+    @given(
+        seed=st.integers(0, 100_000),
+        max_depth=st.integers(3, 8),
+        split=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_parent_map_climbs_equal_tree_climbs(self, seed, max_depth, split):
+        # A record's climbs read its parents tuple; the oracles climb the
+        # tree parsed again, through its children lists. Every position,
+        # every k up to one past its chain length, and both rules.
+        (src,) = synth_corpus(seed=seed, n_programs=1, max_depth=max_depth)
+        rec = annotate_program(src, PROBE_CONFIG, split_max_len=split)
+        tree = parse(src)
+        index = positions_by_node(rec.node_id)
+        for l0 in range(len(rec)):
+            length = max_chain_length(l0, rec.node_id, rec.parents, index)
+            assert length == tree_max_chain_length(l0, rec.node_id, tree)
+            for k in range(length + 2):
+                for rule in ("keyword_first", "first_token"):
+                    want = tree_ancestor_chain(l0, k, rec.node_id, rec.tokens, tree, rule)
+                    args = (l0, k, rec.node_id, rec.tokens, rec.parents, rule, index)
+                    if want is None:
+                        assert k == length + 1
+                        with pytest.raises(InsufficientDepth):
+                            ancestor_chain(*args)
+                    else:
+                        assert ancestor_chain(*args).positions == want
 
     def test_insufficient_depth(self):
         tree, tokens, node_id = annotate("x = 1")
         with pytest.raises(InsufficientDepth) as err:
-            ancestor_chain(0, 5, node_id, tokens, tree)
+            ancestor_chain(0, 5, node_id, tokens, tree.parents)
         assert err.value.requested == 5
 
     def test_module_child_boundary(self):
@@ -387,17 +417,17 @@ class TestAncestorChain:
         src = "x = 1"
         tree, tokens, node_id = annotate(src)
         with pytest.raises(InsufficientDepth):
-            ancestor_chain(0, 2, node_id, tokens, tree)
+            ancestor_chain(0, 2, node_id, tokens, tree.parents)
         src2 = "x = 1\ny = 2\n"
         tree2, tokens2, node_id2 = annotate(src2)
-        chain = ancestor_chain(0, 2, node_id2, tokens2, tree2)
+        chain = ancestor_chain(0, 2, node_id2, tokens2, tree2.parents)
         assert node_id2[chain.positions[-1]] == tree2.root
 
     def test_first_token_rule(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
         mid = next(i for i, t in enumerate(tokens) if t.text == "mid" and
                    tokens[i - 1].text == "return")
-        chain = ancestor_chain(mid, 2, node_id, tokens, tree, rule="first_token")
+        chain = ancestor_chain(mid, 2, node_id, tokens, tree.parents, rule="first_token")
         # Return owns only its keyword either way; the If node's first
         # assigned token is still "if".
         assert tokens[chain.positions[1]].text == "return"
@@ -407,4 +437,4 @@ class TestAncestorChain:
         tree, tokens, node_id = annotate(NESTED_SRC)
         mid = next(i for i, t in enumerate(tokens) if t.text == "mid")
         with pytest.raises(ValueError, match="unknown designation rule: 'bogus'"):
-            ancestor_chain(mid, k, node_id, tokens, tree, rule="bogus")
+            ancestor_chain(mid, k, node_id, tokens, tree.parents, rule="bogus")

@@ -318,13 +318,18 @@ REPARSE_KINDS = {
 
 
 class TestSyntaxTreeTable:
-    """The node table and the parent map are lists indexed by node id."""
+    """The node table is a list and the parent map a tuple, both indexed by
+    node id."""
 
     def test_nodes_are_indexed_by_id(self, synth_sources):
         tree = parse(synth_sources[0])
         assert [n.id for n in tree.nodes] == list(range(len(tree.nodes)))
-        assert [tree.parent(n.id) for n in tree.nodes].count(None) == 1
+        assert type(tree.parents) is tuple
+        assert tree.parents == tuple(tree.parent(n.id) for n in tree.nodes)
+        assert tree.parents.count(None) == 1
         assert tree.parent(tree.root) is None
+        for node in tree.nodes:
+            assert all(tree.parents[child] == node.id for child in node.children)
 
     def test_node_ids_must_be_0_to_n_minus_1(self):
         nodes = [AstNode(0, NodeKind.MODULE, (0, 2), [2]), AstNode(2, NodeKind.NAME, (0, 1))]

@@ -48,4 +48,4 @@ mid = next(i for i, t in enumerate(tokens)
            if t.text == "mid" and tokens[i - 1].text == "return")
 chain = ancestor_chain(mid, 4, node_id, tokens, tree.parents)
 print("\nancestor chain from the returned 'mid':",
-      [tokens[p].text for p in chain.positions])
+      [tokens[p].text for p in chain])

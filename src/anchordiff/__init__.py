@@ -31,7 +31,6 @@ from .corpus_io import (
     ingest,
     load_dataset,
     pad_id,
-    save_dataset,
     synth_corpus,
 )
 from .denoisers import (
@@ -66,7 +65,6 @@ from .experiments import (
     validity_eval,
 )
 from .hierarchy import (
-    AncestorChain,
     InsufficientDepth,
     ancestor_chain,
     assign_nodes,

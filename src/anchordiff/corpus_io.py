@@ -23,6 +23,7 @@ map and set of read-only arrays. No memo outlives the call that made it.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -462,17 +463,9 @@ def _read_dataset(physical_lines) -> tuple[list[DatasetRecord], AnchorConfig]:
     return records, config
 
 
-# A physical line as ``open(..., newline="")`` reads one: up to and
-# including its ``\n``, ``\r\n`` or ``\r``, or the unended rest of the text.
-_PHYSICAL_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
-
 def dataset_from_jsonl(payload: str) -> tuple[list[DatasetRecord], AnchorConfig]:
-    return _read_dataset(lambda: (m.group() for m in _PHYSICAL_LINE.finditer(payload)))
-
-
-def save_dataset(path: str | Path, records: list[DatasetRecord], config: AnchorConfig) -> None:
-    Path(path).write_text(dataset_to_jsonl(records, config), encoding="utf-8")
+    # newline="" splits physical lines as load_dataset's open(...) does.
+    return _read_dataset(lambda: io.StringIO(payload, newline=""))
 
 
 def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], AnchorConfig]:

@@ -173,15 +173,15 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
             raise ValueError(
                 f"latent length {len(z)} does not match corpus length {len(self._seen)}"
             )
-        changed = np.flatnonzero(z.ids != self._seen)
+        changed = (z.ids != self._seen).nonzero()[0]
         if not len(changed):
             return
         hit = self._filtered(z, changed.tolist())
         if hit is None:
             # One pass over every unmasked column: a rebuild reads most of
             # them, and _filtered's loop from all rows costs about twice this.
-            now = np.flatnonzero(z.ids != self.vocab.mask_id)
-            hit = np.flatnonzero((self._columns[now] == z.ids[now, None]).all(axis=0))
+            now = (z.ids != self.vocab.mask_id).nonzero()[0]
+            hit = (self._columns[now] == z.ids[now, None]).all(axis=0).nonzero()[0]
         self._seen[changed] = z.ids[changed]
         self._hit, self._hit_weights = hit, self._unique_weights[hit]
         self._hit.setflags(write=False)

@@ -87,7 +87,6 @@ def ancestry_probe(
     k: int,
     n_probes: int,
     rng: np.random.Generator | int | None,
-    schedule: NoiseSchedule | None = None,
     rule: str = "keyword_first",
 ) -> ProbeRun:
     """Measure how revealing a masked position's ancestors improves the
@@ -116,10 +115,10 @@ def ancestry_probe(
     if corpus.n != len(records):
         raise ValueError(f"{len(records)} records for {corpus.n} corpus rows")
     rng = as_rng(rng)
-    schedule = schedule or NoiseSchedule(T=max(corpus.length, 1))
+    schedule = NoiseSchedule(T=max(corpus.length, 1))
     length = corpus.length
     ok = corpus.chain >= k
-    candidates = np.flatnonzero(ok.any(axis=1))  # the rows holding a target
+    candidates = ok.any(axis=1).nonzero()[0]  # the rows holding a target
     achievable = int(corpus.chain.max(initial=0))
     if not len(candidates):
         raise InsufficientDepth(-1, k, achievable)
@@ -143,9 +142,9 @@ def ancestry_probe(
                 ))
             ri = int(candidates[rng.integers(len(candidates))])
             rec = records[ri]
-            targets = np.flatnonzero(ok[ri])
+            targets = ok[ri].nonzero()[0]
             l0 = int(targets[rng.integers(len(targets))])
-            chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule).positions
+            chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule)
             if any(pos >= length for pos in chain):
                 skipped += 1
                 past_length += 1
@@ -156,7 +155,7 @@ def ancestry_probe(
             ids[list(chain)] = mask_id
             chain_set = set(chain)
             non_chain_masked = [
-                l for l in np.flatnonzero(ids == mask_id) if l not in chain_set
+                l for l in (ids == mask_id).nonzero()[0] if l not in chain_set
             ]
             if len(non_chain_masked) < k:
                 skipped += 1

@@ -23,27 +23,19 @@ reference the walk is tested against.
 Once a program is annotated, the climbs need only each node's parent:
 ``ancestor_chain`` and ``max_chain_length`` take the tree's ``parents``
 tuple, which an annotation record keeps in place of the tree.
+``ancestor_chain`` maps each token-bearing node to its designated position
+in one pass over ``node_id``, then climbs ``parents`` through that map and
+returns the chain as a tuple of positions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .minilang import SyntaxTree, Token, TokenKind
-
-
-@dataclass(frozen=True)
-class AncestorChain:
-    """Positions from innermost (the target) to outermost ancestor."""
-
-    positions: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 class InsufficientDepth(Exception):
@@ -106,39 +98,28 @@ def precedes(l: int, l_prime: int, node_id: np.ndarray, tree: SyntaxTree) -> boo
     return tree.is_strict_ancestor(a, b)
 
 
-def positions_by_node(node_id: np.ndarray) -> dict[int, list[int]]:
-    """Node id -> ascending positions of the tokens assigned to it."""
-    index: dict[int, list[int]] = {}
-    for pos, node in enumerate(node_id.tolist()):
-        index.setdefault(node, []).append(pos)
-    return index
+def check_rule(rule: str) -> None:
+    """Raise ValueError unless ``rule`` is a designation rule."""
+    if rule not in ("keyword_first", "first_token"):
+        raise ValueError(f"unknown designation rule: {rule!r}")
 
 
-def designated_position(
-    node: int,
-    tokens: list[Token],
-    node_index: dict[int, list[int]],
-    rule: str = "keyword_first",
-) -> int | None:
-    """The position standing in for a node in ancestor chains.
+def _designated(node_id: np.ndarray, tokens: list[Token], rule: str) -> dict[int, int]:
+    """Each token-bearing node -> the position standing in for it in
+    ancestor chains, from one pass over ``node_id``.
 
     ``keyword_first`` picks the node's first Keyword token when it has one
     (the rule that reproduces keyword-stepping chains); ``first_token``
     always takes the earliest assigned position.
     """
-    check_rule(rule)
-    positions = node_index.get(node)
-    if not positions:
-        return None
-    if rule == "keyword_first":
-        return next((p for p in positions if tokens[p].kind is TokenKind.KEYWORD), positions[0])
-    return positions[0]
-
-
-def check_rule(rule: str) -> None:
-    """Raise ValueError unless ``rule`` is a designation rule."""
-    if rule not in ("keyword_first", "first_token"):
-        raise ValueError(f"unknown designation rule: {rule!r}")
+    designated: dict[int, int] = {}
+    keywords: dict[int, int] = {}
+    for pos, node in enumerate(node_id.tolist()):
+        designated.setdefault(node, pos)
+        if rule == "keyword_first" and tokens[pos].kind is TokenKind.KEYWORD:
+            keywords.setdefault(node, pos)
+    designated.update(keywords)
+    return designated
 
 
 def ancestor_chain(
@@ -148,9 +129,9 @@ def ancestor_chain(
     tokens: list[Token],
     parents: tuple[int | None, ...],
     rule: str = "keyword_first",
-    node_index: dict[int, list[int]] | None = None,
-) -> AncestorChain:
-    """Build the contiguous ancestor chain l0, l1, ..., lk.
+) -> tuple[int, ...]:
+    """The contiguous ancestor chain l0, l1, ..., lk, innermost (the
+    target) first.
 
     Each step climbs to the nearest strict ancestor that owns at least one
     token and takes that node's designated position. Nodes owning no tokens
@@ -163,35 +144,27 @@ def ancestor_chain(
     check_rule(rule)
     if k < 0:
         raise ValueError("chain length k must be >= 0")
-    if node_index is None:
-        node_index = positions_by_node(node_id)
+    designated = _designated(node_id, tokens, rule)
     positions = [l0]
     current = int(node_id[l0])
     while len(positions) < k + 1:
         current = parents[current]
-        while current is not None and not node_index.get(current):
+        while current is not None and current not in designated:
             current = parents[current]
         if current is None:
             raise InsufficientDepth(l0, k, len(positions) - 1)
-        positions.append(designated_position(current, tokens, node_index, rule))
-    return AncestorChain(tuple(positions))
+        positions.append(designated[current])
+    return tuple(positions)
 
 
-def max_chain_length(
-    l0: int,
-    node_id: np.ndarray,
-    parents: tuple[int | None, ...],
-    node_index: dict[int, list[int]] | None = None,
-) -> int:
+def max_chain_length(l0: int, node_id: np.ndarray, parents: tuple[int | None, ...]) -> int:
     """Number of token-bearing strict ancestors above ``l0``'s node, by a
     climb of ``parents`` (``SyntaxTree.parents``)."""
-    if node_index is None:
-        node_index = positions_by_node(node_id)
+    bearing = set(node_id.tolist())
     count = 0
     current = parents[int(node_id[l0])]
     while current is not None:
-        if node_index.get(current):
-            count += 1
+        count += current in bearing
         current = parents[current]
     return count
 

@@ -14,7 +14,6 @@ from .render import (
     MASK_SURFACE,
     PAD_SURFACE,
     render_surfaces,
-    render_tokens,
     token_surfaces,
 )
 
@@ -35,5 +34,4 @@ __all__ = [
     "DEDENT_SURFACE",
     "token_surfaces",
     "render_surfaces",
-    "render_tokens",
 ]

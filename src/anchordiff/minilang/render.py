@@ -106,8 +106,3 @@ def _needs_no_space(prev: str, cur: str) -> bool:
         # Call/subscript postfix hugs its target: f(x), arr[i].
         return True
     return False
-
-
-def render_tokens(tokens: list[Token]) -> str:
-    """Render lexer tokens through the same canonicalized path."""
-    return render_surfaces(token_surfaces(tokens))

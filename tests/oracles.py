@@ -595,7 +595,7 @@ def tree_max_chain_length(l0: int, node_id, tree: SyntaxTree) -> int:
 
 def tree_ancestor_chain(l0: int, k: int, node_id, tokens: list[Token], tree: SyntaxTree,
                         rule: str) -> tuple[int, ...] | None:
-    """``ancestor_chain(...).positions`` by a climb of the tree itself, or
+    """``ancestor_chain`` by a climb of the tree itself, or
     None where it raises InsufficientDepth: each step takes the nearest
     token-bearing strict ancestor's first Keyword position under
     ``keyword_first`` (else its first position), its first position under

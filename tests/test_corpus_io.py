@@ -28,7 +28,6 @@ from anchordiff import (
     ingest,
     load_dataset,
     pad_id,
-    save_dataset,
     synth_corpus,
     tokenize,
 )
@@ -140,10 +139,10 @@ class TestSerialization:
 
     def test_file_round_trip(self, tmp_path, synth_records):
         path = tmp_path / "data.jsonl"
-        save_dataset(path, synth_records[:4], CFG)
+        path.write_text(dataset_to_jsonl(synth_records[:4], CFG), encoding="utf-8")
         records, config = load_dataset(path)
         again = tmp_path / "again.jsonl"
-        save_dataset(again, records, config)
+        again.write_text(dataset_to_jsonl(records, config), encoding="utf-8")
         assert path.read_bytes() == again.read_bytes()
 
     def test_reloaded_records_match(self, synth_records):
@@ -446,7 +445,7 @@ class TestSharedAnnotation:
     def test_jsonl(self, tmp_path, synth_sources, split):
         stored = [_fresh(s, CFG, f"r{i}", split) for i, s in enumerate(synth_sources)]
         path = tmp_path / "data.jsonl"
-        save_dataset(path, stored, CFG)
+        path.write_text(dataset_to_jsonl(stored, CFG), encoding="utf-8")
         records = load_records(self._resolved(path, None), self.KEYWORD)
         fresh = [_fresh(s, CFG, f"r{i}", split, self.KEYWORD) for i, s in enumerate(synth_sources)]
         for got, want in zip(records, fresh, strict=True):
@@ -540,7 +539,8 @@ class TestRecordKeepsNoTree:
     @pytest.mark.parametrize("split", [None, 3])
     def test_load_dataset(self, tmp_path, synth_sources, split):
         path = tmp_path / "data.jsonl"
-        save_dataset(path, [_fresh(s, CFG, str(i), split) for i, s in enumerate(synth_sources)], CFG)
+        fresh = [_fresh(s, CFG, str(i), split) for i, s in enumerate(synth_sources)]
+        path.write_text(dataset_to_jsonl(fresh, CFG), encoding="utf-8")
         records, _ = load_dataset(path)
         self._check(records)
 
@@ -565,8 +565,8 @@ class TestDatasetCorpusWeights:
     def test_fields_equal_reweight_records(self, tmp_path, monkeypatch, synth_sources, stored,
                                            anchor, reweighted):
         path = tmp_path / "data.jsonl"
-        save_dataset(path, [annotate_program(s, stored, str(i))
-                            for i, s in enumerate(synth_sources[:12])], stored)
+        written = [annotate_program(s, stored, str(i)) for i, s in enumerate(synth_sources[:12])]
+        path.write_text(dataset_to_jsonl(written, stored), encoding="utf-8")
         calls = []
         monkeypatch.setattr("anchordiff.cli.reweight_records",
                             lambda records, config: calls.append(config) or
@@ -794,7 +794,8 @@ class TestStreamingLoad:
         sources = synth_corpus(1, 2000)
         annotate = annotator(CFG)
         path = tmp_path / "synth2000.jsonl"
-        save_dataset(path, [annotate(s, str(i)) for i, s in enumerate(sources)], CFG)
+        written = [annotate(s, str(i)) for i, s in enumerate(sources)]
+        path.write_text(dataset_to_jsonl(written, CFG), encoding="utf-8")
         real = corpus_io._record_from_dict
         calls = []
         monkeypatch.setattr(corpus_io, "_record_from_dict",
@@ -811,7 +812,7 @@ class TestStreamingLoad:
         annotate = annotator(CFG)
         records = [annotate(s, str(i)) for i, s in enumerate(synth_corpus(1, 2000))]
         path = tmp_path / "synth2000.jsonl"
-        save_dataset(path, records, CFG)
+        path.write_text(dataset_to_jsonl(records, CFG), encoding="utf-8")
         del records, annotate
         gc.collect()
         tracemalloc.start()

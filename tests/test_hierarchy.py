@@ -11,7 +11,6 @@ from anchordiff.hierarchy import (
     assign_nodes,
     chain_lengths,
     max_chain_length,
-    positions_by_node,
     precedes,
 )
 from anchordiff import AnchorConfig, AnchorStrategy, annotate_program, synth_corpus
@@ -181,13 +180,10 @@ def _check_against_oracle(tree, tokens):
     node_id = assign_nodes(tree, tokens)
     assert node_id.dtype == np.int64
     assert node_id.tolist() == naive_node_assignment(tree, tokens)
-    index = positions_by_node(node_id)
-    assert sorted(p for positions in index.values() for p in positions) == list(range(len(tokens)))
-    assert all(positions == sorted(positions) for positions in index.values())
     chains = chain_lengths(tree, node_id)
     assert chains.dtype == np.int64
     assert chains.tolist() == [
-        max_chain_length(l, node_id, tree.parents, index) for l in range(len(node_id))
+        max_chain_length(l, node_id, tree.parents) for l in range(len(node_id))
     ]
 
 
@@ -316,43 +312,78 @@ class TestPrecedes:
                     assert precedes(a, c, node_id, tree)  # transitive
 
 
+SHAPES_SRC = (
+    "def f(xs, n):\n"
+    "    for x in xs:\n"
+    "        if x < n:\n"
+    "            break\n"
+    "        elif x == n:\n"
+    "            n = 0\n"
+    "        elif x > n:\n"
+    "            pass\n"
+    "        else:\n"
+    "            n = n + 1\n"
+    "    while n > 0:\n"
+    "        n = n - 1\n"
+    "    return n\n"
+)
+
+
+def _assert_climbs_equal_tree_climbs(rec, tree):
+    """A record's climbs, which read its parents tuple, against the oracles,
+    which climb the tree through its children lists: every position, every
+    k up to one past its chain length, and both rules."""
+    for l0 in range(len(rec)):
+        length = max_chain_length(l0, rec.node_id, rec.parents)
+        assert length == tree_max_chain_length(l0, rec.node_id, tree)
+        for k in range(length + 2):
+            for rule in ("keyword_first", "first_token"):
+                want = tree_ancestor_chain(l0, k, rec.node_id, rec.tokens, tree, rule)
+                args = (l0, k, rec.node_id, rec.tokens, rec.parents, rule)
+                if want is None:
+                    assert k == length + 1
+                    with pytest.raises(InsufficientDepth):
+                        ancestor_chain(*args)
+                else:
+                    assert ancestor_chain(*args) == want
+
+
 class TestAncestorChain:
     def test_keyword_stepping_chain(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
         mid = next(i for i, t in enumerate(tokens) if t.text == "mid" and
                    tokens[i - 1].text == "return")
         chain = ancestor_chain(mid, 4, node_id, tokens, tree.parents)
-        texts = [tokens[p].text for p in chain.positions]
+        texts = [tokens[p].text for p in chain]
         assert texts == ["mid", "return", "if", "while", "def"]
 
     def test_chain_is_identity_at_k0(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
         chain = ancestor_chain(3, 0, node_id, tokens, tree.parents)
-        assert chain.positions == (3,)
+        assert chain == (3,)
 
     def test_chain_pairs_satisfy_partial_order(self, synth_sources):
         for src in synth_sources[:10]:
             tree, tokens, node_id = annotate(src)
-            index = positions_by_node(node_id)
             for l0 in range(len(tokens)):
-                k = min(max_chain_length(l0, node_id, tree.parents, index), 3)
-                chain = ancestor_chain(l0, k, node_id, tokens, tree.parents, node_index=index)
-                for lo, hi in zip(chain.positions, chain.positions[1:]):
+                k = min(max_chain_length(l0, node_id, tree.parents), 3)
+                chain = ancestor_chain(l0, k, node_id, tokens, tree.parents)
+                for lo, hi in zip(chain, chain[1:]):
                     assert precedes(hi, lo, node_id, tree)
 
     def test_chain_contiguity_no_interposing_token_node(self, synth_sources):
         # Between consecutive chain nodes there is no token-bearing node.
         for src in synth_sources[:10]:
             tree, tokens, node_id = annotate(src)
-            index = positions_by_node(node_id)
             homes = node_id.tolist()
+            bearing = set(homes)
             for l0 in range(0, len(tokens), 5):
-                k = min(max_chain_length(l0, node_id, tree.parents, index), 3)
-                chain = ancestor_chain(l0, k, node_id, tokens, tree.parents, node_index=index)
-                for lo, hi in zip(chain.positions, chain.positions[1:]):
+                k = min(max_chain_length(l0, node_id, tree.parents), 3)
+                chain = ancestor_chain(l0, k, node_id, tokens, tree.parents)
+                for lo, hi in zip(chain, chain[1:]):
                     node = tree.parent(homes[lo])
                     while node != homes[hi]:
-                        assert not index.get(node), "token-bearing node skipped"
+                        assert node not in bearing, "token-bearing node skipped"
                         node = tree.parent(node)
 
     @given(
@@ -368,14 +399,13 @@ class TestAncestorChain:
         # positions, and one below k always raises InsufficientDepth.
         (src,) = synth_corpus(seed=seed, n_programs=1, max_depth=max_depth)
         rec = annotate_program(src, PROBE_CONFIG, split_max_len=split)
-        index = positions_by_node(rec.node_id)
         for l0, length in enumerate(rec.chain.tolist()):
             if length >= k:
-                chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule, index)
+                chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule)
                 assert len(chain) == k + 1
             else:
                 with pytest.raises(InsufficientDepth):
-                    ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule, index)
+                    ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule)
 
     @given(
         seed=st.integers(0, 100_000),
@@ -384,26 +414,32 @@ class TestAncestorChain:
     )
     @settings(max_examples=60, deadline=None)
     def test_parent_map_climbs_equal_tree_climbs(self, seed, max_depth, split):
-        # A record's climbs read its parents tuple; the oracles climb the
-        # tree parsed again, through its children lists. Every position,
-        # every k up to one past its chain length, and both rules.
+        # The oracles climb the tree parsed again from the source.
         (src,) = synth_corpus(seed=seed, n_programs=1, max_depth=max_depth)
         rec = annotate_program(src, PROBE_CONFIG, split_max_len=split)
-        tree = parse(src)
-        index = positions_by_node(rec.node_id)
-        for l0 in range(len(rec)):
-            length = max_chain_length(l0, rec.node_id, rec.parents, index)
-            assert length == tree_max_chain_length(l0, rec.node_id, tree)
-            for k in range(length + 2):
-                for rule in ("keyword_first", "first_token"):
-                    want = tree_ancestor_chain(l0, k, rec.node_id, rec.tokens, tree, rule)
-                    args = (l0, k, rec.node_id, rec.tokens, rec.parents, rule, index)
-                    if want is None:
-                        assert k == length + 1
-                        with pytest.raises(InsufficientDepth):
-                            ancestor_chain(*args)
-                    else:
-                        assert ancestor_chain(*args).positions == want
+        _assert_climbs_equal_tree_climbs(rec, parse(src))
+
+    def test_grammar_shapes_synth_never_makes(self):
+        # Synth programs have no elif, else, pass or break, so the
+        # hypothesis test above never climbs through them.
+        rec = annotate_program(SHAPES_SRC, PROBE_CONFIG)
+        _assert_climbs_equal_tree_climbs(rec, parse(SHAPES_SRC))
+
+    def test_elif_chain_from_pass(self):
+        # Each elif is an If node under the one before it. keyword_first
+        # designates its elif keyword; first_token its first position, the
+        # zero-width Dedent that closes the block before it.
+        rec = annotate_program(SHAPES_SRC, PROBE_CONFIG)
+        l0 = next(i for i, t in enumerate(rec.tokens) if t.text == "pass")
+        by_keyword = ancestor_chain(l0, 2, rec.node_id, rec.tokens, rec.parents)
+        assert [rec.tokens[p].text for p in by_keyword] == ["pass", "elif", "elif"]
+        by_first = ancestor_chain(l0, 2, rec.node_id, rec.tokens, rec.parents, "first_token")
+        dedents = [rec.tokens[p] for p in by_first[1:]]
+        assert [t.kind for t in dedents] == [TokenKind.DEDENT, TokenKind.DEDENT]
+        assert all(t.span[0] == t.span[1] for t in dedents)
+        assert [t.span[0] for t in dedents] == [
+            rec.tokens[p].span[0] for p in by_keyword[1:]
+        ]
 
     def test_insufficient_depth(self):
         tree, tokens, node_id = annotate("x = 1")
@@ -421,7 +457,7 @@ class TestAncestorChain:
         src2 = "x = 1\ny = 2\n"
         tree2, tokens2, node_id2 = annotate(src2)
         chain = ancestor_chain(0, 2, node_id2, tokens2, tree2.parents)
-        assert node_id2[chain.positions[-1]] == tree2.root
+        assert node_id2[chain[-1]] == tree2.root
 
     def test_first_token_rule(self):
         tree, tokens, node_id = annotate(NESTED_SRC)
@@ -430,7 +466,7 @@ class TestAncestorChain:
         chain = ancestor_chain(mid, 2, node_id, tokens, tree.parents, rule="first_token")
         # Return owns only its keyword either way; the If node's first
         # assigned token is still "if".
-        assert tokens[chain.positions[1]].text == "return"
+        assert tokens[chain[1]].text == "return"
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_unknown_rule_is_rejected_for_every_k(self, k):

@@ -22,7 +22,6 @@ from anchordiff.minilang import (
     is_syntactically_valid,
     parse,
     render_surfaces,
-    render_tokens,
     split_identifiers,
     token_surfaces,
     tokenize,
@@ -199,7 +198,7 @@ class TestSplitIdentifiers:
     def test_continuation_chunks_have_marked_surfaces(self):
         tokens = split_identifiers(tokenize("quicksort = best\n"), 3)
         assert token_surfaces(tokens) == ["qui", "##cks", "##ort", "=", "bes", "##t", "\n"]
-        assert render_tokens(tokens) == "quicksort = best\n"
+        assert render_surfaces(token_surfaces(tokens)) == "quicksort = best\n"
 
     @given(st.integers(0, 10_000), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -372,7 +371,7 @@ class TestRoundTrip:
 
     def test_render_reparses_isomorphic(self, synth_sources):
         for src in synth_sources[:15]:
-            rendered = render_tokens(tokenize(src))
+            rendered = render_surfaces(token_surfaces(tokenize(src)))
             assert _structure(parse(rendered), parse(rendered).root) == _structure(
                 parse(src), parse(src).root
             )

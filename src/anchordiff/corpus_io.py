@@ -137,15 +137,11 @@ def annotator(config: AnchorConfig, split_max_len: int | None = None):
     return annotate
 
 
-def reweight(rec: DatasetRecord, config: AnchorConfig) -> DatasetRecord:
-    """``rec`` under another anchor config: the same tokens, parent map, node
-    ids, depths and chain lengths, with omega, eta and mu recomputed."""
-    return replace(rec, **_anchor_arrays(rec.tokens, rec.depth, config))
-
-
 def reweight_records(records: list[DatasetRecord], config: AnchorConfig) -> list[DatasetRecord]:
-    """``reweight`` of each record, computed once per distinct annotation;
-    records that shared their arrays share the new ones."""
+    """Each record under another anchor config: the same tokens, parent map,
+    node ids, depths and chain lengths, with omega, eta and mu recomputed
+    once per distinct annotation; records that shared their arrays share
+    the new ones."""
     distinct, inverse = _distinct(records)
     arrays = [_anchor_arrays(rec.tokens, rec.depth, config) for rec in distinct]
     return [replace(rec, **arrays[k]) for rec, k in zip(records, inverse.tolist())]

@@ -1,17 +1,17 @@
 """Reference predictors over a finite corpus, answering the three queries
-of ``Predictor``; no query builds an (n, L, K) array.
+of ``Predictor``; no query builds an (n, L, K) array. ``Predictor`` defines
+the two batched queries once, through ``predict_row``.
 
 * ExactPosteriorDenoiser: the Bayes-optimal table, valid because uniform
   random masking makes the posterior over clean sequences the renormalized
   empirical weight of corpus sequences matching the latent's unmasked
-  positions. Its only state is the consistent set, the corpus's unique
-  rows still consistent with the latent (``consistent_rows``): a commit
-  filters that set on its column, and only a remask, an overwrite or a
-  fresh latent rebuilds it. ``predict_row`` and the anchored sampler's
-  PosteriorAnchorProfile are both functions of that set, so both cost as
-  much as the set, not the corpus. The batched ``target_probs`` and
-  ``resolve_anchors`` leave it alone; ``resolve_anchors`` filters a batch's
-  own agreement on each commit by the same rule.
+  positions. Its one query of that posterior is ``posterior``: the
+  corpus's unique rows still consistent with the latent and their weights.
+  It is the table's only state: a commit filters the set on its column,
+  and only a remask, an overwrite or a fresh latent rebuilds it.
+  ``predict_row``, ``match_mask``, the batched queries and the anchored
+  sampler's PosteriorAnchorProfile all read ``posterior``: after a commit
+  a query costs as much as the set, not the corpus.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
   as tables, so each query is a gather.
@@ -100,7 +100,10 @@ class Corpus:
 class Predictor:
     """The predictor contract: three queries, one per consumer, whose
     probabilities follow ``apply_constraints``' rules (no mass on the mask
-    token, a one-hot on the observed token at every unmasked position)."""
+    token, a one-hot on the observed token at every unmasked position). A
+    predictor gives ``predict_row``; the two batched queries are defined
+    here through it, and a predictor stored as tables may override them with
+    gathers that give the same numbers."""
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
         """The (K,) row of ``position`` given the latent ``z`` (sampler, probe)."""
@@ -109,7 +112,12 @@ class Predictor:
     def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
         """A new (n, L) array: ``predict_row`` of each row of the (n, L)
         latent ids read at ``targets[l]`` at each position l (losses)."""
-        raise NotImplementedError
+        probs = np.empty(ids.shape)
+        targets = targets.tolist()
+        for d, row in enumerate(ids):
+            z = LatentSequence(row, mask_id)
+            probs[d] = [self.predict_row(z, l)[t] for l, t in enumerate(targets)]
+        return probs
 
     def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
         """A copy of the (n, L) latent ids with the argmax of ``predict_row``
@@ -117,7 +125,13 @@ class Predictor:
         is masked (two_stage_predict). A commit changes only its own position,
         so one walk of the record's full anchor order commits each row as a
         walk of that order filtered by the row's mask would."""
-        raise NotImplementedError
+        resolved = np.array(ids, dtype=np.int64)
+        for row in resolved:
+            z = LatentSequence(row, mask_id)  # a view: each commit is seen
+            for l in order:
+                if row[l] == mask_id:
+                    row[l] = self.predict_row(z, l).argmax()
+        return resolved
 
 
 class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
@@ -129,19 +143,18 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
     to its unique row. The instance's only state is the consistent set:
     the indices and summed weights of the unique rows consistent with the
     latent (agreeing with it at every unmasked position), plus the latent
-    ids the set was last brought up to date with. ``consistent_rows``,
-    ``match_mask`` and ``predict_row`` read it, and a query diffs the latent
-    against those ids. When every changed position was masked before, as
-    after the sampler's commits and the probe's reveals, the consistent rows
-    are filtered on the changed columns, so a commit costs one column of the
-    consistent rows only. Any other change (a remask, an overwrite, a fresh
-    latent) rebuilds the set from the latent's unmasked positions, about one
-    scan of the unique rows. Outputs do not depend on the order of queries,
-    only their cost does. The state belongs to the instance, so one
-    instance must not be queried from two threads at once. The batched
-    ``target_probs`` and ``resolve_anchors`` compare their latent rows with
-    the unique rows afresh, once per call, and neither read nor change the
-    state.
+    ids the set was last brought up to date with. The set and its weights
+    are the posterior over clean rows, which ``posterior`` returns; every
+    other query (``predict_row``, ``match_mask``, the contract's batched
+    queries and PosteriorAnchorProfile) reads it there. A query diffs the
+    latent against those ids. When every changed position was masked
+    before, as after the sampler's commits and the probe's reveals, the
+    consistent rows are filtered on the changed columns, so a commit costs
+    one column of the consistent rows only. Any other change (a remask, an
+    overwrite, a fresh latent) rebuilds the set from the latent's unmasked
+    positions, about one scan of the unique rows. Outputs do not depend on
+    the order of queries, only their cost does. The state belongs to the
+    instance, so one instance must not be queried from two threads at once.
     """
 
     _frozen = ("unique_of_row", "_unique_weights", "_hit", "_hit_weights")
@@ -197,22 +210,21 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
             hit = hit[self._columns[l][hit] == z.ids[l]]
         return hit
 
-    def consistent_rows(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending indices of the unique rows consistent with ``z`` and
-        their summed weights, as read-only arrays; both are empty when no
-        row matches."""
+    def posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+        """The posterior given ``z`` before normalization: the ascending
+        indices of the unique rows consistent with ``z`` and their summed
+        weights, as read-only arrays; both are empty when no row matches."""
         self._sync(z)
         return self._hit, self._hit_weights
 
     def match_mask(self, z: LatentSequence) -> np.ndarray:
         """Boolean row per corpus sequence: agrees with z where unmasked."""
-        self._sync(z)
         consistent = np.zeros(len(self._unique_weights), dtype=bool)
-        consistent[self._hit] = True
+        consistent[self.posterior(z)[0]] = True
         return consistent[self.unique_of_row]
 
     def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        hit, w = self.consistent_rows(z)
+        hit, w = self.posterior(z)
         if not len(hit):
             raise NoMatchError("latent matches no corpus sequence")
         K = self.vocab.size
@@ -222,51 +234,6 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
             return row
         counts = np.bincount(self._columns[position, hit], weights=w, minlength=K)
         return counts / counts.sum()
-
-    def _agreement(self, ids: np.ndarray, mask_id: int) -> np.ndarray:
-        """(n, U) booleans: unique row u agrees with row d of the (n, L)
-        latent ids wherever d is unmasked. Reads no match state."""
-        if ids.shape[1] != self.corpus.length:
-            raise ValueError(f"latent length {ids.shape[1]} does not match the corpus")
-        masked = ids == mask_id
-        agree = np.ones((len(ids), self._columns.shape[1]), dtype=bool)
-        for l in np.flatnonzero(~masked.all(axis=0)):
-            agree &= (self._columns[l] == ids[:, l, None]) | masked[:, l, None]
-        if not agree.any(axis=1).all():
-            raise NoMatchError("latent matches no corpus sequence")
-        return agree
-
-    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
-        """The consistent rows' weight on the target over their total, by
-        ``apply_constraints``' renormalization rule. With integer weights
-        every sum is exact, so this equals ``predict_row``."""
-        w = self._agreement(ids, mask_id) * self._unique_weights
-        totals = w.sum(axis=1)
-        probs = w @ (self._columns == targets[:, None]).T
-        np.divide(probs, totals[:, None], out=probs, where=np.abs(totals - 1.0)[:, None] > 1e-12)
-        return np.where(ids == mask_id, probs, targets == ids)
-
-    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
-        """The agreement of the rows ``order`` masks somewhere is built once,
-        and a commit filters its rows on its column, as it filters the
-        consistent set. A position's bincount adds each row's consistent
-        unique rows in unique-row order, as ``predict_row`` does, so the
-        argmax is its. A commit keeps its row consistent, so an unmatched
-        row raises NoMatchError only if ``order`` masks it somewhere."""
-        y = np.array(ids, dtype=np.int64)
-        walked = np.flatnonzero((y[:, order] == mask_id).any(axis=1))
-        sub = y[walked]
-        agree = self._agreement(sub, mask_id)
-        K = self.vocab.size
-        for l in order:
-            rows = np.flatnonzero(sub[:, l] == mask_id)
-            row, u = np.nonzero(agree[rows])
-            cells = row * K + self._columns[l, u]
-            counts = np.bincount(cells, self._unique_weights[u], len(rows) * K).reshape(-1, K)
-            sub[rows, l] = (counts / counts.sum(axis=1, keepdims=True)).argmax(axis=1)
-            agree[rows] &= self._columns[l] == sub[rows, l, None]
-        y[walked] = sub
-        return y
 
 
 class BackoffCountModel(ReadOnlyArrays, Predictor):
@@ -473,7 +440,7 @@ def anchor_commit_order(
     omega: np.ndarray, eta: np.ndarray, masked: np.ndarray
 ) -> list[int]:
     """Masked anchor positions ordered by descending weight, then position."""
-    candidates = np.flatnonzero(masked & (omega >= 0.5))
+    candidates = (masked & (omega >= 0.5)).nonzero()[0]
     weights = omega[candidates] * eta[candidates]
     return candidates[np.argsort(-weights, kind="stable")].tolist()
 
@@ -561,7 +528,7 @@ class PosteriorAnchorProfile:
     At sampling time the true per-position anchor labels are unknown, so the
     anchored sampler uses the weighted mean of (omega, eta) over the corpus
     sequences consistent with the current latent. The consistent rows come
-    from ``exact.consistent_rows``, normally on the pair's own predictor, so
+    from ``exact.posterior``, normally on the pair's own predictor, so
     the profile is a function of that predictor's consistent set and keeps
     no state of its own. When nothing matches it raises NoMatchError, as
     ``predict_row`` does on the same latent.
@@ -585,7 +552,7 @@ class PosteriorAnchorProfile:
         np.add.at(self._sums, exact.unique_of_row, weighted)
 
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        hit, w = self.exact.consistent_rows(z)
+        hit, w = self.exact.posterior(z)
         if not len(hit):
             raise NoMatchError("latent matches no corpus sequence")
         mean = self._sums[hit].sum(axis=0) / w.sum()

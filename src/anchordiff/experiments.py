@@ -262,9 +262,9 @@ def build_strategy_predictors(
     selects the Bayes-exact table or the backoff count model. Null's profile
     is all zeros, so it has no anchors and ignores the corpus annotations;
     the other strategies use the posterior profile with the exact table,
-    built on the pair's own predictor so that both read one match state,
-    and the corpus-marginal profile with the backoff model, which has no
-    match set."""
+    built on the pair's own predictor so that both read one posterior, and
+    the corpus-marginal profile with any other predictor, such as the
+    backoff model, which has no posterior."""
     if predictor_kind == "exact":
         predictor = ExactPosteriorDenoiser(corpus)
     elif predictor_kind == "backoff":
@@ -275,10 +275,10 @@ def build_strategy_predictors(
         )
     if strategy is AnchorStrategy.NULL:
         profile = MarginalAnchorProfile.zeros(corpus.length)
-    elif predictor_kind == "backoff":
-        profile = MarginalAnchorProfile.of_corpus(corpus)
-    else:
+    elif isinstance(predictor, ExactPosteriorDenoiser):
         profile = PosteriorAnchorProfile(predictor)
+    else:
+        profile = MarginalAnchorProfile.of_corpus(corpus)
     return AnchoredPair(predictor, profile)
 
 

@@ -155,7 +155,7 @@ def generate(
     for i in range(config.T, 0, -1):
         p = unmask_prob(schedule, i)
         is_masked = ids == mask_id
-        masked = np.flatnonzero(is_masked)
+        masked = is_masked.nonzero()[0]
         budget = int(rng.binomial(len(masked), p)) if len(masked) else 0
         if budget:
             omega_hat, eta_hat = predictors.profile(z)
@@ -171,7 +171,7 @@ def generate(
                 last_stage[l] = "anchor" if k < len(anchors) else "denoise"
                 trace.record(l, i, "unmask", int(token), last_stage[l])
         if i > 1 and config.remask_rate > 0:
-            committed = np.flatnonzero((ids != mask_id) & ~prompt_mask)
+            committed = ((ids != mask_id) & ~prompt_mask).nonzero()[0]
             # One coin per committed position, drawn in position order.
             coins = rng.random(len(committed))
             for l in committed[coins < config.remask_rate * p].tolist():

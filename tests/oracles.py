@@ -754,7 +754,7 @@ class RescanExactDenoiser(Predictor):
         agree = (self.corpus.ids == z.ids[None, :]) | z.is_masked[None, :]
         return agree.all(axis=1)
 
-    def consistent_rows(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+    def posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         """The unique rows holding a matching corpus row, ascending, and the
         weights of their matching copies summed in corpus order."""
         m = self.match_mask(z)

@@ -259,6 +259,14 @@ class TestExitCodes:
             assert "--strategy takes a comma list on eval only" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_synth_programs_below_one_is_named(self, tmp_path, capsys, n):
+        # The count is at fault, not the corpus it would make.
+        out = tmp_path / "run"
+        assert main(["annotate", "--synth-programs", n, "--out", str(out)]) == 2
+        assert f"--synth-programs must be >= 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["annotate", "sample"])
     def test_corpus_without_tokens_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
         # The one program is empty: it parses, but leaves nothing to count.

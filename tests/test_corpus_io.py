@@ -33,7 +33,7 @@ from anchordiff import (
 )
 from anchordiff import corpus_io
 from anchordiff.cli import DEFAULTS, load_records, main
-from anchordiff.corpus_io import annotator, encode_tokens, reweight, reweight_records
+from anchordiff.corpus_io import annotator, encode_tokens, reweight_records
 from anchordiff.diffusion import Vocab
 from anchordiff.minilang import (
     MASK_SURFACE,
@@ -371,7 +371,8 @@ class TestFrontEndGolden:
         config = AnchorConfig.for_strategy(strategy)
         for i, src in enumerate(synth_sources[:10]):
             fresh = annotate_program(src, config, str(i), split_max_len=2)
-            moved = reweight(annotate_program(src, CFG, str(i), split_max_len=2), config)
+            stored = annotate_program(src, CFG, str(i), split_max_len=2)
+            moved = reweight_records([stored], config)[0]
             assert dataset_to_jsonl([moved], config) == dataset_to_jsonl([fresh], config)
             assert np.array_equal(moved.chain, fresh.chain)
 
@@ -381,7 +382,7 @@ RECORD_ARRAYS = ("node_id", "depth", "chain", "omega", "eta", "mu")
 
 def _fresh(source, config, record_id, split, reweight_to=None):
     rec = annotate_program(source, config, record_id, split_max_len=split)
-    return rec if reweight_to is None else reweight(rec, reweight_to)
+    return rec if reweight_to is None else reweight_records([rec], reweight_to)[0]
 
 
 def assert_same_record(got, want):
@@ -487,7 +488,7 @@ class TestSharedAnnotation:
         assert_same_corpus(records, fresh)
         moved = reweight_records(records, self.KEYWORD)
         for got, want in zip(moved, fresh, strict=True):
-            assert_same_record(got, reweight(want, self.KEYWORD))
+            assert_same_record(got, reweight_records([want], self.KEYWORD)[0])
         assert_shared_and_read_only(moved)
 
 

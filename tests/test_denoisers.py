@@ -412,9 +412,9 @@ def exact_corpus_and_batch(draw):
 
 class TestExactQueries:
     """The exact model's batched ``target_probs`` and single-position
-    ``resolve_anchors`` against the dense rows of ``naive_posterior``:
-    equal with integer weights, within 1e-12 with fractional ones, and the
-    match state left alone."""
+    ``resolve_anchors`` against its own ``predict_row``, bit for bit, and
+    against the dense rows of ``naive_posterior``: equal with integer
+    weights, within 1e-12 with fractional ones."""
 
     @given(exact_corpus_and_batch(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -423,8 +423,6 @@ class TestExactQueries:
         L, mask_id = corpus.length, corpus.vocab.mask_id
         targets = np.array(data.draw(st.lists(st.integers(0, mask_id), min_size=L, max_size=L)))
         exact = ExactPosteriorDenoiser(corpus)
-        z = latent(corpus, ids[0])
-        state = exact.consistent_rows(z)
         matched = np.array([bool(naive_consistent_rows(corpus, latent(corpus, r))) for r in ids])
         if not matched.all():
             with pytest.raises(NoMatchError):
@@ -440,9 +438,10 @@ class TestExactQueries:
         ids = ids[matched]
         got = exact.target_probs(ids, targets, mask_id)
         argmax = [exact.resolve_anchors(ids, [l], mask_id) for l in range(L)]
-        assert all(a is b for a, b in zip(exact.consistent_rows(z), state))
         if not len(ids):
             return
+        rows = [constrained_rows(exact, latent(corpus, row)) for row in ids]
+        assert np.array_equal(got, [row[np.arange(L), targets] for row in rows])
         want = NaivePosterior(corpus).target_probs(ids, targets, mask_id)
         if integer:
             assert np.array_equal(got, want)
@@ -557,33 +556,6 @@ class TestResolveAnchors:
         assert not (got == m).any()
         for order in ([], [0, 1, 2]):
             assert model.resolve_anchors(ids[:0], order, m).shape == (0, 3)
-
-    def test_two_stage_builds_the_agreement_at_most_three_times(
-        self, synth_corpus_built, monkeypatch
-    ):
-        # One agreement for the walk, one for the denoiser and one for the
-        # anchor stage, however many anchors the walk commits.
-        corpus = synth_corpus_built
-        calls = []
-        agreement = ExactPosteriorDenoiser._agreement
-
-        def spy(self, ids, mask_id):
-            calls.append(len(ids))
-            return agreement(self, ids, mask_id)
-
-        monkeypatch.setattr(ExactPosteriorDenoiser, "_agreement", spy)
-        anchor, denoiser = ExactPosteriorDenoiser(corpus), ExactPosteriorDenoiser(corpus)
-        mask_id = corpus.vocab.mask_id
-        rng = np.random.default_rng(41)
-        for i in range(4):
-            omega, eta = corpus.omega[i], corpus.eta[i]
-            x = LatentSequence(corpus.ids[i].copy(), mask_id)
-            ids = np.stack([corrupt(x, t, NoiseSchedule(T=8), rng).ids for t in (0.5, 0.9, 1.0)])
-            full = anchor_commit_order(omega, eta, np.ones(len(x), dtype=bool))
-            assert len(full) > 3
-            calls.clear()
-            two_stage_predict(anchor, denoiser, ids, x.ids, omega, eta, mask_id)
-            assert 2 <= len(calls) <= 3
 
 
 class TestTwoStage:
@@ -755,9 +727,9 @@ class TestProfiles:
         cases = [
             # The exact model's consistent set as built, filtered by commits
             # and rebuilt after remasks.
-            exact.consistent_rows(all_masked),
-            exact.consistent_rows(latent(corpus, np.where(positions < 3, first, v.mask_id))),
-            exact.consistent_rows(latent(corpus, np.where(positions == 1, first, v.mask_id))),
+            exact.posterior(all_masked),
+            exact.posterior(latent(corpus, np.where(positions < 3, first, v.mask_id))),
+            exact.posterior(latent(corpus, np.where(positions == 1, first, v.mask_id))),
             MarginalAnchorProfile.of_corpus(corpus)(all_masked),
             MarginalAnchorProfile.zeros(corpus.length)(all_masked),
             PosteriorAnchorProfile(exact)(latent(corpus, first)),
@@ -959,7 +931,7 @@ class TestMatchState:
                 den, prof = pickle.loads(pickle.dumps((den, prof)))
                 assert prof.exact is den
                 # numpy drops the read-only flag in pickle; unpickling restores it.
-                shared = [den.unique_of_row, den._unique_weights, *den.consistent_rows(z)]
+                shared = [den.unique_of_row, den._unique_weights, *den.posterior(z)]
                 assert not any(a.flags.writeable for a in shared)
             elif op == "fresh":
                 z.ids[:] = args[0]
@@ -971,7 +943,7 @@ class TestMatchState:
                 z.ids[args[0]] = args[1]
             rows = naive_consistent_rows(corpus, z)
             # The consistent unique rows and summed weights are the oracle's rows.
-            hit, w = den.consistent_rows(z)
+            hit, w = den.posterior(z)
             assert np.flatnonzero(np.isin(den.unique_of_row, hit)).tolist() == rows
             for h, wh in zip(hit, w):
                 assert wh == sum(corpus.weights[i] for i in rows if den.unique_of_row[i] == h)

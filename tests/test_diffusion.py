@@ -401,21 +401,20 @@ class TestBatchedLoss:
         assert got.n_infinite > 0
 
     def test_backoff_losses_build_no_probability_arrays(self, synth_corpus_built, monkeypatch):
-        # The backoff and exact models and their compositions score a loss
-        # through target_probs alone: with apply_constraints, the per-row
-        # queries and the exact model's match state made to raise, both
+        # The backoff model and its composition score a loss through its
+        # target_probs and resolve_anchors gathers alone: with
+        # apply_constraints and the per-row query made to raise, both
         # losses still run and give the same reports.
         corpus = synth_corpus_built
         x, mu, targets = self._record(corpus, 4, prompt_len=5)
         sched = NoiseSchedule(ScheduleKind.COSINE, 16)
-        runs = []
-        for model in (BackoffCountModel.fit(corpus), ExactPosteriorDenoiser(corpus)):
-            pair = TwoStagePredictor(model, model, corpus.omega[4], corpus.eta[4])
-            runs += [
-                lambda model=model: nelbo(x, model, sched, 96, 3),
-                lambda pair=pair: nelbo(x, pair, sched, 96, 3),
-                lambda pair=pair: anelbo(x, targets, pair, sched, mu, 96, 3),
-            ]
+        model = BackoffCountModel.fit(corpus)
+        pair = TwoStagePredictor(model, model, corpus.omega[4], corpus.eta[4])
+        runs = [
+            lambda: nelbo(x, model, sched, 96, 3),
+            lambda: nelbo(x, pair, sched, 96, 3),
+            lambda: anelbo(x, targets, pair, sched, mu, 96, 3),
+        ]
         before = [run() for run in runs]
 
         def forbidden(*args, **kwargs):
@@ -423,8 +422,6 @@ class TestBatchedLoss:
 
         monkeypatch.setattr(diffusion, "apply_constraints", forbidden)
         monkeypatch.setattr(BackoffCountModel, "predict_row", forbidden)
-        for name in ("predict_row", "_sync"):
-            monkeypatch.setattr(ExactPosteriorDenoiser, name, forbidden)
         for run, want in zip(runs, before):
             self._same(run(), want)
 

@@ -17,7 +17,13 @@ from anchordiff import (
     synth_corpus,
 )
 from anchordiff import experiments
-from anchordiff.denoisers import Corpus, ExactPosteriorDenoiser, PosteriorAnchorProfile
+from anchordiff.denoisers import (
+    BackoffCountModel,
+    Corpus,
+    ExactPosteriorDenoiser,
+    MarginalAnchorProfile,
+    PosteriorAnchorProfile,
+)
 from anchordiff.experiments import (
     RevealOrder,
     ancestry_probe,
@@ -274,6 +280,16 @@ class TestStrategyPredictors:
         for p in (pair, pickle.loads(pickle.dumps(pair))):
             assert isinstance(p.predictor, ExactPosteriorDenoiser)
             assert p.profile.exact is p.predictor
+
+    def test_anchored_backoff_pair_holds_the_corpus_marginal(self, synth_corpus_built):
+        # The backoff model has no posterior, so its profile is latent-free.
+        corpus = synth_corpus_built
+        pair = build_strategy_predictors(corpus, AnchorStrategy.ANCHOR_TREE, "backoff")
+        want = MarginalAnchorProfile.of_corpus(corpus)
+        assert isinstance(pair.predictor, BackoffCountModel)
+        assert isinstance(pair.profile, MarginalAnchorProfile)
+        assert np.array_equal(pair.profile.omega, want.omega)
+        assert np.array_equal(pair.profile.eta, want.eta)
 
     def test_unknown_predictor_kind_rejected(self, synth_corpus_built):
         with pytest.raises(ValueError, match="unknown predictor"):

@@ -363,6 +363,16 @@ def load_inputs(resolved: dict) -> Inputs:
     if out and out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"--out {out} exists and is not an empty directory")
     inputs.records = load_records(resolved, inputs.anchor or inputs.samplers[0].strategy)
+    n = len(inputs.records)
+    for anchor in (s.strategy for s in inputs.samplers):
+        # An anchored profile adds up to gamma per program (eta <= gamma),
+        # so half the float range leaves room for the rounding of the sum.
+        if anchor.strategy is not AnchorStrategy.NULL and not math.isfinite(2 * anchor.gamma * n):
+            raise ValueError(
+                f"--gamma {anchor.gamma} is too large for {n} programs: the anchor "
+                f"profile sums it over them, so {n} x gamma must stay below "
+                f"{sys.float_info.max / 2:.4g}"
+            )
     if command not in ("annotate", "eval"):
         # The vocabulary comes from the records' tokens, so it holds the
         # chunks of any split identifier.

@@ -11,7 +11,9 @@ the two batched queries once, through ``predict_row``.
   and only a remask, an overwrite or a fresh latent rebuilds it.
   ``predict_row``, ``match_mask``, the batched queries and the anchored
   sampler's PosteriorAnchorProfile all read ``posterior``: after a commit
-  a query costs as much as the set, not the corpus.
+  a query costs as much as the set, not the corpus. A commit that removes
+  no row keeps the set's arrays, and the profile then answers with the
+  arrays it gave last.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
   as tables, so each query is a gather.
@@ -150,7 +152,8 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
     latent against those ids. When every changed position was masked
     before, as after the sampler's commits and the probe's reveals, the
     consistent rows are filtered on the changed columns, so a commit costs
-    one column of the consistent rows only. Any other change (a remask, an
+    one column of the consistent rows only, and one that removes no row
+    keeps the set's arrays as they are. Any other change (a remask, an
     overwrite, a fresh latent) rebuilds the set from the latent's unmasked
     positions, about one scan of the unique rows. Outputs do not depend on
     the order of queries, only their cost does. The state belongs to the
@@ -190,12 +193,16 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
         if not len(changed):
             return
         hit = self._filtered(z, changed.tolist())
+        self._seen[changed] = z.ids[changed]
         if hit is None:
             # One pass over every unmasked column: a rebuild reads most of
             # them, and _filtered's loop from all rows costs about twice this.
             now = (z.ids != self.vocab.mask_id).nonzero()[0]
             hit = (self._columns[now] == z.ids[now, None]).all(axis=0).nonzero()[0]
-        self._seen[changed] = z.ids[changed]
+        elif len(hit) == len(self._hit):
+            # A filter keeps a subset, so the set is unchanged: keep its
+            # arrays, which tells PosteriorAnchorProfile so too.
+            return
         self._hit, self._hit_weights = hit, self._unique_weights[hit]
         self._hit.setflags(write=False)
         self._hit_weights.setflags(write=False)
@@ -213,7 +220,9 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
     def posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         """The posterior given ``z`` before normalization: the ascending
         indices of the unique rows consistent with ``z`` and their summed
-        weights, as read-only arrays; both are empty when no row matches."""
+        weights, as read-only arrays; both are empty when no row matches.
+        While commits remove no row, it returns the same array objects; a
+        rebuild always makes new ones."""
         self._sync(z)
         return self._hit, self._hit_weights
 
@@ -511,8 +520,12 @@ class MarginalAnchorProfile(ReadOnlyArrays):
     def of_corpus(cls, corpus: Corpus) -> "MarginalAnchorProfile":
         if corpus.omega is None or corpus.eta is None:
             raise ValueError("corpus lacks omega/eta annotation arrays")
-        w = corpus.weights / corpus.weights.sum()
-        return cls(w @ corpus.omega, w @ corpus.eta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = corpus.weights / corpus.weights.sum()
+            omega, eta = w @ corpus.omega, w @ corpus.eta
+        if not (np.isfinite(omega).all() and np.isfinite(eta).all()):
+            raise ValueError("anchor profile overflows: its omega or eta sums are not finite")
+        return cls(omega, eta)
 
     @classmethod
     def zeros(cls, length: int) -> "MarginalAnchorProfile":
@@ -522,39 +535,61 @@ class MarginalAnchorProfile(ReadOnlyArrays):
         return self.omega, self.eta
 
 
-class PosteriorAnchorProfile:
+class PosteriorAnchorProfile(ReadOnlyArrays):
     """Posterior-expected anchor indicator and depth weight per position.
 
     At sampling time the true per-position anchor labels are unknown, so the
     anchored sampler uses the weighted mean of (omega, eta) over the corpus
     sequences consistent with the current latent. The consistent rows come
-    from ``exact.posterior``, normally on the pair's own predictor, so
-    the profile is a function of that predictor's consistent set and keeps
-    no state of its own. When nothing matches it raises NoMatchError, as
-    ``predict_row`` does on the same latent.
+    from ``exact.posterior``, normally on the pair's own predictor, so the
+    profile is a function of that predictor's consistent set. When nothing
+    matches it raises NoMatchError, as ``predict_row`` does on the same
+    latent.
 
     Construction sums weight * omega and weight * eta over the copies of
     each unique row (``exact.unique_of_row``). A profile is then the sum of
     those rows over the consistent unique rows, in ascending order, divided
     by their summed weight: it costs as much as the consistent set, not the
-    corpus, and its bits do not depend on a BLAS kernel. The arrays are
-    read-only, as MarginalAnchorProfile's shared ones are, so a caller
-    treats every profile alike.
+    corpus, and its bits do not depend on a BLAS kernel. Two profiles are
+    kept and returned as they are, since the same rows give the same sums:
+    the all-rows one, built with the instance, and the last one, while
+    ``posterior`` hands back the same ``hit`` array (a commit that removes
+    no row keeps it). A sum that is not finite, as a huge gamma gives, is a
+    ValueError. The arrays are read-only, as MarginalAnchorProfile's shared
+    ones are, so a caller treats every profile alike.
     """
+
+    _frozen = ("_prior", "_last")
 
     def __init__(self, exact: ExactPosteriorDenoiser):
         self.exact = exact
         corpus = exact.corpus
         if corpus.omega is None or corpus.eta is None:
             raise ValueError("corpus lacks omega/eta annotation arrays")
-        weighted = corpus.weights[:, None] * np.hstack([corpus.omega, corpus.eta])
-        self._sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
-        np.add.at(self._sums, exact.unique_of_row, weighted)
+        with np.errstate(over="ignore", invalid="ignore"):  # _mean raises instead
+            weighted = corpus.weights[:, None] * np.hstack([corpus.omega, corpus.eta])
+            self._sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
+            np.add.at(self._sums, exact.unique_of_row, weighted)
+            weights = np.bincount(exact.unique_of_row, weights=corpus.weights)
+            self._prior = self._mean(self._sums, weights)
+        # The last posterior's rows and the profile of them.
+        self._hit, self._last = None, self._prior
+        self._freeze()
+
+    @staticmethod
+    def _mean(sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        mean = sums.sum(axis=0) / weights.sum()
+        if not np.isfinite(mean).all():
+            raise ValueError("anchor profile overflows: its omega or eta sums are not finite")
+        mean.setflags(write=False)  # which makes both views of it read-only
+        return mean
 
     def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         hit, w = self.exact.posterior(z)
-        if not len(hit):
-            raise NoMatchError("latent matches no corpus sequence")
-        mean = self._sums[hit].sum(axis=0) / w.sum()
-        mean.setflags(write=False)  # which makes both views of it read-only
-        return mean[: len(z)], mean[len(z) :]
+        if hit is not self._hit:
+            if not len(hit):
+                raise NoMatchError("latent matches no corpus sequence")
+            all_rows = len(hit) == len(self._sums)
+            mean = self._prior if all_rows else self._mean(self._sums[hit], w)
+            self._hit, self._last = hit, mean
+        return self._last[: len(z)], self._last[len(z) :]

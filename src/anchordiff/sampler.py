@@ -8,6 +8,13 @@ at a time, each conditioned on the commits before it, so table-based
 predictors are never queried outside their support. Every strategy runs
 this one loop: the Null strategy's profile is all zeros, so it has no
 anchors and the loop is the plain masked-diffusion reverse process.
+
+A commit whose row is one-hot (every consistent corpus row agrees there,
+as at most of the exact table's commits) takes its token and draws the
+one uniform ``sample_categorical`` would, without tempering or a cdf
+(``draw_token``): the token and the random stream are those of the full
+draw. Every commit still makes its one ``predict_row`` query and every
+step with a nonzero budget its one profile query.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +62,7 @@ def default_remask_rate(strategy: AnchorStrategy) -> float:
     return 0.0 if strategy is AnchorStrategy.NULL else 0.1
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     position: int
     step: int
     event: str  # "unmask" | "remask"
@@ -116,6 +123,18 @@ class AnchoredPair:
     profile: object  # callable: LatentSequence -> (omega_hat, eta_hat)
 
 
+def draw_token(row: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
+    """``sample_categorical(temper_row(row, temperature), rng)``, without
+    the arithmetic when ``row`` is one-hot with a 1.0: tempering keeps that
+    row as it is, and the draw's one uniform, below 1, lands on its token,
+    so the token and the random stream are the full draw's."""
+    sure = row.nonzero()[0]
+    if len(sure) == 1 and row[sure[0]] == 1.0:
+        rng.random()
+        return int(sure[0])
+    return sample_categorical(temper_row(row, temperature), rng)
+
+
 def generate(
     prompt: np.ndarray | list[int],
     length: int,
@@ -166,10 +185,10 @@ def generate(
             # the later rows always condition on the full anchor scaffold.
             for k, l in enumerate((anchors + others.tolist())[:budget]):
                 row = predictors.predictor.predict_row(z, l)
-                token = sample_categorical(temper_row(row, config.temperature), rng)
+                token = draw_token(row, config.temperature, rng)
                 ids[l] = token
                 last_stage[l] = "anchor" if k < len(anchors) else "denoise"
-                trace.record(l, i, "unmask", int(token), last_stage[l])
+                trace.record(l, i, "unmask", token, last_stage[l])
         if i > 1 and config.remask_rate > 0:
             committed = ((ids != mask_id) & ~prompt_mask).nonzero()[0]
             # One coin per committed position, drawn in position order.

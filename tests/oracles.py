@@ -6,9 +6,11 @@ dict form of its annotation, a lexer that reads one character per step,
 full node-table scans for token assignment, a parser of its own with one
 method per precedence level, tree climbs through the children lists for
 ancestor chains and the probe's targets, per-sequence loops for the
-posterior, explicit state-space enumeration for reverse chains, a
-dict-of-contexts count model, dense (L, K) rows behind the predictor
-queries, and a one-draw-at-a-time loss loop.
+posterior, an anchor profile summed afresh on every call, a reverse
+chain that tempers and draws in full at every commit, explicit
+state-space enumeration for reverse chains, a dict-of-contexts count
+model, dense (L, K) rows behind the predictor queries, and a
+one-draw-at-a-time loss loop.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from anchordiff.diffusion import (
     apply_constraints,
     as_rng,
     corrupt,
+    sample_categorical,
     temper_row,
 )
 from anchordiff.anchors import AnchorConfig, AnchorStrategy
@@ -798,6 +801,66 @@ def sorted_anchor_commit_order(
     reference for the vectorized ``anchor_commit_order``."""
     candidates = [int(l) for l in np.flatnonzero(masked) if omega[l] >= 0.5]
     return sorted(candidates, key=lambda l: (-float(omega[l] * eta[l]), l))
+
+
+class ResummedProfile:
+    """The posterior anchor profile summed afresh on every call: the
+    weighted (omega, eta) of each unique row's copies, summed over the
+    consistent unique rows in ascending order and divided by their summed
+    weight. The reference for PosteriorAnchorProfile's kept answers."""
+
+    def __init__(self, exact):
+        self.exact = exact
+        corpus = exact.corpus
+        weighted = corpus.weights[:, None] * np.hstack([corpus.omega, corpus.eta])
+        self.sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
+        np.add.at(self.sums, exact.unique_of_row, weighted)
+
+    def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+        hit, w = self.exact.posterior(z)
+        if not len(hit):
+            raise NoMatchError("latent matches no corpus sequence")
+        mean = self.sums[hit].sum(axis=0) / w.sum()
+        return mean[: len(z)], mean[len(z) :]
+
+
+def reference_generate(prompt, length: int, predictors, config, schedule: NoiseSchedule, rng):
+    """``sampler.generate``'s reverse chain with a tempered
+    ``sample_categorical`` draw at every commit, sure or not, and the
+    anchor order by ``sorted_anchor_commit_order``. Returns the output ids
+    and the trace events as plain (position, step, event, token, stage)
+    tuples; raises what the predictor or profile raises."""
+    prompt = [int(t) for t in prompt]
+    mask_id = predictors.predictor.vocab.mask_id
+    rng = as_rng(rng)
+    schedule = NoiseSchedule(schedule.kind, config.T)
+    ids = np.full(length, mask_id, dtype=np.int64)
+    ids[: len(prompt)] = prompt
+    z = LatentSequence(ids=ids, mask_id=mask_id, prompt_mask=np.arange(length) < len(prompt))
+    events = []
+    stage = ["denoise"] * length
+    for i in range(config.T, 0, -1):
+        p = unmask_prob(schedule, i)
+        masked = [l for l in range(length) if ids[l] == mask_id]
+        budget = int(rng.binomial(len(masked), p)) if masked else 0
+        if budget:
+            omega, eta = predictors.profile(z)
+            anchors = sorted_anchor_commit_order(omega, eta, ids == mask_id)
+            others = [l for l in masked if omega[l] < 0.5]
+            rng.shuffle(others)
+            for k, l in enumerate((anchors + others)[:budget]):
+                row = predictors.predictor.predict_row(z, l)
+                token = sample_categorical(temper_row(row, config.temperature), rng)
+                ids[l] = token
+                stage[l] = "anchor" if k < len(anchors) else "denoise"
+                events.append((l, i, "unmask", token, stage[l]))
+        if i > 1 and config.remask_rate > 0:
+            committed = [l for l in range(len(prompt), length) if ids[l] != mask_id]
+            for l, coin in zip(committed, rng.random(len(committed))):
+                if coin < config.remask_rate * p:
+                    events.append((l, i, "remask", int(ids[l]), stage[l]))
+                    ids[l] = mask_id
+    return ids, events
 
 
 def _predictor_rows(corpus: Corpus, state: tuple[int, ...], temperature: float):

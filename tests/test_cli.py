@@ -267,6 +267,30 @@ class TestExitCodes:
         assert f"--synth-programs must be >= 1, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sample"], ["sample", "--predictor", "backoff"], ["sample", "--strategy", "keyword"],
+         ["eval", "--strategy", "null,anchor_tree"]],
+        ids=["sample", "sample-backoff", "sample-keyword", "eval"],
+    )
+    def test_gamma_that_overflows_the_profile_is_named(self, tmp_path, capsys, argv):
+        # 20 programs x 1e308 passes the float range: the anchor profile
+        # would hold inf, so the gamma is rejected before anything runs.
+        out = tmp_path / "run"
+        code = main([*argv, "--gamma=1e308", "--synth-programs", "20", "--n-samples", "2",
+                     "--steps", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error: --gamma 1e+308 is too large for 20 programs" in err
+        assert not out.exists()
+
+    def test_gamma_only_an_anchored_profile_sums_is_checked(self, tmp_path):
+        # Null has no anchors, and a gamma within the bound samples as usual.
+        for argv in (["--strategy", "null", "--gamma=1e308"], ["--gamma=1e306"]):
+            out = tmp_path / argv[-1]
+            assert main(["sample", *argv, "--synth-programs", "20", "--n-samples", "2",
+                         "--steps", "2", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("command", ["annotate", "sample"])
     def test_corpus_without_tokens_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
         # The one program is empty: it parses, but leaves nothing to count.

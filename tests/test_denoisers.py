@@ -34,6 +34,7 @@ from .conftest import make_corpus
 from .oracles import (
     DictBackoffModel,
     NaivePosterior,
+    ResummedProfile,
     all_rows_profile,
     constrained_rows,
     naive_consistent_rows,
@@ -756,6 +757,57 @@ class TestProfiles:
         w = corpus.weights / corpus.weights.sum()
         assert np.allclose(marginal_omega, w @ corpus.omega)
 
+    def test_profile_follows_a_new_set_of_the_same_size(self):
+        # An overwrite swaps one consistent row for another: the set keeps
+        # its size, but the profile is the new row's.
+        corpus = make_corpus(["ab", "cd"], weights=[2.0, 0.5])
+        corpus.omega = np.array([[1.0, 0.0], [0.0, 1.0]])
+        corpus.eta = np.array([[0.25, 0.5], [0.75, 1.0]])
+        v = corpus.vocab
+        prof = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
+        z = latent(corpus, [v.id("a"), v.mask_id])
+        for first, row in (("a", 0), ("c", 1), ("a", 0)):
+            z.ids[0] = v.id(first)
+            omega, eta = prof(z)
+            assert omega.tolist() == corpus.omega[row].tolist()
+            assert eta.tolist() == corpus.eta[row].tolist()
+        z.ids[0] = v.mask_id
+        omega, _ = prof(z)
+        assert omega.tolist() == [0.8, 0.2]
+
+    def test_pickled_profile_arrays_stay_read_only(self, synth_corpus_built):
+        # sample --workers pickles the pair, and pickle drops numpy's flag.
+        corpus = synth_corpus_built
+        v = corpus.vocab
+        pair = build_strategy_predictors(corpus, AnchorStrategy.ANCHOR_TREE, "exact")
+        z = LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id)
+        pair.profile(z)  # the all-rows profile
+        z.ids[:3] = corpus.ids[0, :3]
+        pair.profile(z)  # a profile of fewer rows, kept as the last one
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy.profile.exact is copy.predictor
+        kept = [copy.profile._prior, copy.profile._last]
+        assert not any(a.flags.writeable for a in kept)
+        for latent_ids in (z.ids, np.full(corpus.length, v.mask_id), corpus.ids[1]):
+            omega, eta = copy.profile(LatentSequence(latent_ids.copy(), v.mask_id))
+            assert not omega.flags.writeable and not eta.flags.writeable
+
+    @pytest.mark.parametrize("eta", [1e308, np.inf])
+    def test_profiles_reject_sums_that_overflow(self, eta):
+        # Three copies of a row with eta 1e308 sum past the float range.
+        corpus = make_corpus(["ab", "ab", "ab", "cd"])
+        corpus.omega = np.ones(corpus.ids.shape)
+        corpus.eta = np.full(corpus.ids.shape, eta)
+        with pytest.raises(ValueError, match="overflows"):
+            PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
+        if eta == np.inf:
+            with pytest.raises(ValueError, match="overflows"):
+                MarginalAnchorProfile.of_corpus(corpus)
+        else:
+            # Normalized weights keep the marginal mean within range.
+            omega, eta_hat = MarginalAnchorProfile.of_corpus(corpus)(latent(corpus, [4, 4]))
+            assert np.isfinite(eta_hat).all()
+
     def test_marginal_profile_constant(self, synth_corpus_built):
         corpus = synth_corpus_built
         prof = MarginalAnchorProfile.of_corpus(corpus)
@@ -915,6 +967,34 @@ def match_state_walk(draw):
     return corpus, draw(st.lists(step, min_size=1, max_size=12))
 
 
+class TestPosteriorArrays:
+    def test_arrays_are_kept_until_the_set_changes(self):
+        corpus = make_corpus(["ab", "cb"])
+        v = corpus.vocab
+        den = ExactPosteriorDenoiser(corpus)
+        z = latent(corpus, [v.mask_id, v.mask_id])
+        hit, w = den.posterior(z)
+        assert hit.tolist() == [0, 1]
+        # A commit that every consistent row agrees with removes no row.
+        z.ids[1] = v.id("b")
+        assert all(a is b for a, b in zip(den.posterior(z), (hit, w)))
+        # A remask rebuilds, with new arrays even for the same set.
+        z.ids[1] = v.mask_id
+        same = den.posterior(z)
+        assert same[0].tolist() == [0, 1]
+        assert same[0] is not hit and same[1] is not w
+        hit, w = same
+        z.ids[0] = v.id("a")  # removes "cb"
+        narrowed = den.posterior(z)
+        assert narrowed[0].tolist() == [0]
+        assert narrowed[0] is not hit and narrowed[1] is not w
+        z.ids[0] = v.mask_id
+        rebuilt = den.posterior(z)
+        assert rebuilt[0].tolist() == [0, 1]
+        assert not any(a is b for a in rebuilt for b in (hit, w, *narrowed))
+        assert not any(a.flags.writeable for a in rebuilt)
+
+
 class TestMatchState:
     @settings(max_examples=200, deadline=None)
     @given(match_state_walk())
@@ -952,10 +1032,14 @@ class TestMatchState:
                 oracle = naive_posterior(corpus, z)
                 for l in range(corpus.length):
                     assert np.array_equal(den.predict_row(z, l), oracle[l])
-                # The profile is a fresh build's, bit for bit.
+                # The profile, kept or not, is a fresh build's and a fresh
+                # sum's, bit for bit, and read-only, also after a pickle.
                 omega, eta = prof(z)
                 fresh = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z)
                 assert np.array_equal(omega, fresh[0]) and np.array_equal(eta, fresh[1])
+                resummed = ResummedProfile(den)(z)
+                assert np.array_equal(omega, resummed[0]) and np.array_equal(eta, resummed[1])
+                assert not omega.flags.writeable and not eta.flags.writeable
                 w = corpus.weights[rows] / corpus.weights[rows].sum()
                 assert np.allclose(omega, w @ corpus.omega[rows], rtol=0, atol=1e-12)
                 assert np.allclose(eta, w @ corpus.eta[rows], rtol=0, atol=1e-12)

@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchordiff import AnchorConfig, AnchorStrategy
+from anchordiff import AnchorConfig, AnchorStrategy, sampler
 from anchordiff.denoisers import (
     BackoffCountModel,
+    Corpus,
     ExactPosteriorDenoiser,
     MarginalAnchorProfile,
+    NoMatchError,
     PosteriorAnchorProfile,
     anchor_commit_order,
 )
-from anchordiff.diffusion import DiffusionError
+from anchordiff.diffusion import DiffusionError, Vocab, sample_categorical, temper_row
 from anchordiff.experiments import build_strategy_predictors
 from anchordiff.sampler import (
     AnchoredPair,
     SamplerConfig,
     default_remask_rate,
+    draw_token,
     generate,
     unmask_order_stats,
 )
@@ -27,6 +30,8 @@ from anchordiff.schedule import NoiseSchedule, ScheduleKind
 from .conftest import make_corpus
 from .oracles import (
     RescanExactDenoiser,
+    ResummedProfile,
+    reference_generate,
     sorted_anchor_commit_order,
     enumerate_product_chain,
     enumerate_sequential_chain,
@@ -318,13 +323,177 @@ class TestFuzzLight:
             assert (out[:n_prompt] == prompt).all()
 
 
-def rescan_pair(corpus, strategy):
-    """The strategy's predictors with every match set found by a full
-    corpus rescan, as before the incremental match state."""
+def reference_pair(corpus, strategy, kind):
+    """The pair ``build_strategy_predictors`` makes, with nothing kept
+    between queries: the exact table rescans the corpus and its profile is
+    summed afresh on every call; the backoff model and the marginal
+    profiles keep nothing anyway."""
+    if kind == "backoff":
+        return build_strategy_predictors(corpus, strategy, kind)
     reference = RescanExactDenoiser(corpus)
     if strategy is AnchorStrategy.NULL:
         return AnchoredPair(reference, MarginalAnchorProfile.zeros(corpus.length))
-    return AnchoredPair(reference, PosteriorAnchorProfile(reference))
+    return AnchoredPair(reference, ResummedProfile(reference))
+
+
+def outcome(run, *args):
+    """A generation's ids and trace events as plain tuples, or the name of
+    the error it raised."""
+    try:
+        ids, trace = run(*args)
+    except NoMatchError as exc:
+        return type(exc).__name__
+    events = trace if isinstance(trace, list) else [tuple(e) for e in trace.events]
+    assert all(type(e[3]) is int for e in events)
+    return ids.tolist(), events
+
+
+@st.composite
+def generation_cases(draw):
+    """A small corpus with repeated rows, integer or fractional weights and
+    drawn omega/eta, plus every setting ``generate`` reads: strategy,
+    predictor, remask rate, T, temperature and a prompt that is a corpus
+    row's prefix or any tokens."""
+    L = draw(st.integers(1, 6))
+    token = st.integers(0, 3)
+    distinct = draw(st.lists(st.lists(token, min_size=L, max_size=L), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    n = len(picks)
+    weight = st.one_of(st.integers(1, 5), st.sampled_from([0.1, 0.25, 1 / 3, 0.7, 2.5]))
+
+    def table(elements):
+        return np.array(draw(st.lists(st.lists(elements, min_size=L, max_size=L),
+                                      min_size=n, max_size=n)), dtype=float)
+
+    ids = np.array([distinct[i] for i in picks])
+    corpus = Corpus(
+        ids=ids,
+        weights=np.array(draw(st.lists(weight, min_size=n, max_size=n)), float),
+        vocab=Vocab(("a", "b", "c", "d", "<pad>", "?")),
+        omega=table(st.sampled_from([0.0, 1.0])),
+        eta=table(st.integers(0, 8)) / 8,
+    )
+    n_prompt = draw(st.integers(0, L))
+    if draw(st.booleans()):
+        prompt = ids[draw(st.integers(0, n - 1)), :n_prompt].tolist()
+    else:
+        prompt = draw(st.lists(token, min_size=n_prompt, max_size=n_prompt))
+    config = SamplerConfig(
+        T=draw(st.sampled_from([1, 2, 16])),
+        temperature=draw(st.sampled_from([1e-7, 0.5, 0.8, 1.0, 2.0])),
+        remask_rate=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        strategy=AnchorConfig.for_strategy(draw(st.sampled_from(list(AnchorStrategy)))),
+    )
+    kind = draw(st.sampled_from(["exact", "backoff"]))
+    return corpus, prompt, config, kind, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFullDrawReference:
+    """``generate`` against ``oracles.reference_generate``, which tempers
+    and draws in full at every commit and sums the profile afresh at every
+    step: the same ids, trace events and random stream, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(generation_cases())
+    def test_small_corpora(self, case):
+        corpus, prompt, config, kind, seed = case
+        # One pair serves every generation, so its kept state carries over.
+        pair = build_strategy_predictors(corpus, config.strategy.strategy, kind)
+        reference = reference_pair(corpus, config.strategy.strategy, kind)
+        sched = NoiseSchedule(T=config.T)
+        for j in range(3):
+            rng, ref_rng = np.random.default_rng([seed, j]), np.random.default_rng([seed, j])
+            got = outcome(generate, prompt, corpus.length, pair, config, sched, rng)
+            want = outcome(
+                reference_generate, prompt, corpus.length, reference, config, sched, ref_rng
+            )
+            assert got == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestDrawToken:
+    @pytest.mark.parametrize("temperature", [1e-7, 0.5, 0.8, 1.0, 2.0])
+    def test_one_hot_row_draws_as_the_full_path(self, temperature):
+        for K in (1, 2, 7):
+            for token in range(K):
+                row = np.zeros(K)
+                row[token] = 1.0
+                for seed in range(50):
+                    rng, full = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = draw_token(row, temperature, rng)
+                    assert got == token == sample_categorical(temper_row(row, temperature), full)
+                    assert type(got) is int
+                    assert rng.bit_generator.state == full.bit_generator.state
+
+    @pytest.mark.parametrize("temperature", [1e-7, 0.5, 0.8, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "entries",
+        [{3: 1.0, 5: 5e-324}, {0: 1.0 - 2**-53, 6: 2**-53}, {2: 0.5}, {4: 5e-324}],
+        ids=["tiny-second", "near-one", "half", "subnormal"],
+    )
+    def test_other_rows_take_the_full_path(self, monkeypatch, temperature, entries):
+        # Only a one-hot row holding exactly 1.0 skips the arithmetic.
+        row = np.zeros(7)
+        for position, value in entries.items():
+            row[position] = value
+        calls = []
+
+        def spy(row, temperature):
+            calls.append(temperature)
+            return temper_row(row, temperature)
+
+        monkeypatch.setattr(sampler, "temper_row", spy)
+        for seed in range(20):
+            rng, full = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = draw_token(row, temperature, rng)
+            assert got == sample_categorical(temper_row(row, temperature), full)
+            assert rng.bit_generator.state == full.bit_generator.state
+        assert calls == [temperature] * 20
+
+
+class CountingPair:
+    """An anchored pair, itself its predictor, that counts the
+    ``predict_row`` calls and the profile calls it passes on."""
+
+    def __init__(self, pair):
+        self.pair, self.predictor, self.vocab = pair, self, pair.predictor.vocab
+        self.rows = self.profiles = 0
+
+    def predict_row(self, z, position):
+        self.rows += 1
+        return self.pair.predictor.predict_row(z, position)
+
+    def profile(self, z):
+        self.profiles += 1
+        return self.pair.profile(z)
+
+
+class TestQueryCounts:
+    @pytest.mark.parametrize("kind", ["exact", "backoff"])
+    @pytest.mark.parametrize(
+        "strategy,T",
+        [(AnchorStrategy.ANCHOR_TREE, 64), (AnchorStrategy.ANCHOR_TREE, 8),
+         (AnchorStrategy.NULL, 64), (AnchorStrategy.KEYWORD, 16)],
+    )
+    def test_one_row_per_commit_and_one_profile_per_step(
+        self, synth_corpus_built, strategy, T, kind
+    ):
+        # Sure commits still ask their row and sure steps their profile, so
+        # the query counts a run reports do not depend on the posterior.
+        corpus = synth_corpus_built
+        cfg = SamplerConfig(
+            T=T, remask_rate=default_remask_rate(strategy) or 0.2,
+            strategy=AnchorConfig.for_strategy(strategy),
+        )
+        counting = CountingPair(build_strategy_predictors(corpus, strategy, kind))
+        for j in range(4):
+            rows, profiles = counting.rows, counting.profiles
+            _, trace = generate([], 64, counting, cfg, NoiseSchedule(T=T),
+                                np.random.default_rng([9, j]))
+            unmasks = [e for e in trace.events if e.event == "unmask"]
+            # Every step with a nonzero budget commits, so its step has an unmask.
+            assert counting.rows - rows == len(unmasks)
+            assert counting.profiles - profiles == len({e.step for e in unmasks})
 
 
 class TestMatchStateGeneration:
@@ -341,12 +510,12 @@ class TestMatchStateGeneration:
         )
         # One pair serves every generation, so the match state carries over.
         pair = build_strategy_predictors(corpus, strategy, "exact")
-        reference = rescan_pair(corpus, strategy)
+        reference = reference_pair(corpus, strategy, "exact")
         sched = NoiseSchedule(T=T)
         for j in range(4):
             out, trace = generate([], 64, pair, cfg, sched, np.random.default_rng([3, j]))
-            ref_out, ref_trace = generate(
+            ref_out, ref_events = reference_generate(
                 [], 64, reference, cfg, sched, np.random.default_rng([3, j])
             )
             assert np.array_equal(out, ref_out)
-            assert trace.events == ref_trace.events
+            assert [tuple(e) for e in trace.events] == ref_events

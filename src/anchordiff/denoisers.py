@@ -8,12 +8,15 @@ the two batched queries once, through ``predict_row``.
   positions. Its one query of that posterior is ``posterior``: the
   corpus's unique rows still consistent with the latent and their weights.
   It is the table's only state: a commit filters the set on its column,
-  and only a remask, an overwrite or a fresh latent rebuilds it.
+  and only a remask, an overwrite or a fresh latent rebuilds it. A column
+  where every corpus row holds one token (the pad tail, fixed scaffold
+  tokens) is known at construction, so a commit or remask of that token
+  there leaves the set alone and the row there is its one-hot.
   ``predict_row``, ``match_mask``, the batched queries and the anchored
   sampler's PosteriorAnchorProfile all read ``posterior``: after a commit
-  a query costs as much as the set, not the corpus. A commit that removes
-  no row keeps the set's arrays, and the profile then answers with the
-  arrays it gave last.
+  a query costs as much as the set, not the corpus. The set keeps its
+  arrays while its rows stay the same, and the profile then answers with
+  the arrays it gave last.
 * BackoffCountModel: (left, right) context counts with backoff to left,
   right, then unigram, Laplace-smoothed; total on any input. It is stored
   as tables, so each query is a gather.
@@ -149,18 +152,28 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
     are the posterior over clean rows, which ``posterior`` returns; every
     other query (``predict_row``, ``match_mask``, the contract's batched
     queries and PosteriorAnchorProfile) reads it there. A query diffs the
-    latent against those ids. When every changed position was masked
-    before, as after the sampler's commits and the probe's reveals, the
-    consistent rows are filtered on the changed columns, so a commit costs
-    one column of the consistent rows only, and one that removes no row
-    keeps the set's arrays as they are. Any other change (a remask, an
-    overwrite, a fresh latent) rebuilds the set from the latent's unmasked
-    positions, about one scan of the unique rows. Outputs do not depend on
-    the order of queries, only their cost does. The state belongs to the
-    instance, so one instance must not be queried from two threads at once.
+    latent against those ids.
+
+    Construction also records each column's agreed token, the one that
+    every unique row holds there (on the synth corpus, the pad tail and
+    most of the scaffold). A change at such a column between the mask and
+    that token rules no row in or out, so it is passed over. When every
+    other changed position was masked before, as after the sampler's
+    commits and the probe's reveals, the consistent rows are filtered on
+    the changed columns, so a commit costs one column of the consistent
+    rows only. Any other change (a remask, an overwrite, a fresh latent)
+    rebuilds the set from the unmasked positions that do not hold their
+    agreed token, about one scan of the unique rows. The set's arrays are
+    replaced only when its rows change, so the arrays are the set's
+    identity. ``predict_row`` at a masked agreed column, or over a one-row
+    set, returns the one-hot without counting: with one nonzero count x,
+    the counts' row is x / x = 1.0 there and 0.0 elsewhere, the same bits.
+    Outputs do not depend on the order of queries, only their cost does.
+    The state belongs to the instance, so one instance must not be queried
+    from two threads at once.
     """
 
-    _frozen = ("unique_of_row", "_unique_weights", "_hit", "_hit_weights")
+    _frozen = ("unique_of_row", "_unique_weights", "_agreed", "_hit", "_hit_weights")
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
@@ -171,8 +184,21 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
         _, first, self.unique_of_row = np.unique(rows, return_index=True, return_inverse=True)
         self._columns = np.ascontiguousarray(ids[first].T)
         self._unique_weights = np.bincount(self.unique_of_row, weights=corpus.weights)
+        # predict_row's one-hot rows stand for counts / counts.sum() with one
+        # nonzero count x, and x / x is 1.0 only while x is finite; a sum of
+        # some rows' weights in ascending order is at most this one.
+        with np.errstate(over="ignore"):  # raises instead
+            total = np.cumsum(self._unique_weights)[-1]
+        if not np.isfinite(total):
+            raise ValueError("corpus weights sum past the float range")
+        self._mask_id, self._size = corpus.vocab.mask_id, corpus.vocab.size
+        # Each column's agreed token, the one every unique row holds there,
+        # or the mask id where the rows differ: at every column the mask and
+        # the agreed token are the tokens that rule out no row.
+        agree = (self._columns == self._columns[:, :1]).all(axis=1)
+        self._agreed = np.where(agree, self._columns[:, 0], self._mask_id)
         # Every row agrees with the all-masked latent.
-        self._seen = np.full(corpus.length, corpus.vocab.mask_id, dtype=np.int64)
+        self._seen = np.full(corpus.length, self._mask_id, dtype=np.int64)
         self._hit = np.arange(len(first))
         self._hit_weights = self._unique_weights
         self._freeze()
@@ -182,47 +208,53 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
         return self.corpus.vocab
 
     def _sync(self, z: LatentSequence) -> None:
-        """Bring the consistent set up to date with ``z``: filter it on the
-        changed positions when each of them was masked, otherwise rebuild
-        it from ``z``'s unmasked positions."""
-        if z.ids.shape != self._seen.shape:
+        """Bring the consistent set up to date with ``z``. A change between
+        the mask and a column's agreed token is passed over; the other
+        changes filter the set when each of them was masked before, and
+        otherwise rebuild it from the unmasked positions that do not hold
+        their agreed token. The set's arrays are replaced only when its rows
+        change."""
+        ids = z.ids
+        if ids.shape != self._seen.shape:
             raise ValueError(
                 f"latent length {len(z)} does not match corpus length {len(self._seen)}"
             )
-        changed = (z.ids != self._seen).nonzero()[0]
+        changed = (ids != self._seen).nonzero()[0]
         if not len(changed):
             return
-        hit = self._filtered(z, changed.tolist())
-        self._seen[changed] = z.ids[changed]
-        if hit is None:
-            # One pass over every unmasked column: a rebuild reads most of
-            # them, and _filtered's loop from all rows costs about twice this.
-            now = (z.ids != self.vocab.mask_id).nonzero()[0]
-            hit = (self._columns[now] == z.ids[now, None]).all(axis=0).nonzero()[0]
-        elif len(hit) == len(self._hit):
-            # A filter keeps a subset, so the set is unchanged: keep its
-            # arrays, which tells PosteriorAnchorProfile so too.
-            return
+        seen, mask_id = self._seen, self._mask_id
+        commits, rebuild = [], False
+        for l in changed.tolist():
+            old, new, agreed = seen.item(l), ids.item(l), self._agreed.item(l)
+            seen[l] = new
+            if old in (mask_id, agreed) and new in (mask_id, agreed):
+                continue
+            rebuild = rebuild or old != mask_id
+            commits.append((l, new))
+        if rebuild:
+            # One pass over the constraining columns: a rebuild reads most of
+            # them, and filtering from all rows costs about twice this.
+            now = ((ids != mask_id) & (ids != self._agreed)).nonzero()[0]
+            hit = (self._columns[now] == ids[now, None]).all(axis=0).nonzero()[0]
+            if len(hit) == len(self._hit) and (hit == self._hit).all():
+                return
+        else:
+            hit = self._hit
+            for l, token in commits:
+                hit = hit[self._columns[l][hit] == token]
+            # A filter keeps a subset, so a set of the same size is the same.
+            if len(hit) == len(self._hit):
+                return
         self._hit, self._hit_weights = hit, self._unique_weights[hit]
         self._hit.setflags(write=False)
         self._hit_weights.setflags(write=False)
-
-    def _filtered(self, z: LatentSequence, changed: list[int]) -> np.ndarray | None:
-        """The consistent rows that agree with each commit at ``changed``, or
-        None when one of those positions was not masked before."""
-        hit = self._hit
-        for l in changed:
-            if self._seen[l] != self.vocab.mask_id:
-                return None
-            hit = hit[self._columns[l][hit] == z.ids[l]]
-        return hit
 
     def posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
         """The posterior given ``z`` before normalization: the ascending
         indices of the unique rows consistent with ``z`` and their summed
         weights, as read-only arrays; both are empty when no row matches.
-        While commits remove no row, it returns the same array objects; a
-        rebuild always makes new ones."""
+        It returns the same array objects as the call before exactly when
+        the set of rows is the same."""
         self._sync(z)
         return self._hit, self._hit_weights
 
@@ -236,13 +268,20 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
         hit, w = self.posterior(z)
         if not len(hit):
             raise NoMatchError("latent matches no corpus sequence")
-        K = self.vocab.size
-        if z.ids[position] != self.vocab.mask_id:
-            row = np.zeros(K)
-            row[z.ids[position]] = 1.0
-            return row
-        counts = np.bincount(self._columns[position, hit], weights=w, minlength=K)
-        return counts / counts.sum()
+        token = z.ids.item(position)
+        if token == self._mask_id:
+            # Every consistent row holds the agreed token, and a one-row set
+            # has one token: its row is the one-hot that the counts give.
+            token = self._agreed.item(position)
+            if token == self._mask_id:
+                if len(hit) > 1:
+                    column = self._columns[position, hit]
+                    counts = np.bincount(column, weights=w, minlength=self._size)
+                    return counts / counts.sum()
+                token = self._columns[position, hit[0]]
+        row = np.zeros(self._size)
+        row[token] = 1.0
+        return row
 
 
 class BackoffCountModel(ReadOnlyArrays, Predictor):
@@ -553,10 +592,11 @@ class PosteriorAnchorProfile(ReadOnlyArrays):
     corpus, and its bits do not depend on a BLAS kernel. Two profiles are
     kept and returned as they are, since the same rows give the same sums:
     the all-rows one, built with the instance, and the last one, while
-    ``posterior`` hands back the same ``hit`` array (a commit that removes
-    no row keeps it). A sum that is not finite, as a huge gamma gives, is a
-    ValueError. The arrays are read-only, as MarginalAnchorProfile's shared
-    ones are, so a caller treats every profile alike.
+    ``posterior`` hands back the same ``hit`` array, which it does exactly
+    while the set's rows are unchanged. A sum that is not finite, as a huge
+    gamma gives, is a ValueError. The arrays are read-only, as
+    MarginalAnchorProfile's shared ones are, so a caller treats every
+    profile alike.
     """
 
     _frozen = ("_prior", "_last")

@@ -97,8 +97,11 @@ def ancestry_probe(
     - nearest ancestors first (in-out), farthest first (out-in), or k
     non-chain masked positions (random) - querying the predicted
     probability of the true token at l0 after each reveal. All three
-    orderings share each probe's corruption and reveal draws. One probe
-    gives no standard error, so ``n_probes`` must be at least 2.
+    orderings share each probe's corruption and reveal draws. Each distinct
+    latent is asked once: the start (j = 0) serves all three orderings and
+    the full chain (j = k) both chain orderings, so a probe makes 3k
+    ``predict_row`` queries (one at k = 0). One probe gives no standard
+    error, so ``n_probes`` must be at least 2.
 
     A target is any position whose chain length (``corpus.chain``, one row
     per record, as ``build_corpus`` pads it) is at least ``k``, so it
@@ -149,35 +152,40 @@ def ancestry_probe(
                 skipped += 1
                 past_length += 1
                 continue
-            clean = LatentSequence(ids=corpus.ids[ri].copy(), mask_id=mask_id)
-            z = corrupt(clean, t, schedule, rng)
-            ids = z.ids.copy()
+            clean = corpus.ids[ri]
+            ids = corrupt(LatentSequence(ids=clean, mask_id=mask_id), t, schedule, rng).ids
             ids[list(chain)] = mask_id
-            chain_set = set(chain)
-            non_chain_masked = [
-                l for l in (ids == mask_id).nonzero()[0] if l not in chain_set
-            ]
+            others = ids == mask_id
+            others[list(chain)] = False
+            non_chain_masked = others.nonzero()[0]
             if len(non_chain_masked) < k:
                 skipped += 1
                 continue
-            random_reveals = [
-                int(non_chain_masked[j])
-                for j in rng.permutation(len(non_chain_masked))[:k]
-            ]
-            reveal_orders = {
-                RevealOrder.IN_OUT.value: list(chain[1:]),
-                RevealOrder.OUT_IN.value: list(chain[1:][::-1]),
-                RevealOrder.RANDOM.value: random_reveals,
-            }
-            true_id = int(corpus.ids[ri][l0])
-            for ordering, reveals in reveal_orders.items():
-                # One live latent per ordering; each reveal writes into its ids.
+            random_reveals = non_chain_masked[rng.permutation(len(non_chain_masked))[:k]]
+            true_id = int(clean[l0])
+
+            def scores(reveals) -> list[float]:
+                """The true token's probability at l0 after each reveal, on
+                one live latent that each reveal writes into."""
                 z = LatentSequence(ids=ids.copy(), mask_id=mask_id)
-                row = raw[(ordering, t)][done]
-                row[0] = predictor.predict_row(z, l0)[true_id]
-                for j, pos in enumerate(reveals, start=1):
-                    z.ids[pos] = corpus.ids[ri][pos]
-                    row[j] = predictor.predict_row(z, l0)[true_id]
+                out = []
+                for pos in reveals:
+                    z.ids[pos] = clean[pos]
+                    out.append(predictor.predict_row(z, l0)[true_id])
+                return out
+
+            # Each distinct latent is asked once: j = 0 is one latent for all
+            # three orderings, and in-out and out-in end on the same one, so
+            # out-in asks only its reveals before the nearest ancestor.
+            start = [predictor.predict_row(LatentSequence(ids, mask_id), l0)[true_id]]
+            in_out = scores(chain[1:])
+            out_in = scores(chain[:1:-1]) + in_out[-1:]
+            for ordering, row in (
+                (RevealOrder.IN_OUT, in_out),
+                (RevealOrder.OUT_IN, out_in),
+                (RevealOrder.RANDOM, scores(random_reveals.tolist())),
+            ):
+                raw[(ordering.value, t)][done] = start + row
             done += 1
     results = []
     for (ordering, t), mat in sorted(raw.items()):

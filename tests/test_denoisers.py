@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchordiff import (
@@ -80,6 +80,13 @@ class TestExactPosterior:
             den.predict_row(z, 0)
         with pytest.raises(NoMatchError):
             den.target_probs(z.ids[None], z.ids, v.mask_id)
+
+    def test_weights_summing_past_the_float_range_rejected(self):
+        # Two distinct rows of weight 1e308 each: the total is inf, so a
+        # count over both could not be normalized.
+        with pytest.raises(ValueError, match="float range"):
+            ExactPosteriorDenoiser(make_corpus(["ab", "cd"], weights=[1e308, 1e308]))
+        ExactPosteriorDenoiser(make_corpus(["ab", "cd"], weights=[1e308, 1e307]))
 
     def test_weighted_mixture(self):
         corpus = make_corpus(["ab", "cb"], weights=[3.0, 1.0])
@@ -968,36 +975,119 @@ def match_state_walk(draw):
 
 
 class TestPosteriorArrays:
-    def test_arrays_are_kept_until_the_set_changes(self):
-        corpus = make_corpus(["ab", "cb"])
-        v = corpus.vocab
+    """``posterior`` returns the previous arrays exactly when the set of
+    consistent rows is unchanged, and the profile then keeps its answer.
+    Column 2 of the corpus is agreed (every row holds "x"); columns 0 and
+    1 vary."""
+
+    @staticmethod
+    def table():
+        corpus = make_corpus(["abx", "cbx", "cdx"], weights=[2.0, 1.0, 1.0])
+        corpus.omega = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        corpus.eta = corpus.omega / 4
         den = ExactPosteriorDenoiser(corpus)
-        z = latent(corpus, [v.mask_id, v.mask_id])
-        hit, w = den.posterior(z)
-        assert hit.tolist() == [0, 1]
-        # A commit that every consistent row agrees with removes no row.
-        z.ids[1] = v.id("b")
-        assert all(a is b for a, b in zip(den.posterior(z), (hit, w)))
-        # A remask rebuilds, with new arrays even for the same set.
-        z.ids[1] = v.mask_id
-        same = den.posterior(z)
-        assert same[0].tolist() == [0, 1]
-        assert same[0] is not hit and same[1] is not w
-        hit, w = same
-        z.ids[0] = v.id("a")  # removes "cb"
-        narrowed = den.posterior(z)
+        return corpus, corpus.vocab, den, PosteriorAnchorProfile(den)
+
+    @staticmethod
+    def assert_kept(den, prof, z, kept, profile):
+        assert all(a is b for a, b in zip(den.posterior(z), kept))
+        omega, eta = prof(z)
+        assert omega.base is eta.base is profile
+
+    def test_commit_and_remask_at_an_agreed_column_keep_the_arrays(self):
+        corpus, v, den, prof = self.table()
+        x = v.id("x")
+        z = latent(corpus, [v.mask_id] * 3)
+        for first in (v.mask_id, v.id("c")):  # all rows, then two of them
+            z.ids[0] = first
+            kept, profile = den.posterior(z), prof(z)[0].base
+            for token in (x, v.mask_id, x, v.mask_id):
+                z.ids[2] = token
+                self.assert_kept(den, prof, z, kept, profile)
+        assert kept[0].tolist() == [1, 2]
+
+    def test_remask_that_lets_no_row_back_keeps_the_arrays(self):
+        corpus, v, den, prof = self.table()
+        z = latent(corpus, [v.id("a"), v.mask_id, v.mask_id])
+        kept, profile = den.posterior(z), prof(z)[0].base
+        assert kept[0].tolist() == [0]
+        # "b" at column 1 removes no row of {"abx"}, and its remask, at a
+        # varying column, lets none back: the row with "a" is still alone.
+        for token in (v.id("b"), v.mask_id):
+            z.ids[1] = token
+            self.assert_kept(den, prof, z, kept, profile)
+
+    def test_remask_that_lets_a_row_back_makes_new_arrays(self):
+        corpus, v, den, prof = self.table()
+        z = latent(corpus, [v.id("a"), v.id("b"), v.id("x")])
+        narrowed, profile = den.posterior(z), prof(z)[0].base
         assert narrowed[0].tolist() == [0]
-        assert narrowed[0] is not hit and narrowed[1] is not w
-        z.ids[0] = v.mask_id
-        rebuilt = den.posterior(z)
-        assert rebuilt[0].tolist() == [0, 1]
-        assert not any(a is b for a in rebuilt for b in (hit, w, *narrowed))
-        assert not any(a.flags.writeable for a in rebuilt)
+        z.ids[0] = v.mask_id  # lets "cbx" back
+        grown = den.posterior(z)
+        assert grown[0].tolist() == [0, 1] and grown[1].tolist() == [2.0, 1.0]
+        assert not any(a is b for a in grown for b in narrowed)
+        assert not any(a.flags.writeable for a in grown)
+        omega, eta = prof(z)
+        assert omega.base is not profile
+        assert omega.tolist() == [2 / 3, 1 / 3, 1.0]
+        assert eta.tolist() == (omega / 4).tolist()
+
+    def test_off_token_commit_at_an_agreed_column_empties_the_set(self):
+        corpus, v, den, prof = self.table()
+        z = latent(corpus, [v.mask_id] * 3)
+        full = den.posterior(z)
+        for back in (v.mask_id, v.id("x")):  # a remask, then an overwrite
+            z.ids[2] = v.id("a")  # no row holds "a" there
+            empty = den.posterior(z)
+            assert empty[0].tolist() == [] and empty[1].tolist() == []
+            assert not den.match_mask(z).any()
+            for l in range(3):
+                with pytest.raises(NoMatchError):
+                    den.predict_row(z, l)
+            with pytest.raises(NoMatchError):
+                prof(z)
+            z.ids[2] = back  # the set is rebuilt with every row
+            rebuilt = den.posterior(z)
+            assert rebuilt[0].tolist() == [0, 1, 2]
+            assert rebuilt[1].tolist() == full[1].tolist()
+            assert not any(a is b for a in rebuilt for b in empty)
+            oracle = naive_posterior(corpus, z)
+            for l in range(3):
+                assert np.array_equal(den.predict_row(z, l), oracle[l])
+            assert prof(z)[0].tolist() == (corpus.weights / 4 @ corpus.omega).tolist()
+
+
+def fixed_walk():
+    """A match-state walk that always reaches the agreed columns: a pad tail
+    (columns 4 and 5) and an agreed scaffold column (1, "b"; 3 is "d")
+    beside varying ones, with commits and remasks of the agreed tokens,
+    off-token commits there, a remask that lets no row back in and one that
+    does, fresh latents and a pickle."""
+    vocab = Vocab(("a", "b", "c", "d", "<pad>", "?"))
+    ids = np.array([[0, 1, 2, 3, 4, 4], [1, 1, 3, 3, 4, 4], [2, 1, 0, 3, 4, 4], [2, 1, 0, 3, 4, 4]])
+    corpus = Corpus(
+        ids=ids,
+        weights=np.array([3.0, 1.0, 2.0, 1.0]),
+        vocab=vocab,
+        omega=np.array([[1, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0],
+                        [0, 0, 1, 1, 0, 0]], float),
+        eta=np.arange(24, dtype=float).reshape(4, 6) / 24,
+    )
+    mask = vocab.mask_id
+    steps = [
+        ("set", 4, 4), ("set", 1, 1), ("commit", [0, 2], 0), ("set", 4, mask),
+        ("set", 0, mask), ("set", 2, mask), ("set", 3, 0), ("set", 5, 4),
+        ("set", 3, mask), ("set", 1, 2), ("set", 1, 1), ("commit", [0, 2, 5], 2),
+        ("pickle",), ("set", 5, mask), ("fresh", [mask, 1, mask, 3, 4, mask]),
+        ("fresh", [1, 1, 3, 2, 4, 4]), ("fresh", [mask, 1, 0, 3, mask, 4]),
+    ]
+    return corpus, steps
 
 
 class TestMatchState:
     @settings(max_examples=200, deadline=None)
     @given(match_state_walk())
+    @example(fixed_walk())
     def test_one_instance_tracks_the_oracle(self, case):
         corpus, steps = case
         mask_id = corpus.vocab.mask_id
@@ -1006,12 +1096,14 @@ class TestMatchState:
         prof = PosteriorAnchorProfile(den)
         # One live latent edited in place, as the sampler does.
         z = LatentSequence(np.full(corpus.length, mask_id), mask_id)
+        last = den.posterior(z)
         for op, *args in steps:
             if op == "pickle":
                 den, prof = pickle.loads(pickle.dumps((den, prof)))
                 assert prof.exact is den
                 # numpy drops the read-only flag in pickle; unpickling restores it.
-                shared = [den.unique_of_row, den._unique_weights, *den.posterior(z)]
+                last = den.posterior(z)
+                shared = [den.unique_of_row, den._unique_weights, *last]
                 assert not any(a.flags.writeable for a in shared)
             elif op == "fresh":
                 z.ids[:] = args[0]
@@ -1022,8 +1114,13 @@ class TestMatchState:
             else:
                 z.ids[args[0]] = args[1]
             rows = naive_consistent_rows(corpus, z)
-            # The consistent unique rows and summed weights are the oracle's rows.
+            # The consistent unique rows and summed weights are the oracle's
+            # rows, in the arrays of the step before exactly when they are
+            # the same rows.
             hit, w = den.posterior(z)
+            same = np.array_equal(hit, last[0])
+            assert (hit is last[0]) == same and (w is last[1]) == same
+            last = hit, w
             assert np.flatnonzero(np.isin(den.unique_of_row, hit)).tolist() == rows
             for h, wh in zip(hit, w):
                 assert wh == sum(corpus.weights[i] for i in rows if den.unique_of_row[i] == h)

@@ -37,7 +37,7 @@ from anchordiff.hierarchy import InsufficientDepth
 from anchordiff.sampler import generate
 from anchordiff.schedule import NoiseSchedule, ScheduleKind
 
-from .oracles import naive_probe_targets
+from .oracles import RescanExactDenoiser, naive_probe_targets
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,31 @@ class TestAncestryProbe:
                 synth_records, synth_corpus_built, den,
                 t_values=[0.9], k=3, n_probes=1, rng=0,
             )
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_one_query_per_distinct_latent(self, synth_records, synth_corpus_built, k):
+        # The start serves all three orderings and the full chain both chain
+        # orderings: 3k queries per probe, one at k = 0, and the rows a
+        # corpus rescan on every query gives.
+        corpus = synth_corpus_built
+        den = ExactPosteriorDenoiser(corpus)
+        calls = []
+
+        class Counting:
+            def predict_row(self, z, position):
+                calls.append(position)
+                return den.predict_row(z, position)
+
+        t_values, n_probes = [0.85, 0.95], 12
+        run = ancestry_probe(synth_records, corpus, Counting(), t_values, k, n_probes, rng=k)
+        assert len(calls) == len(t_values) * n_probes * (3 * k or 1)
+        rescan = ancestry_probe(
+            synth_records, corpus, RescanExactDenoiser(corpus), t_values, k, n_probes, rng=k
+        )
+        assert run.raw.keys() == rescan.raw.keys()
+        for key, mat in run.raw.items():
+            assert np.array_equal(mat, rescan.raw[key]), key
+        assert run.to_csv() == rescan.to_csv()
 
     def test_reveals_never_grow_the_match_set(self, synth_corpus_built):
         # Revealing a true token only filters: the set of corpus sequences

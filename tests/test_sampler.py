@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchordiff import AnchorConfig, AnchorStrategy, sampler
@@ -388,6 +388,27 @@ def generation_cases(draw):
     return corpus, prompt, config, kind, draw(st.integers(0, 2**32 - 1))
 
 
+def agreed_column_case(strategy, remask, T, prompt, seed):
+    """A generation case on a corpus with a pad tail (columns 4 and 5) and an
+    agreed scaffold column (1), so that the exact table's commits and
+    remasks reach the columns every row agrees on."""
+    pad = 4
+    ids = np.array([[0, 1, 2, 3, pad, pad], [1, 1, 3, 3, pad, pad], [2, 1, 0, 0, pad, pad],
+                    [2, 1, 0, 0, pad, pad], [3, 1, 1, 2, pad, pad]])
+    corpus = Corpus(
+        ids=ids,
+        weights=np.array([2.0, 0.25, 1.0, 1 / 3, 2.5]),
+        vocab=Vocab(("a", "b", "c", "d", "<pad>", "?")),
+        omega=np.array([[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 0],
+                        [1, 1, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]], float),
+        eta=np.arange(30, dtype=float).reshape(5, 6) % 9 / 8,
+    )
+    config = SamplerConfig(
+        T=T, temperature=0.8, remask_rate=remask, strategy=AnchorConfig.for_strategy(strategy)
+    )
+    return corpus, prompt, config, "exact", seed
+
+
 class TestFullDrawReference:
     """``generate`` against ``oracles.reference_generate``, which tempers
     and draws in full at every commit and sums the profile afresh at every
@@ -395,6 +416,10 @@ class TestFullDrawReference:
 
     @settings(max_examples=300, deadline=None)
     @given(generation_cases())
+    @example(agreed_column_case(AnchorStrategy.ANCHOR_TREE, 0.5, 16, [], 11))
+    @example(agreed_column_case(AnchorStrategy.NULL, 0.5, 16, [], 12))
+    @example(agreed_column_case(AnchorStrategy.KEYWORD, 0.1, 16, [2, 1, 0], 13))
+    @example(agreed_column_case(AnchorStrategy.ANCHOR_TREE, 0.5, 2, [0, 2], 14))
     def test_small_corpora(self, case):
         corpus, prompt, config, kind, seed = case
         # One pair serves every generation, so its kept state carries over.

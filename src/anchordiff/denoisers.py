@@ -116,12 +116,22 @@ class Predictor:
 
     def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
         """A new (n, L) array: ``predict_row`` of each row of the (n, L)
-        latent ids read at ``targets[l]`` at each position l (losses)."""
-        probs = np.empty(ids.shape)
+        latent ids read at ``targets[l]`` at each position l (losses).
+
+        Only the masked positions are asked: at an unmasked one the contract
+        fixes the row to the one-hot on the observed token, so the answer is
+        ``targets == ids`` as 1.0 or 0.0. A row with no masked position still
+        asks one query, so a row a query rejects (``NoMatchError``) raises
+        as it would at every position."""
+        probs = np.equal(ids, targets).astype(np.float64)
         targets = targets.tolist()
         for d, row in enumerate(ids):
             z = LatentSequence(row, mask_id)
-            probs[d] = [self.predict_row(z, l)[t] for l, t in enumerate(targets)]
+            masked = (row == mask_id).nonzero()[0].tolist()
+            if not masked and len(row):
+                self.predict_row(z, 0)
+            for l in masked:
+                probs[d, l] = self.predict_row(z, l)[targets[l]]
         return probs
 
     def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
@@ -301,8 +311,10 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
     and folds the four routes into one (K+2, K+2) row index, so a query is
     one lookup, and there is no dense (K+2, K+2, K) table. No count sits
     at the mask token, so a smoothed row is already as ``apply_constraints``
-    leaves it at a masked position, and ``target_probs`` is a gather; so is
-    each commit of ``resolve_anchors``, through each row's argmax.
+    leaves it at a masked position, and ``target_probs`` is one flat gather
+    through the route index and one through the rows. Construction also
+    keeps each context's argmax token in a (K+2, K+2) table, so each anchor
+    position of ``resolve_anchors`` is one gather over all rows.
     """
 
     _frozen = ("_rows",)
@@ -333,7 +345,8 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
         route = np.where(self.pair_index >= 0, self.pair_index, self.left_index[:, None])
         route = np.where(route >= 0, route, self.right_index[None, :])
         self._route = np.where(route >= 0, route, len(self.counts) - 1)
-        self._argmax = self._rows.argmax(axis=1)
+        # Each context's argmax token, the commit of resolve_anchors.
+        self._commit = self._rows.argmax(axis=1)[self._route]
 
     @classmethod
     def fit(cls, corpus: Corpus) -> "BackoffCountModel":
@@ -370,19 +383,24 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
         return self._rows[self._route[a, b]]
 
     def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
-        left, right = _neighbor_slots(ids, self.vocab.size)
-        probs = self._rows[self._route[left, right], targets]
-        return np.where(ids == mask_id, probs, targets == ids)
+        K = self.vocab.size
+        context, right = _neighbor_slots(ids, K)
+        context *= K + 2
+        context += right
+        cell = self._route.take(context)
+        cell *= K
+        cell += targets
+        return np.where(ids == mask_id, self._rows.take(cell), targets == ids)
 
     def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
         K = self.vocab.size
         y = np.array(ids, dtype=np.int64)
+        last = y.shape[1] - 1
         for l in order:
-            rows = np.flatnonzero(y[:, l] == mask_id)
-            if len(rows):
-                a = y[rows, l - 1] if l > 0 else K
-                b = y[rows, l + 1] if l < y.shape[1] - 1 else K + 1
-                y[rows, l] = self._argmax[self._route[a, b]]
+            context = y[:, l - 1] * (K + 2) if l > 0 else K * (K + 2)
+            context = context + (y[:, l + 1] if l < last else K + 1)
+            column = y[:, l]
+            y[:, l] = np.where(column == mask_id, self._commit.take(context), column)
         return y
 
     # -- serialization ----------------------------------------------------

@@ -16,11 +16,19 @@ coins per batch, one batched query), with the same random stream and the
 same per-draw log sums as one ``corrupt`` call and one prediction per draw.
 A loss reads only the probability of the clean token (and of the anchor
 target) at each position, so it asks the predictor for those through
-``target_probs``, an (n, L) array per batch.
+``target_probs``, an (n, L) array per batch. A batch is then summed with a
+fixed number of array operations, with no Python step per draw or per
+stratum: ``_kept_sums`` gives every draw's log sum from two ``bincount``
+calls that add the terms in the order numpy's 1-D sum of each draw would,
+and ``_strata_stats`` takes the strata's means and variances as one block
+per stratum size. Every estimate and stderr keeps the bits of a loop that
+sums one draw and one stratum at a time (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -247,6 +255,19 @@ def _allocate_strata(n_samples: int, T: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(T)]
 
 
+@functools.lru_cache(maxsize=64)
+def _strata_tables(schedule: NoiseSchedule, n_samples: int):
+    """The stratum sizes, and lambda_i and alpha(t_i) repeated once per draw
+    of stratum i, as read-only arrays, for one (schedule, n_samples)."""
+    counts = _allocate_strata(n_samples, schedule.T)
+    steps = range(1, schedule.T + 1)
+    lam = np.repeat([lambda_weight(schedule, i) for i in steps], counts)
+    keep = np.repeat([alpha(schedule, step_times(schedule, i)[1]) for i in steps], counts)
+    lam.setflags(write=False)
+    keep.setflags(write=False)
+    return tuple(counts), lam, keep
+
+
 # A batch of loss draws holds at most this many cells, counting (L, K) per
 # draw, so memory stays bounded whatever n_samples is.
 LOSS_BATCH_CELLS = 1 << 20
@@ -266,14 +287,13 @@ def _stratified_loss(
 
     The draws are laid out stratum by stratum, and each batch's corruption
     coins are one ``(draws, L)`` block, which gives the same doubles, in the
-    same order, as one ``corrupt`` call per draw.
+    same order, as one ``corrupt`` call per draw. The per-draw lambda and
+    alpha come from ``_strata_tables``, and the estimate and variance from
+    ``_strata_stats``.
     """
     seed = rng if isinstance(rng, int) else None
     rng = as_rng(rng)
-    counts = _allocate_strata(n_samples, schedule.T)
-    steps = range(1, schedule.T + 1)
-    lam = np.repeat([lambda_weight(schedule, i) for i in steps], counts)
-    keep = np.repeat([alpha(schedule, step_times(schedule, i)[1]) for i in steps], counts)
+    counts, lam, keep = _strata_tables(schedule, n_samples)
     batch = max(1, LOSS_BATCH_CELLS // max(1, len(x) * (x.mask_id + 1)))
     vals = np.empty(len(lam))
     n_infinite = 0
@@ -283,17 +303,93 @@ def _stratified_loss(
         log_terms, inf_hits = score(_forward_mask(x, keep[start:stop, None], coins))
         n_infinite += int(inf_hits.sum())
         vals[start:stop] = lam[start:stop] * log_terms
-    estimate = 0.0
-    variance = 0.0
-    for stratum in np.split(vals, np.cumsum(counts)[:-1]):
-        estimate += float(stratum.mean())
-        if len(stratum) > 1:
-            variance += float(stratum.var(ddof=1)) / len(stratum)
+    estimate, variance = _strata_stats(vals, counts)
     stderr = float(np.sqrt(variance))
     if n_infinite:
         estimate = float("inf")
         stderr = float("inf")
     return LossReport(estimate, stderr, sum(counts), seed, n_infinite)
+
+
+def _strata_stats(vals: np.ndarray, counts) -> tuple[float, float]:
+    """The sum over strata of each stratum's mean, and of its ``var(ddof=1)``
+    over its size (none for a one-draw stratum), of the draws ``vals`` laid
+    out stratum by stratum, ``counts[i]`` in stratum i.
+
+    The strata of one size are one ``(strata, draws)`` block, and
+    ``sum(axis=1)`` sums each of its rows as the 1-D sum of that row, so
+    each mean and variance takes the bits ``mean()`` and ``var(ddof=1)``
+    of the stratum give: the same sums and the same divisions, in the same
+    order. The strata are then added up in order, as Python floats.
+    """
+    means, variances = [], []
+    start = 0
+    for size, group in itertools.groupby(counts):
+        strata = len(list(group))
+        block = vals[start : start + strata * size].reshape(strata, size)
+        start += strata * size
+        mean = block.sum(axis=1, keepdims=True) / size
+        means += mean.ravel().tolist()
+        if size > 1:
+            dev = block - mean
+            np.square(dev, out=dev)
+            variances += (dev.sum(axis=1) / (size - 1) / size).tolist()
+    # One at a time, in order: sum() may compensate (Python 3.12's does).
+    estimate = variance = 0.0
+    for m in means:
+        estimate += m
+    for v in variances:
+        variance += v
+    return estimate, variance
+
+
+# numpy's pairwise summation of one contiguous 1-D array of n doubles
+# (``pairwise_sum`` in its C loops; the lanes and the block are numpy
+# internals, not its API) works, for n up to _PAIRWISE_BLOCK, as follows.
+# Under _LANES terms it adds them in order. Otherwise it keeps _LANES lane
+# accumulators over the first n - n % _LANES terms, lane k taking terms
+# k, k + 8, ... in order, combines them as
+# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then adds the last
+# n % _LANES terms in order. tests/test_diffusion.py holds ``_kept_sums`` to
+# the per-row sum of tests/oracles.py bit for bit, so a numpy that sums
+# otherwise fails there.
+_LANES = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _kept_sums(values: np.ndarray, keep: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """``(weights[k] * row[k]).sum()`` of each row of the (n, L) ``values``
+    with k its row of ``keep`` (``row[k].sum()`` without weights), bit for
+    bit, from two ``bincount`` calls: ``bincount`` adds its weights in
+    input order. The first sums each row's terms into its lanes, the second
+    adds each row's tail to its lanes' tree; the terms of the other call go
+    to a spare bin. A row of more than _PAIRWISE_BLOCK terms, which numpy
+    splits further, is summed as a 1-D array."""
+    n, L = keep.shape
+    flat = keep.ravel().nonzero()[0]
+    row, col = np.divmod(flat, L)
+    terms = values.take(flat)
+    if weights is not None:
+        terms = weights.take(col) * terms
+    counts = np.bincount(row, minlength=n)
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(len(flat)) - starts[row]
+    in_lane = rank < (counts - counts % _LANES)[row]
+    lanes = np.bincount(
+        np.where(in_lane, row * _LANES + rank % _LANES, n * _LANES),
+        weights=terms,
+        minlength=n * _LANES + 1,
+    )
+    r = lanes[: n * _LANES].reshape(_LANES, n, order="F")
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    sums = np.bincount(
+        np.concatenate([np.arange(n), np.where(in_lane, n, row)]),
+        weights=np.concatenate([tree, terms]),
+        minlength=n + 1,
+    )[:n]
+    for j in (counts > _PAIRWISE_BLOCK).nonzero()[0].tolist():
+        sums[j] = np.add.reduce(terms[starts[j] : starts[j] + counts[j]])
+    return sums
 
 
 def _log_sums(
@@ -303,19 +399,14 @@ def _log_sums(
     positions ``use`` marks, each times its weight when ``weights`` is
     given, skipping zero probabilities, and the number of zeros skipped.
 
-    Each row's terms are summed as their own 1-D array, in position order:
-    a row-wise sum over the whole matrix would change numpy's summation
-    order and so the last bits of the estimate."""
+    Each row's sum has the bits of its kept terms summed as their own 1-D
+    array, in position order, as ``_kept_sums`` gives them for the whole
+    batch at once."""
     zero = probs == 0
     hits = (zero & use).sum(axis=1)
     with np.errstate(divide="ignore"):
         logs = np.log(probs)
-    sums = np.empty(len(probs))
-    for j, (row, keep) in enumerate(zip(logs, use)):
-        if hits[j]:
-            keep = keep & ~zero[j]
-        sums[j] = (row[keep] if weights is None else weights[keep] * row[keep]).sum()
-    return sums, hits
+    return _kept_sums(logs, use & ~zero, weights), hits
 
 
 def nelbo(
@@ -362,15 +453,15 @@ def anelbo(
     mu = np.asarray(mu, dtype=np.float64)
     if len(mu) != len(x) or len(anchor_targets) != len(x):
         raise ValueError("mu and anchor_targets must align with x")
-    anchored = mu > 0
+    anchored = (mu > 0).nonzero()[0]
 
     def score(ids: np.ndarray):
         probs = predictor_pair.target_probs(ids, x.ids, x.mask_id)
         log_terms, inf_hits = _log_sums(probs, ids == x.mask_id)
-        if anchored.any():
+        if len(anchored):
             probs = predictor_pair.anchor.target_probs(ids, anchor_targets, x.mask_id)
             anchor_terms, anchor_hits = _log_sums(
-                probs, np.broadcast_to(anchored, ids.shape), mu
+                probs[:, anchored], np.ones((len(ids), len(anchored)), dtype=bool), mu[anchored]
             )
             log_terms += anchor_terms
             inf_hits += anchor_hits

@@ -21,7 +21,7 @@ from .denoisers import (
     TwoStagePredictor,
 )
 from .diffusion import LatentSequence, Vocab, as_rng, corrupt, nelbo
-from .hierarchy import InsufficientDepth, ancestor_chain, check_rule
+from .hierarchy import InsufficientDepth, ancestor_chain, check_rule, designated_positions
 from .minilang import is_syntactically_valid, render_surfaces
 from .sampler import AnchoredPair, DenoiseTrace, SamplerConfig, generate
 from .schedule import NoiseSchedule
@@ -107,8 +107,10 @@ def ancestry_probe(
     per record, as ``build_corpus`` pads it) is at least ``k``, so it
     always has a chain of k ancestors; a probe is skipped only when the
     chain reaches past the corpus length or too few other positions are
-    masked. No target, or more than ``50 * n_probes`` draws at one noise
-    level, raises InsufficientDepth; the second names its skips.
+    masked. Each drawn record's designated positions are built once per
+    call, and every draw climbs its chain through them. No target, or more
+    than ``50 * n_probes`` draws at one noise level, raises
+    InsufficientDepth; the second names its skips.
     """
     check_rule(rule)
     if n_probes < 2:
@@ -130,6 +132,7 @@ def ancestry_probe(
     }
     skipped = 0
     mask_id = corpus.vocab.mask_id
+    designated: dict[int, dict[int, int]] = {}  # record index -> designated_positions
     for t in t_values:
         done = 0
         attempts = 0
@@ -147,7 +150,11 @@ def ancestry_probe(
             rec = records[ri]
             targets = ok[ri].nonzero()[0]
             l0 = int(targets[rng.integers(len(targets))])
-            chain = ancestor_chain(l0, k, rec.node_id, rec.tokens, rec.parents, rule)
+            if ri not in designated:
+                designated[ri] = designated_positions(rec.node_id, rec.tokens, rule)
+            chain = ancestor_chain(
+                l0, k, rec.node_id, rec.tokens, rec.parents, rule, designated[ri]
+            )
             if any(pos >= length for pos in chain):
                 skipped += 1
                 past_length += 1

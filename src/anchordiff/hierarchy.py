@@ -23,9 +23,11 @@ reference the walk is tested against.
 Once a program is annotated, the climbs need only each node's parent:
 ``ancestor_chain`` and ``max_chain_length`` take the tree's ``parents``
 tuple, which an annotation record keeps in place of the tree.
-``ancestor_chain`` maps each token-bearing node to its designated position
-in one pass over ``node_id``, then climbs ``parents`` through that map and
-returns the chain as a tuple of positions.
+``designated_positions`` maps each token-bearing node to its designated
+position in one pass over ``node_id``; ``ancestor_chain`` climbs ``parents``
+through that map and returns the chain as a tuple of positions. A caller
+that climbs one record many times, as the ancestry probe does, builds the
+map once and passes it in.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def check_rule(rule: str) -> None:
         raise ValueError(f"unknown designation rule: {rule!r}")
 
 
-def _designated(node_id: np.ndarray, tokens: list[Token], rule: str) -> dict[int, int]:
+def designated_positions(node_id: np.ndarray, tokens: list[Token], rule: str) -> dict[int, int]:
     """Each token-bearing node -> the position standing in for it in
     ancestor chains, from one pass over ``node_id``.
 
@@ -129,6 +131,7 @@ def ancestor_chain(
     tokens: list[Token],
     parents: tuple[int | None, ...],
     rule: str = "keyword_first",
+    designated: dict[int, int] | None = None,
 ) -> tuple[int, ...]:
     """The contiguous ancestor chain l0, l1, ..., lk, innermost (the
     target) first.
@@ -139,12 +142,15 @@ def ancestor_chain(
     the chain contiguous. Raises InsufficientDepth when fewer than ``k``
     token-bearing ancestors exist, and ValueError for an unknown ``rule``
     whatever ``k`` is. ``parents`` maps each node id to its parent's, as
-    ``SyntaxTree.parents`` does.
+    ``SyntaxTree.parents`` does. ``designated`` is the record's
+    ``designated_positions`` under ``rule``, for a caller that climbs one
+    record many times; it is built here when not given.
     """
     check_rule(rule)
     if k < 0:
         raise ValueError("chain length k must be >= 0")
-    designated = _designated(node_id, tokens, rule)
+    if designated is None:
+        designated = designated_positions(node_id, tokens, rule)
     positions = [l0]
     current = int(node_id[l0])
     while len(positions) < k + 1:

@@ -9,8 +9,9 @@ ancestor chains and the probe's targets, per-sequence loops for the
 posterior, an anchor profile summed afresh on every call, a reverse
 chain that tempers and draws in full at every commit, explicit
 state-space enumeration for reverse chains, a dict-of-contexts count
-model, dense (L, K) rows behind the predictor queries, and a
-one-draw-at-a-time loss loop.
+model, dense (L, K) rows behind the predictor queries, a
+one-draw-at-a-time loss loop, and per-row and per-stratum loops behind
+the batched loss sums and statistics.
 """
 
 from __future__ import annotations
@@ -1141,3 +1142,31 @@ def per_draw_loss(x, schedule: NoiseSchedule, n_samples: int, rng, summand) -> L
         estimate = float("inf")
         stderr = float("inf")
     return LossReport(estimate, stderr, sum(counts), seed, n_infinite)
+
+
+def loop_log_sums(probs: np.ndarray, use: np.ndarray, weights: np.ndarray | None = None):
+    """``diffusion._log_sums`` one row at a time: each row's kept terms
+    summed as their own 1-D array, in position order, with the zeros of the
+    probabilities skipped and counted."""
+    zero = probs == 0
+    hits = (zero & use).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(probs)
+    sums = np.empty(len(probs))
+    for j, (row, keep) in enumerate(zip(logs, use)):
+        if hits[j]:
+            keep = keep & ~zero[j]
+        sums[j] = (row[keep] if weights is None else weights[keep] * row[keep]).sum()
+    return sums, hits
+
+
+def loop_strata_stats(vals: np.ndarray, counts) -> tuple[float, float]:
+    """``diffusion._strata_stats`` one stratum at a time: the sum of the
+    strata's ``mean()`` and of their ``var(ddof=1)`` over their sizes."""
+    estimate = 0.0
+    variance = 0.0
+    for stratum in np.split(vals, np.cumsum(counts)[:-1]):
+        estimate += float(stratum.mean())
+        if len(stratum) > 1:
+            variance += float(stratum.var(ddof=1)) / len(stratum)
+    return estimate, variance

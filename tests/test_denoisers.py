@@ -461,6 +461,31 @@ class TestExactQueries:
             others = np.arange(L) != l
             assert np.array_equal(argmax[l][:, others], ids[:, others])
 
+    def test_target_probs_asks_only_masked_positions(self):
+        # A masked position is asked; an unmasked one reads targets == ids;
+        # a row with nothing masked is asked once, so an unmatched one
+        # still raises.
+        corpus = make_corpus(["ab", "cb"], weights=[3.0, 1.0])
+        a, b, c, m = (corpus.vocab.id(t) for t in "abc?")
+        asked = []
+
+        class Counting(ExactPosteriorDenoiser):
+            def predict_row(self, z, position):
+                asked.append((tuple(z.ids.tolist()), position))
+                return super().predict_row(z, position)
+
+        exact = Counting(corpus)
+        ids = np.array([[m, b], [a, b], [m, m], [c, m]])
+        got = exact.target_probs(ids, np.array([a, b]), m)
+        assert got.tolist() == [[0.75, 1.0], [1.0, 1.0], [0.75, 1.0], [0.0, 1.0]]
+        assert asked == [((m, b), 0), ((a, b), 0), ((m, m), 0), ((m, m), 1), ((c, m), 1)]
+        assert exact.target_probs(ids, np.array([c, m]), m).tolist() == [
+            [0.25, 0.0], [0.0, 0.0], [0.25, 0.0], [1.0, 0.0]
+        ]
+        for row in ([a, c], [c, a]):
+            with pytest.raises(NoMatchError):
+                exact.target_probs(np.array([row]), np.array([a, b]), m)
+
 
 FOR_LOOP_P1 = "def f(numbers):\n    for num in numbers:\n        pass\n"
 FOR_LOOP_P2 = "def f(values):\n    for val in values:\n        pass\n"

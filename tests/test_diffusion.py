@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchordiff import (
     AnchorConfig,
@@ -36,6 +38,8 @@ from .conftest import make_corpus
 from .oracles import (
     DenseRows,
     anelbo_summand,
+    loop_log_sums,
+    loop_strata_stats,
     nelbo_summand,
     per_draw_loss,
     validate_prediction,
@@ -424,6 +428,102 @@ class TestBatchedLoss:
         monkeypatch.setattr(BackoffCountModel, "predict_row", forbidden)
         for run, want in zip(runs, before):
             self._same(run(), want)
+
+
+    def test_rows_past_the_pairwise_block_equal_per_draw(self, synth_records, synth_vocab):
+        # At length 160 the last stratum masks every position, so its draws
+        # keep 160 terms, past numpy's 128-term block; the middle strata
+        # keep between 8 and 128.
+        corpus = build_corpus(synth_records, synth_vocab, length=160)
+        x, mu, targets = self._record(corpus, 3)
+        sched = NoiseSchedule(ScheduleKind.COSINE, 16)
+        predictors = self._predictors(corpus, x, 3)
+        for name in ("backoff", "onehot", "two_stage_backoff"):
+            predictor = predictors[name]
+            got = nelbo(x, predictor, sched, 96, 13)
+            self._same(got, per_draw_loss(x, sched, 96, 13, nelbo_summand(x, predictor)))
+        pair = predictors["two_stage_backoff"]
+        self._same(
+            anelbo(x, targets, pair, sched, mu, 96, 13),
+            per_draw_loss(x, sched, 96, 13, anelbo_summand(x, targets, pair, mu)),
+        )
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def log_sum_batches(draw):
+    """(probs, use, weights) batches for ``_log_sums``: widths 1 to 200,
+    zero probabilities, ones, rows that keep nothing, rows whose kept
+    count is a multiple of 8, and positive weights down to subnormals."""
+    L = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 16, 17, 128, 129, 200]), st.integers(1, 200)))
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = np.exp(-rng.exponential(draw(st.sampled_from([1e-3, 1.0, 30.0])), (n, L)))
+    probs[rng.random((n, L)) < 0.05] = 1.0
+    probs[rng.random((n, L)) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = 0.0
+    use = rng.random((n, L)) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    for j, eights in enumerate(draw(st.lists(st.integers(0, 25), max_size=n))):
+        nonzero = (probs[j] != 0).nonzero()[0]
+        kept = min(8 * eights, len(nonzero) - len(nonzero) % 8)
+        use[j] = False
+        use[j, rng.choice(nonzero, kept, replace=False)] = True
+    weights = None
+    if draw(st.booleans()):
+        weights = 10.0 ** rng.uniform(draw(st.sampled_from([-320.0, -3.0])), 3.0, L)
+    return probs, use, weights
+
+
+class TestBatchedSums:
+    """The batched sums of the loss against the per-row and per-stratum
+    loops of tests/oracles.py, bit for bit, sign included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_sum_batches())
+    def test_log_sums_equal_row_loop(self, batch):
+        probs, use, weights = batch
+        sums, hits = diffusion._log_sums(probs, use, weights)
+        want_sums, want_hits = loop_log_sums(probs, use, weights)
+        assert sums.tobytes() == want_sums.tobytes()
+        assert hits.tolist() == want_hits.tolist()
+
+    @pytest.mark.parametrize("kept", [0, 1, 7, 8, 9, 15, 16, 17, 64, 120, 127, 128, 129, 136, 200])
+    def test_each_kept_count_equals_row_loop(self, kept):
+        rng = np.random.default_rng(kept)
+        probs = np.exp(-rng.exponential(1.0, (3, 200)))
+        use = np.zeros((3, 200), dtype=bool)
+        use[0, :kept] = True
+        use[1, rng.choice(200, kept, replace=False)] = True
+        use[2, : kept + 3] = True
+        probs[2, :3] = 0.0  # three zero hits, skipped ahead of the kept terms
+        for weights in (None, rng.uniform(0.1, 2.0, 200)):
+            sums, hits = diffusion._log_sums(probs, use, weights)
+            want_sums, want_hits = loop_log_sums(probs, use, weights)
+            assert sums.tobytes() == want_sums.tobytes()
+            assert hits.tolist() == want_hits.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        T=st.integers(1, 20),
+        n_samples=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e12]),
+    )
+    @example(T=16, n_samples=16, seed=1, scale=1.0)  # one draw per stratum
+    @example(T=16, n_samples=96, seed=2, scale=1.0)  # 6
+    @example(T=16, n_samples=112, seed=3, scale=1.0)  # 7
+    @example(T=16, n_samples=150, seed=4, scale=1.0)  # 10 and 9
+    @example(T=7, n_samples=5, seed=5, scale=1.0)  # below T
+    def test_strata_stats_equal_stratum_loop(self, T, n_samples, seed, scale):
+        counts, lam, keep = diffusion._strata_tables(NoiseSchedule(T=T), n_samples)
+        assert list(counts) == diffusion._allocate_strata(n_samples, T)
+        assert not lam.flags.writeable and not keep.flags.writeable
+        rng = np.random.default_rng(seed)
+        vals = scale * rng.exponential(1.0, sum(counts)) + rng.uniform(0, scale)
+        got = diffusion._strata_stats(vals, counts)
+        assert _bits(*got) == _bits(*loop_strata_stats(vals, counts))
 
 
 class TestLossPin:

@@ -163,6 +163,33 @@ class TestAncestryProbe:
             assert np.array_equal(mat, rescan.raw[key]), key
         assert run.to_csv() == rescan.to_csv()
 
+    def test_one_designated_map_per_record(self, synth_records, synth_corpus_built, monkeypatch):
+        # Each record's designated positions are built once per probe call,
+        # while the chain is still climbed once per draw, through the map a
+        # fresh build gives.
+        from anchordiff import hierarchy
+
+        corpus = synth_corpus_built
+        den = ExactPosteriorDenoiser(corpus)
+        want = ancestry_probe(synth_records, corpus, den, [0.85, 0.95], 2, 40, rng=5)
+        built, climbs = [], []
+
+        def counted_map(node_id, tokens, rule):
+            built.append(id(node_id))
+            return hierarchy.designated_positions(node_id, tokens, rule)
+
+        def checked_chain(l0, k, node_id, tokens, parents, rule, designated):
+            assert designated == hierarchy.designated_positions(node_id, tokens, rule)
+            climbs.append(id(node_id))
+            return hierarchy.ancestor_chain(l0, k, node_id, tokens, parents, rule, designated)
+
+        monkeypatch.setattr(experiments, "designated_positions", counted_map)
+        monkeypatch.setattr(experiments, "ancestor_chain", checked_chain)
+        got = ancestry_probe(synth_records, corpus, den, [0.85, 0.95], 2, 40, rng=5)
+        assert got.to_csv() == want.to_csv()
+        assert len(climbs) == 80 + got.n_skipped
+        assert sorted(built) == sorted(set(climbs))
+
     def test_reveals_never_grow_the_match_set(self, synth_corpus_built):
         # Revealing a true token only filters: the set of corpus sequences
         # consistent with the latent is non-increasing per reveal.

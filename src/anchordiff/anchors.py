@@ -143,9 +143,11 @@ def eta_for_depth(depth: int, config: AnchorConfig) -> float:
 
 def compute_eta(depth: np.ndarray, config: AnchorConfig) -> np.ndarray:
     """Depth-decay schedule per position; depends only on node depth."""
-    excess = np.maximum(np.asarray(depth, dtype=np.int64) - config.d0, 0)
-    table = [eta_for_depth(config.d0 + e, config) for e in range(excess.max(initial=0) + 1)]
-    return np.array(table, dtype=np.float64)[excess]
+    depth = np.asarray(depth, dtype=np.int64)
+    top = int(depth.max(initial=0))
+    d0 = min(config.d0, top)  # a d0 past every depth leaves no excess and may not fit int64
+    table = [eta_for_depth(config.d0 + e, config) for e in range(top - d0 + 1)]
+    return np.array(table, dtype=np.float64)[np.maximum(depth - d0, 0)]
 
 
 def compute_anchor_targets(

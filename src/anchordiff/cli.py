@@ -14,7 +14,8 @@ timestamped directory it did not make. All outputs are deterministic under
 a fixed seed (timestamps live only in the manifest).
 
 Exit codes: 0 success, 2 input error, 3 predictor/runtime error,
-4 infeasible experiment.
+4 infeasible experiment. Running out of memory is an input error while the
+inputs load and a runtime error in the subcommand.
 """
 
 from __future__ import annotations
@@ -598,8 +599,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolved = resolve_config(args)
         inputs = load_inputs(resolved)
-    except (ValueError, RecursionError, *INPUT_ERRORS) as exc:  # JSON nested too deep
-        print(f"input error: {exc}", file=sys.stderr)
+    except (ValueError, RecursionError, MemoryError, *INPUT_ERRORS) as exc:  # JSON nested too deep
+        print(f"input error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
     try:
         files, message = COMMANDS[args.command](resolved, inputs)
@@ -610,8 +611,8 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientDepth as exc:
         print(f"infeasible experiment: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DiffusionError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (DiffusionError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"{message} -> {run_dir}")
     return EXIT_OK

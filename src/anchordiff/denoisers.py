@@ -1,6 +1,7 @@
 """Reference predictors over a finite corpus, answering the three queries
-of ``Predictor``; no query builds an (n, L, K) array. ``Predictor`` defines
-the two batched queries once, through ``predict_row``.
+of ``Predictor`` on a latent's id array, masked at the predictor's own
+``vocab.mask_id``; no query builds an (n, L, K) array. ``Predictor``
+defines the two batched queries once, through ``predict_row``.
 
 * ExactPosteriorDenoiser: the Bayes-optimal table, valid because uniform
   random masking makes the posterior over clean sequences the renormalized
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionError, LatentSequence, Vocab
+from .diffusion import DiffusionError, Vocab
 
 BOS_CONTEXT = -1
 EOS_CONTEXT = -2
@@ -106,15 +107,18 @@ class Predictor:
     """The predictor contract: three queries, one per consumer, whose
     probabilities follow ``apply_constraints``' rules (no mass on the mask
     token, a one-hot on the observed token at every unmasked position). A
-    predictor gives ``predict_row``; the two batched queries are defined
-    here through it, and a predictor stored as tables may override them with
-    gathers that give the same numbers."""
+    latent is its id array, masked where it holds ``vocab.mask_id`` of the
+    predictor's own ``vocab``. A predictor gives ``predict_row``; the two
+    batched queries are defined here through it, and a predictor stored as
+    tables may override them with gathers that give the same numbers."""
 
-    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        """The (K,) row of ``position`` given the latent ``z`` (sampler, probe)."""
+    vocab: Vocab
+
+    def predict_row(self, ids: np.ndarray, position: int) -> np.ndarray:
+        """The (K,) row of ``position`` given the (L,) latent ``ids`` (sampler, probe)."""
         raise NotImplementedError
 
-    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """A new (n, L) array: ``predict_row`` of each row of the (n, L)
         latent ids read at ``targets[l]`` at each position l (losses).
 
@@ -125,27 +129,27 @@ class Predictor:
         as it would at every position."""
         probs = np.equal(ids, targets).astype(np.float64)
         targets = targets.tolist()
+        mask_id = self.vocab.mask_id
         for d, row in enumerate(ids):
-            z = LatentSequence(row, mask_id)
             masked = (row == mask_id).nonzero()[0].tolist()
             if not masked and len(row):
-                self.predict_row(z, 0)
+                self.predict_row(row, 0)
             for l in masked:
-                probs[d, l] = self.predict_row(z, l)[targets[l]]
+                probs[d, l] = self.predict_row(row, l)[targets[l]]
         return probs
 
-    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
+    def resolve_anchors(self, ids: np.ndarray, order: list[int]) -> np.ndarray:
         """A copy of the (n, L) latent ids with the argmax of ``predict_row``
         committed at each position of ``order`` in turn, in the rows where it
         is masked (two_stage_predict). A commit changes only its own position,
         so one walk of the record's full anchor order commits each row as a
         walk of that order filtered by the row's mask would."""
         resolved = np.array(ids, dtype=np.int64)
-        for row in resolved:
-            z = LatentSequence(row, mask_id)  # a view: each commit is seen
+        mask_id = self.vocab.mask_id
+        for row in resolved:  # a view: each commit is seen
             for l in order:
                 if row[l] == mask_id:
-                    row[l] = self.predict_row(z, l).argmax()
+                    row[l] = self.predict_row(row, l).argmax()
         return resolved
 
 
@@ -217,17 +221,16 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
     def vocab(self) -> Vocab:
         return self.corpus.vocab
 
-    def _sync(self, z: LatentSequence) -> None:
-        """Bring the consistent set up to date with ``z``. A change between
+    def _sync(self, ids: np.ndarray) -> None:
+        """Bring the consistent set up to date with ``ids``. A change between
         the mask and a column's agreed token is passed over; the other
         changes filter the set when each of them was masked before, and
         otherwise rebuild it from the unmasked positions that do not hold
         their agreed token. The set's arrays are replaced only when its rows
         change."""
-        ids = z.ids
         if ids.shape != self._seen.shape:
             raise ValueError(
-                f"latent length {len(z)} does not match corpus length {len(self._seen)}"
+                f"latent length {len(ids)} does not match corpus length {len(self._seen)}"
             )
         changed = (ids != self._seen).nonzero()[0]
         if not len(changed):
@@ -259,26 +262,26 @@ class ExactPosteriorDenoiser(ReadOnlyArrays, Predictor):
         self._hit.setflags(write=False)
         self._hit_weights.setflags(write=False)
 
-    def posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        """The posterior given ``z`` before normalization: the ascending
-        indices of the unique rows consistent with ``z`` and their summed
+    def posterior(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The posterior given ``ids`` before normalization: the ascending
+        indices of the unique rows consistent with ``ids`` and their summed
         weights, as read-only arrays; both are empty when no row matches.
         It returns the same array objects as the call before exactly when
         the set of rows is the same."""
-        self._sync(z)
+        self._sync(ids)
         return self._hit, self._hit_weights
 
-    def match_mask(self, z: LatentSequence) -> np.ndarray:
-        """Boolean row per corpus sequence: agrees with z where unmasked."""
+    def match_mask(self, ids: np.ndarray) -> np.ndarray:
+        """Boolean row per corpus sequence: agrees with ids where unmasked."""
         consistent = np.zeros(len(self._unique_weights), dtype=bool)
-        consistent[self.posterior(z)[0]] = True
+        consistent[self.posterior(ids)[0]] = True
         return consistent[self.unique_of_row]
 
-    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        hit, w = self.posterior(z)
+    def predict_row(self, ids: np.ndarray, position: int) -> np.ndarray:
+        hit, w = self.posterior(ids)
         if not len(hit):
             raise NoMatchError("latent matches no corpus sequence")
-        token = z.ids.item(position)
+        token = ids.item(position)
         if token == self._mask_id:
             # Every consistent row holds the agreed token, and a one-row set
             # has one token: its row is the one-hot that the counts give.
@@ -370,9 +373,8 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
             routes.append((seen, flat.reshape(len(seen), K)))
         return cls(corpus.vocab, routes, np.bincount(tokens, weights=w, minlength=K))
 
-    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
+    def predict_row(self, ids: np.ndarray, position: int) -> np.ndarray:
         """One row; a masked position's row is a read-only view of the table."""
-        ids = z.ids
         K = self.vocab.size
         if ids[position] != self.vocab.mask_id:
             row = np.zeros(K)
@@ -382,7 +384,7 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
         b = ids[position + 1] if position < len(ids) - 1 else K + 1
         return self._rows[self._route[a, b]]
 
-    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
         K = self.vocab.size
         context, right = _neighbor_slots(ids, K)
         context *= K + 2
@@ -390,10 +392,10 @@ class BackoffCountModel(ReadOnlyArrays, Predictor):
         cell = self._route.take(context)
         cell *= K
         cell += targets
-        return np.where(ids == mask_id, self._rows.take(cell), targets == ids)
+        return np.where(ids == self.vocab.mask_id, self._rows.take(cell), targets == ids)
 
-    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
-        K = self.vocab.size
+    def resolve_anchors(self, ids: np.ndarray, order: list[int]) -> np.ndarray:
+        K, mask_id = self.vocab.size, self.vocab.mask_id
         y = np.array(ids, dtype=np.int64)
         last = y.shape[1] - 1
         for l in order:
@@ -518,21 +520,21 @@ def two_stage_predict(
     targets: np.ndarray,
     omega: np.ndarray,
     eta: np.ndarray,
-    mask_id: int,
 ) -> np.ndarray:
-    """Anchored composition of each row of the (n, L) latent ids, gathered
-    at the targets, as a new (n, L) array: the denoiser's ``target_probs``
-    of the rows the anchor stage's ``resolve_anchors`` gives, which stay
-    inside a table predictor's support. At the positions the anchor stage
-    committed, it keeps the anchor stage's own ``target_probs`` on ``ids``
-    (its marginal over the commitment), so it never assigns zero
-    probability to a clean token the anchor stage considered possible."""
+    """Anchored composition of each row of the (n, L) latent ids, masked at
+    the anchor stage's ``vocab.mask_id``, gathered at the targets, as a new
+    (n, L) array: the denoiser's ``target_probs`` of the rows the anchor
+    stage's ``resolve_anchors`` gives, which stay inside a table
+    predictor's support. At the positions the anchor stage committed, it
+    keeps the anchor stage's own ``target_probs`` on ``ids`` (its marginal
+    over the commitment), so it never assigns zero probability to a clean
+    token the anchor stage considered possible."""
     order = anchor_commit_order(omega, eta, np.ones(len(omega), dtype=bool))
-    resolved = anchor_predictor.resolve_anchors(ids, order, mask_id)
-    final = denoiser_predictor.target_probs(resolved, targets, mask_id)
-    committed = (ids == mask_id) & (omega >= 0.5)
+    resolved = anchor_predictor.resolve_anchors(ids, order)
+    final = denoiser_predictor.target_probs(resolved, targets)
+    committed = (ids == anchor_predictor.vocab.mask_id) & (omega >= 0.5)
     if committed.any():
-        anchor = anchor_predictor.target_probs(ids, targets, mask_id)
+        anchor = anchor_predictor.target_probs(ids, targets)
         final[committed] = anchor[committed]
     return final
 
@@ -547,10 +549,8 @@ class TwoStagePredictor(Predictor):
     omega: np.ndarray
     eta: np.ndarray
 
-    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
-        return two_stage_predict(
-            self.anchor, self.denoiser, ids, targets, self.omega, self.eta, mask_id
-        )
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        return two_stage_predict(self.anchor, self.denoiser, ids, targets, self.omega, self.eta)
 
 
 @dataclass
@@ -588,7 +588,7 @@ class MarginalAnchorProfile(ReadOnlyArrays):
     def zeros(cls, length: int) -> "MarginalAnchorProfile":
         return cls(np.zeros(length), np.zeros(length))
 
-    def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.omega, self.eta
 
 
@@ -642,12 +642,12 @@ class PosteriorAnchorProfile(ReadOnlyArrays):
         mean.setflags(write=False)  # which makes both views of it read-only
         return mean
 
-    def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        hit, w = self.exact.posterior(z)
+    def __call__(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit, w = self.exact.posterior(ids)
         if hit is not self._hit:
             if not len(hit):
                 raise NoMatchError("latent matches no corpus sequence")
             all_rows = len(hit) == len(self._sums)
             mean = self._prior if all_rows else self._mean(self._sums[hit], w)
             self._hit, self._last = hit, mean
-        return self._last[: len(z)], self._last[len(z) :]
+        return self._last[: len(ids)], self._last[len(ids) :]

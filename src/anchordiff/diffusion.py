@@ -1,14 +1,14 @@
 """Masked-diffusion core: forward corruption, the exact reverse posterior
 step, predictor constraints, and Monte Carlo loss estimation.
 
-The forward process masks each non-prompt position independently with
-probability 1 - alpha(t). The exact reverse posterior copies unmasked
-positions and flips masked ones to the clean token with probability
-(alpha_s - alpha_t) / (1 - alpha_t). Model-driven generation lives in
-``sampler.generate``. Predictors answer the three queries of
-``denoisers.Predictor``; ``apply_constraints`` states the rules their
-probabilities follow (zero mass on the mask token, a one-hot row at every
-unmasked position) for raw rows a caller holds.
+The forward process masks each non-prompt position of a ``LatentSequence``
+independently with probability 1 - alpha(t). The exact reverse posterior
+copies unmasked positions and flips masked ones to the clean token with
+probability (alpha_s - alpha_t) / (1 - alpha_t). Model-driven generation
+lives in ``sampler.generate``. Predictors answer the three queries of
+``denoisers.Predictor`` on plain id arrays; ``apply_constraints`` states
+the rules their probabilities follow (zero mass on the mask token, a
+one-hot row at every unmasked position) for raw rows a caller holds.
 
 The losses are stratified Monte Carlo estimates over the step indices.
 The draws of all strata are corrupted and scored as batches (one block of
@@ -16,12 +16,12 @@ coins per batch, one batched query), with the same random stream and the
 same per-draw log sums as one ``corrupt`` call and one prediction per draw.
 A loss reads only the probability of the clean token (and of the anchor
 target) at each position, so it asks the predictor for those through
-``target_probs``, an (n, L) array per batch. A batch is then summed with a
-fixed number of array operations, with no Python step per draw or per
-stratum: ``_kept_sums`` gives every draw's log sum from two ``bincount``
-calls that add the terms in the order numpy's 1-D sum of each draw would,
-and ``_strata_stats`` takes the strata's means and variances as one block
-per stratum size. Every estimate and stderr keeps the bits of a loop that
+``target_probs`` of the batch's (n, L) ids, an (n, L) array per batch. A
+batch is then summed with a fixed number of array operations, with no
+Python step per draw or per stratum: ``_kept_sums`` gives every draw's log
+sum from two ``bincount`` calls that add the terms in the order numpy's 1-D
+sum of each draw would, and ``_strata_stats`` takes the strata's means and
+variances as one block per stratum size. Every estimate and stderr keeps the bits of a loop that
 sums one draw and one stratum at a time (``tests/oracles.py``).
 """
 
@@ -426,7 +426,7 @@ def nelbo(
     """
 
     def score(ids: np.ndarray):
-        return _log_sums(predictor.target_probs(ids, x.ids, x.mask_id), ids == x.mask_id)
+        return _log_sums(predictor.target_probs(ids, x.ids), ids == x.mask_id)
 
     return _stratified_loss(x, schedule, n_samples, rng, score)
 
@@ -456,10 +456,10 @@ def anelbo(
     anchored = (mu > 0).nonzero()[0]
 
     def score(ids: np.ndarray):
-        probs = predictor_pair.target_probs(ids, x.ids, x.mask_id)
+        probs = predictor_pair.target_probs(ids, x.ids)
         log_terms, inf_hits = _log_sums(probs, ids == x.mask_id)
         if len(anchored):
-            probs = predictor_pair.anchor.target_probs(ids, anchor_targets, x.mask_id)
+            probs = predictor_pair.anchor.target_probs(ids, anchor_targets)
             anchor_terms, anchor_hits = _log_sums(
                 probs[:, anchored], np.ones((len(ids), len(anchored)), dtype=bool), mu[anchored]
             )

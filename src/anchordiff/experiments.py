@@ -174,17 +174,17 @@ def ancestry_probe(
             def scores(reveals) -> list[float]:
                 """The true token's probability at l0 after each reveal, on
                 one live latent that each reveal writes into."""
-                z = LatentSequence(ids=ids.copy(), mask_id=mask_id)
+                live = ids.copy()
                 out = []
                 for pos in reveals:
-                    z.ids[pos] = clean[pos]
-                    out.append(predictor.predict_row(z, l0)[true_id])
+                    live[pos] = clean[pos]
+                    out.append(predictor.predict_row(live, l0)[true_id])
                 return out
 
             # Each distinct latent is asked once: j = 0 is one latent for all
             # three orderings, and in-out and out-in end on the same one, so
             # out-in asks only its reveals before the nearest ancestor.
-            start = [predictor.predict_row(LatentSequence(ids, mask_id), l0)[true_id]]
+            start = [predictor.predict_row(ids, l0)[true_id]]
             in_out = scores(chain[1:])
             out_in = scores(chain[:1:-1]) + in_out[-1:]
             for ordering, row in (

@@ -28,13 +28,7 @@ import numpy as np
 
 from .anchors import AnchorConfig, AnchorStrategy
 from .denoisers import anchor_commit_order
-from .diffusion import (
-    DiffusionError,
-    LatentSequence,
-    as_rng,
-    sample_categorical,
-    temper_row,
-)
+from .diffusion import DiffusionError, as_rng, sample_categorical, temper_row
 from .schedule import NoiseSchedule, unmask_prob
 
 
@@ -120,7 +114,7 @@ class AnchoredPair:
     anchor-first unmasking at inference time."""
 
     predictor: object
-    profile: object  # callable: LatentSequence -> (omega_hat, eta_hat)
+    profile: object  # callable: latent ids -> (omega_hat, eta_hat)
 
 
 def draw_token(row: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
@@ -165,9 +159,8 @@ def generate(
     ids[: len(prompt)] = prompt
     prompt_mask = np.zeros(length, dtype=bool)
     prompt_mask[: len(prompt)] = True
-    # One live latent over ``ids``: every commit and remask below writes
-    # into ``ids`` and so is seen by the next predictor query.
-    z = LatentSequence(ids=ids, mask_id=mask_id, prompt_mask=prompt_mask)
+    # ``ids`` is the one live latent: every commit and remask below writes
+    # into it and so is seen by the next predictor query.
     trace = DenoiseTrace(config.T, length)
     last_stage = ["denoise"] * length
 
@@ -177,14 +170,14 @@ def generate(
         masked = is_masked.nonzero()[0]
         budget = int(rng.binomial(len(masked), p)) if len(masked) else 0
         if budget:
-            omega_hat, eta_hat = predictors.profile(z)
+            omega_hat, eta_hat = predictors.profile(ids)
             anchors = anchor_commit_order(omega_hat, eta_hat, is_masked)
             others = masked[omega_hat[masked] < 0.5]
             rng.shuffle(others)
             # Every masked anchor is committed before any other position, so
             # the later rows always condition on the full anchor scaffold.
             for k, l in enumerate((anchors + others.tolist())[:budget]):
-                row = predictors.predictor.predict_row(z, l)
+                row = predictors.predictor.predict_row(ids, l)
                 token = draw_token(row, config.temperature, rng)
                 ids[l] = token
                 last_stage[l] = "anchor" if k < len(anchors) else "denoise"

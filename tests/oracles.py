@@ -675,24 +675,26 @@ def naive_posterior(corpus: Corpus, z: LatentSequence) -> np.ndarray:
 
 class DenseRows(Predictor):
     """The three predictor queries derived from dense rows: a subclass gives
-    ``predict(z)``, the raw (L, K) rows of one latent, and every query reads
-    them through ``apply_constraints``. The reference for the native
-    queries of the table predictors."""
+    ``vocab`` and ``predict(z)``, the raw (L, K) rows of one latent, and
+    every query reads them through ``apply_constraints``. The reference for
+    the native queries of the table predictors."""
 
     def predict(self, z: LatentSequence) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
+    def predict_row(self, ids: np.ndarray, position: int) -> np.ndarray:
+        z = LatentSequence(ids, self.vocab.mask_id)
         return apply_constraints(self.predict(z), z)[position]
 
-    def target_probs(self, ids: np.ndarray, targets: np.ndarray, mask_id: int) -> np.ndarray:
-        zs = [LatentSequence(row, mask_id) for row in ids]
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        zs = [LatentSequence(row, self.vocab.mask_id) for row in ids]
         probs = apply_constraints(np.stack([self.predict(z) for z in zs]), zs)
         return probs[:, np.arange(ids.shape[1]), targets]
 
-    def resolve_anchors(self, ids: np.ndarray, order: list[int], mask_id: int) -> np.ndarray:
+    def resolve_anchors(self, ids: np.ndarray, order: list[int]) -> np.ndarray:
         """Each row resolved alone by ``per_draw_resolve``, in its own order:
         ``order`` filtered by the row's mask."""
+        mask_id = self.vocab.mask_id
         resolved = [
             per_draw_resolve(
                 self, LatentSequence(row, mask_id), [l for l in order if row[l] == mask_id]
@@ -707,6 +709,7 @@ class NaivePosterior(DenseRows):
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
+        self.vocab = corpus.vocab
 
     def predict(self, z: LatentSequence) -> np.ndarray:
         return naive_posterior(self.corpus, z)
@@ -715,7 +718,7 @@ class NaivePosterior(DenseRows):
 def constrained_rows(predictor, z: LatentSequence) -> np.ndarray:
     """All (L, K) constrained rows of one latent: ``predict_row`` at every
     position."""
-    return np.stack([predictor.predict_row(z, l) for l in range(len(z))])
+    return np.stack([predictor.predict_row(z.ids, l) for l in range(len(z))])
 
 
 def validate_prediction(probs: np.ndarray, z: LatentSequence, atol: float = 1e-9) -> None:
@@ -754,27 +757,27 @@ class RescanExactDenoiser(Predictor):
     def vocab(self):
         return self.corpus.vocab
 
-    def match_mask(self, z: LatentSequence) -> np.ndarray:
-        agree = (self.corpus.ids == z.ids[None, :]) | z.is_masked[None, :]
+    def match_mask(self, ids: np.ndarray) -> np.ndarray:
+        agree = (self.corpus.ids == ids[None, :]) | (ids == self.vocab.mask_id)[None, :]
         return agree.all(axis=1)
 
-    def posterior(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
+    def posterior(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The unique rows holding a matching corpus row, ascending, and the
         weights of their matching copies summed in corpus order."""
-        m = self.match_mask(z)
+        m = self.match_mask(ids)
         unique = self.unique_of_row[m]
         hit = np.unique(unique)
         weights = np.bincount(unique, weights=self.corpus.weights[m])
         return hit, weights[hit]
 
-    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        m = self.match_mask(z)
+    def predict_row(self, ids: np.ndarray, position: int) -> np.ndarray:
+        m = self.match_mask(ids)
         if not m.any():
             raise NoMatchError("latent matches no corpus sequence")
         K = self.corpus.vocab.size
-        if not z.is_masked[position]:
+        if ids[position] != self.vocab.mask_id:
             row = np.zeros(K)
-            row[z.ids[position]] = 1.0
+            row[ids[position]] = 1.0
             return row
         hit = np.flatnonzero(m)
         counts = np.bincount(
@@ -817,12 +820,12 @@ class ResummedProfile:
         self.sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
         np.add.at(self.sums, exact.unique_of_row, weighted)
 
-    def __call__(self, z: LatentSequence) -> tuple[np.ndarray, np.ndarray]:
-        hit, w = self.exact.posterior(z)
+    def __call__(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit, w = self.exact.posterior(ids)
         if not len(hit):
             raise NoMatchError("latent matches no corpus sequence")
         mean = self.sums[hit].sum(axis=0) / w.sum()
-        return mean[: len(z)], mean[len(z) :]
+        return mean[: len(ids)], mean[len(ids) :]
 
 
 def reference_generate(prompt, length: int, predictors, config, schedule: NoiseSchedule, rng):
@@ -837,7 +840,6 @@ def reference_generate(prompt, length: int, predictors, config, schedule: NoiseS
     schedule = NoiseSchedule(schedule.kind, config.T)
     ids = np.full(length, mask_id, dtype=np.int64)
     ids[: len(prompt)] = prompt
-    z = LatentSequence(ids=ids, mask_id=mask_id, prompt_mask=np.arange(length) < len(prompt))
     events = []
     stage = ["denoise"] * length
     for i in range(config.T, 0, -1):
@@ -845,12 +847,12 @@ def reference_generate(prompt, length: int, predictors, config, schedule: NoiseS
         masked = [l for l in range(length) if ids[l] == mask_id]
         budget = int(rng.binomial(len(masked), p)) if masked else 0
         if budget:
-            omega, eta = predictors.profile(z)
+            omega, eta = predictors.profile(ids)
             anchors = sorted_anchor_commit_order(omega, eta, ids == mask_id)
             others = [l for l in masked if omega[l] < 0.5]
             rng.shuffle(others)
             for k, l in enumerate((anchors + others)[:budget]):
-                row = predictors.predictor.predict_row(z, l)
+                row = predictors.predictor.predict_row(ids, l)
                 token = sample_categorical(temper_row(row, config.temperature), rng)
                 ids[l] = token
                 stage[l] = "anchor" if k < len(anchors) else "denoise"
@@ -1004,26 +1006,26 @@ class DictBackoffModel(DenseRows):
             return self._smooth(self.right[b])
         return self._smooth(self.unigram)
 
-    def _neighbor(self, z: LatentSequence, position: int):
+    def _neighbor(self, ids: np.ndarray, position: int):
         if position < 0:
             return BOS_CONTEXT
-        if position >= len(z):
+        if position >= len(ids):
             return EOS_CONTEXT
-        if z.is_masked[position]:
+        if ids[position] == self.vocab.mask_id:
             return None
-        return int(z.ids[position])
+        return int(ids[position])
 
-    def predict_row(self, z: LatentSequence, position: int) -> np.ndarray:
-        if not z.is_masked[position]:
+    def predict_row(self, ids: np.ndarray, position: int) -> np.ndarray:
+        if ids[position] != self.vocab.mask_id:
             row = np.zeros(self.vocab.size)
-            row[z.ids[position]] = 1.0
+            row[ids[position]] = 1.0
             return row
         return self._context_row(
-            self._neighbor(z, position - 1), self._neighbor(z, position + 1)
+            self._neighbor(ids, position - 1), self._neighbor(ids, position + 1)
         )
 
     def predict(self, z: LatentSequence) -> np.ndarray:
-        return np.stack([self.predict_row(z, l) for l in range(len(z))])
+        return np.stack([self.predict_row(z.ids, l) for l in range(len(z))])
 
     def to_json(self) -> str:
         def table(d: dict) -> list:
@@ -1048,7 +1050,7 @@ def per_draw_resolve(anchor, z: LatentSequence, order: list[int]) -> LatentSeque
     own order, each by the argmax of ``predict_row`` given the ones before."""
     y = z.copy_with(z.ids)
     for l in order:
-        y.ids[l] = int(np.argmax(anchor.predict_row(y, l)))
+        y.ids[l] = int(np.argmax(anchor.predict_row(y.ids, l)))
     return y
 
 

@@ -135,11 +135,11 @@ def test_criterion_02_exact_posterior_oracle_equivalence():
                 expected = naive_posterior(corpus, z)
             except NoMatchError:
                 with pytest.raises(NoMatchError):
-                    den.predict_row(z, 0)
+                    den.predict_row(z.ids, 0)
                 nomatches += 1
                 queries += 1
                 continue
-            mine = np.stack([den.predict_row(z, l) for l in range(L)])
+            mine = np.stack([den.predict_row(z.ids, l) for l in range(L)])
             assert np.array_equal(mine, expected)
             queries += 1
     report(2, f"{queries} randomized queries match the brute-force oracle exactly "
@@ -202,7 +202,7 @@ def test_criterion_04_nelbo_sanity(bundled):
 
     sched = NoiseSchedule(ScheduleKind.COSINE, 8)
     x = LatentSequence(corpus.ids[0].copy(), vocab.mask_id)
-    oracle = nelbo(x, OneHotPredictor(x, vocab.size), sched, 128, 0)
+    oracle = nelbo(x, OneHotPredictor(x, vocab), sched, 128, 0)
     assert oracle.estimate == 0.0 and oracle.stderr < 1e-9
     exact = ExactPosteriorDenoiser(corpus)
     backoff = BackoffCountModel.fit(corpus)

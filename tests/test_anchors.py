@@ -79,6 +79,15 @@ class TestEta:
             if d <= 2:
                 assert e == 0.03
 
+    @pytest.mark.parametrize("d0", [0, 2, 2**63 - 1, 2**63, 10**20])
+    def test_table_equals_scalar_formula_for_any_d0(self, d0):
+        # A d0 past int64 means no decay at any depth, not an OverflowError.
+        config = AnchorConfig(AnchorStrategy.ANCHOR_TREE, gamma=0.03, beta=0.7, d0=d0)
+        depth = np.array([-1, 0, 1, 2, 3, 5, 8, 13, 2, -1])
+        want = [eta_for_depth(d, config) for d in depth.tolist()]
+        assert compute_eta(depth, config).tolist() == want
+        assert compute_eta(depth[:0], config).tolist() == []
+
     def test_exponential_decay_value(self):
         config = AnchorConfig(AnchorStrategy.ANCHOR_TREE, gamma=0.03, beta=0.7, d0=2)
         expected = 0.03 * math.exp(-0.7)  # scalar-math oracle

@@ -131,6 +131,45 @@ class TestExitCodes:
         argv = ["sample", "--corpus", str(path), *JSONL_SAMPLE, "--out", str(tmp_path / "r")]
         assert main(argv) == 0
 
+    def test_d0_past_int64_runs_with_no_decay(self, tmp_path):
+        # A d0 of 10**20 lies past every depth, so eta is gamma everywhere:
+        # by flag, by config file, and from a dataset header that holds it.
+        big = 10**20
+        argv = ["annotate", *BASE]
+        assert main([*argv, "--d0", str(big), "--out", str(tmp_path / "flag")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d0": big}))
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "file")]) == 0
+        dataset = tmp_path / "flag" / "dataset.jsonl"
+        header, *records = (json.loads(ln) for ln in dataset.read_text().splitlines())
+        assert header["anchor"]["d0"] == big
+        assert {e for rec in records for e in rec["eta"]} == {header["anchor"]["gamma"]}
+        argv = ["sample", "--corpus", str(dataset), *JSONL_SAMPLE, "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
+
+    def test_out_of_memory_is_an_input_error_at_load_and_a_runtime_error_after(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Nothing is allocated: the loader, then the subcommand, raises.
+        from anchordiff import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        def bare(*args, **kwargs):
+            raise MemoryError
+
+        argv = ["sample", *BASE, *JSONL_SAMPLE]
+        monkeypatch.setattr(cli, "build_corpus", exhausted)
+        assert main([*argv, "--out", str(tmp_path / "load")]) == 2
+        assert "input error: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+        monkeypatch.undo()
+        for command, message in [(exhausted, "Unable to allocate 74.5 GiB"), (bare, "MemoryError")]:
+            monkeypatch.setitem(cli.COMMANDS, "sample", command)
+            assert main([*argv, "--out", str(tmp_path / "run")]) == 3
+            assert f"runtime error: {message}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["annotate", "--schedule", "bogus"])

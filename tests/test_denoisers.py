@@ -27,7 +27,7 @@ from anchordiff.denoisers import (
 )
 from anchordiff.diffusion import LatentSequence, Vocab, corrupt
 from anchordiff.experiments import build_strategy_predictors
-from anchordiff.sampler import AnchoredPair, SamplerConfig, generate
+from anchordiff.sampler import AnchoredPair, SamplerConfig, default_remask_rate, generate
 from anchordiff.schedule import NoiseSchedule
 
 from .conftest import make_corpus
@@ -77,9 +77,9 @@ class TestExactPosterior:
         z = latent(corpus, [v.id("a"), v.id("d")])
         den = ExactPosteriorDenoiser(corpus)
         with pytest.raises(NoMatchError):
-            den.predict_row(z, 0)
+            den.predict_row(z.ids, 0)
         with pytest.raises(NoMatchError):
-            den.target_probs(z.ids[None], z.ids, v.mask_id)
+            den.target_probs(z.ids[None], z.ids)
 
     def test_weights_summing_past_the_float_range_rejected(self):
         # Two distinct rows of weight 1e308 each: the total is inf, so a
@@ -126,7 +126,7 @@ class TestExactPosterior:
         )
         full = NaivePosterior(corpus).predict(z)
         for l in range(0, len(z), 7):
-            assert np.allclose(den.predict_row(z, l), full[l], atol=1e-12)
+            assert np.allclose(den.predict_row(z.ids, l), full[l], atol=1e-12)
 
 
 class TestBackoff:
@@ -138,7 +138,7 @@ class TestBackoff:
         model = BackoffCountModel.fit(corpus)
         v = corpus.vocab
         z = latent(corpus, [v.mask_id] * 3)
-        row = model.predict_row(z, 1)
+        row = model.predict_row(z.ids, 1)
         # unigram counts: a, b, c each 100; Laplace over 4 non-mask tokens
         expected = np.array([101, 101, 101, 1, 0], float) / 304
         assert np.allclose(row, expected)
@@ -148,7 +148,7 @@ class TestBackoff:
         model = BackoffCountModel.fit(corpus)
         v = corpus.vocab
         z = latent(corpus, [v.id("a"), v.mask_id, v.id("c")])
-        row = model.predict_row(z, 1)
+        row = model.predict_row(z.ids, 1)
         assert row[v.id("b")] == pytest.approx(101 / 104)
         assert row[v.id("a")] == pytest.approx(1 / 104)
 
@@ -159,7 +159,7 @@ class TestBackoff:
         # (a, b) as (left, right) context never occurs; left-only stats for
         # "a" say "b" follows.
         z = latent(corpus, [v.id("a"), v.mask_id, v.id("b")])
-        row = model.predict_row(z, 1)
+        row = model.predict_row(z.ids, 1)
         assert row[v.id("b")] == pytest.approx(101 / 104)
 
     def test_masked_left_neighbor_uses_right(self):
@@ -167,7 +167,7 @@ class TestBackoff:
         model = BackoffCountModel.fit(corpus)
         v = corpus.vocab
         z = latent(corpus, [v.mask_id, v.mask_id, v.id("c")])
-        row = model.predict_row(z, 1)
+        row = model.predict_row(z.ids, 1)
         assert row[v.id("b")] == pytest.approx(101 / 104)
 
     def test_total_on_arbitrary_input(self):
@@ -217,8 +217,8 @@ class TestBackoff:
             masked = np.flatnonzero(z.is_masked)
             if len(masked) == 0:
                 continue
-            (pe,) = exact.target_probs(z.ids[None], x.ids, z.mask_id)
-            (pb,) = backoff.target_probs(z.ids[None], x.ids, z.mask_id)
+            (pe,) = exact.target_probs(z.ids[None], x.ids)
+            (pb,) = backoff.target_probs(z.ids[None], x.ids)
             ce_e = -np.log(pe[masked]).sum()
             ce_b = -np.log(np.maximum(pb[masked], 1e-300)).sum()
             diffs.append(ce_b - ce_e)
@@ -234,14 +234,14 @@ def _same_predictions(model, oracle, z):
     ids = np.stack([z.ids, z.ids])
     for v in range(z.mask_id + 1):
         targets = np.full(len(z), v)
-        want = oracle.target_probs(ids, targets, z.mask_id)
-        assert np.array_equal(model.target_probs(ids, targets, z.mask_id), want)
+        want = oracle.target_probs(ids, targets)
+        assert np.array_equal(model.target_probs(ids, targets), want)
     for l in range(len(z)):
-        assert np.array_equal(model.predict_row(z, l), oracle.predict_row(z, l))
+        assert np.array_equal(model.predict_row(z.ids, l), oracle.predict_row(z.ids, l))
     positions = list(range(len(z)))
     for order in [[l] for l in positions] + [positions, positions[::-1]]:
-        want = oracle.resolve_anchors(ids, order, z.mask_id)
-        assert np.array_equal(model.resolve_anchors(ids, order, z.mask_id), want)
+        want = oracle.resolve_anchors(ids, order)
+        assert np.array_equal(model.resolve_anchors(ids, order), want)
 
 
 # Tiny corpora: one context repeated with fractional weights (summation
@@ -351,13 +351,13 @@ class TestBackoffTables:
         mask_id = corpus.vocab.mask_id
         for targets in corpus.ids[::197]:
             assert np.array_equal(
-                clone.target_probs(ids, targets, mask_id),
-                model.target_probs(ids, targets, mask_id),
+                clone.target_probs(ids, targets),
+                model.target_probs(ids, targets),
             )
         positions = list(range(corpus.length))
         for order in [[l] for l in positions] + [positions]:
-            want = model.resolve_anchors(ids, order, mask_id)
-            assert np.array_equal(clone.resolve_anchors(ids, order, mask_id), want)
+            want = model.resolve_anchors(ids, order)
+            assert np.array_equal(clone.resolve_anchors(ids, order), want)
 
     def test_from_json_rejects_malformed_tables(self):
         import json
@@ -387,7 +387,7 @@ class TestBackoffTables:
         z = latent(corpus, [corpus.vocab.mask_id] * 3)
         for m in (model, pickle.loads(pickle.dumps(model))):
             with pytest.raises(ValueError):
-                m.predict_row(z, 1)[0] = 0.5
+                m.predict_row(z.ids, 1)[0] = 0.5
 
 
 @st.composite
@@ -434,29 +434,29 @@ class TestExactQueries:
         matched = np.array([bool(naive_consistent_rows(corpus, latent(corpus, r))) for r in ids])
         if not matched.all():
             with pytest.raises(NoMatchError):
-                exact.target_probs(ids, targets, mask_id)
+                exact.target_probs(ids, targets)
             # The walk raises for an unmatched row only where it commits.
             l = data.draw(st.integers(0, L - 1))
             if (ids[~matched, l] == mask_id).any():
                 with pytest.raises(NoMatchError):
-                    exact.resolve_anchors(ids, [l], mask_id)
+                    exact.resolve_anchors(ids, [l])
             else:
                 unmatched = ids[~matched]
-                assert np.array_equal(exact.resolve_anchors(unmatched, [l], mask_id), unmatched)
+                assert np.array_equal(exact.resolve_anchors(unmatched, [l]), unmatched)
         ids = ids[matched]
-        got = exact.target_probs(ids, targets, mask_id)
-        argmax = [exact.resolve_anchors(ids, [l], mask_id) for l in range(L)]
+        got = exact.target_probs(ids, targets)
+        argmax = [exact.resolve_anchors(ids, [l]) for l in range(L)]
         if not len(ids):
             return
         rows = [constrained_rows(exact, latent(corpus, row)) for row in ids]
         assert np.array_equal(got, [row[np.arange(L), targets] for row in rows])
-        want = NaivePosterior(corpus).target_probs(ids, targets, mask_id)
+        want = NaivePosterior(corpus).target_probs(ids, targets)
         if integer:
             assert np.array_equal(got, want)
         else:
             assert np.allclose(got, want, rtol=0, atol=1e-12)
         for l in range(L):
-            rows = [exact.predict_row(latent(corpus, row), l).argmax() for row in ids]
+            rows = [exact.predict_row(row, l).argmax() for row in ids]
             assert np.array_equal(argmax[l][:, l], rows)
             others = np.arange(L) != l
             assert np.array_equal(argmax[l][:, others], ids[:, others])
@@ -470,21 +470,21 @@ class TestExactQueries:
         asked = []
 
         class Counting(ExactPosteriorDenoiser):
-            def predict_row(self, z, position):
-                asked.append((tuple(z.ids.tolist()), position))
-                return super().predict_row(z, position)
+            def predict_row(self, ids, position):
+                asked.append((tuple(ids.tolist()), position))
+                return super().predict_row(ids, position)
 
         exact = Counting(corpus)
         ids = np.array([[m, b], [a, b], [m, m], [c, m]])
-        got = exact.target_probs(ids, np.array([a, b]), m)
+        got = exact.target_probs(ids, np.array([a, b]))
         assert got.tolist() == [[0.75, 1.0], [1.0, 1.0], [0.75, 1.0], [0.0, 1.0]]
         assert asked == [((m, b), 0), ((a, b), 0), ((m, m), 0), ((m, m), 1), ((c, m), 1)]
-        assert exact.target_probs(ids, np.array([c, m]), m).tolist() == [
+        assert exact.target_probs(ids, np.array([c, m])).tolist() == [
             [0.25, 0.0], [0.0, 0.0], [0.25, 0.0], [1.0, 0.0]
         ]
         for row in ([a, c], [c, a]):
             with pytest.raises(NoMatchError):
-                exact.target_probs(np.array([row]), np.array([a, b]), m)
+                exact.target_probs(np.array([row]), np.array([a, b]))
 
 
 FOR_LOOP_P1 = "def f(numbers):\n    for num in numbers:\n        pass\n"
@@ -509,11 +509,11 @@ class TestLossQueries:
         prompt = np.arange(L) < data.draw(st.integers(0, L))
         ids = np.where(prompt & (np.array(latents) == mask_id), 0, latents)
         zs = [LatentSequence(row, mask_id, prompt) for row in ids]
-        want = DictBackoffModel.fit(corpus).target_probs(ids, targets, mask_id)
-        assert np.array_equal(model.target_probs(ids, targets, mask_id), want)
+        want = DictBackoffModel.fit(corpus).target_probs(ids, targets)
+        assert np.array_equal(model.target_probs(ids, targets), want)
         for l in range(L):
-            argmax = [model.predict_row(z, l).argmax() for z in zs]
-            assert np.array_equal(model.resolve_anchors(ids, [l], mask_id)[:, l], argmax)
+            argmax = [model.predict_row(z.ids, l).argmax() for z in zs]
+            assert np.array_equal(model.resolve_anchors(ids, [l])[:, l], argmax)
 
     def test_backoff_target_probs_on_corrupted_records(self, synth_corpus_built):
         # Full-length latents with prompts, scored at the clean tokens and
@@ -531,7 +531,7 @@ class TestLossQueries:
             anchor_targets = np.where(corpus.omega[i] >= 0.5, x.ids, mask_id)
             for targets in (x.ids, anchor_targets):
                 want = rows[:, np.arange(len(x)), targets]
-                assert np.array_equal(model.target_probs(ids, targets, mask_id), want)
+                assert np.array_equal(model.target_probs(ids, targets), want)
 
 
 class TestResolveAnchors:
@@ -559,15 +559,15 @@ class TestResolveAnchors:
                 want.append(None)
             if want[-1] is None:
                 with pytest.raises(NoMatchError):
-                    model.resolve_anchors(row[None], order, mask_id)
+                    model.resolve_anchors(row[None], order)
             else:
-                assert np.array_equal(model.resolve_anchors(row[None], order, mask_id), [want[-1]])
+                assert np.array_equal(model.resolve_anchors(row[None], order), [want[-1]])
         before = ids.copy()
         if any(w is None for w in want):
             with pytest.raises(NoMatchError):
-                model.resolve_anchors(ids, order, mask_id)
+                model.resolve_anchors(ids, order)
         else:
-            got = model.resolve_anchors(ids, order, mask_id)
+            got = model.resolve_anchors(ids, order)
             assert np.array_equal(got, np.reshape(want, ids.shape))
         assert np.array_equal(ids, before)  # the batch is left as it was
 
@@ -583,12 +583,12 @@ class TestResolveAnchors:
         # "aaa" matches no corpus row; with no masked position in the order
         # nothing is committed in it, so nothing raises.
         ids = np.array([[v.id("a")] * 3, [v.id("a"), m, m], [v.id("c"), v.id("b"), m]])
-        assert np.array_equal(model.resolve_anchors(ids, [0], m), ids)
-        got = model.resolve_anchors(ids[1:], [2, 1, 0], m)
-        assert np.array_equal(got, oracle.resolve_anchors(ids[1:], [2, 1, 0], m))
+        assert np.array_equal(model.resolve_anchors(ids, [0]), ids)
+        got = model.resolve_anchors(ids[1:], [2, 1, 0])
+        assert np.array_equal(got, oracle.resolve_anchors(ids[1:], [2, 1, 0]))
         assert not (got == m).any()
         for order in ([], [0, 1, 2]):
-            assert model.resolve_anchors(ids[:0], order, m).shape == (0, 3)
+            assert model.resolve_anchors(ids[:0], order).shape == (0, 3)
 
 
 class TestTwoStage:
@@ -613,10 +613,10 @@ class TestTwoStage:
         ids[iterable] = vocab.mask_id
         omega, eta = corpus.omega[0], corpus.eta[0]
         full = anchor_commit_order(omega, eta, np.ones(len(ids), dtype=bool))
-        (y_hat,) = den.resolve_anchors(ids[None], full, vocab.mask_id)
+        (y_hat,) = den.resolve_anchors(ids[None], full)
         assert y_hat[iterable] == vocab.id("numbers")
         # More than half the mass on "num" makes it the composition's argmax.
-        (final,) = two_stage_predict(den, den, ids[None], corpus.ids[0], omega, eta, vocab.mask_id)
+        (final,) = two_stage_predict(den, den, ids[None], corpus.ids[0], omega, eta)
         assert final[loop_var] > 0.5
 
     def test_null_omega_reduces_to_single_stage(self, synth_corpus_built):
@@ -627,16 +627,16 @@ class TestTwoStage:
         omega = np.zeros(len(z))
         mask_id = corpus.vocab.mask_id
         for targets in (x.ids, corpus.ids[2]):
-            composed = two_stage_predict(den, den, z.ids[None], targets, omega, omega, mask_id)
-            assert np.array_equal(composed, den.target_probs(z.ids[None], targets, mask_id))
+            composed = two_stage_predict(den, den, z.ids[None], targets, omega, omega)
+            assert np.array_equal(composed, den.target_probs(z.ids[None], targets))
 
     def test_fully_unmasked_identity(self):
         corpus, records, vocab = self._loop_corpus()
         den = ExactPosteriorDenoiser(corpus)
         ids = corpus.ids[1][None]
-        (anchor_m,) = den.target_probs(ids, corpus.ids[1], vocab.mask_id)
+        (anchor_m,) = den.target_probs(ids, corpus.ids[1])
         (final_m,) = two_stage_predict(
-            den, den, ids, corpus.ids[1], corpus.omega[1], corpus.eta[1], vocab.mask_id
+            den, den, ids, corpus.ids[1], corpus.omega[1], corpus.eta[1]
         )
         assert (anchor_m == 1.0).all()
         assert (final_m == 1.0).all()
@@ -654,16 +654,16 @@ class TestTwoStage:
         class Recorder:
             """The denoiser stage, recording the rows it is asked to score."""
 
-            def target_probs(self, ids, targets, mask_id):
+            def target_probs(self, ids, targets):
                 seen.append(ids.copy())
-                return model.target_probs(ids, targets, mask_id)
+                return model.target_probs(ids, targets)
 
         rng = np.random.default_rng(17)
         for i in range(6):
             x = LatentSequence(corpus.ids[i].copy(), corpus.vocab.mask_id)
             z = corrupt(x, 0.8, NoiseSchedule(T=8), rng)
             omega, eta = corpus.omega[i], corpus.eta[i]
-            two_stage_predict(model, Recorder(), z.ids[None], x.ids, omega, eta, x.mask_id)
+            two_stage_predict(model, Recorder(), z.ids[None], x.ids, omega, eta)
             (y,) = seen.pop()
             order = anchor_commit_order(omega, eta, z.is_masked)
             assert np.array_equal(y, per_draw_resolve(model, z, order).ids)
@@ -679,12 +679,12 @@ class TestTwoStage:
             omega, eta = corpus.omega[i], corpus.eta[i]
             order = anchor_commit_order(omega, eta, z.is_masked)
             full = anchor_commit_order(omega, eta, np.ones(len(z), dtype=bool))
-            (y,) = den.resolve_anchors(z.ids[None], full, mask_id)
+            (y,) = den.resolve_anchors(z.ids[None], full)
             rest = np.setdiff1d(np.arange(len(z)), order)
             assert not (y[order] == mask_id).any()
             assert np.array_equal(y[rest], z.ids[rest])
             assert z.is_masked[order].all()  # z itself is left as it was
-            assert den.match_mask(latent(corpus, y)).any()
+            assert den.match_mask(y).any()
 
     @pytest.mark.parametrize("kind", ["exact", "backoff"])
     def test_batched_resolve_equals_per_draw(self, synth_corpus_built, kind):
@@ -707,9 +707,9 @@ class TestTwoStage:
             zs = [corrupt(x, t, NoiseSchedule(T=8), rng) for t in (0.3, 0.6, 0.9, 1.0) * 3]
             ids = np.stack([z.ids for z in zs])
             full = anchor_commit_order(omega, eta, np.ones(len(x), dtype=bool))
-            resolved = model.resolve_anchors(ids, full, mask_id)
+            resolved = model.resolve_anchors(ids, full)
             pair = TwoStagePredictor(model, model, omega, eta)
-            probs = pair.target_probs(ids, x.ids, mask_id)
+            probs = pair.target_probs(ids, x.ids)
             assert np.array_equal(ids, [z.ids for z in zs])  # the batch is left as it was
             for z, y, row in zip(zs, resolved, probs):
                 order = anchor_commit_order(omega, eta, z.is_masked)
@@ -741,11 +741,57 @@ class TestTwoStage:
 
         corpus = synth_corpus_built
         x = LatentSequence(corpus.ids[0].copy(), corpus.vocab.mask_id)
-        oracle = OneHotPredictor(x, corpus.vocab.size)
+        oracle = OneHotPredictor(x, corpus.vocab)
         pair = TwoStagePredictor(oracle, oracle, corpus.omega[0], corpus.eta[0])
         z = corrupt(x, 0.9, NoiseSchedule(T=4), 8)
-        (final,) = pair.target_probs(z.ids[None], x.ids, x.mask_id)
+        (final,) = pair.target_probs(z.ids[None], x.ids)
         assert (final == 1.0).all()
+
+
+class TestIdArrayQueries:
+    """Every predictor query reads the latent's id array: with
+    ``LatentSequence`` made to raise on construction, generation and the
+    batched queries give the outputs they gave before."""
+
+    def test_queries_build_no_latent_sequence(self, synth_corpus_built, monkeypatch):
+        corpus = synth_corpus_built
+        rng = np.random.default_rng(41)
+        xs = [latent(corpus, corpus.ids[i]) for i in range(4)]
+        ids = np.stack([corrupt(x, t, NoiseSchedule(T=8), rng).ids for x in xs for t in (0.4, 0.9)])
+        targets, omega, eta = corpus.ids[0], corpus.omega[0], corpus.eta[0]
+        order = anchor_commit_order(omega, eta, np.ones(corpus.length, dtype=bool))
+        exact, backoff = ExactPosteriorDenoiser(corpus), BackoffCountModel.fit(corpus)
+        runs = [
+            lambda: exact.target_probs(ids, targets),
+            lambda: exact.resolve_anchors(ids, order),
+            lambda: two_stage_predict(exact, exact, ids, targets, omega, eta),
+            lambda: two_stage_predict(backoff, backoff, ids, targets, omega, eta),
+        ]
+        for kind in ("exact", "backoff"):
+            for strategy in AnchorStrategy:
+                pair = build_strategy_predictors(corpus, strategy, kind)
+                cfg = SamplerConfig(
+                    T=16, remask_rate=default_remask_rate(strategy),
+                    strategy=AnchorConfig.for_strategy(strategy),
+                )
+
+                def run(pair=pair, cfg=cfg):
+                    out, trace = generate([], 64, pair, cfg, NoiseSchedule(T=16), 7)
+                    return out, trace.to_jsonl()
+
+                runs.append(run)
+        before = [run() for run in runs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a predictor query built a LatentSequence")
+
+        monkeypatch.setattr(LatentSequence, "__init__", forbidden)
+        for run, want in zip(runs, before):
+            got = run()
+            if isinstance(want, tuple):
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            else:
+                assert np.array_equal(got, want)
 
 
 class TestProfiles:
@@ -760,15 +806,15 @@ class TestProfiles:
         cases = [
             # The exact model's consistent set as built, filtered by commits
             # and rebuilt after remasks.
-            exact.posterior(all_masked),
-            exact.posterior(latent(corpus, np.where(positions < 3, first, v.mask_id))),
-            exact.posterior(latent(corpus, np.where(positions == 1, first, v.mask_id))),
-            MarginalAnchorProfile.of_corpus(corpus)(all_masked),
-            MarginalAnchorProfile.zeros(corpus.length)(all_masked),
-            PosteriorAnchorProfile(exact)(latent(corpus, first)),
+            exact.posterior(all_masked.ids),
+            exact.posterior(np.where(positions < 3, first, v.mask_id)),
+            exact.posterior(np.where(positions == 1, first, v.mask_id)),
+            MarginalAnchorProfile.of_corpus(corpus)(all_masked.ids),
+            MarginalAnchorProfile.zeros(corpus.length)(all_masked.ids),
+            PosteriorAnchorProfile(exact)(first),
         ]
         with pytest.raises(NoMatchError):
-            PosteriorAnchorProfile(exact)(unmatched)
+            PosteriorAnchorProfile(exact)(unmatched.ids)
         for omega, eta in cases:
             for values in (omega, eta):
                 with pytest.raises(ValueError, match="read-only"):
@@ -781,9 +827,9 @@ class TestProfiles:
         prof = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
         v = corpus.vocab
         all_masked = LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id)
-        marginal_omega, _ = prof(all_masked)
+        marginal_omega, _ = prof(all_masked.ids)
         z = latent(corpus, corpus.ids[0])
-        exact_omega, exact_eta = prof(z)
+        exact_omega, exact_eta = prof(z.ids)
         assert np.allclose(exact_omega, corpus.omega[0])
         assert np.allclose(exact_eta, corpus.eta[0])
         w = corpus.weights / corpus.weights.sum()
@@ -800,11 +846,11 @@ class TestProfiles:
         z = latent(corpus, [v.id("a"), v.mask_id])
         for first, row in (("a", 0), ("c", 1), ("a", 0)):
             z.ids[0] = v.id(first)
-            omega, eta = prof(z)
+            omega, eta = prof(z.ids)
             assert omega.tolist() == corpus.omega[row].tolist()
             assert eta.tolist() == corpus.eta[row].tolist()
         z.ids[0] = v.mask_id
-        omega, _ = prof(z)
+        omega, _ = prof(z.ids)
         assert omega.tolist() == [0.8, 0.2]
 
     def test_pickled_profile_arrays_stay_read_only(self, synth_corpus_built):
@@ -813,15 +859,15 @@ class TestProfiles:
         v = corpus.vocab
         pair = build_strategy_predictors(corpus, AnchorStrategy.ANCHOR_TREE, "exact")
         z = LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id)
-        pair.profile(z)  # the all-rows profile
+        pair.profile(z.ids)  # the all-rows profile
         z.ids[:3] = corpus.ids[0, :3]
-        pair.profile(z)  # a profile of fewer rows, kept as the last one
+        pair.profile(z.ids)  # a profile of fewer rows, kept as the last one
         copy = pickle.loads(pickle.dumps(pair))
         assert copy.profile.exact is copy.predictor
         kept = [copy.profile._prior, copy.profile._last]
         assert not any(a.flags.writeable for a in kept)
         for latent_ids in (z.ids, np.full(corpus.length, v.mask_id), corpus.ids[1]):
-            omega, eta = copy.profile(LatentSequence(latent_ids.copy(), v.mask_id))
+            omega, eta = copy.profile(latent_ids.copy())
             assert not omega.flags.writeable and not eta.flags.writeable
 
     @pytest.mark.parametrize("eta", [1e308, np.inf])
@@ -837,15 +883,15 @@ class TestProfiles:
                 MarginalAnchorProfile.of_corpus(corpus)
         else:
             # Normalized weights keep the marginal mean within range.
-            omega, eta_hat = MarginalAnchorProfile.of_corpus(corpus)(latent(corpus, [4, 4]))
+            omega, eta_hat = MarginalAnchorProfile.of_corpus(corpus)(np.array([4, 4]))
             assert np.isfinite(eta_hat).all()
 
     def test_marginal_profile_constant(self, synth_corpus_built):
         corpus = synth_corpus_built
         prof = MarginalAnchorProfile.of_corpus(corpus)
         v = corpus.vocab
-        a = prof(LatentSequence(np.full(corpus.length, v.mask_id), v.mask_id))
-        b = prof(latent(corpus, corpus.ids[2]))
+        a = prof(np.full(corpus.length, v.mask_id))
+        b = prof(corpus.ids[2])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -880,10 +926,10 @@ class TestPosteriorProfileOracle:
         corpus, z = case
         profile = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
         if naive_consistent_rows(corpus, z):
-            assert_profile_is_all_rows_mean(profile(z), corpus, z)
+            assert_profile_is_all_rows_mean(profile(z.ids), corpus, z)
         else:
             with pytest.raises(NoMatchError):
-                profile(z)
+                profile(z.ids)
 
     def test_equals_all_rows_mean_on_synth_200(self, synth200_corpus):
         corpus = synth200_corpus
@@ -892,9 +938,9 @@ class TestPosteriorProfileOracle:
         # The latents anchored generation queries the profile with.
         queried = []
 
-        def recording(z):
-            queried.append(z.ids.copy())
-            return pair.profile(z)
+        def recording(ids):
+            queried.append(ids.copy())
+            return pair.profile(ids)
 
         cfg = SamplerConfig(
             T=16, remask_rate=0.1, strategy=AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
@@ -911,12 +957,12 @@ class TestPosteriorProfileOracle:
         profile = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))
         for ids in queried + corrupted:
             z = latent(corpus, ids)
-            assert_profile_is_all_rows_mean(profile(z), corpus, z)
+            assert_profile_is_all_rows_mean(profile(z.ids), corpus, z)
         # A latent no row matches.
         unmatched = np.full(corpus.length, mask_id)
         unmatched[:2] = corpus.ids[0, 1], corpus.ids[0, 0]
         with pytest.raises(NoMatchError):
-            profile(latent(corpus, unmatched))
+            profile(unmatched)
 
 
 # The unique-row sums and the all-rows weighted mean round differently.
@@ -1015,8 +1061,8 @@ class TestPosteriorArrays:
 
     @staticmethod
     def assert_kept(den, prof, z, kept, profile):
-        assert all(a is b for a, b in zip(den.posterior(z), kept))
-        omega, eta = prof(z)
+        assert all(a is b for a, b in zip(den.posterior(z.ids), kept))
+        omega, eta = prof(z.ids)
         assert omega.base is eta.base is profile
 
     def test_commit_and_remask_at_an_agreed_column_keep_the_arrays(self):
@@ -1025,7 +1071,7 @@ class TestPosteriorArrays:
         z = latent(corpus, [v.mask_id] * 3)
         for first in (v.mask_id, v.id("c")):  # all rows, then two of them
             z.ids[0] = first
-            kept, profile = den.posterior(z), prof(z)[0].base
+            kept, profile = den.posterior(z.ids), prof(z.ids)[0].base
             for token in (x, v.mask_id, x, v.mask_id):
                 z.ids[2] = token
                 self.assert_kept(den, prof, z, kept, profile)
@@ -1034,7 +1080,7 @@ class TestPosteriorArrays:
     def test_remask_that_lets_no_row_back_keeps_the_arrays(self):
         corpus, v, den, prof = self.table()
         z = latent(corpus, [v.id("a"), v.mask_id, v.mask_id])
-        kept, profile = den.posterior(z), prof(z)[0].base
+        kept, profile = den.posterior(z.ids), prof(z.ids)[0].base
         assert kept[0].tolist() == [0]
         # "b" at column 1 removes no row of {"abx"}, and its remask, at a
         # varying column, lets none back: the row with "a" is still alone.
@@ -1045,14 +1091,14 @@ class TestPosteriorArrays:
     def test_remask_that_lets_a_row_back_makes_new_arrays(self):
         corpus, v, den, prof = self.table()
         z = latent(corpus, [v.id("a"), v.id("b"), v.id("x")])
-        narrowed, profile = den.posterior(z), prof(z)[0].base
+        narrowed, profile = den.posterior(z.ids), prof(z.ids)[0].base
         assert narrowed[0].tolist() == [0]
         z.ids[0] = v.mask_id  # lets "cbx" back
-        grown = den.posterior(z)
+        grown = den.posterior(z.ids)
         assert grown[0].tolist() == [0, 1] and grown[1].tolist() == [2.0, 1.0]
         assert not any(a is b for a in grown for b in narrowed)
         assert not any(a.flags.writeable for a in grown)
-        omega, eta = prof(z)
+        omega, eta = prof(z.ids)
         assert omega.base is not profile
         assert omega.tolist() == [2 / 3, 1 / 3, 1.0]
         assert eta.tolist() == (omega / 4).tolist()
@@ -1060,26 +1106,26 @@ class TestPosteriorArrays:
     def test_off_token_commit_at_an_agreed_column_empties_the_set(self):
         corpus, v, den, prof = self.table()
         z = latent(corpus, [v.mask_id] * 3)
-        full = den.posterior(z)
+        full = den.posterior(z.ids)
         for back in (v.mask_id, v.id("x")):  # a remask, then an overwrite
             z.ids[2] = v.id("a")  # no row holds "a" there
-            empty = den.posterior(z)
+            empty = den.posterior(z.ids)
             assert empty[0].tolist() == [] and empty[1].tolist() == []
-            assert not den.match_mask(z).any()
+            assert not den.match_mask(z.ids).any()
             for l in range(3):
                 with pytest.raises(NoMatchError):
-                    den.predict_row(z, l)
+                    den.predict_row(z.ids, l)
             with pytest.raises(NoMatchError):
-                prof(z)
+                prof(z.ids)
             z.ids[2] = back  # the set is rebuilt with every row
-            rebuilt = den.posterior(z)
+            rebuilt = den.posterior(z.ids)
             assert rebuilt[0].tolist() == [0, 1, 2]
             assert rebuilt[1].tolist() == full[1].tolist()
             assert not any(a is b for a in rebuilt for b in empty)
             oracle = naive_posterior(corpus, z)
             for l in range(3):
-                assert np.array_equal(den.predict_row(z, l), oracle[l])
-            assert prof(z)[0].tolist() == (corpus.weights / 4 @ corpus.omega).tolist()
+                assert np.array_equal(den.predict_row(z.ids, l), oracle[l])
+            assert prof(z.ids)[0].tolist() == (corpus.weights / 4 @ corpus.omega).tolist()
 
 
 def fixed_walk():
@@ -1121,13 +1167,13 @@ class TestMatchState:
         prof = PosteriorAnchorProfile(den)
         # One live latent edited in place, as the sampler does.
         z = LatentSequence(np.full(corpus.length, mask_id), mask_id)
-        last = den.posterior(z)
+        last = den.posterior(z.ids)
         for op, *args in steps:
             if op == "pickle":
                 den, prof = pickle.loads(pickle.dumps((den, prof)))
                 assert prof.exact is den
                 # numpy drops the read-only flag in pickle; unpickling restores it.
-                last = den.posterior(z)
+                last = den.posterior(z.ids)
                 shared = [den.unique_of_row, den._unique_weights, *last]
                 assert not any(a.flags.writeable for a in shared)
             elif op == "fresh":
@@ -1142,24 +1188,24 @@ class TestMatchState:
             # The consistent unique rows and summed weights are the oracle's
             # rows, in the arrays of the step before exactly when they are
             # the same rows.
-            hit, w = den.posterior(z)
+            hit, w = den.posterior(z.ids)
             same = np.array_equal(hit, last[0])
             assert (hit is last[0]) == same and (w is last[1]) == same
             last = hit, w
             assert np.flatnonzero(np.isin(den.unique_of_row, hit)).tolist() == rows
             for h, wh in zip(hit, w):
                 assert wh == sum(corpus.weights[i] for i in rows if den.unique_of_row[i] == h)
-            assert np.flatnonzero(den.match_mask(z)).tolist() == rows
+            assert np.flatnonzero(den.match_mask(z.ids)).tolist() == rows
             if rows:
                 oracle = naive_posterior(corpus, z)
                 for l in range(corpus.length):
-                    assert np.array_equal(den.predict_row(z, l), oracle[l])
+                    assert np.array_equal(den.predict_row(z.ids, l), oracle[l])
                 # The profile, kept or not, is a fresh build's and a fresh
                 # sum's, bit for bit, and read-only, also after a pickle.
-                omega, eta = prof(z)
-                fresh = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z)
+                omega, eta = prof(z.ids)
+                fresh = PosteriorAnchorProfile(ExactPosteriorDenoiser(corpus))(z.ids)
                 assert np.array_equal(omega, fresh[0]) and np.array_equal(eta, fresh[1])
-                resummed = ResummedProfile(den)(z)
+                resummed = ResummedProfile(den)(z.ids)
                 assert np.array_equal(omega, resummed[0]) and np.array_equal(eta, resummed[1])
                 assert not omega.flags.writeable and not eta.flags.writeable
                 w = corpus.weights[rows] / corpus.weights[rows].sum()
@@ -1167,13 +1213,13 @@ class TestMatchState:
                 assert np.allclose(eta, w @ corpus.eta[rows], rtol=0, atol=1e-12)
             else:
                 with pytest.raises(NoMatchError):
-                    den.target_probs(z.ids[None], z.ids, mask_id)
+                    den.target_probs(z.ids[None], z.ids)
                 with pytest.raises(NoMatchError):
-                    den.predict_row(z, 0)
+                    den.predict_row(z.ids, 0)
                 with pytest.raises(NoMatchError):
-                    prof(z)
+                    prof(z.ids)
 
     def test_rejects_latent_of_other_length(self):
         corpus = make_corpus(["ab", "cd"])
         with pytest.raises(ValueError, match="length"):
-            ExactPosteriorDenoiser(corpus).match_mask(latent(corpus, [0, 1, 2]))
+            ExactPosteriorDenoiser(corpus).match_mask(np.array([0, 1, 2]))

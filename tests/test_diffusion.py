@@ -25,6 +25,7 @@ from anchordiff.diffusion import (
     ConsistencyError,
     DegenerateRowError,
     LatentSequence,
+    Vocab,
     anelbo,
     apply_constraints,
     corrupt,
@@ -55,22 +56,22 @@ def clean(ids, mask_id, prompt=None):
 class OneHotPredictor(DenseRows):
     """Perfect oracle: always predicts the clean sequence."""
 
-    def __init__(self, x: LatentSequence, K: int):
+    def __init__(self, x: LatentSequence, vocab: Vocab):
         self.x = x
-        self.K = K
+        self.vocab = vocab
 
     def predict(self, z):
-        raw = np.zeros((len(z), self.K))
+        raw = np.zeros((len(z), self.vocab.size))
         raw[np.arange(len(z)), self.x.ids] = 1.0
         return raw
 
 
 class UniformPredictor(DenseRows):
-    def __init__(self, K: int):
-        self.K = K
+    def __init__(self, vocab: Vocab):
+        self.vocab = vocab
 
     def predict(self, z):
-        return np.ones((len(z), self.K))
+        return np.ones((len(z), self.vocab.size))
 
 
 class TestCorrupt:
@@ -206,7 +207,7 @@ class TestNelbo:
     def test_perfect_oracle_is_zero(self):
         corpus = make_corpus(["abcd"])
         x = clean(corpus.ids[0], corpus.vocab.mask_id)
-        report = nelbo(x, OneHotPredictor(x, corpus.vocab.size), COS, 64, 0)
+        report = nelbo(x, OneHotPredictor(x, corpus.vocab), COS, 64, 0)
         assert report.estimate == 0.0
         assert report.stderr < 1e-9
 
@@ -216,7 +217,7 @@ class TestNelbo:
         corpus = make_corpus(["abcd"])
         K = corpus.vocab.size
         x = clean(corpus.ids[0], corpus.vocab.mask_id)
-        report = nelbo(x, UniformPredictor(K), COS, 6000, 123)
+        report = nelbo(x, UniformPredictor(corpus.vocab), COS, 6000, 123)
         expected = 4 * math.log(K - 1)
         assert abs(report.estimate - expected) <= 4 * report.stderr
         assert report.stderr < 0.1
@@ -273,7 +274,7 @@ class TestAnelbo:
 
     def test_perfect_pair_is_zero(self, synth_corpus_built):
         corpus, x, omega, eta, y = self._setup(synth_corpus_built)
-        oracle = OneHotPredictor(x, corpus.vocab.size)
+        oracle = OneHotPredictor(x, corpus.vocab)
         pair = TwoStagePredictor(oracle, oracle, omega, eta)
         mu = omega * eta
         report = anelbo(x, y, pair, COS, mu, 64, 3)
@@ -330,7 +331,7 @@ class TestBatchedLoss:
     def _predictors(self, corpus, x, i):
         exact = ExactPosteriorDenoiser(corpus)
         backoff = BackoffCountModel.fit(corpus)
-        onehot = OneHotPredictor(x, corpus.vocab.size)
+        onehot = OneHotPredictor(x, corpus.vocab)
         omega, eta = corpus.omega[i], corpus.eta[i]
         return {
             "exact": exact,

@@ -148,9 +148,9 @@ class TestAncestryProbe:
         calls = []
 
         class Counting:
-            def predict_row(self, z, position):
+            def predict_row(self, ids, position):
                 calls.append(position)
-                return den.predict_row(z, position)
+                return den.predict_row(ids, position)
 
         t_values, n_probes = [0.85, 0.95], 12
         run = ancestry_probe(synth_records, corpus, Counting(), t_values, k, n_probes, rng=k)
@@ -208,13 +208,9 @@ class TestAncestryProbe:
             rng.shuffle(masked)
             sizes = []
             for pos in masked[:6]:
-                sizes.append(
-                    int(den.match_mask(LatentSequence(ids.copy(), z.mask_id)).sum())
-                )
+                sizes.append(int(den.match_mask(ids.copy()).sum()))
                 ids[pos] = corpus.ids[ri][pos]
-            sizes.append(
-                int(den.match_mask(LatentSequence(ids.copy(), z.mask_id)).sum())
-            )
+            sizes.append(int(den.match_mask(ids.copy()).sum()))
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] >= 1
 

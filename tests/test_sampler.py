@@ -66,7 +66,7 @@ class MaskingPredictor:
     def __init__(self, vocab):
         self.vocab = vocab
 
-    def predict_row(self, z, position):
+    def predict_row(self, ids, position):
         row = np.zeros(self.vocab.size)
         row[self.vocab.mask_id] = 1.0
         return row
@@ -484,13 +484,13 @@ class CountingPair:
         self.pair, self.predictor, self.vocab = pair, self, pair.predictor.vocab
         self.rows = self.profiles = 0
 
-    def predict_row(self, z, position):
+    def predict_row(self, ids, position):
         self.rows += 1
-        return self.pair.predictor.predict_row(z, position)
+        return self.pair.predictor.predict_row(ids, position)
 
-    def profile(self, z):
+    def profile(self, ids):
         self.profiles += 1
-        return self.pair.profile(z)
+        return self.pair.profile(ids)
 
 
 class TestQueryCounts:

@@ -34,6 +34,7 @@ from .corpus_io import (
     synth_corpus,
 )
 from .denoisers import (
+    AnchoredPair,
     BackoffCountModel,
     Corpus,
     ExactPosteriorDenoiser,
@@ -80,7 +81,6 @@ from .minilang import (
     tokenize,
 )
 from .sampler import (
-    AnchoredPair,
     DenoiseTrace,
     SamplerConfig,
     default_remask_rate,

@@ -23,8 +23,9 @@ defines the two batched queries once, through ``predict_row``.
   as tables, so each query is a gather.
 * two_stage_predict: the anchored composition, committing anchor-stage
   argmax tokens (the anchor predictor's ``resolve_anchors``) into an
-  intermediate sequence that conditions the denoiser; TwoStagePredictor is
-  that composition under fixed anchor data.
+  intermediate sequence that conditions the denoiser. AnchoredPair holds
+  an anchor stage and a denoiser under one anchor profile, for the sampler
+  and both losses; TwoStagePredictor is a loss pair under fixed anchor data.
 
 anchor_commit_order is the single anchor ordering, which the anchored
 sampler shares: it commits every masked anchor of a step before any other
@@ -540,20 +541,6 @@ def two_stage_predict(
 
 
 @dataclass
-class TwoStagePredictor(Predictor):
-    """Composition of anchor and denoiser predictors under fixed per-position
-    anchor data, as the losses score an annotated sequence."""
-
-    anchor: Predictor
-    denoiser: Predictor
-    omega: np.ndarray
-    eta: np.ndarray
-
-    def target_probs(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        return two_stage_predict(self.anchor, self.denoiser, ids, targets, self.omega, self.eta)
-
-
-@dataclass
 class MarginalAnchorProfile(ReadOnlyArrays):
     """Latent-independent anchor profile: the same read-only (omega, eta)
     on every call. ``of_corpus`` gives the corpus marginal, for predictors
@@ -628,8 +615,7 @@ class PosteriorAnchorProfile(ReadOnlyArrays):
             weighted = corpus.weights[:, None] * np.hstack([corpus.omega, corpus.eta])
             self._sums = np.zeros((exact.unique_of_row.max() + 1, weighted.shape[1]))
             np.add.at(self._sums, exact.unique_of_row, weighted)
-            weights = np.bincount(exact.unique_of_row, weights=corpus.weights)
-            self._prior = self._mean(self._sums, weights)
+            self._prior = self._mean(self._sums, exact._unique_weights)
         # The last posterior's rows and the profile of them.
         self._hit, self._last = None, self._prior
         self._freeze()
@@ -651,3 +637,25 @@ class PosteriorAnchorProfile(ReadOnlyArrays):
             mean = self._prior if all_rows else self._mean(self._sums[hit], w)
             self._hit, self._last = hit, mean
         return self._last[: len(ids)], self._last[len(ids) :]
+
+
+@dataclass
+class AnchoredPair:
+    """An anchor stage and a denoiser under one anchor profile. ``generate``
+    commits each step's anchors with ``anchor`` and the other positions with
+    ``denoiser``; the losses score a batch with ``target_probs``. Every pair
+    the package builds uses one predictor for both stages."""
+
+    anchor: Predictor
+    denoiser: Predictor
+    profile: object  # callable: latent ids -> (omega, eta)
+
+    def target_probs(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """``two_stage_predict`` of the (n, L) latent ids under one profile for
+        the batch, which must not read the latent: a MarginalAnchorProfile."""
+        return two_stage_predict(self.anchor, self.denoiser, ids, targets, *self.profile(ids))
+
+
+def TwoStagePredictor(anchor: Predictor, denoiser: Predictor, omega, eta) -> AnchoredPair:
+    """The loss pair of one annotated sequence: its fixed (omega, eta)."""
+    return AnchoredPair(anchor, denoiser, MarginalAnchorProfile(omega, eta))

@@ -16,7 +16,8 @@ coins per batch, one batched query), with the same random stream and the
 same per-draw log sums as one ``corrupt`` call and one prediction per draw.
 A loss reads only the probability of the clean token (and of the anchor
 target) at each position, so it asks the predictor for those through
-``target_probs`` of the batch's (n, L) ids, an (n, L) array per batch. A
+``target_probs`` of the batch's (n, L) ids, an (n, L) array per batch (the
+anchored loss asks an ``AnchoredPair`` and its anchor stage). A
 batch is then summed with a fixed number of array operations, with no
 Python step per draw or per stratum: ``_kept_sums`` gives every draw's log
 sum from two ``bincount`` calls that add the terms in the order numpy's 1-D
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,17 +238,6 @@ class LossReport:
     seed: int | None = None
     n_infinite: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "estimate": self.estimate,
-                "stderr": self.stderr,
-                "n_samples": self.n_samples,
-                "seed": self.seed,
-                "n_infinite": self.n_infinite,
-            }
-        )
-
 
 def _allocate_strata(n_samples: int, T: int) -> list[int]:
     base, rem = divmod(max(n_samples, T), T)
@@ -416,8 +405,8 @@ def nelbo(
     n_samples: int,
     rng: np.random.Generator | int | None,
 ) -> LossReport:
-    """Estimate the negative ELBO of ``predictor`` (a ``denoisers.Predictor``,
-    scored through ``target_probs``) on clean sequence ``x``.
+    """Estimate the negative ELBO of ``predictor`` (a ``Predictor`` or an
+    ``AnchoredPair``, scored through ``target_probs``) on clean sequence ``x``.
 
     Stratifies draws over the step indices; carry-over positions contribute
     exactly zero, so only masked positions are evaluated. A masked position
@@ -443,9 +432,9 @@ def anelbo(
     """Anchored NELBO: the NELBO term of the composed predictor plus the
     mu-weighted anchor term, estimated on shared corruption draws.
 
-    ``predictor_pair`` is a composed predictor with an ``anchor`` stage, as
-    ``TwoStagePredictor`` is: the NELBO term reads the composition's
-    ``target_probs`` of the clean tokens, the anchor term the anchor stage's
+    ``predictor_pair`` is an ``AnchoredPair`` under fixed anchor data, as
+    ``TwoStagePredictor`` builds it: the NELBO term reads its
+    ``target_probs`` of the clean tokens, the anchor term its anchor stage's
     ``target_probs`` of ``anchor_targets``. Positions with mu = 0 are
     excluded from the anchor term before any log is taken.
     """

@@ -3,7 +3,8 @@
 Each reverse step draws its unmask budget from Binomial(#masked,
 unmask_prob(i)) - the same count distribution as independent per-position
 coins - and spends it anchors-first in descending anchor weight, then on
-uniformly shuffled non-anchor positions. Commits within a step are made one
+uniformly shuffled non-anchor positions, the pair's anchor stage committing
+the anchors and its denoiser the rest. Commits within a step are made one
 at a time, each conditioned on the commits before it, so table-based
 predictors are never queried outside their support. Every strategy runs
 this one loop: the Null strategy's profile is all zeros, so it has no
@@ -13,8 +14,8 @@ A commit whose row is one-hot (every consistent corpus row agrees there,
 as at most of the exact table's commits) takes its token and draws the
 one uniform ``sample_categorical`` would, without tempering or a cdf
 (``draw_token``): the token and the random stream are those of the full
-draw. Every commit still makes its one ``predict_row`` query and every
-step with a nonzero budget its one profile query.
+draw. Every commit still makes its one ``predict_row`` query, of its
+stage, and every step with a nonzero budget its one profile query.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorStrategy
-from .denoisers import anchor_commit_order
+from .denoisers import AnchoredPair, anchor_commit_order
 from .diffusion import DiffusionError, as_rng, sample_categorical, temper_row
 from .schedule import NoiseSchedule, unmask_prob
 
@@ -108,15 +109,6 @@ class DenoiseTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass
-class AnchoredPair:
-    """The predictor plus the per-position anchor profile used to schedule
-    anchor-first unmasking at inference time."""
-
-    predictor: object
-    profile: object  # callable: latent ids -> (omega_hat, eta_hat)
-
-
 def draw_token(row: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
     """``sample_categorical(temper_row(row, temperature), rng)``, without
     the arithmetic when ``row`` is one-hot with a 1.0: tempering keeps that
@@ -139,16 +131,19 @@ def generate(
 ) -> tuple[np.ndarray, DenoiseTrace]:
     """Run the full reverse chain from an all-masked sequence.
 
-    The prompt occupies the leading positions verbatim and is never
-    touched. Termination is guaranteed: the final step has unmask
-    probability 1 and no remask pass. The config's step count wins when the
-    schedule was discretized differently. A predictor that commits the mask
-    token leaves a residual mask, which raises DiffusionError.
+    Anchor commits (trace stage ``anchor``) ask ``predictors.anchor`` for
+    their rows, and the others (``denoise``) ``predictors.denoiser``; the
+    mask id is the anchor stage's. The prompt occupies the leading positions
+    verbatim and is never touched. Termination is guaranteed: the final
+    step has unmask probability 1 and no remask pass. The config's step
+    count wins when the schedule was discretized differently. A predictor
+    that commits the mask token leaves a residual mask, which raises
+    DiffusionError.
     """
     prompt = np.asarray(prompt, dtype=np.int64)
     if len(prompt) > length:
         raise ValueError("prompt longer than requested length")
-    mask_id = predictors.predictor.vocab.mask_id
+    mask_id = predictors.anchor.vocab.mask_id
     if np.any(prompt == mask_id):
         raise ValueError("prompt must not contain mask tokens")
     rng = as_rng(config.seed if rng is None else rng)
@@ -163,6 +158,8 @@ def generate(
     # into it and so is seen by the next predictor query.
     trace = DenoiseTrace(config.T, length)
     last_stage = ["denoise"] * length
+    anchor_stage = (predictors.anchor.predict_row, "anchor")
+    denoise_stage = (predictors.denoiser.predict_row, "denoise")
 
     for i in range(config.T, 0, -1):
         p = unmask_prob(schedule, i)
@@ -174,14 +171,14 @@ def generate(
             anchors = anchor_commit_order(omega_hat, eta_hat, is_masked)
             others = masked[omega_hat[masked] < 0.5]
             rng.shuffle(others)
+            n_anchors = len(anchors)
             # Every masked anchor is committed before any other position, so
             # the later rows always condition on the full anchor scaffold.
             for k, l in enumerate((anchors + others.tolist())[:budget]):
-                row = predictors.predictor.predict_row(ids, l)
-                token = draw_token(row, config.temperature, rng)
-                ids[l] = token
-                last_stage[l] = "anchor" if k < len(anchors) else "denoise"
-                trace.record(l, i, "unmask", token, last_stage[l])
+                ask, stage = anchor_stage if k < n_anchors else denoise_stage
+                token = draw_token(ask(ids, l), config.temperature, rng)
+                ids[l], last_stage[l] = token, stage
+                trace.record(l, i, "unmask", token, stage)
         if i > 1 and config.remask_rate > 0:
             committed = ((ids != mask_id) & ~prompt_mask).nonzero()[0]
             # One coin per committed position, drawn in position order.

@@ -641,6 +641,33 @@ class TestTwoStage:
         assert (anchor_m == 1.0).all()
         assert (final_m == 1.0).all()
 
+    @pytest.mark.parametrize("denoiser_kind", ["exact", "backoff"])
+    @pytest.mark.parametrize("anchor_kind", ["exact", "backoff"])
+    @given(exact_corpus_and_batch(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_loss_pair_is_two_stage_predict(self, anchor_kind, denoiser_kind, drawn, data):
+        # The loss pair scores a batch as the composition under the
+        # caller's (omega, eta), bit for bit, a NoMatchError included.
+        corpus, ids, _ = drawn
+        L = corpus.length
+        value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0))
+        omega = np.array(data.draw(st.lists(value, min_size=L, max_size=L)))
+        eta = np.array(data.draw(st.lists(value, min_size=L, max_size=L)))
+        targets = corpus.ids[data.draw(st.integers(0, corpus.n - 1))]
+        kinds = {"exact": ExactPosteriorDenoiser, "backoff": BackoffCountModel.fit}
+        anchor, denoiser = kinds[anchor_kind](corpus), kinds[denoiser_kind](corpus)
+        pair = TwoStagePredictor(anchor, denoiser, omega, eta)
+        assert isinstance(pair, AnchoredPair)
+        try:
+            want = two_stage_predict(anchor, denoiser, ids, targets, omega, eta)
+        except NoMatchError:
+            with pytest.raises(NoMatchError):
+                pair.target_probs(ids, targets)
+        else:
+            got = pair.target_probs(ids, targets)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert omega.flags.writeable and eta.flags.writeable
+
     @pytest.mark.parametrize("kind", ["exact", "backoff"])
     def test_intermediate_is_resolve_anchors(self, synth_corpus_built, kind):
         corpus = synth_corpus_built
@@ -863,7 +890,7 @@ class TestProfiles:
         z.ids[:3] = corpus.ids[0, :3]
         pair.profile(z.ids)  # a profile of fewer rows, kept as the last one
         copy = pickle.loads(pickle.dumps(pair))
-        assert copy.profile.exact is copy.predictor
+        assert copy.profile.exact is copy.anchor is copy.denoiser
         kept = [copy.profile._prior, copy.profile._last]
         assert not any(a.flags.writeable for a in kept)
         for latent_ids in (z.ids, np.full(corpus.length, v.mask_id), corpus.ids[1]):
@@ -946,7 +973,8 @@ class TestPosteriorProfileOracle:
             T=16, remask_rate=0.1, strategy=AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
         )
         for j in range(3):
-            generate([], 64, AnchoredPair(pair.predictor, recording), cfg, NoiseSchedule(T=16), j)
+            generate([], 64, AnchoredPair(pair.anchor, pair.denoiser, recording), cfg,
+                     NoiseSchedule(T=16), j)
         # Corrupted corpus rows.
         corrupted = [
             corrupt(latent(corpus, corpus.ids[i]), t, NoiseSchedule(T=4), i).ids

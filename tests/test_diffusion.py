@@ -297,16 +297,6 @@ class TestAnelbo:
         b = anelbo(x, y, pair, COS, mu_oracle, 160, 13)
         assert a.estimate == b.estimate
 
-    def test_report_json_fields(self, synth_corpus_built):
-        import json
-
-        corpus, x, omega, eta, y = self._setup(synth_corpus_built)
-        exact = ExactPosteriorDenoiser(corpus)
-        report = nelbo(x, exact, COS, 64, 21)
-        data = json.loads(report.to_json())
-        assert set(data) == {"estimate", "stderr", "n_samples", "seed", "n_infinite"}
-        assert data["seed"] == 21
-
 
 class TestBatchedLoss:
     """nelbo/anelbo against the one-draw-at-a-time loop of tests/oracles.py:

@@ -19,9 +19,10 @@ from anchordiff import (
     synth_corpus,
     unmask_order_stats,
 )
-from anchordiff.denoisers import AnchoredPair, ExactPosteriorDenoiser, PosteriorAnchorProfile
+from anchordiff.denoisers import ExactPosteriorDenoiser, PosteriorAnchorProfile
 from anchordiff.experiments import render_ids
 from anchordiff.minilang import MASK_SURFACE
+from anchordiff.sampler import AnchoredPair
 
 sources = synth_corpus(seed=20260809, n_programs=200, max_depth=6)
 config = AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
@@ -29,10 +30,9 @@ records = [annotate_program(s, config, str(i)) for i, s in enumerate(sources)]
 vocab = build_vocab(sources)
 corpus = build_corpus(records, vocab, length=64)
 
-# A pair is an anchor stage, a denoiser and an anchor profile. Here one
-# exact table is both stages, and the profile reads its match state.
+# The profile reads the predictor's match state: one exact table per pair.
 exact = ExactPosteriorDenoiser(corpus)
-pair = AnchoredPair(exact, exact, PosteriorAnchorProfile(exact))
+pair = AnchoredPair(exact, PosteriorAnchorProfile(exact))
 T = 24
 cfg = SamplerConfig(T=T, strategy=config, remask_rate=0.1, seed=5)
 out, trace = generate([], 64, pair, cfg, NoiseSchedule(T=T))

@@ -500,7 +500,7 @@ def cmd_sample(resolved: dict, inputs: Inputs) -> tuple[dict[str, str], str]:
     )
     files = {}
     if resolved["predictor"] == "backoff":
-        files["counts.json"] = predictors.denoiser.to_json() + "\n"
+        files["counts.json"] = predictors.predictor.to_json() + "\n"
     n = resolved["n_samples"]
     tasks = [
         (sampler_cfg, inputs.schedules[0], corpus.length, resolved["seed"], j)

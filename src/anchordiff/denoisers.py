@@ -23,9 +23,9 @@ defines the two batched queries once, through ``predict_row``.
   as tables, so each query is a gather.
 * two_stage_predict: the anchored composition, committing anchor-stage
   argmax tokens (the anchor predictor's ``resolve_anchors``) into an
-  intermediate sequence that conditions the denoiser. AnchoredPair holds
-  an anchor stage and a denoiser under one anchor profile, for the sampler
-  and both losses; TwoStagePredictor is a loss pair under fixed anchor data.
+  intermediate sequence that conditions the denoiser. AnchoredPair is a
+  predictor under one anchor profile, for the sampler and both losses;
+  TwoStagePredictor is a loss pair under fixed anchor data.
 
 anchor_commit_order is the single anchor ordering, which the anchored
 sampler shares: it commits every masked anchor of a step before any other
@@ -641,21 +641,28 @@ class PosteriorAnchorProfile(ReadOnlyArrays):
 
 @dataclass
 class AnchoredPair:
-    """An anchor stage and a denoiser under one anchor profile. ``generate``
-    commits each step's anchors with ``anchor`` and the other positions with
-    ``denoiser``; the losses score a batch with ``target_probs``. Every pair
-    the package builds uses one predictor for both stages."""
+    """A predictor and the per-position anchor profile that schedules its
+    anchor-first commits at inference time. The losses score a batch with
+    ``target_probs``: the predictor as both stages of ``two_stage_predict``
+    under the profile's one (omega, eta)."""
 
-    anchor: Predictor
-    denoiser: Predictor
-    profile: object  # callable: latent ids -> (omega, eta)
+    predictor: Predictor
+    profile: object  # callable: latent ids -> (omega_hat, eta_hat)
 
     def target_probs(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """``two_stage_predict`` of the (n, L) latent ids under one profile for
-        the batch, which must not read the latent: a MarginalAnchorProfile."""
-        return two_stage_predict(self.anchor, self.denoiser, ids, targets, *self.profile(ids))
+        # A batch of (n, L) latents has one (omega, eta) only under a profile
+        # that does not read the latent.
+        if not isinstance(self.profile, MarginalAnchorProfile):
+            raise TypeError(
+                f"target_probs needs a MarginalAnchorProfile, not {type(self.profile).__name__}"
+            )
+        omega, eta = self.profile(ids)
+        return two_stage_predict(self.predictor, self.predictor, ids, targets, omega, eta)
 
 
 def TwoStagePredictor(anchor: Predictor, denoiser: Predictor, omega, eta) -> AnchoredPair:
-    """The loss pair of one annotated sequence: its fixed (omega, eta)."""
-    return AnchoredPair(anchor, denoiser, MarginalAnchorProfile(omega, eta))
+    """The loss pair of one annotated sequence under its fixed (omega,
+    eta). A pair has one predictor for both stages."""
+    if anchor is not denoiser:
+        raise ValueError("an anchored pair uses one predictor for both stages")
+    return AnchoredPair(denoiser, MarginalAnchorProfile(omega, eta))

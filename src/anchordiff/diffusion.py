@@ -17,7 +17,7 @@ same per-draw log sums as one ``corrupt`` call and one prediction per draw.
 A loss reads only the probability of the clean token (and of the anchor
 target) at each position, so it asks the predictor for those through
 ``target_probs`` of the batch's (n, L) ids, an (n, L) array per batch (the
-anchored loss asks an ``AnchoredPair`` and its anchor stage). A
+anchored loss asks an ``AnchoredPair`` and its predictor). A
 batch is then summed with a fixed number of array operations, with no
 Python step per draw or per stratum: ``_kept_sums`` gives every draw's log
 sum from two ``bincount`` calls that add the terms in the order numpy's 1-D
@@ -434,7 +434,7 @@ def anelbo(
 
     ``predictor_pair`` is an ``AnchoredPair`` under fixed anchor data, as
     ``TwoStagePredictor`` builds it: the NELBO term reads its
-    ``target_probs`` of the clean tokens, the anchor term its anchor stage's
+    ``target_probs`` of the clean tokens, the anchor term its predictor's
     ``target_probs`` of ``anchor_targets``. Positions with mu = 0 are
     excluded from the anchor term before any log is taken.
     """
@@ -448,7 +448,7 @@ def anelbo(
         probs = predictor_pair.target_probs(ids, x.ids)
         log_terms, inf_hits = _log_sums(probs, ids == x.mask_id)
         if len(anchored):
-            probs = predictor_pair.anchor.target_probs(ids, anchor_targets)
+            probs = predictor_pair.predictor.target_probs(ids, anchor_targets)
             anchor_terms, anchor_hits = _log_sums(
                 probs[:, anchored], np.ones((len(ids), len(anchored)), dtype=bool), mu[anchored]
             )

@@ -274,13 +274,13 @@ def build_strategy_predictors(
     strategy: AnchorStrategy,
     predictor_kind: str = "exact",
 ) -> AnchoredPair:
-    """The pair for the strategy: one predictor as both stages, and an anchor
-    profile. ``predictor_kind`` selects the Bayes-exact table or the backoff
-    count model. Null's profile is all zeros, so it has no anchors and
-    ignores the corpus annotations; the other strategies use the posterior
-    profile with the exact table, built on that one table so that all read
-    one posterior, and the corpus-marginal profile with any other
-    predictor, such as the backoff model, which has no posterior."""
+    """The predictor and anchor profile for the strategy. ``predictor_kind``
+    selects the Bayes-exact table or the backoff count model. Null's profile
+    is all zeros, so it has no anchors and ignores the corpus annotations;
+    the other strategies use the posterior profile with the exact table,
+    built on the pair's own predictor so that both read one posterior, and
+    the corpus-marginal profile with any other predictor, such as the
+    backoff model, which has no posterior."""
     if predictor_kind == "exact":
         predictor = ExactPosteriorDenoiser(corpus)
     elif predictor_kind == "backoff":
@@ -295,7 +295,7 @@ def build_strategy_predictors(
         profile = PosteriorAnchorProfile(predictor)
     else:
         profile = MarginalAnchorProfile.of_corpus(corpus)
-    return AnchoredPair(predictor, predictor, profile)
+    return AnchoredPair(predictor, profile)
 
 
 def render_ids(ids: np.ndarray, vocab: Vocab) -> str:

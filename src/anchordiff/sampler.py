@@ -3,8 +3,7 @@
 Each reverse step draws its unmask budget from Binomial(#masked,
 unmask_prob(i)) - the same count distribution as independent per-position
 coins - and spends it anchors-first in descending anchor weight, then on
-uniformly shuffled non-anchor positions, the pair's anchor stage committing
-the anchors and its denoiser the rest. Commits within a step are made one
+uniformly shuffled non-anchor positions. Commits within a step are made one
 at a time, each conditioned on the commits before it, so table-based
 predictors are never queried outside their support. Every strategy runs
 this one loop: the Null strategy's profile is all zeros, so it has no
@@ -14,8 +13,8 @@ A commit whose row is one-hot (every consistent corpus row agrees there,
 as at most of the exact table's commits) takes its token and draws the
 one uniform ``sample_categorical`` would, without tempering or a cdf
 (``draw_token``): the token and the random stream are those of the full
-draw. Every commit still makes its one ``predict_row`` query, of its
-stage, and every step with a nonzero budget its one profile query.
+draw. Every commit still makes its one ``predict_row`` query and every
+step with a nonzero budget its one profile query.
 """
 
 from __future__ import annotations
@@ -131,19 +130,16 @@ def generate(
 ) -> tuple[np.ndarray, DenoiseTrace]:
     """Run the full reverse chain from an all-masked sequence.
 
-    Anchor commits (trace stage ``anchor``) ask ``predictors.anchor`` for
-    their rows, and the others (``denoise``) ``predictors.denoiser``; the
-    mask id is the anchor stage's. The prompt occupies the leading positions
-    verbatim and is never touched. Termination is guaranteed: the final
-    step has unmask probability 1 and no remask pass. The config's step
-    count wins when the schedule was discretized differently. A predictor
-    that commits the mask token leaves a residual mask, which raises
-    DiffusionError.
+    The prompt occupies the leading positions verbatim and is never
+    touched. Termination is guaranteed: the final step has unmask
+    probability 1 and no remask pass. The config's step count wins when the
+    schedule was discretized differently. A predictor that commits the mask
+    token leaves a residual mask, which raises DiffusionError.
     """
     prompt = np.asarray(prompt, dtype=np.int64)
     if len(prompt) > length:
         raise ValueError("prompt longer than requested length")
-    mask_id = predictors.anchor.vocab.mask_id
+    mask_id = predictors.predictor.vocab.mask_id
     if np.any(prompt == mask_id):
         raise ValueError("prompt must not contain mask tokens")
     rng = as_rng(config.seed if rng is None else rng)
@@ -158,8 +154,6 @@ def generate(
     # into it and so is seen by the next predictor query.
     trace = DenoiseTrace(config.T, length)
     last_stage = ["denoise"] * length
-    anchor_stage = (predictors.anchor.predict_row, "anchor")
-    denoise_stage = (predictors.denoiser.predict_row, "denoise")
 
     for i in range(config.T, 0, -1):
         p = unmask_prob(schedule, i)
@@ -171,14 +165,14 @@ def generate(
             anchors = anchor_commit_order(omega_hat, eta_hat, is_masked)
             others = masked[omega_hat[masked] < 0.5]
             rng.shuffle(others)
-            n_anchors = len(anchors)
             # Every masked anchor is committed before any other position, so
             # the later rows always condition on the full anchor scaffold.
             for k, l in enumerate((anchors + others.tolist())[:budget]):
-                ask, stage = anchor_stage if k < n_anchors else denoise_stage
-                token = draw_token(ask(ids, l), config.temperature, rng)
-                ids[l], last_stage[l] = token, stage
-                trace.record(l, i, "unmask", token, stage)
+                row = predictors.predictor.predict_row(ids, l)
+                token = draw_token(row, config.temperature, rng)
+                ids[l] = token
+                last_stage[l] = "anchor" if k < len(anchors) else "denoise"
+                trace.record(l, i, "unmask", token, last_stage[l])
         if i > 1 and config.remask_rate > 0:
             committed = ((ids != mask_id) & ~prompt_mask).nonzero()[0]
             # One coin per committed position, drawn in position order.

@@ -831,13 +831,11 @@ class ResummedProfile:
 def reference_generate(prompt, length: int, predictors, config, schedule: NoiseSchedule, rng):
     """``sampler.generate``'s reverse chain with a tempered
     ``sample_categorical`` draw at every commit, sure or not, and the
-    anchor order by ``sorted_anchor_commit_order``. The anchor-stage commits
-    ask ``predictors.anchor`` and the others ``predictors.denoiser``.
-    Returns the output ids and the trace events as plain (position, step,
-    event, token, stage) tuples; raises what a predictor or the profile
-    raises."""
+    anchor order by ``sorted_anchor_commit_order``. Returns the output ids
+    and the trace events as plain (position, step, event, token, stage)
+    tuples; raises what the predictor or profile raises."""
     prompt = [int(t) for t in prompt]
-    mask_id = predictors.anchor.vocab.mask_id
+    mask_id = predictors.predictor.vocab.mask_id
     rng = as_rng(rng)
     schedule = NoiseSchedule(schedule.kind, config.T)
     ids = np.full(length, mask_id, dtype=np.int64)
@@ -854,11 +852,10 @@ def reference_generate(prompt, length: int, predictors, config, schedule: NoiseS
             others = [l for l in masked if omega[l] < 0.5]
             rng.shuffle(others)
             for k, l in enumerate((anchors + others)[:budget]):
-                stage[l] = "anchor" if k < len(anchors) else "denoise"
-                predictor = predictors.anchor if stage[l] == "anchor" else predictors.denoiser
-                row = predictor.predict_row(ids, l)
+                row = predictors.predictor.predict_row(ids, l)
                 token = sample_categorical(temper_row(row, config.temperature), rng)
                 ids[l] = token
+                stage[l] = "anchor" if k < len(anchors) else "denoise"
                 events.append((l, i, "unmask", token, stage[l]))
         if i > 1 and config.remask_rate > 0:
             committed = [l for l in range(len(prompt), length) if ids[l] != mask_id]
@@ -1084,13 +1081,13 @@ def _log_prob(probs, targets, positions, weights=None):
 
 
 def nelbo_summand(x: LatentSequence, predictor):
-    """One draw's NELBO log term and infinite hits. A predictor with an
-    ``anchor`` and a ``denoiser`` is composed per draw."""
+    """One draw's NELBO log term and infinite hits. An anchored pair, a
+    predictor with a ``profile``, is composed per draw."""
 
     def summand(z):
-        if hasattr(predictor, "denoiser"):
+        if hasattr(predictor, "profile"):
             _, probs = per_draw_two_stage(
-                predictor.anchor, predictor.denoiser, z, *predictor.profile(z.ids)
+                predictor.predictor, predictor.predictor, z, *predictor.profile(z.ids)
             )
         else:
             probs = constrained_rows(predictor, z)
@@ -1105,7 +1102,7 @@ def anelbo_summand(x: LatentSequence, anchor_targets, pair, mu):
 
     def summand(z):
         anchor_probs, final_probs = per_draw_two_stage(
-            pair.anchor, pair.denoiser, z, *pair.profile(z.ids)
+            pair.predictor, pair.predictor, z, *pair.profile(z.ids)
         )
         log_term, hits = _log_prob(final_probs, x.ids, np.flatnonzero(z.is_masked))
         if len(anchored):

@@ -77,7 +77,7 @@ def bundled():
 
 def anchored_pair(corpus) -> AnchoredPair:
     exact = ExactPosteriorDenoiser(corpus)
-    return AnchoredPair(exact, exact, PosteriorAnchorProfile(exact))
+    return AnchoredPair(exact, PosteriorAnchorProfile(exact))
 
 
 def test_criterion_01_schedule_correctness():
@@ -165,8 +165,9 @@ def test_criterion_03_reverse_chain_fidelity():
     expected = enumerate_sequential_chain(small, sched2)
     cfg = SamplerConfig(T=2, temperature=1.0, seed=0,
                         strategy=AnchorConfig.for_strategy(AnchorStrategy.NULL))
-    exact_small = ExactPosteriorDenoiser(small)
-    single = AnchoredPair(exact_small, exact_small, MarginalAnchorProfile.zeros(small.length))
+    single = AnchoredPair(
+        ExactPosteriorDenoiser(small), MarginalAnchorProfile.zeros(small.length)
+    )
     counts: dict = {}
     n_runs = 20_000
     for j in range(n_runs):
@@ -179,8 +180,9 @@ def test_criterion_03_reverse_chain_fidelity():
     four = make_corpus(["na", "nb", "nc", "nd"])
     cfg64 = SamplerConfig(T=64, temperature=1.0, seed=0,
                           strategy=AnchorConfig.for_strategy(AnchorStrategy.NULL))
-    exact_four = ExactPosteriorDenoiser(four)
-    single4 = AnchoredPair(exact_four, exact_four, MarginalAnchorProfile.zeros(four.length))
+    single4 = AnchoredPair(
+        ExactPosteriorDenoiser(four), MarginalAnchorProfile.zeros(four.length)
+    )
     sched64 = NoiseSchedule(ScheduleKind.COSINE, 64)
     counts4: dict = {}
     for j in range(n_runs):
@@ -425,9 +427,9 @@ def test_criterion_10_termination_and_safety(bundled):
             seed=trial,
         )
         if strategy is AnchorStrategy.NULL:
-            predictors = AnchoredPair(backoff, backoff, MarginalAnchorProfile.zeros(toy.length))
+            predictors = AnchoredPair(backoff, MarginalAnchorProfile.zeros(toy.length))
         else:
-            predictors = AnchoredPair(backoff, backoff, MarginalAnchorProfile.of_corpus(toy))
+            predictors = AnchoredPair(backoff, MarginalAnchorProfile.of_corpus(toy))
         n_prompt = int(rng.integers(0, 4))
         prompt = toy.ids[int(rng.integers(4))][:n_prompt]
         out, trace = generate(

@@ -358,8 +358,9 @@ class TestExitCodes:
         from .test_sampler import MaskingPredictor
 
         def masking_pair(corpus, strategy, kind):
-            masking = MaskingPredictor(corpus.vocab)
-            return AnchoredPair(masking, masking, MarginalAnchorProfile.zeros(corpus.length))
+            return AnchoredPair(
+                MaskingPredictor(corpus.vocab), MarginalAnchorProfile.zeros(corpus.length)
+            )
 
         monkeypatch.setattr("anchordiff.cli.build_strategy_predictors", masking_pair)
         code = main(["sample", *BASE, "--steps", "2", "--n-samples", "1",

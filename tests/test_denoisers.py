@@ -25,7 +25,7 @@ from anchordiff.denoisers import (
     anchor_commit_order,
     two_stage_predict,
 )
-from anchordiff.diffusion import LatentSequence, Vocab, corrupt
+from anchordiff.diffusion import LatentSequence, Vocab, corrupt, nelbo
 from anchordiff.experiments import build_strategy_predictors
 from anchordiff.sampler import AnchoredPair, SamplerConfig, default_remask_rate, generate
 from anchordiff.schedule import NoiseSchedule
@@ -641,11 +641,10 @@ class TestTwoStage:
         assert (anchor_m == 1.0).all()
         assert (final_m == 1.0).all()
 
-    @pytest.mark.parametrize("denoiser_kind", ["exact", "backoff"])
-    @pytest.mark.parametrize("anchor_kind", ["exact", "backoff"])
+    @pytest.mark.parametrize("kind", ["exact", "backoff"])
     @given(exact_corpus_and_batch(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_loss_pair_is_two_stage_predict(self, anchor_kind, denoiser_kind, drawn, data):
+    def test_loss_pair_is_two_stage_predict(self, kind, drawn, data):
         # The loss pair scores a batch as the composition under the
         # caller's (omega, eta), bit for bit, a NoMatchError included.
         corpus, ids, _ = drawn
@@ -654,12 +653,11 @@ class TestTwoStage:
         omega = np.array(data.draw(st.lists(value, min_size=L, max_size=L)))
         eta = np.array(data.draw(st.lists(value, min_size=L, max_size=L)))
         targets = corpus.ids[data.draw(st.integers(0, corpus.n - 1))]
-        kinds = {"exact": ExactPosteriorDenoiser, "backoff": BackoffCountModel.fit}
-        anchor, denoiser = kinds[anchor_kind](corpus), kinds[denoiser_kind](corpus)
-        pair = TwoStagePredictor(anchor, denoiser, omega, eta)
+        model = {"exact": ExactPosteriorDenoiser, "backoff": BackoffCountModel.fit}[kind](corpus)
+        pair = TwoStagePredictor(model, model, omega, eta)
         assert isinstance(pair, AnchoredPair)
         try:
-            want = two_stage_predict(anchor, denoiser, ids, targets, omega, eta)
+            want = two_stage_predict(model, model, ids, targets, omega, eta)
         except NoMatchError:
             with pytest.raises(NoMatchError):
                 pair.target_probs(ids, targets)
@@ -667,6 +665,23 @@ class TestTwoStage:
             got = pair.target_probs(ids, targets)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert omega.flags.writeable and eta.flags.writeable
+
+    def test_loss_pair_has_one_predictor(self, synth_corpus_built):
+        corpus = synth_corpus_built
+        exact, backoff = ExactPosteriorDenoiser(corpus), BackoffCountModel.fit(corpus)
+        with pytest.raises(ValueError, match="one predictor"):
+            TwoStagePredictor(exact, backoff, corpus.omega[0], corpus.eta[0])
+
+    def test_batch_scoring_rejects_a_latent_profile(self, synth_corpus_built):
+        # The posterior profile reads one latent, so it has no (omega, eta)
+        # for a batch of them.
+        corpus = synth_corpus_built
+        pair = build_strategy_predictors(corpus, AnchorStrategy.ANCHOR_TREE, "exact")
+        x = LatentSequence(corpus.ids[0].copy(), corpus.vocab.mask_id)
+        with pytest.raises(TypeError, match="PosteriorAnchorProfile"):
+            pair.target_probs(corpus.ids[:2], x.ids)
+        with pytest.raises(TypeError, match="MarginalAnchorProfile"):
+            nelbo(x, pair, NoiseSchedule(T=4), 8, 0)
 
     @pytest.mark.parametrize("kind", ["exact", "backoff"])
     def test_intermediate_is_resolve_anchors(self, synth_corpus_built, kind):
@@ -890,7 +905,7 @@ class TestProfiles:
         z.ids[:3] = corpus.ids[0, :3]
         pair.profile(z.ids)  # a profile of fewer rows, kept as the last one
         copy = pickle.loads(pickle.dumps(pair))
-        assert copy.profile.exact is copy.anchor is copy.denoiser
+        assert copy.profile.exact is copy.predictor
         kept = [copy.profile._prior, copy.profile._last]
         assert not any(a.flags.writeable for a in kept)
         for latent_ids in (z.ids, np.full(corpus.length, v.mask_id), corpus.ids[1]):
@@ -973,8 +988,7 @@ class TestPosteriorProfileOracle:
             T=16, remask_rate=0.1, strategy=AnchorConfig.for_strategy(AnchorStrategy.ANCHOR_TREE)
         )
         for j in range(3):
-            generate([], 64, AnchoredPair(pair.anchor, pair.denoiser, recording), cfg,
-                     NoiseSchedule(T=16), j)
+            generate([], 64, AnchoredPair(pair.predictor, recording), cfg, NoiseSchedule(T=16), j)
         # Corrupted corpus rows.
         corrupted = [
             corrupt(latent(corpus, corpus.ids[i]), t, NoiseSchedule(T=4), i).ids

@@ -326,16 +326,15 @@ class TestStrategyPredictors:
             synth_corpus_built, AnchorStrategy.ANCHOR_TREE, "exact"
         )
         for p in (pair, pickle.loads(pickle.dumps(pair))):
-            assert isinstance(p.denoiser, ExactPosteriorDenoiser)
-            assert p.profile.exact is p.anchor is p.denoiser
+            assert isinstance(p.predictor, ExactPosteriorDenoiser)
+            assert p.profile.exact is p.predictor
 
     def test_anchored_backoff_pair_holds_the_corpus_marginal(self, synth_corpus_built):
         # The backoff model has no posterior, so its profile is latent-free.
         corpus = synth_corpus_built
         pair = build_strategy_predictors(corpus, AnchorStrategy.ANCHOR_TREE, "backoff")
         want = MarginalAnchorProfile.of_corpus(corpus)
-        assert isinstance(pair.denoiser, BackoffCountModel)
-        assert pair.anchor is pair.denoiser
+        assert isinstance(pair.predictor, BackoffCountModel)
         assert isinstance(pair.profile, MarginalAnchorProfile)
         assert np.array_equal(pair.profile.omega, want.omega)
         assert np.array_equal(pair.profile.eta, want.eta)

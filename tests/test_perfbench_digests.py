@@ -5,7 +5,7 @@ workload's CLI subcommand, run in process on the workload's corpus as
 ``run.py``'s ``run_cli`` runs it and checked against those calls, must
 give the recorded SHA-256s. So must the traced run's counters digest: the
 per-layer call and event counts of ``run.py --trace 1`` (queries per
-generation among them), made by ``run.py``'s own ``traced_work``. A change
+generation among them), made by ``run.py``'s own ``trace``. A change
 that moves a bit of a sample, a loss estimate, a probe or a CLI output, or
 a count of the queries that make them, fails here, not only in a benchmark
 run. The perfbench files are read, never written."""
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import json
 import runpy
 import sys
 from pathlib import Path
@@ -84,9 +83,9 @@ def test_output_digest_is_pinned(name, tmp_path):
 @pytest.fixture(scope="module")
 def traced_run():
     """``perfbench/run.py``'s namespace and the ``workloads`` module it
-    imports, with ``perfbench/`` on ``sys.path`` and no bytecode written
-    there; afterwards the path, the environment and ``sys.modules`` are as
-    they were."""
+    imports, with ``perfbench/`` on ``sys.path``, no bytecode written there
+    and no spans file written by ``trace``; afterwards the path, the
+    environment and ``sys.modules`` are as they were."""
     before = set(sys.modules)
     with pytest.MonkeyPatch.context() as mp:
         for var in BLAS_THREADS:
@@ -94,6 +93,7 @@ def traced_run():
         mp.setattr(sys, "dont_write_bytecode", True)
         mp.syspath_prepend(str(PERFBENCH))
         run = runpy.run_path(str(PERFBENCH / "run.py"), run_name="perfbench_run")
+        mp.setattr(run["Tracer"], "write_spans", lambda self, path: None)
         yield run, importlib.import_module("workloads")
     for name in PERFBENCH_MODULES:
         if name not in before:
@@ -102,26 +102,10 @@ def traced_run():
 
 @pytest.mark.parametrize("name", sorted(COUNTERS_PINS))
 def test_counters_digest_is_pinned(name, traced_run, tmp_path):
-    # run.py's trace() without its spans file: the same work, the same
-    # counted metrics and the same digest of them.
+    # run.py's own trace(): the ledger fails if the traced outputs differ
+    # from the untraced ones.
     run, workloads = traced_run
-    layers = run["layers"]
-    ledger, tracer = run["Ledger"](), run["Tracer"]()
-    tracer.calibrate()
-    untraced_s, traced_s, plain, traced, _ = run["traced_work"](
-        workloads.WORKLOADS[name], 1, tmp_path, ledger, tracer
-    )
-    metrics = layers.per_layer_metrics(tracer, traced_s - untraced_s, untraced_s)
-    counted = {
-        metric: metrics[metric]
-        for metric, unit, _ in layers.PER_LAYER
-        if unit in layers.COUNTED_UNITS and not metric.startswith("trace.")
-    }
-    counted["spans"] = {
-        phase: {span: entry[0] for span, entry in spans.items()}
-        for phase, spans in tracer.by_phase().items()
-    }
+    traced = run["trace"](workloads.WORKLOADS[name], 1, tmp_path)
+    ledger = traced["ledger"]
     assert ledger.failed == 0, ledger.errors
-    assert traced == plain
-    digest = hashlib.sha256(json.dumps(counted, sort_keys=True).encode()).hexdigest()
-    assert digest == COUNTERS_PINS[name]
+    assert traced["details"]["counters_digest"] == COUNTERS_PINS[name]

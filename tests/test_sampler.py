@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anchordiff import AnchorConfig, AnchorStrategy, denoisers, sampler
-from anchordiff.corpus_io import build_corpus, reweight_records
+from anchordiff import AnchorConfig, AnchorStrategy, sampler
 from anchordiff.denoisers import (
     BackoffCountModel,
     Corpus,
@@ -51,13 +50,14 @@ def null_config(T, seed=0, remask=0.0, temperature=1.0):
 
 
 def null_pair(corpus):
-    exact = ExactPosteriorDenoiser(corpus)
-    return AnchoredPair(exact, exact, MarginalAnchorProfile.zeros(corpus.length))
+    return AnchoredPair(
+        ExactPosteriorDenoiser(corpus), MarginalAnchorProfile.zeros(corpus.length)
+    )
 
 
 def anchored_pair(corpus):
     exact = ExactPosteriorDenoiser(corpus)
-    return AnchoredPair(exact, exact, PosteriorAnchorProfile(exact))
+    return AnchoredPair(exact, PosteriorAnchorProfile(exact))
 
 
 class MaskingPredictor:
@@ -151,8 +151,9 @@ class TestBasics:
 
     def test_residual_mask_raises_diffusion_error(self):
         corpus = make_corpus(["ab", "cb"])
-        masking = MaskingPredictor(corpus.vocab)
-        pair = AnchoredPair(masking, masking, MarginalAnchorProfile.zeros(corpus.length))
+        pair = AnchoredPair(
+            MaskingPredictor(corpus.vocab), MarginalAnchorProfile.zeros(corpus.length)
+        )
         with pytest.raises(DiffusionError, match="mask tokens"):
             generate([], 2, pair, null_config(2), NoiseSchedule(T=2), 0)
 
@@ -306,12 +307,12 @@ class TestFuzzLight:
                 seed=trial,
             )
             if cfg.strategy.strategy is AnchorStrategy.NULL:
-                predictors = AnchoredPair(model, model, MarginalAnchorProfile.zeros(corpus.length))
+                predictors = AnchoredPair(model, MarginalAnchorProfile.zeros(corpus.length))
             else:
                 small = make_corpus(["abcab", "cabca", "bacbc"])
                 small.omega = rng.integers(0, 2, small.ids.shape).astype(float)
                 small.eta = rng.random(small.ids.shape)
-                predictors = AnchoredPair(model, model, MarginalAnchorProfile.of_corpus(small))
+                predictors = AnchoredPair(model, MarginalAnchorProfile.of_corpus(small))
             n_prompt = int(rng.integers(0, 3))
             prompt = corpus.ids[0][:n_prompt]
             out, trace = generate(
@@ -331,8 +332,8 @@ def reference_pair(corpus, strategy, kind):
         return build_strategy_predictors(corpus, strategy, kind)
     reference = RescanExactDenoiser(corpus)
     if strategy is AnchorStrategy.NULL:
-        return AnchoredPair(reference, reference, MarginalAnchorProfile.zeros(corpus.length))
-    return AnchoredPair(reference, reference, ResummedProfile(reference))
+        return AnchoredPair(reference, MarginalAnchorProfile.zeros(corpus.length))
+    return AnchoredPair(reference, ResummedProfile(reference))
 
 
 def outcome(run, *args):
@@ -434,30 +435,6 @@ class TestFullDrawReference:
             assert got == want
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @settings(max_examples=200, deadline=None)
-    @given(generation_cases())
-    def test_two_predictor_pairs(self, case):
-        # Two count models fitted on different rows of one corpus: the
-        # anchor stage answers the anchor commits, the denoiser the others.
-        corpus, prompt, config, _, seed = case
-        half = (corpus.n + 1) // 2
-        anchor, denoiser = (
-            BackoffCountModel.fit(Corpus(corpus.ids[rows], corpus.weights[rows], corpus.vocab))
-            for rows in (slice(None, half), slice(corpus.n // 2, None))
-        )
-        if config.strategy.strategy is AnchorStrategy.NULL:
-            profile = MarginalAnchorProfile.zeros(corpus.length)
-        else:
-            profile = MarginalAnchorProfile.of_corpus(corpus)
-        pair = AnchoredPair(anchor, denoiser, profile)
-        sched = NoiseSchedule(T=config.T)
-        for j in range(3):
-            rng, ref_rng = np.random.default_rng([seed, j]), np.random.default_rng([seed, j])
-            got = outcome(generate, prompt, corpus.length, pair, config, sched, rng)
-            want = outcome(reference_generate, prompt, corpus.length, pair, config, sched, ref_rng)
-            assert got == want
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-
 
 class TestDrawToken:
     @pytest.mark.parametrize("temperature", [1e-7, 0.5, 0.8, 1.0, 2.0])
@@ -499,27 +476,21 @@ class TestDrawToken:
         assert calls == [temperature] * 20
 
 
-class AskedPredictor:
-    """A predictor that records the position of each ``predict_row`` call
-    it passes on."""
+class CountingPair:
+    """An anchored pair, itself its predictor, that counts the
+    ``predict_row`` calls and the profile calls it passes on."""
 
-    def __init__(self, predictor):
-        self.predictor, self.vocab, self.asked = predictor, predictor.vocab, []
+    def __init__(self, pair):
+        self.pair, self.predictor, self.vocab = pair, self, pair.predictor.vocab
+        self.rows = self.profiles = 0
 
     def predict_row(self, ids, position):
-        self.asked.append(position)
-        return self.predictor.predict_row(ids, position)
+        self.rows += 1
+        return self.pair.predictor.predict_row(ids, position)
 
-
-class CountingProfile:
-    """A profile that counts the calls it passes on."""
-
-    def __init__(self, profile):
-        self.profile, self.calls = profile, 0
-
-    def __call__(self, ids):
-        self.calls += 1
-        return self.profile(ids)
+    def profile(self, ids):
+        self.profiles += 1
+        return self.pair.profile(ids)
 
 
 class TestQueryCounts:
@@ -539,48 +510,15 @@ class TestQueryCounts:
             T=T, remask_rate=default_remask_rate(strategy) or 0.2,
             strategy=AnchorConfig.for_strategy(strategy),
         )
-        pair = build_strategy_predictors(corpus, strategy, kind)
-        # One predictor is both stages; each stage is counted on its own.
-        anchor, denoiser = AskedPredictor(pair.anchor), AskedPredictor(pair.denoiser)
-        profile = CountingProfile(pair.profile)
-        counting = AnchoredPair(anchor, denoiser, profile)
+        counting = CountingPair(build_strategy_predictors(corpus, strategy, kind))
         for j in range(4):
-            anchor.asked, denoiser.asked, profiles = [], [], profile.calls
+            rows, profiles = counting.rows, counting.profiles
             _, trace = generate([], 64, counting, cfg, NoiseSchedule(T=T),
                                 np.random.default_rng([9, j]))
             unmasks = [e for e in trace.events if e.event == "unmask"]
-            assert anchor.asked == [e.position for e in unmasks if e.stage == "anchor"]
-            assert denoiser.asked == [e.position for e in unmasks if e.stage == "denoise"]
-            if strategy is AnchorStrategy.NULL:
-                assert not anchor.asked
             # Every step with a nonzero budget commits, so its step has an unmask.
-            assert profile.calls - profiles == len({e.step for e in unmasks})
-
-
-class TestSeparateStages:
-    def test_pair_class_is_the_denoisers_one(self):
-        assert sampler.AnchoredPair is denoisers.AnchoredPair
-
-    @pytest.mark.parametrize("strategy", list(AnchorStrategy))
-    def test_two_exact_tables_equal_the_shared_one(self, synth_records, synth_vocab, strategy):
-        # Two instances of the exact table, each with its own match state,
-        # sample and trace as the one table both stages share.
-        config = AnchorConfig.for_strategy(strategy)
-        corpus = build_corpus(reweight_records(synth_records, config), synth_vocab, length=64)
-        anchor, denoiser = ExactPosteriorDenoiser(corpus), ExactPosteriorDenoiser(corpus)
-        if strategy is AnchorStrategy.NULL:
-            profile = MarginalAnchorProfile.zeros(corpus.length)
-        else:
-            profile = PosteriorAnchorProfile(anchor)
-        separate = AnchoredPair(anchor, denoiser, profile)
-        shared = build_strategy_predictors(corpus, strategy, "exact")
-        cfg = SamplerConfig(T=16, remask_rate=default_remask_rate(strategy), strategy=config)
-        for j in range(6):
-            got = outcome(generate, [], 64, separate, cfg, NoiseSchedule(T=16),
-                          np.random.default_rng([4, j]))
-            want = outcome(generate, [], 64, shared, cfg, NoiseSchedule(T=16),
-                           np.random.default_rng([4, j]))
-            assert got == want
+            assert counting.rows - rows == len(unmasks)
+            assert counting.profiles - profiles == len({e.step for e in unmasks})
 
 
 class TestMatchStateGeneration:
